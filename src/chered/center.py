@@ -4,18 +4,15 @@ invariant subalgebra P."""
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
-from .exactnum import primitive_root
-from .multipoly import MPoly, canon_scalar, charpoly_berkowitz
-from .reflgrp import ReflectionGroup, build_group, character_table
+from .multipoly import MPoly, charpoly_berkowitz
+from .reflgrp import ReflectionGroup, build_group, character_table, param_map
 from .cherednik import (PBWElement, euler_element, is_central, multiply,
-                        named_center_generators)
+                        named_center_generators, residue_summary)
 from .verma import omega_table
 
 __all__ = [
-    "substitute_params",
-    "k_substitution",
+    "rank1_center_product",
     "verify_rank1_center",
     "verify_b2_center",
     "minpoly_euler",
@@ -23,66 +20,39 @@ __all__ = [
 ]
 
 
-def substitute_params(elem: PBWElement, mapping: dict) -> PBWElement:
-    """Apply a substitution to every parameter coefficient of an element."""
-    terms = {}
-    for key, coeff in elem.terms.items():
-        new = coeff.substitute(mapping)
-        if not new.is_zero():
-            terms[key] = new
-    return PBWElement(elem.group, elem.with_T, terms)
+RANK1_DEGREES = range(2, 7)
 
 
-def k_substitution(W: ReflectionGroup, eliminate: bool = True) -> dict:
-    """C_i -> sum_j zeta^(i(j-1)) K_j per hyperplane orbit; with eliminate,
-    the orbit's K_0-label is replaced by minus the sum of the others, which
-    encodes the constraint sum_j K_j = 0."""
-    out = {}
-    for label, e in W.hyperplane_orbits:
-        z = primitive_root(e)
-        prefix = "K" if len(W.hyperplane_orbits) == 1 else f"K{label}"
-        kvars = [MPoly.var(f"{prefix}{j}") for j in range(e)]
-        if eliminate:
-            head = MPoly.zero()
-            for v in kvars[1:]:
-                head = head - v
-            kvars[0] = head
-        for refl in W.reflections:
-            if refl.orbit != label:
-                continue
-            i = refl.power
-            acc = MPoly.zero()
-            for j in range(e):
-                acc = acc + kvars[j] * canon_scalar(z ** (i * (j - 1) % e))
-            out[refl.param] = acc
-    return out
+def rank1_center_product(d: int) -> PBWElement:
+    """prod_{j=0}^{d-1} (eu - d K_j) in the cyclic algebra of order d, for d
+    in RANK1_DEGREES.  The algebra is taken in K-coordinates with K_0
+    eliminated through sum_j K_j = 0, so straightening emits K-coefficients
+    and the product needs no change of coordinates."""
+    if d not in RANK1_DEGREES:
+        raise ValueError(
+            "the rank-1 center identity is supported for"
+            f" {RANK1_DEGREES[0]} <= d <= {RANK1_DEGREES[-1]}, got d = {d};"
+            " larger d waits for fixed-field cyclotomic arithmetic"
+            " (ROADMAP item 2)")
+    W = build_group(f"cyclic:{d}")
+    eu = euler_element(W, basis="K")
+    k = param_map(W).k_forms
+    one = PBWElement.one(W, basis="K")
+    prod = one
+    for label in W.k_param_names():
+        prod = multiply(prod, eu - one.scale(d * k[label]))
+    return prod
 
 
 def verify_rank1_center(d: int) -> dict:
-    """Check prod_{j=0}^{d-1} (eu - d K_j) = X Y in the cyclic algebra of
-    order d, in K-coordinates with sum_j K_j = 0."""
-    if not 2 <= d <= 8:
-        raise ValueError("supported range is 2 <= d <= 8")
-    W = build_group(f"cyclic:{d}")
-    eu = euler_element(W)
-    kvars = [MPoly.var(f"K{j}") for j in range(d)]
-    head = MPoly.zero()
-    for v in kvars[1:]:
-        head = head - v
-    kvars[0] = head
-    # products re-introduce C-coefficients through the straightening rule,
-    # so the change to K-coordinates is re-applied after every factor
-    subst = k_substitution(W)
-    prod = PBWElement.one(W)
-    for j in range(d):
-        prod = multiply(prod, eu - PBWElement.one(W).scale(kvars[j] * d))
-        prod = substitute_params(prod, subst)
-    gens = named_center_generators(W)
+    """Check prod_{j=0}^{d-1} (eu - d K_j) = X Y (see rank1_center_product)."""
+    prod = rank1_center_product(d)
+    gens = named_center_generators(prod.group, basis="K")
     residue = prod - multiply(gens["X"], gens["Y"])
     status = residue.is_zero()
     report = {"relation": f"prod(eu - {d}*K_j) = X*Y", "status": status}
     if not status:
-        report["residue"] = str(residue)
+        report["residue"] = residue_summary(residue)
     return report
 
 
@@ -128,7 +98,7 @@ def verify_b2_center() -> list:
         status = residue.is_zero()
         rep = {"relation": name, "status": status}
         if not status:
-            rep["residue"] = str(residue)
+            rep["residue"] = residue_summary(residue)
         reports.append(rep)
     return reports
 
@@ -188,22 +158,19 @@ def _b2_euler_minpoly_closed_form() -> MPoly:
 def minpoly_euler(W: ReflectionGroup) -> MPoly:
     """Minimal polynomial of eu over P, in the variable t.
 
-    Rank 1 (order d): prod_j (t - d K_j) - X Y, with sum_j K_j = 0 encoded
-    by eliminating K_0.  B2: the characteristic polynomial of the 8x8
-    multiplication matrix on the explicit P-basis of Z, asserted equal to
-    the explicit closed form of degree 8.
+    Rank 1 (order d): prod_j (t - d K_j) - X Y, in the K-coordinates of
+    `param_map` (sum_j K_j = 0 encoded by eliminating K_0).  B2: the
+    characteristic polynomial of the 8x8 multiplication matrix on the
+    explicit P-basis of Z, asserted equal to the explicit closed form of
+    degree 8.
     """
     if W.spec.startswith("cyclic:"):
         d = W.order()
         t = MPoly.var("t")
-        kvars = [MPoly.var(f"K{j}") for j in range(d)]
-        head = MPoly.zero()
-        for v in kvars[1:]:
-            head = head - v
-        kvars[0] = head
+        k = param_map(W).k_forms
         prod = MPoly.const(1)
-        for j in range(d):
-            prod = prod * (t - d * kvars[j])
+        for label in W.k_param_names():
+            prod = prod * (t - d * k[label])
         return prod - MPoly.var("X") * MPoly.var("Y")
     if W.spec == "b2":
         charpoly = charpoly_berkowitz(_b2_euler_matrix(), "t")
@@ -224,8 +191,8 @@ def euler_charpoly_congruence(W: ReflectionGroup) -> bool:
     if W.spec.startswith("cyclic:"):
         subst = {"X": MPoly.zero(), "Y": MPoly.zero()}
         # express Omega values in the same eliminated K-coordinates
-        ksub = k_substitution(W)
-        omega_vals = [table[chi.name]["eu"].substitute(ksub)
+        c_forms = param_map(W).c_forms
+        omega_vals = [table[chi.name]["eu"].substitute(c_forms)
                       for chi in character_table(W)]
     else:
         subst = {n: MPoly.zero() for n in ("sigma", "pi", "Sigma", "Pi")}

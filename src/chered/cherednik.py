@@ -4,9 +4,12 @@ straightening, Euler element, centrality tests, bigrading, linear-character
 twists, and the Poisson bracket on the center.
 
 Normal words are triples (V-monomial, group element, V*-monomial) with
-coefficients that are polynomials in the reflection parameters (C-coordinates)
-and, for the T-deformation, in T.  The straightening core is the commutation
-rule, for v in V and xi in V*:
+coefficients that are polynomials in the reflection parameters and, for the
+T-deformation, in T.  The parameters are written in C-coordinates (the
+default) or in K-coordinates, where each C_s is the linear form of
+`reflgrp.param_map`; the coordinates are part of the algebra an element lives
+in, like the T flag.  The straightening core is the commutation rule, for v in
+V and xi in V*:
 
     xi * v = v * xi - T<v,xi> - sum_s C_s <s(v)-v, xi> s
 
@@ -14,11 +17,9 @@ rule, for v in V and xi in V*:
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactnum import Cyclotomic
 from .multipoly import MPoly, canon_scalar
-from .reflgrp import ReflectionGroup, Character, build_group, value_on_element
+from .reflgrp import ReflectionGroup, Character, param_forms, value_on_element
 
 __all__ = [
     "PBWElement",
@@ -32,6 +33,7 @@ __all__ = [
     "poisson_bracket",
     "bidegree",
     "z_degree",
+    "residue_summary",
 ]
 
 
@@ -39,13 +41,16 @@ _STRAIGHTEN_CACHE: dict = {}
 
 
 class PBWElement:
-    """An element of the algebra in PBW normal form."""
+    """An element of the algebra in PBW normal form; `basis` ("C" or "K")
+    names the coordinates its parameter coefficients are written in."""
 
-    __slots__ = ("group", "with_T", "terms")
+    __slots__ = ("group", "with_T", "basis", "terms")
 
-    def __init__(self, group: ReflectionGroup, with_T: bool = False, terms=None):
+    def __init__(self, group: ReflectionGroup, with_T: bool = False, terms=None,
+                 basis: str = "C"):
         self.group = group
         self.with_T = with_T
+        self.basis = basis
         self.terms = {}
         if terms:
             for key, c in terms.items():
@@ -56,38 +61,45 @@ class PBWElement:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(W, with_T=False):
-        return PBWElement(W, with_T, {})
+    def zero(W, with_T=False, basis="C"):
+        return PBWElement(W, with_T, {}, basis)
 
     @staticmethod
-    def one(W, with_T=False):
-        return PBWElement(W, with_T, {_unit_key(W): MPoly.const(1)})
+    def one(W, with_T=False, basis="C"):
+        return PBWElement(W, with_T, {_unit_key(W): MPoly.const(1)}, basis)
 
     @staticmethod
-    def v_gen(W, i: int, with_T=False):
+    def v_gen(W, i: int, with_T=False, basis="C"):
         """The i-th coordinate of V as an element."""
         p = tuple(1 if k == i else 0 for k in range(W.dim))
-        return PBWElement(W, with_T, {(p, W.identity, _zeros(W)): MPoly.const(1)})
+        return PBWElement.monomial(W, p, W.identity, _zeros(W), 1, with_T, basis)
 
     @staticmethod
-    def dual_gen(W, i: int, with_T=False):
+    def dual_gen(W, i: int, with_T=False, basis="C"):
         q = tuple(1 if k == i else 0 for k in range(W.dim))
-        return PBWElement(W, with_T, {(_zeros(W), W.identity, q): MPoly.const(1)})
+        return PBWElement.monomial(W, _zeros(W), W.identity, q, 1, with_T, basis)
 
     @staticmethod
-    def group_gen(W, g: int, with_T=False):
-        return PBWElement(W, with_T, {(_zeros(W), g, _zeros(W)): MPoly.const(1)})
+    def group_gen(W, g: int, with_T=False, basis="C"):
+        return PBWElement.monomial(W, _zeros(W), g, _zeros(W), 1, with_T, basis)
 
     @staticmethod
-    def monomial(W, vexp, g, dexp, coeff=1, with_T=False):
+    def monomial(W, vexp, g, dexp, coeff=1, with_T=False, basis="C"):
         return PBWElement(W, with_T,
-                          {(tuple(vexp), g, tuple(dexp)): MPoly._coerce(coeff)})
+                          {(tuple(vexp), g, tuple(dexp)): MPoly._coerce(coeff)},
+                          basis)
+
+    def _like(self, terms) -> "PBWElement":
+        """An element of the same algebra with the given terms."""
+        return PBWElement(self.group, self.with_T, terms, self.basis)
 
     # -- linear structure --------------------------------------------------
 
     def _check_compat(self, other):
-        if self.group is not other.group or self.with_T != other.with_T:
-            raise ValueError("algebra mismatch (group or T flag)")
+        if (self.group is not other.group or self.with_T != other.with_T
+                or self.basis != other.basis):
+            raise ValueError("algebra mismatch (group, T flag or parameter"
+                             " coordinates)")
 
     def __add__(self, other):
         if isinstance(other, PBWElement):
@@ -100,27 +112,29 @@ class PBWElement:
                     out.pop(key, None)
                 else:
                     out[key] = s
-            return PBWElement(self.group, self.with_T, out)
-        return self + _scalar_elem(self.group, other, self.with_T)
+            return self._like(out)
+        return self + self._scalar(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PBWElement(self.group, self.with_T,
-                          {k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, PBWElement):
             return self + (-other)
-        return self + _scalar_elem(self.group, -MPoly._coerce(other), self.with_T)
+        return self + self._scalar(-MPoly._coerce(other))
 
     def __rsub__(self, other):
-        return (-self) + _scalar_elem(self.group, other, self.with_T)
+        return (-self) + self._scalar(other)
+
+    def _scalar(self, c) -> "PBWElement":
+        """The scalar c times the unit, in the algebra of self."""
+        return self._like({_unit_key(self.group): c})
 
     def scale(self, c) -> "PBWElement":
         c = MPoly._coerce(c)
-        return PBWElement(self.group, self.with_T,
-                          {k: c * v for k, v in self.terms.items()})
+        return self._like({k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PBWElement):
@@ -131,7 +145,7 @@ class PBWElement:
         return self.scale(other)
 
     def __pow__(self, n: int):
-        result = PBWElement.one(self.group, self.with_T)
+        result = self._scalar(1)
         base = self
         while n:
             if n & 1:
@@ -158,22 +172,12 @@ class PBWElement:
     def __str__(self):
         if not self.terms:
             return "0"
-        W = self.group
         parts = []
-        for (p, g, q) in sorted(self.terms, key=lambda k: (sum(k[0]) + sum(k[2]), k)):
-            c = self.terms[(p, g, q)]
-            factors = []
-            for name, e in zip(W.v_names, p):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            if g != W.identity:
-                factors.append(W.names[g])
-            for name, e in zip(W.dual_names, q):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors) if factors else "1"
+        for key in sorted(self.terms, key=_word_order):
+            c = self.terms[key]
+            mono = _word_str(self.group, key)
             cs = str(c)
-            if not factors:
+            if mono == "1":
                 parts.append(cs)
             elif cs == "1":
                 parts.append(mono)
@@ -189,19 +193,32 @@ class PBWElement:
         return f"PBWElement({self})"
 
 
+def _word_order(key):
+    p, _, q = key
+    return (sum(p) + sum(q), key)
+
+
+def _word_str(W, key) -> str:
+    """A normal word (p, g, q) as text, e.g. "y^2*s*x"; the unit is "1"."""
+    p, g, q = key
+    factors = []
+    for name, e in zip(W.v_names, p):
+        if e:
+            factors.append(name if e == 1 else f"{name}^{e}")
+    if g != W.identity:
+        factors.append(W.names[g])
+    for name, e in zip(W.dual_names, q):
+        if e:
+            factors.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(factors) if factors else "1"
+
+
 def _zeros(W):
     return (0,) * W.dim
 
 
 def _unit_key(W):
     return (_zeros(W), W.identity, _zeros(W))
-
-
-def _scalar_elem(W, c, with_T):
-    c = MPoly._coerce(c)
-    if c.is_zero():
-        return PBWElement.zero(W, with_T)
-    return PBWElement(W, with_T, {_unit_key(W): c})
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +232,12 @@ def _pairing_s_minus_one(W, s_mat, vj, xi):
     return canon_scalar(c)
 
 
-def _dual_past_vmono(W: ReflectionGroup, xi: int, p: tuple, with_T: bool):
+def _dual_past_vmono(W: ReflectionGroup, xi: int, p: tuple, with_T: bool,
+                     basis: str):
     """Correction terms of xi * p - p * xi, as a list of
-    (coeff MPoly, V-monomial, group element index)."""
-    key = (W.spec, xi, p, with_T)
+    (coeff MPoly, V-monomial, group element index), with the parameters
+    written in the given coordinates."""
+    key = (W.spec, xi, p, with_T, basis)
     cached = _STRAIGHTEN_CACHE.get(key)
     if cached is not None:
         return cached
@@ -228,6 +247,7 @@ def _dual_past_vmono(W: ReflectionGroup, xi: int, p: tuple, with_T: bool):
     j = next(i for i, e in enumerate(p) if e)
     p_rest = tuple(e - (1 if i == j else 0) for i, e in enumerate(p))
     extras = []
+    forms = param_forms(W, basis)
     # - T <v, xi> p_rest
     if with_T and xi == j:
         extras.append((-MPoly.var("T"), p_rest, W.identity))
@@ -237,10 +257,10 @@ def _dual_past_vmono(W: ReflectionGroup, xi: int, p: tuple, with_T: bool):
         if coeff == 0:
             continue
         scalar, image = W.act_monomial(refl.index, p_rest, dual=False)
-        c = MPoly.var(refl.param) * (-coeff * scalar)
+        c = forms[refl.param] * (-coeff * scalar)
         extras.append((c, image, refl.index))
     # v * (corrections of xi * p_rest)
-    for c, mono, g in _dual_past_vmono(W, xi, p_rest, with_T):
+    for c, mono, g in _dual_past_vmono(W, xi, p_rest, with_T, basis):
         lifted = tuple(e + (1 if i == j else 0) for i, e in enumerate(mono))
         extras.append((c, lifted, g))
     # merge duplicates
@@ -273,9 +293,9 @@ def _lmul_dual(W, xi: int, elem: PBWElement) -> PBWElement:
                                                    for i in range(W.dim)), dual=True)
         newq = tuple(a + b for a, b in zip(q, image))
         add((p, g, newq), c * scalar if scalar != 1 else c)
-        for cc, mono, s in _dual_past_vmono(W, xi, p, elem.with_T):
+        for cc, mono, s in _dual_past_vmono(W, xi, p, elem.with_T, elem.basis):
             add((mono, W.mult_table[s][g], q), cc * c)
-    return PBWElement(W, elem.with_T, out)
+    return elem._like(out)
 
 
 def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
@@ -286,24 +306,14 @@ def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
         cc = c * scalar if scalar != 1 else c
         prev = out.get(key)
         out[key] = cc if prev is None else prev + cc
-    return PBWElement(W, elem.with_T, out)
-
-
-def _lmul_v(W, j: int, elem: PBWElement) -> PBWElement:
-    out: dict = {}
-    for (p, w, q), c in elem.terms.items():
-        newp = tuple(e + (1 if i == j else 0) for i, e in enumerate(p))
-        key = (newp, w, q)
-        prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-    return PBWElement(W, elem.with_T, out)
+    return elem._like(out)
 
 
 def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
     """Exact product in PBW normal form."""
     a._check_compat(b)
     W = a.group
-    result = PBWElement.zero(W, a.with_T)
+    result = a._like({})
     for (p, g, q), c in a.terms.items():
         piece = b
         for xi in reversed(range(W.dim)):
@@ -313,10 +323,9 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
             piece = _lmul_group(W, g, piece)
         for j in range(W.dim):
             if p[j]:
-                piece = PBWElement(W, a.with_T,
-                                   {(tuple(e + (p[j] if i == j else 0)
-                                           for i, e in enumerate(pp)), w, qq): cc
-                                    for (pp, w, qq), cc in piece.terms.items()})
+                piece = a._like({(tuple(e + (p[j] if i == j else 0)
+                                        for i, e in enumerate(pp)), w, qq): cc
+                                 for (pp, w, qq), cc in piece.terms.items()})
         result = result + piece.scale(c)
     return result
 
@@ -325,24 +334,24 @@ def commutator(a: PBWElement, b: PBWElement) -> PBWElement:
     return multiply(a, b) - multiply(b, a)
 
 
-def algebra_generators(W: ReflectionGroup, with_T=False) -> dict:
+def algebra_generators(W: ReflectionGroup, with_T=False, basis="C") -> dict:
     """The generating set: V coordinates, V* coordinates, group generators."""
     gens = {}
     for i, name in enumerate(W.v_names):
-        gens[name] = PBWElement.v_gen(W, i, with_T)
+        gens[name] = PBWElement.v_gen(W, i, with_T, basis)
     for i, name in enumerate(W.dual_names):
-        gens[name] = PBWElement.dual_gen(W, i, with_T)
+        gens[name] = PBWElement.dual_gen(W, i, with_T, basis)
     if W.spec == "b2":
         for name in ("s", "t"):
-            gens[name] = PBWElement.group_gen(W, W.index_of(name), with_T)
+            gens[name] = PBWElement.group_gen(W, W.index_of(name), with_T, basis)
     else:
-        gens["s"] = PBWElement.group_gen(W, W.index_of("s"), with_T)
+        gens["s"] = PBWElement.group_gen(W, W.index_of("s"), with_T, basis)
     return gens
 
 
 def is_central(z: PBWElement) -> bool:
     """True iff z commutes with every algebra generator."""
-    for gen in algebra_generators(z.group, z.with_T).values():
+    for gen in algebra_generators(z.group, z.with_T, z.basis).values():
         if not commutator(z, gen).is_zero():
             return False
     return True
@@ -353,38 +362,43 @@ def is_central(z: PBWElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def euler_element(W: ReflectionGroup, with_T: bool = False) -> PBWElement:
-    """eu = sum_i v_i xi_i + sum_s C_s s  (plus -dim*T in the T-deformation)."""
+def euler_element(W: ReflectionGroup, with_T: bool = False,
+                  basis: str = "C") -> PBWElement:
+    """eu = sum_i v_i xi_i + sum_s C_s s  (plus -dim*T in the T-deformation),
+    with C_s written in the given parameter coordinates."""
+    forms = param_forms(W, basis)
     terms: dict = {}
     for i in range(W.dim):
         p = tuple(1 if k == i else 0 for k in range(W.dim))
         terms[(p, W.identity, p)] = MPoly.const(1)
     for refl in W.reflections:
         key = (_zeros(W), refl.index, _zeros(W))
-        c = MPoly.var(refl.param)
-        terms[key] = terms.get(key, MPoly.zero()) + c
+        terms[key] = terms.get(key, MPoly.zero()) + forms[refl.param]
     if with_T:
         key = _unit_key(W)
         terms[key] = terms.get(key, MPoly.zero()) - W.dim * MPoly.var("T")
-    return PBWElement(W, with_T, terms)
+    return PBWElement(W, with_T, terms, basis)
 
 
 def euler_element_T(W: ReflectionGroup) -> PBWElement:
     return euler_element(W, with_T=True)
 
 
-def named_center_generators(W: ReflectionGroup) -> dict:
+def named_center_generators(W: ReflectionGroup, basis: str = "C") -> dict:
     """Named central elements: eu for all groups; for B2 also eu', eu'',
     delta and the embedded invariants sigma, pi, Sigma, Pi; for cyclic the
-    embedded invariants X = x^d (V* side) and Y = y^d (V side)."""
-    gens = {"eu": euler_element(W)}
+    embedded invariants X = x^d (V* side) and Y = y^d (V side).  The B2
+    generators are written in C-coordinates only."""
+    gens = {"eu": euler_element(W, basis=basis)}
     if W.spec.startswith("cyclic:"):
         d = W.order()
-        gens["X"] = PBWElement.monomial(W, (0,), W.identity, (d,))
-        gens["Y"] = PBWElement.monomial(W, (d,), W.identity, (0,))
+        gens["X"] = PBWElement.monomial(W, (0,), W.identity, (d,), basis=basis)
+        gens["Y"] = PBWElement.monomial(W, (d,), W.identity, (0,), basis=basis)
         return gens
     if W.spec != "b2":
         raise ValueError(f"no named generators for {W.spec}")
+    if basis != "C":
+        raise ValueError("the B2 generators are written in C-coordinates")
     A, B = MPoly.var("A"), MPoly.var("B")
     idx = W.index_of
     e = W.identity
@@ -432,14 +446,29 @@ def _term_bidegrees(elem: PBWElement, key, coeff: MPoly):
     return out
 
 
-def bidegree(elem: PBWElement):
-    """The bidegree of a bihomogeneous element, or None."""
+def _bidegrees(elem: PBWElement) -> set:
     found = set()
     for key, c in elem.terms.items():
         found |= _term_bidegrees(elem, key, c)
+    return found
+
+
+def bidegree(elem: PBWElement):
+    """The bidegree of a bihomogeneous element, or None."""
+    found = _bidegrees(elem)
     if len(found) == 1:
         return found.pop()
     return None if found else (0, 0)
+
+
+def residue_summary(elem: PBWElement, words: int = 3) -> dict:
+    """A compact report of an element, for failed identities: its number of
+    terms, its leading normal words (highest total degree first) and the
+    bidegrees that occur."""
+    leading = sorted(elem.terms, key=_word_order, reverse=True)[:words]
+    return {"terms": len(elem.terms),
+            "leading_words": [_word_str(elem.group, key) for key in leading],
+            "bidegrees": sorted(_bidegrees(elem))}
 
 
 def bihomogeneous_component(elem: PBWElement, i: int, j: int) -> PBWElement:
@@ -450,7 +479,7 @@ def bihomogeneous_component(elem: PBWElement, i: int, j: int) -> PBWElement:
                 if (vi + sum(exp), vj + sum(exp)) == (i, j)}
         if keep:
             out[(p, g, q)] = MPoly(c.vars, keep)
-    return PBWElement(elem.group, elem.with_T, out)
+    return elem._like(out)
 
 
 def z_degree(elem: PBWElement):
@@ -475,6 +504,8 @@ def twist_by_linear_char(gamma: Character, z: PBWElement) -> PBWElement:
     W = z.group
     if not gamma.is_linear():
         raise ValueError("twist requires a linear character")
+    if z.basis != "C":
+        raise ValueError("twist requires C-coordinates")
     subs = {}
     for refl in W.reflections:
         gs = value_on_element(W, gamma, refl.index)
@@ -489,13 +520,13 @@ def twist_by_linear_char(gamma: Character, z: PBWElement) -> PBWElement:
             cc = cc * gval
         prev = out.get((p, g, q))
         out[(p, g, q)] = cc if prev is None else prev + cc
-    return PBWElement(W, z.with_T, out)
+    return z._like(out)
 
 
 def _lift_T(z: PBWElement) -> PBWElement:
     if z.with_T:
         return z
-    return PBWElement(z.group, True, dict(z.terms))
+    return PBWElement(z.group, True, dict(z.terms), z.basis)
 
 
 def _coeff_div_T_set_T0(c: MPoly) -> MPoly:
@@ -518,14 +549,13 @@ def poisson_bracket(z1: PBWElement, z2: PBWElement) -> PBWElement:
     """{z1, z2}: lift both to the T-deformation with identical coefficients,
     take the commutator, divide by T, and set T = 0.  Raises when the
     commutator is not divisible by T (non-central input)."""
-    W = z1.group
     comm = commutator(_lift_T(z1), _lift_T(z2))
     out = {}
     for key, c in comm.terms.items():
         cc = _coeff_div_T_set_T0(c)
         if not cc.is_zero():
             out[key] = cc
-    return PBWElement(W, False, out)
+    return PBWElement(z1.group, False, out, z1.basis)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .reflgrp import (ParamVector, build_group, character_table, fake_degree,
                       b_invariant, param_convert)
+from .exactnum import parse_rational
 from .multipoly import MPoly, canon_scalar
 from .cherednik import named_center_generators, poisson_bracket, z_degree
 from .verma import omega_table
@@ -103,15 +104,15 @@ def _parse_params(W, text: str) -> ParamVector:
                 raise SystemExit_usage(
                     f"expected {len(labels)} K-values, got {len(vals)}")
             for lab, v in zip(labels, vals):
-                values[lab] = Fraction(v)
+                values[lab] = _rational(v)
             basis = _merge_basis(basis, "K")
             break
         alias = {"a": "A", "b": "B"}.get(key, key)
         if alias in W.param_names():
-            values[alias] = Fraction(val)
+            values[alias] = _rational(val)
             basis = _merge_basis(basis, "C")
         elif alias in W.k_param_names():
-            values[alias] = Fraction(val)
+            values[alias] = _rational(val)
             basis = _merge_basis(basis, "K")
         else:
             raise SystemExit_usage(f"unknown parameter {key!r} for {W.spec}")
@@ -120,6 +121,20 @@ def _parse_params(W, text: str) -> ParamVector:
         raise SystemExit_usage("no parameters given")
     try:
         return ParamVector.make(W, basis, values)
+    except ValueError as exc:
+        raise SystemExit_usage(str(exc))
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit_usage(f"not a rational number: {text!r}")
+
+
+def _group(spec: str):
+    try:
+        return build_group(spec)
     except ValueError as exc:
         raise SystemExit_usage(str(exc))
 
@@ -142,7 +157,7 @@ class SystemExit_usage(SystemExit):
 
 
 def cmd_group_info(args) -> int:
-    W = build_group(args.spec)
+    W = _group(args.spec)
     data = {
         "spec": W.spec,
         "order": W.order(),
@@ -163,12 +178,15 @@ def cmd_group_info(args) -> int:
 
 
 def cmd_verify_center(args) -> int:
-    W = build_group(args.group)
+    W = _group(args.group)
     if W.spec == "b2":
         reports = [r for r in verify_b2_center()
                    if r["relation"].startswith("central")]
     else:
-        reports = [verify_rank1_center(W.order())]
+        try:
+            reports = [verify_rank1_center(W.order())]
+        except ValueError as exc:   # the order is outside the supported range
+            raise SystemExit_usage(str(exc))
     _emit(reports, args.json)
     return EXIT_PASS if all(r["status"] for r in reports) else EXIT_FAIL
 
@@ -183,7 +201,7 @@ def cmd_verify_relations(args) -> int:
 
 
 def cmd_verify_minpoly(args) -> int:
-    W = build_group(args.group)
+    W = _group(args.group)
     poly = minpoly_euler(W)
     congruent = euler_charpoly_congruence(W)
     data = {"minimal_polynomial": str(poly),
@@ -193,7 +211,7 @@ def cmd_verify_minpoly(args) -> int:
 
 
 def cmd_families(args) -> int:
-    W = build_group(args.group)
+    W = _group(args.group)
     params = _parse_params(W, args.params)
     fp = cm_families(W, params)
     data = partition_to_json(fp, None)
@@ -220,7 +238,7 @@ def _cells_for(W, params):
 
 
 def cmd_cells(args) -> int:
-    W = build_group(args.group)
+    W = _group(args.group)
     params = _parse_params(W, args.params)
     cells = _cells_for(W, params)
     fp = cm_families(W, params)
@@ -236,7 +254,7 @@ def cmd_cells(args) -> int:
 
 
 def cmd_fake_degrees(args) -> int:
-    W = build_group(args.group)
+    W = _group(args.group)
     ok = True
     rows = []
     for chi in character_table(W):
@@ -251,8 +269,13 @@ def cmd_fake_degrees(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    W = build_group(args.group)
-    order = args.order if args.order is not None else default_order()
+    W = _group(args.group)
+    if args.order is not None and args.order < 1:
+        raise SystemExit_usage(f"--order must be >= 1, got {args.order}")
+    try:
+        order = args.order if args.order is not None else default_order()
+    except ValueError as exc:
+        raise SystemExit_usage(str(exc))
     molien = molien_bigraded(W, order)
     data = {"order": order,
             "invariants_bigraded": series_table(molien)}
@@ -271,7 +294,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_omega_table(args) -> int:
-    W = build_group(args.group)
+    W = _group(args.group)
     table = omega_table(W)
     data = {chi: {gen: str(v) for gen, v in row.items()}
             for chi, row in table.items()}
@@ -288,12 +311,14 @@ def cmd_galois(args) -> int:
 
 
 def cmd_geometry_rank1(args) -> int:
+    if args.d < 2:
+        raise SystemExit_usage(f"--d must be >= 2, got {args.d}")
     parts = [p.strip() for p in args.point.split(",") if p.strip()]
     if len(parts) != args.d + 3:
         raise SystemExit_usage(
             f"--point needs {args.d} K-values followed by x,y,e")
-    ks = [Fraction(p) for p in parts[:args.d]]
-    x, y, e = (Fraction(p) for p in parts[args.d:])
+    ks = [_rational(p) for p in parts[:args.d]]
+    x, y, e = (_rational(p) for p in parts[args.d:])
     try:
         singular = rank1_singular_test(args.d, ks, x, y, e)
         ramified = rank1_ramification_test(args.d, ks, x, y, e)
@@ -305,7 +330,7 @@ def cmd_geometry_rank1(args) -> int:
 
 
 def cmd_poisson(args) -> int:
-    W = build_group(args.group)
+    W = _group(args.group)
     gens = named_center_generators(W)
     for side, name in (("--lhs", args.lhs), ("--rhs", args.rhs)):
         if name not in gens:

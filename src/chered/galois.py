@@ -133,14 +133,28 @@ def rank1_disc_report(d: int = 3) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rank1_equation(d: int, ks) -> "tuple":
-    """Value and gradient data of g(x, y, e) = prod_i (e - d k_i) - x y."""
-    def product(e):
-        p = Fraction(1)
-        for k in ks:
-            p *= e - d * k
-        return p
-    return product
+def _rank1_point(d: int, k_values, x, y, e):
+    """Check that (k, x, y, e) lies on prod_i (e - d k_i) = x y with
+    sum_i k_i = 0; return x, y and the e-derivative of the left side there,
+    sum_i prod_{j != i} (e - d k_j)."""
+    ks = [Fraction(v) for v in k_values]
+    x, y, e = Fraction(x), Fraction(y), Fraction(e)
+    if len(ks) != d or sum(ks) != 0:
+        raise ValueError("need d K-values summing to zero")
+    factors = [e - d * k for k in ks]
+    prod = Fraction(1)
+    for f in factors:
+        prod *= f
+    if prod - x * y != 0:
+        raise ValueError("point does not lie on the variety")
+    deriv = Fraction(0)
+    for i in range(d):
+        term = Fraction(1)
+        for j, f in enumerate(factors):
+            if j != i:
+                term *= f
+        deriv += term
+    return x, y, deriv
 
 
 def rank1_singular_test(d: int, k_values, x, y, e) -> dict:
@@ -151,21 +165,8 @@ def rank1_singular_test(d: int, k_values, x, y, e) -> dict:
     e = d k_i = d k_j for some i != j; note the factor d multiplying the
     k-values in these equations.
     """
-    ks = [Fraction(v) for v in k_values]
-    x, y, e = Fraction(x), Fraction(y), Fraction(e)
-    if len(ks) != d or sum(ks) != 0:
-        raise ValueError("need d K-values summing to zero")
-    prod = _rank1_equation(d, ks)
-    if prod(e) - x * y != 0:
-        raise ValueError("point does not lie on the variety")
+    x, y, deriv = _rank1_point(d, k_values, x, y, e)
     # gradient: (-y, -x, sum_i prod_{j != i} (e - d k_j))
-    deriv = Fraction(0)
-    for i in range(d):
-        term = Fraction(1)
-        for j in range(d):
-            if j != i:
-                term *= e - d * ks[j]
-        deriv += term
     singular = (y == 0 and x == 0 and deriv == 0)
     return {
         "singular": singular,
@@ -179,21 +180,7 @@ def rank1_singular_test(d: int, k_values, x, y, e) -> dict:
 def rank1_ramification_test(d: int, k_values, x, y, e) -> dict:
     """Whether e is a multiple root of the specialized minimal polynomial
     F_p(t) = prod_j (t - d K_j) - x y, i.e. F_p(e) = F_p'(e) = 0."""
-    ks = [Fraction(v) for v in k_values]
-    if len(ks) != d or sum(ks) != 0:
-        raise ValueError("need d K-values summing to zero")
-    x, y, e = Fraction(x), Fraction(y), Fraction(e)
-    prod = _rank1_equation(d, ks)
-    value = prod(e) - x * y
-    if value != 0:
-        raise ValueError("point does not lie on the variety")
-    deriv = Fraction(0)
-    for i in range(d):
-        term = Fraction(1)
-        for j in range(d):
-            if j != i:
-                term *= e - d * ks[j]
-        deriv += term
+    _, _, deriv = _rank1_point(d, k_values, x, y, e)
     return {"ramified": deriv == 0, "derivative": str(deriv)}
 
 

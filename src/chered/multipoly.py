@@ -495,52 +495,6 @@ def _scale_sign(p: MPoly, sign: int) -> MPoly:
     return p if sign >= 0 else -p
 
 
-def sylvester_resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Resultant via the Bareiss fraction-free determinant of the Sylvester
-    matrix; used as an independent cross-check."""
-    A = _uni_trim(f.as_univariate(name))
-    B = _uni_trim(g.as_univariate(name))
-    m, n = _uni_degree(A), _uni_degree(B)
-    if m < 0 or n < 0:
-        return MPoly.zero()
-    size = m + n
-    if size == 0:
-        return MPoly.const(1)
-    rows = []
-    for i in range(n):
-        row = [MPoly.zero()] * size
-        for j, c in enumerate(reversed(A)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [MPoly.zero()] * size
-        for j, c in enumerate(reversed(B)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_det(rows)
-
-
-def _bareiss_det(mat: list[list[MPoly]]) -> MPoly:
-    n = len(mat)
-    mat = [row[:] for row in mat]
-    sign = 1
-    prev = MPoly.const(1)
-    for k in range(n - 1):
-        if mat[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not mat[i][k].is_zero()), None)
-            if pivot is None:
-                return MPoly.zero()
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j]
-                mat[i][j] = num.divexact(prev)
-            mat[i][k] = MPoly.zero()
-        prev = mat[k][k]
-    return _scale_sign(mat[n - 1][n - 1], sign)
-
-
 def discriminant(f: MPoly, name: str) -> MPoly:
     """disc(f) = (-1)^(d(d-1)/2) Res(f, f') for monic f in the given variable.
 

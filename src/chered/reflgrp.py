@@ -14,8 +14,9 @@ t^3 + t
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .exactnum import Cyclotomic, primitive_root
 from .multipoly import MPoly, canon_scalar, scalar_conjugate, scalar_div
@@ -24,12 +25,14 @@ __all__ = [
     "ReflectionGroup",
     "Character",
     "ParamVector",
+    "ParamMap",
     "build_group",
     "character_table",
+    "param_map",
+    "param_forms",
     "param_convert",
     "fake_degree",
     "b_invariant",
-    "degrees",
 ]
 
 
@@ -142,11 +145,8 @@ class ReflectionGroup:
         return tuple(seen)
 
     def k_param_names(self) -> tuple[str, ...]:
-        out = []
-        for label, e in self.hyperplane_orbits:
-            prefix = "K" if len(self.hyperplane_orbits) == 1 else f"K{label}"
-            out.extend(f"{prefix}{j}" for j in range(e))
-        return tuple(out)
+        return tuple(lab for label, e in self.hyperplane_orbits
+                     for lab in _orbit_k_labels(self, label, e))
 
     # monomial action on V and V* monomials -----------------------------
 
@@ -205,7 +205,11 @@ def build_group(spec: str) -> ReflectionGroup:
     if spec == "b2":
         return _build_b2()
     if spec.startswith("cyclic:"):
-        d = int(spec.split(":", 1)[1])
+        order = spec.split(":", 1)[1]
+        if not order.isdecimal():
+            raise ValueError("cyclic group order must be a positive integer,"
+                             f" got {order!r}")
+        d = int(order)
         if d < 2:
             raise ValueError("cyclic group needs order >= 2")
         return _build_cyclic(d)
@@ -283,7 +287,9 @@ def _finish_group(spec, dim, names, mats, v_names, dual_names,
     prod = 1
     for d in degs:
         prod *= d
-    assert prod == order and sum(d - 1 for d in degs) == len(reflections)
+    if prod != order or sum(d - 1 for d in degs) != len(reflections):
+        raise ArithmeticError(f"invariant degrees {degs} violate Chevalley's"
+                              f" |W| = {order}, |Ref| = {len(reflections)}")
     return W
 
 
@@ -320,17 +326,6 @@ def _build_b2() -> ReflectionGroup:
 # ---------------------------------------------------------------------------
 # truncated univariate series helpers (lists of scalars, index = degree)
 # ---------------------------------------------------------------------------
-
-
-def ser_mul(a, b, n):
-    out = [0] * (n + 1)
-    for i, ca in enumerate(a[: n + 1]):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b[: n + 1 - i]):
-            if cb != 0:
-                out[i + j] = out[i + j] + ca * cb
-    return [canon_scalar(c) for c in out]
 
 
 def ser_inv(a, n):
@@ -371,11 +366,6 @@ def _degrees_from_molien(dim, mats, order, num_reflections):
     if any(series[1:]) or series[0] != 1:
         raise ArithmeticError("invariant-degree extraction failed")
     return tuple(sorted(degs))
-
-
-def degrees(W: ReflectionGroup) -> tuple:
-    """Invariant degrees, extracted from the Molien series of k[V]^W."""
-    return W.degrees
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +431,11 @@ def _check_character_table(W, chars):
     for i, chi in enumerate(chars):
         for j, psi in enumerate(chars):
             expected = 1 if i == j else 0
-            assert inner_product(W, chi, psi) == expected, (chi.name, psi.name)
-    assert sum(chi.degree ** 2 for chi in chars) == W.order()
+            if inner_product(W, chi, psi) != expected:
+                raise ArithmeticError(f"characters {chi.name}, {psi.name} are"
+                                      " not orthonormal")
+    if sum(chi.degree ** 2 for chi in chars) != W.order():
+        raise ArithmeticError("sum of chi(1)^2 differs from |W|")
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +536,72 @@ def _check_k_constraint(W, pv):
             raise ValueError(f"K-coordinates of orbit {label} do not sum to zero")
 
 
+@dataclass(frozen=True)
+class ParamMap:
+    """The change between the C- and K-coordinates of one group.
+
+    Per hyperplane orbit of order e, the class of the reflections s_H^i has
+    C_i = sum_j z_e^(i(j-1)) K_j (and C_0 = 0), inverted by
+    K_j = (1/e) sum_i z_e^(-i(j-1)) C_i.  The constraint sum_j K_j = 0 is
+    encoded by eliminating the orbit's K_0, so every C_s is a linear form in
+    the remaining K-labels.
+    """
+
+    k_forms: MappingProxyType   # K-label -> MPoly, K_0 = -(K_1 + ... + K_{e-1})
+    c_forms: MappingProxyType   # C-label -> MPoly, linear in the K-labels
+    c_rows: tuple               # (C-label, ((K-label, coeff), ...)), read off c_forms
+    k_rows: tuple               # (K-label, ((C-label, coeff), ...))
+
+
+@functools.lru_cache(maxsize=None)
+def param_map(W: ReflectionGroup) -> ParamMap:
+    """The group's parameter map; the one place that holds the coefficient
+    table z_e^(i(j-1)) and the elimination of K_0.
+
+    >>> print(param_map(build_group("cyclic:2")).c_forms["C1"])
+    2*K1
+    """
+    k_forms, c_forms, k_rows = {}, {}, []
+    for label, e in W.hyperplane_orbits:
+        z = primitive_root(e)
+        table = [[canon_scalar(z ** (i * (j - 1) % e)) for j in range(e)]
+                 for i in range(e)]
+        klabs = _orbit_k_labels(W, label, e)
+        kvars = [MPoly.var(lab) for lab in klabs]
+        kvars[0] = -sum(kvars[1:], MPoly.zero())
+        k_forms.update(zip(klabs, kvars))
+        classes = {r.power: r.param for r in W.reflections if r.orbit == label}
+        for i, param in classes.items():
+            form = MPoly.zero()
+            for j in range(e):
+                form = form + kvars[j] * table[i][j]
+            c_forms[param] = form
+        for j, lab in enumerate(klabs):
+            k_rows.append((lab, tuple(
+                (param, scalar_div(scalar_conjugate(table[i][j]), e))
+                for i, param in classes.items())))
+    c_rows = tuple(
+        (param, tuple((form.vars[exp.index(1)], c)
+                      for exp, c in form.terms.items()))
+        for param, form in c_forms.items())
+    return ParamMap(MappingProxyType(k_forms), MappingProxyType(c_forms),
+                    c_rows, tuple(k_rows))
+
+
+@functools.lru_cache(maxsize=None)
+def param_forms(W: ReflectionGroup, basis: str) -> MappingProxyType:
+    """C_s -> its expression in the given coordinates: the variable C_s
+    itself for "C", the linear form of `param_map` for "K"."""
+    if basis == "C":
+        return MappingProxyType({p: MPoly.var(p) for p in W.param_names()})
+    if basis == "K":
+        return param_map(W).c_forms
+    raise ValueError("basis must be 'C' or 'K'")
+
+
 def param_convert(W: ReflectionGroup, v: ParamVector, target: str) -> ParamVector:
-    """Exact change of coordinates between the C and K bases:
-    C_i = sum_j z_e^(i(j-1)) K_j per hyperplane orbit (with C_0 = 0).
+    """Exact change of coordinates between the C and K bases, through the
+    rows of `param_map`.
 
     >>> W = build_group("cyclic:2")
     >>> v = ParamVector.make(W, "K", {"K0": Fraction(-1), "K1": Fraction(1)})
@@ -554,39 +610,19 @@ def param_convert(W: ReflectionGroup, v: ParamVector, target: str) -> ParamVecto
     """
     if v.group_spec != W.spec:
         raise ValueError("parameter vector belongs to another group")
+    if target not in ("C", "K"):
+        raise ValueError("target basis must be 'C' or 'K'")
     if target == v.basis:
         return v
+    pm = param_map(W)
     vals = v.as_dict()
     out = {}
-    if target == "C":
-        for label, e in W.hyperplane_orbits:
-            z = primitive_root(e)
-            klabs = _orbit_k_labels(W, label, e)
-            for refl in W.reflections:
-                if refl.orbit != label:
-                    continue
-                i = refl.power
-                acc = 0
-                for j, lab in enumerate(klabs):
-                    acc = canon_scalar(z ** (i * (j - 1) % e)) * vals[lab] + acc
-                out[refl.param] = _canon_param(acc)
-        return ParamVector.make(W, "C", out)
-    if target == "K":
-        for label, e in W.hyperplane_orbits:
-            z = primitive_root(e)
-            klabs = _orbit_k_labels(W, label, e)
-            cvals = {0: 0}
-            for refl in W.reflections:
-                if refl.orbit == label:
-                    cvals[refl.power] = vals[refl.param]
-            for j, lab in enumerate(klabs):
-                acc = 0
-                for i in range(e):
-                    coeff = canon_scalar(scalar_div(z ** ((-i * (j - 1)) % e), e))
-                    acc = coeff * cvals[i] + acc
-                out[lab] = _canon_param(acc)
-        return ParamVector.make(W, "K", out)
-    raise ValueError("target basis must be 'C' or 'K'")
+    for label, row in (pm.c_rows if target == "C" else pm.k_rows):
+        acc = 0
+        for src, coeff in row:
+            acc = coeff * vals[src] + acc
+        out[label] = _canon_param(acc)
+    return ParamVector.make(W, target, out)
 
 
 def _canon_param(value):

@@ -28,10 +28,9 @@ def default_order() -> int:
     value = os.environ.get(ORDER_ENV_VAR)
     if value is None:
         return DEFAULT_ORDER
-    n = int(value)
-    if n < 1:
-        raise ValueError("truncation order must be >= 1")
-    return n
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValueError(f"{ORDER_ENV_VAR} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _det_one_minus(mat, var: str, order: int) -> TruncSeries2:

@@ -104,8 +104,9 @@ def coinvariant_basis(W: ReflectionGroup) -> CoinvariantBasis:
         expect = new
     counts = cb.degree_counts()
     got = [counts.get(k, 0) for k in range(len(expect))]
-    assert got == expect, (got, expect)
-    assert len(cb.monomials) == W.order()
+    if got != expect or len(cb.monomials) != W.order():
+        raise ArithmeticError(f"coinvariant basis has graded dimension {got},"
+                              f" expected {expect} (|W| = {W.order()})")
     return cb
 
 
@@ -331,7 +332,9 @@ def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
     dim_chi = len(mats[0])
     basis = tuple((m, j) for m in coin.monomials for j in range(dim_chi))
     mod = BabyVermaModule(W, chi, basis, coin, mats)
-    assert mod.dim == W.order() * dim_chi
+    if mod.dim != W.order() * dim_chi:
+        raise ArithmeticError(f"baby Verma module of {chi.name} has dimension"
+                              f" {mod.dim}, expected {W.order() * dim_chi}")
     return mod
 
 

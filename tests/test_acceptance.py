@@ -20,6 +20,7 @@ from chered.series import (center_basis_bidegrees, fantome_bigraded,
 from chered.center import (euler_charpoly_congruence, minpoly_euler,
                            verify_b2_center, verify_rank1_center)
 from chered.galois import b2_galois_certificate
+from oracles import substitute_params
 
 
 def report(n, label, ok):
@@ -70,7 +71,6 @@ def test_criterion_04_rank1_center():
         W = build_group("cyclic:3")
         g = named_center_generators(W)
         residue = g["eu"] ** 3 - multiply(g["X"], g["Y"])
-        from chered.center import substitute_params
         zeros = {f"C{i}": MPoly.zero() for i in (1, 2)}
         ok = substitute_params(residue, zeros).is_zero()
     report(4, "rank-1 center identity for d = 2..6 and eu^d = XY at K = 0",

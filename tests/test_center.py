@@ -5,15 +5,32 @@ import pytest
 from chered.multipoly import MPoly
 from chered.reflgrp import build_group
 from chered.cherednik import PBWElement, multiply, named_center_generators
-from chered.center import (euler_charpoly_congruence, k_substitution,
-                           minpoly_euler, substitute_params,
-                           verify_b2_center, verify_rank1_center)
+from chered.center import (euler_charpoly_congruence, minpoly_euler,
+                           rank1_center_product, verify_b2_center,
+                           verify_rank1_center)
+from oracles import rank1_center_product_per_factor, substitute_params
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
 def test_rank1_center_relation(d):
     report = verify_rank1_center(d)
     assert report["status"] is True, report
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_rank1_k_native_product_matches_per_factor_oracle(d):
+    new = rank1_center_product(d)
+    old = rank1_center_product_per_factor(d)
+    assert new.basis == "K" and old.basis == "C"
+    assert set(new.terms) == set(old.terms)
+    for key, coeff in new.terms.items():
+        assert coeff == old.terms[key], key
+
+
+@pytest.mark.parametrize("d", (1, 7, 8))
+def test_rank1_center_range(d):
+    with pytest.raises(ValueError, match="ROADMAP item 2"):
+        verify_rank1_center(d)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
@@ -100,9 +117,3 @@ def test_euler_charpoly_congruence(spec):
     W = build_group(spec)
     assert euler_charpoly_congruence(W) is True
 
-
-def test_k_substitution_eliminates_k0():
-    W = build_group("cyclic:3")
-    subst = k_substitution(W)
-    for val in subst.values():
-        assert val.degree_in("K0") == 0

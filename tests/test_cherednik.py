@@ -9,7 +9,8 @@ from chered.reflgrp import build_group, character_table
 from chered.cherednik import (PBWElement, algebra_generators, bidegree,
                               commutator, euler_element, euler_element_T,
                               is_central, multiply, named_center_generators,
-                              poisson_bracket, twist_by_linear_char, z_degree)
+                              poisson_bracket, residue_summary,
+                              twist_by_linear_char, z_degree)
 
 
 GROUPS = ("cyclic:2", "cyclic:3", "cyclic:4", "b2")
@@ -142,3 +143,38 @@ def test_twist_by_linear_character():
     # involutive
     a = random_element(W, rng)
     assert twist_by_linear_char(eps_t, twist_by_linear_char(eps_t, a)) == a
+
+
+def test_k_coordinates_are_part_of_the_algebra():
+    W = build_group("cyclic:3")
+    eu_k = euler_element(W, basis="K")
+    assert eu_k.basis == "K" and is_central(eu_k)
+    assert bidegree(eu_k) == (1, 1)
+    with pytest.raises(ValueError, match="algebra mismatch"):
+        eu_k + euler_element(W)
+    with pytest.raises(ValueError):
+        twist_by_linear_char(character_table(W)[1], eu_k)
+    with pytest.raises(ValueError):
+        named_center_generators(build_group("b2"), basis="K")
+
+
+def test_residue_summary():
+    W = build_group("cyclic:2")
+    s = W.index_of("s")
+    elem = (PBWElement.monomial(W, (1,), W.identity, (2,))
+            + PBWElement.monomial(W, (0,), s, (0,), MPoly.var("C1")))
+    assert residue_summary(elem) == {"terms": 2,
+                                     "leading_words": ["y*x^2", "s"],
+                                     "bidegrees": [(1, 1), (1, 2)]}
+    # a larger nonzero element: eu^4 - XY away from C = 0
+    W = build_group("cyclic:4")
+    g = named_center_generators(W)
+    residue = g["eu"] ** 4 - multiply(g["X"], g["Y"])
+    report = residue_summary(residue)
+    assert set(report) == {"terms", "leading_words", "bidegrees"}
+    assert report["terms"] == len(residue.terms) > 3
+    assert len(report["leading_words"]) == 3
+    assert all(isinstance(w, str) for w in report["leading_words"])
+    assert report["bidegrees"] == sorted(report["bidegrees"])
+    assert report["bidegrees"] == [(4, 4)]
+    assert len(str(report)) < len(str(residue))

@@ -82,6 +82,34 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "does not lie" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("group", "cyclic:abc", "info"),
+    ("group", "a3", "info"),
+    ("families", "--group", "b2", "--params", "a=x,b=1"),
+    ("hilbert", "--group", "b2", "--order", "-3"),
+    ("hilbert", "--group", "b2", "--order", "0"),
+    ("verify", "center", "--group", "cyclic:9"),
+    ("geometry", "rank1", "--d", "-1", "--point", "1,2"),
+], ids=["bad-cyclic-order", "unknown-group", "bad-rational",
+        "negative-order", "zero-order", "rank1-out-of-range",
+        "geometry-bad-degree"])
+def test_usage_error_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error: ") and not out
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_order_variable_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("CHERED_ORDER", value)
+    code, _, err = run(capsys, "hilbert", "--group", "b2")
+    assert code == 2 and "CHERED_ORDER" in err
+
+
+def test_rank1_range_error_names_missing_piece(capsys):
+    code, _, err = run(capsys, "verify", "center", "--group", "cyclic:7")
+    assert code == 2 and "2 <= d <= 6" in err and "ROADMAP item 2" in err
+
+
 def test_json_output_deterministic(capsys):
     argv = ("omega-table", "--group", "b2", "--json")
     _, out1, _ = run(capsys, *argv)

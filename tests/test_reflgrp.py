@@ -1,13 +1,18 @@
 """Reflection groups, characters, fake degrees, parameter coordinates."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chered.exactnum import primitive_root
 from chered.multipoly import MPoly, canon_scalar
 from chered.reflgrp import (ParamVector, build_group, b_invariant,
                             character_table, fake_degree, inner_product,
-                            param_convert, value_on_element)
+                            param_convert, param_map, value_on_element)
+from oracles import rank1_c_to_k, rank1_k_variables
 
 
 def test_cyclic_group_structure():
@@ -142,3 +147,59 @@ def test_act_monomial_duality():
     assert mono == (2,) and coeff == canon_scalar(z ** 2)
     coeff, mono = Wc.act_monomial(sc, (2,), dual=True)
     assert mono == (2,) and coeff == canon_scalar(z.inverse() ** 2)
+
+
+def test_param_map_eliminates_k0():
+    W = build_group("cyclic:3")
+    subst = param_map(W).c_forms
+    for val in subst.values():
+        assert val.degree_in("K0") == 0
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+def test_param_map_matches_rank1_oracle(d):
+    pm = param_map(build_group(f"cyclic:{d}"))
+    assert dict(pm.c_forms) == rank1_c_to_k(d)
+    assert list(pm.k_forms.values()) == rank1_k_variables(d)
+
+
+_SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "b2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(_SPECS), data=st.data())
+def test_param_convert_c_k_c_roundtrip(spec, data):
+    W = build_group(spec)
+    q = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    cv = ParamVector.make(W, "C", {lab: data.draw(q, label=lab)
+                                   for lab in W.param_names()})
+    kv = param_convert(W, cv, "K")
+    assert param_convert(W, kv, "C") == cv
+    # the owner's linear forms, evaluated at the K-point, give C back
+    pm = param_map(W)
+    kvals = kv.as_dict()
+    for lab, value in cv.entries:
+        got = pm.c_forms[lab].substitute(kvals)
+        assert canon_scalar(got.constant_value()) == value
+    for lab, form in pm.k_forms.items():
+        got = form.substitute(kvals)
+        assert canon_scalar(got.constant_value()) == kvals[lab]
+
+
+def test_certificate_checks_survive_python_O():
+    # a character table with a repeated row is not orthonormal
+    code = ("import sys\n"
+            "from chered.reflgrp import (_check_character_table, build_group,"
+            " character_table)\n"
+            "W = build_group('cyclic:3')\n"
+            "chars = character_table(W)\n"
+            "print(sys.flags.optimize)\n"
+            "_check_character_table(W, (chars[0], chars[0], chars[2]))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "1"
+    assert proc.returncode != 0
+    assert "ArithmeticError" in proc.stderr and "orthonormal" in proc.stderr
