@@ -8,12 +8,15 @@ coefficients that are polynomials in the reflection parameters and, for the
 T-deformation, in T.  The parameters are written in C-coordinates (the
 default) or in K-coordinates, where each C_s is the linear form of
 `reflgrp.param_map`; the coordinates are part of the algebra an element lives
-in, like the T flag.  The straightening core is the commutation rule, for v in
+in, like the T flag.  Straightening rests on one commutation rule, for v in
 V and xi in V*:
 
-    xi * v = v * xi - T<v,xi> - sum_s C_s <s(v)-v, xi> s
+    [xi, v] = -T<v,xi> - sum_s C_s <s(v)-v, xi> s
 
-(the T term is dropped at t=0), together with w * v = w(v) * w.
+(the T term is dropped at t=0), together with w * v = w(v) * w and
+w * xi = w(xi) * w.  `_straighten` owns the rule: it pushes a V* coordinate
+through a V-monomial for products in normal form, and a V coordinate through
+a V*-monomial for the action on baby Verma modules (`verma`).
 """
 from __future__ import annotations
 
@@ -145,6 +148,8 @@ class PBWElement:
         return self.scale(other)
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of an algebra element")
         result = self._scalar(1)
         base = self
         while n:
@@ -226,49 +231,49 @@ def _unit_key(W):
 # ---------------------------------------------------------------------------
 
 
-def _pairing_s_minus_one(W, s_mat, vj, xi):
-    """<s(e_vj) - e_vj, f_xi> for the V basis vector e_vj and dual f_xi."""
-    c = s_mat[xi][vj] - (1 if xi == vj else 0)
-    return canon_scalar(c)
+def _straighten(W: ReflectionGroup, side: str, i: int, mono: tuple,
+                with_T: bool, basis: str):
+    """Correction terms of g * mono - mono * g, as a list of
+    (coeff MPoly, monomial, group element index), with the parameters
+    written in the given coordinates.
 
-
-def _dual_past_vmono(W: ReflectionGroup, xi: int, p: tuple, with_T: bool,
-                     basis: str):
-    """Correction terms of xi * p - p * xi, as a list of
-    (coeff MPoly, V-monomial, group element index), with the parameters
-    written in the given coordinates."""
-    key = (W.spec, xi, p, with_T, basis)
+    On side "dual" g is the i-th V* coordinate and mono a V-monomial (the PBW
+    engine); on side "v" g is the i-th V coordinate and mono a V*-monomial
+    (the baby Verma modules).  Peeling the first variable u of mono,
+    g (u rest) = u (g rest) + [g, u] rest, and s rest = s(rest) s."""
+    key = (W.spec, side, i, mono, with_T, basis)
     cached = _STRAIGHTEN_CACHE.get(key)
     if cached is not None:
         return cached
-    if not any(p):
+    if not any(mono):
         _STRAIGHTEN_CACHE[key] = ()
         return ()
-    j = next(i for i, e in enumerate(p) if e)
-    p_rest = tuple(e - (1 if i == j else 0) for i, e in enumerate(p))
+    j = next(k for k, e in enumerate(mono) if e)
+    rest = tuple(e - (1 if k == j else 0) for k, e in enumerate(mono))
+    # [g, u] is [xi, v] on side "dual" and [v, xi] = -[xi, v] on side "v",
+    # where the monomial, and so s(rest), lives on the V* side
+    dual = side == "v"
+    sign, v, xi = (1, i, j) if dual else (-1, j, i)
     extras = []
     forms = param_forms(W, basis)
-    # - T <v, xi> p_rest
-    if with_T and xi == j:
-        extras.append((-MPoly.var("T"), p_rest, W.identity))
-    # - sum_s C_s <s(v) - v, xi> s(p_rest) s
+    if with_T and v == xi:
+        extras.append((sign * MPoly.var("T"), rest, W.identity))
     for refl in W.reflections:
-        coeff = _pairing_s_minus_one(W, W.matrices[refl.index], j, xi)
-        if coeff == 0:
+        pairing = canon_scalar(W.matrices[refl.index][xi][v] - (1 if xi == v else 0))
+        if pairing == 0:
             continue
-        scalar, image = W.act_monomial(refl.index, p_rest, dual=False)
-        c = forms[refl.param] * (-coeff * scalar)
-        extras.append((c, image, refl.index))
-    # v * (corrections of xi * p_rest)
-    for c, mono, g in _dual_past_vmono(W, xi, p_rest, with_T, basis):
-        lifted = tuple(e + (1 if i == j else 0) for i, e in enumerate(mono))
+        scalar, image = W.act_monomial(refl.index, rest, dual=dual)
+        extras.append((forms[refl.param] * (sign * pairing * scalar), image,
+                       refl.index))
+    # u * (corrections of g * rest)
+    for c, m, g in _straighten(W, side, i, rest, with_T, basis):
+        lifted = tuple(e + (1 if k == j else 0) for k, e in enumerate(m))
         extras.append((c, lifted, g))
-    # merge duplicates
     merged: dict = {}
-    for c, mono, g in extras:
-        prev = merged.get((mono, g))
-        merged[(mono, g)] = c if prev is None else prev + c
-    result = tuple((c, mono, g) for (mono, g), c in merged.items() if not c.is_zero())
+    for c, m, g in extras:
+        prev = merged.get((m, g))
+        merged[(m, g)] = c if prev is None else prev + c
+    result = tuple((c, m, g) for (m, g), c in merged.items() if not c.is_zero())
     _STRAIGHTEN_CACHE[key] = result
     return result
 
@@ -293,7 +298,8 @@ def _lmul_dual(W, xi: int, elem: PBWElement) -> PBWElement:
                                                    for i in range(W.dim)), dual=True)
         newq = tuple(a + b for a, b in zip(q, image))
         add((p, g, newq), c * scalar if scalar != 1 else c)
-        for cc, mono, s in _dual_past_vmono(W, xi, p, elem.with_T, elem.basis):
+        for cc, mono, s in _straighten(W, "dual", xi, p, elem.with_T,
+                                        elem.basis):
             add((mono, W.mult_table[s][g], q), cc * c)
     return elem._like(out)
 
@@ -469,17 +475,6 @@ def residue_summary(elem: PBWElement, words: int = 3) -> dict:
     return {"terms": len(elem.terms),
             "leading_words": [_word_str(elem.group, key) for key in leading],
             "bidegrees": sorted(_bidegrees(elem))}
-
-
-def bihomogeneous_component(elem: PBWElement, i: int, j: int) -> PBWElement:
-    out = {}
-    for (p, g, q), c in elem.terms.items():
-        vi, vj = sum(p), sum(q)
-        keep = {exp: cc for exp, cc in c.terms.items()
-                if (vi + sum(exp), vj + sum(exp)) == (i, j)}
-        if keep:
-            out[(p, g, q)] = MPoly(c.vars, keep)
-    return elem._like(out)
 
 
 def z_degree(elem: PBWElement):

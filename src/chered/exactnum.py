@@ -209,11 +209,6 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return self.order == 1
 
-    def to_rational(self) -> Fraction:
-        if self.order != 1:
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
     # -- arithmetic ------------------------------------------------------
 
     @staticmethod

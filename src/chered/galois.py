@@ -41,15 +41,13 @@ def _even_part(F: MPoly, name: str) -> MPoly:
     return f
 
 
-def b2_galois_certificate(brute_force: bool = False) -> dict:
+def b2_galois_certificate() -> dict:
     """Three-step certificate; each step reports claim, value, and pass.
 
     Step (i) uses the identity disc(g(t^2)) = (-4)^d disc(g)^2 g(0) for
     monic g of degree d — verified on random polynomials elsewhere in the
     test suite — together with a generic-routine computation of disc(f) and
-    the exact square root of f(0).  With brute_force=True the degree-8
-    discriminant is additionally recomputed from scratch by the generic
-    subresultant routine (several minutes).
+    the exact square root of f(0).
     """
     W = build_group("b2")
     F = minpoly_euler(W)
@@ -74,10 +72,6 @@ def b2_galois_certificate(brute_force: bool = False) -> dict:
         "root_squares_to_disc": root ** 2 == disc_F,
         "pass": c0 == marker ** 2 and root ** 2 == disc_F,
     }
-    if brute_force:
-        direct = discriminant(F, "t")
-        step1["brute_force_match"] = direct == disc_F
-        step1["pass"] = step1["pass"] and step1["brute_force_match"]
     steps.append(step1)
 
     # step (ii): specialize f at sigma=2, Sigma=-2, A=1, B=0, Pi=pi

@@ -112,13 +112,6 @@ class MPoly:
             return a.vars
         return tuple(sorted(set(a.vars) | set(b.vars)))
 
-    def in_vars(self, newvars) -> "MPoly":
-        newvars = tuple(newvars)
-        missing = set(self.vars) - set(newvars)
-        if missing:
-            raise ValueError(f"cannot drop variables {sorted(missing)}")
-        return MPoly(newvars, self._aligned(newvars))
-
     def trim(self) -> "MPoly":
         """Drop variables that do not occur."""
         used = [i for i, v in enumerate(self.vars)

@@ -178,9 +178,6 @@ class Character:
     def degree(self):
         return self.values[0]  # class 0 is the class of the identity
 
-    def value_on_class(self, ci: int):
-        return self.values[ci]
-
     def is_linear(self) -> bool:
         return self.degree == 1
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import os
 
-from .multipoly import MPoly, TruncSeries2, canon_scalar, scalar_div
-from .reflgrp import (ReflectionGroup, build_group, character_table,
-                      fake_degree, mat_inverse)
+from .multipoly import MPoly, TruncSeries2, scalar_div
+from .reflgrp import (ReflectionGroup, _det_one_minus_tw, build_group,
+                      character_table, fake_degree, mat_inverse)
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -35,17 +35,8 @@ def default_order() -> int:
 
 def _det_one_minus(mat, var: str, order: int) -> TruncSeries2:
     """det(1 - var * mat) as a bigraded series factor."""
-    n = len(mat)
-    if n == 1:
-        poly = {(0, 0): 1}
-        key = (1, 0) if var == "t" else (0, 1)
-        poly[key] = -mat[0][0]
-        return TruncSeries2(order, poly)
-    tr = canon_scalar(mat[0][0] + mat[1][1])
-    det = canon_scalar(mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0])
-    one = (1, 0) if var == "t" else (0, 1)
-    two = (2, 0) if var == "t" else (0, 2)
-    return TruncSeries2(order, {(0, 0): 1, one: -tr, two: det})
+    return TruncSeries2(order, {((k, 0) if var == "t" else (0, k)): c
+                                for k, c in enumerate(_det_one_minus_tw(mat))})
 
 
 def molien_bigraded(W: ReflectionGroup, order: int | None = None) -> TruncSeries2:

@@ -5,19 +5,21 @@ and by the closed formula (1/chi(1)) sum_s eps(s) chi(s) C_s.
 The module attached to an irreducible character chi is induced from the
 subalgebra generated by V, W and the parameters, on which V acts by zero and
 W through chi; it is spanned by (coinvariant V*-side monomial) (x) (chi
-space) and has dimension |W| * chi(1).
+space) and has dimension |W| * chi(1).  It represents the t = 0 algebra in
+C-coordinates only, and its V-action comes from the commutation rule of the
+PBW engine (`cherednik._straighten`).
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import Cyclotomic
 from .multipoly import MPoly, canon_scalar, scalar_div
 from .reflgrp import (Character, ReflectionGroup, build_group, character_table,
                       fake_degree, value_on_element)
-from .cherednik import PBWElement, is_central
+from .cherednik import PBWElement, _straighten
 
 __all__ = [
     "CoinvariantBasis",
@@ -179,13 +181,24 @@ def _chi_matrices(W: ReflectionGroup, chi: Character):
     raise ValueError(f"no matrix realization available for {chi.name}")
 
 
-@dataclass
+@dataclass(eq=False)
 class BabyVermaModule:
     group: ReflectionGroup
     character: Character
     basis: tuple               # of (coinvariant monomial, chi-space index)
     coin: CoinvariantBasis
     chi_mats: list
+    # the generator actions, built once: each V*-side coordinate, each
+    # group element, each V-side coordinate
+    dual_mats: list = field(init=False)
+    group_mats: list = field(init=False)
+    v_mats: list = field(init=False)
+
+    def __post_init__(self):
+        W = self.group
+        self.dual_mats = [self._matrix_dual(xi) for xi in range(W.dim)]
+        self.group_mats = [self._matrix_group(g) for g in range(W.order())]
+        self.v_mats = [self._matrix_v(vj) for vj in range(W.dim)]
 
     @property
     def dim(self) -> int:
@@ -196,8 +209,7 @@ class BabyVermaModule:
 
     # -- generator actions ----------------------------------------------
 
-    @functools.lru_cache(maxsize=None)
-    def matrix_dual(self, xi: int):
+    def _matrix_dual(self, xi: int):
         """Action of the xi-th V*-side coordinate: multiply, then reduce."""
         mat = _zero_matrix(self.dim)
         for col, (mono, j) in enumerate(self.basis):
@@ -206,8 +218,7 @@ class BabyVermaModule:
                 mat[self.basis_index(m, j)][col] = MPoly.const(c)
         return mat
 
-    @functools.lru_cache(maxsize=None)
-    def matrix_group(self, g: int):
+    def _matrix_group(self, g: int):
         mat = _zero_matrix(self.dim)
         rep = self.chi_mats[g]
         W = self.group
@@ -222,14 +233,13 @@ class BabyVermaModule:
                             canon_scalar(scalar * c * v))
         return mat
 
-    @functools.lru_cache(maxsize=None)
-    def matrix_v(self, vj: int):
-        """Action of the vj-th V coordinate, by commuting it through the
-        V*-side monomial; it kills the generator line."""
+    def _matrix_v(self, vj: int):
+        """Action of the vj-th V coordinate: v * mono = mono * v + the
+        corrections of `_straighten`, and mono * v kills the generator line."""
         W = self.group
         mat = _zero_matrix(self.dim)
         for col, (mono, j) in enumerate(self.basis):
-            for coeff, m, g in _v_through_mono(W, vj, mono):
+            for coeff, m, g in _straighten(W, "v", vj, mono, False, "C"):
                 rep = self.chi_mats[g]
                 for mm, c in self.coin.reduce(m).items():
                     for jp in range(len(rep)):
@@ -240,62 +250,30 @@ class BabyVermaModule:
         return mat
 
     def act(self, z: PBWElement):
-        """The action matrix of a PBW element."""
+        """The action matrix of a PBW element of the t = 0 algebra in
+        C-coordinates."""
         if z.group is not self.group:
             raise ValueError("element belongs to another group")
+        if z.with_T or z.basis != "C":
+            raise ValueError("baby Verma modules represent the t = 0 algebra"
+                             " in C-coordinates")
         W = self.group
         total = _zero_matrix(self.dim)
         for (p, g, q), c in z.terms.items():
             mat = _identity_matrix(self.dim)
             for xi in range(W.dim):
                 for _ in range(q[xi]):
-                    mat = _mat_mul(self.matrix_dual(xi), mat)
+                    mat = _mat_mul(self.dual_mats[xi], mat)
             if g != W.identity:
-                mat = _mat_mul(self.matrix_group(g), mat)
+                mat = _mat_mul(self.group_mats[g], mat)
             for vj in range(W.dim):
                 for _ in range(p[vj]):
-                    mat = _mat_mul(self.matrix_v(vj), mat)
+                    mat = _mat_mul(self.v_mats[vj], mat)
             for r in range(self.dim):
                 for s_ in range(self.dim):
                     if not mat[r][s_].is_zero():
                         total[r][s_] = total[r][s_] + c * mat[r][s_]
         return total
-
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
-
-
-@functools.lru_cache(maxsize=None)
-def _v_through_mono(W: ReflectionGroup, vj: int, mono: tuple):
-    """v * mono rewritten as sum of coeff * mono' * g with g in W; the
-    residual term mono * v acts by zero on the generator line and is dropped.
-
-    Recursion: v (xi rest) = xi (v rest) + [v, xi] rest, with
-    [v, xi] = sum_s C_s <s(v) - v, xi> s   and   s rest = s(rest) s.
-    """
-    if not any(mono):
-        return ()
-    xi = next(i for i, e in enumerate(mono) if e)
-    rest = tuple(e - (1 if i == xi else 0) for i, e in enumerate(mono))
-    out: dict = {}
-
-    def add(key, c):
-        prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-
-    for refl in W.reflections:
-        pair = canon_scalar(W.matrices[refl.index][xi][vj] - (1 if xi == vj else 0))
-        if pair == 0:
-            continue
-        scalar, image = W.act_monomial(refl.index, rest, dual=True)
-        add((image, refl.index), MPoly.var(refl.param) * canon_scalar(pair * scalar))
-    for coeff, m, g in _v_through_mono(W, vj, rest):
-        lifted = tuple(e + (1 if i == xi else 0) for i, e in enumerate(m))
-        add((lifted, g), coeff)
-    return tuple((c, m, g) for (m, g), c in out.items() if not c.is_zero())
 
 
 def _zero_matrix(n):
@@ -331,11 +309,10 @@ def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
     mats = _chi_matrices(W, chi)
     dim_chi = len(mats[0])
     basis = tuple((m, j) for m in coin.monomials for j in range(dim_chi))
-    mod = BabyVermaModule(W, chi, basis, coin, mats)
-    if mod.dim != W.order() * dim_chi:
+    if len(basis) != W.order() * dim_chi:
         raise ArithmeticError(f"baby Verma module of {chi.name} has dimension"
-                              f" {mod.dim}, expected {W.order() * dim_chi}")
-    return mod
+                              f" {len(basis)}, expected {W.order() * dim_chi}")
+    return BabyVermaModule(W, chi, basis, coin, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +320,12 @@ def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
 # ---------------------------------------------------------------------------
 
 
-def omega(z: PBWElement, chi: Character, check_nilpotent: bool = True,
-          check_central: bool = False) -> MPoly:
-    """Omega_chi(z) = trace(z acting on the baby Verma module) / dim.
+def omega(z: PBWElement, chi: Character, check_nilpotent: bool = True) -> MPoly:
+    """Omega_chi(z) = trace(z acting on the baby Verma module) / dim, for z
+    in the t = 0 algebra in C-coordinates.
 
     When requested, certifies that z - Omega_chi(z) acts nilpotently."""
     W = z.group
-    if check_central and not is_central(z):
-        raise ValueError("omega requires a central element")
     mod = build_baby_verma(W, chi)
     mat = mod.act(z)
     tr = MPoly.zero()
@@ -405,7 +380,7 @@ def graded_character_eM(W: ReflectionGroup, chi: Character) -> MPoly:
     # averaged projector onto invariants, then trace per degree
     proj = _zero_matrix(n)
     for g in range(W.order()):
-        mg = mod.matrix_group(g)
+        mg = mod.group_mats[g]
         for i in range(n):
             for j in range(n):
                 if not mg[i][j].is_zero():

@@ -178,3 +178,12 @@ def test_residue_summary():
     assert report["bidegrees"] == sorted(report["bidegrees"])
     assert report["bidegrees"] == [(4, 4)]
     assert len(str(report)) < len(str(residue))
+
+
+def test_negative_power_raises():
+    W = build_group("cyclic:2")
+    x = PBWElement.v_gen(W, 0)
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
+    assert x ** 0 == PBWElement.one(W)
+    assert x ** 3 == multiply(x, multiply(x, x))

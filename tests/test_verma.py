@@ -6,7 +6,8 @@ import pytest
 from chered.multipoly import MPoly, canon_scalar
 from chered.reflgrp import (ParamVector, build_group, character_table,
                             fake_degree, param_convert)
-from chered.cherednik import euler_element, named_center_generators
+from chered.cherednik import (PBWElement, euler_element, multiply,
+                              named_center_generators)
 from chered.verma import (build_baby_verma, coinvariant_basis,
                           graded_character_eM, omega, omega_euler_closed_form,
                           omega_table)
@@ -101,9 +102,51 @@ def test_graded_character_matches_fake_degree():
 def test_omega_requires_scalar_action():
     # a non-central element has no central character; the trace-average is
     # still computable, but the nilpotency certificate must reject it
-    from chered.cherednik import PBWElement
     W = build_group("b2")
     chars = character_table(W)
     s = PBWElement.group_gen(W, W.index_of("s"))
     with pytest.raises(ArithmeticError):
         omega(s, chars[4], check_nilpotent=True)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+def test_omega_table_cyclic_invariants_act_by_zero(d):
+    table = omega_table(build_group(f"cyclic:{d}"))
+    for name, row in table.items():
+        assert row["X"].is_zero() and row["Y"].is_zero(), name
+
+
+def _mat_product(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), MPoly.zero())
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("spec", ("cyclic:2", "cyclic:3", "cyclic:4", "b2"))
+def test_action_is_multiplicative(spec):
+    """The module action (V through V*-monomials) agrees with the product of
+    the PBW engine (V* through V-monomials) on all pairs of generators and
+    group elements."""
+    W = build_group(spec)
+    elems = ([PBWElement.v_gen(W, i) for i in range(W.dim)]
+             + [PBWElement.dual_gen(W, i) for i in range(W.dim)]
+             + [PBWElement.group_gen(W, g) for g in range(W.order())])
+    for chi in character_table(W):
+        mod = build_baby_verma(W, chi)
+        mats = [mod.act(z) for z in elems]
+        for a, ma in zip(elems, mats):
+            for b, mb in zip(elems, mats):
+                assert mod.act(multiply(a, b)) == _mat_product(ma, mb), \
+                    (chi.name, str(a), str(b))
+
+
+def test_act_rejects_other_algebras():
+    W = build_group("cyclic:3")
+    chi = character_table(W)[1]
+    mod = build_baby_verma(W, chi)
+    for z in (euler_element(W, basis="K"), euler_element(W, with_T=True)):
+        with pytest.raises(ValueError, match="t = 0 algebra in C-coordinates"):
+            mod.act(z)
+        for check in (False, True):
+            with pytest.raises(ValueError, match="C-coordinates"):
+                omega(z, chi, check_nilpotent=check)
