@@ -20,8 +20,8 @@ a V*-monomial for the action on baby Verma modules (`verma`).
 """
 from __future__ import annotations
 
-from .exactnum import Cyclotomic
-from .multipoly import MPoly, canon_scalar
+from .exactnum import canon_scalar
+from .multipoly import MPoly, scalar_div
 from .reflgrp import ReflectionGroup, Character, param_forms, value_on_element
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "commutator",
     "is_central",
     "euler_element",
-    "euler_element_T",
     "named_center_generators",
     "twist_by_linear_char",
     "poisson_bracket",
@@ -386,10 +385,6 @@ def euler_element(W: ReflectionGroup, with_T: bool = False,
     return PBWElement(W, with_T, terms, basis)
 
 
-def euler_element_T(W: ReflectionGroup) -> PBWElement:
-    return euler_element(W, with_T=True)
-
-
 def named_center_generators(W: ReflectionGroup, basis: str = "C") -> dict:
     """Named central elements: eu for all groups; for B2 also eu', eu'',
     delta and the embedded invariants sigma, pi, Sigma, Pi; for cyclic the
@@ -504,7 +499,7 @@ def twist_by_linear_char(gamma: Character, z: PBWElement) -> PBWElement:
     subs = {}
     for refl in W.reflections:
         gs = value_on_element(W, gamma, refl.index)
-        inv = gs if gs in (1, -1) else Cyclotomic._coerce(gs).inverse()
+        inv = scalar_div(1, gs)
         if inv != 1:
             subs[refl.param] = MPoly.var(refl.param) * inv
     out = {}

@@ -8,13 +8,12 @@ explicit case analysis over the strata of the (a, b) parameter plane.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .multipoly import MPoly, canon_scalar
-from .reflgrp import (Character, ParamVector, ReflectionGroup, build_group,
-                      character_table, fake_degree, b_invariant, param_convert,
-                      value_on_element)
+from .exactnum import canon_scalar
+from .reflgrp import (ParamVector, ReflectionGroup, build_group,
+                      character_table, fake_degree, b_invariant, param_convert)
 from .verma import omega_table
 
 __all__ = [

@@ -1,20 +1,22 @@
 """Exact arithmetic: arbitrary-precision rationals and cyclotomic numbers.
 
-Rationals are ``fractions.Fraction`` values (always reduced, positive
-denominator).  Cyclotomic numbers are represented in the power basis of a
-fixed primitive e-th root of unity ``z_e``, with coordinates reduced modulo
-the e-th cyclotomic polynomial.  The roots are chosen coherently: whenever
-d divides e, ``z_d = z_e**(e//d)``.
+Each number has one representation.  A rational is an ``int`` when it is an
+integer and a ``fractions.Fraction`` (reduced, positive denominator, > 1)
+otherwise; ``canon_scalar`` turns an integral Fraction into an int.  A
+``Cyclotomic`` only ever holds an irrational number, in the power basis of a
+fixed primitive e-th root of unity ``z_e`` with coordinates reduced modulo the
+e-th cyclotomic polynomial.  The roots are chosen coherently: whenever d
+divides e, ``z_d = z_e**(e//d)``.
 
-Every value is normalized on construction: the coordinate vector is reduced
-modulo the cyclotomic polynomial and the element is demoted to the smallest
-cyclotomic field (smallest divisor of the order) that contains it.  Two equal
-field elements therefore always have identical representations, regardless of
-how they were computed.
+Every Cyclotomic operation returns the canonical scalar: a result that is
+rational comes back as an int or a Fraction, and an irrational one as a
+Cyclotomic in the smallest cyclotomic field (smallest divisor of the order)
+that contains it.  Two equal numbers therefore always have identical
+representations, regardless of how they were computed.
 
 >>> z4 = primitive_root(4)
 >>> z4 * z4
-Cyclotomic(order=1, coeffs=(Fraction(-1, 1),))
+-1
 >>> (1 + primitive_root(3)).inverse()
 Cyclotomic(order=3, coeffs=(Fraction(0, 1), Fraction(-1, 1)))
 >>> primitive_root(6) ** 2 == primitive_root(3)
@@ -27,9 +29,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
+__all__ = ["Cyclotomic", "primitive_root", "canon_scalar"]
 
-__all__ = ["Rational", "Cyclotomic", "primitive_root", "cyclo", "parse_rational"]
+
+def canon_scalar(c):
+    """Normalize a scalar: an integral Fraction becomes an int.
+
+    >>> canon_scalar(Fraction(4, 2)), canon_scalar(Fraction(1, 2))
+    (2, Fraction(1, 2))
+    """
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    return c
 
 
 def _euler_phi(e: int) -> int:
@@ -111,10 +122,6 @@ def _reduce_mod_cyclotomic(e: int, vec: list[Fraction]) -> list[Fraction]:
     return vec[:phi]
 
 
-def _divisors(e: int) -> list[int]:
-    return [d for d in range(1, e + 1) if e % d == 0]
-
-
 def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]):
     """Solve matrix * x = rhs exactly; return None if inconsistent.
 
@@ -150,51 +157,18 @@ def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]):
 
 @dataclass(frozen=True)
 class Cyclotomic:
-    """An element of a cyclotomic field in the power basis of z_order.
+    """An irrational element of a cyclotomic field in the power basis of
+    z_order.
 
     Always stored in normalized form: order is the smallest divisor of any
-    ambient order whose field contains the element, and coeffs has length
-    phi(order).
+    ambient order whose field contains the element (so order >= 3), and
+    coeffs has length phi(order) with a nonzero coordinate past the first.
+    The generated equality and hash compare (order, coeffs); a Cyclotomic
+    never equals a rational.
     """
 
     order: int
     coeffs: tuple[Fraction, ...]
-
-    # -- construction ----------------------------------------------------
-
-    @staticmethod
-    def make(e: int, vec) -> "Cyclotomic":
-        """Build and normalize from a coordinate vector (powers of z_e)."""
-        vec = [Fraction(v) for v in vec]
-        vec = _reduce_mod_cyclotomic(e, vec)
-        return Cyclotomic._demote(e, vec)
-
-    @staticmethod
-    def from_rational(q) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(q),))
-
-    @staticmethod
-    def _demote(e: int, vec: list[Fraction]) -> "Cyclotomic":
-        if all(c == 0 for c in vec[1:]):
-            return Cyclotomic(1, (vec[0],))
-        for d in _divisors(e):
-            phi_d = _euler_phi(d)
-            if d == e:
-                return Cyclotomic(e, tuple(vec))
-            if phi_d > len(vec):
-                continue
-            # columns: z_d**k = z_e**(k*e/d) for k < phi(d)
-            step = e // d
-            cols = []
-            for k in range(phi_d):
-                col = [Fraction(0)] * (k * step + 1)
-                col[k * step] = Fraction(1)
-                cols.append(_reduce_mod_cyclotomic(e, col))
-            matrix = [[cols[k][i] for k in range(phi_d)] for i in range(len(vec))]
-            sol = _solve_linear(matrix, vec)
-            if sol is not None:
-                return Cyclotomic(d, tuple(sol))
-        raise AssertionError("unreachable: d == e always succeeds")
 
     # -- conversions -----------------------------------------------------
 
@@ -206,29 +180,26 @@ class Cyclotomic:
             vec[k * step] += c
         return _reduce_mod_cyclotomic(e, vec)
 
-    def is_rational(self) -> bool:
-        return self.order == 1
+    def _operands(self, other):
+        """(e, coordinates of self, coordinates of other) in the power basis
+        of the smallest common field; a rational other is lifted straight
+        into self's field.  None when other is not a scalar."""
+        if isinstance(other, Cyclotomic):
+            e = math.lcm(self.order, other.order)
+            return e, self._lift_vec(e), other._lift_vec(e)
+        if isinstance(other, (int, Fraction)):
+            zeros = [Fraction(0)] * (len(self.coeffs) - 1)
+            return self.order, list(self.coeffs), [Fraction(other)] + zeros
+        return None
 
     # -- arithmetic ------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, Cyclotomic):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Cyclotomic.from_rational(value)
-        return NotImplemented
-
     def __add__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
+        operands = self._operands(other)
+        if operands is None:
             return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Cyclotomic(1, (self.coeffs[0] + other.coeffs[0],))
-        e = math.lcm(self.order, other.order)
-        a = self._lift_vec(e)
-        b = other._lift_vec(e)
-        return Cyclotomic._demote(e, [x + y for x, y in zip(a, b)])
+        e, a, b = operands
+        return _normalize(e, [x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
@@ -236,23 +207,16 @@ class Cyclotomic:
         return Cyclotomic(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
+        operands = self._operands(other)
+        if operands is None:
             return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Cyclotomic(1, (self.coeffs[0] * other.coeffs[0],))
-        e = math.lcm(self.order, other.order)
-        a = self._lift_vec(e)
-        b = other._lift_vec(e)
+        e, a, b = operands
         phi = len(a)
         table = _power_table(e)
         out = [Fraction(0)] * phi
@@ -266,15 +230,12 @@ class Cyclotomic:
                 for idx, t in enumerate(table[i + j]):
                     if t:
                         out[idx] += prod * t
-        return Cyclotomic._demote(e, out)
+        return _normalize(e, out)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        if self == 0:
-            raise ZeroDivisionError("inversion of zero cyclotomic number")
-        if self.order == 1:
-            return Cyclotomic(1, (1 / self.coeffs[0],))
+        """The inverse, which lies in the same smallest field."""
         e = self.order
         phi = len(self.coeffs)
         table = _power_table(e)
@@ -293,24 +254,24 @@ class Cyclotomic:
         sol = _solve_linear(matrix, rhs)
         if sol is None:
             raise ZeroDivisionError("inversion failed (zero divisor?)")
-        return Cyclotomic._demote(e, sol)
+        return Cyclotomic(e, tuple(sol))
 
     def __truediv__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        if isinstance(other, Cyclotomic):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = Cyclotomic.from_rational(1)
+        result = 1
         base = self
         while n:
             if n & 1:
@@ -320,35 +281,15 @@ class Cyclotomic:
         return result
 
     def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation: z_e -> z_e**(-1)."""
+        """Complex conjugation z_e -> z_e**(-1), an automorphism of the
+        element's smallest field."""
         e = self.order
-        if e == 1:
-            return self
         vec = [Fraction(0)] * e
         for k, c in enumerate(self.coeffs):
             vec[(-k) % e] += c
-        return Cyclotomic.make(e, vec)
-
-    # -- comparisons -----------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, Cyclotomic):
-            return self.order == other.order and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.order == 1 and self.coeffs[0] == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.order == 1:
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
-
-    def __bool__(self):
-        return self.order != 1 or self.coeffs[0] != 0
+        return Cyclotomic(e, tuple(_reduce_mod_cyclotomic(e, vec)))
 
     def __str__(self):
-        if self.order == 1:
-            return str(self.coeffs[0])
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
@@ -363,37 +304,46 @@ class Cyclotomic:
                     parts.append(f"-{mono}")
                 else:
                     parts.append(f"{c}*{mono}")
-        text = " + ".join(parts) if parts else "0"
-        return text.replace("+ -", "- ")
+        return " + ".join(parts).replace("+ -", "- ")
 
 
-def primitive_root(e: int) -> Cyclotomic:
+def _normalize(e: int, vec: list[Fraction]):
+    """The canonical scalar with coordinates vec (length phi(e), powers of
+    z_e): a rational when every coordinate past the first is zero, otherwise
+    a Cyclotomic in the smallest field Q(z_d), d | e, that holds it.  Orders 1
+    and 2 hold only rationals, so the search starts at 3."""
+    if not any(vec[1:]):
+        return canon_scalar(vec[0])
+    for d in range(3, e):
+        if e % d:
+            continue
+        # columns: z_d**k = z_e**(k*e/d) for k < phi(d)
+        phi_d = _euler_phi(d)
+        step = e // d
+        cols = []
+        for k in range(phi_d):
+            col = [Fraction(0)] * (k * step + 1)
+            col[k * step] = Fraction(1)
+            cols.append(_reduce_mod_cyclotomic(e, col))
+        matrix = [[cols[k][i] for k in range(phi_d)] for i in range(len(vec))]
+        sol = _solve_linear(matrix, vec)
+        if sol is not None:
+            return Cyclotomic(d, tuple(sol))
+    return Cyclotomic(e, tuple(vec))
+
+
+def primitive_root(e: int):
     """The canonical primitive e-th root of unity, with the coherence
     property primitive_root(d) == primitive_root(e) ** (e // d) for d | e.
 
     >>> primitive_root(2)
-    Cyclotomic(order=1, coeffs=(Fraction(-1, 1),))
+    -1
     >>> primitive_root(4) ** 2 == primitive_root(2)
     True
     """
     if e < 1:
         raise ValueError("order must be positive")
-    if e == 1:
-        return Cyclotomic.from_rational(1)
-    vec = [Fraction(0), Fraction(1)]
-    return Cyclotomic.make(e, vec)
-
-
-def cyclo(value) -> Cyclotomic:
-    """Coerce an int, Fraction, or Cyclotomic into a Cyclotomic."""
-    if isinstance(value, Cyclotomic):
-        return value
-    return Cyclotomic.from_rational(Fraction(value))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal such as "3", "-5/7"."""
-    return Fraction(text.strip())
+    return _normalize(e, _reduce_mod_cyclotomic(e, [Fraction(0), Fraction(1)]))
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 resultants and discriminants, exact polynomial square roots, and truncated
 bivariate power series.
 
-Coefficients ("scalars") are int, Fraction, or Cyclotomic values; results are
-canonicalized so that rational values are stored as int/Fraction and only
-genuinely irrational cyclotomic numbers keep the Cyclotomic type.
+Coefficients ("scalars") are int, Fraction, or Cyclotomic values in the one
+representation that `exactnum` owns: a rational is an int or a Fraction,
+never a Cyclotomic, and results pass through `canon_scalar` so that an
+integral Fraction is stored as an int.
 
 >>> x, y = MPoly.var("x"), MPoly.var("y")
 >>> print((x + y) ** 2)
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exactnum import Cyclotomic, primitive_root
+from .exactnum import Cyclotomic, canon_scalar, primitive_root
 
 __all__ = [
     "MPoly",
@@ -30,32 +31,11 @@ __all__ = [
 ]
 
 
-def canon_scalar(c):
-    """Normalize a scalar: rational cyclotomics become Fraction, integral
-    fractions become int."""
-    if isinstance(c, Cyclotomic):
-        if c.order == 1:
-            c = c.coeffs[0]
-        else:
-            return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 def scalar_div(a, b):
     """Exact division of scalars."""
-    if isinstance(a, Cyclotomic) or isinstance(b, Cyclotomic):
-        a = a if isinstance(a, Cyclotomic) else Cyclotomic.from_rational(a)
-        b = b if isinstance(b, Cyclotomic) else Cyclotomic.from_rational(b)
-        return canon_scalar(a / b)
-    return canon_scalar(Fraction(a) / Fraction(b))
-
-
-def scalar_conjugate(c):
-    if isinstance(c, Cyclotomic):
-        return canon_scalar(c.conjugate())
-    return c
+    if isinstance(a, int):
+        a = Fraction(a)
+    return canon_scalar(a / b)
 
 
 class MPoly:
@@ -516,13 +496,9 @@ def discriminant(f: MPoly, name: str) -> MPoly:
 
 def _scalar_sqrt(c):
     """Exact square root of a rational scalar, or None."""
-    if isinstance(c, Cyclotomic):
-        if c.order != 1:
-            return None
-        c = c.coeffs[0]
-    q = Fraction(c)
-    if q < 0:
+    if isinstance(c, Cyclotomic) or c < 0:
         return None
+    q = Fraction(c)
     num = _isqrt_exact(q.numerator)
     den = _isqrt_exact(q.denominator)
     if num is None or den is None:

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
-from .exactnum import Cyclotomic, primitive_root
-from .multipoly import MPoly, canon_scalar, scalar_conjugate, scalar_div
+from .exactnum import canon_scalar, primitive_root
+from .multipoly import MPoly, scalar_div
 
 __all__ = [
     "ReflectionGroup",
@@ -272,7 +271,7 @@ def _finish_group(spec, dim, names, mats, v_names, dual_names,
                 power=power_of_reflection[names[i]],
                 param=param_of_reflection[names[i]],
             ))
-    degs = _degrees_from_molien(dim, mats, order, len(reflections))
+    degs = _degrees_from_molien(dim, mats, order)
     W = ReflectionGroup(
         spec=spec, dim=dim, names=tuple(names), matrices=tuple(mats),
         dual_matrices=duals, mult_table=mult, inverse=inv, identity=identity,
@@ -293,7 +292,7 @@ def _finish_group(spec, dim, names, mats, v_names, dual_names,
 def _build_cyclic(d: int) -> ReflectionGroup:
     z = primitive_root(d)
     names = ["1"] + [f"s^{i}" if i > 1 else "s" for i in range(1, d)]
-    mats = [((canon_scalar(z ** i),),) for i in range(d)]
+    mats = [((z ** i,),) for i in range(d)]
     orbit_of = {names[i]: "s" for i in range(1, d)}
     param_of = {names[i]: f"C{i}" for i in range(1, d)}
     power_of = {names[i]: i for i in range(1, d)}
@@ -342,17 +341,17 @@ def ser_inv(a, n):
 def _det_one_minus_tw(mat):
     """Coefficients of det(1 - t * mat) as a list (degree <= dim)."""
     if len(mat) == 1:
-        return [1, canon_scalar(-mat[0][0])]
-    return [1, canon_scalar(-mat_trace(mat)), mat_det(mat)]
+        return [1, -mat[0][0]]
+    return [1, -mat_trace(mat), mat_det(mat)]
 
 
-def _degrees_from_molien(dim, mats, order, num_reflections):
+def _degrees_from_molien(dim, mats, order):
     n = order + 1
     series = [0] * (n + 1)
     for m in mats:
         inv = ser_inv(_det_one_minus_tw(m), n)
         series = [a + b for a, b in zip(series, inv)]
-    series = [canon_scalar(scalar_div(c, order)) for c in series]
+    series = [scalar_div(c, order) for c in series]
     degs = []
     for _ in range(dim):
         k = next(i for i in range(1, n + 1) if series[i] != 0)
@@ -387,8 +386,8 @@ def character_table(W: ReflectionGroup) -> tuple[Character, ...]:
             for cls in W.conj_classes:
                 j = cls[0]  # classes are singletons; element s^j
                 power = next(p for p in range(d)
-                             if W.matrices[j][0][0] == canon_scalar(z ** p))
-                values.append(canon_scalar(z ** (i * power)))
+                             if W.matrices[j][0][0] == z ** p)
+                values.append(z ** (i * power))
             chars.append(Character(f"eps^{i}", tuple(values), W.spec))
     elif W.spec == "b2":
         def linear(val_s, val_t):
@@ -420,8 +419,8 @@ def character_table(W: ReflectionGroup) -> tuple[Character, ...]:
 def inner_product(W: ReflectionGroup, chi: Character, psi: Character):
     acc = 0
     for ci, cls in enumerate(W.conj_classes):
-        acc = acc + len(cls) * chi.values[ci] * scalar_conjugate(psi.values[ci])
-    return canon_scalar(scalar_div(acc, W.order()))
+        acc = acc + len(cls) * chi.values[ci] * psi.values[ci].conjugate()
+    return scalar_div(acc, W.order())
 
 
 def _check_character_table(W, chars):
@@ -457,9 +456,9 @@ def fake_degree(W: ReflectionGroup, chi: Character) -> MPoly:
     series = [0] * (n + 1)
     for g in range(W.order()):
         inv = ser_inv(_det_one_minus_tw(W.matrices[g]), n)
-        weight = scalar_conjugate(value_on_element(W, chi, g))
+        weight = value_on_element(W, chi, g).conjugate()
         series = [a + weight * b for a, b in zip(series, inv)]
-    series = [canon_scalar(scalar_div(c, W.order())) for c in series]
+    series = [scalar_div(c, W.order()) for c in series]
     for d in W.degrees:
         series = [canon_scalar(series[i] - (series[i - d] if i >= d else 0))
                   for i in range(n + 1)]
@@ -561,8 +560,7 @@ def param_map(W: ReflectionGroup) -> ParamMap:
     k_forms, c_forms, k_rows = {}, {}, []
     for label, e in W.hyperplane_orbits:
         z = primitive_root(e)
-        table = [[canon_scalar(z ** (i * (j - 1) % e)) for j in range(e)]
-                 for i in range(e)]
+        table = [[z ** (i * (j - 1) % e) for j in range(e)] for i in range(e)]
         klabs = _orbit_k_labels(W, label, e)
         kvars = [MPoly.var(lab) for lab in klabs]
         kvars[0] = -sum(kvars[1:], MPoly.zero())
@@ -575,7 +573,7 @@ def param_map(W: ReflectionGroup) -> ParamMap:
             c_forms[param] = form
         for j, lab in enumerate(klabs):
             k_rows.append((lab, tuple(
-                (param, scalar_div(scalar_conjugate(table[i][j]), e))
+                (param, scalar_div(table[i][j].conjugate(), e))
                 for i, param in classes.items())))
     c_rows = tuple(
         (param, tuple((form.vars[exp.index(1)], c)
@@ -601,7 +599,7 @@ def param_convert(W: ReflectionGroup, v: ParamVector, target: str) -> ParamVecto
     rows of `param_map`.
 
     >>> W = build_group("cyclic:2")
-    >>> v = ParamVector.make(W, "K", {"K0": Fraction(-1), "K1": Fraction(1)})
+    >>> v = ParamVector.make(W, "K", {"K0": -1, "K1": 1})
     >>> param_convert(W, v, "C").as_dict()["C1"]
     2
     """

@@ -3,15 +3,12 @@ degree expansion, and the series of the center with its explicit module
 basis over the invariant subalgebra P."""
 from __future__ import annotations
 
-import os
-
-from .multipoly import MPoly, TruncSeries2, scalar_div
-from .reflgrp import (ReflectionGroup, _det_one_minus_tw, build_group,
-                      character_table, fake_degree, mat_inverse)
+from .multipoly import TruncSeries2, scalar_div
+from .reflgrp import (ReflectionGroup, _det_one_minus_tw, character_table,
+                      fake_degree)
 
 __all__ = [
     "DEFAULT_ORDER",
-    "default_order",
     "molien_bigraded",
     "fantome_bigraded",
     "hilbert_center",
@@ -20,17 +17,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 12
-ORDER_ENV_VAR = "CHERED_ORDER"
-
-
-def default_order() -> int:
-    """Truncation order, overridable through the CHERED_ORDER variable."""
-    value = os.environ.get(ORDER_ENV_VAR)
-    if value is None:
-        return DEFAULT_ORDER
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise ValueError(f"{ORDER_ENV_VAR} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _det_one_minus(mat, var: str, order: int) -> TruncSeries2:
@@ -39,10 +25,8 @@ def _det_one_minus(mat, var: str, order: int) -> TruncSeries2:
                                 for k, c in enumerate(_det_one_minus_tw(mat))})
 
 
-def molien_bigraded(W: ReflectionGroup, order: int | None = None) -> TruncSeries2:
+def molien_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeries2:
     """(1/|W|) sum_w 1 / (det(1 - t w) det(1 - u w^-1)), truncated."""
-    if order is None:
-        order = default_order()
     acc = TruncSeries2(order)
     for g in range(W.order()):
         f1 = _det_one_minus(W.matrices[g], "t", order)
@@ -59,10 +43,8 @@ def _invariant_denominator(W: ReflectionGroup, order: int) -> TruncSeries2:
     return den
 
 
-def fantome_bigraded(W: ReflectionGroup, order: int | None = None) -> TruncSeries2:
+def fantome_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeries2:
     """sum_chi f_chi(t) f_chi(u) / prod_i (1 - t^d_i)(1 - u^d_i)."""
-    if order is None:
-        order = default_order()
     num = TruncSeries2(order)
     for chi in character_table(W):
         ft = TruncSeries2.from_poly(fake_degree(W, chi), order, "t", "t")
@@ -87,7 +69,7 @@ def center_basis_bidegrees(W: ReflectionGroup) -> tuple:
     raise ValueError(f"unsupported group {W.spec}")
 
 
-def hilbert_center(W: ReflectionGroup, order: int | None = None) -> dict:
+def hilbert_center(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> dict:
     """The bigraded series of the center, with a consistency report.
 
     Computed two ways: (a) the fake-degree numerator over the invariant
@@ -95,8 +77,6 @@ def hilbert_center(W: ReflectionGroup, order: int | None = None) -> dict:
     parameter ring; (b) the explicit P-module basis with its bidegrees.
     Returns {"series", "basis_series", "match", "basis_bidegrees"}.
     """
-    if order is None:
-        order = default_order()
     nclasses = len(W.param_names())
     param_factor = TruncSeries2(order, {(0, 0): 1, (1, 1): -1}).invert()
     pf = TruncSeries2.one(order)

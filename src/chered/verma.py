@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exactnum import Cyclotomic
-from .multipoly import MPoly, canon_scalar, scalar_div
-from .reflgrp import (Character, ReflectionGroup, build_group, character_table,
-                      fake_degree, value_on_element)
+from .exactnum import canon_scalar
+from .multipoly import MPoly, scalar_div
+from .reflgrp import (Character, ReflectionGroup, character_table,
+                      value_on_element)
 from .cherednik import PBWElement, _straighten
 
 __all__ = [

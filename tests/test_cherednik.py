@@ -7,7 +7,7 @@ import pytest
 from chered.multipoly import MPoly
 from chered.reflgrp import build_group, character_table
 from chered.cherednik import (PBWElement, algebra_generators, bidegree,
-                              commutator, euler_element, euler_element_T,
+                              commutator, euler_element,
                               is_central, multiply, named_center_generators,
                               poisson_bracket, residue_summary,
                               twist_by_linear_char, z_degree)
@@ -87,7 +87,7 @@ def test_deformed_euler_grading():
     # [eu~, h] = (Z-degree of h) T h for the algebra generators
     for spec in ("cyclic:3", "b2"):
         W = build_group(spec)
-        euT = euler_element_T(W)
+        euT = euler_element(W, with_T=True)
         T = MPoly.var("T")
         for name, h in algebra_generators(W, with_T=True).items():
             i = z_degree(h)

@@ -98,13 +98,6 @@ def test_usage_error_exit_code(capsys, argv):
     assert code == 2 and err.startswith("error: ") and not out
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_order_variable_exit_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("CHERED_ORDER", value)
-    code, _, err = run(capsys, "hilbert", "--group", "b2")
-    assert code == 2 and "CHERED_ORDER" in err
-
-
 def test_rank1_range_error_names_missing_piece(capsys):
     code, _, err = run(capsys, "verify", "center", "--group", "cyclic:7")
     assert code == 2 and "2 <= d <= 6" in err and "ROADMAP item 2" in err

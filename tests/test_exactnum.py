@@ -1,28 +1,46 @@
-"""Cyclotomic and rational arithmetic."""
+"""Cyclotomic and rational arithmetic, and the one representation of each
+number: int for integers, Fraction for the other rationals, Cyclotomic for
+irrationals only."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chered.exactnum import Cyclotomic, cyclo, cyclotomic_polynomial, primitive_root
+from chered.exactnum import Cyclotomic, cyclotomic_polynomial, primitive_root
+from chered.multipoly import MPoly, scalar_div
+from chered.reflgrp import build_group, character_table, param_map
+from chered.verma import omega_table
+
+
+def assert_canonical(x):
+    """x is an int when integral, a Fraction with denominator > 1 when
+    rational, and otherwise a Cyclotomic of order >= 3 (never 2 mod 4, whose
+    field is that of order/2) with a nonzero coordinate past the first."""
+    if isinstance(x, Cyclotomic):
+        assert x.order >= 3 and x.order % 4 != 2, x
+        assert any(x.coeffs[1:]), x
+    elif isinstance(x, Fraction):
+        assert x.denominator > 1, x
+    else:
+        assert type(x) is int, x
 
 
 def test_primitive_root_powers_cycle():
     for e in (1, 2, 3, 4, 6, 8, 12):
         z = primitive_root(e)
-        assert z ** e == cyclo(1)
+        assert z ** e == 1
         for k in range(1, e):
-            assert z ** k != cyclo(1)
+            assert z ** k != 1
 
 
 def test_minimal_polynomial_is_satisfied():
     for e in (3, 4, 5, 6, 8):
         z = primitive_root(e)
         phi = cyclotomic_polynomial(e)
-        acc = cyclo(0)
+        acc = 0
         for k, c in enumerate(phi):
             acc = acc + z ** k * c
-        assert acc == cyclo(0)
+        assert acc == 0
 
 
 def test_order_demotion():
@@ -32,7 +50,7 @@ def test_order_demotion():
     z12 = primitive_root(12)
     assert (z12 ** 4).order == 3
     assert (z12 ** 3).order == 4
-    assert (z12 ** 6).order == 2 or (z12 ** 6) == cyclo(-1)
+    assert (z12 ** 6) == -1
 
 
 def test_tower_coherence():
@@ -44,32 +62,26 @@ def test_tower_coherence():
 def test_inverse_and_conjugate():
     z = primitive_root(5)
     x = 1 + z + z ** 3
-    assert x * x.inverse() == cyclo(1)
+    assert x * x.inverse() == 1
     # conjugation is the automorphism zeta -> zeta^(-1)
     assert z.conjugate() == z ** 4
     y = x * x.conjugate()
     assert y == y.conjugate()
 
 
-def test_rational_embedding():
-    half = Cyclotomic.from_rational(Fraction(1, 2))
-    assert half + half == cyclo(1)
-    assert half.order == 1
-
-
 def test_known_values():
     z3 = primitive_root(3)
-    assert 1 + z3 + z3 ** 2 == cyclo(0)
+    assert 1 + z3 + z3 ** 2 == 0
     z4 = primitive_root(4)
-    assert z4 * z4 == cyclo(-1)
+    assert z4 * z4 == -1
     z8 = primitive_root(8)
     sqrt2 = z8 + z8 ** 7
-    assert sqrt2 * sqrt2 == cyclo(2)
+    assert sqrt2 * sqrt2 == 2
 
 
 small_cyclo = st.builds(
     lambda e, coeffs: sum((primitive_root(e) ** k * c for k, c in
-                           enumerate(coeffs)), cyclo(0)),
+                           enumerate(coeffs)), 0),
     st.sampled_from([1, 2, 3, 4, 6]),
     st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4),
 )
@@ -87,8 +99,66 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=30, deadline=None)
 @given(small_cyclo)
 def test_inverse_roundtrip(a):
-    if a == cyclo(0):
+    if a == 0:
         with pytest.raises(ZeroDivisionError):
-            a.inverse()
+            scalar_div(1, a)
+    elif isinstance(a, Cyclotomic):
+        assert a * a.inverse() == 1
     else:
-        assert a * a.inverse() == cyclo(1)
+        assert a * scalar_div(1, a) == 1
+
+
+# sums of integer multiples of products of powers of roots of unity; Python
+# keeps int (+, -, *) int, so every rational result is canonical only if
+# each Cyclotomic operation and scalar_div return canonical scalars
+root_power = st.tuples(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
+                       st.integers(min_value=0, max_value=24))
+monomial = st.tuples(st.integers(min_value=-3, max_value=3),
+                     st.lists(root_power, min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(monomial, min_size=1, max_size=4))
+def test_results_are_canonical(terms):
+    total = 0
+    for q, powers in terms:
+        prod = q
+        for e, k in powers:
+            factor = primitive_root(e) ** k
+            assert_canonical(factor)
+            prod = prod * factor
+            assert_canonical(prod)
+        total = total + prod
+        assert_canonical(total)
+        assert_canonical(total - prod)
+    assert_canonical(scalar_div(total, 2))
+    assert_canonical(total.conjugate())
+    if total != 0:
+        assert_canonical(scalar_div(1, total))
+
+
+def _scalars(obj):
+    if isinstance(obj, MPoly):
+        yield from obj.terms.values()
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _scalars(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _scalars(value)
+    elif not isinstance(obj, str):
+        yield obj
+
+
+@pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 7)])
+def test_group_data_is_canonical(spec):
+    W = build_group(spec)
+    pm = param_map(W)
+    data = [W.matrices, W.dual_matrices,
+            [chi.values for chi in character_table(W)],
+            dict(pm.k_forms), dict(pm.c_forms), pm.c_rows, pm.k_rows,
+            omega_table(W)]
+    seen = list(_scalars(data))
+    assert seen
+    for x in seen:
+        assert_canonical(x)

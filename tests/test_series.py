@@ -1,11 +1,9 @@
 """Bigraded Hilbert series: Molien sums, fake-degree sums, center basis."""
-import os
 
 import pytest
 
 from chered.reflgrp import build_group, character_table, fake_degree
-from chered.series import (DEFAULT_ORDER, ORDER_ENV_VAR,
-                           center_basis_bidegrees, default_order,
+from chered.series import (DEFAULT_ORDER, center_basis_bidegrees,
                            fantome_bigraded, hilbert_center, molien_bigraded,
                            series_table)
 
@@ -74,10 +72,6 @@ def test_series_table_sorted_rows():
     assert (0, 0, 1) in rows
 
 
-def test_order_env_var(monkeypatch):
-    monkeypatch.delenv(ORDER_ENV_VAR, raising=False)
-    assert default_order() == DEFAULT_ORDER
-    monkeypatch.setenv(ORDER_ENV_VAR, "7")
-    assert default_order() == 7
+def test_default_order():
     W = build_group("cyclic:2")
-    assert molien_bigraded(W).order == 7
+    assert molien_bigraded(W).order == DEFAULT_ORDER
