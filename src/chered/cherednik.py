@@ -435,7 +435,7 @@ def named_center_generators(W: ReflectionGroup, basis: str = "C") -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _term_bidegrees(elem: PBWElement, key, coeff: MPoly):
+def _term_bidegrees(key, coeff: MPoly):
     """Set of bidegrees occurring in one normal word (V: (1,0), V*: (0,1),
     parameters and T: (1,1), group elements: (0,0))."""
     p, g, q = key
@@ -450,7 +450,7 @@ def _term_bidegrees(elem: PBWElement, key, coeff: MPoly):
 def _bidegrees(elem: PBWElement) -> set:
     found = set()
     for key, c in elem.terms.items():
-        found |= _term_bidegrees(elem, key, c)
+        found |= _term_bidegrees(key, c)
     return found
 
 

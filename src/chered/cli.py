@@ -211,8 +211,6 @@ def cmd_families(args) -> int:
     params = _parse_params(W, args.params)
     fp = cm_families(W, params)
     data = partition_to_json(fp, None)
-    cvals = param_convert(W, params, "C")
-    data["parameters"] = {k: str(v) for k, v in cvals.entries}
     _emit(data, args.json)
     return EXIT_PASS
 
@@ -336,7 +334,7 @@ def cmd_poisson(args) -> int:
         data["euler_eigenvector"] = (
             bracket == gens[args.rhs].scale(expected))
     _emit(data, args.json)
-    return EXIT_PASS
+    return EXIT_PASS if data.get("euler_eigenvector", True) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

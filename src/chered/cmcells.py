@@ -43,12 +43,6 @@ class FamilyPartition:
     blocks: tuple                # of tuples of character names
     signatures: tuple            # per block, tuple of (generator, value)
 
-    def block_of(self, name: str):
-        for b in self.blocks:
-            if name in b:
-                return b
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class CellularCharacter:

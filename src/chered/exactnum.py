@@ -1,18 +1,33 @@
-"""Exact arithmetic: arbitrary-precision rationals and cyclotomic numbers.
+"""Exact arithmetic: arbitrary-precision rationals, cyclotomic numbers, and
+the package's one exact row reduction.
 
 Each number has one representation.  A rational is an ``int`` when it is an
 integer and a ``fractions.Fraction`` (reduced, positive denominator, > 1)
-otherwise; ``canon_scalar`` turns an integral Fraction into an int.  A
-``Cyclotomic`` only ever holds an irrational number, in the power basis of a
-fixed primitive e-th root of unity ``z_e`` with coordinates reduced modulo the
-e-th cyclotomic polynomial.  The roots are chosen coherently: whenever d
-divides e, ``z_d = z_e**(e//d)``.
+otherwise; ``canon_scalar`` turns an integral Fraction into an int and
+``scalar_div`` divides two scalars.  A ``Cyclotomic`` only ever holds an
+irrational number, in the power basis of a fixed primitive e-th root of unity
+``z_e`` with coordinates reduced modulo the e-th cyclotomic polynomial.  The
+roots are chosen coherently: whenever d divides e, ``z_d = z_e**(e//d)``.
+
+Cyclotomic arithmetic is built from two primitives on coordinate vectors:
+reduction modulo the e-th cyclotomic polynomial (``_reduce_mod_cyclotomic``;
+a product is the schoolbook product of the coordinates, reduced) and the
+Galois automorphism sigma_a: z_e -> z_e**a (``_galois``, a prime to e).
+Complex conjugation is sigma_{-1}; the inverse is the product of the other
+conjugates sigma_a(x) divided by the norm.
 
 Every Cyclotomic operation returns the canonical scalar: a result that is
 rational comes back as an int or a Fraction, and an irrational one as a
 Cyclotomic in the smallest cyclotomic field (smallest divisor of the order)
-that contains it.  Two equal numbers therefore always have identical
-representations, regardless of how they were computed.
+that contains it.  Q(z_d) is the subfield of Q(z_e) fixed by every sigma_a
+with a = 1 mod d, so the smallest field is found by testing that, and only
+then solving for the coordinates over Q(z_d) with ``row_reduce``.  Two equal
+numbers therefore always have identical representations, regardless of how
+they were computed.
+
+``row_reduce`` (reduced row echelon form, in place) is the one Gaussian
+elimination of the package; the coinvariant normal forms and the
+reflection test use it as well.
 
 >>> z4 = primitive_root(4)
 >>> z4 * z4
@@ -29,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Cyclotomic", "primitive_root", "canon_scalar"]
+__all__ = ["Cyclotomic", "primitive_root", "canon_scalar", "scalar_div", "row_reduce"]
 
 
 def canon_scalar(c):
@@ -43,12 +58,47 @@ def canon_scalar(c):
     return c
 
 
-def _euler_phi(e: int) -> int:
-    count = 0
-    for k in range(1, e + 1):
-        if math.gcd(k, e) == 1:
-            count += 1
-    return count
+def scalar_div(a, b):
+    """Exact division of scalars.
+
+    >>> scalar_div(3, 6), scalar_div(Fraction(3, 2), Fraction(1, 2))
+    (Fraction(1, 2), 3)
+    """
+    if isinstance(a, int):
+        a = Fraction(a)
+    return canon_scalar(a / b)
+
+
+def row_reduce(rows: list[list]) -> list[int]:
+    """Bring a matrix of scalars (a list of equal-length rows) to reduced row
+    echelon form in place and return its pivot columns.
+
+    Afterwards rows[i] for i < len(pivots) has entry 1 in column pivots[i]
+    and 0 in every other pivot column; the remaining rows are zero.
+
+    >>> rows = [[2, 4, 2], [1, 2, 3]]
+    >>> row_reduce(rows), rows
+    ([0, 2], [[1, 2, 0], [0, 0, 1]])
+    """
+    pivots: list[int] = []
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if p is None:
+            continue
+        inv = scalar_div(1, rows[p][col])
+        pivot_row = [canon_scalar(v * inv) for v in rows[p]]
+        rows[p] = rows[r]
+        rows[r] = pivot_row
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f != 0:
+                rows[i] = [canon_scalar(a - f * b) for a, b in zip(row, pivot_row)]
+        pivots.append(col)
+    return pivots
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,74 +135,43 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
-@functools.lru_cache(maxsize=None)
-def _power_table(e: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Power-basis coordinates of z_e**k for k = 0 .. 2*phi(e) - 2."""
-    phi = _euler_phi(e)
-    cyc = cyclotomic_polynomial(e)
-    rows: list[tuple[Fraction, ...]] = []
-    for k in range(phi):
-        rows.append(tuple(Fraction(1) if i == k else Fraction(0) for i in range(phi)))
-    # z**phi = -(c_0 + c_1 z + ... + c_{phi-1} z^{phi-1}); iterate upward.
-    for k in range(phi, 2 * phi - 1):
-        prev = rows[k - 1]
-        shifted = [Fraction(0)] + [c for c in prev[:-1]]
-        top = prev[-1]
-        if top:
-            for i in range(phi):
-                shifted[i] -= top * cyc[i]
-        rows.append(tuple(shifted))
-    return tuple(rows)
-
-
 def _reduce_mod_cyclotomic(e: int, vec: list[Fraction]) -> list[Fraction]:
     """Reduce a coordinate vector of arbitrary length (powers of z_e) to
     length phi(e)."""
-    phi = _euler_phi(e)
     cyc = cyclotomic_polynomial(e)
+    phi = len(cyc) - 1
+    terms = [(i, c) for i, c in enumerate(cyc[:phi]) if c]
     vec = list(vec)
     if len(vec) < phi:
         vec += [Fraction(0)] * (phi - len(vec))
     for k in range(len(vec) - 1, phi - 1, -1):
         c = vec[k]
         if c:
-            vec[k] = Fraction(0)
-            for i in range(phi):
-                vec[k - phi + i] -= c * cyc[i]
+            for i, t in terms:
+                vec[k - phi + i] -= c * t
     return vec[:phi]
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve matrix * x = rhs exactly; return None if inconsistent.
+def _mul(e: int, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Coordinates of the product of two elements of Q(z_e) given by their
+    coordinates: the schoolbook product, with exponents taken mod e
+    (z_e**e = 1), reduced modulo the e-th cyclotomic polynomial."""
+    out = [Fraction(0)] * min(e, len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[(i + j) % e] += ca * cb
+    return _reduce_mod_cyclotomic(e, out)
 
-    The matrix is rectangular (rows >= cols) with full column rank.
-    """
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix and matrix[0] else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        solution[c] = rows[row_idx][-1]
-    return solution
+
+def _galois(e: int, vec: list[Fraction], a: int) -> list[Fraction]:
+    """Coordinates of sigma_a(x), where sigma_a: z_e -> z_e**a (a prime to
+    e, so k -> a*k mod e is injective) and vec holds the coordinates of x."""
+    out = [Fraction(0)] * e
+    for k, c in enumerate(vec):
+        out[a * k % e] = c
+    return _reduce_mod_cyclotomic(e, out)
 
 
 @dataclass(frozen=True)
@@ -176,8 +195,7 @@ class Cyclotomic:
         """Coordinates of self as powers of z_e (self.order must divide e)."""
         step = e // self.order
         vec = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            vec[k * step] += c
+        vec[::step] = self.coeffs
         return _reduce_mod_cyclotomic(e, vec)
 
     def _operands(self, other):
@@ -217,44 +235,22 @@ class Cyclotomic:
         if operands is None:
             return NotImplemented
         e, a, b = operands
-        phi = len(a)
-        table = _power_table(e)
-        out = [Fraction(0)] * phi
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if not cb:
-                    continue
-                prod = ca * cb
-                for idx, t in enumerate(table[i + j]):
-                    if t:
-                        out[idx] += prod * t
-        return _normalize(e, out)
+        return _normalize(e, _mul(e, a, b))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """The inverse, which lies in the same smallest field."""
+        """The inverse: the product of the other Galois conjugates divided by
+        the norm.  It lies in the same smallest field."""
         e = self.order
-        phi = len(self.coeffs)
-        table = _power_table(e)
-        # column j of the multiplication matrix: self * z**j
-        matrix = [[Fraction(0)] * phi for _ in range(phi)]
-        for j in range(phi):
-            col = [Fraction(0)] * phi
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    for idx, t in enumerate(table[i + j]):
-                        if t:
-                            col[idx] += c * t
-            for i in range(phi):
-                matrix[i][j] = col[i]
-        rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = _solve_linear(matrix, rhs)
-        if sol is None:
-            raise ZeroDivisionError("inversion failed (zero divisor?)")
-        return Cyclotomic(e, tuple(sol))
+        prod = [Fraction(1)]
+        for a in range(2, e):
+            if math.gcd(a, e) == 1:
+                prod = _mul(e, prod, _galois(e, self.coeffs, a))
+        norm = _mul(e, prod, list(self.coeffs))
+        if any(norm[1:]):
+            raise ArithmeticError(f"norm of {self} is not rational")
+        return Cyclotomic(e, tuple(c / norm[0] for c in prod))
 
     def __truediv__(self, other):
         if isinstance(other, Cyclotomic):
@@ -283,11 +279,7 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation z_e -> z_e**(-1), an automorphism of the
         element's smallest field."""
-        e = self.order
-        vec = [Fraction(0)] * e
-        for k, c in enumerate(self.coeffs):
-            vec[(-k) % e] += c
-        return Cyclotomic(e, tuple(_reduce_mod_cyclotomic(e, vec)))
+        return Cyclotomic(self.order, tuple(_galois(self.order, self.coeffs, -1)))
 
     def __str__(self):
         parts = []
@@ -311,24 +303,22 @@ def _normalize(e: int, vec: list[Fraction]):
     """The canonical scalar with coordinates vec (length phi(e), powers of
     z_e): a rational when every coordinate past the first is zero, otherwise
     a Cyclotomic in the smallest field Q(z_d), d | e, that holds it.  Orders 1
-    and 2 hold only rationals, so the search starts at 3."""
+    and 2 hold only rationals, so the search starts at 3.  Q(z_d) is the
+    subfield fixed by every z_e -> z_e**a with a = 1 mod d, so only a member
+    pays for the row reduction that finds its coordinates there."""
     if not any(vec[1:]):
         return canon_scalar(vec[0])
     for d in range(3, e):
-        if e % d:
+        if e % d or any(_galois(e, vec, a) != vec
+                        for a in range(1 + d, e, d) if math.gcd(a, e) == 1):
             continue
-        # columns: z_d**k = z_e**(k*e/d) for k < phi(d)
-        phi_d = _euler_phi(d)
+        # columns: z_d**k = z_e**(k*e/d) for k < phi(d), then vec
         step = e // d
-        cols = []
-        for k in range(phi_d):
-            col = [Fraction(0)] * (k * step + 1)
-            col[k * step] = Fraction(1)
-            cols.append(_reduce_mod_cyclotomic(e, col))
-        matrix = [[cols[k][i] for k in range(phi_d)] for i in range(len(vec))]
-        sol = _solve_linear(matrix, vec)
-        if sol is not None:
-            return Cyclotomic(d, tuple(sol))
+        cols = [_reduce_mod_cyclotomic(e, [0] * (k * step) + [Fraction(1)])
+                for k in range(len(cyclotomic_polynomial(d)) - 1)]
+        rows = [[col[i] for col in cols] + [vec[i]] for i in range(len(vec))]
+        row_reduce(rows)
+        return Cyclotomic(d, tuple(Fraction(row[-1]) for row in rows[:len(cols)]))
     return Cyclotomic(e, tuple(vec))
 
 

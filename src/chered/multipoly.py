@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exactnum import Cyclotomic, canon_scalar, primitive_root
+from .exactnum import Cyclotomic, canon_scalar, primitive_root, scalar_div
 
 __all__ = [
     "MPoly",
@@ -29,13 +29,6 @@ __all__ = [
     "parse_poly",
     "charpoly_berkowitz",
 ]
-
-
-def scalar_div(a, b):
-    """Exact division of scalars."""
-    if isinstance(a, int):
-        a = Fraction(a)
-    return canon_scalar(a / b)
 
 
 class MPoly:
@@ -213,11 +206,6 @@ class MPoly:
                 raise ValueError("not a constant polynomial")
         return self.terms.get(tuple([0] * len(self.vars)), 0)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
-
     def degree_in(self, name: str) -> int:
         if not self.terms:
             return -1
@@ -322,13 +310,6 @@ class MPoly:
         result.vars = nv
         result.terms = quot
         return result
-
-    def divides(self, other: "MPoly") -> bool:
-        try:
-            other.divexact(self)
-            return True
-        except ArithmeticError:
-            return False
 
     # -- printing --------------------------------------------------------
 

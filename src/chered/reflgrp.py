@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .exactnum import canon_scalar, primitive_root
+from .exactnum import canon_scalar, primitive_root, row_reduce
 from .multipoly import MPoly, scalar_div
 
 __all__ = [
@@ -81,21 +81,8 @@ def mat_transpose(a):
 def mat_rank_of_difference(a):
     """Rank of (a - id): 0 means identity, 1 means reflection."""
     n = len(a)
-    rows = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = scalar_div(1, rows[rank][col])
-        rows[rank] = [canon_scalar(v * inv) for v in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [canon_scalar(x - f * y) for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return len(row_reduce([[a[i][j] - (1 if i == j else 0) for j in range(n)]
+                           for i in range(n)]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .exactnum import canon_scalar
-from .multipoly import MPoly, scalar_div
+from .exactnum import canon_scalar, row_reduce
+from .multipoly import MPoly
 from .reflgrp import (Character, ReflectionGroup, character_table,
                       value_on_element)
 from .cherednik import PBWElement, _straighten
@@ -129,39 +129,16 @@ def _extend_reduction(cb: CoinvariantBasis, max_degree: int):
                     prod = tuple(a + b for a, b in zip(m, imono))
                     row[index[prod]] = c
                 rows.append(row)
-        # row reduce; pivot monomials are reducible, the rest form the basis
-        pivots = {}
-        for row in rows:
-            for col in range(len(monos)):
-                if row[col] != 0:
-                    if col in pivots:
-                        f = row[col]
-                        row[:] = [canon_scalar(a - f * b)
-                                  for a, b in zip(row, pivots[col])]
-                    else:
-                        inv_c = scalar_div(1, row[col])
-                        row[:] = [canon_scalar(a * inv_c) for a in row]
-                        pivots[col] = row
-                        break
+        # in reduced row echelon form each pivot row is its monomial minus
+        # that monomial's normal form over the free (basis) monomials
+        pivots = row_reduce(rows)
         free_cols = [c for c in range(len(monos)) if c not in pivots]
         for c in free_cols:
             basis.append(monos[c])
             cb._reduction[monos[c]] = {monos[c]: 1}
-        # back-substitute each pivot row to express its monomial in basis ones
-        for col in sorted(pivots, reverse=True):
-            row = pivots[col]
-            expansion: dict = {}
-            for c2 in range(col + 1, len(monos)):
-                if row[c2] != 0:
-                    if c2 in pivots:
-                        sub = cb._reduction[monos[c2]]
-                        for m, cc in sub.items():
-                            expansion[m] = canon_scalar(
-                                expansion.get(m, 0) - row[c2] * cc)
-                    else:
-                        expansion[monos[c2]] = canon_scalar(
-                            expansion.get(monos[c2], 0) - row[c2])
-            cb._reduction[monos[col]] = {m: c for m, c in expansion.items() if c != 0}
+        for row, col in zip(rows, pivots):
+            cb._reduction[monos[col]] = {monos[c]: -row[c] for c in free_cols
+                                         if row[c] != 0}
     cb.monomials = tuple(sorted(basis, key=lambda m: (sum(m), m)))
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from chered.cherednik import PBWElement
 from chered.cli import main
 
 
@@ -137,6 +138,15 @@ def test_poisson_euler_eigenvector(capsys):
     data = json.loads(out)
     assert data["rhs_z_degree"] == 2
     assert data["euler_eigenvector"] is True
+
+
+def test_poisson_failed_eigenvector_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("chered.cli.poisson_bracket",
+                        lambda z1, z2: PBWElement.zero(z1.group))
+    code, out, _ = run(capsys, "poisson", "--group", "b2",
+                       "--lhs", "eu", "--rhs", "eu'", "--json")
+    assert code == 1
+    assert json.loads(out)["euler_eigenvector"] is False
 
 
 def test_hilbert_check(capsys):

@@ -1,6 +1,7 @@
 """Cyclotomic and rational arithmetic, and the one representation of each
 number: int for integers, Fraction for the other rationals, Cyclotomic for
 irrationals only."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,11 +52,17 @@ def test_order_demotion():
     assert (z12 ** 4).order == 3
     assert (z12 ** 3).order == 4
     assert (z12 ** 6) == -1
+    # Q(z_3) and Q(z_5) inside Q(z_15), whose power basis does not contain
+    # theirs
+    z15 = primitive_root(15)
+    assert (z15 ** 5).order == 3 and (z15 ** 3).order == 5
+    assert (z15 ** 3 + z15 ** 12).order == 5
+    assert z15 ** 5 + z15 ** 10 == -1
 
 
 def test_tower_coherence():
     # zeta_d = zeta_e^(e/d) whenever d divides e
-    for e, d in ((6, 3), (6, 2), (12, 4), (12, 6), (8, 4)):
+    for e, d in ((6, 3), (6, 2), (12, 4), (12, 6), (8, 4), (15, 3), (15, 5)):
         assert primitive_root(e) ** (e // d) == primitive_root(d)
 
 
@@ -110,31 +117,61 @@ def test_inverse_roundtrip(a):
 
 # sums of integer multiples of products of powers of roots of unity; Python
 # keeps int (+, -, *) int, so every rational result is canonical only if
-# each Cyclotomic operation and scalar_div return canonical scalars
-root_power = st.tuples(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
-                       st.integers(min_value=0, max_value=24))
-monomial = st.tuples(st.integers(min_value=-3, max_value=3),
-                     st.lists(root_power, min_size=1, max_size=3))
+# each Cyclotomic operation and scalar_div return canonical scalars.  Q(z_15)
+# has subfields Q(z_3) and Q(z_5) whose power bases are not sub-bases of its
+# own, so finding a sum's smallest field there needs a row reduction.  One
+# example mixes at most three orders with lcm <= 120 (an inverse costs
+# phi(lcm) - 1 products, and phi(840) = 192).
+ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12, 15]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(monomial, min_size=1, max_size=4))
-def test_results_are_canonical(terms):
+def _sums_of_products(orders):
+    root_power = st.tuples(st.sampled_from(orders),
+                           st.integers(min_value=0, max_value=24))
+    monomial = st.tuples(st.integers(min_value=-3, max_value=3),
+                         st.lists(root_power, min_size=1, max_size=3))
+    return st.lists(monomial, min_size=1, max_size=4)
+
+
+sums_of_products = (
+    st.lists(st.sampled_from(ORDERS), min_size=1, max_size=3, unique=True)
+    .filter(lambda orders: math.lcm(*orders) <= 120)
+    .flatmap(_sums_of_products))
+
+
+def _evaluate(terms, check=lambda x: None):
     total = 0
     for q, powers in terms:
         prod = q
         for e, k in powers:
             factor = primitive_root(e) ** k
-            assert_canonical(factor)
+            check(factor)
             prod = prod * factor
-            assert_canonical(prod)
+            check(prod)
         total = total + prod
-        assert_canonical(total)
-        assert_canonical(total - prod)
+        check(total)
+        check(total - prod)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(sums_of_products)
+def test_results_are_canonical(terms):
+    total = _evaluate(terms, assert_canonical)
     assert_canonical(scalar_div(total, 2))
     assert_canonical(total.conjugate())
     if total != 0:
         assert_canonical(scalar_div(1, total))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sums_of_products)
+def test_inverse_is_exact(terms):
+    x = _evaluate(terms)
+    if isinstance(x, Cyclotomic):
+        y = x.inverse()
+        assert x * y == 1
+        assert y.order == x.order
 
 
 def _scalars(obj):

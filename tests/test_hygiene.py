@@ -1,4 +1,5 @@
-"""Source hygiene of the runtime package: every imported name is used."""
+"""Source hygiene of the runtime package: every imported name is used, and
+every function, class and method it defines is used."""
 import ast
 from pathlib import Path
 
@@ -22,11 +23,44 @@ def unused_imports(source: str) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= exported_names(tree)
+    return sorted(name for name in imported if name not in used)
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The names listed in a module's ``__all__``."""
+    names: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return sorted(name for name in imported if name not in used)
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each top-level function or class and each non-dunder
+    method that no module of the package reads (as a name or an attribute)
+    and no ``__all__`` lists."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used: set[str] = set()
+    defined = []
+    for mod, tree in trees.items():
+        used |= exported_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((mod, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(mod, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__")
+                                     and item.name.endswith("__"))]
+    return sorted(f"{mod}.{name}" for mod, name in defined
+                  if name.rsplit(".", 1)[-1] not in used)
 
 
 def test_scanner_flags_unused_and_honours_all():
@@ -36,6 +70,23 @@ def test_scanner_flags_unused_and_honours_all():
               "__all__ = ['lcm']\n"
               "print(sys.argv)\n")
     assert unused_imports(source) == ["g", "os"]
+
+
+def test_scanner_flags_unused_definitions():
+    sources = {"a": ("__all__ = ['api']\n"
+                     "def api(): return _helper()\n"
+                     "def _helper(): return B().used()\n"
+                     "def _dead(): pass\n"
+                     "class B:\n"
+                     "    def __repr__(self): return ''\n"
+                     "    def used(self): return 1\n"
+                     "    def unused(self): return 2\n"),
+               "b": "from a import B\nclass C(B): pass\nC()\n"}
+    assert unused_definitions(sources) == ["a.B.unused", "a._dead"]
+
+
+def test_no_unused_definitions():
+    assert unused_definitions({p.stem: p.read_text() for p in MODULES}) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

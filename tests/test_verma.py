@@ -23,6 +23,32 @@ def test_coinvariant_basis_dimensions():
     assert cb.degree_counts() == {0: 1, 1: 2, 2: 2, 3: 2, 4: 1}
 
 
+def _monomials(n, k):
+    if n == 1:
+        return [(k,)]
+    return [(i,) + rest for i in range(k + 1) for rest in _monomials(n - 1, k - i)]
+
+
+@pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 7)])
+def test_coinvariant_reduction_kills_the_invariant_ideal(spec):
+    """reduce is linear, kills m * f for every fundamental invariant f, and
+    fixes each basis monomial."""
+    W = build_group(spec)
+    cb = coinvariant_basis(W)
+    for m in cb.monomials:
+        assert cb.reduce(m) == {m: 1}
+    top = sum(d - 1 for d in W.degrees)
+    for f, d in zip(cb._invariants, W.degrees):
+        for k in range(top + 2 - d):
+            for m in _monomials(W.dim, k):
+                total: dict = {}
+                for fm, c in f.items():
+                    prod = tuple(a + b for a, b in zip(m, fm))
+                    for bm, bc in cb.reduce(prod).items():
+                        total[bm] = total.get(bm, 0) + c * bc
+                assert all(v == 0 for v in total.values()), (m, f)
+
+
 def test_module_dimensions():
     W = build_group("b2")
     for chi in character_table(W):
