@@ -20,6 +20,8 @@ a V*-monomial for the action on baby Verma modules (`verma`).
 """
 from __future__ import annotations
 
+from operator import add
+
 from .exactnum import canon_scalar
 from .multipoly import MPoly, scalar_div
 from .reflgrp import ReflectionGroup, Character, param_forms, value_on_element
@@ -315,24 +317,39 @@ def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
 
 
 def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
-    """Exact product in PBW normal form."""
+    """Exact product in PBW normal form.
+
+    A term c x^p g xi^q of a contributes c x^p (g (xi^q b)).  Terms of a
+    that share their V*-part q share xi^q b, and terms that share (g, q)
+    share g xi^q b, so each is computed once per call: the V* coordinates
+    commute, so xi^q b = xi_i (xi^(q - e_i) b) for the first i with q_i > 0
+    reuses the shorter chain.  Multiplying by x^p only shifts V-exponents."""
     a._check_compat(b)
     W = a.group
-    result = a._like({})
+    chains = {_zeros(W): b}          # q -> xi^q b
+    pieces: dict = {}                # (g, q) -> g xi^q b
+
+    def chain(q):
+        piece = chains.get(q)
+        if piece is None:
+            i = next(k for k, e in enumerate(q) if e)
+            piece = _lmul_dual(W, i, chain(q[:i] + (q[i] - 1,) + q[i + 1:]))
+            chains[q] = piece
+        return piece
+
+    out: dict = {}
     for (p, g, q), c in a.terms.items():
-        piece = b
-        for xi in reversed(range(W.dim)):
-            for _ in range(q[xi]):
-                piece = _lmul_dual(W, xi, piece)
-        if g != W.identity:
-            piece = _lmul_group(W, g, piece)
-        for j in range(W.dim):
-            if p[j]:
-                piece = a._like({(tuple(e + (p[j] if i == j else 0)
-                                        for i, e in enumerate(pp)), w, qq): cc
-                                 for (pp, w, qq), cc in piece.terms.items()})
-        result = result + piece.scale(c)
-    return result
+        piece = pieces.get((g, q))
+        if piece is None:
+            piece = chain(q)
+            if g != W.identity:
+                piece = _lmul_group(W, g, piece)
+            pieces[(g, q)] = piece
+        for (pp, w, qq), cc in piece.terms.items():
+            key = (tuple(map(add, p, pp)), w, qq)
+            prev = out.get(key)
+            out[key] = c * cc if prev is None else prev + c * cc
+    return a._like(out)
 
 
 def commutator(a: PBWElement, b: PBWElement) -> PBWElement:

@@ -243,7 +243,9 @@ def cmd_cells(args) -> int:
     _emit(data, args.json)
     if not cells.supported:
         return EXIT_PASS
-    return EXIT_PASS if report["all"] else EXIT_FAIL
+    same_families = (sorted(sorted(b) for b in fp.blocks)
+                     == sorted(sorted(f) for f in cells.families))
+    return EXIT_PASS if report["all"] and same_families else EXIT_FAIL
 
 
 def cmd_fake_degrees(args) -> int:

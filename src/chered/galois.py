@@ -21,7 +21,6 @@ from .center import minpoly_euler
 
 __all__ = [
     "b2_galois_certificate",
-    "rank1_disc_report",
     "rank1_singular_test",
     "rank1_ramification_test",
 ]
@@ -110,16 +109,6 @@ def b2_galois_certificate() -> dict:
         "steps": steps,
         "pass": all(s["pass"] for s in steps),
     }
-
-
-def rank1_disc_report(d: int = 3) -> dict:
-    """Discriminant of the rank-1 minimal polynomial with symbolic K,
-    reported with its square test (no expected value is asserted)."""
-    W = build_group(f"cyclic:{d}")
-    F = minpoly_euler(W)
-    D = discriminant(F, "t")
-    return {"d": d, "discriminant": str(D),
-            "is_square": poly_sqrt(D) is not None}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,14 @@ representation that `exactnum` owns: a rational is an int or a Fraction,
 never a Cyclotomic, and results pass through `canon_scalar` so that an
 integral Fraction is stored as an int.
 
+A polynomial stores its terms as {exponent tuple: coefficient}, aligned to
+its `vars`.  A product aligns both operands once and runs one of two
+schoolbook kernels, chosen by the number of term pairs: few pairs add the
+exponent tuples directly, many pairs pack each exponent tuple into one int
+(fields wide enough for the largest exponent of the product, so a monomial
+product is one integer add; Monagan and Pearce, CASC 2007) and unpack the
+result once.  A scalar factor only scales the coefficients.
+
 >>> x, y = MPoly.var("x"), MPoly.var("y")
 >>> print((x + y) ** 2)
 x^2 + 2*x*y + y^2
@@ -16,7 +24,9 @@ b^2 - 4*c
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
+from operator import add
 
 from .exactnum import Cyclotomic, canon_scalar, primitive_root, scalar_div
 
@@ -141,19 +151,19 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = MPoly._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, MPoly):
+            if isinstance(other, (int, Fraction, Cyclotomic)):
+                return self._scaled(other)
             return NotImplemented
         nv = MPoly._merge_vars(self, other)
         a = self._aligned(nv)
         b = other._aligned(nv)
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
+        if len(a) * len(b) < _PACK_MIN_PAIRS:
+            out = _tuple_product(a, b)
+        else:
+            out = _packed_product(a, b)
         result = MPoly.__new__(MPoly)
         result.vars = nv
         result.terms = {}
@@ -164,6 +174,19 @@ class MPoly:
         return result
 
     __rmul__ = __mul__
+
+    def _scaled(self, c) -> "MPoly":
+        """self * c for a scalar c, with the variables a product with the
+        constant polynomial c would have (sorted unless there are none)."""
+        nv = self.vars if not self.vars else tuple(sorted(set(self.vars)))
+        result = MPoly.__new__(MPoly)
+        result.vars = nv
+        result.terms = {}
+        for exp, v in self._aligned(nv).items():
+            v = canon_scalar(v * c)
+            if v != 0:
+                result.terms[exp] = v
+        return result
 
     def __pow__(self, n: int):
         if n < 0:
@@ -348,6 +371,54 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self})"
+
+
+# Term pairs from which `MPoly.__mul__` packs exponent vectors.  Packing costs
+# one pass over each operand and one unpacking pass over the result, which a
+# product of a few term pairs does not earn back.  On random products in 2 to
+# 6 variables (CPython 3.11, x86-64) packed keys took 1.1-1.3x the time of
+# tuple keys at 16 pairs, broke even near 36, and took 0.75-0.96x at 64 and
+# 0.5-0.85x at 1024 pairs.
+_PACK_MIN_PAIRS = 64
+
+# struct codes of unsigned big-endian fields, with their widths in bits
+_FIELDS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
+def _tuple_product(a: dict, b: dict) -> dict:
+    """Schoolbook product of two term maps aligned to the same variables."""
+    out: dict = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = get(key, 0) + ca * cb
+    return out
+
+
+def _packed_product(a: dict, b: dict) -> dict:
+    """`_tuple_product` with each exponent vector packed into one int.
+
+    The largest exponent the product can have takes w bits, and each
+    exponent gets the narrowest struct field of at least w bits, so no field
+    carries into the next and a monomial product is one integer add.
+    Exponents wider than 64 bits fall back to tuple keys."""
+    w = (max(map(max, a)) + max(map(max, b))).bit_length()
+    code = next((c for bits, c in _FIELDS if bits >= w), None)
+    if code is None:
+        return _tuple_product(a, b)
+    fields = struct.Struct(f">{len(next(iter(a)))}{code}")
+    pack, unpack, size = fields.pack, fields.unpack, fields.size
+    from_bytes = int.from_bytes
+    pb = [(from_bytes(pack(*exp), "big"), c) for exp, c in b.items()]
+    out: dict = {}
+    get = out.get
+    for ea, ca in a.items():
+        ka = from_bytes(pack(*ea), "big")
+        for kb, cb in pb:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {unpack(k.to_bytes(size, "big")): c for k, c in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Reference computations kept for the tests only: the per-factor change of
 coordinates that the rank-1 center identity used before the PBW engine could
-straighten in K-coordinates, with its own C -> K table, and the resultant as
-a Sylvester determinant."""
-from chered.cherednik import PBWElement, euler_element, multiply
+straighten in K-coordinates, with its own C -> K table, the resultant as a
+Sylvester determinant, the schoolbook polynomial product with tuple keys, and
+the PBW product computed one term of the left factor at a time."""
+from chered.cherednik import (PBWElement, _lmul_dual, _lmul_group,
+                              euler_element, multiply)
 from chered.exactnum import primitive_root
 from chered.multipoly import MPoly, canon_scalar
 from chered.reflgrp import build_group
@@ -94,3 +96,44 @@ def _bareiss_det(mat: list) -> MPoly:
             mat[i][k] = MPoly.zero()
         prev = mat[k][k]
     return mat[n - 1][n - 1] if sign > 0 else -mat[n - 1][n - 1]
+
+
+def schoolbook_product(a: MPoly, b: MPoly) -> MPoly:
+    """a * b term by term with tuple exponent keys, on the variables of the
+    operands when they agree and on their sorted union otherwise; the
+    reference for the product kernels of `MPoly.__mul__`."""
+    names = (a.vars if a.vars == b.vars
+             else tuple(sorted(set(a.vars) | set(b.vars))))
+
+    def spread(p):
+        return [(tuple(dict(zip(p.vars, exp)).get(n, 0) for n in names), c)
+                for exp, c in p.terms.items()]
+
+    out: dict = {}
+    for ea, ca in spread(a):
+        for eb, cb in spread(b):
+            key = tuple(i + j for i, j in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return MPoly(names, out)
+
+
+def multiply_per_term(a: PBWElement, b: PBWElement) -> PBWElement:
+    """Exact product in PBW normal form, one term of a at a time: the
+    reference for `multiply`, which shares work between the terms of a."""
+    a._check_compat(b)
+    W = a.group
+    result = a._like({})
+    for (p, g, q), c in a.terms.items():
+        piece = b
+        for xi in reversed(range(W.dim)):
+            for _ in range(q[xi]):
+                piece = _lmul_dual(W, xi, piece)
+        if g != W.identity:
+            piece = _lmul_group(W, g, piece)
+        for j in range(W.dim):
+            if p[j]:
+                piece = a._like({(tuple(e + (p[j] if i == j else 0)
+                                        for i, e in enumerate(pp)), w, qq): cc
+                                 for (pp, w, qq), cc in piece.terms.items()})
+        result = result + piece.scale(c)
+    return result

@@ -1,6 +1,7 @@
 """PBW engine: straightening, associativity, Euler element, gradings,
 Poisson bracket."""
 import random
+import zlib
 
 import pytest
 
@@ -11,6 +12,7 @@ from chered.cherednik import (PBWElement, algebra_generators, bidegree,
                               is_central, multiply, named_center_generators,
                               poisson_bracket, residue_summary,
                               twist_by_linear_char, z_degree)
+from oracles import multiply_per_term
 
 
 GROUPS = ("cyclic:2", "cyclic:3", "cyclic:4", "b2")
@@ -31,12 +33,43 @@ def random_element(W, rng, nterms=2, with_T=False):
 @pytest.mark.parametrize("spec", GROUPS)
 def test_associativity_random_triples(spec):
     W = build_group(spec)
-    rng = random.Random(hash(spec) % (2 ** 31))
+    rng = random.Random(zlib.crc32(spec.encode()))
     for _ in range(30):
         a = random_element(W, rng)
         b = random_element(W, rng)
         c = random_element(W, rng)
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+def sharing_element(W, rng, with_T, basis):
+    """An element of 4 to 6 terms that take their V*-parts from two
+    choices, so several terms share one, with coefficients linear in the
+    parameters of the given coordinates and in T."""
+    names = W.param_names() if basis == "C" else W.k_param_names()
+    names += ("T",) if with_T else ()
+    duals = [tuple(rng.randint(0, 2) for _ in range(W.dim)) for _ in range(2)]
+    terms = {}
+    size = rng.randint(4, 6)
+    while len(terms) < size:
+        key = (tuple(rng.randint(0, 2) for _ in range(W.dim)),
+               rng.randrange(W.order()), rng.choice(duals))
+        terms[key] = (rng.choice([-2, -1, 1, 3])
+                      + rng.randint(-2, 2) * MPoly.var(rng.choice(names)))
+    return PBWElement(W, with_T, terms, basis)
+
+
+@pytest.mark.parametrize("with_T, basis", [(False, "C"), (True, "C"),
+                                           (False, "K")])
+@pytest.mark.parametrize("spec", GROUPS)
+def test_multiply_matches_per_term_oracle(spec, with_T, basis):
+    W = build_group(spec)
+    rng = random.Random(zlib.crc32(f"{spec}/{with_T}/{basis}".encode()))
+    for _ in range(4):
+        a = sharing_element(W, rng, with_T, basis)
+        b = sharing_element(W, rng, with_T, basis)
+        duals = [q for _, _, q in a.terms]
+        assert len(duals) >= 4 and len(set(duals)) < len(duals)
+        assert multiply(a, b).terms == multiply_per_term(a, b).terms
 
 
 @pytest.mark.parametrize("spec", GROUPS)

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, JSON output, parameter parsing."""
+import dataclasses
 import json
 
 import pytest
 
+from chered import cli
 from chered.cherednik import PBWElement
 from chered.cli import main
 
@@ -70,6 +72,24 @@ def test_cells_b2_sum_rules(capsys):
     data = json.loads(out)
     assert len(data["cells"]["two_sided"]) == 5
     assert data["sum_rules"]["all"] is True
+
+
+def test_cells_family_mismatch_exits_1(capsys, monkeypatch):
+    # the tabulated cells claim families; a computed partition that merges
+    # two of them must fail the run
+    real = cli.cm_families
+
+    def merged(W, params):
+        fp = real(W, params)
+        blocks = (fp.blocks[0] + fp.blocks[1],) + fp.blocks[2:]
+        return dataclasses.replace(fp, blocks=blocks)
+
+    monkeypatch.setattr("chered.cli.cm_families", merged)
+    for group, params in (("b2", "a=2,b=1"), ("cyclic:4", "K=1,1,-1,-1")):
+        code, out, _ = run(capsys, "cells", "--group", group,
+                           "--params", params, "--json")
+        assert code == 1, group
+        assert json.loads(out)["sum_rules"]["all"] is True
 
 
 def test_usage_errors_exit_2(capsys):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from chered.galois import (b2_galois_certificate, rank1_disc_report,
-                           rank1_ramification_test, rank1_singular_test)
+from chered.galois import (b2_galois_certificate, rank1_ramification_test,
+                           rank1_singular_test)
 
 
 def test_b2_certificate_passes():
@@ -22,13 +22,6 @@ def test_b2_certificate_passes():
     assert s3["direct_equals_target"] is True
     assert s3["factorized_equals_target"] is True
     assert s3["is_square"] is False
-
-
-def test_rank1_disc_report_runs():
-    rep = rank1_disc_report(3)
-    assert rep["d"] == 3
-    assert isinstance(rep["discriminant"], str) and rep["discriminant"]
-    assert isinstance(rep["is_square"], bool)
 
 
 def test_singular_examples():

@@ -2,12 +2,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from chered.multipoly import (MPoly, TruncSeries2, canon_scalar,
-                              charpoly_berkowitz, discriminant, parse_poly,
-                              poly_sqrt, resultant)
-from oracles import sylvester_resultant
+from chered.exactnum import primitive_root
+from chered.multipoly import (MPoly, TruncSeries2, _PACK_MIN_PAIRS,
+                              canon_scalar, charpoly_berkowitz, discriminant,
+                              parse_poly, poly_sqrt, resultant)
+from oracles import schoolbook_product, sylvester_resultant
 
 
 x, y, t = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
@@ -144,3 +145,73 @@ def test_mul_commutes(cs, ds):
     q = sum((MPoly.const(c) * y ** i for i, c in enumerate(ds)), MPoly.zero())
     assert p * q == q * p
     assert (p + q) ** 2 == p ** 2 + 2 * p * q + q ** 2
+
+
+# exponents around the 8-, 16- and 32-bit field boundaries of the packed
+# product kernel, small ones that push a sum across them, and large ones
+BOUNDARY_EXPONENTS = sorted({2 ** k + d for k in (7, 8, 15, 16, 31, 32)
+                             for d in (-1, 0, 1)})
+exponents = st.one_of(st.integers(0, 3), st.sampled_from(BOUNDARY_EXPONENTS),
+                      st.integers(0, 2 ** 20))
+scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([primitive_root(4), 1 - primitive_root(4) / 2])
+).filter(lambda c: c != 0)
+NAMES = tuple("abcdefgh")
+
+
+@st.composite
+def polys(draw, nterms):
+    """A polynomial with nterms terms on 1 to 8 variables in a drawn
+    order."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=8,
+                          unique=True))
+    terms = draw(st.dictionaries(
+        st.tuples(*[exponents] * len(names)), scalars,
+        min_size=nterms, max_size=nterms))
+    return MPoly(names, terms)
+
+
+# a failing example is reported as drawn: each example costs tens of
+# milliseconds of exact arithmetic, and shrinking a failure of a kernel with
+# too narrow fields ran into Hypothesis's five-minute limit per test
+@pytest.mark.parametrize("packed", [False, True], ids=["tuple", "packed"])
+@settings(max_examples=30, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_mul_matches_schoolbook_oracle(packed, data):
+    # one side of the size selection per parameter: fewer term pairs than
+    # _PACK_MIN_PAIRS take tuple keys, the others packed keys
+    if packed:
+        la = data.draw(st.integers(8, 10))
+        lb = data.draw(st.integers(-(-_PACK_MIN_PAIRS // la), 10))
+    else:
+        la = data.draw(st.integers(0, 7))
+        lb = data.draw(st.integers(0, (_PACK_MIN_PAIRS - 1) // max(la, 1)))
+    a, b = data.draw(polys(la)), data.draw(polys(lb))
+    assert (len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS) == packed
+    # (a - b)(a + b) cancels its cross terms
+    for lhs, rhs in ((a, b), (b, a), (a - b, a + b)):
+        product, expected = lhs * rhs, schoolbook_product(lhs, rhs)
+        assert product.vars == expected.vars
+        assert product.terms == expected.terms
+    c = data.draw(st.one_of(scalars, st.just(0)))
+    for product in (a * c, c * a):
+        expected = schoolbook_product(MPoly.const(c), a)
+        assert product.vars == expected.vars
+        assert product.terms == expected.terms
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_mul_exponent_sum_one_past_a_field(bits):
+    # the largest exponent of the product, (2^bits - 1) + 1, takes one bit
+    # more than a field of `bits` bits holds; past 64 bits the product falls
+    # back to tuple keys
+    z = MPoly.var("z")
+    a = x ** (2 ** bits - 1) * sum((y ** k for k in range(8)), MPoly.zero())
+    b = (1 + x) * (1 + y) * (1 + z)
+    assert len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS
+    product = a * b
+    assert product.terms == schoolbook_product(a, b).terms
+    assert product.terms[(2 ** bits, 8, 1)] == 1
