@@ -25,9 +25,8 @@ RANK1_DEGREES = range(2, 7)
 
 def rank1_center_product(d: int) -> PBWElement:
     """prod_{j=0}^{d-1} (eu - d K_j) in the cyclic algebra of order d, for d
-    in RANK1_DEGREES.  The algebra is taken in K-coordinates with K_0
-    eliminated through sum_j K_j = 0, so straightening emits K-coefficients
-    and the product needs no change of coordinates."""
+    in RANK1_DEGREES.  The product is taken in C-coordinates, with each K_j
+    written as its C-linear form from the rows of `param_map`."""
     if d not in RANK1_DEGREES:
         raise ValueError(
             "the rank-1 center identity is supported for"
@@ -35,19 +34,31 @@ def rank1_center_product(d: int) -> PBWElement:
             " larger d waits for fixed-field cyclotomic arithmetic"
             " (ROADMAP item 2)")
     W = build_group(f"cyclic:{d}")
-    eu = euler_element(W, basis="K")
-    k = param_map(W).k_forms
-    one = PBWElement.one(W, basis="K")
-    prod = one
-    for label in W.k_param_names():
-        prod = multiply(prod, eu - one.scale(d * k[label]))
+    prod = PBWElement.one(W)
+    for factor in _rank1_factors(W):
+        prod = multiply(prod, factor)
     return prod
+
+
+def _rank1_factors(W: ReflectionGroup) -> list:
+    """The factors eu - d K_j, j = 0..d-1, of the rank-1 identity in
+    C-coordinates."""
+    d = W.order()
+    eu = euler_element(W)
+    one = PBWElement.one(W)
+    factors = []
+    for _, row in param_map(W).k_rows:
+        k = MPoly.zero()
+        for label, coeff in row:
+            k = k + MPoly.var(label) * coeff
+        factors.append(eu - one.scale(d * k))
+    return factors
 
 
 def verify_rank1_center(d: int) -> dict:
     """Check prod_{j=0}^{d-1} (eu - d K_j) = X Y (see rank1_center_product)."""
     prod = rank1_center_product(d)
-    gens = named_center_generators(prod.group, basis="K")
+    gens = named_center_generators(prod.group)
     residue = prod - multiply(gens["X"], gens["Y"])
     status = residue.is_zero()
     report = {"relation": f"prod(eu - {d}*K_j) = X*Y", "status": status}

@@ -4,12 +4,9 @@ straightening, Euler element, centrality tests, bigrading, linear-character
 twists, and the Poisson bracket on the center.
 
 Normal words are triples (V-monomial, group element, V*-monomial) with
-coefficients that are polynomials in the reflection parameters and, for the
-T-deformation, in T.  The parameters are written in C-coordinates (the
-default) or in K-coordinates, where each C_s is the linear form of
-`reflgrp.param_map`; the coordinates are part of the algebra an element lives
-in, like the T flag.  Straightening rests on one commutation rule, for v in
-V and xi in V*:
+coefficients that are polynomials in the reflection parameters C_s and, for
+the T-deformation, in T.  Straightening rests on one commutation rule, for v
+in V and xi in V*:
 
     [xi, v] = -T<v,xi> - sum_s C_s <s(v)-v, xi> s
 
@@ -24,7 +21,7 @@ from operator import add
 
 from .exactnum import canon_scalar
 from .multipoly import MPoly, scalar_div
-from .reflgrp import ReflectionGroup, Character, param_forms, value_on_element
+from .reflgrp import ReflectionGroup, Character, value_on_element
 
 __all__ = [
     "PBWElement",
@@ -45,16 +42,13 @@ _STRAIGHTEN_CACHE: dict = {}
 
 
 class PBWElement:
-    """An element of the algebra in PBW normal form; `basis` ("C" or "K")
-    names the coordinates its parameter coefficients are written in."""
+    """An element of the algebra in PBW normal form."""
 
-    __slots__ = ("group", "with_T", "basis", "terms")
+    __slots__ = ("group", "with_T", "terms")
 
-    def __init__(self, group: ReflectionGroup, with_T: bool = False, terms=None,
-                 basis: str = "C"):
+    def __init__(self, group: ReflectionGroup, with_T: bool = False, terms=None):
         self.group = group
         self.with_T = with_T
-        self.basis = basis
         self.terms = {}
         if terms:
             for key, c in terms.items():
@@ -65,45 +59,42 @@ class PBWElement:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(W, with_T=False, basis="C"):
-        return PBWElement(W, with_T, {}, basis)
+    def zero(W, with_T=False):
+        return PBWElement(W, with_T, {})
 
     @staticmethod
-    def one(W, with_T=False, basis="C"):
-        return PBWElement(W, with_T, {_unit_key(W): MPoly.const(1)}, basis)
+    def one(W, with_T=False):
+        return PBWElement(W, with_T, {_unit_key(W): MPoly.const(1)})
 
     @staticmethod
-    def v_gen(W, i: int, with_T=False, basis="C"):
+    def v_gen(W, i: int, with_T=False):
         """The i-th coordinate of V as an element."""
         p = tuple(1 if k == i else 0 for k in range(W.dim))
-        return PBWElement.monomial(W, p, W.identity, _zeros(W), 1, with_T, basis)
+        return PBWElement.monomial(W, p, W.identity, _zeros(W), 1, with_T)
 
     @staticmethod
-    def dual_gen(W, i: int, with_T=False, basis="C"):
+    def dual_gen(W, i: int, with_T=False):
         q = tuple(1 if k == i else 0 for k in range(W.dim))
-        return PBWElement.monomial(W, _zeros(W), W.identity, q, 1, with_T, basis)
+        return PBWElement.monomial(W, _zeros(W), W.identity, q, 1, with_T)
 
     @staticmethod
-    def group_gen(W, g: int, with_T=False, basis="C"):
-        return PBWElement.monomial(W, _zeros(W), g, _zeros(W), 1, with_T, basis)
+    def group_gen(W, g: int, with_T=False):
+        return PBWElement.monomial(W, _zeros(W), g, _zeros(W), 1, with_T)
 
     @staticmethod
-    def monomial(W, vexp, g, dexp, coeff=1, with_T=False, basis="C"):
+    def monomial(W, vexp, g, dexp, coeff=1, with_T=False):
         return PBWElement(W, with_T,
-                          {(tuple(vexp), g, tuple(dexp)): MPoly._coerce(coeff)},
-                          basis)
+                          {(tuple(vexp), g, tuple(dexp)): MPoly._coerce(coeff)})
 
     def _like(self, terms) -> "PBWElement":
         """An element of the same algebra with the given terms."""
-        return PBWElement(self.group, self.with_T, terms, self.basis)
+        return PBWElement(self.group, self.with_T, terms)
 
     # -- linear structure --------------------------------------------------
 
     def _check_compat(self, other):
-        if (self.group is not other.group or self.with_T != other.with_T
-                or self.basis != other.basis):
-            raise ValueError("algebra mismatch (group, T flag or parameter"
-                             " coordinates)")
+        if self.group is not other.group or self.with_T != other.with_T:
+            raise ValueError("algebra mismatch (group or T flag)")
 
     def __add__(self, other):
         if isinstance(other, PBWElement):
@@ -233,16 +224,15 @@ def _unit_key(W):
 
 
 def _straighten(W: ReflectionGroup, side: str, i: int, mono: tuple,
-                with_T: bool, basis: str):
+                with_T: bool):
     """Correction terms of g * mono - mono * g, as a list of
-    (coeff MPoly, monomial, group element index), with the parameters
-    written in the given coordinates.
+    (coeff MPoly, monomial, group element index).
 
     On side "dual" g is the i-th V* coordinate and mono a V-monomial (the PBW
     engine); on side "v" g is the i-th V coordinate and mono a V*-monomial
     (the baby Verma modules).  Peeling the first variable u of mono,
     g (u rest) = u (g rest) + [g, u] rest, and s rest = s(rest) s."""
-    key = (W.spec, side, i, mono, with_T, basis)
+    key = (W.spec, side, i, mono, with_T)
     cached = _STRAIGHTEN_CACHE.get(key)
     if cached is not None:
         return cached
@@ -256,7 +246,6 @@ def _straighten(W: ReflectionGroup, side: str, i: int, mono: tuple,
     dual = side == "v"
     sign, v, xi = (1, i, j) if dual else (-1, j, i)
     extras = []
-    forms = param_forms(W, basis)
     if with_T and v == xi:
         extras.append((sign * MPoly.var("T"), rest, W.identity))
     for refl in W.reflections:
@@ -264,10 +253,10 @@ def _straighten(W: ReflectionGroup, side: str, i: int, mono: tuple,
         if pairing == 0:
             continue
         scalar, image = W.act_monomial(refl.index, rest, dual=dual)
-        extras.append((forms[refl.param] * (sign * pairing * scalar), image,
-                       refl.index))
+        extras.append((MPoly.var(refl.param) * (sign * pairing * scalar),
+                       image, refl.index))
     # u * (corrections of g * rest)
-    for c, m, g in _straighten(W, side, i, rest, with_T, basis):
+    for c, m, g in _straighten(W, side, i, rest, with_T):
         lifted = tuple(e + (1 if k == j else 0) for k, e in enumerate(m))
         extras.append((c, lifted, g))
     merged: dict = {}
@@ -299,8 +288,7 @@ def _lmul_dual(W, xi: int, elem: PBWElement) -> PBWElement:
                                                    for i in range(W.dim)), dual=True)
         newq = tuple(a + b for a, b in zip(q, image))
         add((p, g, newq), c * scalar if scalar != 1 else c)
-        for cc, mono, s in _straighten(W, "dual", xi, p, elem.with_T,
-                                        elem.basis):
+        for cc, mono, s in _straighten(W, "dual", xi, p, elem.with_T):
             add((mono, W.mult_table[s][g], q), cc * c)
     return elem._like(out)
 
@@ -356,24 +344,24 @@ def commutator(a: PBWElement, b: PBWElement) -> PBWElement:
     return multiply(a, b) - multiply(b, a)
 
 
-def algebra_generators(W: ReflectionGroup, with_T=False, basis="C") -> dict:
+def algebra_generators(W: ReflectionGroup, with_T=False) -> dict:
     """The generating set: V coordinates, V* coordinates, group generators."""
     gens = {}
     for i, name in enumerate(W.v_names):
-        gens[name] = PBWElement.v_gen(W, i, with_T, basis)
+        gens[name] = PBWElement.v_gen(W, i, with_T)
     for i, name in enumerate(W.dual_names):
-        gens[name] = PBWElement.dual_gen(W, i, with_T, basis)
+        gens[name] = PBWElement.dual_gen(W, i, with_T)
     if W.spec == "b2":
         for name in ("s", "t"):
-            gens[name] = PBWElement.group_gen(W, W.index_of(name), with_T, basis)
+            gens[name] = PBWElement.group_gen(W, W.index_of(name), with_T)
     else:
-        gens["s"] = PBWElement.group_gen(W, W.index_of("s"), with_T, basis)
+        gens["s"] = PBWElement.group_gen(W, W.index_of("s"), with_T)
     return gens
 
 
 def is_central(z: PBWElement) -> bool:
     """True iff z commutes with every algebra generator."""
-    for gen in algebra_generators(z.group, z.with_T, z.basis).values():
+    for gen in algebra_generators(z.group, z.with_T).values():
         if not commutator(z, gen).is_zero():
             return False
     return True
@@ -384,39 +372,33 @@ def is_central(z: PBWElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def euler_element(W: ReflectionGroup, with_T: bool = False,
-                  basis: str = "C") -> PBWElement:
-    """eu = sum_i v_i xi_i + sum_s C_s s  (plus -dim*T in the T-deformation),
-    with C_s written in the given parameter coordinates."""
-    forms = param_forms(W, basis)
+def euler_element(W: ReflectionGroup, with_T: bool = False) -> PBWElement:
+    """eu = sum_i v_i xi_i + sum_s C_s s  (plus -dim*T in the T-deformation)."""
     terms: dict = {}
     for i in range(W.dim):
         p = tuple(1 if k == i else 0 for k in range(W.dim))
         terms[(p, W.identity, p)] = MPoly.const(1)
     for refl in W.reflections:
         key = (_zeros(W), refl.index, _zeros(W))
-        terms[key] = terms.get(key, MPoly.zero()) + forms[refl.param]
+        terms[key] = terms.get(key, MPoly.zero()) + MPoly.var(refl.param)
     if with_T:
         key = _unit_key(W)
         terms[key] = terms.get(key, MPoly.zero()) - W.dim * MPoly.var("T")
-    return PBWElement(W, with_T, terms, basis)
+    return PBWElement(W, with_T, terms)
 
 
-def named_center_generators(W: ReflectionGroup, basis: str = "C") -> dict:
+def named_center_generators(W: ReflectionGroup) -> dict:
     """Named central elements: eu for all groups; for B2 also eu', eu'',
     delta and the embedded invariants sigma, pi, Sigma, Pi; for cyclic the
-    embedded invariants X = x^d (V* side) and Y = y^d (V side).  The B2
-    generators are written in C-coordinates only."""
-    gens = {"eu": euler_element(W, basis=basis)}
+    embedded invariants X = x^d (V* side) and Y = y^d (V side)."""
+    gens = {"eu": euler_element(W)}
     if W.spec.startswith("cyclic:"):
         d = W.order()
-        gens["X"] = PBWElement.monomial(W, (0,), W.identity, (d,), basis=basis)
-        gens["Y"] = PBWElement.monomial(W, (d,), W.identity, (0,), basis=basis)
+        gens["X"] = PBWElement.monomial(W, (0,), W.identity, (d,))
+        gens["Y"] = PBWElement.monomial(W, (d,), W.identity, (0,))
         return gens
     if W.spec != "b2":
         raise ValueError(f"no named generators for {W.spec}")
-    if basis != "C":
-        raise ValueError("the B2 generators are written in C-coordinates")
     A, B = MPoly.var("A"), MPoly.var("B")
     idx = W.index_of
     e = W.identity
@@ -511,8 +493,6 @@ def twist_by_linear_char(gamma: Character, z: PBWElement) -> PBWElement:
     W = z.group
     if not gamma.is_linear():
         raise ValueError("twist requires a linear character")
-    if z.basis != "C":
-        raise ValueError("twist requires C-coordinates")
     subs = {}
     for refl in W.reflections:
         gs = value_on_element(W, gamma, refl.index)
@@ -533,7 +513,7 @@ def twist_by_linear_char(gamma: Character, z: PBWElement) -> PBWElement:
 def _lift_T(z: PBWElement) -> PBWElement:
     if z.with_T:
         return z
-    return PBWElement(z.group, True, dict(z.terms), z.basis)
+    return PBWElement(z.group, True, dict(z.terms))
 
 
 def _coeff_div_T_set_T0(c: MPoly) -> MPoly:
@@ -562,7 +542,7 @@ def poisson_bracket(z1: PBWElement, z2: PBWElement) -> PBWElement:
         cc = _coeff_div_T_set_T0(c)
         if not cc.is_zero():
             out[key] = cc
-    return PBWElement(z1.group, False, out, z1.basis)
+    return PBWElement(z1.group, False, out)
 
 
 if __name__ == "__main__":

@@ -81,23 +81,12 @@ def _rational_c_values(W: ReflectionGroup, params: ParamVector) -> dict:
     return out
 
 
-def cm_families(W: ReflectionGroup, params: ParamVector,
-                generators: str = "all") -> FamilyPartition:
+def cm_families(W: ReflectionGroup, params: ParamVector) -> FamilyPartition:
     """Partition Irr(W) by equality of the central characters Omega_chi on
-    the named generators of the center, evaluated at a rational point.
-
-    generators="euler" restricts the signature to the Euler element alone;
-    this is only a necessary condition for lying in the same family and is
-    meant for experimentation.
-    """
+    the named generators of the center, evaluated at a rational point."""
     cvals = _rational_c_values(W, params)
     table = omega_table(W)
-    if generators == "all":
-        gen_names = sorted(table[next(iter(table))])
-    elif generators == "euler":
-        gen_names = ["eu"]
-    else:
-        raise ValueError("generators must be 'all' or 'euler'")
+    gen_names = sorted(table[next(iter(table))])
     blocks: list[list[str]] = []
     sigs: list[tuple] = []
     for chi in character_table(W):

@@ -53,7 +53,7 @@ def canon_scalar(c):
     >>> canon_scalar(Fraction(4, 2)), canon_scalar(Fraction(1, 2))
     (2, Fraction(1, 2))
     """
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 

@@ -28,7 +28,6 @@ __all__ = [
     "build_group",
     "character_table",
     "param_map",
-    "param_forms",
     "param_convert",
     "fake_degree",
     "b_invariant",
@@ -570,17 +569,6 @@ def param_map(W: ReflectionGroup) -> ParamMap:
                     c_rows, tuple(k_rows))
 
 
-@functools.lru_cache(maxsize=None)
-def param_forms(W: ReflectionGroup, basis: str) -> MappingProxyType:
-    """C_s -> its expression in the given coordinates: the variable C_s
-    itself for "C", the linear form of `param_map` for "K"."""
-    if basis == "C":
-        return MappingProxyType({p: MPoly.var(p) for p in W.param_names()})
-    if basis == "K":
-        return param_map(W).c_forms
-    raise ValueError("basis must be 'C' or 'K'")
-
-
 def param_convert(W: ReflectionGroup, v: ParamVector, target: str) -> ParamVector:
     """Exact change of coordinates between the C and K bases, through the
     rows of `param_map`.
@@ -603,14 +591,8 @@ def param_convert(W: ReflectionGroup, v: ParamVector, target: str) -> ParamVecto
         acc = 0
         for src, coeff in row:
             acc = coeff * vals[src] + acc
-        out[label] = _canon_param(acc)
+        out[label] = canon_scalar(acc)
     return ParamVector.make(W, target, out)
-
-
-def _canon_param(value):
-    if isinstance(value, MPoly):
-        return value
-    return canon_scalar(value)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ and by the closed formula (1/chi(1)) sum_s eps(s) chi(s) C_s.
 The module attached to an irreducible character chi is induced from the
 subalgebra generated by V, W and the parameters, on which V acts by zero and
 W through chi; it is spanned by (coinvariant V*-side monomial) (x) (chi
-space) and has dimension |W| * chi(1).  It represents the t = 0 algebra in
-C-coordinates only, and its V-action comes from the commutation rule of the
-PBW engine (`cherednik._straighten`).
+space) and has dimension |W| * chi(1).  It represents the t = 0 algebra
+only, and its V-action comes from the commutation rule of the PBW engine
+(`cherednik._straighten`).
 """
 from __future__ import annotations
 
@@ -215,7 +215,7 @@ class BabyVermaModule:
         W = self.group
         mat = _zero_matrix(self.dim)
         for col, (mono, j) in enumerate(self.basis):
-            for coeff, m, g in _straighten(W, "v", vj, mono, False, "C"):
+            for coeff, m, g in _straighten(W, "v", vj, mono, False):
                 rep = self.chi_mats[g]
                 for mm, c in self.coin.reduce(m).items():
                     for jp in range(len(rep)):
@@ -226,11 +226,10 @@ class BabyVermaModule:
         return mat
 
     def act(self, z: PBWElement):
-        """The action matrix of a PBW element of the t = 0 algebra in
-        C-coordinates."""
+        """The action matrix of a PBW element of the t = 0 algebra."""
         if z.group is not self.group:
             raise ValueError("element belongs to another group")
-        if z.with_T or z.basis != "C":
+        if z.with_T:
             raise ValueError("baby Verma modules represent the t = 0 algebra"
                              " in C-coordinates")
         W = self.group
@@ -298,7 +297,7 @@ def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
 
 def omega(z: PBWElement, chi: Character, check_nilpotent: bool = True) -> MPoly:
     """Omega_chi(z) = trace(z acting on the baby Verma module) / dim, for z
-    in the t = 0 algebra in C-coordinates.
+    in the t = 0 algebra.
 
     When requested, certifies that z - Omega_chi(z) acts nilpotently."""
     W = z.group

@@ -1,8 +1,8 @@
 """Reference computations kept for the tests only: the per-factor change of
-coordinates that the rank-1 center identity used before the PBW engine could
-straighten in K-coordinates, with its own C -> K table, the resultant as a
-Sylvester determinant, the schoolbook polynomial product with tuple keys, and
-the PBW product computed one term of the left factor at a time."""
+coordinates for the rank-1 center identity, with its own C -> K table, the
+resultant as a Sylvester determinant, the schoolbook polynomial product with
+tuple keys, and the PBW product computed one term of the left factor at a
+time."""
 from chered.cherednik import (PBWElement, _lmul_dual, _lmul_group,
                               euler_element, multiply)
 from chered.exactnum import primitive_root
@@ -17,7 +17,7 @@ def substitute_params(elem: PBWElement, mapping: dict) -> PBWElement:
         new = coeff.substitute(mapping)
         if not new.is_zero():
             terms[key] = new
-    return PBWElement(elem.group, elem.with_T, terms, elem.basis)
+    return PBWElement(elem.group, elem.with_T, terms)
 
 
 def rank1_k_variables(d: int) -> list:
@@ -43,18 +43,20 @@ def rank1_c_to_k(d: int) -> dict:
     return out
 
 
-def rank1_center_product_per_factor(d: int) -> PBWElement:
-    """prod_j (eu - d K_j) straightened in C-coordinates, with C -> K
-    re-applied after every factor."""
+def rank1_partial_products_per_factor(d: int) -> list:
+    """prod_{j<m} (eu - d K_j) for m = 1..d, straightened in C-coordinates,
+    with C -> K re-applied after every factor."""
     W = build_group(f"cyclic:{d}")
     eu = euler_element(W)
     kvars = rank1_k_variables(d)
     subst = rank1_c_to_k(d)
     prod = PBWElement.one(W)
+    partial = []
     for j in range(d):
         prod = multiply(prod, eu - PBWElement.one(W).scale(kvars[j] * d))
         prod = substitute_params(prod, subst)
-    return prod
+        partial.append(prod)
+    return partial
 
 
 def sylvester_resultant(f: MPoly, g: MPoly, name: str) -> MPoly:

@@ -5,10 +5,11 @@ import pytest
 from chered.multipoly import MPoly
 from chered.reflgrp import build_group
 from chered.cherednik import PBWElement, multiply, named_center_generators
-from chered.center import (euler_charpoly_congruence, minpoly_euler,
-                           rank1_center_product, verify_b2_center,
-                           verify_rank1_center)
-from oracles import rank1_center_product_per_factor, substitute_params
+from chered.center import (_rank1_factors, euler_charpoly_congruence,
+                           minpoly_euler, rank1_center_product,
+                           verify_b2_center, verify_rank1_center)
+from oracles import (rank1_c_to_k, rank1_partial_products_per_factor,
+                     substitute_params)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
@@ -19,12 +20,24 @@ def test_rank1_center_relation(d):
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
 def test_rank1_k_native_product_matches_per_factor_oracle(d):
-    new = rank1_center_product(d)
-    old = rank1_center_product_per_factor(d)
-    assert new.basis == "K" and old.basis == "C"
-    assert set(new.terms) == set(old.terms)
-    for key, coeff in new.terms.items():
-        assert coeff == old.terms[key], key
+    """For every m <= d, the product of the first m C-coordinate factors,
+    mapped to K, equals the oracle's first m factors term by term; the
+    full product is the one of `rank1_center_product`."""
+    W = build_group(f"cyclic:{d}")
+    partial = []
+    prod = PBWElement.one(W)
+    for factor in _rank1_factors(W)[:-1]:
+        prod = multiply(prod, factor)
+        partial.append(prod)
+    partial.append(rank1_center_product(d))
+    expected = rank1_partial_products_per_factor(d)
+    assert len(partial) == len(expected) == d
+    to_k = rank1_c_to_k(d)
+    for m, (got, want) in enumerate(zip(partial, expected), start=1):
+        got = substitute_params(got, to_k)
+        assert set(got.terms) == set(want.terms), m
+        for key, coeff in got.terms.items():
+            assert coeff == want.terms[key], (m, key)
 
 
 @pytest.mark.parametrize("d", (1, 7, 8))

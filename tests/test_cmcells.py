@@ -13,9 +13,9 @@ from chered.cmcells import (b2_cells, cm_families, minimal_b_character,
 W2 = build_group("b2")
 
 
-def _families_b2(a, b, generators="all"):
+def _families_b2(a, b):
     pv = ParamVector.make(W2, "C", {"A": Fraction(a), "B": Fraction(b)})
-    return cm_families(W2, pv, generators=generators)
+    return cm_families(W2, pv)
 
 
 def _blocks(fp):
@@ -193,17 +193,6 @@ def test_minimal_b_character_unique_per_family():
         pv = ParamVector.make(W, "K", {f"K{j}": ks[j] for j in range(d)})
         fp = cm_families(W, pv)
         assert {minimal_b_character(W, blk) for blk in fp.blocks} == {"eps^0"}
-
-
-def test_euler_only_mode_is_coarser_or_equal():
-    fp_all = _families_b2(1, 1)
-    fp_eu = _families_b2(1, 1, generators="euler")
-    # every exact family is contained in a euler-signature class
-    for blk in fp_all.blocks:
-        for cls in fp_eu.blocks:
-            if blk[0] in cls:
-                assert set(blk) <= set(cls)
-                break
 
 
 def test_json_schema():

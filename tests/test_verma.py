@@ -170,9 +170,9 @@ def test_act_rejects_other_algebras():
     W = build_group("cyclic:3")
     chi = character_table(W)[1]
     mod = build_baby_verma(W, chi)
-    for z in (euler_element(W, basis="K"), euler_element(W, with_T=True)):
-        with pytest.raises(ValueError, match="t = 0 algebra in C-coordinates"):
-            mod.act(z)
-        for check in (False, True):
-            with pytest.raises(ValueError, match="C-coordinates"):
-                omega(z, chi, check_nilpotent=check)
+    z = euler_element(W, with_T=True)
+    with pytest.raises(ValueError, match="t = 0 algebra in C-coordinates"):
+        mod.act(z)
+    for check in (False, True):
+        with pytest.raises(ValueError, match="C-coordinates"):
+            omega(z, chi, check_nilpotent=check)
