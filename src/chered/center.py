@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 
-RANK1_DEGREES = range(2, 7)
+RANK1_DEGREES = range(2, 8)
 
 
 def rank1_center_product(d: int) -> PBWElement:
@@ -31,7 +31,7 @@ def rank1_center_product(d: int) -> PBWElement:
         raise ValueError(
             "the rank-1 center identity is supported for"
             f" {RANK1_DEGREES[0]} <= d <= {RANK1_DEGREES[-1]}, got d = {d};"
-            " larger d waits for fixed-field cyclotomic arithmetic"
+            " d = 8 waits for the idempotent basis of the group algebra"
             " (ROADMAP item 2)")
     W = build_group(f"cyclic:{d}")
     prod = PBWElement.one(W)

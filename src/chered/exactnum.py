@@ -7,23 +7,30 @@ otherwise; ``canon_scalar`` turns an integral Fraction into an int and
 ``scalar_div`` divides two scalars.  A ``Cyclotomic`` only ever holds an
 irrational number, in the power basis of a fixed primitive e-th root of unity
 ``z_e`` with coordinates reduced modulo the e-th cyclotomic polynomial.  The
-roots are chosen coherently: whenever d divides e, ``z_d = z_e**(e//d)``.
+coordinates are integers over one common denominator (``num`` and ``den``,
+with the content gcd divided out), so no arithmetic builds a ``Fraction``
+per coordinate.  The roots are chosen coherently: whenever d divides e,
+``z_d = z_e**(e//d)``.
 
-Cyclotomic arithmetic is built from two primitives on coordinate vectors:
-reduction modulo the e-th cyclotomic polynomial (``_reduce_mod_cyclotomic``;
-a product is the schoolbook product of the coordinates, reduced) and the
-Galois automorphism sigma_a: z_e -> z_e**a (``_galois``, a prime to e).
-Complex conjugation is sigma_{-1}; the inverse is the product of the other
-conjugates sigma_a(x) divided by the norm.
+Cyclotomic arithmetic is built from two primitives on integer coordinate
+vectors: reduction modulo the e-th cyclotomic polynomial
+(``_reduce_mod_cyclotomic``; the polynomial is monic with integer
+coefficients, so it keeps vectors integral; a product is the schoolbook
+product of the coordinates, reduced) and the Galois automorphism sigma_a:
+z_e -> z_e**a (``_galois``, a prime to e).  Complex conjugation is
+sigma_{-1}; the inverse is the product of the other conjugates sigma_a(x)
+divided by the norm, an integer for integer coordinates.
 
 Every Cyclotomic operation returns the canonical scalar: a result that is
 rational comes back as an int or a Fraction, and an irrational one as a
 Cyclotomic in the smallest cyclotomic field (smallest divisor of the order)
 that contains it.  Q(z_d) is the subfield of Q(z_e) fixed by every sigma_a
 with a = 1 mod d, so the smallest field is found by testing that, and only
-then solving for the coordinates over Q(z_d) with ``row_reduce``.  Two equal
-numbers therefore always have identical representations, regardless of how
-they were computed.
+then solving for the coordinates over Q(z_d) with ``row_reduce``.  A
+rational shift or a nonzero rational multiple of an irrational number has
+its smallest field, so those operations skip the search.  Two equal numbers
+therefore always have identical representations, regardless of how they
+were computed.
 
 ``row_reduce`` (reduced row echelon form, in place) is the one Gaussian
 elimination of the package; the coinvariant normal forms and the
@@ -33,7 +40,7 @@ reflection test use it as well.
 >>> z4 * z4
 -1
 >>> (1 + primitive_root(3)).inverse()
-Cyclotomic(order=3, coeffs=(Fraction(0, 1), Fraction(-1, 1)))
+Cyclotomic(order=3, num=(0, -1), den=1)
 >>> primitive_root(6) ** 2 == primitive_root(3)
 True
 """
@@ -135,15 +142,23 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
-def _reduce_mod_cyclotomic(e: int, vec: list[Fraction]) -> list[Fraction]:
-    """Reduce a coordinate vector of arbitrary length (powers of z_e) to
-    length phi(e)."""
+@functools.lru_cache(maxsize=None)
+def _reduction_terms(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(e) and the nonzero (power, coefficient) pairs of the e-th
+    cyclotomic polynomial below its leading term."""
     cyc = cyclotomic_polynomial(e)
     phi = len(cyc) - 1
-    terms = [(i, c) for i, c in enumerate(cyc[:phi]) if c]
+    return phi, tuple((i, c) for i, c in enumerate(cyc[:phi]) if c)
+
+
+def _reduce_mod_cyclotomic(e: int, vec: list[int]) -> list[int]:
+    """Reduce an integer coordinate vector of arbitrary length (powers of
+    z_e) to length phi(e).  The cyclotomic polynomial is monic with integer
+    coefficients, so the result is integral."""
+    phi, terms = _reduction_terms(e)
     vec = list(vec)
     if len(vec) < phi:
-        vec += [Fraction(0)] * (phi - len(vec))
+        vec += [0] * (phi - len(vec))
     for k in range(len(vec) - 1, phi - 1, -1):
         c = vec[k]
         if c:
@@ -152,11 +167,11 @@ def _reduce_mod_cyclotomic(e: int, vec: list[Fraction]) -> list[Fraction]:
     return vec[:phi]
 
 
-def _mul(e: int, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Coordinates of the product of two elements of Q(z_e) given by their
-    coordinates: the schoolbook product, with exponents taken mod e
+def _mul(e: int, a: list[int], b: list[int]) -> list[int]:
+    """Integer coordinates of the product of two elements of Z[z_e] given by
+    their coordinates: the schoolbook product, with exponents taken mod e
     (z_e**e = 1), reduced modulo the e-th cyclotomic polynomial."""
-    out = [Fraction(0)] * min(e, len(a) + len(b) - 1)
+    out = [0] * min(e, len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -165,10 +180,11 @@ def _mul(e: int, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _reduce_mod_cyclotomic(e, out)
 
 
-def _galois(e: int, vec: list[Fraction], a: int) -> list[Fraction]:
-    """Coordinates of sigma_a(x), where sigma_a: z_e -> z_e**a (a prime to
-    e, so k -> a*k mod e is injective) and vec holds the coordinates of x."""
-    out = [Fraction(0)] * e
+def _galois(e: int, vec: list[int], a: int) -> list[int]:
+    """Integer coordinates of sigma_a(x), where sigma_a: z_e -> z_e**a (a
+    prime to e, so k -> a*k mod e is injective) and vec holds the coordinates
+    of x."""
+    out = [0] * e
     for k, c in enumerate(vec):
         out[a * k % e] = c
     return _reduce_mod_cyclotomic(e, out)
@@ -176,53 +192,57 @@ def _galois(e: int, vec: list[Fraction], a: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class Cyclotomic:
-    """An irrational element of a cyclotomic field in the power basis of
-    z_order.
+    """An irrational element of a cyclotomic field: the integer coordinates
+    num in the power basis of z_order, over the one denominator den.
 
     Always stored in normalized form: order is the smallest divisor of any
-    ambient order whose field contains the element (so order >= 3), and
-    coeffs has length phi(order) with a nonzero coordinate past the first.
-    The generated equality and hash compare (order, coeffs); a Cyclotomic
-    never equals a rational.
+    ambient order whose field contains the element (so order >= 3), num has
+    length phi(order) with a nonzero coordinate past the first, den >= 1 and
+    gcd(den, *num) == 1.  The form is unique, so the generated equality and
+    hash compare (order, num, den); a Cyclotomic never equals a rational.
     """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     # -- conversions -----------------------------------------------------
 
-    def _lift_vec(self, e: int) -> list[Fraction]:
-        """Coordinates of self as powers of z_e (self.order must divide e)."""
+    def _lift(self, e: int):
+        """Integer coordinates of den * self as powers of z_e (self.order
+        must divide e)."""
+        if e == self.order:
+            return self.num
         step = e // self.order
-        vec = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        vec[::step] = self.coeffs
+        vec = [0] * ((len(self.num) - 1) * step + 1)
+        vec[::step] = self.num
         return _reduce_mod_cyclotomic(e, vec)
-
-    def _operands(self, other):
-        """(e, coordinates of self, coordinates of other) in the power basis
-        of the smallest common field; a rational other is lifted straight
-        into self's field.  None when other is not a scalar."""
-        if isinstance(other, Cyclotomic):
-            e = math.lcm(self.order, other.order)
-            return e, self._lift_vec(e), other._lift_vec(e)
-        if isinstance(other, (int, Fraction)):
-            zeros = [Fraction(0)] * (len(self.coeffs) - 1)
-            return self.order, list(self.coeffs), [Fraction(other)] + zeros
-        return None
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        operands = self._operands(other)
-        if operands is None:
-            return NotImplemented
-        e, a, b = operands
-        return _normalize(e, [x + y for x, y in zip(a, b)])
+        if isinstance(other, Cyclotomic):
+            e = math.lcm(self.order, other.order)
+            a, b = self._lift(e), other._lift(e)
+            da, db = self.den, other.den
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            return _normalize(e, [x * fa + y * fb for x, y in zip(a, b)],
+                              da * fa)
+        if isinstance(other, (int, Fraction)):
+            # a rational shift keeps the smallest field
+            if not other:
+                return self
+            p, r = other.numerator, other.denominator
+            num = [c * r for c in self.num]
+            num[0] += p * self.den
+            return _make(self.order, num, self.den * r)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.coeffs))
+        return Cyclotomic(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -231,26 +251,34 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
-        operands = self._operands(other)
-        if operands is None:
-            return NotImplemented
-        e, a, b = operands
-        return _normalize(e, _mul(e, a, b))
+        if isinstance(other, Cyclotomic):
+            e = math.lcm(self.order, other.order)
+            vec = _mul(e, self._lift(e), other._lift(e))
+            return _normalize(e, vec, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            # a nonzero rational multiple keeps the smallest field
+            if not other:
+                return 0
+            p, r = other.numerator, other.denominator
+            return _make(self.order, [c * p for c in self.num], self.den * r)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """The inverse: the product of the other Galois conjugates divided by
-        the norm.  It lies in the same smallest field."""
+        """The inverse: den times the product of the other Galois conjugates
+        of num, divided by the integer norm of num.  It lies in the same
+        smallest field."""
         e = self.order
-        prod = [Fraction(1)]
+        prod = [1]
         for a in range(2, e):
             if math.gcd(a, e) == 1:
-                prod = _mul(e, prod, _galois(e, self.coeffs, a))
-        norm = _mul(e, prod, list(self.coeffs))
+                prod = _mul(e, prod, _galois(e, self.num, a))
+        norm = _mul(e, prod, self.num)
         if any(norm[1:]):
             raise ArithmeticError(f"norm of {self} is not rational")
-        return Cyclotomic(e, tuple(c / norm[0] for c in prod))
+        # Q(z_e), e >= 3, is a CM field, so the norm of x != 0 is positive
+        return _make(e, [c * self.den for c in prod], norm[0])
 
     def __truediv__(self, other):
         if isinstance(other, Cyclotomic):
@@ -279,13 +307,14 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation z_e -> z_e**(-1), an automorphism of the
         element's smallest field."""
-        return Cyclotomic(self.order, tuple(_galois(self.order, self.coeffs, -1)))
+        return _make(self.order, _galois(self.order, self.num, -1), self.den)
 
     def __str__(self):
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, n in enumerate(self.num):
+            if n == 0:
                 continue
+            c = Fraction(n, self.den)
             if k == 0:
                 parts.append(str(c))
             else:
@@ -299,27 +328,40 @@ class Cyclotomic:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _normalize(e: int, vec: list[Fraction]):
-    """The canonical scalar with coordinates vec (length phi(e), powers of
-    z_e): a rational when every coordinate past the first is zero, otherwise
-    a Cyclotomic in the smallest field Q(z_d), d | e, that holds it.  Orders 1
-    and 2 hold only rationals, so the search starts at 3.  Q(z_d) is the
-    subfield fixed by every z_e -> z_e**a with a = 1 mod d, so only a member
-    pays for the row reduction that finds its coordinates there."""
+def _make(e: int, num: list[int], den: int) -> Cyclotomic:
+    """The Cyclotomic num/den of order e (den > 0), for an irrational number
+    whose smallest field is known to be Q(z_e): the content gcd is divided
+    out once."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return Cyclotomic(e, tuple(num), den)
+
+
+def _normalize(e: int, vec: list[int], den: int):
+    """The canonical scalar vec/den, vec holding integer coordinates (length
+    phi(e), powers of z_e) and den > 0: a rational when every coordinate past
+    the first is zero, otherwise a Cyclotomic in the smallest field Q(z_d),
+    d | e, that holds it.  Orders 1 and 2 hold only rationals, so the search
+    starts at 3.  Q(z_d) is the subfield fixed by every z_e -> z_e**a with
+    a = 1 mod d (a test that does not depend on den), so only a member pays
+    for the row reduction that finds its coordinates there."""
     if not any(vec[1:]):
-        return canon_scalar(vec[0])
+        return vec[0] if den == 1 else canon_scalar(Fraction(vec[0], den))
     for d in range(3, e):
         if e % d or any(_galois(e, vec, a) != vec
                         for a in range(1 + d, e, d) if math.gcd(a, e) == 1):
             continue
         # columns: z_d**k = z_e**(k*e/d) for k < phi(d), then vec
         step = e // d
-        cols = [_reduce_mod_cyclotomic(e, [0] * (k * step) + [Fraction(1)])
+        cols = [_reduce_mod_cyclotomic(e, [0] * (k * step) + [1])
                 for k in range(len(cyclotomic_polynomial(d)) - 1)]
         rows = [[col[i] for col in cols] + [vec[i]] for i in range(len(vec))]
         row_reduce(rows)
-        return Cyclotomic(d, tuple(Fraction(row[-1]) for row in rows[:len(cols)]))
-    return Cyclotomic(e, tuple(vec))
+        # the solution is integral, as Z[z_e] meets Q(z_d) in Z[z_d]
+        return _make(d, [row[-1] for row in rows[:len(cols)]], den)
+    return _make(e, vec, den)
 
 
 def primitive_root(e: int):
@@ -333,7 +375,7 @@ def primitive_root(e: int):
     """
     if e < 1:
         raise ValueError("order must be positive")
-    return _normalize(e, _reduce_mod_cyclotomic(e, [Fraction(0), Fraction(1)]))
+    return _normalize(e, _reduce_mod_cyclotomic(e, [0, 1]), 1)
 
 
 if __name__ == "__main__":

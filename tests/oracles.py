@@ -1,13 +1,85 @@
-"""Reference computations kept for the tests only: the per-factor change of
-coordinates for the rank-1 center identity, with its own C -> K table, the
-resultant as a Sylvester determinant, the schoolbook polynomial product with
-tuple keys, and the PBW product computed one term of the left factor at a
-time."""
+"""Reference computations kept for the tests only: cyclotomic arithmetic on
+Fraction coordinates, the per-factor change of coordinates for the rank-1
+center identity, with its own C -> K table, the resultant as a Sylvester
+determinant, the schoolbook polynomial product with tuple keys, and the PBW
+product computed one term of the left factor at a time."""
+import math
+from fractions import Fraction
+
 from chered.cherednik import (PBWElement, _lmul_dual, _lmul_group,
                               euler_element, multiply)
-from chered.exactnum import primitive_root
+from chered.exactnum import Cyclotomic, cyclotomic_polynomial, primitive_root
 from chered.multipoly import MPoly, canon_scalar
 from chered.reflgrp import build_group
+
+
+def reduce_mod_cyclotomic(e: int, vec: list) -> list:
+    """Reduce a Fraction coordinate vector of arbitrary length (powers of
+    z_e) to length phi(e)."""
+    cyc = cyclotomic_polynomial(e)
+    phi = len(cyc) - 1
+    terms = [(i, c) for i, c in enumerate(cyc[:phi]) if c]
+    vec = list(vec)
+    if len(vec) < phi:
+        vec += [Fraction(0)] * (phi - len(vec))
+    for k in range(len(vec) - 1, phi - 1, -1):
+        c = vec[k]
+        if c:
+            for i, t in terms:
+                vec[k - phi + i] -= c * t
+    return vec[:phi]
+
+
+def cyclotomic_mul(e: int, a: list, b: list) -> list:
+    """Fraction coordinates of a product in Q(z_e): the schoolbook product,
+    with exponents taken mod e, reduced modulo the e-th cyclotomic
+    polynomial."""
+    out = [Fraction(0)] * min(e, len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[(i + j) % e] += ca * cb
+    return reduce_mod_cyclotomic(e, out)
+
+
+def cyclotomic_galois(e: int, vec: list, a: int) -> list:
+    """Fraction coordinates of sigma_a(x), sigma_a: z_e -> z_e**a."""
+    out = [Fraction(0)] * e
+    for k, c in enumerate(vec):
+        out[a * k % e] = c
+    return reduce_mod_cyclotomic(e, out)
+
+
+def cyclotomic_inverse(e: int, vec: list) -> list:
+    """Fraction coordinates of 1/x in Q(z_e): the product of the other
+    Galois conjugates divided by the norm."""
+    prod = [Fraction(1)]
+    for a in range(2, e):
+        if math.gcd(a, e) == 1:
+            prod = cyclotomic_mul(e, prod, cyclotomic_galois(e, vec, a))
+    norm = cyclotomic_mul(e, prod, vec)
+    if any(norm[1:]):
+        raise ArithmeticError("norm is not rational")
+    return [c / norm[0] for c in prod]
+
+
+def cyclotomic_lift(vec: list, d: int, e: int) -> list:
+    """Fraction coordinates in Q(z_e) of the element with coordinates vec in
+    Q(z_d), d | e, using z_d = z_e**(e/d)."""
+    step = e // d
+    out = [Fraction(0)] * ((len(vec) - 1) * step + 1)
+    out[::step] = vec
+    return reduce_mod_cyclotomic(e, out)
+
+
+def cyclotomic_coordinates(x, e: int) -> list:
+    """Fraction coordinates in Q(z_e) of a scalar: an int, a Fraction, or a
+    Cyclotomic whose order divides e."""
+    if isinstance(x, Cyclotomic):
+        return cyclotomic_lift([Fraction(n, x.den) for n in x.num],
+                               x.order, e)
+    return reduce_mod_cyclotomic(e, [Fraction(x)])
 
 
 def substitute_params(elem: PBWElement, mapping: dict) -> PBWElement:

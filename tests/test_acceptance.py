@@ -17,8 +17,9 @@ from chered.cmcells import (b2_cells, cm_families, minimal_b_character,
                             twist_family_partition)
 from chered.series import (center_basis_bidegrees, fantome_bigraded,
                            hilbert_center, molien_bigraded)
-from chered.center import (euler_charpoly_congruence, minpoly_euler,
-                           verify_b2_center, verify_rank1_center)
+from chered.center import (RANK1_DEGREES, euler_charpoly_congruence,
+                           minpoly_euler, verify_b2_center,
+                           verify_rank1_center)
 from chered.galois import b2_galois_certificate
 from oracles import substitute_params
 
@@ -66,15 +67,15 @@ def test_criterion_03_b2_euler_minpoly():
 
 
 def test_criterion_04_rank1_center():
-    ok = all(verify_rank1_center(d)["status"] for d in range(2, 7))
+    ok = all(verify_rank1_center(d)["status"] for d in RANK1_DEGREES)
     if ok:
         W = build_group("cyclic:3")
         g = named_center_generators(W)
         residue = g["eu"] ** 3 - multiply(g["X"], g["Y"])
         zeros = {f"C{i}": MPoly.zero() for i in (1, 2)}
         ok = substitute_params(residue, zeros).is_zero()
-    report(4, "rank-1 center identity for d = 2..6 and eu^d = XY at K = 0",
-           ok)
+    report(4, f"rank-1 center identity for d = {RANK1_DEGREES[0]}.."
+           f"{RANK1_DEGREES[-1]} and eu^d = XY at K = 0", ok)
 
 
 def test_criterion_05_omega_table():

@@ -12,7 +12,7 @@ from oracles import (rank1_c_to_k, rank1_partial_products_per_factor,
                      substitute_params)
 
 
-@pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7))
 def test_rank1_center_relation(d):
     report = verify_rank1_center(d)
     assert report["status"] is True, report
@@ -40,7 +40,7 @@ def test_rank1_k_native_product_matches_per_factor_oracle(d):
             assert coeff == want.terms[key], (m, key)
 
 
-@pytest.mark.parametrize("d", (1, 7, 8))
+@pytest.mark.parametrize("d", (1, 8, 9))
 def test_rank1_center_range(d):
     with pytest.raises(ValueError, match="ROADMAP item 2"):
         verify_rank1_center(d)

@@ -120,8 +120,8 @@ def test_usage_error_exit_code(capsys, argv):
 
 
 def test_rank1_range_error_names_missing_piece(capsys):
-    code, _, err = run(capsys, "verify", "center", "--group", "cyclic:7")
-    assert code == 2 and "2 <= d <= 6" in err and "ROADMAP item 2" in err
+    code, _, err = run(capsys, "verify", "center", "--group", "cyclic:8")
+    assert code == 2 and "2 <= d <= 7" in err and "ROADMAP item 2" in err
 
 
 def test_json_output_deterministic(capsys):

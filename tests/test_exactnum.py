@@ -5,21 +5,30 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from chered.exactnum import Cyclotomic, cyclotomic_polynomial, primitive_root
+from chered.exactnum import (Cyclotomic, canon_scalar, cyclotomic_polynomial,
+                             primitive_root)
 from chered.multipoly import MPoly, scalar_div
 from chered.reflgrp import build_group, character_table, param_map
 from chered.verma import omega_table
+from oracles import (cyclotomic_coordinates, cyclotomic_galois,
+                     cyclotomic_inverse, cyclotomic_lift, cyclotomic_mul)
 
 
 def assert_canonical(x):
     """x is an int when integral, a Fraction with denominator > 1 when
     rational, and otherwise a Cyclotomic of order >= 3 (never 2 mod 4, whose
-    field is that of order/2) with a nonzero coordinate past the first."""
+    field is that of order/2) with phi(order) integer coordinates, a nonzero
+    one past the first, over a denominator >= 1 that shares no factor with
+    all of them."""
     if isinstance(x, Cyclotomic):
         assert x.order >= 3 and x.order % 4 != 2, x
-        assert any(x.coeffs[1:]), x
+        assert len(x.num) == len(cyclotomic_polynomial(x.order)) - 1, x
+        assert all(type(c) is int for c in x.num), x
+        assert type(x.den) is int and x.den >= 1, x
+        assert math.gcd(x.den, *x.num) == 1, x
+        assert any(x.num[1:]), x
     elif isinstance(x, Fraction):
         assert x.denominator > 1, x
     else:
@@ -58,6 +67,11 @@ def test_order_demotion():
     assert (z15 ** 5).order == 3 and (z15 ** 3).order == 5
     assert (z15 ** 3 + z15 ** 12).order == 5
     assert z15 ** 5 + z15 ** 10 == -1
+    # a sum over a denominator that lands in a subfield keeps its denominator
+    a = z15 ** 3 / 3 + z15
+    b = z15 ** 12 / 3 - z15
+    z5 = primitive_root(5)
+    assert a + b == (z5 + z5 ** 4) / 3 and str(a + b) == "-1/3 - 1/3*z5^2 - 1/3*z5^3"
 
 
 def test_tower_coherence():
@@ -174,6 +188,85 @@ def test_inverse_is_exact(terms):
         assert y.order == x.order
 
 
+# The integer-coordinate kernel against the Fraction-coordinate oracle: an
+# operand is a rational (order 1) or an element of Q(z_e) given by rational
+# coordinates, built with the kernel's own arithmetic; every result is
+# compared coordinate by coordinate once both sides are lifted into the
+# field of the lcm of the operand orders.
+KERNEL_ORDERS = [3, 4, 5, 7, 8, 9, 12, 15]
+
+rationals = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+def _phi(e):
+    return len(cyclotomic_polynomial(e)) - 1
+
+
+field_elements = st.sampled_from(KERNEL_ORDERS).flatmap(
+    lambda e: st.tuples(st.just(e), st.lists(rationals, min_size=_phi(e),
+                                             max_size=_phi(e))))
+kernel_operands = st.one_of(
+    rationals.map(lambda q: (1, [Fraction(q)])), field_elements)
+
+
+def _build(e, coords):
+    if e == 1:
+        return canon_scalar(Fraction(coords[0]))
+    x = 0
+    for k, c in enumerate(coords):
+        x = x + c * primitive_root(e) ** k
+    assert cyclotomic_coordinates(x, e) == [Fraction(c) for c in coords]
+    return x
+
+
+def _oracle_power(e, vec, n):
+    if n < 0:
+        vec, n = cyclotomic_inverse(e, vec), -n
+    out = cyclotomic_coordinates(1, e)
+    for _ in range(n):
+        out = cyclotomic_mul(e, out, vec)
+    return out
+
+
+def _agrees(result, e, expected):
+    assert_canonical(result)
+    assert cyclotomic_coordinates(result, e) == expected, (result, e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_operands, kernel_operands, st.integers(min_value=-3, max_value=3))
+def test_kernel_matches_fraction_oracle(a, b, n):
+    (da, va), (db, vb) = a, b
+    x, y = _build(da, va), _build(db, vb)
+    assume(isinstance(x, Cyclotomic) or isinstance(y, Cyclotomic))
+    e = math.lcm(da, db)
+    ca, cb = cyclotomic_lift(va, da, e), cyclotomic_lift(vb, db, e)
+    _agrees(x + y, e, [u + v for u, v in zip(ca, cb)])
+    _agrees(x - y, e, [u - v for u, v in zip(ca, cb)])
+    _agrees(x * y, e, cyclotomic_mul(e, ca, cb))
+    if y != 0:
+        inv_b = cyclotomic_lift(cyclotomic_inverse(db, vb), db, e)
+        _agrees(x / y, e, cyclotomic_mul(e, ca, inv_b))
+    for z, d, v in ((x, da, va), (y, db, vb)):
+        if isinstance(z, Cyclotomic):
+            _agrees(z.conjugate(), d, cyclotomic_galois(d, v, -1))
+            _agrees(z.inverse(), d, cyclotomic_inverse(d, v))
+            _agrees(z ** n, d, _oracle_power(d, v, n))
+
+
+def test_printed_form():
+    z5, z8 = primitive_root(5), primitive_root(8)
+    assert str((1 + z5) / 3) == "1/3 + 1/3*z5"
+    assert str(-z8 / 2) == "-1/2*z8"
+    assert str(z5 / 3) == "1/3*z5"
+    assert str(Fraction(-2, 3) * z5 ** 2 + z5 ** 3 - 2) == "-2 - 2/3*z5^2 + z5^3"
+    assert str(2 * z8 - z8 ** 3) == "2*z8 - z8^3"
+    assert str((1 + z5).inverse()) == "-z5 - z5^3"
+    assert str((2 + 3 * z8 ** 2) / Fraction(7, 4)) == "8/7 + 12/7*z4"
+
+
 def _scalars(obj):
     if isinstance(obj, MPoly):
         yield from obj.terms.values()
@@ -187,7 +280,7 @@ def _scalars(obj):
         yield obj
 
 
-@pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 7)])
+@pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 8)])
 def test_group_data_is_canonical(spec):
     W = build_group(spec)
     pm = param_map(W)
