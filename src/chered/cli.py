@@ -86,6 +86,12 @@ def _parse_params(W, text: str) -> ParamVector:
     entries = [e.strip() for e in text.split(",") if e.strip()]
     values: dict = {}
     basis = None
+
+    def put(name, val):
+        if name in values:
+            raise SystemExit_usage(f"parameter {name!r} is given more than once")
+        values[name] = _rational(val)
+
     i = 0
     while i < len(entries):
         if "=" not in entries[i]:
@@ -100,15 +106,15 @@ def _parse_params(W, text: str) -> ParamVector:
                 raise SystemExit_usage(
                     f"expected {len(labels)} K-values, got {len(vals)}")
             for lab, v in zip(labels, vals):
-                values[lab] = _rational(v)
+                put(lab, v)
             basis = _merge_basis(basis, "K")
             break
         alias = {"a": "A", "b": "B"}.get(key, key)
         if alias in W.param_names():
-            values[alias] = _rational(val)
+            put(alias, val)
             basis = _merge_basis(basis, "C")
         elif alias in W.k_param_names():
-            values[alias] = _rational(val)
+            put(alias, val)
             basis = _merge_basis(basis, "K")
         else:
             raise SystemExit_usage(f"unknown parameter {key!r} for {W.spec}")

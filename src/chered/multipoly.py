@@ -1,6 +1,6 @@
 """Sparse multivariate polynomials over the cyclotomic numbers, univariate
-resultants and discriminants, exact polynomial square roots, and truncated
-bivariate power series.
+resultants and discriminants, exact polynomial square roots, and the
+division-free characteristic polynomial.
 
 Coefficients ("scalars") are int, Fraction, or Cyclotomic values in the one
 representation that `exactnum` owns: a rational is an int or a Fraction,
@@ -18,25 +18,23 @@ result once.  A scalar factor only scales the coefficients.
 >>> x, y = MPoly.var("x"), MPoly.var("y")
 >>> print((x + y) ** 2)
 x^2 + 2*x*y + y^2
->>> print(discriminant(parse_poly("t^2 + b*t + c"), "t"))
+>>> b, c, t = MPoly.var("b"), MPoly.var("c"), MPoly.var("t")
+>>> print(discriminant(t ** 2 + b * t + c, "t"))
 b^2 - 4*c
 """
 from __future__ import annotations
 
-import re
 import struct
 from fractions import Fraction
 from operator import add
 
-from .exactnum import Cyclotomic, canon_scalar, primitive_root, scalar_div
+from .exactnum import Cyclotomic, canon_scalar, scalar_div
 
 __all__ = [
     "MPoly",
-    "TruncSeries2",
     "resultant",
     "discriminant",
     "poly_sqrt",
-    "parse_poly",
     "charpoly_berkowitz",
 ]
 
@@ -474,8 +472,8 @@ def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
     """Resultant of f and g with respect to a variable, by the subresultant
     polynomial remainder sequence (fraction free).
 
-    >>> f = parse_poly("t^2 - a")
-    >>> print(resultant(f, parse_poly("t - b"), "t"))
+    >>> a, b, t = MPoly.var("a"), MPoly.var("b"), MPoly.var("t")
+    >>> print(resultant(t ** 2 - a, t - b, "t"))
     b^2 - a
     """
     A = _uni_trim(f.as_univariate(name))
@@ -523,7 +521,8 @@ def _scale_sign(p: MPoly, sign: int) -> MPoly:
 def discriminant(f: MPoly, name: str) -> MPoly:
     """disc(f) = (-1)^(d(d-1)/2) Res(f, f') for monic f in the given variable.
 
-    >>> print(discriminant(parse_poly("t^3 + p*t + q"), "t"))
+    >>> p, q, t = MPoly.var("p"), MPoly.var("q"), MPoly.var("t")
+    >>> print(discriminant(t ** 3 + p * t + q, "t"))
     -4*p^3 - 27*q^2
     """
     coeffs = f.as_univariate(name)
@@ -569,7 +568,8 @@ def poly_sqrt(f: MPoly):
     """Return g with g*g == f (sign fixed so the lex-leading coefficient is
     positive when rational), or None when f is not a square.
 
-    >>> g = parse_poly("x^2*y - z^2")
+    >>> x, y, z = MPoly.var("x"), MPoly.var("y"), MPoly.var("z")
+    >>> g = x ** 2 * y - z ** 2
     >>> poly_sqrt(g * g) == g
     True
     """
@@ -595,133 +595,6 @@ def poly_sqrt(f: MPoly):
         rem = rem - 2 * g * t - t * t
         g = g + t
     return g
-
-
-# ---------------------------------------------------------------------------
-# truncated bivariate power series
-# ---------------------------------------------------------------------------
-
-
-class TruncSeries2:
-    """Power series in (t, u) truncated to the rectangle 0 <= i, j <= N."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=None):
-        self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if i <= order and j <= order:
-                    c = canon_scalar(c)
-                    if c != 0:
-                        self.coeffs[(i, j)] = c
-
-    @staticmethod
-    def one(order: int) -> "TruncSeries2":
-        return TruncSeries2(order, {(0, 0): 1})
-
-    @staticmethod
-    def from_poly(p: MPoly, order: int, tname="t", uname="u") -> "TruncSeries2":
-        coeffs = {}
-        for exp, c in p.terms.items():
-            i = j = 0
-            for name, k in zip(p.vars, exp):
-                if name == tname:
-                    i = k
-                elif name == uname:
-                    j = k
-                elif k:
-                    raise ValueError(f"unexpected variable {name}")
-            coeffs[(i, j)] = coeffs.get((i, j), 0) + c
-        return TruncSeries2(order, coeffs)
-
-    def get(self, i: int, j: int):
-        return self.coeffs.get((i, j), 0)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = min(self.order, other.order)
-        out = {}
-        for key in set(self.coeffs) | set(other.coeffs):
-            out[key] = self.coeffs.get(key, 0) + other.coeffs.get(key, 0)
-        return TruncSeries2(n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries2(self.order, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def _coerce(self, other):
-        if isinstance(other, TruncSeries2):
-            return other
-        return TruncSeries2(self.order, {(0, 0): other})
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        n = min(self.order, other.order)
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i <= n and j <= n:
-                    key = (i, j)
-                    out[key] = out.get(key, 0) + c1 * c2
-        return TruncSeries2(n, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        return TruncSeries2(self.order, {k: c * v for k, v in self.coeffs.items()})
-
-    def invert(self) -> "TruncSeries2":
-        c0 = self.get(0, 0)
-        if c0 == 0:
-            raise ZeroDivisionError("series has no invertible constant term")
-        n = self.order
-        inv_c0 = scalar_div(1, c0)
-        out = {(0, 0): inv_c0}
-        for total in range(1, 2 * n + 1):
-            for i in range(max(0, total - n), min(n, total) + 1):
-                j = total - i
-                if j < 0 or j > n:
-                    continue
-                acc = 0
-                for (a, b), c in self.coeffs.items():
-                    if (a, b) == (0, 0):
-                        continue
-                    if a <= i and b <= j:
-                        prev = out.get((i - a, j - b), 0)
-                        if prev != 0:
-                            acc = acc + c * prev
-                val = canon_scalar(-1 * acc * inv_c0) if acc != 0 else 0
-                if val != 0:
-                    out[(i, j)] = val
-        return TruncSeries2(n, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries2):
-            return NotImplemented
-        n = min(self.order, other.order)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if canon_scalar(self.get(i, j)) != canon_scalar(other.get(i, j)):
-                    return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("unhashable")
-
-    def table(self):
-        """Sorted (i, j, value) rows for printing."""
-        return [(i, j, self.coeffs[(i, j)]) for (i, j) in sorted(self.coeffs)]
-
-    def __str__(self):
-        rows = [f"t^{i}*u^{j}: {v}" for i, j, v in self.table()]
-        return "\n".join(rows) if rows else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -769,112 +642,6 @@ def charpoly_berkowitz(mat: list[list[MPoly]], name: str) -> MPoly:
     for i, c in enumerate(coeffs):
         poly = poly + c * t ** (n - i)
     return poly
-
-
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-def parse_poly(text: str) -> MPoly:
-    """Parse an infix polynomial expression with +, -, *, ^ and parentheses.
-
-    Variable names are identifiers; "z<e>" denotes the primitive e-th root
-    of unity (a scalar, not a variable).
-
-    >>> print(parse_poly("(sigma + Pi)^2 - 2"))
-    Pi^2 + 2*Pi*sigma + sigma^2 - 2
-    """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_expr() -> MPoly:
-        sign = 1
-        while peek() in ("+", "-"):
-            if advance() == "-":
-                sign = -sign
-        node = parse_term()
-        if sign < 0:
-            node = -node
-        while peek() in ("+", "-"):
-            op = advance()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term() -> MPoly:
-        node = parse_power()
-        while True:
-            tok = peek()
-            if tok == "*":
-                advance()
-                node = node * parse_power()
-            elif tok is not None and tok not in ("+", "-", ")", "^", "**"):
-                # implicit multiplication, e.g. "2x" or ")("
-                node = node * parse_power()
-            else:
-                return node
-
-    def parse_power() -> MPoly:
-        base = parse_atom()
-        if peek() in ("^", "**"):
-            advance()
-            exp_tok = advance()
-            if not exp_tok.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
-            return base ** int(exp_tok)
-        return base
-
-    def parse_atom() -> MPoly:
-        tok = peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if tok == "(":
-            advance()
-            node = parse_expr()
-            if peek() != ")":
-                raise ValueError("missing closing parenthesis")
-            advance()
-            return node
-        if tok == "-":
-            advance()
-            return -parse_atom()
-        advance()
-        if re.fullmatch(r"\d+/\d+", tok) or tok.isdigit():
-            return MPoly.const(Fraction(tok))
-        if re.fullmatch(r"z\d+", tok):
-            return MPoly.const(primitive_root(int(tok[1:])))
-        return MPoly.var(tok)
-
-    node = parse_expr()
-    if pos != len(tokens):
-        raise ValueError(f"trailing input near {tokens[pos:]!r}")
-    return node
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ __all__ = [
     "param_convert",
     "fake_degree",
     "b_invariant",
+    "ser_inv",
+    "inverse_det_series",
 ]
 
 
@@ -311,6 +313,7 @@ def _build_b2() -> ReflectionGroup:
 
 
 def ser_inv(a, n):
+    """Coefficients 0..n of 1/a(t) for a coefficient list a with a[0] != 0."""
     if a[0] == 0:
         raise ZeroDivisionError("series has no invertible constant term")
     inv0 = scalar_div(1, a[0])
@@ -318,24 +321,31 @@ def ser_inv(a, n):
     for k in range(1, n + 1):
         acc = 0
         for j in range(1, min(k, len(a) - 1) + 1):
-            if j < len(a) and a[j] != 0:
+            if a[j] != 0:
                 acc = acc + a[j] * out[k - j]
         out[k] = canon_scalar(-1 * inv0 * acc) if acc != 0 else 0
     return out
 
 
-def _det_one_minus_tw(mat):
-    """Coefficients of det(1 - t * mat) as a list (degree <= dim)."""
+def inverse_det_series(mat, n):
+    """Coefficients 0..n of 1/det(1 - t * mat) for a group matrix (dim 1 or
+    2): the term of the Molien sum that belongs to one group element.
+
+    >>> inverse_det_series(((-1,),), 4)
+    [1, -1, 1, -1, 1]
+    """
     if len(mat) == 1:
-        return [1, -mat[0][0]]
-    return [1, -mat_trace(mat), mat_det(mat)]
+        det = [1, -mat[0][0]]
+    else:
+        det = [1, -mat_trace(mat), mat_det(mat)]
+    return ser_inv(det, n)
 
 
 def _degrees_from_molien(dim, mats, order):
     n = order + 1
     series = [0] * (n + 1)
     for m in mats:
-        inv = ser_inv(_det_one_minus_tw(m), n)
+        inv = inverse_det_series(m, n)
         series = [a + b for a, b in zip(series, inv)]
     series = [scalar_div(c, order) for c in series]
     degs = []
@@ -441,7 +451,7 @@ def fake_degree(W: ReflectionGroup, chi: Character) -> MPoly:
     n = sum(d - 1 for d in W.degrees)  # top degree of the coinvariant algebra
     series = [0] * (n + 1)
     for g in range(W.order()):
-        inv = ser_inv(_det_one_minus_tw(W.matrices[g]), n)
+        inv = inverse_det_series(W.matrices[g], n)
         weight = value_on_element(W, chi, g).conjugate()
         series = [a + weight * b for a, b in zip(series, inv)]
     series = [scalar_div(c, W.order()) for c in series]

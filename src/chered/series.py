@@ -1,14 +1,21 @@
 """Bigraded Hilbert series: the Molien formula for k[V x V*]^W, the fake
 degree expansion, and the series of the center with its explicit module
-basis over the invariant subalgebra P."""
+basis over the invariant subalgebra P.
+
+Every series here is a sum of outer products a(t) b(u) of univariate
+truncated series, times the diagonal (1 - tu)^(-m) of the parameter ring
+for the center.  The only inversion is univariate (`reflgrp.ser_inv`), and
+the diagonal has a closed form, so no bivariate series is ever inverted.
+"""
 from __future__ import annotations
 
-from .multipoly import TruncSeries2, scalar_div
-from .reflgrp import (ReflectionGroup, _det_one_minus_tw, character_table,
-                      fake_degree)
+from .exactnum import canon_scalar, scalar_div
+from .reflgrp import (ReflectionGroup, character_table, fake_degree,
+                      inverse_det_series, ser_inv)
 
 __all__ = [
     "DEFAULT_ORDER",
+    "TruncSeries2",
     "molien_bigraded",
     "fantome_bigraded",
     "hilbert_center",
@@ -19,39 +26,80 @@ __all__ = [
 DEFAULT_ORDER = 12
 
 
-def _det_one_minus(mat, var: str, order: int) -> TruncSeries2:
-    """det(1 - var * mat) as a bigraded series factor."""
-    return TruncSeries2(order, {((k, 0) if var == "t" else (0, k)): c
-                                for k, c in enumerate(_det_one_minus_tw(mat))})
+class TruncSeries2:
+    """Power series in (t, u) truncated to the square 0 <= i, j <= order,
+    stored as {(i, j): nonzero canonical coefficient}."""
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: dict):
+        self.order = order
+        self.coeffs = {}
+        for key, c in coeffs.items():
+            c = canon_scalar(c)
+            if c != 0:
+                self.coeffs[key] = c
+
+    def get(self, i: int, j: int):
+        return self.coeffs.get((i, j), 0)
+
+
+def _outer_sum(pairs, order: int) -> dict:
+    """Coefficients of sum over (a, b) in pairs of a(t) b(u), for
+    univariate coefficient lists a, b truncated at degree order."""
+    out = {}
+    for a, b in pairs:
+        b = [(j, bj) for j, bj in enumerate(b[:order + 1]) if bj != 0]
+        for i, ai in enumerate(a[:order + 1]):
+            if ai != 0:
+                for j, bj in b:
+                    out[(i, j)] = out.get((i, j), 0) + ai * bj
+    return out
+
+
+def _invariant_series(W: ReflectionGroup, order: int) -> list:
+    """Coefficients 0..order of 1/prod_i (1 - t^d_i)."""
+    den = [1] + [0] * order
+    for d in W.degrees:
+        den = [den[k] - (den[k - d] if k >= d else 0) for k in range(order + 1)]
+    return ser_inv(den, order)
 
 
 def molien_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeries2:
     """(1/|W|) sum_w 1 / (det(1 - t w) det(1 - u w^-1)), truncated."""
-    acc = TruncSeries2(order)
-    for g in range(W.order()):
-        f1 = _det_one_minus(W.matrices[g], "t", order)
-        f2 = _det_one_minus(W.matrices[W.inverse[g]], "u", order)
-        acc = acc + (f1 * f2).invert()
-    return acc.scale(scalar_div(1, W.order()))
-
-
-def _invariant_denominator(W: ReflectionGroup, order: int) -> TruncSeries2:
-    den = TruncSeries2.one(order)
-    for d in W.degrees:
-        den = den * TruncSeries2(order, {(0, 0): 1, (d, 0): -1})
-        den = den * TruncSeries2(order, {(0, 0): 1, (0, d): -1})
-    return den
+    per_element = [inverse_det_series(m, order) for m in W.matrices]
+    acc = _outer_sum(((per_element[g], per_element[W.inverse[g]])
+                      for g in range(W.order())), order)
+    return TruncSeries2(order, {k: scalar_div(c, W.order())
+                                for k, c in acc.items()})
 
 
 def fantome_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeries2:
     """sum_chi f_chi(t) f_chi(u) / prod_i (1 - t^d_i)(1 - u^d_i)."""
-    num = TruncSeries2(order)
+    inv = _invariant_series(W, order)
+    pieces = []
     for chi in character_table(W):
-        ft = TruncSeries2.from_poly(fake_degree(W, chi), order, "t", "t")
-        # reuse as u-series by transposing exponents
-        fu = TruncSeries2(order, {(j, i): c for (i, j), c in ft.coeffs.items()})
-        num = num + ft * fu
-    return num * _invariant_denominator(W, order).invert()
+        f = [0] * (order + 1)
+        for exp, c in fake_degree(W, chi).terms.items():
+            if sum(exp) <= order:   # exp is (k,), or () for a constant
+                f[sum(exp)] = c
+        pieces.append([sum(f[i] * inv[k - i] for i in range(k + 1))
+                       for k in range(order + 1)])
+    return TruncSeries2(order, _outer_sum(((p, p) for p in pieces), order))
+
+
+def _times_param_diagonal(s: TruncSeries2, m: int) -> TruncSeries2:
+    """s * (1 - tu)^(-m), using (1 - tu)^(-m) = sum_k C(k+m-1, k) (tu)^k."""
+    n = s.order
+    diag = [1]
+    for k in range(1, n + 1):
+        diag.append(diag[-1] * (k + m - 1) // k)
+    out = {}
+    for (i, j), c in s.coeffs.items():
+        for k in range(n + 1 - max(i, j)):
+            key = (i + k, j + k)
+            out[key] = out.get(key, 0) + diag[k] * c
+    return TruncSeries2(n, out)
 
 
 def center_basis_bidegrees(W: ReflectionGroup) -> tuple:
@@ -78,16 +126,13 @@ def hilbert_center(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> dict:
     Returns {"series", "basis_series", "match", "basis_bidegrees"}.
     """
     nclasses = len(W.param_names())
-    param_factor = TruncSeries2(order, {(0, 0): 1, (1, 1): -1}).invert()
-    pf = TruncSeries2.one(order)
-    for _ in range(nclasses):
-        pf = pf * param_factor
-    series = fantome_bigraded(W, order) * pf
+    series = _times_param_diagonal(fantome_bigraded(W, order), nclasses)
 
-    basis_num = TruncSeries2(order)
-    for (i, j) in center_basis_bidegrees(W):
-        basis_num = basis_num + TruncSeries2(order, {(i, j): 1})
-    basis_series = basis_num * _invariant_denominator(W, order).invert() * pf
+    inv = _invariant_series(W, order)
+    shifted = (([0] * i + inv, [0] * j + inv)
+               for (i, j) in center_basis_bidegrees(W))
+    basis = _outer_sum(shifted, order)
+    basis_series = _times_param_diagonal(TruncSeries2(order, basis), nclasses)
     return {
         "series": series,
         "basis_series": basis_series,

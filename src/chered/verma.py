@@ -27,7 +27,6 @@ __all__ = [
     "omega",
     "omega_euler_closed_form",
     "omega_table",
-    "graded_character_eM",
 ]
 
 
@@ -345,27 +344,6 @@ def omega_table(W: ReflectionGroup) -> dict:
             row[name] = omega(z, chi, check_nilpotent=False)
         table[chi.name] = row
     return table
-
-
-def graded_character_eM(W: ReflectionGroup, chi: Character) -> MPoly:
-    """Graded dimension of the W-invariant part of the baby Verma module;
-    equals the fake degree f_chi(t)."""
-    mod = build_baby_verma(W, chi)
-    n = mod.dim
-    # averaged projector onto invariants, then trace per degree
-    proj = _zero_matrix(n)
-    for g in range(W.order()):
-        mg = mod.group_mats[g]
-        for i in range(n):
-            for j in range(n):
-                if not mg[i][j].is_zero():
-                    proj[i][j] = proj[i][j] + mg[i][j]
-    t = MPoly.var("t")
-    poly = MPoly.zero()
-    for i, (mono, j) in enumerate(mod.basis):
-        if not proj[i][i].is_zero():
-            poly = poly + proj[i][i].divexact(MPoly.const(W.order())) * t ** sum(mono)
-    return poly
 
 
 if __name__ == "__main__":

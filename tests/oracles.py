@@ -1,16 +1,23 @@
 """Reference computations kept for the tests only: cyclotomic arithmetic on
 Fraction coordinates, the per-factor change of coordinates for the rank-1
 center identity, with its own C -> K table, the resultant as a Sylvester
-determinant, the schoolbook polynomial product with tuple keys, and the PBW
-product computed one term of the left factor at a time."""
+determinant, the schoolbook polynomial product with tuple keys, the PBW
+product computed one term of the left factor at a time, an infix polynomial
+parser, the graded character of the invariants of a baby Verma module, and
+the bigraded Hilbert series computed with bivariate series arithmetic and a
+bivariate series inverse."""
 import math
+import re
 from fractions import Fraction
 
 from chered.cherednik import (PBWElement, _lmul_dual, _lmul_group,
                               euler_element, multiply)
-from chered.exactnum import Cyclotomic, cyclotomic_polynomial, primitive_root
+from chered.exactnum import (Cyclotomic, cyclotomic_polynomial, primitive_root,
+                             scalar_div)
 from chered.multipoly import MPoly, canon_scalar
-from chered.reflgrp import build_group
+from chered.reflgrp import build_group, character_table, fake_degree
+from chered.series import center_basis_bidegrees
+from chered.verma import build_baby_verma
 
 
 def reduce_mod_cyclotomic(e: int, vec: list) -> list:
@@ -211,3 +218,251 @@ def multiply_per_term(a: PBWElement, b: PBWElement) -> PBWElement:
                                  for (pp, w, qq), cc in piece.terms.items()})
         result = result + piece.scale(c)
     return result
+
+
+# ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()])")
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"cannot tokenize {text[pos:]!r}")
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+def parse_poly(text: str) -> MPoly:
+    """Parse an infix polynomial expression with +, -, *, ^ and parentheses.
+
+    Variable names are identifiers; "z<e>" denotes the primitive e-th root
+    of unity (a scalar, not a variable).
+
+    >>> print(parse_poly("(sigma + Pi)^2 - 2"))
+    Pi^2 + 2*Pi*sigma + sigma^2 - 2
+    """
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def advance():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_expr() -> MPoly:
+        sign = 1
+        while peek() in ("+", "-"):
+            if advance() == "-":
+                sign = -sign
+        node = parse_term()
+        if sign < 0:
+            node = -node
+        while peek() in ("+", "-"):
+            op = advance()
+            rhs = parse_term()
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def parse_term() -> MPoly:
+        node = parse_power()
+        while True:
+            tok = peek()
+            if tok == "*":
+                advance()
+                node = node * parse_power()
+            elif tok is not None and tok not in ("+", "-", ")", "^", "**"):
+                # implicit multiplication, e.g. "2x" or ")("
+                node = node * parse_power()
+            else:
+                return node
+
+    def parse_power() -> MPoly:
+        base = parse_atom()
+        if peek() in ("^", "**"):
+            advance()
+            exp_tok = advance()
+            if not exp_tok.isdigit():
+                raise ValueError("exponent must be a nonnegative integer")
+            return base ** int(exp_tok)
+        return base
+
+    def parse_atom() -> MPoly:
+        tok = peek()
+        if tok is None:
+            raise ValueError("unexpected end of expression")
+        if tok == "(":
+            advance()
+            node = parse_expr()
+            if peek() != ")":
+                raise ValueError("missing closing parenthesis")
+            advance()
+            return node
+        if tok == "-":
+            advance()
+            return -parse_atom()
+        advance()
+        if re.fullmatch(r"\d+/\d+", tok) or tok.isdigit():
+            return MPoly.const(Fraction(tok))
+        if re.fullmatch(r"z\d+", tok):
+            return MPoly.const(primitive_root(int(tok[1:])))
+        return MPoly.var(tok)
+
+    node = parse_expr()
+    if pos != len(tokens):
+        raise ValueError(f"trailing input near {tokens[pos:]!r}")
+    return node
+
+
+# ---------------------------------------------------------------------------
+# the fake degree from the Verma side
+# ---------------------------------------------------------------------------
+
+
+def graded_character_eM(W, chi) -> MPoly:
+    """Graded dimension of the W-invariant part of the baby Verma module of
+    chi; equals the fake degree f_chi(t)."""
+    mod = build_baby_verma(W, chi)
+    n = mod.dim
+    # averaged projector onto invariants, then trace per degree
+    diag = [MPoly.zero()] * n
+    for g in range(W.order()):
+        mg = mod.group_mats[g]
+        for i in range(n):
+            diag[i] = diag[i] + mg[i][i]
+    t = MPoly.var("t")
+    poly = MPoly.zero()
+    for i, (mono, _) in enumerate(mod.basis):
+        if not diag[i].is_zero():
+            poly = poly + diag[i].divexact(MPoly.const(W.order())) * t ** sum(mono)
+    return poly
+
+
+# ---------------------------------------------------------------------------
+# bigraded Hilbert series with bivariate arithmetic and a bivariate inverse
+# ---------------------------------------------------------------------------
+
+
+class BivariateSeries:
+    """Power series in (t, u) truncated to the square 0 <= i, j <= order,
+    with sum, product, scaling and inverse."""
+
+    def __init__(self, order: int, coeffs=None):
+        self.order = order
+        self.coeffs = {}
+        for (i, j), c in (coeffs or {}).items():
+            if i <= order and j <= order:
+                c = canon_scalar(c)
+                if c != 0:
+                    self.coeffs[(i, j)] = c
+
+    def get(self, i: int, j: int):
+        return self.coeffs.get((i, j), 0)
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0) + c
+        return BivariateSeries(min(self.order, other.order), out)
+
+    def __mul__(self, other):
+        n = min(self.order, other.order)
+        out = {}
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
+                if i1 + i2 <= n and j1 + j2 <= n:
+                    key = (i1 + i2, j1 + j2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return BivariateSeries(n, out)
+
+    def scale(self, c):
+        return BivariateSeries(self.order,
+                               {k: c * v for k, v in self.coeffs.items()})
+
+    def invert(self) -> "BivariateSeries":
+        c0 = self.get(0, 0)
+        if c0 == 0:
+            raise ZeroDivisionError("series has no invertible constant term")
+        n = self.order
+        inv_c0 = scalar_div(1, c0)
+        out = {(0, 0): inv_c0}
+        for total in range(1, 2 * n + 1):
+            for i in range(max(0, total - n), min(n, total) + 1):
+                j = total - i
+                acc = 0
+                for (a, b), c in self.coeffs.items():
+                    if (a, b) != (0, 0) and a <= i and b <= j:
+                        prev = out.get((i - a, j - b), 0)
+                        if prev != 0:
+                            acc = acc + c * prev
+                if acc != 0:
+                    out[(i, j)] = canon_scalar(-1 * acc * inv_c0)
+        return BivariateSeries(n, out)
+
+
+def _det_one_minus_bivariate(mat, var: str, order: int) -> BivariateSeries:
+    """det(1 - var * mat) for a matrix of dimension 1 or 2."""
+    if len(mat) == 1:
+        det = [1, -mat[0][0]]
+    else:
+        det = [1, -(mat[0][0] + mat[1][1]),
+               mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]]
+    return BivariateSeries(order, {((k, 0) if var == "t" else (0, k)): c
+                                   for k, c in enumerate(det)})
+
+
+def _invariant_denominator_bivariate(W, order: int) -> BivariateSeries:
+    den = BivariateSeries(order, {(0, 0): 1})
+    for d in W.degrees:
+        den = den * BivariateSeries(order, {(0, 0): 1, (d, 0): -1})
+        den = den * BivariateSeries(order, {(0, 0): 1, (0, d): -1})
+    return den
+
+
+def molien_bivariate(W, order: int) -> BivariateSeries:
+    """(1/|W|) sum_w (det(1 - t w) det(1 - u w^-1))^-1, one bivariate
+    inverse per group element."""
+    acc = BivariateSeries(order)
+    for g in range(W.order()):
+        f1 = _det_one_minus_bivariate(W.matrices[g], "t", order)
+        f2 = _det_one_minus_bivariate(W.matrices[W.inverse[g]], "u", order)
+        acc = acc + (f1 * f2).invert()
+    return acc.scale(scalar_div(1, W.order()))
+
+
+def fantome_bivariate(W, order: int) -> BivariateSeries:
+    """sum_chi f_chi(t) f_chi(u) times the bivariate inverse of
+    prod_i (1 - t^d_i)(1 - u^d_i)."""
+    num = BivariateSeries(order)
+    for chi in character_table(W):
+        terms = {sum(exp): c for exp, c in fake_degree(W, chi).terms.items()}
+        ft = BivariateSeries(order, {(k, 0): c for k, c in terms.items()})
+        fu = BivariateSeries(order, {(0, k): c for k, c in terms.items()})
+        num = num + ft * fu
+    return num * _invariant_denominator_bivariate(W, order).invert()
+
+
+def hilbert_center_bivariate(W, order: int) -> tuple:
+    """(series, basis_series) of the center: both multiplied by the
+    bivariate inverse of (1 - tu), once per reflection class."""
+    param_factor = BivariateSeries(order, {(0, 0): 1, (1, 1): -1}).invert()
+    pf = BivariateSeries(order, {(0, 0): 1})
+    for _ in W.param_names():
+        pf = pf * param_factor
+    basis_num = BivariateSeries(order)
+    for (i, j) in center_basis_bidegrees(W):
+        basis_num = basis_num + BivariateSeries(order, {(i, j): 1})
+    inv_den = _invariant_denominator_bivariate(W, order).invert()
+    return fantome_bivariate(W, order) * pf, basis_num * inv_den * pf

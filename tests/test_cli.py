@@ -96,6 +96,9 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "families", "--group", "b2",
                        "--params", "q=3")
     assert code == 2 and "unknown parameter" in err
+    code, _, err = run(capsys, "families", "--group", "cyclic:3",
+                       "--params", "K1=1,K=0,0,0")
+    assert code == 2 and "parameter 'K1' is given more than once" in err
     code, _, err = run(capsys, "verify", "relations", "--group", "cyclic:3")
     assert code == 2
     code, _, err = run(capsys, "geometry", "rank1", "--d", "2",
@@ -111,9 +114,14 @@ def test_usage_errors_exit_2(capsys):
     ("hilbert", "--group", "b2", "--order", "0"),
     ("verify", "center", "--group", "cyclic:9"),
     ("geometry", "rank1", "--d", "-1", "--point", "1,2"),
+    ("families", "--group", "b2", "--params", "a=1,a=2,b=1"),
+    ("cells", "--group", "b2", "--params", "a=1,A=2,b=1"),
+    ("families", "--group", "cyclic:3", "--params", "C1=1,C2=1,C1=5"),
+    ("families", "--group", "cyclic:3", "--params", "K1=1,K=0,0,0"),
 ], ids=["bad-cyclic-order", "unknown-group", "bad-rational",
         "negative-order", "zero-order", "rank1-out-of-range",
-        "geometry-bad-degree"])
+        "geometry-bad-degree", "repeated-param", "repeated-param-alias",
+        "repeated-c-param", "repeated-k-param"])
 def test_usage_error_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error: ") and not out

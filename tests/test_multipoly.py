@@ -1,14 +1,14 @@
-"""Sparse multivariate polynomials, resultants, discriminants, series."""
+"""Sparse multivariate polynomials, resultants, discriminants."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from chered.exactnum import primitive_root
-from chered.multipoly import (MPoly, TruncSeries2, _PACK_MIN_PAIRS,
-                              canon_scalar, charpoly_berkowitz, discriminant,
-                              parse_poly, poly_sqrt, resultant)
-from oracles import schoolbook_product, sylvester_resultant
+from chered.multipoly import (MPoly, _PACK_MIN_PAIRS, canon_scalar,
+                              charpoly_berkowitz, discriminant, poly_sqrt,
+                              resultant)
+from oracles import parse_poly, schoolbook_product, sylvester_resultant
 
 
 x, y, t = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
@@ -128,13 +128,6 @@ def test_charpoly_berkowitz():
     a = MPoly.var("a")
     mat = [[a, MPoly.const(1)], [MPoly.const(1), a]]
     assert charpoly_berkowitz(mat, "t") == (t - a) ** 2 - 1
-
-
-def test_trunc_series():
-    geom = TruncSeries2(6, {(0, 0): 1, (1, 0): -1}).invert()
-    assert all(geom.get(i, 0) == 1 for i in range(7))
-    s = TruncSeries2(4, {(0, 0): 1, (1, 1): 1})
-    assert (s * s.invert()).coeffs == {(0, 0): 1}
 
 
 @settings(max_examples=25, deadline=None)

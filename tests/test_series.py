@@ -1,11 +1,16 @@
-"""Bigraded Hilbert series: Molien sums, fake-degree sums, center basis."""
+"""Bigraded Hilbert series: Molien sums, fake-degree sums, center basis,
+and the univariate series inverse they are built from."""
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from chered.reflgrp import build_group, character_table, fake_degree
+from chered.exactnum import primitive_root
+from chered.reflgrp import build_group, ser_inv
 from chered.series import (DEFAULT_ORDER, center_basis_bidegrees,
                            fantome_bigraded, hilbert_center, molien_bigraded,
                            series_table)
+from oracles import fantome_bivariate, hilbert_center_bivariate, molien_bivariate
 
 
 @pytest.mark.parametrize("spec", ("cyclic:2", "cyclic:3", "cyclic:5", "b2"))
@@ -75,3 +80,48 @@ def test_series_table_sorted_rows():
 def test_default_order():
     W = build_group("cyclic:2")
     assert molien_bigraded(W).order == DEFAULT_ORDER
+
+
+# orders 1 and 2 cut the outer products and the (1 - tu)^-m diagonal right
+# after their first terms; order 12 is the CLI default
+@pytest.mark.parametrize("order", (1, 2, 12))
+@pytest.mark.parametrize("spec", ("b2",) + tuple(f"cyclic:{d}"
+                                                 for d in range(2, 8)))
+def test_series_match_bivariate_oracle(spec, order):
+    W = build_group(spec)
+    assert molien_bigraded(W, order).coeffs == molien_bivariate(W, order).coeffs
+    assert fantome_bigraded(W, order).coeffs == \
+        fantome_bivariate(W, order).coeffs
+    series, basis_series = hilbert_center_bivariate(W, order)
+    report = hilbert_center(W, order)
+    assert report["series"].coeffs == series.coeffs
+    assert report["basis_series"].coeffs == basis_series.coeffs
+
+
+series_scalars = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.builds(lambda e, cs: sum((c * primitive_root(e) ** k
+                                 for k, c in enumerate(cs)), 0),
+              st.sampled_from([3, 4, 5]),
+              st.lists(st.integers(min_value=-3, max_value=3),
+                       min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(series_scalars, min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=8))
+@example([0, 1], 3)
+@example([Fraction(0), primitive_root(3)], 2)
+@example([Fraction(1, 2)], 2)
+def test_ser_inv_is_inverse_mod_t_power(a, n):
+    if a[0] == 0:
+        with pytest.raises(ZeroDivisionError):
+            ser_inv(a, n)
+        return
+    inv = ser_inv(a, n)
+    assert len(inv) == n + 1
+    for k in range(n + 1):
+        coeff = sum((a[j] * inv[k - j] for j in range(min(k, len(a) - 1) + 1)), 0)
+        assert coeff == (1 if k == 0 else 0), k
+

@@ -8,9 +8,9 @@ from chered.reflgrp import (ParamVector, build_group, character_table,
                             fake_degree, param_convert)
 from chered.cherednik import (PBWElement, euler_element, multiply,
                               named_center_generators)
-from chered.verma import (build_baby_verma, coinvariant_basis,
-                          graded_character_eM, omega, omega_euler_closed_form,
-                          omega_table)
+from chered.verma import (build_baby_verma, coinvariant_basis, omega,
+                          omega_euler_closed_form, omega_table)
+from oracles import graded_character_eM
 
 
 def test_coinvariant_basis_dimensions():
