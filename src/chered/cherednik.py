@@ -274,11 +274,7 @@ def _lmul_dual(W, xi: int, elem: PBWElement) -> PBWElement:
 
     def add(key, c):
         prev = out.get(key)
-        c = c if prev is None else prev + c
-        if c.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c
+        out[key] = c if prev is None else prev + c
 
     for (p, g, q), c in elem.terms.items():
         # xi * p = p * xi + corrections
@@ -517,19 +513,11 @@ def _lift_T(z: PBWElement) -> PBWElement:
 
 
 def _coeff_div_T_set_T0(c: MPoly) -> MPoly:
-    """(c / T) with T then set to 0; c must be divisible by T."""
-    if "T" not in c.vars:
-        if c.is_zero():
-            return c
+    """(c / T) with T then set to 0, i.e. the coefficient of T; c must be
+    divisible by T."""
+    if not c.coefficient("T", 0).is_zero():
         raise ArithmeticError("coefficient not divisible by T")
-    i = c.vars.index("T")
-    out = {}
-    for exp, v in c.terms.items():
-        if exp[i] == 0:
-            raise ArithmeticError("coefficient not divisible by T")
-        if exp[i] == 1:
-            out[exp[:i] + exp[i + 1:]] = v
-    return MPoly(c.vars[:i] + c.vars[i + 1:], out)
+    return c.coefficient("T", 1)
 
 
 def poisson_bracket(z1: PBWElement, z2: PBWElement) -> PBWElement:

@@ -200,29 +200,6 @@ def build_group(spec: str) -> ReflectionGroup:
     raise ValueError(f"unknown group descriptor {spec!r}")
 
 
-def _close_group(gens: dict[str, tuple]) -> tuple[list[str], list[tuple]]:
-    """Generate the group from named generator matrices; names are shortest
-    generator words (ties broken alphabetically), identity named "1"."""
-    n = len(next(iter(gens.values())))
-    ident = mat_identity(n)
-    elems = {ident: "1"}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for gname, gmat in sorted(gens.items()):
-                prod = mat_mul(m, gmat)
-                if prod not in elems:
-                    word = (elems[m] + gname) if elems[m] != "1" else gname
-                    elems[prod] = word
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    pairs = sorted(elems.items(), key=lambda kv: (len(kv[1]) if kv[1] != "1" else 0, kv[1]))
-    names = [name for _, name in pairs]
-    mats = [mat for mat, _ in pairs]
-    return names, mats
-
-
 def _finish_group(spec, dim, names, mats, v_names, dual_names,
                   orbit_of_reflection, param_of_reflection, power_of_reflection,
                   orbits):
@@ -289,21 +266,20 @@ def _build_cyclic(d: int) -> ReflectionGroup:
 
 
 def _build_b2() -> ReflectionGroup:
-    s = ((0, 1), (1, 0))
-    t = ((-1, 0), (0, 1))
-    gens = {"s": s, "t": t}
-    names, mats = _close_group(gens)
-    # canonical ordering and naming
-    wanted = ["1", "s", "t", "st", "ts", "sts", "tst", "w0"]
-    lookup = {}
-    for name, mat in zip(names, mats):
-        lookup[name] = mat
-    lookup["w0"] = lookup.pop("stst") if "stst" in lookup else lookup.pop("tsts")
-    mats = [lookup[n] for n in wanted]
+    gens = {"s": ((0, 1), (1, 0)), "t": ((-1, 0), (0, 1))}
+    # each element is the product of its generator word, read left to right
+    words = {"1": "", "s": "s", "t": "t", "st": "st", "ts": "ts",
+             "sts": "sts", "tst": "tst", "w0": "stst"}
+    mats = []
+    for word in words.values():
+        mat = mat_identity(2)
+        for letter in word:
+            mat = mat_mul(mat, gens[letter])
+        mats.append(mat)
     orbit_of = {"s": "s", "tst": "s", "t": "t", "sts": "t"}
     param_of = {"s": "A", "tst": "A", "t": "B", "sts": "B"}
     power_of = {"s": 1, "tst": 1, "t": 1, "sts": 1}
-    return _finish_group("b2", 2, wanted, mats, ("x", "y"), ("X", "Y"),
+    return _finish_group("b2", 2, list(words), mats, ("x", "y"), ("X", "Y"),
                          orbit_of, param_of, power_of, [("s", 2), ("t", 2)])
 
 

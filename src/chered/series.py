@@ -9,6 +9,8 @@ the diagonal has a closed form, so no bivariate series is ever inverted.
 """
 from __future__ import annotations
 
+import functools
+
 from .exactnum import canon_scalar, scalar_div
 from .reflgrp import (ReflectionGroup, character_table, fake_degree,
                       inverse_det_series, ser_inv)
@@ -74,8 +76,10 @@ def molien_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeri
                                 for k, c in acc.items()})
 
 
+@functools.lru_cache(maxsize=None)
 def fantome_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeries2:
-    """sum_chi f_chi(t) f_chi(u) / prod_i (1 - t^d_i)(1 - u^d_i)."""
+    """sum_chi f_chi(t) f_chi(u) / prod_i (1 - t^d_i)(1 - u^d_i), cached per
+    (group, order); the returned series is shared and must not be changed."""
     inv = _invariant_series(W, order)
     pieces = []
     for chi in character_table(W):

@@ -1,6 +1,6 @@
-"""Baby Verma modules over the generic parameter ring, exact action
-matrices, and central characters Omega_chi computed both by the trace oracle
-and by the closed formula (1/chi(1)) sum_s eps(s) chi(s) C_s.
+"""Baby Verma modules over the generic parameter ring, their exact actions,
+and central characters Omega_chi computed both by the trace oracle and by
+the closed formula (1/chi(1)) sum_s eps(s) chi(s) C_s.
 
 The module attached to an irreducible character chi is induced from the
 subalgebra generated by V, W and the parameters, on which V acts by zero and
@@ -8,6 +8,13 @@ W through chi; it is spanned by (coinvariant V*-side monomial) (x) (chi
 space) and has dimension |W| * chi(1).  It represents the t = 0 algebra
 only, and its V-action comes from the commutation rule of the PBW engine
 (`cherednik._straighten`).
+
+An action is stored as sparse columns: the image of the i-th basis vector
+is a dict {row index: coefficient}.  The V*-coordinates, the group elements
+and the V-coordinates act through columns built once per module, and a PBW
+word acts on a basis vector by applying them in turn.  Every value
+Omega_chi(z) carries its certificate: `omega` checks that z - Omega_chi(z)
+acts nilpotently, and raises ArithmeticError when it does not.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from .exactnum import canon_scalar, row_reduce
 from .multipoly import MPoly
 from .reflgrp import (Character, ReflectionGroup, character_table,
                       value_on_element)
-from .cherednik import PBWElement, _straighten
+from .cherednik import PBWElement, _straighten, named_center_generators
 
 __all__ = [
     "CoinvariantBasis",
@@ -163,117 +170,94 @@ class BabyVermaModule:
     basis: tuple               # of (coinvariant monomial, chi-space index)
     coin: CoinvariantBasis
     chi_mats: list
-    # the generator actions, built once: each V*-side coordinate, each
-    # group element, each V-side coordinate
-    dual_mats: list = field(init=False)
-    group_mats: list = field(init=False)
-    v_mats: list = field(init=False)
+    # position of each basis vector, and the generator actions built once as
+    # sparse columns: each V*-side coordinate, each group element, each V-side
+    # coordinate
+    index: dict = field(init=False)
+    dual_maps: list = field(init=False)
+    group_maps: list = field(init=False)
+    v_maps: list = field(init=False)
 
     def __post_init__(self):
         W = self.group
-        self.dual_mats = [self._matrix_dual(xi) for xi in range(W.dim)]
-        self.group_mats = [self._matrix_group(g) for g in range(W.order())]
-        self.v_mats = [self._matrix_v(vj) for vj in range(W.dim)]
+        self.index = {b: i for i, b in enumerate(self.basis)}
+        self.dual_maps = [
+            self._map(lambda mono, xi=xi: (
+                (1, tuple(e + (i == xi) for i, e in enumerate(mono)),
+                 W.identity),))
+            for xi in range(W.dim)]
+        self.group_maps = [
+            self._map(lambda mono, g=g: (
+                W.act_monomial(g, mono, dual=True) + (g,),))
+            for g in range(W.order())]
+        # v * mono = mono * v + the corrections of `_straighten`, and
+        # mono * v kills the generator line
+        self.v_maps = [
+            self._map(lambda mono, vj=vj: _straighten(W, "v", vj, mono, False))
+            for vj in range(W.dim)]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def basis_index(self, mono, j) -> int:
-        return self.basis.index((mono, j))
-
-    # -- generator actions ----------------------------------------------
-
-    def _matrix_dual(self, xi: int):
-        """Action of the xi-th V*-side coordinate: multiply, then reduce."""
-        mat = _zero_matrix(self.dim)
-        for col, (mono, j) in enumerate(self.basis):
-            newmono = tuple(e + (1 if i == xi else 0) for i, e in enumerate(mono))
-            for m, c in self.coin.reduce(newmono).items():
-                mat[self.basis_index(m, j)][col] = MPoly.const(c)
-        return mat
-
-    def _matrix_group(self, g: int):
-        mat = _zero_matrix(self.dim)
-        rep = self.chi_mats[g]
-        W = self.group
-        for col, (mono, j) in enumerate(self.basis):
-            scalar, image = W.act_monomial(g, mono, dual=True)
-            for m, c in self.coin.reduce(image).items():
-                for jp in range(len(rep)):
-                    v = rep[jp][j]
-                    if v != 0:
-                        row = self.basis_index(m, jp)
-                        mat[row][col] = mat[row][col] + MPoly.const(
-                            canon_scalar(scalar * c * v))
-        return mat
-
-    def _matrix_v(self, vj: int):
-        """Action of the vj-th V coordinate: v * mono = mono * v + the
-        corrections of `_straighten`, and mono * v kills the generator line."""
-        W = self.group
-        mat = _zero_matrix(self.dim)
-        for col, (mono, j) in enumerate(self.basis):
-            for coeff, m, g in _straighten(W, "v", vj, mono, False):
+    def _map(self, images):
+        """Columns {row: coefficient} of the map sending (mono, j) to
+        sum c * reduce(m) (x) chi(g) e_j over the (c, m, g) in images(mono)."""
+        columns = []
+        for mono, j in self.basis:
+            col: dict = {}
+            for c, m, g in images(mono):
                 rep = self.chi_mats[g]
-                for mm, c in self.coin.reduce(m).items():
+                for mm, cm in self.coin.reduce(m).items():
                     for jp in range(len(rep)):
                         v = rep[jp][j]
                         if v != 0:
-                            row = self.basis_index(mm, jp)
-                            mat[row][col] = mat[row][col] + coeff * canon_scalar(c * v)
-        return mat
+                            row = self.index[(mm, jp)]
+                            term = c * canon_scalar(cm * v)
+                            col[row] = term if row not in col else col[row] + term
+            columns.append({r: x for r, x in col.items() if x})
+        return columns
 
-    def act(self, z: PBWElement):
-        """The action matrix of a PBW element of the t = 0 algebra."""
+    def act(self, z: PBWElement) -> list:
+        """The action of a PBW element of the t = 0 algebra, as the list of
+        the images {row: MPoly} of the basis vectors."""
         if z.group is not self.group:
             raise ValueError("element belongs to another group")
         if z.with_T:
-            raise ValueError("baby Verma modules represent the t = 0 algebra"
-                             " in C-coordinates")
+            raise ValueError("baby Verma modules represent the t = 0 algebra,"
+                             " not its T-deformation")
         W = self.group
-        total = _zero_matrix(self.dim)
+        words = []
         for (p, g, q), c in z.terms.items():
-            mat = _identity_matrix(self.dim)
-            for xi in range(W.dim):
-                for _ in range(q[xi]):
-                    mat = _mat_mul(self.dual_mats[xi], mat)
+            maps = [self.dual_maps[xi] for xi in range(W.dim)
+                    for _ in range(q[xi])]
             if g != W.identity:
-                mat = _mat_mul(self.group_mats[g], mat)
-            for vj in range(W.dim):
-                for _ in range(p[vj]):
-                    mat = _mat_mul(self.v_mats[vj], mat)
-            for r in range(self.dim):
-                for s_ in range(self.dim):
-                    if not mat[r][s_].is_zero():
-                        total[r][s_] = total[r][s_] + c * mat[r][s_]
-        return total
+                maps.append(self.group_maps[g])
+            maps += [self.v_maps[vj] for vj in range(W.dim)
+                     for _ in range(p[vj])]
+            words.append((maps, c))
+        columns = []
+        for i in range(self.dim):
+            col: dict = {}
+            for maps, c in words:
+                vec = {i: 1}
+                for m in maps:
+                    vec = _apply(m, vec)
+                for r, x in vec.items():
+                    term = c * x
+                    col[r] = term if r not in col else col[r] + term
+            columns.append({r: x for r, x in col.items() if x})
+        return columns
 
 
-def _zero_matrix(n):
-    return [[MPoly.zero() for _ in range(n)] for _ in range(n)]
-
-
-def _identity_matrix(n):
-    return [[MPoly.const(1) if i == j else MPoly.zero() for j in range(n)]
-            for i in range(n)]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = _zero_matrix(n)
-    for i in range(n):
-        ai = a[i]
-        for k in range(n):
-            c = ai[k]
-            if c.is_zero():
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(n):
-                if not bk[j].is_zero():
-                    row[j] = row[j] + c * bk[j]
-    return out
+def _apply(columns, vec: dict) -> dict:
+    """The image of the sparse vector vec under the map with these columns."""
+    out: dict = {}
+    for k, a in vec.items():
+        for r, x in columns[k].items():
+            term = a * x
+            out[r] = term if r not in out else out[r] + term
+    return {r: x for r, x in out.items() if x}
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,29 +278,25 @@ def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
 # ---------------------------------------------------------------------------
 
 
-def omega(z: PBWElement, chi: Character, check_nilpotent: bool = True) -> MPoly:
+def omega(z: PBWElement, chi: Character) -> MPoly:
     """Omega_chi(z) = trace(z acting on the baby Verma module) / dim, for z
-    in the t = 0 algebra.
-
-    When requested, certifies that z - Omega_chi(z) acts nilpotently."""
-    W = z.group
-    mod = build_baby_verma(W, chi)
-    mat = mod.act(z)
+    in the t = 0 algebra, certified by checking that z - Omega_chi(z) acts
+    nilpotently."""
+    mod = build_baby_verma(z.group, chi)
+    cols = mod.act(z)
     tr = MPoly.zero()
-    for i in range(mod.dim):
-        tr = tr + mat[i][i]
+    for i, col in enumerate(cols):
+        tr = tr + col.get(i, 0)
     value = tr.divexact(MPoly.const(mod.dim))
-    if check_nilpotent:
-        n = mod.dim
-        nil = [[mat[i][j] - (value if i == j else MPoly.zero())
-                for j in range(n)] for i in range(n)]
-        power = nil
-        steps = 1
-        while steps < n:
-            power = _mat_mul(power, power)
-            steps *= 2
-        if any(not power[i][j].is_zero() for i in range(n) for j in range(n)):
-            raise ArithmeticError("central element failed the nilpotency check")
+    nil = [dict(col) for col in cols]
+    for i, col in enumerate(nil):
+        col[i] = col.get(i, 0) - value
+    steps = 1
+    while steps < mod.dim:
+        nil = [_apply(nil, col) for col in nil]
+        steps *= 2
+    if any(x for col in nil for x in col.values()):
+        raise ArithmeticError("central element failed the nilpotency check")
     return value
 
 
@@ -334,14 +314,12 @@ def omega_euler_closed_form(W: ReflectionGroup, chi: Character) -> MPoly:
 def omega_table(W: ReflectionGroup) -> dict:
     """Symbolic central characters of the named center generators:
     {character name: {generator name: MPoly}}."""
-    from .cherednik import named_center_generators
-
     gens = named_center_generators(W)
     table = {}
     for chi in character_table(W):
         row = {}
         for name, z in gens.items():
-            row[name] = omega(z, chi, check_nilpotent=False)
+            row[name] = omega(z, chi)
         table[chi.name] = row
     return table
 

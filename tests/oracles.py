@@ -3,15 +3,16 @@ Fraction coordinates, the per-factor change of coordinates for the rank-1
 center identity, with its own C -> K table, the resultant as a Sylvester
 determinant, the schoolbook polynomial product with tuple keys, the PBW
 product computed one term of the left factor at a time, an infix polynomial
-parser, the graded character of the invariants of a baby Verma module, and
-the bigraded Hilbert series computed with bivariate series arithmetic and a
-bivariate series inverse."""
+parser, the dense action matrices of a baby Verma module with the trace and
+nilpotency certificate of a central character, the graded character of the
+invariants of a baby Verma module, and the bigraded Hilbert series computed
+with bivariate series arithmetic and a bivariate series inverse."""
 import math
 import re
 from fractions import Fraction
 
 from chered.cherednik import (PBWElement, _lmul_dual, _lmul_group,
-                              euler_element, multiply)
+                              _straighten, euler_element, multiply)
 from chered.exactnum import (Cyclotomic, cyclotomic_polynomial, primitive_root,
                              scalar_div)
 from chered.multipoly import MPoly, canon_scalar
@@ -327,21 +328,140 @@ def parse_poly(text: str) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# the fake degree from the Verma side
+# dense baby Verma actions and the fake degree from the Verma side
 # ---------------------------------------------------------------------------
+
+
+def _zero_matrix(n):
+    return [[MPoly.zero() for _ in range(n)] for _ in range(n)]
+
+
+def _identity_matrix(n):
+    return [[MPoly.const(1) if i == j else MPoly.zero() for j in range(n)]
+            for i in range(n)]
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    out = _zero_matrix(n)
+    for i in range(n):
+        for k in range(n):
+            c = a[i][k]
+            if c.is_zero():
+                continue
+            for j in range(n):
+                if not b[k][j].is_zero():
+                    out[i][j] = out[i][j] + c * b[k][j]
+    return out
+
+
+def dense_columns(cols: list) -> list:
+    """The dense matrix of an action given as sparse columns {row: value}."""
+    n = len(cols)
+    mat = _zero_matrix(n)
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            mat[i][j] = v
+    return mat
+
+
+def _dense_generators(mod):
+    """Dense matrices of the V*-coordinates, the group elements and the
+    V-coordinates on a baby Verma module, each entry found by searching the
+    basis list."""
+    W = mod.group
+    n = mod.dim
+
+    dual = []
+    for xi in range(W.dim):
+        mat = _zero_matrix(n)
+        for col, (mono, j) in enumerate(mod.basis):
+            newmono = tuple(e + (1 if i == xi else 0) for i, e in enumerate(mono))
+            for m, c in mod.coin.reduce(newmono).items():
+                mat[mod.basis.index((m, j))][col] = MPoly.const(c)
+        dual.append(mat)
+    group = []
+    for g in range(W.order()):
+        mat = _zero_matrix(n)
+        rep = mod.chi_mats[g]
+        for col, (mono, j) in enumerate(mod.basis):
+            scalar, image = W.act_monomial(g, mono, dual=True)
+            for m, c in mod.coin.reduce(image).items():
+                for jp in range(len(rep)):
+                    v = rep[jp][j]
+                    if v != 0:
+                        row = mod.basis.index((m, jp))
+                        mat[row][col] = mat[row][col] + MPoly.const(
+                            canon_scalar(scalar * c * v))
+        group.append(mat)
+    vmats = []
+    for vj in range(W.dim):
+        mat = _zero_matrix(n)
+        for col, (mono, j) in enumerate(mod.basis):
+            for coeff, m, g in _straighten(W, "v", vj, mono, False):
+                rep = mod.chi_mats[g]
+                for mm, c in mod.coin.reduce(m).items():
+                    for jp in range(len(rep)):
+                        v = rep[jp][j]
+                        if v != 0:
+                            row = mod.basis.index((mm, jp))
+                            mat[row][col] = mat[row][col] + coeff * canon_scalar(c * v)
+        vmats.append(mat)
+    return dual, group, vmats
+
+
+def dense_act(mod, z: PBWElement) -> list:
+    """The dense action matrix of a PBW element of the t = 0 algebra, one
+    matrix product per letter of each normal word."""
+    W = mod.group
+    dual, group, vmats = _dense_generators(mod)
+    total = _zero_matrix(mod.dim)
+    for (p, g, q), c in z.terms.items():
+        mat = _identity_matrix(mod.dim)
+        for xi in range(W.dim):
+            for _ in range(q[xi]):
+                mat = _mat_mul(dual[xi], mat)
+        if g != W.identity:
+            mat = _mat_mul(group[g], mat)
+        for vj in range(W.dim):
+            for _ in range(p[vj]):
+                mat = _mat_mul(vmats[vj], mat)
+        for r in range(mod.dim):
+            for s in range(mod.dim):
+                if not mat[r][s].is_zero():
+                    total[r][s] = total[r][s] + c * mat[r][s]
+    return total
+
+
+def dense_omega(z: PBWElement, chi):
+    """(trace / dim of the dense action, whether z - trace / dim acts
+    nilpotently), the nilpotency found by squaring until the exponent
+    reaches the dimension."""
+    mod = build_baby_verma(z.group, chi)
+    mat = dense_act(mod, z)
+    n = mod.dim
+    tr = MPoly.zero()
+    for i in range(n):
+        tr = tr + mat[i][i]
+    value = tr.divexact(MPoly.const(n))
+    power = [[mat[i][j] - (value if i == j else MPoly.zero())
+              for j in range(n)] for i in range(n)]
+    steps = 1
+    while steps < n:
+        power = _mat_mul(power, power)
+        steps *= 2
+    return value, all(x.is_zero() for row in power for x in row)
 
 
 def graded_character_eM(W, chi) -> MPoly:
     """Graded dimension of the W-invariant part of the baby Verma module of
     chi; equals the fake degree f_chi(t)."""
     mod = build_baby_verma(W, chi)
-    n = mod.dim
     # averaged projector onto invariants, then trace per degree
-    diag = [MPoly.zero()] * n
-    for g in range(W.order()):
-        mg = mod.group_mats[g]
-        for i in range(n):
-            diag[i] = diag[i] + mg[i][i]
+    diag = [MPoly.zero()] * mod.dim
+    for cols in mod.group_maps:
+        for i, col in enumerate(cols):
+            diag[i] = diag[i] + col.get(i, 0)
     t = MPoly.var("t")
     poly = MPoly.zero()
     for i, (mono, _) in enumerate(mod.basis):

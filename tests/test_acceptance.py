@@ -99,7 +99,7 @@ def test_criterion_05_omega_table():
         Ws = build_group(spec)
         eu = euler_element(Ws)
         for chi in character_table(Ws):
-            ok = ok and (omega(eu, chi, check_nilpotent=False)
+            ok = ok and (omega(eu, chi)
                          == omega_euler_closed_form(Ws, chi))
     rng = random.Random(20260823)
     for d in range(2, 7):
@@ -109,7 +109,7 @@ def test_criterion_05_omega_table():
         kmap = param_convert(Ws, ParamVector.make(Ws, "C", cvals),
                              "K").as_dict()
         for i, chi in enumerate(character_table(Ws)):
-            val = omega(eu, chi, check_nilpotent=False).substitute(cvals)
+            val = omega(eu, chi).substitute(cvals)
             ok = ok and (canon_scalar(val.constant_value())
                          == canon_scalar(d * kmap[f"K{(-i) % d}"]))
     report(5, "central character table and Euler closed forms", ok)

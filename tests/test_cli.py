@@ -186,6 +186,24 @@ def test_hilbert_check(capsys):
     assert data["center_matches_basis"] is True
 
 
+def test_hilbert_check_builds_fake_degree_series_once(capsys, monkeypatch):
+    """`hilbert --check` and `hilbert_center` share one fake-degree series."""
+    from chered import series
+    calls = []
+    table = series.character_table
+
+    def counting(W):
+        calls.append(W.spec)
+        return table(W)
+
+    monkeypatch.setattr(series, "character_table", counting)
+    series.fantome_bigraded.cache_clear()
+    code, _, _ = run(capsys, "hilbert", "--group", "cyclic:5", "--order",
+                     "24", "--check")
+    assert code == 0
+    assert calls == ["cyclic:5"]
+
+
 def test_fake_degrees(capsys):
     code, out, _ = run(capsys, "fake-degrees", "--group", "cyclic:3",
                        "--json")
