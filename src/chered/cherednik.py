@@ -4,9 +4,10 @@ straightening, Euler element, centrality tests, bigrading, linear-character
 twists, and the Poisson bracket on the center.
 
 Normal words are triples (V-monomial, group element, V*-monomial) with
-coefficients that are polynomials in the reflection parameters C_s and, for
-the T-deformation, in T.  Straightening rests on one commutation rule, for v
-in V and xi in V*:
+coefficients that are polynomials in the reflection parameters C_s.  An
+element carries its group and its terms, and nothing else: the T-deformation
+is a product, `multiply(a, b, with_T=True)`, not a kind of element.
+Straightening rests on one commutation rule, for v in V and xi in V*:
 
     [xi, v] = -T<v,xi> - sum_s C_s <s(v)-v, xi> s
 
@@ -14,6 +15,16 @@ in V and xi in V*:
 w * xi = w(xi) * w.  `_straighten` owns the rule: it pushes a V* coordinate
 through a V-monomial for products in normal form, and a V coordinate through
 a V*-monomial for the action on baby Verma modules (`verma`).
+
+For the order-2 cyclic group, s acts by -1, so <s(v)-v, xi> = -2:
+
+>>> from chered.reflgrp import build_group
+>>> W = build_group("cyclic:2")
+>>> xi, v = PBWElement.dual_gen(W, 0), PBWElement.v_gen(W, 0)
+>>> print(multiply(xi, v, with_T=True) - multiply(v, xi, with_T=True))
+-T + 2*C1*s
+>>> print(commutator(xi, v))
+2*C1*s
 """
 from __future__ import annotations
 
@@ -44,11 +55,10 @@ _STRAIGHTEN_CACHE: dict = {}
 class PBWElement:
     """An element of the algebra in PBW normal form."""
 
-    __slots__ = ("group", "with_T", "terms")
+    __slots__ = ("group", "terms")
 
-    def __init__(self, group: ReflectionGroup, with_T: bool = False, terms=None):
+    def __init__(self, group: ReflectionGroup, terms=None):
         self.group = group
-        self.with_T = with_T
         self.terms = {}
         if terms:
             for key, c in terms.items():
@@ -59,42 +69,41 @@ class PBWElement:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(W, with_T=False):
-        return PBWElement(W, with_T, {})
+    def zero(W):
+        return PBWElement(W, {})
 
     @staticmethod
-    def one(W, with_T=False):
-        return PBWElement(W, with_T, {_unit_key(W): MPoly.const(1)})
+    def one(W):
+        return PBWElement(W, {_unit_key(W): MPoly.const(1)})
 
     @staticmethod
-    def v_gen(W, i: int, with_T=False):
+    def v_gen(W, i: int):
         """The i-th coordinate of V as an element."""
         p = tuple(1 if k == i else 0 for k in range(W.dim))
-        return PBWElement.monomial(W, p, W.identity, _zeros(W), 1, with_T)
+        return PBWElement.monomial(W, p, W.identity, _zeros(W))
 
     @staticmethod
-    def dual_gen(W, i: int, with_T=False):
+    def dual_gen(W, i: int):
         q = tuple(1 if k == i else 0 for k in range(W.dim))
-        return PBWElement.monomial(W, _zeros(W), W.identity, q, 1, with_T)
+        return PBWElement.monomial(W, _zeros(W), W.identity, q)
 
     @staticmethod
-    def group_gen(W, g: int, with_T=False):
-        return PBWElement.monomial(W, _zeros(W), g, _zeros(W), 1, with_T)
+    def group_gen(W, g: int):
+        return PBWElement.monomial(W, _zeros(W), g, _zeros(W))
 
     @staticmethod
-    def monomial(W, vexp, g, dexp, coeff=1, with_T=False):
-        return PBWElement(W, with_T,
-                          {(tuple(vexp), g, tuple(dexp)): MPoly._coerce(coeff)})
+    def monomial(W, vexp, g, dexp, coeff=1):
+        return PBWElement(W, {(tuple(vexp), g, tuple(dexp)): MPoly._coerce(coeff)})
 
     def _like(self, terms) -> "PBWElement":
-        """An element of the same algebra with the given terms."""
-        return PBWElement(self.group, self.with_T, terms)
+        """An element of the same group with the given terms."""
+        return PBWElement(self.group, terms)
 
     # -- linear structure --------------------------------------------------
 
     def _check_compat(self, other):
-        if self.group is not other.group or self.with_T != other.with_T:
-            raise ValueError("algebra mismatch (group or T flag)")
+        if self.group is not other.group:
+            raise ValueError("elements of different groups")
 
     def __add__(self, other):
         if isinstance(other, PBWElement):
@@ -157,9 +166,6 @@ class PBWElement:
             self._check_compat(other)
             return self.terms == other.terms
         return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("unhashable")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -268,8 +274,9 @@ def _straighten(W: ReflectionGroup, side: str, i: int, mono: tuple,
     return result
 
 
-def _lmul_dual(W, xi: int, elem: PBWElement) -> PBWElement:
-    """Left multiplication by the xi-th V* coordinate."""
+def _lmul_dual(W, xi: int, elem: PBWElement, with_T: bool) -> PBWElement:
+    """Left multiplication by the xi-th V* coordinate, in the T-deformation
+    when with_T is set."""
     out: dict = {}
 
     def add(key, c):
@@ -284,7 +291,7 @@ def _lmul_dual(W, xi: int, elem: PBWElement) -> PBWElement:
                                                    for i in range(W.dim)), dual=True)
         newq = tuple(a + b for a, b in zip(q, image))
         add((p, g, newq), c * scalar if scalar != 1 else c)
-        for cc, mono, s in _straighten(W, "dual", xi, p, elem.with_T):
+        for cc, mono, s in _straighten(W, "dual", xi, p, with_T):
             add((mono, W.mult_table[s][g], q), cc * c)
     return elem._like(out)
 
@@ -300,8 +307,9 @@ def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
     return elem._like(out)
 
 
-def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
-    """Exact product in PBW normal form.
+def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElement:
+    """Exact product in PBW normal form: in the t = 0 algebra, or in its
+    T-deformation, where [xi, v] gains the term -T<v, xi>, when with_T is set.
 
     A term c x^p g xi^q of a contributes c x^p (g (xi^q b)).  Terms of a
     that share their V*-part q share xi^q b, and terms that share (g, q)
@@ -317,7 +325,8 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
         piece = chains.get(q)
         if piece is None:
             i = next(k for k, e in enumerate(q) if e)
-            piece = _lmul_dual(W, i, chain(q[:i] + (q[i] - 1,) + q[i + 1:]))
+            piece = _lmul_dual(W, i, chain(q[:i] + (q[i] - 1,) + q[i + 1:]),
+                               with_T)
             chains[q] = piece
         return piece
 
@@ -340,24 +349,24 @@ def commutator(a: PBWElement, b: PBWElement) -> PBWElement:
     return multiply(a, b) - multiply(b, a)
 
 
-def algebra_generators(W: ReflectionGroup, with_T=False) -> dict:
+def algebra_generators(W: ReflectionGroup) -> dict:
     """The generating set: V coordinates, V* coordinates, group generators."""
     gens = {}
     for i, name in enumerate(W.v_names):
-        gens[name] = PBWElement.v_gen(W, i, with_T)
+        gens[name] = PBWElement.v_gen(W, i)
     for i, name in enumerate(W.dual_names):
-        gens[name] = PBWElement.dual_gen(W, i, with_T)
+        gens[name] = PBWElement.dual_gen(W, i)
     if W.spec == "b2":
         for name in ("s", "t"):
-            gens[name] = PBWElement.group_gen(W, W.index_of(name), with_T)
+            gens[name] = PBWElement.group_gen(W, W.index_of(name))
     else:
-        gens["s"] = PBWElement.group_gen(W, W.index_of("s"), with_T)
+        gens["s"] = PBWElement.group_gen(W, W.index_of("s"))
     return gens
 
 
 def is_central(z: PBWElement) -> bool:
     """True iff z commutes with every algebra generator."""
-    for gen in algebra_generators(z.group, z.with_T).values():
+    for gen in algebra_generators(z.group).values():
         if not commutator(z, gen).is_zero():
             return False
     return True
@@ -368,8 +377,8 @@ def is_central(z: PBWElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def euler_element(W: ReflectionGroup, with_T: bool = False) -> PBWElement:
-    """eu = sum_i v_i xi_i + sum_s C_s s  (plus -dim*T in the T-deformation)."""
+def euler_element(W: ReflectionGroup) -> PBWElement:
+    """eu = sum_i v_i xi_i + sum_s C_s s."""
     terms: dict = {}
     for i in range(W.dim):
         p = tuple(1 if k == i else 0 for k in range(W.dim))
@@ -377,10 +386,7 @@ def euler_element(W: ReflectionGroup, with_T: bool = False) -> PBWElement:
     for refl in W.reflections:
         key = (_zeros(W), refl.index, _zeros(W))
         terms[key] = terms.get(key, MPoly.zero()) + MPoly.var(refl.param)
-    if with_T:
-        key = _unit_key(W)
-        terms[key] = terms.get(key, MPoly.zero()) - W.dim * MPoly.var("T")
-    return PBWElement(W, with_T, terms)
+    return PBWElement(W, terms)
 
 
 def named_center_generators(W: ReflectionGroup) -> dict:
@@ -506,31 +512,21 @@ def twist_by_linear_char(gamma: Character, z: PBWElement) -> PBWElement:
     return z._like(out)
 
 
-def _lift_T(z: PBWElement) -> PBWElement:
-    if z.with_T:
-        return z
-    return PBWElement(z.group, True, dict(z.terms))
-
-
-def _coeff_div_T_set_T0(c: MPoly) -> MPoly:
-    """(c / T) with T then set to 0, i.e. the coefficient of T; c must be
-    divisible by T."""
-    if not c.coefficient("T", 0).is_zero():
-        raise ArithmeticError("coefficient not divisible by T")
-    return c.coefficient("T", 1)
-
-
 def poisson_bracket(z1: PBWElement, z2: PBWElement) -> PBWElement:
-    """{z1, z2}: lift both to the T-deformation with identical coefficients,
-    take the commutator, divide by T, and set T = 0.  Raises when the
-    commutator is not divisible by T (non-central input)."""
-    comm = commutator(_lift_T(z1), _lift_T(z2))
+    """{z1, z2}: the commutator of z1 and z2 in the T-deformation, divided by
+    T, at T = 0.  The inputs are elements of the t = 0 algebra, so a
+    coefficient that involves T raises ValueError; a commutator that is not
+    divisible by T (non-central input) raises ArithmeticError."""
+    if any(c.degree_in("T") > 0 for z in (z1, z2) for c in z.terms.values()):
+        raise ValueError("the Poisson bracket takes elements of the t = 0"
+                         " algebra, not of its T-deformation")
+    comm = multiply(z1, z2, with_T=True) - multiply(z2, z1, with_T=True)
     out = {}
     for key, c in comm.terms.items():
-        cc = _coeff_div_T_set_T0(c)
-        if not cc.is_zero():
-            out[key] = cc
-    return PBWElement(z1.group, False, out)
+        if not c.coefficient("T", 0).is_zero():
+            raise ArithmeticError("coefficient not divisible by T")
+        out[key] = c.coefficient("T", 1)
+    return z1._like(out)
 
 
 if __name__ == "__main__":

@@ -253,43 +253,25 @@ def sum_rule_check(W: ReflectionGroup, cells: CellPartition) -> dict:
       (i)  |Gamma| = sum over its family of chi(1)^2, per two-sided cell;
       (ii) sum_chi mult * chi(1) = |C|, per left cell;
       (iii) sum over left cells of mult_{C,chi} = chi(1), per character.
-    Returns {"two_sided_squares": bool, "left_dimensions": bool,
-             "multiplicity_columns": bool, "all": bool, "details": [...]}.
+    Returns the four keys "two_sided_squares", "left_dimensions" and
+    "multiplicity_columns", one bool per rule, and "all", their conjunction;
+    each is None when the cells are not supported.
     """
     if not cells.supported:
         return {"two_sided_squares": None, "left_dimensions": None,
-                "multiplicity_columns": None, "all": None,
-                "details": [{"note": cells.note}]}
+                "multiplicity_columns": None, "all": None}
     degs = {chi.name: chi.degree for chi in character_table(W)}
-    details = []
-    ok1 = True
-    for cell, fam in zip(cells.two_sided, cells.families):
-        lhs, rhs = len(cell), sum(degs[n] ** 2 for n in fam)
-        good = lhs == rhs
-        ok1 = ok1 and good
-        details.append({"rule": "two_sided_squares", "cell": list(cell),
-                        "size": lhs, "sum_of_squares": rhs, "pass": good})
-    ok2 = True
-    for cell, cc in zip(cells.left, cells.cellular):
-        lhs = len(cell)
-        rhs = cc.dimension(W)
-        good = lhs == rhs
-        ok2 = ok2 and good
-        details.append({"rule": "left_dimensions", "cell": list(cell),
-                        "size": lhs, "character_dimension": rhs, "pass": good})
-    ok3 = True
+    ok1 = all(len(cell) == sum(degs[n] ** 2 for n in fam)
+              for cell, fam in zip(cells.two_sided, cells.families))
+    ok2 = all(len(cell) == cc.dimension(W)
+              for cell, cc in zip(cells.left, cells.cellular))
     totals = {name: 0 for name in degs}
     for cc in cells.cellular:
         for name, m in cc.multiplicities:
             totals[name] += m
-    for name, total in totals.items():
-        good = total == degs[name]
-        ok3 = ok3 and good
-        details.append({"rule": "multiplicity_columns", "character": name,
-                        "total": total, "degree": degs[name], "pass": good})
+    ok3 = all(total == degs[name] for name, total in totals.items())
     return {"two_sided_squares": ok1, "left_dimensions": ok2,
-            "multiplicity_columns": ok3, "all": ok1 and ok2 and ok3,
-            "details": details}
+            "multiplicity_columns": ok3, "all": ok1 and ok2 and ok3}
 
 
 # ---------------------------------------------------------------------------

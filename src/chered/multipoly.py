@@ -93,14 +93,6 @@ class MPoly:
             return a.vars
         return tuple(sorted(set(a.vars) | set(b.vars)))
 
-    def trim(self) -> "MPoly":
-        """Drop variables that do not occur."""
-        used = [i for i, v in enumerate(self.vars)
-                if any(exp[i] for exp in self.terms)]
-        newvars = tuple(self.vars[i] for i in used)
-        terms = {tuple(exp[i] for i in used): c for exp, c in self.terms.items()}
-        return MPoly(newvars, terms)
-
     # -- coercion --------------------------------------------------------
 
     @staticmethod
@@ -205,10 +197,6 @@ class MPoly:
             return NotImplemented
         nv = MPoly._merge_vars(self, other)
         return self._aligned(nv) == other._aligned(nv)
-
-    def __hash__(self):
-        t = self.trim()
-        return hash((t.vars, frozenset(t.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)

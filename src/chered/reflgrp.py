@@ -63,17 +63,6 @@ def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_inverse(a):
-    n = len(a)
-    if n == 1:
-        return ((scalar_div(1, a[0][0]),),)
-    det = mat_det(a)
-    return (
-        (scalar_div(a[1][1], det), scalar_div(-a[0][1], det)),
-        (scalar_div(-a[1][0], det), scalar_div(a[0][0], det)),
-    )
-
-
 def mat_transpose(a):
     n = len(a)
     return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
@@ -207,9 +196,9 @@ def _finish_group(spec, dim, names, mats, v_names, dual_names,
     index = {m: i for i, m in enumerate(mats)}
     mult = tuple(tuple(index[mat_mul(mats[i], mats[j])] for j in range(order))
                  for i in range(order))
-    inv = tuple(index[mat_inverse(mats[i])] for i in range(order))
     identity = index[mat_identity(dim)]
-    duals = tuple(mat_transpose(mat_inverse(m)) for m in mats)
+    inv = tuple(row.index(identity) for row in mult)
+    duals = tuple(mat_transpose(mats[inv[g]]) for g in range(order))
 
     # conjugacy classes
     class_of = [-1] * order

@@ -223,9 +223,6 @@ class BabyVermaModule:
         the images {row: MPoly} of the basis vectors."""
         if z.group is not self.group:
             raise ValueError("element belongs to another group")
-        if z.with_T:
-            raise ValueError("baby Verma modules represent the t = 0 algebra,"
-                             " not its T-deformation")
         W = self.group
         words = []
         for (p, g, q), c in z.terms.items():
@@ -263,6 +260,8 @@ def _apply(columns, vec: dict) -> dict:
 @functools.lru_cache(maxsize=None)
 def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
     """Build the baby Verma module attached to an irreducible character."""
+    if chi.group_spec != W.spec:
+        raise ValueError("character does not belong to the group")
     coin = coinvariant_basis(W)
     mats = _chi_matrices(W, chi)
     dim_chi = len(mats[0])

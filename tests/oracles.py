@@ -97,7 +97,7 @@ def substitute_params(elem: PBWElement, mapping: dict) -> PBWElement:
         new = coeff.substitute(mapping)
         if not new.is_zero():
             terms[key] = new
-    return PBWElement(elem.group, elem.with_T, terms)
+    return PBWElement(elem.group, terms)
 
 
 def rank1_k_variables(d: int) -> list:
@@ -199,7 +199,8 @@ def schoolbook_product(a: MPoly, b: MPoly) -> MPoly:
     return MPoly(names, out)
 
 
-def multiply_per_term(a: PBWElement, b: PBWElement) -> PBWElement:
+def multiply_per_term(a: PBWElement, b: PBWElement,
+                      with_T: bool = False) -> PBWElement:
     """Exact product in PBW normal form, one term of a at a time: the
     reference for `multiply`, which shares work between the terms of a."""
     a._check_compat(b)
@@ -209,7 +210,7 @@ def multiply_per_term(a: PBWElement, b: PBWElement) -> PBWElement:
         piece = b
         for xi in reversed(range(W.dim)):
             for _ in range(q[xi]):
-                piece = _lmul_dual(W, xi, piece)
+                piece = _lmul_dual(W, xi, piece, with_T)
         if g != W.identity:
             piece = _lmul_group(W, g, piece)
         for j in range(W.dim):

@@ -18,15 +18,15 @@ from oracles import multiply_per_term
 GROUPS = ("cyclic:2", "cyclic:3", "cyclic:4", "b2")
 
 
-def random_element(W, rng, nterms=2, with_T=False):
-    elem = PBWElement.zero(W, with_T)
+def random_element(W, rng, nterms=2):
+    elem = PBWElement.zero(W)
     for _ in range(nterms):
         vexp = tuple(rng.randint(0, 2) for _ in range(W.dim))
         dexp = tuple(rng.randint(0, 2) for _ in range(W.dim))
         g = rng.randrange(W.order())
         coeff = rng.randint(-3, 3)
         if coeff:
-            elem = elem + PBWElement.monomial(W, vexp, g, dexp, coeff, with_T)
+            elem = elem + PBWElement.monomial(W, vexp, g, dexp, coeff)
     return elem
 
 
@@ -54,7 +54,7 @@ def sharing_element(W, rng, with_T):
                rng.randrange(W.order()), rng.choice(duals))
         terms[key] = (rng.choice([-2, -1, 1, 3])
                       + rng.randint(-2, 2) * MPoly.var(rng.choice(names)))
-    return PBWElement(W, with_T, terms)
+    return PBWElement(W, terms)
 
 
 @pytest.mark.parametrize("with_T", [False, True], ids=["False-C", "True-C"])
@@ -67,7 +67,8 @@ def test_multiply_matches_per_term_oracle(spec, with_T):
         b = sharing_element(W, rng, with_T)
         duals = [q for _, _, q in a.terms]
         assert len(duals) >= 4 and len(set(duals)) < len(duals)
-        assert multiply(a, b).terms == multiply_per_term(a, b).terms
+        assert (multiply(a, b, with_T=with_T).terms
+                == multiply_per_term(a, b, with_T).terms)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -118,11 +119,13 @@ def test_deformed_euler_grading():
     # [eu~, h] = (Z-degree of h) T h for the algebra generators
     for spec in ("cyclic:3", "b2"):
         W = build_group(spec)
-        euT = euler_element(W, with_T=True)
         T = MPoly.var("T")
-        for name, h in algebra_generators(W, with_T=True).items():
+        euT = euler_element(W) - PBWElement.one(W).scale(W.dim * T)
+        for name, h in algebra_generators(W).items():
             i = z_degree(h)
-            assert commutator(euT, h) == h.scale(i * T), (spec, name)
+            comm = (multiply(euT, h, with_T=True)
+                    - multiply(h, euT, with_T=True))
+            assert comm == h.scale(i * T), (spec, name)
 
 
 def test_poisson_euler_eigenvalues():
@@ -205,3 +208,27 @@ def test_negative_power_raises():
         x ** -1
     assert x ** 0 == PBWElement.one(W)
     assert x ** 3 == multiply(x, multiply(x, x))
+
+
+def test_elements_of_two_groups_do_not_mix():
+    a = PBWElement.v_gen(build_group("cyclic:2"), 0)
+    b = PBWElement.v_gen(build_group("cyclic:3"), 0)
+    with pytest.raises(ValueError, match="different groups"):
+        a + b
+    with pytest.raises(ValueError, match="different groups"):
+        multiply(a, b)
+
+
+def test_poisson_bracket_rejects_bad_input():
+    W = build_group("b2")
+    gens = algebra_generators(W)
+    # x and X do not commute, so their commutator has a T-free part
+    with pytest.raises(ArithmeticError, match="not divisible by T"):
+        poisson_bracket(gens["x"], gens["X"])
+    # the inputs live in the t = 0 algebra: a coefficient in T is refused
+    eu = euler_element(W)
+    deformed = eu - PBWElement.one(W).scale(W.dim * MPoly.var("T"))
+    with pytest.raises(ValueError, match="T-deformation"):
+        poisson_bracket(eu, deformed)
+    with pytest.raises(ValueError, match="T-deformation"):
+        poisson_bracket(deformed, eu)

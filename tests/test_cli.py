@@ -118,10 +118,22 @@ def test_usage_errors_exit_2(capsys):
     ("cells", "--group", "b2", "--params", "a=1,A=2,b=1"),
     ("families", "--group", "cyclic:3", "--params", "C1=1,C2=1,C1=5"),
     ("families", "--group", "cyclic:3", "--params", "K1=1,K=0,0,0"),
+    ("families", "--group", "b2", "--params", "a1"),
+    ("families", "--group", "cyclic:3", "--params", "K=0,0"),
+    ("families", "--group", "b2", "--params", ","),
+    ("families", "--group", "cyclic:3", "--params", "K=1,1,1"),
+    ("families", "--group", "cyclic:3", "--params", "C1=1,K1=0"),
+    ("cells", "--group", "cyclic:4", "--params", "C1=1,C2=0,C3=0"),
+    ("galois", "foo"),
+    ("geometry", "rank1", "--d", "2", "--point", "1,2"),
+    ("poisson", "--group", "b2", "--lhs", "eu", "--rhs", "foo"),
 ], ids=["bad-cyclic-order", "unknown-group", "bad-rational",
         "negative-order", "zero-order", "rank1-out-of-range",
         "geometry-bad-degree", "repeated-param", "repeated-param-alias",
-        "repeated-c-param", "repeated-k-param"])
+        "repeated-c-param", "repeated-k-param", "malformed-param",
+        "short-k-vector", "no-params", "k-sum-nonzero", "mixed-c-k",
+        "cells-irrational-k", "galois-unknown", "geometry-short-point",
+        "poisson-unknown-rhs"])
 def test_usage_error_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error: ") and not out

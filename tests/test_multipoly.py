@@ -62,6 +62,27 @@ def test_resultant_matches_sylvester_oracle():
         assert resultant(f, g, "x") == sylvester_resultant(f, g, "x")
 
 
+RESULTANT_CASES = {
+    "swap-odd-degrees": (x ** 3 + y, x ** 5 + x + 2),
+    "swap": (x ** 2 + y, x ** 5 + y * x + 1),
+    "delta-3": (x ** 5 + y * x + 1, x ** 2 + y),
+    "delta-0": (x ** 3 + y * x + 1, 2 * x ** 3 - x + y),
+    "common-factor": ((x - y) * (x + 1), (x - y) * (x ** 2 + 3)),
+    "constant-operand": (x ** 3 + y, 5 + y),
+    "zero-operand": (x ** 2 + y, MPoly.zero()),
+    "even-odd": (x ** 4 - y, x ** 2 + 1),
+}
+
+
+@pytest.mark.parametrize("case", RESULTANT_CASES)
+def test_resultant_branches_match_sylvester_oracle(case):
+    """The operand swap, the update of h for a degree drop of 2 or more,
+    a constant or zero operand and a zero resultant, each against the
+    oracle."""
+    f, g = RESULTANT_CASES[case]
+    assert resultant(f, g, "x") == sylvester_resultant(f, g, "x")
+
+
 def test_resultant_of_products():
     f = x - y
     g = x - 2 * y
