@@ -25,8 +25,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .reflgrp import (ParamVector, build_group, character_table, fake_degree,
-                      b_invariant, param_convert)
+from .reflgrp import (build_group, character_table, fake_degree, b_invariant,
+                      param_convert)
 from .cherednik import named_center_generators, poisson_bracket, z_degree
 from .verma import omega_table
 from .cmcells import (b2_cells, cm_families, partition_to_json, rank1_cells,
@@ -73,8 +73,9 @@ def _emit_text(data, indent=0):
         print(f"{pad}{data}")
 
 
-def _parse_params(W, text: str) -> ParamVector:
-    """Inline "a=1,b=1", "C1=2", "K=0,1,-1", or a flat key=value file."""
+def _parse_params(W, text: str) -> dict:
+    """Inline "a=1,b=1", "C1=2", "K=0,1,-1", or a flat key=value file; the
+    point is returned in C-coordinates."""
     if os.path.isfile(text):
         pairs = []
         with open(text) as fh:
@@ -121,10 +122,15 @@ def _parse_params(W, text: str) -> ParamVector:
         i += 1
     if basis is None:
         raise SystemExit_usage("no parameters given")
-    try:
-        return ParamVector.make(W, basis, values)
-    except ValueError as exc:
-        raise SystemExit_usage(str(exc))
+    if basis == "K":
+        try:
+            return param_convert(W, values, "C")
+        except ValueError as exc:
+            raise SystemExit_usage(str(exc))
+    missing = [l for l in W.param_names() if l not in values]
+    if missing:
+        raise SystemExit_usage(f"missing parameter entries {missing}")
+    return values
 
 
 def _rational(text: str) -> Fraction:
@@ -214,33 +220,28 @@ def cmd_verify_minpoly(args) -> int:
 
 def cmd_families(args) -> int:
     W = _group(args.group)
-    params = _parse_params(W, args.params)
-    fp = cm_families(W, params)
+    fp = cm_families(W, _parse_params(W, args.params))
     data = partition_to_json(fp, None)
     _emit(data, args.json)
     return EXIT_PASS
 
 
-def _cells_for(W, params):
+def _cells_for(W, cvals):
     if W.spec == "b2":
-        cvals = dict(param_convert(W, params, "C").entries)
         return b2_cells(cvals["A"], cvals["B"])
-    kv = param_convert(W, params, "K")
-    kvals = []
-    for lab, v in kv.entries:
-        if not isinstance(v, (int, Fraction)):
-            raise SystemExit_usage(
-                "cyclic cells need rational K-coordinates; the given point"
-                " converts to irrational values")
-        kvals.append(Fraction(v))
+    kvals = list(param_convert(W, cvals, "K").values())
+    if not all(isinstance(v, (int, Fraction)) for v in kvals):
+        raise SystemExit_usage(
+            "cyclic cells need rational K-coordinates; the given point"
+            " converts to irrational values")
     return rank1_cells(W.order(), kvals)
 
 
 def cmd_cells(args) -> int:
     W = _group(args.group)
-    params = _parse_params(W, args.params)
-    cells = _cells_for(W, params)
-    fp = cm_families(W, params)
+    cvals = _parse_params(W, args.params)
+    cells = _cells_for(W, cvals)
+    fp = cm_families(W, cvals)
     data = partition_to_json(fp, cells)
     report = sum_rule_check(W, cells)
     data["sum_rules"] = report

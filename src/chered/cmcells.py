@@ -5,6 +5,10 @@ family if and only if their central characters agree on a generating set of
 the center ({eu} for cyclic groups; {eu, eu', eu'', delta} for B2).  Cells
 for cyclic groups are the fibers of i -> K_i; cells for B2 follow the
 explicit case analysis over the strata of the (a, b) parameter plane.
+
+A parameter point is a dict {C-label: value}, the form in which
+`cm_families` reads it; `reflgrp.param_convert` gives the K-values that
+`rank1_cells` takes.
 """
 from __future__ import annotations
 
@@ -12,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import canon_scalar
-from .reflgrp import (ParamVector, ReflectionGroup, build_group,
-                      character_table, fake_degree, b_invariant, param_convert)
+from .reflgrp import (ReflectionGroup, build_group, character_table,
+                      fake_degree, b_invariant)
 from .verma import omega_table
 
 __all__ = [
@@ -38,8 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FamilyPartition:
-    group_spec: str
-    parameters: tuple            # of (label, Fraction) pairs, C-coordinates
+    parameters: tuple            # of (C-label, value) pairs, sorted
     blocks: tuple                # of tuples of character names
     signatures: tuple            # per block, tuple of (generator, value)
 
@@ -58,8 +61,6 @@ class CellularCharacter:
 
 @dataclass(frozen=True)
 class CellPartition:
-    group_spec: str
-    parameters: tuple
     two_sided: tuple             # of tuples of element names
     left: tuple                  # of tuples of element names
     families: tuple              # per two-sided cell, tuple of char names
@@ -73,26 +74,22 @@ class CellPartition:
 # ---------------------------------------------------------------------------
 
 
-def _rational_c_values(W: ReflectionGroup, params: ParamVector) -> dict:
-    cvec = param_convert(W, params, "C")
-    out = {}
-    for label, value in cvec.entries:
-        out[label] = canon_scalar(value)
-    return out
-
-
-def cm_families(W: ReflectionGroup, params: ParamVector) -> FamilyPartition:
+def cm_families(W: ReflectionGroup, cvals: dict) -> FamilyPartition:
     """Partition Irr(W) by equality of the central characters Omega_chi on
-    the named generators of the center, evaluated at a rational point."""
-    cvals = _rational_c_values(W, params)
+    the named generators of the center, evaluated at the parameter point
+    cvals = {C-label: value}.
+
+    >>> fp = cm_families(build_group("b2"), {"A": 1, "B": 1})
+    >>> sorted(sorted(b) for b in fp.blocks)
+    [['1'], ['chi', 'eps_s', 'eps_t'], ['eps']]
+    """
     table = omega_table(W)
     gen_names = sorted(table[next(iter(table))])
     blocks: list[list[str]] = []
     sigs: list[tuple] = []
     for chi in character_table(W):
-        sig = tuple((g, canon_scalar(
-            table[chi.name][g].substitute(cvals).constant_value()))
-            for g in gen_names)
+        sig = tuple((g, table[chi.name][g].substitute(cvals).constant_value())
+                    for g in gen_names)
         for k, existing in enumerate(sigs):
             if existing == sig:
                 blocks[k].append(chi.name)
@@ -100,7 +97,7 @@ def cm_families(W: ReflectionGroup, params: ParamVector) -> FamilyPartition:
         else:
             blocks.append([chi.name])
             sigs.append(sig)
-    return FamilyPartition(W.spec, tuple(sorted(cvals.items())),
+    return FamilyPartition(tuple(sorted(cvals.items())),
                            tuple(tuple(b) for b in blocks), tuple(sigs))
 
 
@@ -173,9 +170,7 @@ def rank1_cells(d: int, k_values) -> CellPartition:
     cellular = tuple(
         CellularCharacter(tuple(sorted((f"eps^{(-i) % d}", 1) for i in cell)))
         for cell in cells)
-    params = tuple((f"K{i}", ks[i]) for i in range(d))
-    return CellPartition(W.spec, params, two_sided, two_sided,
-                         families, cellular)
+    return CellPartition(two_sided, two_sided, families, cellular)
 
 
 def _cc(*pairs) -> CellularCharacter:
@@ -193,13 +188,11 @@ def b2_cells(a, b) -> CellPartition:
     used here fix one such choice.
     """
     a, b = Fraction(a), Fraction(b)
-    params = (("A", a), ("B", b))
-    spec = "b2"
     if a == 0 and b == 0:
         whole = ("1", "s", "t", "st", "ts", "sts", "tst", "w0")
         regular = _cc(("1", 1), ("eps", 1), ("eps_s", 1), ("eps_t", 1),
                       ("chi", 2))
-        return CellPartition(spec, params, (whole,), (whole,),
+        return CellPartition((whole,), (whole,),
                              (("1", "chi", "eps", "eps_s", "eps_t"),),
                              (regular,))
     if a != 0 and b != 0 and a * a != b * b:
@@ -210,7 +203,7 @@ def b2_cells(a, b) -> CellPartition:
                 ("t", "st"), ("ts", "sts"))
         cellular = (_cc(("1", 1)), _cc(("eps_s", 1)), _cc(("eps_t", 1)),
                     _cc(("eps", 1)), _cc(("chi", 1)), _cc(("chi", 1)))
-        return CellPartition(spec, params, two_sided, left, families, cellular)
+        return CellPartition(two_sided, left, families, cellular)
     if a != 0 and a == b:
         two_sided = (("1",), ("w0",), ("s", "t", "st", "ts", "sts", "tst"))
         families = (("1",), ("eps",), ("chi", "eps_s", "eps_t"))
@@ -218,7 +211,7 @@ def b2_cells(a, b) -> CellPartition:
         cellular = (_cc(("1", 1)), _cc(("eps", 1)),
                     _cc(("chi", 1), ("eps_s", 1)),
                     _cc(("chi", 1), ("eps_t", 1)))
-        return CellPartition(spec, params, two_sided, left, families, cellular)
+        return CellPartition(two_sided, left, families, cellular)
     if a != 0 and a == -b:
         # obtained from the a = b stratum by tensoring with eps_t
         base = b2_cells(a, a)
@@ -231,15 +224,14 @@ def b2_cells(a, b) -> CellPartition:
                 (tensor_with_linear(W, n, "eps_t"), m)
                 for n, m in cc.multiplicities)))
             for cc in base.cellular)
-        return CellPartition(spec, params, base.two_sided, base.left,
-                             families, cellular)
+        return CellPartition(base.two_sided, base.left, families, cellular)
     # a = 0 xor b = 0
     if a == 0:
         families = (("1", "eps_s"), ("eps", "eps_t"), ("chi",))
     else:
         families = (("1", "eps_t"), ("eps", "eps_s"), ("chi",))
     return CellPartition(
-        spec, params, (), (), families, (), supported=False,
+        (), (), families, (), supported=False,
         note="unsupported: no cell description is implemented on this stratum")
 
 

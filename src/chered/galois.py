@@ -63,15 +63,16 @@ def b2_galois_certificate() -> dict:
     marker = sg ** 2 * Pi - Sg ** 2 * pi
     disc_F = 256 * disc_f ** 2 * c0        # (-4)^4 disc(f)^2 f(0)
     root = 16 * disc_f * marker
-    step1 = {
+    marker_square = c0 == marker ** 2
+    root_square = root ** 2 == disc_F
+    steps.append({
         "step": "discriminant-square",
         "claim": "disc(F) = 256 disc(f)^2 (sigma^2 Pi - Sigma^2 pi)^2,"
                  " a perfect square",
-        "constant_term_is_marker_square": c0 == marker ** 2,
-        "root_squares_to_disc": root ** 2 == disc_F,
-        "pass": c0 == marker ** 2 and root ** 2 == disc_F,
-    }
-    steps.append(step1)
+        "constant_term_is_marker_square": marker_square,
+        "root_squares_to_disc": root_square,
+        "pass": marker_square and root_square,
+    })
 
     # step (ii): specialize f at sigma=2, Sigma=-2, A=1, B=0, Pi=pi
     fbar = f.substitute({"sigma": 2, "Sigma": -2, "A": 1, "B": 0,
@@ -91,14 +92,16 @@ def b2_galois_certificate() -> dict:
     cubic_disc = -4 * p ** 3 - 27 * q ** 2
     via_factor = cubic_disc * q ** 2          # disc(t*g) = disc(g) g(0)^2
     target = 2 ** 24 * pi ** 7 * (pi - 4) * (2 * pi + 1) ** 2
+    direct = disc_fbar == target
+    factorized = via_factor == target
+    is_square = poly_sqrt(disc_fbar) is not None
     steps.append({
         "step": "specialized-discriminant",
         "claim": "disc(fbar) = 2^24 pi^7 (pi-4)(2 pi+1)^2, not a square",
-        "direct_equals_target": disc_fbar == target,
-        "factorized_equals_target": via_factor == target,
-        "is_square": poly_sqrt(disc_fbar) is not None,
-        "pass": (disc_fbar == target and via_factor == target
-                 and poly_sqrt(disc_fbar) is None),
+        "direct_equals_target": direct,
+        "factorized_equals_target": factorized,
+        "is_square": is_square,
+        "pass": direct and factorized and not is_square,
     })
 
     return {

@@ -1,6 +1,8 @@
 """Reflection-group data: exact matrices, reflections, hyperplane orbits,
 conjugacy classes, irreducible characters, invariant degrees, fake degrees,
-and the two coordinate systems (C and K) on the parameter space.
+and the two coordinate systems (C and K) on the parameter space.  A point of
+the parameter space is a plain dict {label: value}; the C-labels are the
+reflection classes, and `param_convert` is the one change of coordinates.
 
 Supported groups: the cyclic group of order d acting on a line ("cyclic:d")
 and the Weyl group of type B2 ("b2").
@@ -23,7 +25,6 @@ from .multipoly import MPoly, scalar_div
 __all__ = [
     "ReflectionGroup",
     "Character",
-    "ParamVector",
     "ParamMap",
     "build_group",
     "character_table",
@@ -254,13 +255,15 @@ def _build_cyclic(d: int) -> ReflectionGroup:
                          orbit_of, param_of, power_of, [("s", d)])
 
 
+# each B2 element is the product of its generator word, read left to right
+_B2_WORDS = {"1": "", "s": "s", "t": "t", "st": "st", "ts": "ts",
+             "sts": "sts", "tst": "tst", "w0": "stst"}
+
+
 def _build_b2() -> ReflectionGroup:
     gens = {"s": ((0, 1), (1, 0)), "t": ((-1, 0), (0, 1))}
-    # each element is the product of its generator word, read left to right
-    words = {"1": "", "s": "s", "t": "t", "st": "st", "ts": "ts",
-             "sts": "sts", "tst": "tst", "w0": "stst"}
     mats = []
-    for word in words.values():
+    for word in _B2_WORDS.values():
         mat = mat_identity(2)
         for letter in word:
             mat = mat_mul(mat, gens[letter])
@@ -268,7 +271,7 @@ def _build_b2() -> ReflectionGroup:
     orbit_of = {"s": "s", "tst": "s", "t": "t", "sts": "t"}
     param_of = {"s": "A", "tst": "A", "t": "B", "sts": "B"}
     power_of = {"s": 1, "tst": 1, "t": 1, "sts": 1}
-    return _finish_group("b2", 2, list(words), mats, ("x", "y"), ("X", "Y"),
+    return _finish_group("b2", 2, list(_B2_WORDS), mats, ("x", "y"), ("X", "Y"),
                          orbit_of, param_of, power_of, [("s", 2), ("t", 2)])
 
 
@@ -354,11 +357,8 @@ def character_table(W: ReflectionGroup) -> tuple[Character, ...]:
         def linear(val_s, val_t):
             vals = []
             for cls in W.conj_classes:
-                g = cls[0]
-                word = W.names[g] if W.names[g] not in ("1", "w0") else (
-                    "" if W.names[g] == "1" else "stst")
                 v = 1
-                for ch in word:
+                for ch in _B2_WORDS[W.names[cls[0]]]:
                     v *= val_s if ch == "s" else val_t
                 vals.append(v)
             return tuple(vals)
@@ -447,50 +447,9 @@ def b_invariant(W: ReflectionGroup, chi: Character) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    """A point or symbolic coordinate vector on the parameter space, in
-    C-coordinates (one value per reflection class) or K-coordinates
-    (values K_{orbit,j} with sum_j K_{orbit,j} = 0 per orbit)."""
-
-    group_spec: str
-    basis: str                    # "C" or "K"
-    entries: tuple                # of (label, value) pairs, fixed order
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-    @staticmethod
-    def make(W: ReflectionGroup, basis: str, values: dict) -> "ParamVector":
-        if basis == "C":
-            labels = W.param_names()
-        elif basis == "K":
-            labels = W.k_param_names()
-        else:
-            raise ValueError("basis must be 'C' or 'K'")
-        missing = [l for l in labels if l not in values]
-        if missing:
-            raise ValueError(f"missing parameter entries {missing}")
-        entries = tuple((l, values[l]) for l in labels)
-        pv = ParamVector(W.spec, basis, entries)
-        if basis == "K":
-            _check_k_constraint(W, pv)
-        return pv
-
-
 def _orbit_k_labels(W: ReflectionGroup, label: str, e: int):
     prefix = "K" if len(W.hyperplane_orbits) == 1 else f"K{label}"
     return [f"{prefix}{j}" for j in range(e)]
-
-
-def _check_k_constraint(W, pv):
-    vals = pv.as_dict()
-    for label, e in W.hyperplane_orbits:
-        total = 0
-        for lab in _orbit_k_labels(W, label, e):
-            total = total + vals[lab]
-        if not (total == 0 or (isinstance(total, MPoly) and total.is_zero())):
-            raise ValueError(f"K-coordinates of orbit {label} do not sum to zero")
 
 
 @dataclass(frozen=True)
@@ -544,30 +503,42 @@ def param_map(W: ReflectionGroup) -> ParamMap:
                     c_rows, tuple(k_rows))
 
 
-def param_convert(W: ReflectionGroup, v: ParamVector, target: str) -> ParamVector:
-    """Exact change of coordinates between the C and K bases, through the
-    rows of `param_map`.
+def param_convert(W: ReflectionGroup, values: dict, target: str) -> dict:
+    """Exact change of coordinates of a parameter point, a dict of values
+    keyed by the labels of the other basis, into the `target` basis ("C" or
+    "K") through the rows of `param_map`.
+
+    Every label of the source basis must be present.  A K-point must sum to
+    zero on each orbit; the C-rows never read the eliminated K_0, so this is
+    checked here.
 
     >>> W = build_group("cyclic:2")
-    >>> v = ParamVector.make(W, "K", {"K0": -1, "K1": 1})
-    >>> param_convert(W, v, "C").as_dict()["C1"]
-    2
+    >>> param_convert(W, {"K0": -1, "K1": 1}, "C")
+    {'C1': 2}
+    >>> param_convert(W, {"K0": 1, "K1": 1}, "C")
+    Traceback (most recent call last):
+    ...
+    ValueError: K-coordinates of orbit s do not sum to zero
     """
-    if v.group_spec != W.spec:
-        raise ValueError("parameter vector belongs to another group")
     if target not in ("C", "K"):
         raise ValueError("target basis must be 'C' or 'K'")
-    if target == v.basis:
-        return v
+    labels = W.k_param_names() if target == "C" else W.param_names()
+    missing = [l for l in labels if l not in values]
+    if missing:
+        raise ValueError(f"missing parameter entries {missing}")
     pm = param_map(W)
-    vals = v.as_dict()
+    if target == "C":
+        for label, e in W.hyperplane_orbits:
+            if sum(values[lab] for lab in _orbit_k_labels(W, label, e)) != 0:
+                raise ValueError(
+                    f"K-coordinates of orbit {label} do not sum to zero")
     out = {}
     for label, row in (pm.c_rows if target == "C" else pm.k_rows):
         acc = 0
         for src, coeff in row:
-            acc = coeff * vals[src] + acc
+            acc = coeff * values[src] + acc
         out[label] = canon_scalar(acc)
-    return ParamVector.make(W, target, out)
+    return out
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from chered.multipoly import MPoly, canon_scalar, discriminant
-from chered.reflgrp import (ParamVector, build_group, b_invariant,
-                            character_table, fake_degree, param_convert)
+from chered.reflgrp import (build_group, b_invariant, character_table,
+                            fake_degree, param_convert)
 from chered.cherednik import (PBWElement, euler_element, is_central,
                               multiply, named_center_generators,
                               poisson_bracket, z_degree)
@@ -106,8 +106,7 @@ def test_criterion_05_omega_table():
         Ws = build_group(f"cyclic:{d}")
         eu = euler_element(Ws)
         cvals = {f"C{i}": Fraction(rng.randint(-4, 4)) for i in range(1, d)}
-        kmap = param_convert(Ws, ParamVector.make(Ws, "C", cvals),
-                             "K").as_dict()
+        kmap = param_convert(Ws, cvals, "K")
         for i, chi in enumerate(character_table(Ws)):
             val = omega(eu, chi).substitute(cvals)
             ok = ok and (canon_scalar(val.constant_value())
@@ -126,8 +125,7 @@ _FAMILY_TABLE = {
 
 
 def _families(W, a, b):
-    pv = ParamVector.make(W, "C", {"A": Fraction(a), "B": Fraction(b)})
-    return cm_families(W, pv)
+    return cm_families(W, {"A": Fraction(a), "B": Fraction(b)})
 
 
 def test_criterion_06_family_table():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, parameter parsing."""
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -92,6 +93,35 @@ def test_cells_family_mismatch_exits_1(capsys, monkeypatch):
         assert json.loads(out)["sum_rules"]["all"] is True
 
 
+def _b2_k_input(a, b):
+    return f"Ks0={-a / 2},Ks1={a / 2},Kt0={-b / 2},Kt1={b / 2}"
+
+
+# (group, C-input, the same point as K-input); the cyclic points have C_i
+# depending only on gcd(i, d), so their K-coordinates are rational
+_SAME_POINT = [("b2", f"a={a},b={b}", _b2_k_input(Fraction(a), Fraction(b)))
+               for a, b in ((2, 1), (1, 1), (1, -1), (0, 1), (0, 0))] + [
+    (f"cyclic:{d}", ",".join(f"C{i}=0" for i in range(1, d)),
+     "K=" + ",".join(["0"] * d)) for d in range(2, 7)] + [
+    ("cyclic:2", "C1=1", "K=-1/2,1/2"),
+    ("cyclic:3", "C1=1,C2=1", "K=-1/3,2/3,-1/3"),
+    ("cyclic:4", "C1=1,C2=0,C3=1", "K=0,1/2,0,-1/2"),
+    ("cyclic:4", "C1=1,C2=2,C3=1", "K0=-1/2,K1=1,K2=-1/2,K3=0"),
+    ("cyclic:5", "C1=1,C2=1,C3=1,C4=1", "K=-1/5,4/5,-1/5,-1/5,-1/5"),
+    ("cyclic:6", "C1=1,C2=2,C3=3,C4=2,C5=1", "K=-2/3,3/2,-2/3,0,-1/6,0"),
+]
+
+
+@pytest.mark.parametrize("group,c_input,k_input", _SAME_POINT)
+def test_k_input_equals_c_input(capsys, group, c_input, k_input):
+    # the K-point is converted to C once, when the command line is read, so
+    # both inputs must print the same parameters, families and cells
+    for cmd in ("families", "cells"):
+        by_c = run(capsys, cmd, "--group", group, "--params", c_input, "--json")
+        by_k = run(capsys, cmd, "--group", group, "--params", k_input, "--json")
+        assert by_c[0] == 0 and by_c == by_k, (cmd, group)
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "families", "--group", "b2",
                        "--params", "q=3")
@@ -124,6 +154,8 @@ def test_usage_errors_exit_2(capsys):
     ("families", "--group", "cyclic:3", "--params", "K=1,1,1"),
     ("families", "--group", "cyclic:3", "--params", "C1=1,K1=0"),
     ("cells", "--group", "cyclic:4", "--params", "C1=1,C2=0,C3=0"),
+    ("families", "--group", "b2", "--params", "Ks0=-1,Ks1=1,Kt0=1,Kt1=1"),
+    ("families", "--group", "cyclic:3", "--params", "K0=5,K1=0,K2=0"),
     ("galois", "foo"),
     ("geometry", "rank1", "--d", "2", "--point", "1,2"),
     ("poisson", "--group", "b2", "--lhs", "eu", "--rhs", "foo"),
@@ -132,7 +164,8 @@ def test_usage_errors_exit_2(capsys):
         "geometry-bad-degree", "repeated-param", "repeated-param-alias",
         "repeated-c-param", "repeated-k-param", "malformed-param",
         "short-k-vector", "no-params", "k-sum-nonzero", "mixed-c-k",
-        "cells-irrational-k", "galois-unknown", "geometry-short-point",
+        "cells-irrational-k", "b2-k-sum-nonzero", "k0-off-constraint",
+        "galois-unknown", "geometry-short-point",
         "poisson-unknown-rhs"])
 def test_usage_error_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)

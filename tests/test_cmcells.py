@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chered.reflgrp import ParamVector, build_group, character_table
+from chered.reflgrp import build_group, character_table, param_convert
 from chered.cmcells import (b2_cells, cm_families, minimal_b_character,
                             partition_to_json, rank1_cells, sum_rule_check,
                             tensor_with_linear, twist_family_partition)
@@ -14,8 +14,7 @@ W2 = build_group("b2")
 
 
 def _families_b2(a, b):
-    pv = ParamVector.make(W2, "C", {"A": Fraction(a), "B": Fraction(b)})
-    return cm_families(W2, pv)
+    return cm_families(W2, {"A": Fraction(a), "B": Fraction(b)})
 
 
 def _blocks(fp):
@@ -43,12 +42,11 @@ def test_family_signatures_constant_on_blocks():
 
 def test_families_cyclic_distinct_k():
     W = build_group("cyclic:3")
-    pv = ParamVector.make(W, "K", {"K0": Fraction(0), "K1": Fraction(1),
-                                   "K2": Fraction(-1)})
-    fp = cm_families(W, pv)
+    k = {"K0": Fraction(0), "K1": Fraction(1), "K2": Fraction(-1)}
+    fp = cm_families(W, param_convert(W, k, "C"))
     assert len(fp.blocks) == 3
-    pv0 = ParamVector.make(W, "K", {f"K{j}": Fraction(0) for j in range(3)})
-    assert len(cm_families(W, pv0).blocks) == 1
+    k0 = {f"K{j}": Fraction(0) for j in range(3)}
+    assert len(cm_families(W, param_convert(W, k0, "C")).blocks) == 1
 
 
 def test_rank1_cells_examples():
@@ -77,8 +75,8 @@ def test_rank1_cells_fiber_structure_random(d):
             assert len(vals) == 1
         assert sum(len(c) for c in cp.two_sided) == d
         # families attached to cells match the Omega-based partition
-        pv = ParamVector.make(W, "K", {f"K{j}": ks[j] for j in range(d)})
-        fp = cm_families(W, pv)
+        k = {f"K{j}": ks[j] for j in range(d)}
+        fp = cm_families(W, param_convert(W, k, "C"))
         assert (sorted(tuple(sorted(f)) for f in cp.families)
                 == _blocks(fp))
         assert sum_rule_check(W, cp)["all"]
@@ -190,14 +188,13 @@ def test_minimal_b_character_unique_per_family():
     for d in (3, 4, 5):
         W = build_group(f"cyclic:{d}")
         ks = [Fraction(0)] * d
-        pv = ParamVector.make(W, "K", {f"K{j}": ks[j] for j in range(d)})
-        fp = cm_families(W, pv)
+        k = {f"K{j}": ks[j] for j in range(d)}
+        fp = cm_families(W, param_convert(W, k, "C"))
         assert {minimal_b_character(W, blk) for blk in fp.blocks} == {"eps^0"}
 
 
 def test_json_schema():
-    pv = ParamVector.make(W2, "C", {"A": Fraction(1), "B": Fraction(1)})
-    fp = cm_families(W2, pv)
+    fp = cm_families(W2, {"A": Fraction(1), "B": Fraction(1)})
     cp = b2_cells(1, 1)
     data = partition_to_json(fp, cp)
     assert set(data) == {"parameters", "families", "cells",

@@ -7,6 +7,7 @@ import pytest
 
 from chered.galois import (b2_galois_certificate, rank1_ramification_test,
                            rank1_singular_test)
+from chered.multipoly import poly_sqrt
 
 
 def test_b2_certificate_passes():
@@ -22,6 +23,18 @@ def test_b2_certificate_passes():
     assert s3["direct_equals_target"] is True
     assert s3["factorized_equals_target"] is True
     assert s3["is_square"] is False
+
+
+def test_b2_certificate_evaluates_each_check_once(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return poly_sqrt(p)
+
+    monkeypatch.setattr("chered.galois.poly_sqrt", counted)
+    assert b2_galois_certificate()["pass"] is True
+    assert len(calls) == 1
 
 
 def test_singular_examples():

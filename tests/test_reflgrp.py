@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from chered.exactnum import primitive_root
 from chered.multipoly import MPoly, canon_scalar
-from chered.reflgrp import (ParamVector, build_group, b_invariant,
+from chered.reflgrp import (build_group, b_invariant,
                             character_table, fake_degree, inner_product,
                             param_convert, param_map, value_on_element)
 from oracles import rank1_c_to_k, rank1_k_variables
@@ -106,30 +106,44 @@ def test_param_convert_roundtrip_cyclic():
         for _ in range(3):
             ks = [Fraction(rng.randint(-9, 9)) for _ in range(d - 1)]
             ks.append(-sum(ks))
-            pv = ParamVector.make(W, "K",
-                                  {f"K{j}": ks[j] for j in range(d)})
-            back = param_convert(W, param_convert(W, pv, "C"), "K")
-            assert dict(back.entries) == dict(pv.entries)
+            k = {f"K{j}": ks[j] for j in range(d)}
+            back = param_convert(W, param_convert(W, k, "C"), "K")
+            assert back == k
 
 
 def test_param_convert_b2():
     W = build_group("b2")
-    pv = ParamVector.make(W, "C", {"A": Fraction(1), "B": Fraction(2)})
-    kv = param_convert(W, pv, "K")
-    vals = dict(kv.entries)
+    kv = param_convert(W, {"A": Fraction(1), "B": Fraction(2)}, "K")
     # per-orbit Fourier transform with zeta_2 = -1:
     # K_{orbit,0} = -C/2, K_{orbit,1} = C/2
-    assert vals == {"Ks0": Fraction(-1, 2), "Ks1": Fraction(1, 2),
+    assert kv == {"Ks0": Fraction(-1, 2), "Ks1": Fraction(1, 2),
                     "Kt0": Fraction(-1), "Kt1": Fraction(1)}
-    back = param_convert(W, kv, "C")
-    assert dict(back.entries) == {"A": 1, "B": 2}
+    assert param_convert(W, kv, "C") == {"A": 1, "B": 2}
 
 
 def test_k_constraint_enforced():
     W = build_group("cyclic:3")
     with pytest.raises(ValueError):
-        ParamVector.make(W, "K", {"K0": Fraction(1), "K1": Fraction(0),
-                                  "K2": Fraction(0)})
+        param_convert(W, {"K0": Fraction(1), "K1": Fraction(0),
+                          "K2": Fraction(0)}, "C")
+
+
+def test_param_convert_names_missing_label():
+    with pytest.raises(ValueError, match=r"missing parameter entries \['B'\]"):
+        param_convert(build_group("b2"), {"A": 1}, "K")
+    with pytest.raises(ValueError, match=r"missing parameter entries \['K2'\]"):
+        param_convert(build_group("cyclic:3"), {"K0": 0, "K1": 0}, "C")
+
+
+@pytest.mark.parametrize("orbit", ["s", "t"])
+def test_param_convert_names_off_constraint_orbit(orbit):
+    # the C-rows never read K_{orbit,0}, so only the sum check can see it
+    W = build_group("b2")
+    k = {"Ks0": -1, "Ks1": 1, "Kt0": -2, "Kt1": 2}
+    k[f"K{orbit}0"] = 5
+    with pytest.raises(ValueError,
+                       match=f"K-coordinates of orbit {orbit} do not sum"):
+        param_convert(W, k, "C")
 
 
 def test_act_monomial_duality():
@@ -171,19 +185,17 @@ _SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "b2")
 def test_param_convert_c_k_c_roundtrip(spec, data):
     W = build_group(spec)
     q = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-    cv = ParamVector.make(W, "C", {lab: data.draw(q, label=lab)
-                                   for lab in W.param_names()})
+    cv = {lab: data.draw(q, label=lab) for lab in W.param_names()}
     kv = param_convert(W, cv, "K")
     assert param_convert(W, kv, "C") == cv
     # the owner's linear forms, evaluated at the K-point, give C back
     pm = param_map(W)
-    kvals = kv.as_dict()
-    for lab, value in cv.entries:
-        got = pm.c_forms[lab].substitute(kvals)
+    for lab, value in cv.items():
+        got = pm.c_forms[lab].substitute(kv)
         assert canon_scalar(got.constant_value()) == value
     for lab, form in pm.k_forms.items():
-        got = form.substitute(kvals)
-        assert canon_scalar(got.constant_value()) == kvals[lab]
+        got = form.substitute(kv)
+        assert canon_scalar(got.constant_value()) == kv[lab]
 
 
 def test_certificate_checks_survive_python_O():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from chered.multipoly import MPoly, canon_scalar
-from chered.reflgrp import (ParamVector, build_group, character_table,
-                            fake_degree, param_convert)
+from chered.reflgrp import (build_group, character_table, fake_degree,
+                            param_convert)
 from chered.cherednik import (PBWElement, euler_element, multiply,
                               named_center_generators)
 from chered.verma import (build_baby_verma, coinvariant_basis, omega,
@@ -102,8 +102,7 @@ def test_omega_euler_cyclic_is_d_K_minus_i(d):
     W = build_group(f"cyclic:{d}")
     eu = euler_element(W)
     cvals = {f"C{i}": Fraction(rng.randint(-5, 5)) for i in range(1, d)}
-    pv = ParamVector.make(W, "C", cvals)
-    kmap = param_convert(W, pv, "K").as_dict()
+    kmap = param_convert(W, cvals, "K")
     for i, chi in enumerate(character_table(W)):
         val = omega(eu, chi).substitute(cvals)
         expected = canon_scalar(d * kmap[f"K{(-i) % d}"])
