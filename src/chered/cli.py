@@ -25,8 +25,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .reflgrp import (build_group, character_table, fake_degree, b_invariant,
-                      param_convert)
+from .reflgrp import (build_group, character_table, check_param_labels,
+                      fake_degree, b_invariant, param_convert)
 from .cherednik import named_center_generators, poisson_bracket, z_degree
 from .verma import omega_table
 from .cmcells import (b2_cells, cm_families, partition_to_json, rank1_cells,
@@ -122,14 +122,12 @@ def _parse_params(W, text: str) -> dict:
         i += 1
     if basis is None:
         raise SystemExit_usage("no parameters given")
-    if basis == "K":
-        try:
+    try:
+        if basis == "K":
             return param_convert(W, values, "C")
-        except ValueError as exc:
-            raise SystemExit_usage(str(exc))
-    missing = [l for l in W.param_names() if l not in values]
-    if missing:
-        raise SystemExit_usage(f"missing parameter entries {missing}")
+        check_param_labels(W, values, "C")
+    except ValueError as exc:
+        raise SystemExit_usage(str(exc))
     return values
 
 

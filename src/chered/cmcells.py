@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exactnum import canon_scalar
 from .reflgrp import (ReflectionGroup, build_group, character_table,
-                      fake_degree, b_invariant)
+                      check_param_labels, fake_degree, b_invariant)
 from .verma import omega_table
 
 __all__ = [
@@ -77,12 +77,13 @@ class CellPartition:
 def cm_families(W: ReflectionGroup, cvals: dict) -> FamilyPartition:
     """Partition Irr(W) by equality of the central characters Omega_chi on
     the named generators of the center, evaluated at the parameter point
-    cvals = {C-label: value}.
+    cvals = {C-label: value}, which has every C-label of W and no other key.
 
     >>> fp = cm_families(build_group("b2"), {"A": 1, "B": 1})
     >>> sorted(sorted(b) for b in fp.blocks)
     [['1'], ['chi', 'eps_s', 'eps_t'], ['eps']]
     """
+    check_param_labels(W, cvals, "C")
     table = omega_table(W)
     gen_names = sorted(table[next(iter(table))])
     blocks: list[list[str]] = []

@@ -245,22 +245,10 @@ class MPoly:
         return [self.coefficient(name, k) for k in range(d + 1)]
 
     def substitute(self, assignments: dict) -> "MPoly":
-        """Substitute polynomials or scalars for variables.  A scalar for
-        every variable evaluates at that point, term by term in the scalars,
-        and gives a constant polynomial."""
+        """Substitute polynomials or scalars for variables."""
         relevant = {k: v for k, v in assignments.items() if k in self.vars}
         if not relevant:
             return self
-        if len(relevant) == len(self.vars) and all(
-                isinstance(v, (int, Fraction, Cyclotomic))
-                for v in relevant.values()):
-            acc = 0
-            for exp, c in self.terms.items():
-                for name, k in zip(self.vars, exp):
-                    if k:
-                        c = c * relevant[name] ** k
-                acc = acc + c
-            return MPoly.const(acc)
         result = MPoly.zero()
         cache: dict = {}
 

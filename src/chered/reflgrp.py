@@ -2,7 +2,8 @@
 conjugacy classes, irreducible characters, invariant degrees, fake degrees,
 and the two coordinate systems (C and K) on the parameter space.  A point of
 the parameter space is a plain dict {label: value}; the C-labels are the
-reflection classes, and `param_convert` is the one change of coordinates.
+reflection classes.  `check_param_labels` is the one check of its labels and
+`param_convert` the one change of coordinates.
 
 Supported groups: the cyclic group of order d acting on a line ("cyclic:d")
 and the Weyl group of type B2 ("b2").
@@ -29,6 +30,7 @@ __all__ = [
     "build_group",
     "character_table",
     "param_map",
+    "check_param_labels",
     "param_convert",
     "fake_degree",
     "b_invariant",
@@ -503,6 +505,24 @@ def param_map(W: ReflectionGroup) -> ParamMap:
                     c_rows, tuple(k_rows))
 
 
+def check_param_labels(W: ReflectionGroup, values: dict, basis: str) -> None:
+    """Raise ValueError unless the keys of `values` are exactly the labels of
+    the `basis` ("C" or "K") of W; missing labels are named first.
+
+    >>> check_param_labels(build_group("b2"), {"A": 1, "C": 5}, "C")
+    Traceback (most recent call last):
+    ...
+    ValueError: missing parameter entries ['B']
+    """
+    labels = W.param_names() if basis == "C" else W.k_param_names()
+    missing = [l for l in labels if l not in values]
+    if missing:
+        raise ValueError(f"missing parameter entries {missing}")
+    unknown = [l for l in values if l not in labels]
+    if unknown:
+        raise ValueError(f"unknown parameter entries {unknown}")
+
+
 def param_convert(W: ReflectionGroup, values: dict, target: str) -> dict:
     """Exact change of coordinates of a parameter point, a dict of values
     keyed by the labels of the other basis, into the `target` basis ("C" or
@@ -522,10 +542,7 @@ def param_convert(W: ReflectionGroup, values: dict, target: str) -> dict:
     """
     if target not in ("C", "K"):
         raise ValueError("target basis must be 'C' or 'K'")
-    labels = W.k_param_names() if target == "C" else W.param_names()
-    missing = [l for l in labels if l not in values]
-    if missing:
-        raise ValueError(f"missing parameter entries {missing}")
+    check_param_labels(W, values, "K" if target == "C" else "C")
     pm = param_map(W)
     if target == "C":
         for label, e in W.hyperplane_orbits:

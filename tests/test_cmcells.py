@@ -34,6 +34,16 @@ def test_family_table_all_six_rows():
         assert _blocks(_families_b2(a, b)) == sorted(rows), (a, b)
 
 
+@pytest.mark.parametrize("point, message", [
+    ({"Ks0": -1, "Ks1": 1, "Kt0": -1, "Kt1": 1}, r"missing .*\['A', 'B'\]"),
+    ({"A": 1}, r"missing parameter entries \['B'\]"),
+    ({"A": 1, "B": 1, "C": 5}, r"unknown parameter entries \['C'\]"),
+], ids=["k-point", "missing-label", "extra-label"])
+def test_cm_families_checks_labels(point, message):
+    with pytest.raises(ValueError, match=message):
+        cm_families(W2, point)
+
+
 def test_family_signatures_constant_on_blocks():
     fp = _families_b2(3, 1)
     assert len(fp.blocks) == len(fp.signatures)

@@ -35,23 +35,6 @@ def test_substitute():
     assert p.substitute({"x": y}) == y ** 2 + 3 * y ** 2
 
 
-def test_substitute_at_a_point_matches_polynomial_substitution():
-    # scalars for every variable take the evaluation path; the same values
-    # as constant polynomials take the path through polynomial products
-    import random
-    rng = random.Random(4242)
-    z5 = primitive_root(5)
-    for _ in range(20):
-        p = _random_poly(rng, nvars=3) * (1 + z5)
-        point = {"x": Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                 "y": z5 ** rng.randint(0, 4) - rng.randint(0, 2),
-                 "z": rng.randint(-3, 3)}
-        got = p.substitute(point)
-        want = p.substitute({k: MPoly.const(v) for k, v in point.items()})
-        assert got == want and got.vars == ()
-        assert got.constant_value() == want.constant_value()
-
-
 def test_parse_poly_roundtrip():
     p = parse_poly("x^2 - 3/2*x*y + 7")
     assert p == x ** 2 - Fraction(3, 2) * x * y + 7

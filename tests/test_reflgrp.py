@@ -133,6 +133,8 @@ def test_param_convert_names_missing_label():
         param_convert(build_group("b2"), {"A": 1}, "K")
     with pytest.raises(ValueError, match=r"missing parameter entries \['K2'\]"):
         param_convert(build_group("cyclic:3"), {"K0": 0, "K1": 0}, "C")
+    with pytest.raises(ValueError, match=r"unknown parameter entries \['C'\]"):
+        param_convert(build_group("b2"), {"A": 1, "B": 1, "C": 5}, "K")
 
 
 @pytest.mark.parametrize("orbit", ["s", "t"])
