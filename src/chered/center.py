@@ -67,9 +67,6 @@ def verify_rank1_center(d: int) -> dict:
     return report
 
 
-_B2_RELATIONS = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9")
-
-
 def _b2_relation_residues(W: ReflectionGroup) -> dict:
     g = named_center_generators(W)
     eu, eu1, eu2, dl = g["eu"], g["eu'"], g["eu''"], g["delta"]

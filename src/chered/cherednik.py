@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .exactnum import canon_scalar
+from .exactnum import canon_scalar, format_power, format_sum
 from .multipoly import MPoly, scalar_div
 from .reflgrp import ReflectionGroup, Character, value_on_element
 
@@ -173,24 +173,12 @@ class PBWElement:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=_word_order):
-            c = self.terms[key]
-            mono = _word_str(self.group, key)
-            cs = str(c)
-            if mono == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            elif len(c.terms) > 1:
-                parts.append(f"({cs})*{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        def pair(key):
+            c, word = self.terms[key], _word_str(self.group, key)
+            if word == "1":
+                return str(c), ""
+            return f"({c})" if len(c.terms) > 1 else str(c), word
+        return format_sum(map(pair, sorted(self.terms, key=_word_order)))
 
     def __repr__(self):
         return f"PBWElement({self})"
@@ -204,15 +192,10 @@ def _word_order(key):
 def _word_str(W, key) -> str:
     """A normal word (p, g, q) as text, e.g. "y^2*s*x"; the unit is "1"."""
     p, g, q = key
-    factors = []
-    for name, e in zip(W.v_names, p):
-        if e:
-            factors.append(name if e == 1 else f"{name}^{e}")
+    factors = [format_power(name, e) for name, e in zip(W.v_names, p) if e]
     if g != W.identity:
         factors.append(W.names[g])
-    for name, e in zip(W.dual_names, q):
-        if e:
-            factors.append(name if e == 1 else f"{name}^{e}")
+    factors += [format_power(name, e) for name, e in zip(W.dual_names, q) if e]
     return "*".join(factors) if factors else "1"
 
 
@@ -463,11 +446,11 @@ def bidegree(elem: PBWElement):
     return None if found else (0, 0)
 
 
-def residue_summary(elem: PBWElement, words: int = 3) -> dict:
+def residue_summary(elem: PBWElement) -> dict:
     """A compact report of an element, for failed identities: its number of
-    terms, its leading normal words (highest total degree first) and the
-    bidegrees that occur."""
-    leading = sorted(elem.terms, key=_word_order, reverse=True)[:words]
+    terms, its three leading normal words (highest total degree first) and
+    the bidegrees that occur."""
+    leading = sorted(elem.terms, key=_word_order, reverse=True)[:3]
     return {"terms": len(elem.terms),
             "leading_words": [_word_str(elem.group, key) for key in leading],
             "bidegrees": sorted(_bidegrees(elem))}

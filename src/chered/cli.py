@@ -15,7 +15,12 @@ Subcommands cover the verification and computation entry points:
   chered geometry rank1 --d <d> --point k1,...,kd,x,y,e
   chered poisson --group b2 --lhs <name> --rhs <name>
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage error.
+Each ``cmd_*`` handler computes and prints nothing: it returns its result
+and whether every requested check passed, as ``(data, ok)``, or raises
+``UsageError``.  ``main`` alone prints, as text or with ``--json``, and owns
+the exit codes: 0 all requested checks pass, 1 a check failed or the library
+raised ValueError or ArithmeticError (its message on stderr, nothing on
+stdout), 2 usage error.
 """
 from __future__ import annotations
 
@@ -41,6 +46,10 @@ from .galois import (b2_galois_certificate, rank1_ramification_test,
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+class UsageError(Exception):
+    """A command line that names no valid request; `main` exits 2."""
 
 
 def _emit(data, as_json: bool):
@@ -90,13 +99,13 @@ def _parse_params(W, text: str) -> dict:
 
     def put(name, val):
         if name in values:
-            raise SystemExit_usage(f"parameter {name!r} is given more than once")
+            raise UsageError(f"parameter {name!r} is given more than once")
         values[name] = _rational(val)
 
     i = 0
     while i < len(entries):
         if "=" not in entries[i]:
-            raise SystemExit_usage(f"malformed parameter entry {entries[i]!r}")
+            raise UsageError(f"malformed parameter entry {entries[i]!r}")
         key, val = entries[i].split("=", 1)
         key = key.strip()
         if key == "K":
@@ -104,7 +113,7 @@ def _parse_params(W, text: str) -> dict:
             vals = [val] + entries[i + 1:]
             labels = W.k_param_names()
             if len(vals) != len(labels):
-                raise SystemExit_usage(
+                raise UsageError(
                     f"expected {len(labels)} K-values, got {len(vals)}")
             for lab, v in zip(labels, vals):
                 put(lab, v)
@@ -118,16 +127,16 @@ def _parse_params(W, text: str) -> dict:
             put(alias, val)
             basis = _merge_basis(basis, "K")
         else:
-            raise SystemExit_usage(f"unknown parameter {key!r} for {W.spec}")
+            raise UsageError(f"unknown parameter {key!r} for {W.spec}")
         i += 1
     if basis is None:
-        raise SystemExit_usage("no parameters given")
+        raise UsageError("no parameters given")
     try:
         if basis == "K":
             return param_convert(W, values, "C")
         check_param_labels(W, values, "C")
     except ValueError as exc:
-        raise SystemExit_usage(str(exc))
+        raise UsageError(str(exc))
     return values
 
 
@@ -135,26 +144,20 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit_usage(f"not a rational number: {text!r}")
+        raise UsageError(f"not a rational number: {text!r}")
 
 
 def _group(spec: str):
     try:
         return build_group(spec)
     except ValueError as exc:
-        raise SystemExit_usage(str(exc))
+        raise UsageError(str(exc))
 
 
 def _merge_basis(basis, new):
     if basis is not None and basis != new:
-        raise SystemExit_usage("cannot mix C- and K-coordinates")
+        raise UsageError("cannot mix C- and K-coordinates")
     return new
-
-
-class SystemExit_usage(SystemExit):
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(EXIT_USAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +165,7 @@ class SystemExit_usage(SystemExit):
 # ---------------------------------------------------------------------------
 
 
-def cmd_group_info(args) -> int:
+def cmd_group_info(args) -> tuple:
     W = _group(args.spec)
     data = {
         "spec": W.spec,
@@ -179,11 +182,10 @@ def cmd_group_info(args) -> int:
         "characters": [{"name": chi.name, "degree": chi.degree}
                        for chi in character_table(W)],
     }
-    _emit(data, args.json)
-    return EXIT_PASS
+    return data, True
 
 
-def cmd_verify_center(args) -> int:
+def cmd_verify_center(args) -> tuple:
     W = _group(args.group)
     if W.spec == "b2":
         reports = [r for r in verify_b2_center()
@@ -192,36 +194,31 @@ def cmd_verify_center(args) -> int:
         try:
             reports = [verify_rank1_center(W.order())]
         except ValueError as exc:   # the order is outside the supported range
-            raise SystemExit_usage(str(exc))
-    _emit(reports, args.json)
-    return EXIT_PASS if all(r["status"] for r in reports) else EXIT_FAIL
+            raise UsageError(str(exc))
+    return reports, all(r["status"] for r in reports)
 
 
-def cmd_verify_relations(args) -> int:
+def cmd_verify_relations(args) -> tuple:
     if args.group != "b2":
-        raise SystemExit_usage("relations are only defined for --group b2")
+        raise UsageError("relations are only defined for --group b2")
     reports = [r for r in verify_b2_center()
                if not r["relation"].startswith("central")]
-    _emit(reports, args.json)
-    return EXIT_PASS if all(r["status"] for r in reports) else EXIT_FAIL
+    return reports, all(r["status"] for r in reports)
 
 
-def cmd_verify_minpoly(args) -> int:
+def cmd_verify_minpoly(args) -> tuple:
     W = _group(args.group)
     poly = minpoly_euler(W)
     congruent = euler_charpoly_congruence(W)
     data = {"minimal_polynomial": str(poly),
             "block_congruence": congruent}
-    _emit(data, args.json)
-    return EXIT_PASS if congruent else EXIT_FAIL
+    return data, congruent
 
 
-def cmd_families(args) -> int:
+def cmd_families(args) -> tuple:
     W = _group(args.group)
     fp = cm_families(W, _parse_params(W, args.params))
-    data = partition_to_json(fp, None)
-    _emit(data, args.json)
-    return EXIT_PASS
+    return partition_to_json(fp, None), True
 
 
 def _cells_for(W, cvals):
@@ -229,13 +226,13 @@ def _cells_for(W, cvals):
         return b2_cells(cvals["A"], cvals["B"])
     kvals = list(param_convert(W, cvals, "K").values())
     if not all(isinstance(v, (int, Fraction)) for v in kvals):
-        raise SystemExit_usage(
+        raise UsageError(
             "cyclic cells need rational K-coordinates; the given point"
             " converts to irrational values")
     return rank1_cells(W.order(), kvals)
 
 
-def cmd_cells(args) -> int:
+def cmd_cells(args) -> tuple:
     W = _group(args.group)
     cvals = _parse_params(W, args.params)
     cells = _cells_for(W, cvals)
@@ -243,15 +240,12 @@ def cmd_cells(args) -> int:
     data = partition_to_json(fp, cells)
     report = sum_rule_check(W, cells)
     data["sum_rules"] = report
-    _emit(data, args.json)
-    if not cells.supported:
-        return EXIT_PASS
     same_families = (sorted(sorted(b) for b in fp.blocks)
                      == sorted(sorted(f) for f in cells.families))
-    return EXIT_PASS if report["all"] and same_families else EXIT_FAIL
+    return data, not cells.supported or (report["all"] and same_families)
 
 
-def cmd_fake_degrees(args) -> int:
+def cmd_fake_degrees(args) -> tuple:
     W = _group(args.group)
     ok = True
     rows = []
@@ -262,19 +256,18 @@ def cmd_fake_degrees(args) -> int:
         rows.append({"character": chi.name, "fake_degree": str(f),
                      "b_invariant": b_invariant(W, chi),
                      "value_at_1": int(at_one)})
-    _emit(rows, args.json)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return rows, ok
 
 
-def cmd_hilbert(args) -> int:
+def cmd_hilbert(args) -> tuple:
     W = _group(args.group)
     order = args.order
     if order < 1:
-        raise SystemExit_usage(f"--order must be >= 1, got {order}")
+        raise UsageError(f"--order must be >= 1, got {order}")
     molien = molien_bigraded(W, order)
     data = {"order": order,
             "invariants_bigraded": series_table(molien)}
-    status = EXIT_PASS
+    ok = True
     if args.check:
         fantome = fantome_bigraded(W, order)
         hc = hilbert_center(W, order)
@@ -282,35 +275,31 @@ def cmd_hilbert(args) -> int:
         data["center_matches_basis"] = hc["match"]
         data["center_basis_bidegrees"] = [list(b)
                                           for b in hc["basis_bidegrees"]]
-        if not (data["molien_equals_fake_degree_series"] and hc["match"]):
-            status = EXIT_FAIL
-    _emit(data, args.json)
-    return status
+        ok = data["molien_equals_fake_degree_series"] and hc["match"]
+    return data, ok
 
 
-def cmd_omega_table(args) -> int:
+def cmd_omega_table(args) -> tuple:
     W = _group(args.group)
     table = omega_table(W)
     data = {chi: {gen: str(v) for gen, v in row.items()}
             for chi, row in table.items()}
-    _emit(data, args.json)
-    return EXIT_PASS
+    return data, True
 
 
-def cmd_galois(args) -> int:
+def cmd_galois(args) -> tuple:
     if args.what != "b2-certificate":
-        raise SystemExit_usage("supported: galois b2-certificate")
+        raise UsageError("supported: galois b2-certificate")
     report = b2_galois_certificate()
-    _emit(report, args.json)
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return report, report["pass"]
 
 
-def cmd_geometry_rank1(args) -> int:
+def cmd_geometry_rank1(args) -> tuple:
     if args.d < 2:
-        raise SystemExit_usage(f"--d must be >= 2, got {args.d}")
+        raise UsageError(f"--d must be >= 2, got {args.d}")
     parts = [p.strip() for p in args.point.split(",") if p.strip()]
     if len(parts) != args.d + 3:
-        raise SystemExit_usage(
+        raise UsageError(
             f"--point needs {args.d} K-values followed by x,y,e")
     ks = [_rational(p) for p in parts[:args.d]]
     x, y, e = (_rational(p) for p in parts[args.d:])
@@ -318,18 +307,16 @@ def cmd_geometry_rank1(args) -> int:
         singular = rank1_singular_test(args.d, ks, x, y, e)
         ramified = rank1_ramification_test(args.d, ks, x, y, e)
     except ValueError as exc:
-        raise SystemExit_usage(str(exc))
-    data = {"singular": singular, "ramified": ramified}
-    _emit(data, args.json)
-    return EXIT_PASS
+        raise UsageError(str(exc))
+    return {"singular": singular, "ramified": ramified}, True
 
 
-def cmd_poisson(args) -> int:
+def cmd_poisson(args) -> tuple:
     W = _group(args.group)
     gens = named_center_generators(W)
     for side, name in (("--lhs", args.lhs), ("--rhs", args.rhs)):
         if name not in gens:
-            raise SystemExit_usage(
+            raise UsageError(
                 f"{side} must be one of {sorted(gens)}")
     bracket = poisson_bracket(gens[args.lhs], gens[args.rhs])
     data = {"lhs": args.lhs, "rhs": args.rhs, "bracket": str(bracket)}
@@ -338,8 +325,7 @@ def cmd_poisson(args) -> int:
         data["rhs_z_degree"] = expected
         data["euler_eigenvector"] = (
             bracket == gens[args.rhs].scale(expected))
-    _emit(data, args.json)
-    return EXIT_PASS if data.get("euler_eigenvector", True) else EXIT_FAIL
+    return data, data.get("euler_eigenvector", True)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line: print its result to stdout, or its error to
+    stderr, and return its exit code.  argparse exits 2 by itself on a
+    command line it cannot parse."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+        data, ok = args.func(args)
+    except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_FAIL
+    _emit(data, args.json)
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 if __name__ == "__main__":

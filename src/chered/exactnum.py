@@ -36,6 +36,11 @@ were computed.
 elimination of the package; the coinvariant normal forms and the
 reflection test use it as well.
 
+``format_sum`` and ``format_power`` own the text of a sum of terms, such as
+"2*x - y^3": the sign, unit and join rules that ``Cyclotomic``, ``MPoly``
+and ``PBWElement`` print with.  This is the lowest module, so it is the one
+owner every printer can import.
+
 >>> z4 = primitive_root(4)
 >>> z4 * z4
 -1
@@ -51,7 +56,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Cyclotomic", "primitive_root", "canon_scalar", "scalar_div", "row_reduce"]
+__all__ = ["Cyclotomic", "primitive_root", "canon_scalar", "scalar_div",
+           "row_reduce", "format_power", "format_sum"]
 
 
 def canon_scalar(c):
@@ -74,6 +80,39 @@ def scalar_div(a, b):
     if isinstance(a, int):
         a = Fraction(a)
     return canon_scalar(a / b)
+
+
+def format_power(name: str, e: int) -> str:
+    """The text of name**e for e >= 1.
+
+    >>> format_power("x", 1), format_power("x", 3)
+    ('x', 'x^3')
+    """
+    return name if e == 1 else f"{name}^{e}"
+
+
+def format_sum(pairs) -> str:
+    """The text of a sum from its (coefficient text, monomial text) pairs.
+    An empty monomial is the unit, so its coefficient prints alone; a
+    coefficient "1" prints the monomial alone and "-1" prints "-mono".
+    Negative parts are subtracted, and the empty sum is "0".
+
+    >>> format_sum([("2", "x"), ("-1", "y^2"), ("1", "z"), ("-3", "")])
+    '2*x - y^2 + z - 3'
+    >>> format_sum([])
+    '0'
+    """
+    parts = []
+    for coeff, mono in pairs:
+        if not mono:
+            parts.append(coeff)
+        elif coeff == "1":
+            parts.append(mono)
+        elif coeff == "-1":
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{coeff}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def row_reduce(rows: list[list]) -> list[int]:
@@ -310,22 +349,10 @@ class Cyclotomic:
         return _make(self.order, _galois(self.order, self.num, -1), self.den)
 
     def __str__(self):
-        parts = []
-        for k, n in enumerate(self.num):
-            if n == 0:
-                continue
-            c = Fraction(n, self.den)
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = f"z{self.order}" if k == 1 else f"z{self.order}^{k}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        z = f"z{self.order}"
+        return format_sum((str(Fraction(n, self.den)),
+                           format_power(z, k) if k else "")
+                          for k, n in enumerate(self.num) if n)
 
 
 def _make(e: int, num: list[int], den: int) -> Cyclotomic:

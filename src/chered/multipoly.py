@@ -28,7 +28,8 @@ import struct
 from fractions import Fraction
 from operator import add
 
-from .exactnum import Cyclotomic, canon_scalar, scalar_div
+from .exactnum import (Cyclotomic, canon_scalar, format_power, format_sum,
+                       scalar_div)
 
 __all__ = [
     "MPoly",
@@ -327,33 +328,11 @@ class MPoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(self.vars, exp):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            mono = "*".join(factors)
-            if isinstance(c, Cyclotomic):
-                cs = f"({c})"
-            else:
-                cs = str(c)
-            if mono:
-                if cs == "1":
-                    term = mono
-                elif cs == "-1":
-                    term = f"-{mono}"
-                else:
-                    term = f"{cs}*{mono}"
-            else:
-                term = cs
-            parts.append(term)
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return format_sum(
+            (f"({c})" if isinstance(c, Cyclotomic) else str(c),
+             "*".join(format_power(name, k)
+                      for name, k in zip(self.vars, exp) if k))
+            for exp, c in self.sorted_terms())
 
     def __repr__(self):
         return f"MPoly({self})"

@@ -72,10 +72,10 @@ def _reynolds_invariants(W: ReflectionGroup) -> list[dict]:
     return invariants
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoinvariantBasis:
     group: ReflectionGroup
-    monomials: tuple           # basis monomials of the coinvariant algebra
+    monomials: tuple           # basis monomials, by degree, then ascending
     _invariants: list
     _reduction: dict           # monomial -> {basis monomial: scalar}
 
@@ -86,10 +86,8 @@ class CoinvariantBasis:
         return out
 
     def reduce(self, mono: tuple) -> dict:
-        """Normal form of a monomial modulo the positive-degree invariants."""
-        if mono in self._reduction:
-            return self._reduction[mono]
-        _extend_reduction(self, sum(mono))
+        """Normal form of a monomial of degree at most top + 1 modulo the
+        positive-degree invariants."""
         return self._reduction[mono]
 
 
@@ -97,10 +95,38 @@ class CoinvariantBasis:
 def coinvariant_basis(W: ReflectionGroup) -> CoinvariantBasis:
     """Greedy monomial basis of the V*-side coinvariant algebra, selected by
     exact linear algebra degree by degree and validated against the graded
-    dimension prod(1 + t + ... + t^(d_i - 1))."""
-    cb = CoinvariantBasis(W, (), _reynolds_invariants(W), {})
+    dimension prod(1 + t + ... + t^(d_i - 1)), with the normal form of every
+    monomial of degree at most top + 1: top is the degree of the top
+    coinvariant, so a V*-coordinate takes a basis monomial no higher."""
+    invariants = _reynolds_invariants(W)
     top = sum(d - 1 for d in W.degrees)
-    _extend_reduction(cb, top)
+    basis: list = []
+    reduction: dict = {}
+    for k in range(top + 2):
+        monos = sorted(_monomials(W.dim, k), reverse=True)
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for inv, d in zip(invariants, W.degrees):
+            if k < d:
+                continue
+            for m in _monomials(W.dim, k - d):
+                row = [0] * len(monos)
+                for imono, c in inv.items():
+                    prod = tuple(a + b for a, b in zip(m, imono))
+                    row[index[prod]] = c
+                rows.append(row)
+        # in reduced row echelon form each pivot row is its monomial minus
+        # that monomial's normal form over the free (basis) monomials
+        pivots = row_reduce(rows)
+        free_cols = [c for c in range(len(monos)) if c not in pivots]
+        # monos descends, so this lists the degree's basis ascending
+        basis += [monos[c] for c in reversed(free_cols)]
+        for c in free_cols:
+            reduction[monos[c]] = {monos[c]: 1}
+        for row, col in zip(rows, pivots):
+            reduction[monos[col]] = {monos[c]: -row[c] for c in free_cols
+                                     if row[c] != 0}
+    cb = CoinvariantBasis(W, tuple(basis), invariants, reduction)
     # validation of the graded dimension
     expect = [1]
     for d in W.degrees:
@@ -115,37 +141,6 @@ def coinvariant_basis(W: ReflectionGroup) -> CoinvariantBasis:
         raise ArithmeticError(f"coinvariant basis has graded dimension {got},"
                               f" expected {expect} (|W| = {W.order()})")
     return cb
-
-
-def _extend_reduction(cb: CoinvariantBasis, max_degree: int):
-    W = cb.group
-    known = {sum(m) for m in cb._reduction}
-    start = (max(known) + 1) if known else 0
-    basis = list(cb.monomials)
-    for k in range(start, max_degree + 1):
-        monos = sorted(_monomials(W.dim, k), reverse=True)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for inv, d in zip(cb._invariants, W.degrees):
-            if k < d:
-                continue
-            for m in _monomials(W.dim, k - d):
-                row = [0] * len(monos)
-                for imono, c in inv.items():
-                    prod = tuple(a + b for a, b in zip(m, imono))
-                    row[index[prod]] = c
-                rows.append(row)
-        # in reduced row echelon form each pivot row is its monomial minus
-        # that monomial's normal form over the free (basis) monomials
-        pivots = row_reduce(rows)
-        free_cols = [c for c in range(len(monos)) if c not in pivots]
-        for c in free_cols:
-            basis.append(monos[c])
-            cb._reduction[monos[c]] = {monos[c]: 1}
-        for row, col in zip(rows, pivots):
-            cb._reduction[monos[col]] = {monos[c]: -row[c] for c in free_cols
-                                         if row[c] != 0}
-    cb.monomials = tuple(sorted(basis, key=lambda m: (sum(m), m)))
 
 
 # ---------------------------------------------------------------------------

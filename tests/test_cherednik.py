@@ -201,6 +201,17 @@ def test_residue_summary():
     assert len(str(report)) < len(str(residue))
 
 
+def test_printed_form():
+    W = build_group("b2")
+    g = algebra_generators(W)
+    A, B = MPoly.var("A"), MPoly.var("B")
+    one = PBWElement.one(W)
+    elem = g["s"].scale(A + B) + one.scale(A) - g["x"] * g["Y"] + g["y"] ** 2
+    assert str(elem) == "A + (A + B)*s + y^2 - x*Y"
+    assert str(-one - g["s"]) == "-1 - s"
+    assert str(PBWElement.zero(W)) == "0"
+
+
 def test_negative_power_raises():
     W = build_group("cyclic:2")
     x = PBWElement.v_gen(W, 0)

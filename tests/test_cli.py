@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, JSON output, parameter parsing."""
+import argparse
 import dataclasses
 import json
 from fractions import Fraction
@@ -11,6 +12,8 @@ from chered.cli import main
 
 
 def run(capsys, *argv):
+    """Exit code, stdout and stderr of one command line; argparse's own
+    errors raise SystemExit, every other outcome is main's return value."""
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -175,6 +178,41 @@ def test_usage_error_exit_code(capsys, argv):
 def test_rank1_range_error_names_missing_piece(capsys):
     code, _, err = run(capsys, "verify", "center", "--group", "cyclic:8")
     assert code == 2 and "2 <= d <= 7" in err and "ROADMAP item 2" in err
+
+
+def test_handlers_return_data_and_print_nothing(capsys):
+    cases = [
+        (cli.cmd_families, dict(group="b2", params="a=1,b=1")),
+        (cli.cmd_cells, dict(group="cyclic:4", params="K=0,0,0,0")),
+        (cli.cmd_geometry_rank1, dict(d=2, point="0,0,0,0,0")),
+    ]
+    for handler, fields in cases:
+        result = handler(argparse.Namespace(json=False, **fields))
+        assert isinstance(result, tuple) and len(result) == 2
+        data, ok = result
+        assert isinstance(data, dict) and ok is True
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "", handler.__name__
+
+
+def test_library_error_exits_1(capsys, monkeypatch):
+    def failing(W):
+        raise ArithmeticError("central element failed the nilpotency check")
+
+    monkeypatch.setattr("chered.cli.omega_table", failing)
+    code, out, err = run(capsys, "omega-table", "--group", "b2")
+    assert code == 1 and err.startswith("error: ") and out == ""
+
+
+def test_successive_calls_do_not_leak_state(capsys):
+    first = run(capsys, "cells", "--group", "b2", "--params", "a=2,b=1",
+                "--json")
+    other = run(capsys, "families", "--group", "cyclic:3",
+                "--params", "C1=1,C2=1")
+    third = run(capsys, "cells", "--group", "b2", "--params", "a=2,b=1",
+                "--json")
+    assert first[0] == other[0] == 0
+    assert third == first and other[1] != first[1]
 
 
 def test_json_output_deterministic(capsys):

@@ -1,5 +1,5 @@
 """Source hygiene of the runtime package: every imported name is used, and
-every function, class and method it defines is used."""
+every function, class, method and top-level constant it defines is used."""
 import ast
 from pathlib import Path
 
@@ -43,14 +43,9 @@ def unused_definitions(sources: dict[str, str]) -> list[str]:
     A listing in ``__all__`` is not a read, so a name that only ``__all__``
     and the tests reach is flagged too."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    used: set[str] = set()
+    used = read_names(trees.values())
     defined = []
     for mod, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((mod, node.name))
@@ -61,6 +56,38 @@ def unused_definitions(sources: dict[str, str]) -> list[str]:
                                      and item.name.endswith("__"))]
     return sorted(f"{mod}.{name}" for mod, name in defined
                   if name.rsplit(".", 1)[-1] not in used)
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each non-dunder top-level assignment that no module
+    of the package reads (as a name or an attribute)."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = read_names(trees.values())
+    assigned = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            assigned += [(mod, n.id) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)
+                         and not (n.id.startswith("__") and n.id.endswith("__"))]
+    return sorted(f"{mod}.{name}" for mod, name in assigned if name not in used)
+
+
+def read_names(trees) -> set[str]:
+    """Every name the modules read, as a name or as an attribute."""
+    used: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return used
 
 
 def test_scanner_flags_unused_and_honours_all():
@@ -94,6 +121,18 @@ def test_scanner_flags_names_only_all_reaches():
     assert unused_definitions(sources) == ["a.Shown", "a.oracle"]
 
 
+def test_scanner_flags_unread_constants():
+    sources = {"a": ("__all__ = ['LIMIT']\n"
+                     "__version__ = '1'\n"
+                     "LIMIT = 3\n"
+                     "_TABLE: dict = {}\n"
+                     "_DEAD = (1, 2)\n"
+                     "X: int = 4\n"
+                     "def f(): return _TABLE\n"),
+               "b": "import a\nprint(a.LIMIT, a.f())\n"}
+    assert unread_constants(sources) == ["a.X", "a._DEAD"]
+
+
 # Public paper-level functions that only the tests call (the acceptance
 # suite, and test_cherednik for the twist): each states a result of the
 # paper that no CLI command prints.  Any other function of the package that
@@ -114,3 +153,7 @@ def test_no_unused_definitions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_unread_constants():
+    assert unread_constants({p.stem: p.read_text() for p in MODULES}) == []

@@ -22,6 +22,13 @@ def test_basic_arithmetic():
     assert str(x ** 2 - y) == "x^2 - y"
 
 
+def test_printed_form():
+    z3 = primitive_root(3)
+    assert str(MPoly.zero()) == "0"
+    assert str(z3 * x - 1) == "(z3)*x - 1"
+    assert str(-x ** 2 + (1 + z3) * x) == "-x^2 + (1 + z3)*x"
+
+
 def test_divexact():
     p = (x + y) * (x - y)
     assert p.divexact(x + y) == x - y
