@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import add
 
 from .exactnum import canon_scalar, format_power, format_sum
-from .multipoly import MPoly, scalar_div
+from .multipoly import MPoly, _product, scalar_div
 from .reflgrp import ReflectionGroup, Character, value_on_element
 
 __all__ = [
@@ -257,39 +257,6 @@ def _straighten(W: ReflectionGroup, side: str, i: int, mono: tuple,
     return result
 
 
-def _lmul_dual(W, xi: int, elem: PBWElement, with_T: bool) -> PBWElement:
-    """Left multiplication by the xi-th V* coordinate, in the T-deformation
-    when with_T is set."""
-    out: dict = {}
-
-    def add(key, c):
-        prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-
-    for (p, g, q), c in elem.terms.items():
-        # xi * p = p * xi + corrections
-        # main term: p * (xi * g) * q = p * g * (g^{-1}(xi)) * q
-        ginv = W.inverse[g]
-        scalar, image = W.act_monomial(ginv, tuple(1 if i == xi else 0
-                                                   for i in range(W.dim)), dual=True)
-        newq = tuple(a + b for a, b in zip(q, image))
-        add((p, g, newq), c * scalar if scalar != 1 else c)
-        for cc, mono, s in _straighten(W, "dual", xi, p, with_T):
-            add((mono, W.mult_table[s][g], q), cc * c)
-    return elem._like(out)
-
-
-def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
-    out: dict = {}
-    for (p, w, q), c in elem.terms.items():
-        scalar, image = W.act_monomial(g, p, dual=False)
-        key = (image, W.mult_table[g][w], q)
-        cc = c * scalar if scalar != 1 else c
-        prev = out.get(key)
-        out[key] = cc if prev is None else prev + cc
-    return elem._like(out)
-
-
 def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElement:
     """Exact product in PBW normal form: in the t = 0 algebra, or in its
     T-deformation, where [xi, v] gains the term -T<v, xi>, when with_T is set.
@@ -298,18 +265,69 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     that share their V*-part q share xi^q b, and terms that share (g, q)
     share g xi^q b, so each is computed once per call: the V* coordinates
     commute, so xi^q b = xi_i (xi^(q - e_i) b) for the first i with q_i > 0
-    reuses the shorter chain.  Multiplying by x^p only shifts V-exponents."""
+    reuses the shorter chain.  Multiplying by x^p only shifts V-exponents.
+
+    The coefficients live on one sorted variable tuple per call: the
+    variables of every coefficient of a and b, the group's parameters, and
+    T when with_T is set.  Each coefficient of a and b, and each
+    straightening correction (memoised per call), is aligned to it once.
+    The chains, group actions and shifts add coefficient products into flat
+    {normal word: {exponent: scalar}} maps (`multipoly._product`), and one
+    `MPoly` per word is built at the end."""
     a._check_compat(b)
     W = a.group
-    chains = {_zeros(W): b}          # q -> xi^q b
+    names = set(W.param_names())
+    if with_T:
+        names.add("T")
+    for elem in (a, b):
+        for c in elem.terms.values():
+            names.update(c.vars)
+    nv = tuple(sorted(names))
+    one = (0,) * len(nv)             # the exponent of a scalar
+    corrections: dict = {}           # (i, p) -> aligned _straighten terms
+    dual_images: dict = {}           # (g, i) -> g^{-1}(xi_i) as (scalar, q)
+
+    def straighten(i, p):
+        found = corrections.get((i, p))
+        if found is None:
+            found = tuple((c._aligned(nv), m, s)
+                          for c, m, s in _straighten(W, "dual", i, p, with_T))
+            corrections[(i, p)] = found
+        return found
+
+    def lmul_dual(i, elem):
+        """xi_i * elem: xi_i x^p g = x^p g g^{-1}(xi_i) + corrections."""
+        out: dict = {}
+        for (p, g, q), c in elem.items():
+            image = dual_images.get((g, i))
+            if image is None:
+                xi = tuple(1 if k == i else 0 for k in range(W.dim))
+                image = W.act_monomial(W.inverse[g], xi, dual=True)
+                dual_images[(g, i)] = image
+            scalar, qi = image
+            _accumulate(out, (p, g, tuple(map(add, q, qi))),
+                        _product({one: scalar}, c))
+            for cc, mono, s in straighten(i, p):
+                _accumulate(out, (mono, W.mult_table[s][g], q), _product(cc, c))
+        return _trimmed(out)
+
+    def lmul_group(g, elem):
+        """g * elem: g x^p w = g(x^p) gw, which maps distinct words to
+        distinct words."""
+        out: dict = {}
+        for (p, w, q), c in elem.items():
+            scalar, image = W.act_monomial(g, p, dual=False)
+            out[(image, W.mult_table[g][w], q)] = _product({one: scalar}, c)
+        return out
+
+    chains = {_zeros(W): {key: c._aligned(nv) for key, c in b.terms.items()}}
     pieces: dict = {}                # (g, q) -> g xi^q b
 
     def chain(q):
         piece = chains.get(q)
         if piece is None:
             i = next(k for k, e in enumerate(q) if e)
-            piece = _lmul_dual(W, i, chain(q[:i] + (q[i] - 1,) + q[i + 1:]),
-                               with_T)
+            piece = lmul_dual(i, chain(q[:i] + (q[i] - 1,) + q[i + 1:]))
             chains[q] = piece
         return piece
 
@@ -319,13 +337,36 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
         if piece is None:
             piece = chain(q)
             if g != W.identity:
-                piece = _lmul_group(W, g, piece)
+                piece = lmul_group(g, piece)
             pieces[(g, q)] = piece
-        for (pp, w, qq), cc in piece.terms.items():
-            key = (tuple(map(add, p, pp)), w, qq)
-            prev = out.get(key)
-            out[key] = c * cc if prev is None else prev + c * cc
-    return a._like(out)
+        c = c._aligned(nv)
+        for (pp, w, qq), cc in piece.items():
+            _accumulate(out, (tuple(map(add, p, pp)), w, qq), _product(c, cc))
+    return a._like({key: MPoly._of(nv, {e: canon_scalar(v) for e, v in t.items()})
+                    for key, t in _trimmed(out).items()})
+
+
+def _accumulate(out: dict, key, terms: dict) -> None:
+    """out[key] += terms, for flat maps {word: {exponent: scalar}}; out
+    takes over the dict terms."""
+    t = out.get(key)
+    if t is None:
+        out[key] = terms
+        return
+    get = t.get
+    for e, c in terms.items():
+        prev = get(e)
+        t[e] = c if prev is None else prev + c
+
+
+def _trimmed(out: dict) -> dict:
+    """A flat map without its zero coefficients and empty words."""
+    trimmed = {}
+    for key, t in out.items():
+        t = {e: c for e, c in t.items() if c != 0}
+        if t:
+            trimmed[key] = t
+    return trimmed
 
 
 def commutator(a: PBWElement, b: PBWElement) -> PBWElement:

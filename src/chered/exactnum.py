@@ -3,8 +3,9 @@ the package's one exact row reduction.
 
 Each number has one representation.  A rational is an ``int`` when it is an
 integer and a ``fractions.Fraction`` (reduced, positive denominator, > 1)
-otherwise; ``canon_scalar`` turns an integral Fraction into an int and
-``scalar_div`` divides two scalars.  A ``Cyclotomic`` only ever holds an
+otherwise; ``canon_scalar`` turns an integral Fraction into an int,
+``scalar_div`` divides two scalars and ``scalar_pow`` raises one to any
+integer power.  A ``Cyclotomic`` only ever holds an
 irrational number, in the power basis of a fixed primitive e-th root of unity
 ``z_e`` with coordinates reduced modulo the e-th cyclotomic polynomial.  The
 coordinates are integers over one common denominator (``num`` and ``den``,
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = ["Cyclotomic", "primitive_root", "canon_scalar", "scalar_div",
-           "row_reduce", "format_power", "format_sum"]
+           "scalar_pow", "row_reduce", "format_power", "format_sum"]
 
 
 def canon_scalar(c):
@@ -80,6 +81,22 @@ def scalar_div(a, b):
     if isinstance(a, int):
         a = Fraction(a)
     return canon_scalar(a / b)
+
+
+def scalar_pow(c, n: int):
+    """c**n, exact for every scalar c and every integer n: a negative power
+    of an int is a Fraction (or an int), never a float, and a Cyclotomic
+    power is inverted first.  A negative power of 0 raises
+    ZeroDivisionError.
+
+    >>> scalar_pow(primitive_root(2), -1), scalar_pow(2, -2)
+    (-1, Fraction(1, 4))
+    >>> scalar_pow(primitive_root(3), -1) == primitive_root(3) ** 2
+    True
+    """
+    if n < 0:
+        c, n = scalar_div(1, c), -n
+    return canon_scalar(c ** n)
 
 
 def format_power(name: str, e: int) -> str:

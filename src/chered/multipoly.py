@@ -8,12 +8,20 @@ never a Cyclotomic, and results pass through `canon_scalar` so that an
 integral Fraction is stored as an int.
 
 A polynomial stores its terms as {exponent tuple: coefficient}, aligned to
-its `vars`.  A product aligns both operands once and runs one of two
-schoolbook kernels, chosen by the number of term pairs: few pairs add the
-exponent tuples directly, many pairs pack each exponent tuple into one int
-(fields wide enough for the largest exponent of the product, so a monomial
-product is one integer add; Monagan and Pearce, CASC 2007) and unpack the
-result once.  A scalar factor only scales the coefficients.
+its `vars`.  A product aligns both operands once and picks a kernel:
+- a one-term factor shifts the exponents of the other and scales its
+  coefficients, with no accumulation, since distinct terms stay distinct;
+  the constant 1 only copies, and a scalar factor only scales;
+- `p * p` (so `p ** n` too) adds each unordered pair of terms once, the
+  pair (i, j) with i < j as 2*c_i*c_j;
+- otherwise a schoolbook product, chosen by the number of term pairs: few
+  pairs add the exponent tuples directly, many pairs pack each exponent
+  tuple into one int (fields wide enough for the largest exponent of the
+  product, so a monomial product is one integer add; Monagan and Pearce,
+  CASC 2007) and unpack the result once; squares pack the same way.
+A sum stores a coefficient under a new exponent as it is, and adds only
+where both operands have a term.  `_product` is the kernel on aligned term
+maps, which `cherednik.multiply` also sums into its flat coefficient maps.
 
 >>> x, y = MPoly.var("x"), MPoly.var("y")
 >>> print((x + y) ** 2)
@@ -72,6 +80,16 @@ class MPoly:
     def zero() -> "MPoly":
         return MPoly((), {})
 
+    @staticmethod
+    def _of(vars: tuple, terms: dict) -> "MPoly":
+        """The polynomial with the given terms, taken as they are: each
+        exponent is aligned to vars, each coefficient a nonzero canonical
+        scalar, and the dict is not shared."""
+        result = MPoly.__new__(MPoly)
+        result.vars = vars
+        result.terms = terms
+        return result
+
     # -- variable alignment ----------------------------------------------
 
     def _aligned(self, newvars: tuple[str, ...]) -> dict:
@@ -111,26 +129,23 @@ class MPoly:
         if other is NotImplemented:
             return NotImplemented
         nv = MPoly._merge_vars(self, other)
-        a = self._aligned(nv)
-        out = dict(a)
+        out = dict(self._aligned(nv))
         for exp, c in other._aligned(nv).items():
-            s = canon_scalar(out.get(exp, 0) + c)
+            prev = out.get(exp)
+            if prev is None:
+                out[exp] = c
+                continue
+            s = canon_scalar(prev + c)
             if s == 0:
-                out.pop(exp, None)
+                del out[exp]
             else:
                 out[exp] = s
-        result = MPoly.__new__(MPoly)
-        result.vars = nv
-        result.terms = out
-        return result
+        return MPoly._of(nv, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = MPoly.__new__(MPoly)
-        result.vars = self.vars
-        result.terms = {exp: -c for exp, c in self.terms.items()}
-        return result
+        return MPoly._of(self.vars, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other):
         other = MPoly._coerce(other)
@@ -148,21 +163,15 @@ class MPoly:
             return NotImplemented
         nv = MPoly._merge_vars(self, other)
         a = self._aligned(nv)
-        b = other._aligned(nv)
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) * len(b) < _PACK_MIN_PAIRS:
-            out = _tuple_product(a, b)
+        if other is self:
+            out = _square(a)
         else:
-            out = _packed_product(a, b)
-        result = MPoly.__new__(MPoly)
-        result.vars = nv
-        result.terms = {}
-        for exp, c in out.items():
-            c = canon_scalar(c)
-            if c != 0:
-                result.terms[exp] = c
-        return result
+            b = other._aligned(nv)
+            if len(a) == 1 or len(b) == 1:
+                return MPoly._of(nv, _product(a, b))
+            out = _product(a, b)
+        return MPoly._of(nv, {exp: canon_scalar(c) for exp, c in out.items()
+                              if c != 0})
 
     __rmul__ = __mul__
 
@@ -170,14 +179,9 @@ class MPoly:
         """self * c for a scalar c, with the variables a product with the
         constant polynomial c would have (sorted unless there are none)."""
         nv = self.vars if not self.vars else tuple(sorted(set(self.vars)))
-        result = MPoly.__new__(MPoly)
-        result.vars = nv
-        result.terms = {}
-        for exp, v in self._aligned(nv).items():
-            v = canon_scalar(v * c)
-            if v != 0:
-                result.terms[exp] = v
-        return result
+        if c == 0:
+            return MPoly._of(nv, {})
+        return MPoly._of(nv, _product({(0,) * len(nv): c}, self._aligned(nv)))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -291,10 +295,8 @@ class MPoly:
             return MPoly.zero()
         if other.is_constant():
             c = other.constant_value()
-            result = MPoly.__new__(MPoly)
-            result.vars = self.vars
-            result.terms = {exp: scalar_div(v, c) for exp, v in self.terms.items()}
-            return result
+            return MPoly._of(self.vars, {exp: scalar_div(v, c)
+                                         for exp, v in self.terms.items()})
         nv = MPoly._merge_vars(self, other)
         rem = dict(self._aligned(nv))
         den = other._aligned(nv)
@@ -316,10 +318,7 @@ class MPoly:
                     rem.pop(key, None)
                 else:
                     rem[key] = s
-        result = MPoly.__new__(MPoly)
-        result.vars = nv
-        result.terms = quot
-        return result
+        return MPoly._of(nv, quot)
 
     # -- printing --------------------------------------------------------
 
@@ -338,7 +337,7 @@ class MPoly:
         return f"MPoly({self})"
 
 
-# Term pairs from which `MPoly.__mul__` packs exponent vectors.  Packing costs
+# Term pairs from which a product packs exponent vectors.  Packing costs
 # one pass over each operand and one unpacking pass over the result, which a
 # product of a few term pairs does not earn back.  On random products in 2 to
 # 6 variables (CPython 3.11, x86-64) packed keys took 1.1-1.3x the time of
@@ -348,6 +347,29 @@ _PACK_MIN_PAIRS = 64
 
 # struct codes of unsigned big-endian fields, with their widths in bits
 _FIELDS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two term maps aligned to the same variables, as a new
+    term map.  A one-term factor shifts and scales the other, so its
+    coefficients come out canonical and nonzero, and the constant 1 only
+    copies; otherwise the schoolbook sums may be zero or an integral
+    Fraction."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) != 1:
+        if len(a) * len(b) < _PACK_MIN_PAIRS:
+            return _tuple_product(a, b)
+        return _packed_product(a, b)
+    (ea, ca), = a.items()
+    if any(ea):
+        if ca == 1:
+            return {tuple(map(add, ea, eb)): cb for eb, cb in b.items()}
+        return {tuple(map(add, ea, eb)): canon_scalar(ca * cb)
+                for eb, cb in b.items()}
+    if ca == 1:
+        return dict(b)
+    return {eb: canon_scalar(ca * cb) for eb, cb in b.items()}
 
 
 def _tuple_product(a: dict, b: dict) -> dict:
@@ -361,29 +383,69 @@ def _tuple_product(a: dict, b: dict) -> dict:
     return out
 
 
-def _packed_product(a: dict, b: dict) -> dict:
-    """`_tuple_product` with each exponent vector packed into one int.
-
-    The largest exponent the product can have takes w bits, and each
-    exponent gets the narrowest struct field of at least w bits, so no field
-    carries into the next and a monomial product is one integer add.
-    Exponents wider than 64 bits fall back to tuple keys."""
-    w = (max(map(max, a)) + max(map(max, b))).bit_length()
+def _packing(nvars: int, top: int):
+    """(pack, unpack) between exponent vectors of nvars entries and ints,
+    with fields wide enough for exponents up to top: each gets the narrowest
+    struct field of at least that many bits, so no field carries into the
+    next and a monomial product is one integer add.  None when an exponent
+    needs more than 64 bits."""
+    w = top.bit_length()
     code = next((c for bits, c in _FIELDS if bits >= w), None)
     if code is None:
-        return _tuple_product(a, b)
-    fields = struct.Struct(f">{len(next(iter(a)))}{code}")
+        return None
+    fields = struct.Struct(f">{nvars}{code}")
     pack, unpack, size = fields.pack, fields.unpack, fields.size
     from_bytes = int.from_bytes
-    pb = [(from_bytes(pack(*exp), "big"), c) for exp, c in b.items()]
+    return (lambda exp: from_bytes(pack(*exp), "big"),
+            lambda k: unpack(k.to_bytes(size, "big")))
+
+
+def _packed_product(a: dict, b: dict) -> dict:
+    """`_tuple_product` with each exponent vector packed into one int;
+    exponents wider than 64 bits fall back to tuple keys."""
+    packing = _packing(len(next(iter(a))), max(map(max, a)) + max(map(max, b)))
+    if packing is None:
+        return _tuple_product(a, b)
+    pack, unpack = packing
+    pb = [(pack(exp), c) for exp, c in b.items()]
     out: dict = {}
     get = out.get
     for ea, ca in a.items():
-        ka = from_bytes(pack(*ea), "big")
+        ka = pack(ea)
         for kb, cb in pb:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    return {unpack(k.to_bytes(size, "big")): c for k, c in out.items()}
+    return {unpack(k): c for k, c in out.items()}
+
+
+def _square(a: dict) -> dict:
+    """The square of a term map, each unordered pair of terms once: the
+    pair (i, j), i < j, adds 2*c_i*c_j.  Packed keys from
+    `_PACK_MIN_PAIRS` pairs, as in `_packed_product`."""
+    items = list(a.items())
+    n = len(items)
+    packing = None
+    if n * (n + 1) // 2 >= _PACK_MIN_PAIRS:
+        packing = _packing(len(items[0][0]), 2 * max(map(max, a)))
+    if packing is None:
+        def key(ea, eb):
+            return tuple(map(add, ea, eb))
+    else:
+        pack, unpack = packing
+        items = [(pack(exp), c) for exp, c in items]
+        key = add
+    out: dict = {}
+    get = out.get
+    for i, (ea, ca) in enumerate(items):
+        k = key(ea, ea)
+        out[k] = get(k, 0) + ca * ca
+        twice = 2 * ca
+        for eb, cb in items[i + 1:]:
+            k = key(ea, eb)
+            out[k] = get(k, 0) + twice * cb
+    if packing is None:
+        return out
+    return {unpack(k): c for k, c in out.items()}
 
 
 # ---------------------------------------------------------------------------

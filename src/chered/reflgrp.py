@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .exactnum import canon_scalar, primitive_root, row_reduce
+from .exactnum import canon_scalar, primitive_root, row_reduce, scalar_pow
 from .multipoly import MPoly, scalar_div
 
 __all__ = [
@@ -249,7 +249,7 @@ def _finish_group(spec, dim, names, mats, v_names, dual_names,
 def _build_cyclic(d: int) -> ReflectionGroup:
     z = primitive_root(d)
     names = ["1"] + [f"s^{i}" if i > 1 else "s" for i in range(1, d)]
-    mats = [((z ** i,),) for i in range(d)]
+    mats = [((scalar_pow(z, i),),) for i in range(d)]
     orbit_of = {names[i]: "s" for i in range(1, d)}
     param_of = {names[i]: f"C{i}" for i in range(1, d)}
     power_of = {names[i]: i for i in range(1, d)}
@@ -352,8 +352,8 @@ def character_table(W: ReflectionGroup) -> tuple[Character, ...]:
             for cls in W.conj_classes:
                 j = cls[0]  # classes are singletons; element s^j
                 power = next(p for p in range(d)
-                             if W.matrices[j][0][0] == z ** p)
-                values.append(z ** (i * power))
+                             if W.matrices[j][0][0] == scalar_pow(z, p))
+                values.append(scalar_pow(z, i * power))
             chars.append(Character(f"eps^{i}", tuple(values), W.spec))
     elif W.spec == "b2":
         def linear(val_s, val_t):
@@ -482,7 +482,7 @@ def param_map(W: ReflectionGroup) -> ParamMap:
     k_forms, c_forms, k_rows = {}, {}, []
     for label, e in W.hyperplane_orbits:
         z = primitive_root(e)
-        table = [[z ** (i * (j - 1) % e) for j in range(e)] for i in range(e)]
+        table = [[scalar_pow(z, i * (j - 1)) for j in range(e)] for i in range(e)]
         klabs = _orbit_k_labels(W, label, e)
         kvars = [MPoly.var(lab) for lab in klabs]
         kvars[0] = -sum(kvars[1:], MPoly.zero())

@@ -14,12 +14,16 @@ is a dict {row index: coefficient}.  The V*-coordinates, the group elements
 and the V-coordinates act through columns built once per module, and a PBW
 word acts on a basis vector by applying them in turn.  Every value
 Omega_chi(z) carries its certificate: `omega` checks that z - Omega_chi(z)
-acts nilpotently, and raises ArithmeticError when it does not.
+acts nilpotently, and raises ArithmeticError when it does not.  It tests
+the matrix at a seeded rational parameter point first, which rejects a
+non-central z without the symbolic powers.
 """
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .exactnum import canon_scalar, row_reduce
 from .multipoly import MPoly
@@ -285,13 +289,39 @@ def omega(z: PBWElement, chi: Character) -> MPoly:
     nil = [dict(col) for col in cols]
     for i, col in enumerate(nil):
         col[i] = col.get(i, 0) - value
-    steps = 1
-    while steps < mod.dim:
-        nil = [_apply(nil, col) for col in nil]
-        steps *= 2
-    if any(x for col in nil for x in col.values()):
-        raise ArithmeticError("central element failed the nilpotency check")
+    # N = z - value is nilpotent at every parameter point when it is
+    # nilpotent, so N at one rational point rejects most non-central z
+    # before the symbolic powers, whose entries grow, are computed
+    for n in (_at_probe_point(nil), nil):
+        if _top_power(n, mod.dim):
+            raise ArithmeticError("central element failed the nilpotency check")
     return value
+
+
+# seed of the rational parameter point at which `omega` tests nilpotency
+# before it certifies
+_PROBE_SEED = 20130211
+
+
+def _at_probe_point(cols: list) -> list:
+    """Sparse columns of MPoly entries evaluated at a seeded point with
+    rational coordinates, one for each variable that occurs."""
+    names = sorted({v for col in cols for x in col.values() for v in x.vars})
+    rng = random.Random(_PROBE_SEED)
+    point = {name: Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+             for name in names}
+    return [{r: x.substitute(point).constant_value() for r, x in col.items()}
+            for col in cols]
+
+
+def _top_power(cols: list, dim: int) -> list:
+    """The nonzero columns of N^(2^k) for the least 2^k >= dim: none
+    exactly when the dim x dim matrix N is nilpotent."""
+    steps = 1
+    while steps < dim:
+        cols = [_apply(cols, col) for col in cols]
+        steps *= 2
+    return [col for col in cols if col]
 
 
 def omega_euler_closed_form(W: ReflectionGroup, chi: Character) -> MPoly:

@@ -2,7 +2,9 @@
 Fraction coordinates, the per-factor change of coordinates for the rank-1
 center identity, with its own C -> K table, the resultant as a Sylvester
 determinant, the schoolbook polynomial product with tuple keys, the PBW
-product computed one term of the left factor at a time, an infix polynomial
+product computed one term of the left factor at a time in `MPoly`
+arithmetic (with the element-level left multiplications by a V* coordinate
+and by a group element), an infix polynomial
 parser, the dense action matrices of a baby Verma module with the trace and
 nilpotency certificate of a central character, the graded character of the
 invariants of a baby Verma module, and the bigraded Hilbert series computed
@@ -11,8 +13,8 @@ import math
 import re
 from fractions import Fraction
 
-from chered.cherednik import (PBWElement, _lmul_dual, _lmul_group,
-                              _straighten, euler_element, multiply)
+from chered.cherednik import (PBWElement, _straighten, euler_element,
+                              multiply)
 from chered.exactnum import (Cyclotomic, cyclotomic_polynomial, primitive_root,
                              scalar_div)
 from chered.multipoly import MPoly, canon_scalar
@@ -199,10 +201,45 @@ def schoolbook_product(a: MPoly, b: MPoly) -> MPoly:
     return MPoly(names, out)
 
 
+def _lmul_dual(W, xi: int, elem: PBWElement, with_T: bool) -> PBWElement:
+    """Left multiplication by the xi-th V* coordinate, in the T-deformation
+    when with_T is set."""
+    out: dict = {}
+
+    def add(key, c):
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+
+    for (p, g, q), c in elem.terms.items():
+        # xi * p = p * xi + corrections
+        # main term: p * (xi * g) * q = p * g * (g^{-1}(xi)) * q
+        ginv = W.inverse[g]
+        scalar, image = W.act_monomial(ginv, tuple(1 if i == xi else 0
+                                                   for i in range(W.dim)), dual=True)
+        newq = tuple(a + b for a, b in zip(q, image))
+        add((p, g, newq), c * scalar if scalar != 1 else c)
+        for cc, mono, s in _straighten(W, "dual", xi, p, with_T):
+            add((mono, W.mult_table[s][g], q), cc * c)
+    return elem._like(out)
+
+
+def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
+    out: dict = {}
+    for (p, w, q), c in elem.terms.items():
+        scalar, image = W.act_monomial(g, p, dual=False)
+        key = (image, W.mult_table[g][w], q)
+        cc = c * scalar if scalar != 1 else c
+        prev = out.get(key)
+        out[key] = cc if prev is None else prev + cc
+    return elem._like(out)
+
+
 def multiply_per_term(a: PBWElement, b: PBWElement,
                       with_T: bool = False) -> PBWElement:
-    """Exact product in PBW normal form, one term of a at a time: the
-    reference for `multiply`, which shares work between the terms of a."""
+    """Exact product in PBW normal form, one term of a at a time and in
+    `MPoly` arithmetic, with the element-level left multiplications by a V*
+    coordinate and by a group element: the reference for `multiply`, which
+    shares work between the terms of a and sums coefficients in flat maps."""
     a._check_compat(b)
     W = a.group
     result = a._like({})

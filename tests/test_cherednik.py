@@ -44,8 +44,9 @@ def test_associativity_random_triples(spec):
 def sharing_element(W, rng, with_T):
     """An element of 4 to 6 terms that take their V*-parts from two
     choices, so several terms share one, with coefficients linear in the
-    parameters and in T."""
-    names = W.param_names() + (("T",) if with_T else ())
+    parameters, in T, and in K1 and sigma, which are not parameters of the
+    group, so a product's variable tuple is wider than the group's."""
+    names = W.param_names() + ("K1", "sigma") + (("T",) if with_T else ())
     duals = [tuple(rng.randint(0, 2) for _ in range(W.dim)) for _ in range(2)]
     terms = {}
     size = rng.randint(4, 6)
@@ -67,8 +68,28 @@ def test_multiply_matches_per_term_oracle(spec, with_T):
         b = sharing_element(W, rng, with_T)
         duals = [q for _, _, q in a.terms]
         assert len(duals) >= 4 and len(set(duals)) < len(duals)
-        assert (multiply(a, b, with_T=with_T).terms
-                == multiply_per_term(a, b, with_T).terms)
+        for lhs, rhs in ((a, b), (b, a), (a, a)):
+            assert (multiply(lhs, rhs, with_T=with_T).terms
+                    == multiply_per_term(lhs, rhs, with_T).terms)
+
+
+@pytest.mark.parametrize("with_T", [False, True])
+def test_product_ignores_unused_coefficient_variables(with_T):
+    # c + K1 - K1 equals c but carries K1 among its variables; a product
+    # may also carry a variable it does not use, such as T
+    W = build_group("b2")
+    rng = random.Random(zlib.crc32(f"unused/{with_T}".encode()))
+    k1 = MPoly.var("K1")
+    for _ in range(3):
+        a, b = sharing_element(W, rng, with_T), sharing_element(W, rng, with_T)
+        wide_a, wide_b = (PBWElement(W, {key: c + k1 - k1 for key, c in e.terms.items()})
+                          for e in (a, b))
+        assert all("K1" in c.vars for c in wide_a.terms.values())
+        product = multiply(a, b, with_T=with_T)
+        wide = multiply(wide_a, wide_b, with_T=with_T)
+        reference = multiply_per_term(a, b, with_T)
+        assert wide == product == reference
+        assert str(wide) == str(product) == str(reference)
 
 
 @pytest.mark.parametrize("spec", GROUPS)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chered.exactnum import (Cyclotomic, canon_scalar, cyclotomic_polynomial,
-                             primitive_root)
+                             primitive_root, scalar_pow)
 from chered.multipoly import MPoly, scalar_div
 from chered.reflgrp import build_group, character_table, param_map
 from chered.verma import omega_table
@@ -41,6 +41,28 @@ def test_primitive_root_powers_cycle():
         assert z ** e == 1
         for k in range(1, e):
             assert z ** k != 1
+
+
+def test_scalar_pow_is_exact():
+    # a negative power of an int was a float: primitive_root(2) ** -1 == -1.0
+    z3, z4 = primitive_root(3), primitive_root(4)
+    cases = [(primitive_root(2), -1, -1), (primitive_root(1), -3, 1),
+             (-1, -4, 1), (2, -2, Fraction(1, 4)), (-3, 3, -27), (5, 0, 1),
+             (0, 0, 1), (0, 3, 0), (Fraction(2, 3), -2, Fraction(9, 4)),
+             (Fraction(4, 2), 3, 8), (Fraction(-1, 2), -3, -8),
+             (z4, 2, -1), (z4, -2, -1), (z4, -1, -z4), (z4, -3, z4),
+             (z3, -1, z3 ** 2), (z3, -4, z3 ** 2), (z3, 6, 1),
+             (1 + z3, -1, -z3)]
+    for c, n, expected in cases:
+        value = scalar_pow(c, n)
+        assert value == expected and type(value) is type(expected), (c, n)
+        assert_canonical(value)
+    for e in range(1, 9):
+        z = primitive_root(e)
+        for k in range(-2 * e, 2 * e + 1):
+            assert scalar_pow(z, k) == scalar_pow(z, k % e)
+    with pytest.raises(ZeroDivisionError):
+        scalar_pow(0, -1)
 
 
 def test_minimal_polynomial_is_satisfied():

@@ -1,5 +1,6 @@
-"""Source hygiene of the runtime package: every imported name is used, and
-every function, class, method and top-level constant it defines is used."""
+"""Source hygiene of the runtime package: every imported name is used,
+every function, class, method and top-level constant it defines is used,
+and no check is an assert statement."""
 import ast
 from pathlib import Path
 
@@ -90,6 +91,13 @@ def read_names(trees) -> set[str]:
     return used
 
 
+def assert_lines(source: str) -> list[int]:
+    """Line numbers of the assert statements of a module: ``python -O``
+    strips them, so no check of the package may rest on one."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
 def test_scanner_flags_unused_and_honours_all():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -133,6 +141,18 @@ def test_scanner_flags_unread_constants():
     assert unread_constants(sources) == ["a.X", "a._DEAD"]
 
 
+def test_scanner_flags_asserts():
+    source = ("def f(x):\n"
+              "    assert x, 'message'\n"
+              "    if not x:\n"
+              "        raise ValueError('assert x')\n"
+              "    return [y for y in x if (lambda: 0)() or y]\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        assert self\n")
+    assert assert_lines(source) == [2, 8]
+
+
 # Public paper-level functions that only the tests call (the acceptance
 # suite, and test_cherednik for the twist): each states a result of the
 # paper that no CLI command prints.  Any other function of the package that
@@ -157,3 +177,8 @@ def test_no_unused_imports(path):
 
 def test_no_unread_constants():
     assert unread_constants({p.stem: p.read_text() for p in MODULES}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_asserts(path):
+    assert assert_lines(path.read_text()) == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from chered.exactnum import primitive_root
+from chered.exactnum import Cyclotomic, primitive_root
 from chered.multipoly import (MPoly, _PACK_MIN_PAIRS, canon_scalar,
                               charpoly_berkowitz, discriminant, poly_sqrt,
                               resultant)
@@ -212,16 +212,68 @@ def test_mul_matches_schoolbook_oracle(packed, data):
         lb = data.draw(st.integers(0, (_PACK_MIN_PAIRS - 1) // max(la, 1)))
     a, b = data.draw(polys(la)), data.draw(polys(lb))
     assert (len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS) == packed
-    # (a - b)(a + b) cancels its cross terms
-    for lhs, rhs in ((a, b), (b, a), (a - b, a + b)):
+    # (a - b)(a + b) cancels its cross terms; a one-term factor, the
+    # constant 1 and the zero polynomial take the shift-and-scale path, and
+    # p * p the square kernel (packed keys from _PACK_MIN_PAIRS term pairs,
+    # which a + b reaches on the packed side)
+    m, one, zero, s = data.draw(polys(1)), MPoly.const(1), MPoly.zero(), a + b
+    for lhs, rhs in ((a, b), (b, a), (a - b, a + b), (m, a), (b, m), (m, m),
+                     (one, a), (b, one), (zero, a), (b, zero),
+                     (a, a), (b, b), (s, s)):
         product, expected = lhs * rhs, schoolbook_product(lhs, rhs)
         assert product.vars == expected.vars
         assert product.terms == expected.terms
+        assert all(map(is_canonical, product.terms.values()))
     c = data.draw(st.one_of(scalars, st.just(0)))
     for product in (a * c, c * a):
         expected = schoolbook_product(MPoly.const(c), a)
         assert product.vars == expected.vars
         assert product.terms == expected.terms
+        assert all(map(is_canonical, product.terms.values()))
+
+
+def is_canonical(c) -> bool:
+    """A nonzero scalar in its one representation: an integral Fraction
+    must be an int."""
+    return c != 0 and (type(c) in (int, Cyclotomic)
+                       or type(c) is Fraction and c.denominator > 1)
+
+
+def test_products_store_integral_fractions_as_int():
+    h, z4 = Fraction(1, 2), primitive_root(4)
+    ys = sum((y ** k for k in range(11)), MPoly.zero())
+    eights = sum((2 * x ** k for k in range(8)), MPoly.zero())
+    halves = sum((h * y ** k for k in range(8)), MPoly.zero())
+    cases = [
+        ((2 * x) * (h * y + h), {(1, 1): 1, (1, 0): 1}),     # one term
+        (MPoly.const(2) * (h * x), {(1,): 1}),               # constant
+        ((2 * x + 2) * (h * x + h), {(2,): 1, (1,): 2, (0,): 1}),
+        ((h * x + y) * (h * x + y), {(2, 0): Fraction(1, 4), (1, 1): 1,
+                                     (0, 2): 1}),            # tuple square
+        ((z4 * x) * (z4 * y), {(1, 1): -1}),                 # Cyclotomic
+    ]
+    for product, terms in cases:
+        assert product.terms == terms
+        assert all(map(is_canonical, product.terms.values()))
+    packed = eights * halves                                 # 64 pairs
+    assert set(packed.terms.values()) == {1}
+    p = h * x + ys                                           # 78 pairs
+    square = p * p
+    assert square.terms == schoolbook_product(p, p).terms
+    assert square.terms[(1, 0)] == 1
+    for q in (packed, square):
+        assert all(map(is_canonical, q.terms.values()))
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_square_exponent_one_past_a_field(bits):
+    # the square doubles the largest exponent, 2^(bits - 1), to 2^bits
+    a = x ** (2 ** (bits - 1)) * sum((y ** k for k in range(12)), MPoly.zero())
+    assert len(a.terms) * (len(a.terms) + 1) // 2 >= _PACK_MIN_PAIRS
+    square = a * a
+    assert square.terms == schoolbook_product(a, a).terms
+    assert square.terms[(2 ** bits, 22)] == 1
+    assert a ** 2 == square
 
 
 @pytest.mark.parametrize("bits", [8, 16, 32, 64])

@@ -134,6 +134,32 @@ def test_omega_requires_scalar_action():
         omega(s, chars[4])
 
 
+def test_omega_rejects_non_central_at_a_rational_point(monkeypatch):
+    # y*s^2 + y*x on cyclic:5 took 2.45 s to reject when only the symbolic
+    # powers of N = z - Omega were tested; the powers at a rational point
+    # reject it, and a returned value still has its symbolic certificate
+    import chered.verma as verma
+    top_power = verma._top_power
+    symbolic = []
+
+    def spy(cols, dim):
+        symbolic.append(any(isinstance(x, MPoly)
+                            for col in cols for x in col.values()))
+        return top_power(cols, dim)
+
+    monkeypatch.setattr(verma, "_top_power", spy)
+    W = build_group("cyclic:5")
+    y, x = PBWElement.v_gen(W, 0), PBWElement.dual_gen(W, 0)
+    z = y * PBWElement.group_gen(W, W.index_of("s^2")) + y * x
+    for chi in character_table(W):
+        with pytest.raises(ArithmeticError, match="nilpotency"):
+            omega(z, chi)
+    assert symbolic == [False] * 5
+    symbolic.clear()
+    omega(euler_element(W), character_table(W)[1])
+    assert symbolic == [False, True]
+
+
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
 def test_omega_table_cyclic_invariants_act_by_zero(d):
     table = omega_table(build_group(f"cyclic:{d}"))
