@@ -15,6 +15,8 @@ __all__ = [
     "rank1_center_product",
     "verify_rank1_center",
     "verify_b2_center",
+    "verify_b2_centrality",
+    "verify_b2_relations",
     "minpoly_euler",
     "euler_charpoly_congruence",
 ]
@@ -92,23 +94,31 @@ def _b2_relation_residues(W: ReflectionGroup) -> dict:
     }
 
 
-def verify_b2_center() -> list:
-    """Centrality of eu, eu', eu'', delta and the nine algebraic relations
-    Z1-Z9 among them and the embedded invariants, all as exact PBW
-    identities.  Returns a list of {relation, status[, residue]} reports."""
-    W = build_group("b2")
-    g = named_center_generators(W)
+def verify_b2_centrality() -> list:
+    """Centrality of eu, eu', eu'' and delta, as exact PBW identities.
+    Returns a list of {relation, status} reports."""
+    g = named_center_generators(build_group("b2"))
+    return [{"relation": f"central({name})", "status": is_central(g[name])}
+            for name in ("eu", "eu'", "eu''", "delta")]
+
+
+def verify_b2_relations() -> list:
+    """The nine algebraic relations Z1-Z9 among eu, eu', eu'', delta and
+    the embedded invariants, as exact PBW identities.  Returns a list of
+    {relation, status[, residue]} reports."""
     reports = []
-    for name in ("eu", "eu'", "eu''", "delta"):
-        status = is_central(g[name])
-        reports.append({"relation": f"central({name})", "status": status})
-    for name, residue in _b2_relation_residues(W).items():
+    for name, residue in _b2_relation_residues(build_group("b2")).items():
         status = residue.is_zero()
         rep = {"relation": name, "status": status}
         if not status:
             rep["residue"] = residue_summary(residue)
         reports.append(rep)
     return reports
+
+
+def verify_b2_center() -> list:
+    """The centrality reports followed by the relation reports."""
+    return verify_b2_centrality() + verify_b2_relations()
 
 
 # ---------------------------------------------------------------------------

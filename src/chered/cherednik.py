@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .exactnum import canon_scalar, format_power, format_sum
+from .exactnum import canon_scalar, format_power, format_sum, power
 from .multipoly import MPoly, _product, scalar_div
 from .reflgrp import ReflectionGroup, Character, value_on_element
 
@@ -151,15 +151,7 @@ class PBWElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of an algebra element")
-        result = self._scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                result = multiply(result, base)
-            n >>= 1
-            if n:
-                base = multiply(base, base)
-        return result
+        return power(self, n, self._scalar(1))
 
     def __eq__(self, other):
         if isinstance(other, PBWElement):

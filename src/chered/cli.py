@@ -39,7 +39,8 @@ from .cmcells import (b2_cells, cm_families, partition_to_json, rank1_cells,
 from .series import (DEFAULT_ORDER, fantome_bigraded, hilbert_center,
                      molien_bigraded, series_table)
 from .center import (euler_charpoly_congruence, minpoly_euler,
-                     verify_b2_center, verify_rank1_center)
+                     verify_b2_centrality, verify_b2_relations,
+                     verify_rank1_center)
 from .galois import (b2_galois_certificate, rank1_ramification_test,
                      rank1_singular_test)
 
@@ -188,8 +189,7 @@ def cmd_group_info(args) -> tuple:
 def cmd_verify_center(args) -> tuple:
     W = _group(args.group)
     if W.spec == "b2":
-        reports = [r for r in verify_b2_center()
-                   if r["relation"].startswith("central")]
+        reports = verify_b2_centrality()
     else:
         try:
             reports = [verify_rank1_center(W.order())]
@@ -201,8 +201,7 @@ def cmd_verify_center(args) -> tuple:
 def cmd_verify_relations(args) -> tuple:
     if args.group != "b2":
         raise UsageError("relations are only defined for --group b2")
-    reports = [r for r in verify_b2_center()
-               if not r["relation"].startswith("central")]
+    reports = verify_b2_relations()
     return reports, all(r["status"] for r in reports)
 
 

@@ -6,6 +6,10 @@ the center ({eu} for cyclic groups; {eu, eu', eu'', delta} for B2).  Cells
 for cyclic groups are the fibers of i -> K_i; cells for B2 follow the
 explicit case analysis over the strata of the (a, b) parameter plane.
 
+The cellular character of a left cell, sum m_chi chi, is the dict
+{character name: m_chi}; its insertion order is the order of the text
+output.
+
 A parameter point is a dict {C-label: value}, the form in which
 `cm_families` reads it; `reflgrp.param_convert` gives the K-values that
 `rank1_cells` takes.
@@ -23,7 +27,6 @@ from .verma import omega_table
 __all__ = [
     "FamilyPartition",
     "CellPartition",
-    "CellularCharacter",
     "cm_families",
     "rank1_cells",
     "b2_cells",
@@ -44,19 +47,6 @@ __all__ = [
 class FamilyPartition:
     parameters: tuple            # of (C-label, value) pairs, sorted
     blocks: tuple                # of tuples of character names
-    signatures: tuple            # per block, tuple of (generator, value)
-
-
-@dataclass(frozen=True)
-class CellularCharacter:
-    multiplicities: tuple        # of (character name, positive int)
-
-    def as_dict(self) -> dict:
-        return dict(self.multiplicities)
-
-    def dimension(self, W: ReflectionGroup) -> int:
-        degs = {chi.name: chi.degree for chi in character_table(W)}
-        return sum(m * degs[name] for name, m in self.multiplicities)
 
 
 @dataclass(frozen=True)
@@ -64,7 +54,7 @@ class CellPartition:
     two_sided: tuple             # of tuples of element names
     left: tuple                  # of tuples of element names
     families: tuple              # per two-sided cell, tuple of char names
-    cellular: tuple              # per left cell, CellularCharacter
+    cellular: tuple              # per left cell, {character name: mult}
     supported: bool = True
     note: str = ""
 
@@ -99,7 +89,7 @@ def cm_families(W: ReflectionGroup, cvals: dict) -> FamilyPartition:
             blocks.append([chi.name])
             sigs.append(sig)
     return FamilyPartition(tuple(sorted(cvals.items())),
-                           tuple(tuple(b) for b in blocks), tuple(sigs))
+                           tuple(tuple(b) for b in blocks))
 
 
 def tensor_with_linear(W: ReflectionGroup, chi_name: str, gamma_name: str) -> str:
@@ -119,7 +109,7 @@ def tensor_with_linear(W: ReflectionGroup, chi_name: str, gamma_name: str) -> st
 def twist_family_partition(W: ReflectionGroup, fp: FamilyPartition,
                            gamma_name: str) -> tuple:
     """The image of each family under chi -> chi (x) gamma, as a sorted
-    tuple of sorted blocks (signatures are not transported)."""
+    tuple of sorted blocks."""
     blocks = []
     for b in fp.blocks:
         blocks.append(tuple(sorted(tensor_with_linear(W, n, gamma_name)
@@ -155,6 +145,7 @@ def rank1_cells(d: int, k_values) -> CellPartition:
     omega} and its cellular character is sum_{i in omega} eps^{-i}.
     """
     W = build_group(f"cyclic:{d}")
+    chars = character_table(W)
     ks = [Fraction(v) for v in k_values]
     if len(ks) != d:
         raise ValueError(f"expected {d} K-values")
@@ -166,16 +157,10 @@ def rank1_cells(d: int, k_values) -> CellPartition:
     cells = sorted(fibers.values())
     names = W.names
     two_sided = tuple(tuple(names[i] for i in cell) for cell in cells)
-    families = tuple(tuple(sorted(f"eps^{(-i) % d}" for i in cell))
+    families = tuple(tuple(sorted(chars[(-i) % d].name for i in cell))
                      for cell in cells)
-    cellular = tuple(
-        CellularCharacter(tuple(sorted((f"eps^{(-i) % d}", 1) for i in cell)))
-        for cell in cells)
+    cellular = tuple(dict.fromkeys(family, 1) for family in families)
     return CellPartition(two_sided, two_sided, families, cellular)
-
-
-def _cc(*pairs) -> CellularCharacter:
-    return CellularCharacter(tuple(pairs))
 
 
 def b2_cells(a, b) -> CellPartition:
@@ -191,8 +176,7 @@ def b2_cells(a, b) -> CellPartition:
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
         whole = ("1", "s", "t", "st", "ts", "sts", "tst", "w0")
-        regular = _cc(("1", 1), ("eps", 1), ("eps_s", 1), ("eps_t", 1),
-                      ("chi", 2))
+        regular = {"1": 1, "eps": 1, "eps_s": 1, "eps_t": 1, "chi": 2}
         return CellPartition((whole,), (whole,),
                              (("1", "chi", "eps", "eps_s", "eps_t"),),
                              (regular,))
@@ -202,16 +186,15 @@ def b2_cells(a, b) -> CellPartition:
         families = (("1",), ("eps_s",), ("eps_t",), ("eps",), ("chi",))
         left = (("1",), ("s",), ("tst",), ("w0",),
                 ("t", "st"), ("ts", "sts"))
-        cellular = (_cc(("1", 1)), _cc(("eps_s", 1)), _cc(("eps_t", 1)),
-                    _cc(("eps", 1)), _cc(("chi", 1)), _cc(("chi", 1)))
+        cellular = ({"1": 1}, {"eps_s": 1}, {"eps_t": 1}, {"eps": 1},
+                    {"chi": 1}, {"chi": 1})
         return CellPartition(two_sided, left, families, cellular)
     if a != 0 and a == b:
         two_sided = (("1",), ("w0",), ("s", "t", "st", "ts", "sts", "tst"))
         families = (("1",), ("eps",), ("chi", "eps_s", "eps_t"))
         left = (("1",), ("w0",), ("s", "ts", "sts"), ("t", "st", "tst"))
-        cellular = (_cc(("1", 1)), _cc(("eps", 1)),
-                    _cc(("chi", 1), ("eps_s", 1)),
-                    _cc(("chi", 1), ("eps_t", 1)))
+        cellular = ({"1": 1}, {"eps": 1}, {"chi": 1, "eps_s": 1},
+                    {"chi": 1, "eps_t": 1})
         return CellPartition(two_sided, left, families, cellular)
     if a != 0 and a == -b:
         # obtained from the a = b stratum by tensoring with eps_t
@@ -221,9 +204,8 @@ def b2_cells(a, b) -> CellPartition:
                                       for n in fam))
                          for fam in base.families)
         cellular = tuple(
-            CellularCharacter(tuple(sorted(
-                (tensor_with_linear(W, n, "eps_t"), m)
-                for n, m in cc.multiplicities)))
+            dict(sorted((tensor_with_linear(W, n, "eps_t"), m)
+                        for n, m in cc.items()))
             for cc in base.cellular)
         return CellPartition(base.two_sided, base.left, families, cellular)
     # a = 0 xor b = 0
@@ -256,11 +238,11 @@ def sum_rule_check(W: ReflectionGroup, cells: CellPartition) -> dict:
     degs = {chi.name: chi.degree for chi in character_table(W)}
     ok1 = all(len(cell) == sum(degs[n] ** 2 for n in fam)
               for cell, fam in zip(cells.two_sided, cells.families))
-    ok2 = all(len(cell) == cc.dimension(W)
+    ok2 = all(len(cell) == sum(m * degs[name] for name, m in cc.items())
               for cell, cc in zip(cells.left, cells.cellular))
     totals = {name: 0 for name in degs}
     for cc in cells.cellular:
-        for name, m in cc.multiplicities:
+        for name, m in cc.items():
             totals[name] += m
     ok3 = all(total == degs[name] for name, total in totals.items())
     return {"two_sided_squares": ok1, "left_dimensions": ok2,
@@ -285,7 +267,7 @@ def partition_to_json(families: FamilyPartition, cells: CellPartition | None) ->
             "left": [list(c) for c in cells.left],
         }
         out["cellular_characters"] = [
-            {"cell": list(cell), "character": cc.as_dict()}
+            {"cell": list(cell), "character": dict(cc)}
             for cell, cc in zip(cells.left, cells.cellular)
         ]
         if not cells.supported:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = ["Cyclotomic", "primitive_root", "canon_scalar", "scalar_div",
-           "scalar_pow", "row_reduce", "format_power", "format_sum"]
+           "scalar_pow", "power", "row_reduce", "format_power", "format_sum"]
 
 
 def canon_scalar(c):
@@ -97,6 +97,25 @@ def scalar_pow(c, n: int):
     if n < 0:
         c, n = scalar_div(1, c), -n
     return canon_scalar(c ** n)
+
+
+def power(x, n: int, one):
+    """x**n for n >= 0 by square-and-multiply, starting from one.  Each
+    square is base * base with one object on both sides, so a type can
+    take a squaring kernel there.
+
+    >>> power(3, 5, 1), power(Fraction(1, 2), 0, 1)
+    (243, 1)
+    """
+    result = one
+    base = x
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def format_power(name: str, e: int) -> str:
@@ -350,15 +369,8 @@ class Cyclotomic:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
-        result = 1
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return power(self.inverse(), -n, 1)
+        return power(self, n, 1)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation z_e -> z_e**(-1), an automorphism of the

@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import add
 
 from .exactnum import (Cyclotomic, canon_scalar, format_power, format_sum,
-                       scalar_div)
+                       power, scalar_div)
 
 __all__ = [
     "MPoly",
@@ -186,15 +186,7 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, MPoly.const(1))
 
     def __eq__(self, other):
         other = MPoly._coerce(other)

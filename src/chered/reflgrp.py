@@ -346,15 +346,12 @@ def character_table(W: ReflectionGroup) -> tuple[Character, ...]:
     if W.spec.startswith("cyclic:"):
         d = W.order()
         z = primitive_root(d)
-        chars = []
-        for i in range(d):
-            values = []
-            for cls in W.conj_classes:
-                j = cls[0]  # classes are singletons; element s^j
-                power = next(p for p in range(d)
-                             if W.matrices[j][0][0] == scalar_pow(z, p))
-                values.append(scalar_pow(z, i * power))
-            chars.append(Character(f"eps^{i}", tuple(values), W.spec))
+        # classes are singletons; the element s^j is the reflection of power j
+        power = {W.identity: 0} | {r.index: r.power for r in W.reflections}
+        chars = [Character(f"eps^{i}",
+                           tuple(scalar_pow(z, i * power[cls[0]])
+                                 for cls in W.conj_classes), W.spec)
+                 for i in range(d)]
     elif W.spec == "b2":
         def linear(val_s, val_t):
             vals = []

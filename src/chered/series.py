@@ -42,9 +42,6 @@ class TruncSeries2:
             if c != 0:
                 self.coeffs[key] = c
 
-    def get(self, i: int, j: int):
-        return self.coeffs.get((i, j), 0)
-
 
 def _outer_sum(pairs, order: int) -> dict:
     """Coefficients of sum over (a, b) in pairs of a(t) b(u), for

@@ -9,6 +9,10 @@ space) and has dimension |W| * chi(1).  It represents the t = 0 algebra
 only, and its V-action comes from the commutation rule of the PBW engine
 (`cherednik._straighten`).
 
+The coinvariant side is what `coinvariant_basis` returns, and all that the
+module reads of it: the basis monomials, and the normal form {basis
+monomial: scalar} of every monomial of degree at most one past the top.
+
 An action is stored as sparse columns: the image of the i-th basis vector
 is a dict {row index: coefficient}.  The V*-coordinates, the group elements
 and the V-coordinates act through columns built once per module, and a PBW
@@ -32,7 +36,6 @@ from .reflgrp import (Character, ReflectionGroup, character_table,
 from .cherednik import PBWElement, _straighten, named_center_generators
 
 __all__ = [
-    "CoinvariantBasis",
     "BabyVermaModule",
     "build_baby_verma",
     "omega",
@@ -76,36 +79,20 @@ def _reynolds_invariants(W: ReflectionGroup) -> list[dict]:
     return invariants
 
 
-@dataclass(frozen=True)
-class CoinvariantBasis:
-    group: ReflectionGroup
-    monomials: tuple           # basis monomials, by degree, then ascending
-    _invariants: list
-    _reduction: dict           # monomial -> {basis monomial: scalar}
-
-    def degree_counts(self) -> dict:
-        out: dict = {}
-        for m in self.monomials:
-            out[sum(m)] = out.get(sum(m), 0) + 1
-        return out
-
-    def reduce(self, mono: tuple) -> dict:
-        """Normal form of a monomial of degree at most top + 1 modulo the
-        positive-degree invariants."""
-        return self._reduction[mono]
-
-
 @functools.lru_cache(maxsize=None)
-def coinvariant_basis(W: ReflectionGroup) -> CoinvariantBasis:
-    """Greedy monomial basis of the V*-side coinvariant algebra, selected by
-    exact linear algebra degree by degree and validated against the graded
-    dimension prod(1 + t + ... + t^(d_i - 1)), with the normal form of every
-    monomial of degree at most top + 1: top is the degree of the top
-    coinvariant, so a V*-coordinate takes a basis monomial no higher."""
+def coinvariant_basis(W: ReflectionGroup) -> tuple:
+    """(monomials, normal_forms): the greedy monomial basis of the V*-side
+    coinvariant algebra, by degree, then ascending, selected by exact linear
+    algebra degree by degree and validated against the graded dimension
+    prod(1 + t + ... + t^(d_i - 1)); and the normal form {basis monomial:
+    scalar} modulo the positive-degree invariants of every monomial of
+    degree at most top + 1: top is the degree of the top coinvariant, so a
+    V*-coordinate takes a basis monomial no higher.  The result is cached
+    and shared and must not be changed."""
     invariants = _reynolds_invariants(W)
     top = sum(d - 1 for d in W.degrees)
     basis: list = []
-    reduction: dict = {}
+    normal_forms: dict = {}
     for k in range(top + 2):
         monos = sorted(_monomials(W.dim, k), reverse=True)
         index = {m: i for i, m in enumerate(monos)}
@@ -126,11 +113,10 @@ def coinvariant_basis(W: ReflectionGroup) -> CoinvariantBasis:
         # monos descends, so this lists the degree's basis ascending
         basis += [monos[c] for c in reversed(free_cols)]
         for c in free_cols:
-            reduction[monos[c]] = {monos[c]: 1}
+            normal_forms[monos[c]] = {monos[c]: 1}
         for row, col in zip(rows, pivots):
-            reduction[monos[col]] = {monos[c]: -row[c] for c in free_cols
-                                     if row[c] != 0}
-    cb = CoinvariantBasis(W, tuple(basis), invariants, reduction)
+            normal_forms[monos[col]] = {monos[c]: -row[c]
+                                        for c in free_cols if row[c] != 0}
     # validation of the graded dimension
     expect = [1]
     for d in W.degrees:
@@ -139,12 +125,11 @@ def coinvariant_basis(W: ReflectionGroup) -> CoinvariantBasis:
             for j in range(d):
                 new[i + j] += c
         expect = new
-    counts = cb.degree_counts()
-    got = [counts.get(k, 0) for k in range(len(expect))]
-    if got != expect or len(cb.monomials) != W.order():
+    got = [sum(1 for m in basis if sum(m) == k) for k in range(len(expect))]
+    if got != expect or len(basis) != W.order():
         raise ArithmeticError(f"coinvariant basis has graded dimension {got},"
                               f" expected {expect} (|W| = {W.order()})")
-    return cb
+    return tuple(basis), normal_forms
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +150,8 @@ def _chi_matrices(W: ReflectionGroup, chi: Character):
 @dataclass(eq=False)
 class BabyVermaModule:
     group: ReflectionGroup
-    character: Character
     basis: tuple               # of (coinvariant monomial, chi-space index)
-    coin: CoinvariantBasis
+    normal_forms: dict         # monomial -> {basis monomial: scalar}
     chi_mats: list
     # position of each basis vector, and the generator actions built once as
     # sparse columns: each V*-side coordinate, each group element, each V-side
@@ -201,13 +185,14 @@ class BabyVermaModule:
 
     def _map(self, images):
         """Columns {row: coefficient} of the map sending (mono, j) to
-        sum c * reduce(m) (x) chi(g) e_j over the (c, m, g) in images(mono)."""
+        sum c * (normal form of m) (x) chi(g) e_j over the (c, m, g) in
+        images(mono)."""
         columns = []
         for mono, j in self.basis:
             col: dict = {}
             for c, m, g in images(mono):
                 rep = self.chi_mats[g]
-                for mm, cm in self.coin.reduce(m).items():
+                for mm, cm in self.normal_forms[m].items():
                     for jp in range(len(rep)):
                         v = rep[jp][j]
                         if v != 0:
@@ -261,14 +246,14 @@ def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
     """Build the baby Verma module attached to an irreducible character."""
     if chi.group_spec != W.spec:
         raise ValueError("character does not belong to the group")
-    coin = coinvariant_basis(W)
+    monomials, normal_forms = coinvariant_basis(W)
     mats = _chi_matrices(W, chi)
     dim_chi = len(mats[0])
-    basis = tuple((m, j) for m in coin.monomials for j in range(dim_chi))
+    basis = tuple((m, j) for m in monomials for j in range(dim_chi))
     if len(basis) != W.order() * dim_chi:
         raise ArithmeticError(f"baby Verma module of {chi.name} has dimension"
                               f" {len(basis)}, expected {W.order() * dim_chi}")
-    return BabyVermaModule(W, chi, basis, coin, mats)
+    return BabyVermaModule(W, basis, normal_forms, mats)
 
 
 # ---------------------------------------------------------------------------

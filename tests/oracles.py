@@ -415,7 +415,7 @@ def _dense_generators(mod):
         mat = _zero_matrix(n)
         for col, (mono, j) in enumerate(mod.basis):
             newmono = tuple(e + (1 if i == xi else 0) for i, e in enumerate(mono))
-            for m, c in mod.coin.reduce(newmono).items():
+            for m, c in mod.normal_forms[newmono].items():
                 mat[mod.basis.index((m, j))][col] = MPoly.const(c)
         dual.append(mat)
     group = []
@@ -424,7 +424,7 @@ def _dense_generators(mod):
         rep = mod.chi_mats[g]
         for col, (mono, j) in enumerate(mod.basis):
             scalar, image = W.act_monomial(g, mono, dual=True)
-            for m, c in mod.coin.reduce(image).items():
+            for m, c in mod.normal_forms[image].items():
                 for jp in range(len(rep)):
                     v = rep[jp][j]
                     if v != 0:
@@ -438,7 +438,7 @@ def _dense_generators(mod):
         for col, (mono, j) in enumerate(mod.basis):
             for coeff, m, g in _straighten(W, "v", vj, mono, False):
                 rep = mod.chi_mats[g]
-                for mm, c in mod.coin.reduce(m).items():
+                for mm, c in mod.normal_forms[m].items():
                     for jp in range(len(rep)):
                         v = rep[jp][j]
                         if v != 0:

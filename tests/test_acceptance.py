@@ -148,11 +148,11 @@ def test_criterion_07_cells():
     ok = ok and equal.two_sided == (("1",), ("w0",),
                                     ("s", "t", "st", "ts", "sts", "tst"))
     gs = equal.left.index(("s", "ts", "sts"))
-    ok = ok and equal.cellular[gs].as_dict() == {"eps_s": 1, "chi": 1}
+    ok = ok and equal.cellular[gs] == {"eps_s": 1, "chi": 1}
     opp = b2_cells(1, -1)
     ok = ok and opp.two_sided == equal.two_sided and opp.left == equal.left
     gs = opp.left.index(("s", "ts", "sts"))
-    ok = ok and opp.cellular[gs].as_dict() == {"eps": 1, "chi": 1}
+    ok = ok and opp.cellular[gs] == {"eps": 1, "chi": 1}
     rng = random.Random(2026)
     for d in range(3, 7):
         W = build_group(f"cyclic:{d}")
@@ -194,7 +194,8 @@ def test_criterion_09_hilbert_series():
         ok = ok and hilbert_center(W, 8)["match"]
     W = build_group("b2")
     s = molien_bigraded(W, 12)
-    ok = ok and s.get(1, 1) == 1 and s.get(2, 2) == 3
+    ok = ok and s.coeffs.get((1, 1), 0) == 1
+    ok = ok and s.coeffs.get((2, 2), 0) == 3
     ok = ok and sorted(center_basis_bidegrees(W)) == sorted(
         [(0, 0), (1, 1), (2, 2), (2, 2), (3, 3), (4, 4), (1, 3), (3, 1)])
     report(9, "bigraded Hilbert series agree to order 12", ok)

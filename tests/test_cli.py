@@ -3,12 +3,15 @@ import argparse
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from chered import cli
 from chered.cherednik import PBWElement
 from chered.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -67,6 +70,19 @@ def test_cells_cyclic_k_zero(capsys):
     data = json.loads(out)
     assert data["cells"]["two_sided"] == [["1", "s", "s^2", "s^3"]]
     assert data["sum_rules"]["all"] is True
+
+
+@pytest.mark.parametrize("group, params, golden", [
+    ("b2", "a=1,b=1", "cells_b2_a1_b1.txt"),
+    ("b2", "a=1,b=-1", "cells_b2_a1_bm1.txt"),
+    ("cyclic:3", "K=-2,1,1", "cells_cyclic3_Km2_1_1.txt"),
+])
+def test_cells_text_output_is_pinned(capsys, group, params, golden):
+    """The text output of `cells`, including the term order of each
+    cellular character, byte for byte."""
+    code, out, err = run(capsys, "cells", "--group", group, "--params", params)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_cells_b2_sum_rules(capsys):

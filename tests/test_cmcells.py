@@ -8,6 +8,7 @@ from chered.reflgrp import build_group, character_table, param_convert
 from chered.cmcells import (b2_cells, cm_families, minimal_b_character,
                             partition_to_json, rank1_cells, sum_rule_check,
                             tensor_with_linear, twist_family_partition)
+from chered.verma import omega_table
 
 
 W2 = build_group("b2")
@@ -44,10 +45,34 @@ def test_cm_families_checks_labels(point, message):
         cm_families(W2, point)
 
 
-def test_family_signatures_constant_on_blocks():
-    fp = _families_b2(3, 1)
-    assert len(fp.blocks) == len(fp.signatures)
-    assert len({sig for sig in fp.signatures}) == len(fp.signatures)
+def _cyclic4_point(*ks):
+    W = build_group("cyclic:4")
+    return param_convert(W, {f"K{j}": Fraction(k) for j, k in enumerate(ks)},
+                         "C")
+
+
+@pytest.mark.parametrize("spec, cvals", [
+    ("b2", {"A": 2, "B": 1}), ("b2", {"A": 1, "B": 1}),
+    ("b2", {"A": 1, "B": -1}), ("b2", {"A": 0, "B": 1}),
+    ("b2", {"A": 1, "B": 0}), ("b2", {"A": 0, "B": 0}),
+    ("cyclic:4", _cyclic4_point(1, -1, 1, -1)),
+    ("cyclic:4", _cyclic4_point(0, 1, 2, -3)),
+], ids=["b2-generic", "b2-a=b", "b2-a=-b", "b2-a=0", "b2-b=0", "b2-zero",
+        "cyclic4-two-pairs", "cyclic4-distinct"])
+def test_families_are_classes_of_equal_central_characters(spec, cvals):
+    """Two characters share a family exactly when their central characters
+    agree at the point on every named generator of the center."""
+    W = build_group(spec)
+    fp = cm_families(W, cvals)
+    names = [chi.name for chi in character_table(W)]
+    assert sorted(n for block in fp.blocks for n in block) == sorted(names)
+    family_of = {n: k for k, block in enumerate(fp.blocks) for n in block}
+    at_point = {n: {g: v.substitute(cvals) for g, v in row.items()}
+                for n, row in omega_table(W).items()}
+    for x in names:
+        for y in names:
+            assert ((family_of[x] == family_of[y])
+                    == (at_point[x] == at_point[y])), (x, y)
 
 
 def test_families_cyclic_distinct_k():
@@ -64,10 +89,10 @@ def test_rank1_cells_examples():
     assert cp.two_sided == (("1",), ("s",), ("s^2",))
     cp = rank1_cells(3, [Fraction(-2), 1, 1])
     assert cp.two_sided == (("1",), ("s", "s^2"))
-    assert cp.cellular[1].as_dict() == {"eps^1": 1, "eps^2": 1}
+    assert cp.cellular[1] == {"eps^1": 1, "eps^2": 1}
     cp = rank1_cells(4, [0, 0, 0, 0])
     assert cp.two_sided == (("1", "s", "s^2", "s^3"),)
-    assert cp.cellular[0].as_dict() == {f"eps^{i}": 1 for i in range(4)}
+    assert cp.cellular[0] == {f"eps^{i}": 1 for i in range(4)}
 
 
 @pytest.mark.parametrize("d", (3, 4, 5, 6))
@@ -98,8 +123,7 @@ def test_b2_cells_generic_stratum():
     assert len(cp.left) == 6
     assert ("t", "st", "ts", "sts") in cp.two_sided
     assert ("t", "st") in cp.left and ("ts", "sts") in cp.left
-    chars = sorted(str(sorted(c.as_dict().items())) for c in cp.cellular)
-    assert [c.as_dict() for c in cp.cellular].count({"chi": 1}) == 2
+    assert list(cp.cellular).count({"chi": 1}) == 2
     assert sum_rule_check(W2, cp)["all"]
 
 
@@ -109,7 +133,7 @@ def test_b2_cells_equal_parameters():
                             ("s", "t", "st", "ts", "sts", "tst"))
     assert ("s", "ts", "sts") in cp.left and ("t", "st", "tst") in cp.left
     gamma_s = cp.left.index(("s", "ts", "sts"))
-    assert cp.cellular[gamma_s].as_dict() == {"eps_s": 1, "chi": 1}
+    assert cp.cellular[gamma_s] == {"eps_s": 1, "chi": 1}
     assert sum_rule_check(W2, cp)["all"]
     # |Gamma| = 6 = 1 + 1 + 4 over its family
     assert cp.families[2] == ("chi", "eps_s", "eps_t")
@@ -123,16 +147,16 @@ def test_b2_cells_opposite_parameters_is_twist():
         tuple(sorted(tensor_with_linear(W2, n, "eps_t") for n in fam))
         for fam in base.families)
     gamma_s = cp.left.index(("s", "ts", "sts"))
-    assert cp.cellular[gamma_s].as_dict() == {"eps": 1, "chi": 1}
+    assert cp.cellular[gamma_s] == {"eps": 1, "chi": 1}
     gamma_t = cp.left.index(("t", "st", "tst"))
-    assert cp.cellular[gamma_t].as_dict() == {"1": 1, "chi": 1}
+    assert cp.cellular[gamma_t] == {"1": 1, "chi": 1}
     assert sum_rule_check(W2, cp)["all"]
 
 
 def test_b2_cells_zero_parameters():
     cp = b2_cells(0, 0)
     assert cp.two_sided == (("1", "s", "t", "st", "ts", "sts", "tst", "w0"),)
-    assert cp.cellular[0].as_dict() == {"1": 1, "eps": 1, "eps_s": 1,
+    assert cp.cellular[0] == {"1": 1, "eps": 1, "eps_s": 1,
                                         "eps_t": 1, "chi": 2}
     assert sum_rule_check(W2, cp)["all"]
 

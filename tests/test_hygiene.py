@@ -1,6 +1,7 @@
 """Source hygiene of the runtime package: every imported name is used,
 every function, class, method and top-level constant it defines is used,
-and no check is an assert statement."""
+every annotated field of its classes is read, and no check is an assert
+statement."""
 import ast
 from pathlib import Path
 
@@ -79,6 +80,24 @@ def unread_constants(sources: dict[str, str]) -> list[str]:
     return sorted(f"{mod}.{name}" for mod, name in assigned if name not in used)
 
 
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """"module.Class.field" of each annotated class attribute (a dataclass
+    field, say) that no module of the package reads as a name or an
+    attribute: a result record should carry only what the package reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = read_names(trees.values())
+    fields = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                fields += [(mod, f"{node.name}.{item.target.id}")
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)]
+    return sorted(f"{mod}.{name}" for mod, name in fields
+                  if name.rsplit(".", 1)[-1] not in used)
+
+
 def read_names(trees) -> set[str]:
     """Every name the modules read, as a name or as an attribute."""
     used: set[str] = set()
@@ -141,6 +160,22 @@ def test_scanner_flags_unread_constants():
     assert unread_constants(sources) == ["a.X", "a._DEAD"]
 
 
+def test_scanner_flags_unread_fields():
+    sources = {"a": ("from dataclasses import dataclass\n"
+                     "LIMIT: int = 3\n"
+                     "@dataclass\n"
+                     "class Record:\n"
+                     "    shown: tuple\n"
+                     "    hidden: dict\n"
+                     "    counted: int = 0\n"
+                     "    def size(self): return len(self.shown)\n"
+                     "class Plain:\n"
+                     "    __slots__ = ('kept',)\n"
+                     "    label: str\n"),
+               "b": "import a\nr = a.Record((), {})\nprint(r.size(), r.counted)\n"}
+    assert unread_fields(sources) == ["a.Plain.label", "a.Record.hidden"]
+
+
 def test_scanner_flags_asserts():
     source = ("def f(x):\n"
               "    assert x, 'message'\n"
@@ -153,11 +188,13 @@ def test_scanner_flags_asserts():
     assert assert_lines(source) == [2, 8]
 
 
-# Public paper-level functions that only the tests call (the acceptance
-# suite, and test_cherednik for the twist): each states a result of the
-# paper that no CLI command prints.  Any other function of the package that
-# only tests reach belongs in tests/oracles.py.
+# Public paper-level functions that only the tests and the benchmark call
+# (the acceptance suite, test_cherednik for the twist, perfbench for the
+# whole B2 presentation): each states a result of the paper that no CLI
+# command prints whole.  Any other function of the package that only tests
+# reach belongs in tests/oracles.py.
 TEST_ONLY_API = {
+    "center.verify_b2_center",          # centrality and Z1-Z9 in one list
     "cherednik.twist_by_linear_char",   # the twist of a character by a linear one
     "cmcells.twist_family_partition",   # families are permuted by the twist
     "cmcells.minimal_b_character",      # the b-minimal member of a family
@@ -177,6 +214,10 @@ def test_no_unused_imports(path):
 
 def test_no_unread_constants():
     assert unread_constants({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_no_unread_fields():
+    assert unread_fields({p.stem: p.read_text() for p in MODULES}) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
