@@ -28,10 +28,10 @@ For the order-2 cyclic group, s acts by -1, so <s(v)-v, xi> = -2:
 """
 from __future__ import annotations
 
-from operator import add
+from functools import partial
 
 from .exactnum import canon_scalar, format_power, format_sum, power
-from .multipoly import MPoly, _product, scalar_div
+from .multipoly import MPoly, _field_bits, _packing, scalar_div
 from .reflgrp import ReflectionGroup, Character, value_on_element
 
 __all__ = [
@@ -259,15 +259,26 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     commute, so xi^q b = xi_i (xi^(q - e_i) b) for the first i with q_i > 0
     reuses the shorter chain.  Multiplying by x^p only shifts V-exponents.
 
-    The coefficients live on one sorted variable tuple per call: the
-    variables of every coefficient of a and b, the group's parameters, and
-    T when with_T is set.  Each coefficient of a and b, and each
-    straightening correction (memoised per call), is aligned to it once.
-    The chains, group actions and shifts add coefficient products into flat
-    {normal word: {exponent: scalar}} maps (`multipoly._product`), and one
-    `MPoly` per word is built at the end."""
+    Inside one call a term is one int key and one scalar.  The key packs,
+    from the highest field down, the V*-exponents q, the exponents of the
+    coefficient monomial over one sorted variable tuple (the variables of
+    every coefficient of a and b, the group's parameters, and T when with_T
+    is set), the V-exponents p and the group element (`multipoly._packing`).
+    A shift by x^p, the image g^{-1}(xi_i) of a dual coordinate and a
+    straightening correction are then one int addition each; they depend
+    only on the low fields (p, g) of a key, and are memoised per call as
+    packed deltas.  One unpacking at the end builds one `MPoly` per word.
+
+    The fields need no overflow check.  Call |p| + |q| + 2 deg(e) the weight
+    of a term.  [xi, v] = -T<v,xi> - sum_s C_s <s(v)-v, xi> s trades one x
+    and one xi for one T or C_s, and the group permutes coordinates up to
+    scalars, so a term of the product weighs at most a term of a plus a
+    term of b.  Every field is at most that sum, and the group field at most
+    |W| - 1."""
     a._check_compat(b)
     W = a.group
+    if not a.terms or not b.terms:
+        return a._like({})
     names = set(W.param_names())
     if with_T:
         names.add("T")
@@ -275,90 +286,141 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
         for c in elem.terms.values():
             names.update(c.vars)
     nv = tuple(sorted(names))
-    one = (0,) * len(nv)             # the exponent of a scalar
-    corrections: dict = {}           # (i, p) -> aligned _straighten terms
-    dual_images: dict = {}           # (g, i) -> g^{-1}(xi_i) as (scalar, q)
+    d, n = W.dim, len(nv)
+    weight = sum(max(sum(p) + sum(q) + 2 * max(map(sum, c.terms))
+                     for (p, _, q), c in elem.terms.items())
+                 for elem in (a, b))
+    bits = _field_bits(max(weight, W.order() - 1))
+    pack, unpack = _packing(2 * d + n + 1, bits)
+    zq, ze = (0,) * d, (0,) * n
+    low_mask = (1 << (d + 1) * bits) - 1            # the fields p and g
+    coeff_mask = ((1 << n * bits) - 1) << (d + 1) * bits
+    word_mask = ~coeff_mask
+    coeff_keys = _Memo(lambda e: pack((*zq, *e, *zq, 0)))
+    coeff_exps = _Memo(lambda k: unpack(k)[d:d + n])
+    v_keys = _Memo(lambda p: pack((*zq, *ze, *p, 0)))
+    dual_keys = _Memo(lambda q: pack((*q, *ze, *zq, 0)))
 
-    def straighten(i, p):
-        found = corrections.get((i, p))
-        if found is None:
-            found = tuple((c._aligned(nv), m, s)
-                          for c, m, s in _straighten(W, "dual", i, p, with_T))
-            corrections[(i, p)] = found
-        return found
-
-    def lmul_dual(i, elem):
-        """xi_i * elem: xi_i x^p g = x^p g g^{-1}(xi_i) + corrections."""
-        out: dict = {}
-        for (p, g, q), c in elem.items():
-            image = dual_images.get((g, i))
-            if image is None:
-                xi = tuple(1 if k == i else 0 for k in range(W.dim))
-                image = W.act_monomial(W.inverse[g], xi, dual=True)
-                dual_images[(g, i)] = image
-            scalar, qi = image
-            _accumulate(out, (p, g, tuple(map(add, q, qi))),
-                        _product({one: scalar}, c))
-            for cc, mono, s in straighten(i, p):
-                _accumulate(out, (mono, W.mult_table[s][g], q), _product(cc, c))
-        return _trimmed(out)
-
-    def lmul_group(g, elem):
-        """g * elem: g x^p w = g(x^p) gw, which maps distinct words to
-        distinct words."""
-        out: dict = {}
-        for (p, w, q), c in elem.items():
-            scalar, image = W.act_monomial(g, p, dual=False)
-            out[(image, W.mult_table[g][w], q)] = _product({one: scalar}, c)
+    def packed(elem):
+        out = {}
+        for (p, g, q), c in elem.terms.items():
+            base = dual_keys[q] + v_keys[p] + g
+            for e, v in c._aligned(nv).items():
+                out[base + coeff_keys[e]] = v
         return out
 
-    chains = {_zeros(W): {key: c._aligned(nv) for key, c in b.terms.items()}}
-    pieces: dict = {}                # (g, q) -> g xi^q b
+    def low_fields(low):
+        fields = unpack(low)
+        return fields[d + n:2 * d + n], fields[-1]
 
-    def chain(q):
-        piece = chains.get(q)
-        if piece is None:
-            i = next(k for k, e in enumerate(q) if e)
-            piece = lmul_dual(i, chain(q[:i] + (q[i] - 1,) + q[i + 1:]))
-            chains[q] = piece
-        return piece
+    def straightened(key):
+        """The corrections of xi_i x^p - x^p xi_i as (delta, s, scalar),
+        the delta moving x^p to the correction's monomial and coefficient."""
+        i, p = key
+        return [(v_keys[mono] - v_keys[p] + coeff_keys[e], s, v)
+                for cc, mono, s in _straighten(W, "dual", i, p, with_T)
+                for e, v in cc._aligned(nv).items()]
 
+    corrections = _Memo(straightened)
+
+    def dual_step(i, low):
+        """xi_i x^p g = x^p g g^{-1}(xi_i) + corrections, as the scalar and
+        delta of the first term and the (delta, scalar) of the corrections."""
+        p, g = low_fields(low)
+        xi = tuple(1 if k == i else 0 for k in range(d))
+        scalar, qi = W.act_monomial(W.inverse[g], xi, dual=True)
+        mult = W.mult_table
+        return (scalar, dual_keys[qi],
+                [(delta + mult[s][g] - g, v) for delta, s, v in corrections[(i, p)]])
+
+    def group_step(g, low):
+        """g x^p w = scalar x^p' gw, as the scalar and the delta."""
+        p, w = low_fields(low)
+        scalar, image = W.act_monomial(g, p, dual=False)
+        return scalar, v_keys[image] + W.mult_table[g][w] - low
+
+    dual_steps = [_Memo(partial(dual_step, i)) for i in range(d)]
+    group_steps = [_Memo(partial(group_step, g)) for g in range(W.order())]
+
+    def lmul_dual(i, elem):
+        """xi_i * elem."""
+        out: dict = {}
+        get = out.get
+        steps = dual_steps[i]
+        for key, c in elem.items():
+            scalar, delta, extra = steps[key & low_mask]
+            k = key + delta
+            v = c if scalar == 1 else scalar * c
+            prev = get(k)
+            out[k] = v if prev is None else prev + v
+            for delta, cc in extra:
+                k = key + delta
+                prev = get(k)
+                out[k] = cc * c if prev is None else prev + cc * c
+        return {k: c for k, c in out.items() if c != 0}
+
+    def lmul_group(g, elem):
+        """g * elem, which maps distinct words to distinct words."""
+        out: dict = {}
+        steps = group_steps[g]
+        for key, c in elem.items():
+            scalar, delta = steps[key & low_mask]
+            out[key + delta] = c if scalar == 1 else scalar * c
+        return out
+
+    def chain_of(q):
+        """xi^q b = xi_i (xi^(q - e_i) b) for the first i with q_i > 0."""
+        i = next(k for k, e in enumerate(q) if e)
+        return lmul_dual(i, chains[q[:i] + (q[i] - 1,) + q[i + 1:]])
+
+    def piece_of(key):
+        """g xi^q b."""
+        g, q = key
+        piece = chains[q]
+        return piece if g == W.identity else lmul_group(g, piece)
+
+    chains = _Memo(chain_of)
+    chains[zq] = packed(b)
+    pieces = _Memo(piece_of)
     out: dict = {}
+    get = out.get
     for (p, g, q), c in a.terms.items():
-        piece = pieces.get((g, q))
-        if piece is None:
-            piece = chain(q)
-            if g != W.identity:
-                piece = lmul_group(g, piece)
-            pieces[(g, q)] = piece
-        c = c._aligned(nv)
-        for (pp, w, qq), cc in piece.items():
-            _accumulate(out, (tuple(map(add, p, pp)), w, qq), _product(c, cc))
-    return a._like({key: MPoly._of(nv, {e: canon_scalar(v) for e, v in t.items()})
-                    for key, t in _trimmed(out).items()})
+        piece = pieces[(g, q)]
+        base = v_keys[p]
+        for e, sc in c._aligned(nv).items():
+            shift = base + coeff_keys[e]
+            terms = piece.items() if sc == 1 else [
+                (k, sc if v == 1 else sc * v) for k, v in piece.items()]
+            for k, v in terms:
+                k += shift
+                prev = get(k)
+                out[k] = v if prev is None else prev + v
+    words: dict = {}
+    for k, v in out.items():
+        if v != 0:
+            t = words.get(k & word_mask)
+            if t is None:
+                t = words[k & word_mask] = {}
+            t[coeff_exps[k & coeff_mask]] = canon_scalar(v)
+    result = {}
+    for word, t in words.items():
+        fields = unpack(word)
+        result[(fields[d + n:2 * d + n], fields[-1], fields[:d])] = MPoly._of(nv, t)
+    return a._like(result)
 
 
-def _accumulate(out: dict, key, terms: dict) -> None:
-    """out[key] += terms, for flat maps {word: {exponent: scalar}}; out
-    takes over the dict terms."""
-    t = out.get(key)
-    if t is None:
-        out[key] = terms
-        return
-    get = t.get
-    for e, c in terms.items():
-        prev = get(e)
-        t[e] = c if prev is None else prev + c
+class _Memo(dict):
+    """A dict that fills in a missing key's value once, from fill(key)."""
 
+    __slots__ = ("fill",)
 
-def _trimmed(out: dict) -> dict:
-    """A flat map without its zero coefficients and empty words."""
-    trimmed = {}
-    for key, t in out.items():
-        t = {e: c for e, c in t.items() if c != 0}
-        if t:
-            trimmed[key] = t
-    return trimmed
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def commutator(a: PBWElement, b: PBWElement) -> PBWElement:

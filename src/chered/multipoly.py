@@ -8,20 +8,27 @@ never a Cyclotomic, and results pass through `canon_scalar` so that an
 integral Fraction is stored as an int.
 
 A polynomial stores its terms as {exponent tuple: coefficient}, aligned to
-its `vars`.  A product aligns both operands once and picks a kernel:
+its `vars`.  Inside a kernel an exponent tuple may become one int, its
+entries packed big-endian into fields wide enough for the largest exponent
+the kernel can produce (`_packing`; Monagan and Pearce, CASC 2007), so that
+a monomial product is one integer addition and int order is lex order.  The
+width comes from a bound, not from a check, and every width packs: 8, 16,
+32 and 64 bits through `struct`, wider fields through shifts.
+
+A product aligns both operands once and picks a kernel:
 - a one-term factor shifts the exponents of the other and scales its
   coefficients, with no accumulation, since distinct terms stay distinct;
   the constant 1 only copies, and a scalar factor only scales;
 - `p * p` (so `p ** n` too) adds each unordered pair of terms once, the
   pair (i, j) with i < j as 2*c_i*c_j;
 - otherwise a schoolbook product, chosen by the number of term pairs: few
-  pairs add the exponent tuples directly, many pairs pack each exponent
-  tuple into one int (fields wide enough for the largest exponent of the
-  product, so a monomial product is one integer add; Monagan and Pearce,
-  CASC 2007) and unpack the result once; squares pack the same way.
-A sum stores a coefficient under a new exponent as it is, and adds only
-where both operands have a term.  `_product` is the kernel on aligned term
-maps, which `cherednik.multiply` also sums into its flat coefficient maps.
+  pairs add the exponent tuples directly, many pairs add packed keys and
+  unpack the result once; squares pack the same way.
+A sum, and every kernel, stores a coefficient under a new exponent as it
+is, and adds only where two terms meet.  `divexact` divides by lex leading
+terms on packed keys, taking the next remainder term from a heap (Monagan
+and Pearce, J. Symb. Comput. 2011).  `cherednik.multiply` packs whole PBW
+terms the same way.
 
 >>> x, y = MPoly.var("x"), MPoly.var("y")
 >>> print((x + y) ** 2)
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import add
 
 from .exactnum import (Cyclotomic, canon_scalar, format_power, format_sum,
@@ -279,7 +287,17 @@ class MPoly:
         return exp, self.terms[exp]
 
     def divexact(self, other: "MPoly") -> "MPoly":
-        """Exact division; raises ArithmeticError when not divisible."""
+        """Exact division; raises ArithmeticError when not divisible.
+
+        Division by the lex leading term on packed exponents: fields
+        big-endian in the order of the variables, so that int order is lex
+        order, and a max-heap of remainder keys, where a key whose term
+        cancelled is skipped when popped.  Every exponent of an exact
+        quotient is at most the dividend's largest exponent, so a quotient
+        term past it ends an inexact division at once, and no remainder key
+        exceeds the dividend's largest exponent plus the divisor's.  The
+        fields hold that sum below a spare top bit, which a field sets when
+        a subtraction borrows or a quotient exponent passes the bound."""
         other = MPoly._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -290,27 +308,43 @@ class MPoly:
             return MPoly._of(self.vars, {exp: scalar_div(v, c)
                                          for exp, v in self.terms.items()})
         nv = MPoly._merge_vars(self, other)
-        rem = dict(self._aligned(nv))
-        den = other._aligned(nv)
-        lt_exp = max(den)
-        lt_coeff = den[lt_exp]
+        num, den = self._aligned(nv), other._aligned(nv)
+        top = max(map(max, num))
+        bits = _field_bits(2 * (top + max(map(max, den))))
+        pack, unpack = _packing(len(nv), bits)
+        ones = pack((1,) * len(nv))
+        spare = ones << (bits - 1)
+        slack = ones * ((1 << (bits - 1)) - 1 - top)
+        rem = {pack(exp): c for exp, c in num.items()}
+        lead = max(den)
+        lead_key, lead_coeff = pack(lead), den[lead]
+        rest = [(pack(exp), -c) for exp, c in den.items() if exp != lead]
+        heap = [-k for k in rem]
+        heapify(heap)
         quot: dict = {}
-        while rem:
-            exp = max(rem)
-            c = rem[exp]
-            qexp = tuple(a - b for a, b in zip(exp, lt_exp))
-            if any(e < 0 for e in qexp):
+        while heap:
+            key = -heappop(heap)
+            c = rem.pop(key, None)
+            if c is None:
+                continue
+            qkey = key - lead_key
+            if qkey & spare or (qkey + slack) & spare:
                 raise ArithmeticError("polynomial division is not exact")
-            qc = scalar_div(c, lt_coeff)
-            quot[qexp] = qc
-            for dexp, dc in den.items():
-                key = tuple(a + b for a, b in zip(qexp, dexp))
-                s = canon_scalar(rem.get(key, 0) - qc * dc)
-                if s == 0:
-                    rem.pop(key, None)
+            qc = scalar_div(c, lead_coeff)
+            quot[qkey] = qc
+            for dkey, dc in rest:
+                k = qkey + dkey
+                prev = rem.get(k)
+                if prev is None:
+                    rem[k] = qc * dc
+                    heappush(heap, -k)
                 else:
-                    rem[key] = s
-        return MPoly._of(nv, quot)
+                    s = prev + qc * dc
+                    if s == 0:
+                        del rem[k]
+                    else:
+                        rem[k] = s
+        return MPoly._of(nv, {unpack(k): c for k, c in quot.items()})
 
     # -- printing --------------------------------------------------------
 
@@ -337,8 +371,8 @@ class MPoly:
 # 0.5-0.85x at 1024 pairs.
 _PACK_MIN_PAIRS = 64
 
-# struct codes of unsigned big-endian fields, with their widths in bits
-_FIELDS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+# struct codes of unsigned big-endian fields, by their widths in bits
+_FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def _product(a: dict, b: dict) -> dict:
@@ -371,34 +405,48 @@ def _tuple_product(a: dict, b: dict) -> dict:
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = tuple(map(add, ea, eb))
-            out[key] = get(key, 0) + ca * cb
+            prev = get(key)
+            out[key] = ca * cb if prev is None else prev + ca * cb
     return out
 
 
-def _packing(nvars: int, top: int):
-    """(pack, unpack) between exponent vectors of nvars entries and ints,
-    with fields wide enough for exponents up to top: each gets the narrowest
-    struct field of at least that many bits, so no field carries into the
-    next and a monomial product is one integer add.  None when an exponent
-    needs more than 64 bits."""
+def _field_bits(top: int) -> int:
+    """The width of a packed field that holds the integers 0..top: the
+    narrowest struct field of 8, 16, 32 or 64 bits, and past 64 bits as many
+    bits as top needs."""
     w = top.bit_length()
-    code = next((c for bits, c in _FIELDS if bits >= w), None)
-    if code is None:
-        return None
-    fields = struct.Struct(f">{nvars}{code}")
-    pack, unpack, size = fields.pack, fields.unpack, fields.size
-    from_bytes = int.from_bytes
-    return (lambda exp: from_bytes(pack(*exp), "big"),
-            lambda k: unpack(k.to_bytes(size, "big")))
+    return next((bits for bits in _FIELDS if bits >= w), w)
+
+
+def _packing(nfields: int, bits: int):
+    """(pack, unpack) between tuples of nfields integers in 0..2^bits - 1
+    and ints, the first entry in the highest field.  Fields do not carry
+    into each other, so adding packed keys adds their tuples as long as each
+    sum stays in range.  Widths of 8, 16, 32 and 64 bits go through a
+    `struct`, any other width through shifts (slower, equally exact)."""
+    code = _FIELDS.get(bits)
+    if code is not None:
+        fields = struct.Struct(f">{nfields}{code}")
+        pack, unpack, size = fields.pack, fields.unpack, fields.size
+        from_bytes = int.from_bytes
+        return (lambda exp: from_bytes(pack(*exp), "big"),
+                lambda k: unpack(k.to_bytes(size, "big")))
+    shifts = tuple(range(bits * (nfields - 1), -1, -bits))
+    mask = (1 << bits) - 1
+
+    def pack_shifted(exp):
+        k = 0
+        for e in exp:
+            k = k << bits | e
+        return k
+
+    return pack_shifted, lambda k: tuple(k >> s & mask for s in shifts)
 
 
 def _packed_product(a: dict, b: dict) -> dict:
-    """`_tuple_product` with each exponent vector packed into one int;
-    exponents wider than 64 bits fall back to tuple keys."""
-    packing = _packing(len(next(iter(a))), max(map(max, a)) + max(map(max, b)))
-    if packing is None:
-        return _tuple_product(a, b)
-    pack, unpack = packing
+    """`_tuple_product` with each exponent vector packed into one int."""
+    pack, unpack = _packing(len(next(iter(a))), _field_bits(
+        max(map(max, a)) + max(map(max, b))))
     pb = [(pack(exp), c) for exp, c in b.items()]
     out: dict = {}
     get = out.get
@@ -406,7 +454,8 @@ def _packed_product(a: dict, b: dict) -> dict:
         ka = pack(ea)
         for kb, cb in pb:
             k = ka + kb
-            out[k] = get(k, 0) + ca * cb
+            prev = get(k)
+            out[k] = ca * cb if prev is None else prev + ca * cb
     return {unpack(k): c for k, c in out.items()}
 
 
@@ -416,26 +465,27 @@ def _square(a: dict) -> dict:
     `_PACK_MIN_PAIRS` pairs, as in `_packed_product`."""
     items = list(a.items())
     n = len(items)
-    packing = None
-    if n * (n + 1) // 2 >= _PACK_MIN_PAIRS:
-        packing = _packing(len(items[0][0]), 2 * max(map(max, a)))
-    if packing is None:
-        def key(ea, eb):
-            return tuple(map(add, ea, eb))
-    else:
-        pack, unpack = packing
+    packed = n * (n + 1) // 2 >= _PACK_MIN_PAIRS
+    if packed:
+        pack, unpack = _packing(len(items[0][0]),
+                                _field_bits(2 * max(map(max, a))))
         items = [(pack(exp), c) for exp, c in items]
         key = add
+    else:
+        def key(ea, eb):
+            return tuple(map(add, ea, eb))
     out: dict = {}
     get = out.get
     for i, (ea, ca) in enumerate(items):
         k = key(ea, ea)
-        out[k] = get(k, 0) + ca * ca
+        prev = get(k)
+        out[k] = ca * ca if prev is None else prev + ca * ca
         twice = 2 * ca
         for eb, cb in items[i + 1:]:
             k = key(ea, eb)
-            out[k] = get(k, 0) + twice * cb
-    if packing is None:
+            prev = get(k)
+            out[k] = twice * cb if prev is None else prev + twice * cb
+    if not packed:
         return out
     return {unpack(k): c for k, c in out.items()}
 

@@ -92,6 +92,84 @@ def test_product_ignores_unused_coefficient_variables(with_T):
         assert str(wide) == str(product) == str(reference)
 
 
+def term_weight(key, coeff: MPoly) -> int:
+    """|p| + |q| + 2 deg(e), largest over the coefficient monomials e."""
+    p, _, q = key
+    return sum(p) + sum(q) + 2 * max(map(sum, coeff.terms))
+
+
+def max_weight(elem: PBWElement) -> int:
+    return max(term_weight(key, c) for key, c in elem.terms.items())
+
+
+@pytest.mark.parametrize("spec", GROUPS + ("cyclic:7", "cyclic:8"))
+def test_product_weight_is_subadditive(spec):
+    # the premise of the field widths of `multiply`: no term of a product
+    # weighs more than the heaviest term of a plus the heaviest of b
+    W = build_group(spec)
+    rng = random.Random(zlib.crc32(f"weight/{spec}".encode()))
+    for with_T in (False, True):
+        for _ in range(6):
+            a = sharing_element(W, rng, with_T)
+            b = sharing_element(W, rng, with_T)
+            product = multiply(a, b, with_T=with_T)
+            assert product.terms
+            assert max_weight(product) <= max_weight(a) + max_weight(b)
+
+
+# the weight bound of a product just below and just above the largest
+# value of a field of 8, 16, 32 and 64 bits: the unit word with coefficient
+# A^k (weight 2k) or the word x^k (weight k), times eu (weight 2); the
+# largest exponent of the product is k + 1, of A^(k + 1) from the A*s terms
+# of eu or of x^(k + 1) from x*xi, and at offset 1 it is 2^bits
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_product_weight_bound_at_a_field_limit(bits, offset):
+    W = build_group("b2")
+    eu = euler_element(W)
+    bound = 2 ** bits + offset
+    if offset % 2 == 0:
+        k = (bound - 2) // 2
+        a = PBWElement.one(W).scale(MPoly.var("A") ** k)
+    else:
+        k = bound - 2
+        a = PBWElement.monomial(W, (k, 0), W.identity, (0, 0))
+    assert max_weight(a) + max_weight(eu) == bound
+    product = multiply(a, eu)
+    assert product.terms == multiply_per_term(a, eu).terms
+    if offset % 2 == 0:
+        assert max(c.degree_in("A") for c in product.terms.values()) == k + 1
+    else:
+        assert max(p[0] for p, _, _ in product.terms) == k + 1
+
+
+def test_b2_euler_powers_match_oracle():
+    W = build_group("b2")
+    eu = euler_element(W)
+    eu2 = multiply(eu, eu)
+    assert eu2.terms == multiply_per_term(eu, eu).terms
+    eu4 = multiply(eu2, eu2)
+    assert eu4.terms == multiply_per_term(eu2, eu2).terms
+    assert multiply(eu4, eu).terms == multiply_per_term(eu4, eu).terms
+    assert multiply(eu, eu4).terms == multiply_per_term(eu, eu4).terms
+
+
+@pytest.mark.parametrize("spec", ["cyclic:7", "cyclic:8"])
+def test_cyclic_products_match_oracle(spec):
+    # Cyclotomic scalars from the group action, and a group field that
+    # carries 7 or 8 elements
+    W = build_group(spec)
+    rng = random.Random(zlib.crc32(f"oracle/{spec}".encode()))
+    eu = euler_element(W)
+    for with_T in (False, True):
+        for _ in range(3):
+            a = sharing_element(W, rng, with_T)
+            b = sharing_element(W, rng, with_T)
+            for lhs, rhs in ((a, b), (b, a), (a, eu), (eu, b)):
+                assert (multiply(lhs, rhs, with_T=with_T).terms
+                        == multiply_per_term(lhs, rhs, with_T).terms)
+
+
 @pytest.mark.parametrize("spec", GROUPS)
 def test_group_algebra_embedding(spec):
     W = build_group(spec)

@@ -83,7 +83,13 @@ def unread_constants(sources: dict[str, str]) -> list[str]:
 def unread_fields(sources: dict[str, str]) -> list[str]:
     """"module.Class.field" of each annotated class attribute (a dataclass
     field, say) that no module of the package reads as a name or an
-    attribute: a result record should carry only what the package reads."""
+    attribute: a result record should carry only what the package reads.
+
+    Fields are matched by bare attribute name, not by the type of the
+    object read: a field passes when any attribute of that name is read
+    anywhere, so an unread field named like an attribute read elsewhere
+    (`group`, `order`, `index`, ...) is not flagged.  Resolving the receiver
+    would need type annotations that the package does not carry."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     used = read_names(trees.values())
     fields = []
@@ -174,6 +180,10 @@ def test_scanner_flags_unread_fields():
                      "    label: str\n"),
                "b": "import a\nr = a.Record((), {})\nprint(r.size(), r.counted)\n"}
     assert unread_fields(sources) == ["a.Plain.label", "a.Record.hidden"]
+    # the limit of a match by bare name: reading `label` of any object
+    # counts as reading Plain.label
+    sources["b"] += "print(r.size.label)\n"
+    assert unread_fields(sources) == ["a.Record.hidden"]
 
 
 def test_scanner_flags_asserts():

@@ -34,6 +34,30 @@ def test_divexact():
     assert p.divexact(x + y) == x - y
     with pytest.raises(ArithmeticError):
         (x ** 2 + y).divexact(x + y)
+    # exponents past 64 bits pack into wider fields
+    big = x ** (2 ** 64) * y ** (2 ** 70) - 3
+    assert (big * (x + y)).divexact(x + y) == big
+    with pytest.raises(ArithmeticError):
+        (big * (x + y) + y).divexact(big)
+
+
+@pytest.mark.parametrize("num, den", [
+    (x, x + y ** 5),           # the remainder gains y^5, past x's exponents
+    (1, x),
+    (x ** 2, x + y ** 200),    # a quotient term y^200 past the dividend's
+    (x ** 3, x + y ** 100),    # ... whose products would pass the fields
+    (x ** 4 * y, x + y ** 60),
+    # rejected at its second quotient term, not after 2^20 of them
+    (x ** 2 ** 20, x + y ** (2 ** 20 + 1)),
+    (x * y + 1, y),
+    (x ** 3 - y ** 3, x + y),
+    (x + y, 2 * x * y),
+])
+def test_divexact_rejects_inexact(num, den):
+    with pytest.raises(ArithmeticError):
+        MPoly._coerce(num).divexact(den)
+    with pytest.raises(ZeroDivisionError):
+        MPoly._coerce(num).divexact(MPoly.zero())
 
 
 def test_substitute():
@@ -194,6 +218,20 @@ def polys(draw, nterms):
     return MPoly(names, terms)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(polys(n), polys(n))))
+def test_divexact_undoes_a_product(pair):
+    # exponents up to 2^20 and around the 8-, 16- and 32-bit field limits,
+    # on variables in a drawn order, over int, Fraction and Cyclotomic
+    a, b = pair
+    product = a * b
+    assert product.divexact(b) == a
+    assert product.divexact(a) == b
+    if not b.is_constant():
+        with pytest.raises(ArithmeticError):
+            (product + 1).divexact(b)
+
+
 # a failing example is reported as drawn: each example costs tens of
 # milliseconds of exact arithmetic, and shrinking a failure of a kernel with
 # too narrow fields ran into Hypothesis's five-minute limit per test
@@ -279,8 +317,8 @@ def test_square_exponent_one_past_a_field(bits):
 @pytest.mark.parametrize("bits", [8, 16, 32, 64])
 def test_mul_exponent_sum_one_past_a_field(bits):
     # the largest exponent of the product, (2^bits - 1) + 1, takes one bit
-    # more than a field of `bits` bits holds; past 64 bits the product falls
-    # back to tuple keys
+    # more than a field of `bits` bits holds; past 64 bits the fields are
+    # packed by shifts
     z = MPoly.var("z")
     a = x ** (2 ** bits - 1) * sum((y ** k for k in range(8)), MPoly.zero())
     b = (1 + x) * (1 + y) * (1 + z)
