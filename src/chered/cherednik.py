@@ -1,7 +1,7 @@
 """The PBW engine for the rational Cherednik algebra at t=0 (and its
 T-deformation): normal-form elements k[params] (x) k[V] (x) kW (x) k[V*],
-straightening, Euler element, centrality tests, bigrading, linear-character
-twists, and the Poisson bracket on the center.
+straightening, Euler element, centrality tests, bigrading, and the Poisson
+bracket on the center.
 
 Normal words are triples (V-monomial, group element, V*-monomial) with
 coefficients that are polynomials in the reflection parameters C_s.  An
@@ -31,8 +31,8 @@ from __future__ import annotations
 from functools import partial
 
 from .exactnum import canon_scalar, format_power, format_sum, power
-from .multipoly import MPoly, _field_bits, _packing, scalar_div
-from .reflgrp import ReflectionGroup, Character, value_on_element
+from .multipoly import MPoly, _field_bits, _packing
+from .reflgrp import ReflectionGroup
 
 __all__ = [
     "PBWElement",
@@ -41,7 +41,6 @@ __all__ = [
     "is_central",
     "euler_element",
     "named_center_generators",
-    "twist_by_linear_char",
     "poisson_bracket",
     "bidegree",
     "z_degree",
@@ -563,31 +562,8 @@ def z_degree(elem: PBWElement):
 
 
 # ---------------------------------------------------------------------------
-# twists and the Poisson bracket
+# the Poisson bracket
 # ---------------------------------------------------------------------------
-
-
-def twist_by_linear_char(gamma: Character, z: PBWElement) -> PBWElement:
-    """The automorphism attached to a linear character: fixes V and V*,
-    multiplies a group term w by gamma(w), and rescales C_s by gamma(s)^{-1}."""
-    W = z.group
-    if not gamma.is_linear():
-        raise ValueError("twist requires a linear character")
-    subs = {}
-    for refl in W.reflections:
-        gs = value_on_element(W, gamma, refl.index)
-        inv = scalar_div(1, gs)
-        if inv != 1:
-            subs[refl.param] = MPoly.var(refl.param) * inv
-    out = {}
-    for (p, g, q), c in z.terms.items():
-        cc = c.substitute(subs) if subs else c
-        gval = value_on_element(W, gamma, g)
-        if gval != 1:
-            cc = cc * gval
-        prev = out.get((p, g, q))
-        out[(p, g, q)] = cc if prev is None else prev + cc
-    return z._like(out)
 
 
 def poisson_bracket(z1: PBWElement, z2: PBWElement) -> PBWElement:

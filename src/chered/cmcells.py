@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exactnum import canon_scalar
 from .reflgrp import (ReflectionGroup, build_group, character_table,
-                      check_param_labels, fake_degree, b_invariant)
+                      check_param_labels)
 from .verma import omega_table
 
 __all__ = [
@@ -31,9 +31,7 @@ __all__ = [
     "rank1_cells",
     "b2_cells",
     "sum_rule_check",
-    "twist_family_partition",
     "tensor_with_linear",
-    "minimal_b_character",
     "partition_to_json",
 ]
 
@@ -104,32 +102,6 @@ def tensor_with_linear(W: ReflectionGroup, chi_name: str, gamma_name: str) -> st
         if c.values == values:
             return c.name
     raise ArithmeticError("tensor product left the character table")
-
-
-def twist_family_partition(W: ReflectionGroup, fp: FamilyPartition,
-                           gamma_name: str) -> tuple:
-    """The image of each family under chi -> chi (x) gamma, as a sorted
-    tuple of sorted blocks."""
-    blocks = []
-    for b in fp.blocks:
-        blocks.append(tuple(sorted(tensor_with_linear(W, n, gamma_name)
-                                   for n in b)))
-    return tuple(sorted(blocks))
-
-
-def minimal_b_character(W: ReflectionGroup, block) -> str:
-    """The unique character of minimal b-invariant in a family; asserts
-    uniqueness and that its fake degree has coefficient 1 at t^b."""
-    chars = {c.name: c for c in character_table(W)}
-    bs = [(b_invariant(W, chars[name]), name) for name in block]
-    bmin = min(b for b, _ in bs)
-    winners = [name for b, name in bs if b == bmin]
-    if len(winners) != 1:
-        raise ArithmeticError(f"minimal b-invariant not unique in {block}")
-    f = fake_degree(W, chars[winners[0]])
-    if f.coefficient("t", bmin).constant_value() != 1:
-        raise ArithmeticError("leading coefficient of the fake degree is not 1")
-    return winners[0]
 
 
 # ---------------------------------------------------------------------------

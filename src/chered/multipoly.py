@@ -16,14 +16,13 @@ width comes from a bound, not from a check, and every width packs: 8, 16,
 32 and 64 bits through `struct`, wider fields through shifts.
 
 A product aligns both operands once and picks a kernel:
-- a one-term factor shifts the exponents of the other and scales its
-  coefficients, with no accumulation, since distinct terms stay distinct;
-  the constant 1 only copies, and a scalar factor only scales;
+- an empty factor gives zero at once, and a one-term factor shifts the
+  exponents of the other and scales its coefficients, with no
+  accumulation, since distinct terms stay distinct; the constant 1 only
+  copies, and a scalar factor only scales;
 - `p * p` (so `p ** n` too) adds each unordered pair of terms once, the
-  pair (i, j) with i < j as 2*c_i*c_j;
-- otherwise a schoolbook product, chosen by the number of term pairs: few
-  pairs add the exponent tuples directly, many pairs add packed keys and
-  unpack the result once; squares pack the same way.
+  pair (i, j) with i < j as 2*c_i*c_j, on packed keys;
+- otherwise a schoolbook product on packed keys, which it unpacks once.
 A sum, and every kernel, stores a coefficient under a new exponent as it
 is, and adds only where two terms meet.  `divexact` divides by lex leading
 terms on packed keys, taking the next remainder term from a heap (Monagan
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add
 
@@ -64,12 +64,18 @@ class MPoly:
 
     def __init__(self, vars=(), terms=None):
         self.vars = tuple(vars)
+        if len(set(self.vars)) != len(self.vars):
+            raise ValueError(f"repeated variable in {self.vars}")
         self.terms = {}
         if terms:
             for exp, c in terms.items():
+                exp = tuple(exp)
+                if len(exp) != len(self.vars):
+                    raise ValueError(f"exponent {exp} does not match the"
+                                     f" variables {self.vars}")
                 c = canon_scalar(c)
                 if c != 0:
-                    self.terms[tuple(exp)] = c
+                    self.terms[exp] = c
 
     # -- constructors ----------------------------------------------------
 
@@ -110,8 +116,7 @@ class MPoly:
             newexp = [0] * n
             for p, e in zip(pos, exp):
                 newexp[p] = e
-            key = tuple(newexp)
-            out[key] = out.get(key, 0) + c
+            out[tuple(newexp)] = c
         return out
 
     @staticmethod
@@ -172,14 +177,8 @@ class MPoly:
         nv = MPoly._merge_vars(self, other)
         a = self._aligned(nv)
         if other is self:
-            out = _square(a)
-        else:
-            b = other._aligned(nv)
-            if len(a) == 1 or len(b) == 1:
-                return MPoly._of(nv, _product(a, b))
-            out = _product(a, b)
-        return MPoly._of(nv, {exp: canon_scalar(c) for exp, c in out.items()
-                              if c != 0})
+            return MPoly._of(nv, _square(a))
+        return MPoly._of(nv, _product(a, other._aligned(nv)))
 
     __rmul__ = __mul__
 
@@ -363,30 +362,21 @@ class MPoly:
         return f"MPoly({self})"
 
 
-# Term pairs from which a product packs exponent vectors.  Packing costs
-# one pass over each operand and one unpacking pass over the result, which a
-# product of a few term pairs does not earn back.  On random products in 2 to
-# 6 variables (CPython 3.11, x86-64) packed keys took 1.1-1.3x the time of
-# tuple keys at 16 pairs, broke even near 36, and took 0.75-0.96x at 64 and
-# 0.5-0.85x at 1024 pairs.
-_PACK_MIN_PAIRS = 64
-
 # struct codes of unsigned big-endian fields, by their widths in bits
 _FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def _product(a: dict, b: dict) -> dict:
     """The product of two term maps aligned to the same variables, as a new
-    term map.  A one-term factor shifts and scales the other, so its
-    coefficients come out canonical and nonzero, and the constant 1 only
-    copies; otherwise the schoolbook sums may be zero or an integral
-    Fraction."""
+    map of nonzero canonical coefficients.  An empty factor gives the empty
+    map, and a one-term factor shifts and scales the other (the constant 1
+    only copies); otherwise `_packed_product`."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) != 1:
-        if len(a) * len(b) < _PACK_MIN_PAIRS:
-            return _tuple_product(a, b)
+    if len(a) > 1:
         return _packed_product(a, b)
+    if not a:
+        return {}
     (ea, ca), = a.items()
     if any(ea):
         if ca == 1:
@@ -398,32 +388,25 @@ def _product(a: dict, b: dict) -> dict:
     return {eb: canon_scalar(ca * cb) for eb, cb in b.items()}
 
 
-def _tuple_product(a: dict, b: dict) -> dict:
-    """Schoolbook product of two term maps aligned to the same variables."""
-    out: dict = {}
-    get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(map(add, ea, eb))
-            prev = get(key)
-            out[key] = ca * cb if prev is None else prev + ca * cb
-    return out
-
-
 def _field_bits(top: int) -> int:
     """The width of a packed field that holds the integers 0..top: the
     narrowest struct field of 8, 16, 32 or 64 bits, and past 64 bits as many
     bits as top needs."""
     w = top.bit_length()
-    return next((bits for bits in _FIELDS if bits >= w), w)
+    for bits in _FIELDS:
+        if bits >= w:
+            return bits
+    return w
 
 
+@lru_cache(maxsize=128)
 def _packing(nfields: int, bits: int):
     """(pack, unpack) between tuples of nfields integers in 0..2^bits - 1
     and ints, the first entry in the highest field.  Fields do not carry
     into each other, so adding packed keys adds their tuples as long as each
     sum stays in range.  Widths of 8, 16, 32 and 64 bits go through a
-    `struct`, any other width through shifts (slower, equally exact)."""
+    `struct`, any other width through shifts (slower, equally exact).  The
+    pair is built once per shape, since every product packs."""
     code = _FIELDS.get(bits)
     if code is not None:
         fields = struct.Struct(f">{nfields}{code}")
@@ -444,7 +427,10 @@ def _packing(nfields: int, bits: int):
 
 
 def _packed_product(a: dict, b: dict) -> dict:
-    """`_tuple_product` with each exponent vector packed into one int."""
+    """The schoolbook product of two term maps of several terms each, with
+    each exponent vector packed into one int: a monomial product is one
+    integer addition, and the result is unpacked once, its coefficients
+    canonical and its zero sums dropped."""
     pack, unpack = _packing(len(next(iter(a))), _field_bits(
         max(map(max, a)) + max(map(max, b))))
     pb = [(pack(exp), c) for exp, c in b.items()]
@@ -456,38 +442,31 @@ def _packed_product(a: dict, b: dict) -> dict:
             k = ka + kb
             prev = get(k)
             out[k] = ca * cb if prev is None else prev + ca * cb
-    return {unpack(k): c for k, c in out.items()}
+    return {unpack(k): canon_scalar(c) for k, c in out.items() if c != 0}
 
 
 def _square(a: dict) -> dict:
-    """The square of a term map, each unordered pair of terms once: the
-    pair (i, j), i < j, adds 2*c_i*c_j.  Packed keys from
-    `_PACK_MIN_PAIRS` pairs, as in `_packed_product`."""
-    items = list(a.items())
-    n = len(items)
-    packed = n * (n + 1) // 2 >= _PACK_MIN_PAIRS
-    if packed:
-        pack, unpack = _packing(len(items[0][0]),
-                                _field_bits(2 * max(map(max, a))))
-        items = [(pack(exp), c) for exp, c in items]
-        key = add
-    else:
-        def key(ea, eb):
-            return tuple(map(add, ea, eb))
+    """The square of a term map, as `_product(a, a)` returns it.  Several
+    terms are squared on packed keys, as in `_packed_product`, each
+    unordered pair once: the pair (i, j), i < j, adds 2*c_i*c_j.  At most
+    one term goes to `_product`."""
+    if len(a) < 2:
+        return _product(a, a)
+    pack, unpack = _packing(len(next(iter(a))),
+                            _field_bits(2 * max(map(max, a))))
+    items = [(pack(exp), c) for exp, c in a.items()]
     out: dict = {}
     get = out.get
-    for i, (ea, ca) in enumerate(items):
-        k = key(ea, ea)
+    for i, (ka, ca) in enumerate(items):
+        k = ka + ka
         prev = get(k)
         out[k] = ca * ca if prev is None else prev + ca * ca
         twice = 2 * ca
-        for eb, cb in items[i + 1:]:
-            k = key(ea, eb)
+        for kb, cb in items[i + 1:]:
+            k = ka + kb
             prev = get(k)
             out[k] = twice * cb if prev is None else prev + twice * cb
-    if not packed:
-        return out
-    return {unpack(k): c for k, c in out.items()}
+    return {unpack(k): canon_scalar(c) for k, c in out.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .exactnum import canon_scalar, primitive_root, row_reduce, scalar_pow
-from .multipoly import MPoly, scalar_div
+from .exactnum import (canon_scalar, primitive_root, row_reduce, scalar_div,
+                       scalar_pow)
+from .multipoly import MPoly
 
 __all__ = [
     "ReflectionGroup",

@@ -1,6 +1,6 @@
 """Baby Verma modules over the generic parameter ring, their exact actions,
-and central characters Omega_chi computed both by the trace oracle and by
-the closed formula (1/chi(1)) sum_s eps(s) chi(s) C_s.
+and central characters Omega_chi computed from the trace of z on the
+module.
 
 The module attached to an irreducible character chi is induced from the
 subalgebra generated by V, W and the parameters, on which V acts by zero and
@@ -39,7 +39,6 @@ __all__ = [
     "BabyVermaModule",
     "build_baby_verma",
     "omega",
-    "omega_euler_closed_form",
     "omega_table",
 ]
 
@@ -307,16 +306,6 @@ def _top_power(cols: list, dim: int) -> list:
         cols = [_apply(cols, col) for col in cols]
         steps *= 2
     return [col for col in cols if col]
-
-
-def omega_euler_closed_form(W: ReflectionGroup, chi: Character) -> MPoly:
-    """(1/chi(1)) sum over reflections of eps(s) chi(s) C_s."""
-    acc = MPoly.zero()
-    for refl in W.reflections:
-        weight = canon_scalar(refl.det * value_on_element(W, chi, refl.index))
-        if weight != 0:
-            acc = acc + MPoly.var(refl.param) * weight
-    return acc.divexact(MPoly.const(chi.degree))
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,11 +4,14 @@ center identity, with its own C -> K table, the resultant as a Sylvester
 determinant, the schoolbook polynomial product with tuple keys, the PBW
 product computed one term of the left factor at a time in `MPoly`
 arithmetic (with the element-level left multiplications by a V* coordinate
-and by a group element), an infix polynomial
-parser, the dense action matrices of a baby Verma module with the trace and
-nilpotency certificate of a central character, the graded character of the
-invariants of a baby Verma module, and the bigraded Hilbert series computed
-with bivariate series arithmetic and a bivariate series inverse."""
+and by a group element), the twist of an element by a linear character
+and of the families by its tensor product, the b-minimal character of a
+family, the closed form of the central character of eu, an infix
+polynomial parser, the dense action matrices of a baby Verma module with
+the trace and nilpotency certificate of a central character, the graded
+character of the invariants of a baby Verma module, and the bigraded
+Hilbert series computed with bivariate series arithmetic and a bivariate
+series inverse."""
 import math
 import re
 from fractions import Fraction
@@ -18,7 +21,9 @@ from chered.cherednik import (PBWElement, _straighten, euler_element,
 from chered.exactnum import (Cyclotomic, cyclotomic_polynomial, primitive_root,
                              scalar_div)
 from chered.multipoly import MPoly, canon_scalar
-from chered.reflgrp import build_group, character_table, fake_degree
+from chered.cmcells import tensor_with_linear
+from chered.reflgrp import (b_invariant, build_group, character_table,
+                            fake_degree, value_on_element)
 from chered.series import center_basis_bidegrees
 from chered.verma import build_baby_verma
 
@@ -257,6 +262,70 @@ def multiply_per_term(a: PBWElement, b: PBWElement,
                                  for (pp, w, qq), cc in piece.terms.items()})
         result = result + piece.scale(c)
     return result
+
+
+# ---------------------------------------------------------------------------
+# linear-character twists, b-minimal characters, the closed form of Omega(eu)
+# ---------------------------------------------------------------------------
+
+
+def twist_by_linear_char(gamma, z: PBWElement) -> PBWElement:
+    """The automorphism attached to a linear character: fixes V and V*,
+    multiplies a group term w by gamma(w), and rescales C_s by gamma(s)^{-1}."""
+    W = z.group
+    if not gamma.is_linear():
+        raise ValueError("twist requires a linear character")
+    subs = {}
+    for refl in W.reflections:
+        gs = value_on_element(W, gamma, refl.index)
+        inv = scalar_div(1, gs)
+        if inv != 1:
+            subs[refl.param] = MPoly.var(refl.param) * inv
+    out = {}
+    for (p, g, q), c in z.terms.items():
+        cc = c.substitute(subs) if subs else c
+        gval = value_on_element(W, gamma, g)
+        if gval != 1:
+            cc = cc * gval
+        prev = out.get((p, g, q))
+        out[(p, g, q)] = cc if prev is None else prev + cc
+    return z._like(out)
+
+
+def twist_family_partition(W, fp, gamma_name: str) -> tuple:
+    """The image of each family under chi -> chi (x) gamma, as a sorted
+    tuple of sorted blocks."""
+    blocks = []
+    for b in fp.blocks:
+        blocks.append(tuple(sorted(tensor_with_linear(W, n, gamma_name)
+                                   for n in b)))
+    return tuple(sorted(blocks))
+
+
+def minimal_b_character(W, block) -> str:
+    """The unique character of minimal b-invariant in a family; raises
+    ArithmeticError unless it is unique and its fake degree has coefficient
+    1 at t^b."""
+    chars = {c.name: c for c in character_table(W)}
+    bs = [(b_invariant(W, chars[name]), name) for name in block]
+    bmin = min(b for b, _ in bs)
+    winners = [name for b, name in bs if b == bmin]
+    if len(winners) != 1:
+        raise ArithmeticError(f"minimal b-invariant not unique in {block}")
+    f = fake_degree(W, chars[winners[0]])
+    if f.coefficient("t", bmin).constant_value() != 1:
+        raise ArithmeticError("leading coefficient of the fake degree is not 1")
+    return winners[0]
+
+
+def omega_euler_closed_form(W, chi) -> MPoly:
+    """Omega_chi(eu) = (1/chi(1)) sum over reflections of eps(s) chi(s) C_s."""
+    acc = MPoly.zero()
+    for refl in W.reflections:
+        weight = canon_scalar(refl.det * value_on_element(W, chi, refl.index))
+        if weight != 0:
+            acc = acc + MPoly.var(refl.param) * weight
+    return acc.divexact(MPoly.const(chi.degree))
 
 
 # ---------------------------------------------------------------------------

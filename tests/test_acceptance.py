@@ -11,17 +11,16 @@ from chered.reflgrp import (build_group, b_invariant, character_table,
 from chered.cherednik import (PBWElement, euler_element, is_central,
                               multiply, named_center_generators,
                               poisson_bracket, z_degree)
-from chered.verma import omega, omega_euler_closed_form, omega_table
-from chered.cmcells import (b2_cells, cm_families, minimal_b_character,
-                            rank1_cells, sum_rule_check,
-                            twist_family_partition)
+from chered.verma import omega, omega_table
+from chered.cmcells import b2_cells, cm_families, rank1_cells, sum_rule_check
 from chered.series import (center_basis_bidegrees, fantome_bigraded,
                            hilbert_center, molien_bigraded)
 from chered.center import (RANK1_DEGREES, euler_charpoly_congruence,
                            minpoly_euler, verify_b2_center,
                            verify_rank1_center)
 from chered.galois import b2_galois_certificate
-from oracles import substitute_params
+from oracles import (minimal_b_character, omega_euler_closed_form,
+                     substitute_params, twist_family_partition)
 
 
 def report(n, label, ok):

@@ -10,9 +10,8 @@ from chered.reflgrp import build_group, character_table
 from chered.cherednik import (PBWElement, algebra_generators, bidegree,
                               commutator, euler_element,
                               is_central, multiply, named_center_generators,
-                              poisson_bracket, residue_summary,
-                              twist_by_linear_char, z_degree)
-from oracles import multiply_per_term
+                              poisson_bracket, residue_summary, z_degree)
+from oracles import multiply_per_term, twist_by_linear_char
 
 
 GROUPS = ("cyclic:2", "cyclic:3", "cyclic:4", "b2")

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from chered.reflgrp import build_group, character_table, param_convert
-from chered.cmcells import (b2_cells, cm_families, minimal_b_character,
-                            partition_to_json, rank1_cells, sum_rule_check,
-                            tensor_with_linear, twist_family_partition)
+from chered.cmcells import (b2_cells, cm_families, partition_to_json,
+                            rank1_cells, sum_rule_check, tensor_with_linear)
 from chered.verma import omega_table
+from oracles import minimal_b_character, twist_family_partition
 
 
 W2 = build_group("b2")

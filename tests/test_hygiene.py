@@ -1,7 +1,7 @@
-"""Source hygiene of the runtime package: every imported name is used,
-every function, class, method and top-level constant it defines is used,
-every annotated field of its classes is read, and no check is an assert
-statement."""
+"""Source hygiene of the runtime package: every imported name is used and
+imported from the module that defines it, every function, class, method
+and top-level constant it defines is used, every annotated field of its
+classes is read, and no check is an assert statement."""
 import ast
 from pathlib import Path
 
@@ -27,6 +27,39 @@ def unused_imports(source: str) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= exported_names(tree)
     return sorted(name for name in imported if name not in used)
+
+
+def reexported_imports(sources: dict[str, str]) -> list[str]:
+    """"module: source.name" of each `from .source import name` in the
+    package whose name `source` does not define at its top level (as a
+    function, a class or an assigned name), say because `source` imports
+    it in turn: a name is imported from its one owner."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    defined = {mod: defined_names(tree) for mod, tree in trees.items()}
+    found = []
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module in defined):
+                found += [f"{mod}: {node.module}.{alias.name}"
+                          for alias in node.names
+                          if alias.name not in defined[node.module]]
+    return sorted(found)
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level by def, class or an
+    assignment."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(n.id for t in node.targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            names.add(node.target.id)
+    return names
 
 
 def exported_names(tree: ast.Module) -> set[str]:
@@ -132,6 +165,27 @@ def test_scanner_flags_unused_and_honours_all():
     assert unused_imports(source) == ["g", "os"]
 
 
+def test_scanner_flags_reexported_imports():
+    sources = {"a": ("import math\n"
+                     "from .b import helper\n"
+                     "LIMIT: int = 3\n"
+                     "TABLE = {}\n"
+                     "def f(): return helper()\n"
+                     "class C: pass\n"),
+               "b": ("from .a import f, C, LIMIT, TABLE\n"
+                     "from .a import math as m\n"
+                     "from . import a\n"
+                     "from json import dumps\n"
+                     "def helper(): return dumps(m.pi)\n"),
+               "c": ("from .b import helper, dumps\n"
+                     "from .a import f\n"
+                     "def g():\n"
+                     "    from .a import helper as h\n"
+                     "    return h, helper, dumps, f\n")}
+    assert reexported_imports(sources) == ["b: a.math", "c: a.helper",
+                                           "c: b.dumps"]
+
+
 def test_scanner_flags_unused_definitions():
     sources = {"a": ("__all__ = ['api']\n"
                      "def api(): return _helper()\n"
@@ -198,23 +252,23 @@ def test_scanner_flags_asserts():
     assert assert_lines(source) == [2, 8]
 
 
-# Public paper-level functions that only the tests and the benchmark call
-# (the acceptance suite, test_cherednik for the twist, perfbench for the
-# whole B2 presentation): each states a result of the paper that no CLI
-# command prints whole.  Any other function of the package that only tests
-# reach belongs in tests/oracles.py.
+# Public functions that only the tests and the benchmark call.  Any other
+# function of the package that only tests reach belongs in tests/oracles.py.
 TEST_ONLY_API = {
-    "center.verify_b2_center",          # centrality and Z1-Z9 in one list
-    "cherednik.twist_by_linear_char",   # the twist of a character by a linear one
-    "cmcells.twist_family_partition",   # families are permuted by the twist
-    "cmcells.minimal_b_character",      # the b-minimal member of a family
-    "verma.omega_euler_closed_form",    # Omega_chi(eu) in closed form
+    # centrality and Z1-Z9 in one list: perfbench/workloads.py imports it,
+    # so it leaves the package with the change to the benchmark that calls
+    # verify_b2_centrality and verify_b2_relations instead
+    "center.verify_b2_center",
 }
 
 
 def test_no_unused_definitions():
     found = unused_definitions({p.stem: p.read_text() for p in MODULES})
     assert found == sorted(TEST_ONLY_API)
+
+
+def test_imports_name_their_owner():
+    assert reexported_imports({p.stem: p.read_text() for p in MODULES}) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

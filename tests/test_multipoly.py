@@ -5,9 +5,8 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from chered.exactnum import Cyclotomic, primitive_root
-from chered.multipoly import (MPoly, _PACK_MIN_PAIRS, canon_scalar,
-                              charpoly_berkowitz, discriminant, poly_sqrt,
-                              resultant)
+from chered.multipoly import (MPoly, canon_scalar, charpoly_berkowitz,
+                              discriminant, poly_sqrt, resultant)
 from oracles import parse_poly, schoolbook_product, sylvester_resultant
 
 
@@ -20,6 +19,23 @@ def test_basic_arithmetic():
     assert p.coefficient("x", 1) == 2 * y
     assert (p - p).is_zero()
     assert str(x ** 2 - y) == "x^2 - y"
+
+
+def test_repeated_variable_is_rejected():
+    # on ("x", "x") the term x*x would multiply by x to x^2 and add x to 2*x
+    with pytest.raises(ValueError, match="repeated variable"):
+        MPoly(("x", "x"), {(1, 1): 1})
+    with pytest.raises(ValueError, match="repeated variable"):
+        MPoly(("x", "y", "x"))
+
+
+def test_exponent_of_another_length_is_rejected():
+    for exp in ((), (1,), (1, 2, 3)):
+        for c in (1, 0):
+            with pytest.raises(ValueError, match="does not match"):
+                MPoly(("x", "y"), {exp: c})
+    with pytest.raises(ValueError, match="does not match"):
+        MPoly((), {(0,): 5})
 
 
 def test_printed_form():
@@ -235,29 +251,30 @@ def test_divexact_undoes_a_product(pair):
 # a failing example is reported as drawn: each example costs tens of
 # milliseconds of exact arithmetic, and shrinking a failure of a kernel with
 # too narrow fields ran into Hypothesis's five-minute limit per test
-@pytest.mark.parametrize("packed", [False, True], ids=["tuple", "packed"])
+@pytest.mark.parametrize("many_pairs", [False, True],
+                         ids=["few-pairs", "many-pairs"])
 @settings(max_examples=30, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data())
-def test_mul_matches_schoolbook_oracle(packed, data):
-    # one side of the size selection per parameter: fewer term pairs than
-    # _PACK_MIN_PAIRS take tuple keys, the others packed keys
-    if packed:
+def test_mul_matches_schoolbook_oracle(many_pairs, data):
+    # operands of fewer than 64 term pairs, or of at least 64
+    if many_pairs:
         la = data.draw(st.integers(8, 10))
-        lb = data.draw(st.integers(-(-_PACK_MIN_PAIRS // la), 10))
+        lb = data.draw(st.integers(-(-64 // la), 10))
     else:
         la = data.draw(st.integers(0, 7))
-        lb = data.draw(st.integers(0, (_PACK_MIN_PAIRS - 1) // max(la, 1)))
+        lb = data.draw(st.integers(0, 63 // max(la, 1)))
     a, b = data.draw(polys(la)), data.draw(polys(lb))
-    assert (len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS) == packed
     # (a - b)(a + b) cancels its cross terms; a one-term factor, the
     # constant 1 and the zero polynomial take the shift-and-scale path, and
-    # p * p the square kernel (packed keys from _PACK_MIN_PAIRS term pairs,
-    # which a + b reaches on the packed side)
+    # p * p the square kernel; the zero polynomial and a constant on no
+    # variables are squared on the shift-and-scale path too
     m, one, zero, s = data.draw(polys(1)), MPoly.const(1), MPoly.zero(), a + b
+    k, several = MPoly.const(data.draw(scalars)), data.draw(polys(2))
     for lhs, rhs in ((a, b), (b, a), (a - b, a + b), (m, a), (b, m), (m, m),
                      (one, a), (b, one), (zero, a), (b, zero),
-                     (a, a), (b, b), (s, s)):
+                     (a, a), (b, b), (s, s), (k, k), (zero, zero),
+                     (zero, several)):
         product, expected = lhs * rhs, schoolbook_product(lhs, rhs)
         assert product.vars == expected.vars
         assert product.terms == expected.terms
@@ -287,7 +304,7 @@ def test_products_store_integral_fractions_as_int():
         (MPoly.const(2) * (h * x), {(1,): 1}),               # constant
         ((2 * x + 2) * (h * x + h), {(2,): 1, (1,): 2, (0,): 1}),
         ((h * x + y) * (h * x + y), {(2, 0): Fraction(1, 4), (1, 1): 1,
-                                     (0, 2): 1}),            # tuple square
+                                     (0, 2): 1}),
         ((z4 * x) * (z4 * y), {(1, 1): -1}),                 # Cyclotomic
     ]
     for product, terms in cases:
@@ -307,7 +324,6 @@ def test_products_store_integral_fractions_as_int():
 def test_square_exponent_one_past_a_field(bits):
     # the square doubles the largest exponent, 2^(bits - 1), to 2^bits
     a = x ** (2 ** (bits - 1)) * sum((y ** k for k in range(12)), MPoly.zero())
-    assert len(a.terms) * (len(a.terms) + 1) // 2 >= _PACK_MIN_PAIRS
     square = a * a
     assert square.terms == schoolbook_product(a, a).terms
     assert square.terms[(2 ** bits, 22)] == 1
@@ -322,7 +338,6 @@ def test_mul_exponent_sum_one_past_a_field(bits):
     z = MPoly.var("z")
     a = x ** (2 ** bits - 1) * sum((y ** k for k in range(8)), MPoly.zero())
     b = (1 + x) * (1 + y) * (1 + z)
-    assert len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS
     product = a * b
     assert product.terms == schoolbook_product(a, b).terms
     assert product.terms[(2 ** bits, 8, 1)] == 1

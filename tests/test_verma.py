@@ -10,9 +10,9 @@ from chered.reflgrp import (build_group, character_table, fake_degree,
 from chered.cherednik import (PBWElement, euler_element, multiply,
                               named_center_generators)
 from chered.verma import (_reynolds_invariants, build_baby_verma,
-                          coinvariant_basis, omega, omega_euler_closed_form,
-                          omega_table)
-from oracles import dense_act, dense_columns, dense_omega, graded_character_eM
+                          coinvariant_basis, omega, omega_table)
+from oracles import (dense_act, dense_columns, dense_omega,
+                     graded_character_eM, omega_euler_closed_form)
 
 
 def test_coinvariant_basis_dimensions():
