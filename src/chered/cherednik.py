@@ -94,6 +94,15 @@ class PBWElement:
     def monomial(W, vexp, g, dexp, coeff=1):
         return PBWElement(W, {(tuple(vexp), g, tuple(dexp)): MPoly._coerce(coeff)})
 
+    @staticmethod
+    def _of(group, terms: dict) -> "PBWElement":
+        """The element with the given terms, taken as they are: each
+        coefficient a nonzero MPoly, and the dict is not shared."""
+        result = PBWElement.__new__(PBWElement)
+        result.group = group
+        result.terms = terms
+        return result
+
     def _like(self, terms) -> "PBWElement":
         """An element of the same group with the given terms."""
         return PBWElement(self.group, terms)
@@ -115,13 +124,14 @@ class PBWElement:
                     out.pop(key, None)
                 else:
                     out[key] = s
-            return self._like(out)
+            return PBWElement._of(self.group, out)
         return self + self._scalar(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return PBWElement._of(self.group,
+                              {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, PBWElement):
@@ -405,7 +415,7 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     for word, t in words.items():
         fields = unpack(word)
         result[(fields[d + n:2 * d + n], fields[-1], fields[:d])] = MPoly._of(nv, t)
-    return a._like(result)
+    return PBWElement._of(W, result)
 
 
 class _Memo(dict):

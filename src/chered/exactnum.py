@@ -26,12 +26,20 @@ Every Cyclotomic operation returns the canonical scalar: a result that is
 rational comes back as an int or a Fraction, and an irrational one as a
 Cyclotomic in the smallest cyclotomic field (smallest divisor of the order)
 that contains it.  Q(z_d) is the subfield of Q(z_e) fixed by every sigma_a
-with a = 1 mod d, so the smallest field is found by testing that, and only
-then solving for the coordinates over Q(z_d) with ``row_reduce``.  A
-rational shift or a nonzero rational multiple of an irrational number has
-its smallest field, so those operations skip the search.  Two equal numbers
-therefore always have identical representations, regardless of how they
-were computed.
+with a = 1 mod d, so the smallest field is found by testing that (as linear
+equations on the coordinates, cached per order), and only then solving for
+the coordinates over Q(z_d) with ``row_reduce``.  A rational shift or a
+nonzero rational multiple of an irrational number has its smallest field,
+so those operations skip the search.  Two equal numbers therefore always
+have identical representations, regardless of how they were computed.
+
+A Cyclotomic is an immutable ``__slots__`` object built by one internal
+constructor, so an operation costs little beyond its coordinates.  Each
+operation takes the cheapest exact path: operands of one order skip the
+lift into a common field, operands over one denominator skip its gcd, an
+int or a Fraction operand scales or shifts the coordinates (``x * 1`` is
+``x``), and a factor with one nonzero coordinate c*z**k shifts, scales and
+reduces the other.
 
 ``row_reduce`` (reduced row echelon form, in place) is the one Gaussian
 elimination of the package; the coinvariant normal forms and the
@@ -54,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 __all__ = ["Cyclotomic", "primitive_root", "canon_scalar", "scalar_div",
@@ -228,10 +236,10 @@ def _reduction_terms(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 def _reduce_mod_cyclotomic(e: int, vec: list[int]) -> list[int]:
     """Reduce an integer coordinate vector of arbitrary length (powers of
-    z_e) to length phi(e).  The cyclotomic polynomial is monic with integer
-    coefficients, so the result is integral."""
+    z_e) to length phi(e), in place; the caller hands over the list.  The
+    cyclotomic polynomial is monic with integer coefficients, so the result
+    is integral."""
     phi, terms = _reduction_terms(e)
-    vec = list(vec)
     if len(vec) < phi:
         vec += [0] * (phi - len(vec))
     for k in range(len(vec) - 1, phi - 1, -1):
@@ -239,23 +247,35 @@ def _reduce_mod_cyclotomic(e: int, vec: list[int]) -> list[int]:
         if c:
             for i, t in terms:
                 vec[k - phi + i] -= c * t
-    return vec[:phi]
+    del vec[phi:]
+    return vec
 
 
-def _mul(e: int, a: list[int], b: list[int]) -> list[int]:
+def _mul(e: int, a, b) -> list[int]:
     """Integer coordinates of the product of two elements of Z[z_e] given by
-    their coordinates: the schoolbook product, with exponents taken mod e
-    (z_e**e = 1), reduced modulo the e-th cyclotomic polynomial."""
-    out = [0] * min(e, len(a) + len(b) - 1)
+    their coordinates, reduced modulo the e-th cyclotomic polynomial.  A
+    factor with one nonzero coordinate c at k shifts the other by k and
+    scales it by c; otherwise the product is the schoolbook one.  Exponents
+    are taken mod e (z_e**e = 1) before the reduction."""
+    if b.count(0) < a.count(0):
+        a, b = b, a
+    out = [0] * e
+    if len(b) - b.count(0) == 1:
+        for k, c in enumerate(b):
+            if c:
+                break
+        for i, x in enumerate(a, k):
+            out[i % e] = x * c
+        return _reduce_mod_cyclotomic(e, out)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
+            for j, cb in enumerate(b, i):
                 if cb:
-                    out[(i + j) % e] += ca * cb
+                    out[j % e] += ca * cb
     return _reduce_mod_cyclotomic(e, out)
 
 
-def _galois(e: int, vec: list[int], a: int) -> list[int]:
+def _galois(e: int, vec, a: int) -> list[int]:
     """Integer coordinates of sigma_a(x), where sigma_a: z_e -> z_e**a (a
     prime to e, so k -> a*k mod e is injective) and vec holds the coordinates
     of x."""
@@ -265,7 +285,6 @@ def _galois(e: int, vec: list[int], a: int) -> list[int]:
     return _reduce_mod_cyclotomic(e, out)
 
 
-@dataclass(frozen=True)
 class Cyclotomic:
     """An irrational element of a cyclotomic field: the integer coordinates
     num in the power basis of z_order, over the one denominator den.
@@ -273,13 +292,38 @@ class Cyclotomic:
     Always stored in normalized form: order is the smallest divisor of any
     ambient order whose field contains the element (so order >= 3), num has
     length phi(order) with a nonzero coordinate past the first, den >= 1 and
-    gcd(den, *num) == 1.  The form is unique, so the generated equality and
-    hash compare (order, num, den); a Cyclotomic never equals a rational.
+    gcd(den, *num) == 1.  The form is unique, so equality and the hash
+    compare (order, num, den), and a Cyclotomic never equals a rational.
+
+    The number is immutable: setting or deleting an attribute raises
+    AttributeError.  Only arithmetic builds one (through ``_new``, which
+    fills the slots directly), so every instance is in normalized form.
     """
 
-    order: int
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("order", "num", "den")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Cyclotomic is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Cyclotomic is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if isinstance(other, Cyclotomic):
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
+        if isinstance(other, (int, Fraction)):
+            return False
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order, self.num, self.den))
+
+    def __repr__(self):
+        return f"Cyclotomic(order={self.order}, num={self.num}, den={self.den})"
+
+    def __reduce__(self):
+        return _new, (self.order, self.num, self.den)
 
     # -- conversions -----------------------------------------------------
 
@@ -293,21 +337,37 @@ class Cyclotomic:
         vec[::step] = self.num
         return _reduce_mod_cyclotomic(e, vec)
 
+    def _common(self, other):
+        """Q(z_e) for e the lcm of the orders of self and the Cyclotomic
+        other, which differ, and the coordinates of both lifted there."""
+        e = math.lcm(self.order, other.order)
+        return e, self._lift(e), other._lift(e)
+
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Cyclotomic):
-            e = math.lcm(self.order, other.order)
-            a, b = self._lift(e), other._lift(e)
+            e = self.order
+            if other.order == e:
+                a, b = self.num, other.num
+            else:
+                e, a, b = self._common(other)
             da, db = self.den, other.den
+            if da == db:
+                return _normalize(e, list(map(operator.add, a, b)), da)
             g = math.gcd(da, db)
             fa, fb = db // g, da // g
             return _normalize(e, [x * fa + y * fb for x, y in zip(a, b)],
                               da * fa)
-        if isinstance(other, (int, Fraction)):
-            # a rational shift keeps the smallest field
+        # a rational shift keeps the smallest field
+        if isinstance(other, int):
             if not other:
                 return self
+            # adding a multiple of den keeps gcd(den, *num) == 1
+            num = list(self.num)
+            num[0] += other * self.den
+            return _new(self.order, tuple(num), self.den)
+        if isinstance(other, Fraction):
             p, r = other.numerator, other.denominator
             num = [c * r for c in self.num]
             num[0] += p * self.den
@@ -317,7 +377,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.num), self.den)
+        return _new(self.order, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -327,14 +387,29 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, Cyclotomic):
-            e = math.lcm(self.order, other.order)
-            vec = _mul(e, self._lift(e), other._lift(e))
-            return _normalize(e, vec, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            # a nonzero rational multiple keeps the smallest field
+            e = self.order
+            if other.order == e:
+                a, b = self.num, other.num
+            else:
+                e, a, b = self._common(other)
+            return _normalize(e, _mul(e, a, b), self.den * other.den)
+        # a nonzero rational multiple keeps the smallest field
+        if isinstance(other, int):
+            if other == 1:
+                return self
             if not other:
                 return 0
+            # gcd(den, p * num) is gcd(den, p), since gcd(den, *num) == 1
+            den = self.den
+            g = math.gcd(den, other)
+            if g != 1:
+                den //= g
+                other //= g
+            return _new(self.order, tuple([c * other for c in self.num]), den)
+        if isinstance(other, Fraction):
             p, r = other.numerator, other.denominator
+            if not p:
+                return 0
             return _make(self.order, [c * p for c in self.num], self.den * r)
         return NotImplemented
 
@@ -384,15 +459,65 @@ class Cyclotomic:
                           for k, n in enumerate(self.num) if n)
 
 
+_new_object = object.__new__
+_set_order = Cyclotomic.order.__set__
+_set_num = Cyclotomic.num.__set__
+_set_den = Cyclotomic.den.__set__
+
+
+def _new(order: int, num: tuple[int, ...], den: int) -> Cyclotomic:
+    """The Cyclotomic with these slots, taken as they are: the one
+    constructor, for a form that is already normalized."""
+    x = _new_object(Cyclotomic)
+    _set_order(x, order)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
 def _make(e: int, num: list[int], den: int) -> Cyclotomic:
     """The Cyclotomic num/den of order e (den > 0), for an irrational number
     whose smallest field is known to be Q(z_e): the content gcd is divided
-    out once."""
-    g = math.gcd(den, *num)
-    if g != 1:
-        num = [c // g for c in num]
-        den //= g
-    return Cyclotomic(e, tuple(num), den)
+    out once (there is none over den == 1)."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _new(e, tuple(num), den)
+
+
+@functools.lru_cache(maxsize=None)
+def _subfield_tests(e: int) -> tuple[tuple[int, tuple], ...]:
+    """(d, equations) for each proper divisor 3 <= d < e, smallest first.
+    Q(z_d) is the subfield of Q(z_e) fixed by sigma_a for each a = 1 mod d,
+    1 < a < e, prime to e.  sigma_a - 1 is linear in the coordinates, so an
+    element lies in Q(z_d) exactly when its coordinates satisfy every
+    nonzero row of those matrices; each row is a tuple of (index,
+    coefficient) pairs, shortest first.  A d = 2 mod 4 is left out, as
+    Q(z_d) = Q(z_{d/2}) is tested before it."""
+    phi = _reduction_terms(e)[0]
+    tests = []
+    for d in range(3, e):
+        if e % d or d % 4 == 2:
+            continue
+        rows = set()
+        for a in range(1 + d, e, d):
+            if math.gcd(a, e) == 1:
+                # column k: sigma_a(z_e**k) - z_e**k
+                cols = [_galois(e, [0] * k + [1], a) for k in range(phi)]
+                for k in range(phi):
+                    cols[k][k] -= 1
+                for i in range(phi):
+                    row = [(k, col[i]) for k, col in enumerate(cols) if col[i]]
+                    if row:
+                        # one row per line: divide out content and sign
+                        g = math.gcd(*(c for _, c in row))
+                        if row[0][1] < 0:
+                            g = -g
+                        rows.add(tuple((k, c // g) for k, c in row))
+        tests.append((d, tuple(sorted(rows, key=lambda row: (len(row), row)))))
+    return tuple(tests)
 
 
 def _normalize(e: int, vec: list[int], den: int):
@@ -400,23 +525,25 @@ def _normalize(e: int, vec: list[int], den: int):
     phi(e), powers of z_e) and den > 0: a rational when every coordinate past
     the first is zero, otherwise a Cyclotomic in the smallest field Q(z_d),
     d | e, that holds it.  Orders 1 and 2 hold only rationals, so the search
-    starts at 3.  Q(z_d) is the subfield fixed by every z_e -> z_e**a with
-    a = 1 mod d (a test that does not depend on den), so only a member pays
-    for the row reduction that finds its coordinates there."""
+    starts at 3.  The test of a subfield is a few cached linear equations
+    that do not depend on den, so only a member pays for the row reduction
+    that finds its coordinates there."""
     if not any(vec[1:]):
         return vec[0] if den == 1 else canon_scalar(Fraction(vec[0], den))
-    for d in range(3, e):
-        if e % d or any(_galois(e, vec, a) != vec
-                        for a in range(1 + d, e, d) if math.gcd(a, e) == 1):
-            continue
-        # columns: z_d**k = z_e**(k*e/d) for k < phi(d), then vec
-        step = e // d
-        cols = [_reduce_mod_cyclotomic(e, [0] * (k * step) + [1])
-                for k in range(len(cyclotomic_polynomial(d)) - 1)]
-        rows = [[col[i] for col in cols] + [vec[i]] for i in range(len(vec))]
-        row_reduce(rows)
-        # the solution is integral, as Z[z_e] meets Q(z_d) in Z[z_d]
-        return _make(d, [row[-1] for row in rows[:len(cols)]], den)
+    for d, equations in _subfield_tests(e):
+        for row in equations:
+            if sum([c * vec[k] for k, c in row]):
+                break
+        else:
+            # columns: z_d**k = z_e**(k*e/d) for k < phi(d), then vec
+            step = e // d
+            cols = [_reduce_mod_cyclotomic(e, [0] * (k * step) + [1])
+                    for k in range(len(cyclotomic_polynomial(d)) - 1)]
+            rows = [[col[i] for col in cols] + [vec[i]]
+                    for i in range(len(vec))]
+            row_reduce(rows)
+            # the solution is integral, as Z[z_e] meets Q(z_d) in Z[z_d]
+            return _make(d, [row[-1] for row in rows[:len(cols)]], den)
     return _make(e, vec, den)
 
 

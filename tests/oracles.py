@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from chered.cherednik import (PBWElement, _straighten, euler_element,
                               multiply)
-from chered.exactnum import (Cyclotomic, cyclotomic_polynomial, primitive_root,
-                             scalar_div)
-from chered.multipoly import MPoly, canon_scalar
+from chered.exactnum import (Cyclotomic, canon_scalar, cyclotomic_polynomial,
+                             primitive_root, scalar_div)
+from chered.multipoly import MPoly
 from chered.cmcells import tensor_with_linear
 from chered.reflgrp import (b_invariant, build_group, character_table,
                             fake_degree, value_on_element)

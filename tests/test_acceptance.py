@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from chered.multipoly import MPoly, canon_scalar, discriminant
+from chered.exactnum import canon_scalar
+from chered.multipoly import MPoly, discriminant
 from chered.reflgrp import (build_group, b_invariant, character_table,
                             fake_degree, param_convert)
 from chered.cherednik import (PBWElement, euler_element, is_central,

@@ -72,6 +72,23 @@ def test_multiply_matches_per_term_oracle(spec, with_T):
                     == multiply_per_term(lhs, rhs, with_T).terms)
 
 
+@pytest.mark.parametrize("spec", GROUPS)
+def test_results_hold_only_nonzero_polynomial_coefficients(spec):
+    # sums, negations and products build their results from finished terms
+    # without coercing them again, so each must come out finished
+    W = build_group(spec)
+    rng = random.Random(zlib.crc32(f"{spec}/finished".encode()))
+    for _ in range(4):
+        a = sharing_element(W, rng, False)
+        b = sharing_element(W, rng, False)
+        for value in (a + b, a + (-a), -a, a - b, multiply(a, b),
+                      multiply(a, -a), a * b):
+            assert value.group is W
+            assert all(type(c) is MPoly and not c.is_zero()
+                       for c in value.terms.values())
+        assert (a + (-a)).is_zero() and not (a + (-a)).terms
+
+
 @pytest.mark.parametrize("with_T", [False, True])
 def test_product_ignores_unused_coefficient_variables(with_T):
     # c + K1 - K1 equals c but carries K1 among its variables; a product

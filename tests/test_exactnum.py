@@ -1,15 +1,17 @@
 """Cyclotomic and rational arithmetic, and the one representation of each
 number: int for integers, Fraction for the other rationals, Cyclotomic for
 irrationals only."""
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chered.exactnum import (Cyclotomic, canon_scalar, cyclotomic_polynomial,
-                             primitive_root, scalar_pow)
-from chered.multipoly import MPoly, scalar_div
+                             primitive_root, scalar_div, scalar_pow)
+from chered.multipoly import MPoly
 from chered.reflgrp import build_group, character_table, param_map
 from chered.verma import omega_table
 from oracles import (cyclotomic_coordinates, cyclotomic_galois,
@@ -214,23 +216,63 @@ def test_inverse_is_exact(terms):
 # operand is a rational (order 1) or an element of Q(z_e) given by rational
 # coordinates, built with the kernel's own arithmetic; every result is
 # compared coordinate by coordinate once both sides are lifted into the
-# field of the lcm of the operand orders.
+# field of the lcm of the operand orders.  The operands reach each fast
+# path of the kernel: a same-order pair, a pair over one denominator, a
+# single-coordinate factor c*z^k (c = 1 and -1 among them), and int and
+# Fraction operands (0, 1 and -1 among them).
 KERNEL_ORDERS = [3, 4, 5, 7, 8, 9, 12, 15]
 
 rationals = st.one_of(
+    st.sampled_from([0, 1, -1]),
     st.integers(min_value=-6, max_value=6),
     st.fractions(min_value=-5, max_value=5, max_denominator=12))
+small_ints = st.integers(min_value=-4, max_value=4)
 
 
 def _phi(e):
     return len(cyclotomic_polynomial(e)) - 1
 
 
-field_elements = st.sampled_from(KERNEL_ORDERS).flatmap(
-    lambda e: st.tuples(st.just(e), st.lists(rationals, min_size=_phi(e),
-                                             max_size=_phi(e))))
+def _single(phi, k, c):
+    return [0] * k + [c] + [0] * (phi - 1 - k)
+
+
+def _coordinates(e):
+    """Rational, integer or single-coordinate coordinates in Q(z_e)."""
+    phi = _phi(e)
+    return st.one_of(
+        st.lists(rationals, min_size=phi, max_size=phi),
+        st.lists(small_ints, min_size=phi, max_size=phi),
+        st.builds(_single, st.just(phi),
+                  st.integers(min_value=0, max_value=phi - 1),
+                  st.one_of(st.sampled_from([1, -1]), rationals)))
+
+
+def _element_of_order(e):
+    return _coordinates(e).map(lambda coords: (e, coords))
+
+
+def _over_one_denominator(e, den, u, v):
+    """Two elements of Q(z_e) with integer coordinates u and v over den;
+    the last coordinate is 1, so neither has a content factor in common
+    with den and both keep den once built."""
+    return tuple((e, [Fraction(c, den) for c in w[:-1]] + [Fraction(1, den)])
+                 for w in (u, v))
+
+
+field_elements = st.sampled_from(KERNEL_ORDERS).flatmap(_element_of_order)
 kernel_operands = st.one_of(
     rationals.map(lambda q: (1, [Fraction(q)])), field_elements)
+kernel_pairs = st.one_of(
+    st.tuples(kernel_operands, kernel_operands),
+    st.sampled_from(KERNEL_ORDERS).flatmap(
+        lambda e: st.tuples(_element_of_order(e), _element_of_order(e))),
+    st.sampled_from(KERNEL_ORDERS).flatmap(
+        lambda e: st.builds(
+            _over_one_denominator, st.just(e),
+            st.integers(min_value=1, max_value=12),
+            st.lists(small_ints, min_size=_phi(e), max_size=_phi(e)),
+            st.lists(small_ints, min_size=_phi(e), max_size=_phi(e)))))
 
 
 def _build(e, coords):
@@ -257,12 +299,11 @@ def _agrees(result, e, expected):
     assert cyclotomic_coordinates(result, e) == expected, (result, e)
 
 
-@settings(max_examples=80, deadline=None)
-@given(kernel_operands, kernel_operands, st.integers(min_value=-3, max_value=3))
-def test_kernel_matches_fraction_oracle(a, b, n):
+def _check_against_oracle(a, b, n):
     (da, va), (db, vb) = a, b
     x, y = _build(da, va), _build(db, vb)
-    assume(isinstance(x, Cyclotomic) or isinstance(y, Cyclotomic))
+    if not (isinstance(x, Cyclotomic) or isinstance(y, Cyclotomic)):
+        return False
     e = math.lcm(da, db)
     ca, cb = cyclotomic_lift(va, da, e), cyclotomic_lift(vb, db, e)
     _agrees(x + y, e, [u + v for u, v in zip(ca, cb)])
@@ -276,6 +317,112 @@ def test_kernel_matches_fraction_oracle(a, b, n):
             _agrees(z.conjugate(), d, cyclotomic_galois(d, v, -1))
             _agrees(z.inverse(), d, cyclotomic_inverse(d, v))
             _agrees(z ** n, d, _oracle_power(d, v, n))
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_pairs, st.integers(min_value=-3, max_value=3))
+def test_kernel_matches_fraction_oracle(pair, n):
+    assume(_check_against_oracle(*pair, n))
+
+
+# one example of each fast path, so that none rests on what the search draws
+F = Fraction
+FAST_PATH_CASES = {
+    "same order": ((5, [1, 2, 0, -1]), (5, [0, 3, 1, 1])),
+    "same order, one denominator": ((8, [F(1, 3), 0, F(2, 3), F(1, 3)]),
+                                    (8, [0, F(1, 3), 0, F(-1, 3)])),
+    "same order, sum drops to Q(z4)": ((8, [1, 1, 1, 0]), (8, [0, -1, 0, 0])),
+    "same order, sum is rational": ((5, [2, 1, 0, 3]), (5, [0, -1, 0, -3])),
+    "z^k factor": ((7, [1, -2, 3, 0, 1, 5]), (7, [0, 0, 0, 0, 1, 0])),
+    "-z^k factor": ((9, [1, 0, 2, 0, 0, -1]), (9, [0, 0, 0, 0, 0, -1])),
+    "c*z^k factor": ((12, [F(1, 2), 1, 0, 3]), (12, [0, F(-3, 4), 0, 0])),
+    "z^k product drops to Q(z3)": ((12, [0, 1, 0, 0]), (12, [0, 2, 0, 0])),
+    "z^k product is rational": ((5, [0, 0, 0, 1]), (5, [0, 1, 0, 0])),
+    "mixed orders": ((15, [1, 0, 2, 0, 0, 1, 0, -1]), (5, [0, 1, 0, 0])),
+    "int": ((5, [1, 2, 0, -1]), (1, [F(3)])),
+    "int sharing a factor with den": ((7, [F(1, 6), 0, F(5, 6), 0, 0, 0]),
+                                      (1, [F(-3)])),
+    "int 1": ((5, [1, 2, 0, -1]), (1, [F(1)])),
+    "int -1": ((4, [F(1, 2), 1]), (1, [F(-1)])),
+    "int 0": ((3, [0, F(5, 6)]), (1, [F(0)])),
+    "Fraction": ((7, [0, 1, 0, 0, 0, 2]), (1, [F(-2, 9)])),
+    "rational on the left": ((1, [F(3, 2)]), (8, [0, 1, 0, 1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_CASES))
+def test_fast_paths_match_fraction_oracle(case):
+    a, b = FAST_PATH_CASES[case]
+    for n in (-2, 0, 1, 3):
+        assert _check_against_oracle(a, b, n)
+
+
+def test_equal_values_hash_equal_across_fields():
+    z3, z4, z6, z8 = (primitive_root(e) for e in (3, 4, 6, 8))
+    # z6**2 is computed in Q(z6), the Q(z8) sum drops into Q(z4)
+    pairs = [(z6 ** 2, z3), ((z8 + 1 + z8 ** 2) + (-z8), 1 + z4),
+             (z8 ** 2 * 3, 3 * z4), ((z8 + z8 ** 3) * (z8 - z8 ** 3), 2 * z4)]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y), (x, y)
+        assert (x.order, x.num, x.den) == (y.order, y.num, y.den)
+        assert len({x, y}) == 1 and {x: 1}[y] == 1
+
+
+def test_cyclotomic_is_immutable():
+    x = (1 + primitive_root(5)) / 3
+    for name in ("order", "num", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.order, x.num, x.den) == (5, (1, 1, 0, 0), 3)
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+# The eleven arithmetic methods the benchmark's tracer patches on the class
+# (perfbench/layers.py), each with expressions that must call it, over
+# every fast path; a division or a negative power inverts through
+# `inverse`, and a power or a division multiplies through `__mul__`.  A
+# rewrite that routes an operation around one of them hides its cost from
+# the per-layer counts.
+_z5, _z8 = primitive_root(5), primitive_root(8)
+_x, _y = 1 + 2 * _z5, _z5 ** 2 - _z5 ** 3
+OPERATIONS = {
+    "__add__": [lambda: _x + _y, lambda: _x + _z8, lambda: _x + 0,
+                lambda: _x + 2, lambda: _x + Fraction(1, 2), lambda: _x + (-_x)],
+    "__radd__": [lambda: 0 + _x, lambda: 2 + _x, lambda: Fraction(1, 2) + _x],
+    "__mul__": [lambda: _x * _y, lambda: _x * _z5, lambda: _x * _z8,
+                lambda: _x * 1, lambda: _x * 0, lambda: _x * -3,
+                lambda: _x * Fraction(2, 3), lambda: _x ** 3, lambda: _x / _y],
+    "__rmul__": [lambda: 1 * _x, lambda: -1 * _x, lambda: Fraction(2, 3) * _x],
+    "inverse": [lambda: _x.inverse(), lambda: _x / _y, lambda: 1 / _x,
+                lambda: _x ** -2],
+    "__sub__": [lambda: _x - _y, lambda: _x - 1, lambda: _x - Fraction(1, 3)],
+    "__rsub__": [lambda: 1 - _x, lambda: Fraction(1, 3) - _x],
+    "__neg__": [lambda: -_x],
+    "__truediv__": [lambda: _x / _y, lambda: _x / 2, lambda: _x / Fraction(2, 3)],
+    "__rtruediv__": [lambda: 1 / _x, lambda: Fraction(2, 3) / _x],
+    "__pow__": [lambda: _x ** 0, lambda: _x ** 1, lambda: _x ** 3,
+                lambda: _x ** -2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_operations_run_through_their_method(name, monkeypatch):
+    original = vars(Cyclotomic)[name]
+    expected = [expr() for expr in OPERATIONS[name]]
+    calls = []
+
+    def traced(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(Cyclotomic, name, traced)
+    for expr, value in zip(OPERATIONS[name], expected):
+        calls.clear()
+        assert expr() == value
+        assert calls, (name, value)
 
 
 def test_printed_form():

@@ -1,7 +1,8 @@
 """Source hygiene of the runtime package: every imported name is used and
-imported from the module that defines it, every function, class, method
-and top-level constant it defines is used, every annotated field of its
-classes is read, and no check is an assert statement."""
+imported from the module that defines it (by the tests too), every
+function, class, method and top-level constant it defines is used, every
+annotated field of its classes is read, and no check is an assert
+statement."""
 import ast
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import chered
 
 MODULES = sorted(Path(chered.__file__).parent.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,21 +31,33 @@ def unused_imports(source: str) -> list[str]:
     return sorted(name for name in imported if name not in used)
 
 
-def reexported_imports(sources: dict[str, str]) -> list[str]:
+def reexported_imports(sources: dict[str, str],
+                       importers: dict[str, str] | None = None) -> list[str]:
     """"module: source.name" of each `from .source import name` in the
-    package whose name `source` does not define at its top level (as a
-    function, a class or an assigned name), say because `source` imports
-    it in turn: a name is imported from its one owner."""
+    package, and of each `from chered.source import name` in the package or
+    in the importers (the tests, say), whose name `source` does not define
+    at its top level (as a function, a class or an assigned name), say
+    because `source` imports it in turn: a name is imported from its one
+    owner."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     defined = {mod: defined_names(tree) for mod, tree in trees.items()}
+    scanned = {**trees, **{name: ast.parse(src)
+                           for name, src in (importers or {}).items()}}
     found = []
-    for mod, tree in trees.items():
+    for mod, tree in scanned.items():
         for node in ast.walk(tree):
-            if (isinstance(node, ast.ImportFrom) and node.level == 1
-                    and node.module in defined):
-                found += [f"{mod}: {node.module}.{alias.name}"
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level == 1:
+                source = node.module
+            elif node.level == 0 and node.module.startswith("chered."):
+                source = node.module[len("chered."):]
+            else:
+                continue
+            if source in defined:
+                found += [f"{mod}: {source}.{alias.name}"
                           for alias in node.names
-                          if alias.name not in defined[node.module]]
+                          if alias.name not in defined[source]]
     return sorted(found)
 
 
@@ -186,6 +200,19 @@ def test_scanner_flags_reexported_imports():
                                            "c: b.dumps"]
 
 
+def test_scanner_flags_reexported_test_imports():
+    sources = {"a": "from fractions import Fraction\ndef scale(x): return x\n",
+               "b": "from .a import Fraction, scale\ndef twice(x): return 2 * x\n"}
+    importers = {"test_x": ("from chered.a import scale\n"
+                            "from chered.b import Fraction, scale as s, twice\n"
+                            "from chered import a\n"
+                            "from chered.missing import thing\n"
+                            "from oracles import scale\n"
+                            "from fractions import Fraction\n")}
+    assert reexported_imports(sources, importers) == [
+        "b: a.Fraction", "test_x: b.Fraction", "test_x: b.scale"]
+
+
 def test_scanner_flags_unused_definitions():
     sources = {"a": ("__all__ = ['api']\n"
                      "def api(): return _helper()\n"
@@ -268,7 +295,9 @@ def test_no_unused_definitions():
 
 
 def test_imports_name_their_owner():
-    assert reexported_imports({p.stem: p.read_text() for p in MODULES}) == []
+    tests = {p.name: p.read_text() for p in TEST_FILES}
+    assert reexported_imports({p.stem: p.read_text() for p in MODULES},
+                              tests) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from chered.exactnum import Cyclotomic, primitive_root
-from chered.multipoly import (MPoly, canon_scalar, charpoly_berkowitz,
-                              discriminant, poly_sqrt, resultant)
+from chered.exactnum import Cyclotomic, canon_scalar, primitive_root
+from chered.multipoly import (MPoly, charpoly_berkowitz, discriminant,
+                              poly_sqrt, resultant)
 from oracles import parse_poly, schoolbook_product, sylvester_resultant
 
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chered.exactnum import primitive_root
-from chered.multipoly import MPoly, canon_scalar
+from chered.exactnum import canon_scalar, primitive_root
+from chered.multipoly import MPoly
 from chered.reflgrp import (build_group, b_invariant,
                             character_table, fake_degree, inner_product,
                             param_convert, param_map, value_on_element)

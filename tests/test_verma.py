@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from chered.multipoly import MPoly, canon_scalar
+from chered.exactnum import canon_scalar
+from chered.multipoly import MPoly
 from chered.reflgrp import (build_group, character_table, fake_degree,
                             param_convert)
 from chered.cherednik import (PBWElement, euler_element, multiply,
