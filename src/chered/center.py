@@ -7,7 +7,8 @@ import functools
 
 from .multipoly import MPoly, charpoly_berkowitz
 from .reflgrp import ReflectionGroup, build_group, character_table, param_map
-from .cherednik import (PBWElement, euler_element, is_central, multiply,
+from .cherednik import (PBWElement, algebra_generators, commutator,
+                        euler_element, is_central, multiply,
                         named_center_generators, residue_summary)
 from .verma import omega_table
 
@@ -61,11 +62,17 @@ def verify_rank1_center(d: int) -> dict:
     """Check prod_{j=0}^{d-1} (eu - d K_j) = X Y (see rank1_center_product)."""
     prod = rank1_center_product(d)
     gens = named_center_generators(prod.group)
-    residue = prod - multiply(gens["X"], gens["Y"])
+    return _report(f"prod(eu - {d}*K_j) = X*Y",
+                   prod - multiply(gens["X"], gens["Y"]))
+
+
+def _report(relation: str, residue: PBWElement, **failure) -> dict:
+    """The report {relation, status} of the identity residue = 0; a failed
+    one also carries the failure context and the summary of its residue."""
     status = residue.is_zero()
-    report = {"relation": f"prod(eu - {d}*K_j) = X*Y", "status": status}
+    report = {"relation": relation, "status": status}
     if not status:
-        report["residue"] = residue_summary(residue)
+        report.update(failure, residue=residue_summary(residue))
     return report
 
 
@@ -96,24 +103,32 @@ def _b2_relation_residues(W: ReflectionGroup) -> dict:
 
 def verify_b2_centrality() -> list:
     """Centrality of eu, eu', eu'' and delta, as exact PBW identities.
-    Returns a list of {relation, status} reports."""
+    Returns a list of {relation, status[, generator, residue]} reports: a
+    failed one names the first algebra generator that the element does not
+    commute with and summarises that commutator."""
     g = named_center_generators(build_group("b2"))
-    return [{"relation": f"central({name})", "status": is_central(g[name])}
+    return [_report(f"central({name})", **_centrality_residue(g[name]))
             for name in ("eu", "eu'", "eu''", "delta")]
+
+
+def _centrality_residue(z: PBWElement) -> dict:
+    """{"residue": 0} for a central z, else its first non-zero commutator
+    with an algebra generator as "residue" and that generator's name as
+    "generator"; the search runs only after `is_central` has failed."""
+    if is_central(z):
+        return {"residue": PBWElement.zero(z.group)}
+    for name, gen in algebra_generators(z.group).items():
+        comm = commutator(z, gen)
+        if not comm.is_zero():
+            return {"residue": comm, "generator": name}
 
 
 def verify_b2_relations() -> list:
     """The nine algebraic relations Z1-Z9 among eu, eu', eu'', delta and
     the embedded invariants, as exact PBW identities.  Returns a list of
     {relation, status[, residue]} reports."""
-    reports = []
-    for name, residue in _b2_relation_residues(build_group("b2")).items():
-        status = residue.is_zero()
-        rep = {"relation": name, "status": status}
-        if not status:
-            rep["residue"] = residue_summary(residue)
-        reports.append(rep)
-    return reports
+    return [_report(name, residue) for name, residue
+            in _b2_relation_residues(build_group("b2")).items()]
 
 
 def verify_b2_center() -> list:

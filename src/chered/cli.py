@@ -30,6 +30,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .exactnum import canon_scalar
 from .reflgrp import (build_group, character_table, check_param_labels,
                       fake_degree, b_invariant, param_convert)
 from .cherednik import named_center_generators, poisson_bracket, z_degree
@@ -141,9 +142,10 @@ def _parse_params(W, text: str) -> dict:
     return values
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    """The rational number a command line gives, as an int when integral."""
     try:
-        return Fraction(text)
+        return canon_scalar(Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"not a rational number: {text!r}")
 

@@ -28,16 +28,10 @@ __all__ = [
 
 def _even_part(F: MPoly, name: str) -> MPoly:
     """f with F(t) = f(t^2); raises if F has odd terms."""
-    f = MPoly.zero()
-    t = MPoly.var(name)
-    for k in range(F.degree_in(name) + 1):
-        c = F.coefficient(name, k)
-        if c.is_zero():
-            continue
-        if k % 2:
-            raise ArithmeticError("polynomial has odd-degree terms")
-        f = f + c * t ** (k // 2)
-    return f
+    coeffs = F.as_univariate(name)
+    if any(coeffs[1::2]):
+        raise ArithmeticError("polynomial has odd-degree terms")
+    return MPoly.from_univariate(coeffs[::2], name)
 
 
 def b2_galois_certificate() -> dict:

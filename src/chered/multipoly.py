@@ -29,6 +29,15 @@ terms on packed keys, taking the next remainder term from a heap (Monagan
 and Pearce, J. Symb. Comput. 2011).  `cherednik.multiply` packs whole PBW
 terms the same way.
 
+In one distinguished variable a polynomial is read as its dense coefficient
+list: `as_univariate(name)` gives [c0, ..., cd] with cd nonzero ([] for
+zero), each c_k a polynomial in the other variables, in one pass over the
+terms, and `from_univariate(coeffs, name)` builds sum_k c_k name^k back.
+`resultant` runs Collins's subresultant PRS on such lists with one
+pseudo-remainder loop (`_prem`); `discriminant` and `charpoly_berkowitz`,
+and every caller that needs coefficients in one variable, use the same
+pair.
+
 >>> x, y = MPoly.var("x"), MPoly.var("y")
 >>> print((x + y) ** 2)
 x^2 + 2*x*y + y^2
@@ -242,11 +251,32 @@ class MPoly:
         return MPoly(restvars, terms)
 
     def as_univariate(self, name: str) -> list["MPoly"]:
-        """Dense coefficient list [c0, c1, ...] with respect to a variable."""
-        d = self.degree_in(name)
-        if d < 0:
-            return []
-        return [self.coefficient(name, k) for k in range(d + 1)]
+        """Dense coefficient list [c0, ..., cd] in a variable, with cd
+        nonzero, each c_k a polynomial in the other variables; [] for zero.
+        The inverse of `from_univariate`."""
+        if name not in self.vars:
+            return [self] if self.terms else []
+        i = self.vars.index(name)
+        coeffs = [{} for _ in range(self.degree_in(name) + 1)]
+        for exp, c in self.terms.items():
+            coeffs[exp[i]][exp[:i] + exp[i + 1:]] = c
+        restvars = self.vars[:i] + self.vars[i + 1:]
+        return [MPoly._of(restvars, terms) for terms in coeffs]
+
+    @staticmethod
+    def from_univariate(coeffs, name: str) -> "MPoly":
+        """sum_k coeffs[k] * name**k, for scalars or polynomials free of
+        name, over the sorted variables of the coefficients and name."""
+        coeffs = [MPoly._coerce(c) for c in coeffs]
+        nv = tuple(sorted({name}.union(*(c.vars for c in coeffs))))
+        i = nv.index(name)
+        terms = {}
+        for k, c in enumerate(coeffs):
+            if c.degree_in(name) > 0:
+                raise ValueError(f"coefficient {c} involves {name}")
+            for exp, v in c._aligned(nv).items():
+                terms[exp[:i] + (k,) + exp[i + 1:]] = v
+        return MPoly._of(nv, terms)
 
     def substitute(self, assignments: dict) -> "MPoly":
         """Substitute polynomials or scalars for variables."""
@@ -474,98 +504,62 @@ def _square(a: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _uni_degree(p: list[MPoly]) -> int:
-    return len(p) - 1
-
-
-def _uni_trim(p: list[MPoly]) -> list[MPoly]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _uni_scale(p: list[MPoly], c: MPoly) -> list[MPoly]:
-    return _uni_trim([c * a for a in p])
-
-
-def _uni_sub(p: list[MPoly], q: list[MPoly]) -> list[MPoly]:
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else MPoly.zero()
-        b = q[i] if i < len(q) else MPoly.zero()
-        out.append(a - b)
-    return _uni_trim(out)
-
-
-def _uni_shift_mul(p: list[MPoly], c: MPoly, k: int) -> list[MPoly]:
-    return [MPoly.zero()] * k + [c * a for a in p]
-
-
-def _prem_full(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
-    """Pseudo-remainder with the exact factor lc(b)^(da-db+1)."""
-    da, db = _uni_degree(a), _uni_degree(b)
-    lcb = b[-1]
+def _prem(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b of coefficient
+    lists, deg a >= deg b >= 1: one step per degree of a from the top down
+    to deg b, each scaling by lc(b) and cancelling the top coefficient."""
+    db, lcb = len(b) - 1, b[-1]
     r = list(a)
-    e = da - db + 1
-    while r and _uni_degree(r) >= db:
-        dr = _uni_degree(r)
-        lead = r[-1]
-        r = _uni_sub(_uni_scale(r, lcb), _uni_shift_mul(b, lead, dr - db))
-        e -= 1
-    if e > 0:
-        r = _uni_scale(r, lcb ** e)
-    return _uni_trim(r)
+    for top in range(len(a) - 1, db - 1, -1):
+        lead = r.pop()
+        r = [lcb * c for c in r]
+        if lead:
+            shift = top - db
+            for k, c in enumerate(b[:-1]):
+                r[shift + k] = r[shift + k] - lead * c
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Resultant of f and g with respect to a variable, by the subresultant
-    polynomial remainder sequence (fraction free).
+    """Resultant of f and g with respect to a variable, by Collins's
+    subresultant polynomial remainder sequence (fraction free) on their
+    coefficient lists.
 
     >>> a, b, t = MPoly.var("a"), MPoly.var("b"), MPoly.var("t")
     >>> print(resultant(t ** 2 - a, t - b, "t"))
     b^2 - a
     """
-    A = _uni_trim(f.as_univariate(name))
-    B = _uni_trim(g.as_univariate(name))
+    A, B = f.as_univariate(name), g.as_univariate(name)
     if not A or not B:
         return MPoly.zero()
     sign = 1
-    if _uni_degree(A) < _uni_degree(B):
-        if (_uni_degree(A) % 2) and (_uni_degree(B) % 2):
+    if len(A) < len(B):
+        if len(A) % 2 == 0 and len(B) % 2 == 0:
             sign = -sign
         A, B = B, A
-    if _uni_degree(B) == 0:
-        return _scale_sign(B[0] ** _uni_degree(A), sign)
-    g_prev = MPoly.const(1)
-    h_prev = MPoly.const(1)
-    while True:
-        da, db = _uni_degree(A), _uni_degree(B)
+    g_prev = h_prev = MPoly.const(1)
+    while len(B) > 1:
+        da, db = len(A) - 1, len(B) - 1
         delta = da - db
-        if (da % 2) and (db % 2):
+        if da % 2 and db % 2:
             sign = -sign
-        R = _prem_full(A, B)
-        A = B
-        denom = g_prev * (h_prev ** delta)
-        B = [c.divexact(denom) for c in R]
-        _uni_trim(B)
-        g_prev = A[-1]
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h_prev = g_prev
-        else:
-            h_prev = (g_prev ** delta).divexact(h_prev ** (delta - 1))
-        if not B:
+        R = _prem(A, B)
+        if not R:
             return MPoly.zero()
-        if _uni_degree(B) == 0:
-            da = _uni_degree(A)
-            res = (B[0] ** da).divexact(h_prev ** (da - 1)) if da > 1 else B[0]
-            return _scale_sign(res, sign)
-
-
-def _scale_sign(p: MPoly, sign: int) -> MPoly:
-    return p if sign >= 0 else -p
+        denom = g_prev * h_prev ** delta
+        A, B = B, [c.divexact(denom) for c in R]
+        g_prev = A[-1]
+        if delta == 1:
+            h_prev = g_prev
+        elif delta > 1:
+            h_prev = (g_prev ** delta).divexact(h_prev ** (delta - 1))
+    da = len(A) - 1
+    res = B[0] ** da
+    if da > 1:
+        res = res.divexact(h_prev ** (da - 1))
+    return res if sign > 0 else -res
 
 
 def discriminant(f: MPoly, name: str) -> MPoly:
@@ -579,15 +573,12 @@ def discriminant(f: MPoly, name: str) -> MPoly:
     d = len(coeffs) - 1
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
-    if not (coeffs[-1].is_constant() and coeffs[-1].constant_value() == 1):
+    if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic in the distinguished variable")
-    deriv = MPoly.zero()
-    tvar = MPoly.var(name)
-    for k in range(1, d + 1):
-        if not coeffs[k].is_zero():
-            deriv = deriv + k * coeffs[k] * tvar ** (k - 1)
+    deriv = MPoly.from_univariate([k * c for k, c in enumerate(coeffs) if k],
+                                  name)
     res = resultant(f, deriv, name)
-    return _scale_sign(res, -1 if (d * (d - 1) // 2) % 2 else 1)
+    return -res if (d * (d - 1) // 2) % 2 else res
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +652,6 @@ def charpoly_berkowitz(mat: list[list[MPoly]], name: str) -> MPoly:
     t^2 - 5*t + 6
     """
     n = len(mat)
-    t = MPoly.var(name)
     if n == 0:
         return MPoly.const(1)
     # vectors of charpoly coefficients, highest degree first
@@ -688,10 +678,7 @@ def charpoly_berkowitz(mat: list[list[MPoly]], name: str) -> MPoly:
                     acc = acc + tvals[d] * coeffs[j]
             newc.append(acc)
         coeffs = newc
-    poly = MPoly.zero()
-    for i, c in enumerate(coeffs):
-        poly = poly + c * t ** (n - i)
-    return poly
+    return MPoly.from_univariate(coeffs[::-1], name)
 
 
 if __name__ == "__main__":

@@ -87,7 +87,6 @@ def mat_rank_of_difference(a):
 @dataclass(frozen=True)
 class Reflection:
     index: int            # element index in the group
-    det: object           # determinant on V (a root of unity)
     orbit: str            # hyperplane-orbit label
     power: int            # j with the reflection = s_H^j on its hyperplane
     param: str            # C-coordinate name attached to its class
@@ -224,7 +223,6 @@ def _finish_group(spec, dim, names, mats, v_names, dual_names,
         if mat_rank_of_difference(mats[i]) == 1:
             reflections.append(Reflection(
                 index=i,
-                det=mat_det(mats[i]),
                 orbit=orbit_of_reflection[names[i]],
                 power=power_of_reflection[names[i]],
                 param=param_of_reflection[names[i]],
@@ -423,12 +421,7 @@ def fake_degree(W: ReflectionGroup, chi: Character) -> MPoly:
     for d in W.degrees:
         series = [canon_scalar(series[i] - (series[i - d] if i >= d else 0))
                   for i in range(n + 1)]
-    t = MPoly.var("t")
-    poly = MPoly.zero()
-    for k, c in enumerate(series):
-        if c != 0:
-            poly = poly + MPoly.const(c) * t ** k
-    return poly
+    return MPoly.from_univariate(series, "t")
 
 
 def b_invariant(W: ReflectionGroup, chi: Character) -> int:
@@ -436,10 +429,7 @@ def b_invariant(W: ReflectionGroup, chi: Character) -> int:
     f = fake_degree(W, chi)
     if f.is_zero():
         raise ValueError("zero fake degree")
-    i = f.vars.index("t") if "t" in f.vars else None
-    if i is None:
-        return 0
-    return min(exp[i] for exp in f.terms)
+    return next(k for k, c in enumerate(f.as_univariate("t")) if c)
 
 
 # ---------------------------------------------------------------------------

@@ -80,10 +80,9 @@ def fantome_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSer
     inv = _invariant_series(W, order)
     pieces = []
     for chi in character_table(W):
-        f = [0] * (order + 1)
-        for exp, c in fake_degree(W, chi).terms.items():
-            if sum(exp) <= order:   # exp is (k,), or () for a constant
-                f[sum(exp)] = c
+        f = [c.constant_value()
+             for c in fake_degree(W, chi).as_univariate("t")[:order + 1]]
+        f += [0] * (order + 1 - len(f))
         pieces.append([sum(f[i] * inv[k - i] for i in range(k + 1))
                        for k in range(order + 1)])
     return TruncSeries2(order, _outer_sum(((p, p) for p in pieces), order))

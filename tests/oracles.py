@@ -322,7 +322,9 @@ def omega_euler_closed_form(W, chi) -> MPoly:
     """Omega_chi(eu) = (1/chi(1)) sum over reflections of eps(s) chi(s) C_s."""
     acc = MPoly.zero()
     for refl in W.reflections:
-        weight = canon_scalar(refl.det * value_on_element(W, chi, refl.index))
+        m = W.matrices[refl.index]
+        det = m[0][0] if W.dim == 1 else m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        weight = canon_scalar(det * value_on_element(W, chi, refl.index))
         if weight != 0:
             acc = acc + MPoly.var(refl.param) * weight
     return acc.divexact(MPoly.const(chi.degree))

@@ -4,10 +4,13 @@ import pytest
 
 from chered.multipoly import MPoly
 from chered.reflgrp import build_group
-from chered.cherednik import PBWElement, multiply, named_center_generators
+from chered.cherednik import (PBWElement, algebra_generators, commutator,
+                              multiply, named_center_generators,
+                              residue_summary)
 from chered.center import (_rank1_factors, euler_charpoly_congruence,
                            minpoly_euler, rank1_center_product,
-                           verify_b2_center, verify_rank1_center)
+                           verify_b2_center, verify_b2_centrality,
+                           verify_rank1_center)
 from oracles import (rank1_c_to_k, rank1_partial_products_per_factor,
                      substitute_params)
 
@@ -64,6 +67,33 @@ def test_b2_center_all_reports_pass():
         assert z in names
     for r in reports:
         assert r["status"] is True, r
+
+
+def test_failed_centrality_reports_generator_and_residue(monkeypatch):
+    # eu' replaced by the V-coordinate x, which does not commute with the
+    # V*-coordinates: only its report fails, and it names the first
+    # generator x fails to commute with and summarises that commutator
+    real = named_center_generators
+
+    def with_x(W):
+        gens = dict(real(W))
+        gens["eu'"] = PBWElement.v_gen(W, 0)
+        return gens
+
+    monkeypatch.setattr("chered.center.named_center_generators", with_x)
+    reports = verify_b2_centrality()
+    assert [r["status"] for r in reports] == [True, False, True, True]
+    for r in reports[:1] + reports[2:]:
+        assert set(r) == {"relation", "status"}
+    failed = reports[1]
+    assert failed["relation"] == "central(eu')"
+    W = build_group("b2")
+    x = PBWElement.v_gen(W, 0)
+    gens = algebra_generators(W)
+    first = next(name for name, gen in gens.items()
+                 if not commutator(x, gen).is_zero())
+    assert failed["generator"] == first
+    assert failed["residue"] == residue_summary(commutator(x, gens[first]))
 
 
 def test_minpoly_euler_rank1():

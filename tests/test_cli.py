@@ -10,6 +10,7 @@ import pytest
 from chered import cli
 from chered.cherednik import PBWElement
 from chered.cli import main
+from chered.reflgrp import build_group
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -139,6 +140,16 @@ def test_k_input_equals_c_input(capsys, group, c_input, k_input):
         by_c = run(capsys, cmd, "--group", group, "--params", c_input, "--json")
         by_k = run(capsys, cmd, "--group", group, "--params", k_input, "--json")
         assert by_c[0] == 0 and by_c == by_k, (cmd, group)
+
+
+def test_integral_parameters_are_ints():
+    # one representation of a rational: an integral value is an int, never
+    # a Fraction with denominator 1
+    W = build_group("cyclic:6")
+    values = cli._parse_params(W, "C1=-5/3,C2=-5,C3=1,C4=-5,C5=-5/3")
+    assert values == {"C1": Fraction(-5, 3), "C2": -5, "C3": 1, "C4": -5,
+                      "C5": Fraction(-5, 3)}
+    assert [type(values[c]) for c in ("C2", "C3", "C4")] == [int] * 3
 
 
 def test_usage_errors_exit_2(capsys):

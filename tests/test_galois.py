@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from chered.galois import (b2_galois_certificate, rank1_ramification_test,
-                           rank1_singular_test)
-from chered.multipoly import poly_sqrt
+from chered.galois import (_even_part, b2_galois_certificate,
+                           rank1_ramification_test, rank1_singular_test)
+from chered.multipoly import MPoly, poly_sqrt
 
 
 def test_b2_certificate_passes():
@@ -23,6 +23,13 @@ def test_b2_certificate_passes():
     assert s3["direct_equals_target"] is True
     assert s3["factorized_equals_target"] is True
     assert s3["is_square"] is False
+
+
+def test_even_part():
+    a, t = MPoly.var("a"), MPoly.var("t")
+    assert _even_part(t ** 4 + a * t ** 2 + 3, "t") == t ** 2 + a * t + 3
+    with pytest.raises(ArithmeticError, match="odd-degree"):
+        _even_part(t ** 4 + a * t ** 3 + 1, "t")
 
 
 def test_b2_certificate_evaluates_each_check_once(monkeypatch):

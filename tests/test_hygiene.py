@@ -129,8 +129,10 @@ def unread_constants(sources: dict[str, str]) -> list[str]:
 
 def unread_fields(sources: dict[str, str]) -> list[str]:
     """"module.Class.field" of each annotated class attribute (a dataclass
-    field, say) that no module of the package reads as a name or an
-    attribute: a result record should carry only what the package reads.
+    field, say) that no module of the package reads as an attribute: a
+    result record should carry only what the package reads.  A field is
+    read as `obj.field`, so a bare name (a local variable of the same name,
+    say) does not count as a read.
 
     Fields are matched by bare attribute name, not by the type of the
     object read: a field passes when any attribute of that name is read
@@ -138,7 +140,9 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
     (`group`, `order`, `index`, ...) is not flagged.  Resolving the receiver
     would need type annotations that the package does not carry."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    used = read_names(trees.values())
+    used = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
     fields = []
     for mod, tree in trees.items():
         for node in tree.body:
@@ -259,7 +263,9 @@ def test_scanner_flags_unread_fields():
                      "class Plain:\n"
                      "    __slots__ = ('kept',)\n"
                      "    label: str\n"),
-               "b": "import a\nr = a.Record((), {})\nprint(r.size(), r.counted)\n"}
+               "b": ("import a\nr = a.Record((), {})\nprint(r.size(), r.counted)\n"
+                     "hidden = 1\nprint(hidden)\n")}
+    # a variable named like a field is not a read of the field
     assert unread_fields(sources) == ["a.Plain.label", "a.Record.hidden"]
     # the limit of a match by bare name: reading `label` of any object
     # counts as reading Plain.label

@@ -180,6 +180,16 @@ def test_discriminant_known_values():
     assert discriminant(t ** 3 + p * t + q, "t") == -4 * p ** 3 - 27 * q ** 2
 
 
+@pytest.mark.parametrize("f, message", [
+    (2 * t ** 2 + 1, "monic"), (MPoly.var("a") * t + 1, "monic"),
+    (MPoly.const(3), "degree"), (MPoly.var("a") + 1, "degree"),
+    (MPoly.zero(), "degree"),
+])
+def test_discriminant_rejects_non_monic_and_degree_0(f, message):
+    with pytest.raises(ValueError, match=message):
+        discriminant(f, "t")
+
+
 def test_poly_sqrt():
     p = (x ** 2 - 2 * x * y + 3) ** 2
     r = poly_sqrt(p)
@@ -223,7 +233,7 @@ NAMES = tuple("abcdefgh")
 
 
 @st.composite
-def polys(draw, nterms):
+def polys(draw, nterms, exponents=exponents):
     """A polynomial with nterms terms on 1 to 8 variables in a drawn
     order."""
     names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=8,
@@ -232,6 +242,26 @@ def polys(draw, nterms):
         st.tuples(*[exponents] * len(names)), scalars,
         min_size=nterms, max_size=nterms))
     return MPoly(names, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 4).flatmap(
+                     lambda n: polys(n, st.integers(0, 5))),
+                 scalars.map(MPoly.const), st.just(MPoly.zero())),
+       st.sampled_from(NAMES + ("t",)))
+def test_univariate_view_round_trip(p, name):
+    # the zero polynomial, constants on no variables, and a variable that p
+    # lacks ("t" always, a drawn letter often) are all drawn
+    coeffs = p.as_univariate(name)
+    assert MPoly.from_univariate(coeffs, name) == p
+    assert len(coeffs) == p.degree_in(name) + 1
+    assert not coeffs or not coeffs[-1].is_zero()
+    assert all(c.degree_in(name) <= 0 for c in coeffs)
+
+
+def test_from_univariate_rejects_the_variable_in_a_coefficient():
+    with pytest.raises(ValueError, match="involves t"):
+        MPoly.from_univariate([1, t], "t")
 
 
 @settings(max_examples=40, deadline=None)
