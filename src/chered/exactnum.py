@@ -41,6 +41,11 @@ int or a Fraction operand scales or shifts the coordinates (``x * 1`` is
 ``x``), and a factor with one nonzero coordinate c*z**k shifts, scales and
 reduces the other.
 
+``trace_pairing`` takes the trace from Q(z_m) to Q of every product x*y
+of two lists of scalars on their integer coordinates: the trace is a
+rational bilinear form, so each product costs one integer dot product and
+builds no Cyclotomic.
+
 ``row_reduce`` (reduced row echelon form, in place) is the one Gaussian
 elimination of the package; the coinvariant normal forms and the
 reflection test use it as well.
@@ -66,7 +71,8 @@ import operator
 from fractions import Fraction
 
 __all__ = ["Cyclotomic", "primitive_root", "canon_scalar", "scalar_div",
-           "scalar_pow", "power", "row_reduce", "format_power", "format_sum"]
+           "scalar_pow", "power", "row_reduce", "trace_pairing",
+           "format_power", "format_sum"]
 
 
 def canon_scalar(c):
@@ -545,6 +551,81 @@ def _normalize(e: int, vec: list[int], den: int):
             # the solution is integral, as Z[z_e] meets Q(z_d) in Z[z_d]
             return _make(d, [row[-1] for row in rows[:len(cols)]], den)
     return _make(e, vec, den)
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_form(m: int) -> tuple[int, ...]:
+    """Tr(z_m**k) from Q(z_m) to Q for 0 <= k <= 2 phi(m) - 2, the powers a
+    product of two coordinate vectors reaches.  z_m**k is a primitive n-th
+    root of unity, n = m / gcd(m, k).  Its trace over Q(z_n) is mu(n), the
+    sum of the primitive n-th roots, which is minus the coefficient below
+    the leading one of the n-th cyclotomic polynomial; Q(z_m) has degree
+    phi(m) / phi(n) over Q(z_n).  So the trace is the Ramanujan sum
+    mu(n) phi(m) / phi(n)."""
+    phi = _reduction_terms(m)[0]
+    form = []
+    for k in range(2 * phi - 1):
+        cyc = cyclotomic_polynomial(m // math.gcd(m, k))
+        form.append(-cyc[-2] * phi // (len(cyc) - 1))
+    return tuple(form)
+
+
+def _trace_coordinates(x, m: int, width: int):
+    """(integer coordinates of den * x as powers of z_m, den) for a
+    canonical scalar x; a rational takes width coordinates."""
+    if isinstance(x, int):
+        return [x] + [0] * (width - 1), 1
+    if isinstance(x, Fraction):
+        return [x.numerator] + [0] * (width - 1), x.denominator
+    if m % x.order:
+        raise ArithmeticError(f"{x} is not in Q(z{m})")
+    return x._lift(m), x.den
+
+
+def trace_pairing(xs, ys, m: int) -> dict:
+    """{(i, j): Tr(xs[i] * ys[j])} over the nonzero traces, Tr the trace
+    from Q(z_m) to Q, for two sequences of canonical scalars of Q(z_m).
+
+    The trace of x*y is a rational bilinear form in the coordinates of x and
+    y.  Each row x is lifted once to integer coordinates over one
+    denominator and multiplied once by the trace form into the vector
+    (Tr(den * x * z_m**b))_b, so each entry is one integer dot product; a
+    Fraction is built only for an entry that is not an integer.  When every
+    entry is rational, Tr(x*y) = phi(m) x y.  An entry whose field is not
+    inside Q(z_m) raises ArithmeticError.
+
+    >>> z = primitive_root(5)
+    >>> trace_pairing([1, z, 0], [z ** 4, Fraction(1, 2)], 5)
+    {(0, 0): -1, (0, 1): 2, (1, 0): 4, (1, 1): Fraction(-1, 2)}
+    >>> trace_pairing([Fraction(1, 3)], [6], 4)
+    {(0, 0): 4}
+    """
+    phi = _reduction_terms(m)[0]
+    if any(isinstance(x, Cyclotomic) for seq in (xs, ys) for x in seq):
+        width, form = phi, _trace_form(m)
+    else:
+        width, form = 1, (phi,)
+    rows = []
+    for i, x in enumerate(xs):
+        if x != 0:
+            num, den = _trace_coordinates(x, m, width)
+            rows.append((i, [sum([c * form[a + b]
+                                  for a, c in enumerate(num) if c])
+                             for b in range(width)], den))
+    cols = [(j, *_trace_coordinates(y, m, width))
+            for j, y in enumerate(ys) if y != 0]
+    out = {}
+    for i, row, dx in rows:
+        for j, col, dy in cols:
+            t = sum(map(operator.mul, row, col))
+            if t:
+                den = dx * dy
+                if den == 1:
+                    out[(i, j)] = t
+                else:
+                    q, r = divmod(t, den)
+                    out[(i, j)] = Fraction(t, den) if r else q
+    return out
 
 
 def primitive_root(e: int):

@@ -17,6 +17,7 @@ t^3 + t
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -37,6 +38,7 @@ __all__ = [
     "b_invariant",
     "ser_inv",
     "inverse_det_series",
+    "galois_orbits",
 ]
 
 
@@ -308,6 +310,43 @@ def inverse_det_series(mat, n):
     else:
         det = [1, -mat_trace(mat), mat_det(mat)]
     return ser_inv(det, n)
+
+
+@functools.lru_cache(maxsize=None)
+def galois_orbits(W: ReflectionGroup) -> tuple[tuple[int, int], ...]:
+    """One (representative, m) per orbit {g^b : gcd(b, m) = 1} of the maps
+    g -> g^b, m the order of g and of every element of its orbit.  The
+    representative is the least index of its orbit.  The orbits partition W,
+    and the orbit of g has phi(m) elements, since g^b = g^b' exactly when
+    b = b' mod m.
+
+    The eigenvalues of g^b are the b-th powers of those of g, so
+    det(1 - t g^b) = sigma_b(det(1 - t g)) for sigma_b: z_m -> z_m**b, and
+    a sum over an orbit of a term built from det(1 - t g) is one trace from
+    Q(z_m) to Q.
+
+    >>> W = build_group("cyclic:8")
+    >>> [(W.names[g], m) for g, m in galois_orbits(W)]
+    [('1', 1), ('s', 8), ('s^2', 4), ('s^4', 2)]
+    >>> sorted(sum(math.gcd(b, m) == 1 for b in range(m))
+    ...        for _, m in galois_orbits(W))
+    [1, 1, 2, 4]
+    """
+    mult = W.mult_table
+    seen = set()
+    orbits = []
+    for g in range(W.order()):
+        if g in seen:
+            continue
+        powers = [W.identity]      # g^0, ..., g^(m-1)
+        x = g
+        while x != W.identity:
+            powers.append(x)
+            x = mult[x][g]
+        m = len(powers)
+        seen.update(powers[b] for b in range(m) if math.gcd(b, m) == 1)
+        orbits.append((g, m))
+    return tuple(orbits)
 
 
 def _degrees_from_molien(dim, mats, order):

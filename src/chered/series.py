@@ -2,18 +2,30 @@
 degree expansion, and the series of the center with its explicit module
 basis over the invariant subalgebra P.
 
-Every series here is a sum of outer products a(t) b(u) of univariate
-truncated series, times the diagonal (1 - tu)^(-m) of the parameter ring
-for the center.  The only inversion is univariate (`reflgrp.ser_inv`), and
-the diagonal has a closed form, so no bivariate series is ever inverted.
+The Molien series is summed over the Galois orbits {g^b : gcd(b, m) = 1}
+of the group elements g of order m (`reflgrp.galois_orbits`).  The summand
+of g^b is sigma_b of the summand of g, so an orbit contributes the trace
+from Q(z_m) to Q of the outer product a(t) b(u) at its representative,
+where a and b are the univariate series 1/det(1 - t g) and
+1/det(1 - u g^-1).  `exactnum.trace_pairing` takes those traces on integer
+coordinates, so the double loop over the coefficients does no cyclotomic
+arithmetic.  Each fake degree (`reflgrp.fake_degree`) stays a plain sum
+over every element of W, and the fake-degree series a plain sum of outer
+products over the characters; neither uses the orbits, so `hilbert
+--check` compares the orbit sum with a computation that does not depend on
+them.
+
+The only inversion is univariate (`reflgrp.ser_inv`), and the diagonal
+(1 - tu)^(-m) of the parameter ring for the center has a closed form, so
+no bivariate series is ever inverted.
 """
 from __future__ import annotations
 
 import functools
 
-from .exactnum import canon_scalar, scalar_div
+from .exactnum import canon_scalar, trace_pairing
 from .reflgrp import (ReflectionGroup, character_table, fake_degree,
-                      inverse_det_series, ser_inv)
+                      galois_orbits, inverse_det_series, ser_inv)
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -65,12 +77,34 @@ def _invariant_series(W: ReflectionGroup, order: int) -> list:
 
 
 def molien_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeries2:
-    """(1/|W|) sum_w 1 / (det(1 - t w) det(1 - u w^-1)), truncated."""
-    per_element = [inverse_det_series(m, order) for m in W.matrices]
-    acc = _outer_sum(((per_element[g], per_element[W.inverse[g]])
-                      for g in range(W.order())), order)
-    return TruncSeries2(order, {k: scalar_div(c, W.order())
-                                for k, c in acc.items()})
+    """(1/|W|) sum_w 1 / (det(1 - t w) det(1 - u w^-1)), truncated.
+
+    The sum runs over the Galois orbits of `galois_orbits`: an orbit of
+    elements of order m adds Tr_{Q(z_m)/Q} of a(t) b(u) at its
+    representative g, with a = 1/det(1 - t g) and b = 1/det(1 - u g^-1).
+    Each coefficient is the dimension of a space of invariants, so every
+    coefficient of the sum is an integer multiple of |W|; a remainder raises
+    ArithmeticError.
+
+    >>> from chered.reflgrp import build_group
+    >>> series_table(molien_bigraded(build_group("cyclic:3"), 3))
+    [(0, 0, 1), (0, 3, 1), (1, 1, 1), (2, 2, 1), (3, 0, 1), (3, 3, 1)]
+    """
+    acc = {}
+    for g, m in galois_orbits(W):
+        a = inverse_det_series(W.matrices[g], order)
+        b = inverse_det_series(W.matrices[W.inverse[g]], order)
+        for key, c in trace_pairing(a, b, m).items():
+            acc[key] = acc.get(key, 0) + c
+    n = W.order()
+    coeffs = {}
+    for key, c in acc.items():
+        q, r = divmod(c, n)
+        if r:
+            raise ArithmeticError(f"Molien coefficient {key} of {W.spec} is"
+                                  f" {c}/{n}, not an integer")
+        coeffs[key] = q
+    return TruncSeries2(order, coeffs)
 
 
 @functools.lru_cache(maxsize=None)

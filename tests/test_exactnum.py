@@ -7,10 +7,11 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chered.exactnum import (Cyclotomic, canon_scalar, cyclotomic_polynomial,
-                             primitive_root, scalar_div, scalar_pow)
+                             primitive_root, scalar_div, scalar_pow,
+                             trace_pairing)
 from chered.multipoly import MPoly
 from chered.reflgrp import build_group, character_table, param_map
 from chered.verma import omega_table
@@ -434,6 +435,74 @@ def test_printed_form():
     assert str(2 * z8 - z8 ** 3) == "2*z8 - z8^3"
     assert str((1 + z5).inverse()) == "-z5 - z5^3"
     assert str((2 + 3 * z8 ** 2) / Fraction(7, 4)) == "8/7 + 12/7*z4"
+
+
+# trace_pairing against the sum of the Galois conjugates of each product,
+# taken on Fraction coordinates.  The entries are ints, Fractions and
+# elements of Q(z_d) for the divisors d of the order (sums of rational
+# multiples of powers of z_e, which normalize to their smallest field); a
+# list of rationals alone takes the phi(e) x y path.  One nonzero entry from
+# a field outside Q(z_e), placed in either list, must raise.
+TRACE_ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
+
+
+def _trace_entries(e):
+    in_field = st.builds(
+        lambda cs: sum((c * primitive_root(e) ** k for k, c in enumerate(cs)),
+                       0),
+        st.lists(st.one_of(small_ints, st.fractions(min_value=-2, max_value=2,
+                                                    max_denominator=4)),
+                 min_size=1, max_size=4))
+    entry = st.one_of(small_ints, rationals, in_field)
+    return st.lists(entry, max_size=4)
+
+
+def _trace_oracle(x, y, e):
+    prod = cyclotomic_mul(e, cyclotomic_coordinates(x, e),
+                          cyclotomic_coordinates(y, e))
+    total = [Fraction(0)] * len(prod)
+    for a in range(e):
+        if math.gcd(a, e) == 1:
+            total = [s + c for s, c in
+                     zip(total, cyclotomic_galois(e, prod, a))]
+    assert not any(total[1:]), (x, y, e)
+    return canon_scalar(total[0])
+
+
+def _outside_field(e):
+    d = 5 if e % 5 else 8
+    return 1 + 2 * primitive_root(d)
+
+
+trace_cases = st.sampled_from(TRACE_ORDERS).flatmap(
+    lambda e: st.tuples(st.just(e), _trace_entries(e), _trace_entries(e),
+                        st.sampled_from([None, "xs", "ys"]),
+                        st.integers(min_value=0, max_value=4)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace_cases)
+@example((4, [1, Fraction(-1, 2)], [3, 0, Fraction(2, 3)], None, 0))
+@example((12, [primitive_root(3), primitive_root(4)], [primitive_root(12)],
+          None, 0))
+@example((6, [primitive_root(3)], [0, 1], "ys", 1))
+@example((1, [], [], "xs", 0))
+def test_trace_pairing_matches_galois_conjugates(case):
+    e, xs, ys, outside, at = case
+    xs, ys = list(xs), list(ys)
+    if outside is not None:
+        seq = xs if outside == "xs" else ys
+        seq.insert(min(at, len(seq)), _outside_field(e))
+        with pytest.raises(ArithmeticError):
+            trace_pairing(xs, ys, e)
+        return
+    result = trace_pairing(xs, ys, e)
+    for (i, j), t in result.items():
+        assert t != 0 and not isinstance(t, Cyclotomic), (i, j, t)
+        assert_canonical(t)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert result.get((i, j), 0) == _trace_oracle(x, y, e), (i, j)
 
 
 def _scalars(obj):

@@ -1,4 +1,5 @@
 """Reflection groups, characters, fake degrees, parameter coordinates."""
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from chered.exactnum import canon_scalar, primitive_root
 from chered.multipoly import MPoly
 from chered.reflgrp import (build_group, b_invariant,
-                            character_table, fake_degree, inner_product,
-                            param_convert, param_map, value_on_element)
+                            character_table, fake_degree, galois_orbits,
+                            inner_product, param_convert, param_map,
+                            value_on_element)
 from oracles import rank1_c_to_k, rank1_k_variables
 
 
@@ -24,6 +26,33 @@ def test_cyclic_group_structure():
         assert len(W.conj_classes) == d
         z = primitive_root(d)
         assert W.matrices[W.index_of("s")][0][0] == canon_scalar(z)
+
+
+@pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 13)])
+def test_galois_orbits_partition_the_group(spec):
+    W = build_group(spec)
+    mult = W.mult_table
+    covered = []
+    for g, m in galois_orbits(W):
+        powers = [W.identity]
+        for _ in range(m - 1):
+            powers.append(mult[powers[-1]][g])
+        # g has order m
+        assert mult[powers[-1]][g] == W.identity
+        assert W.identity not in powers[1:]
+        orbit = {powers[b] for b in range(m) if math.gcd(b, m) == 1}
+        phi = sum(math.gcd(b, m) == 1 for b in range(m))
+        assert len(orbit) == phi
+        assert g == min(orbit)
+        # closed under h -> h^b for every b prime to m
+        for h in orbit:
+            x = W.identity
+            for b in range(1, m + 1):
+                x = mult[x][h]
+                if math.gcd(b, m) == 1:
+                    assert x in orbit, (W.names[h], b)
+        covered += orbit
+    assert sorted(covered) == list(range(W.order()))
 
 
 def test_b2_group_structure():

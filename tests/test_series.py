@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chered.exactnum import primitive_root
-from chered.reflgrp import build_group, ser_inv
+from chered.reflgrp import build_group, galois_orbits, ser_inv
 from chered.series import (DEFAULT_ORDER, center_basis_bidegrees,
                            fantome_bigraded, hilbert_center, molien_bigraded,
                            series_table)
@@ -19,6 +19,18 @@ def test_molien_equals_character_sum(spec):
     order = 12
     assert molien_bigraded(W, order).coeffs == \
         fantome_bigraded(W, order).coeffs
+
+
+def test_molien_rejects_a_sum_that_is_not_a_multiple_of_the_order(monkeypatch):
+    # without the orbit of the generator, the sum over cyclic:5 is the term
+    # of the identity alone, 1/((1 - t)(1 - u)), whose coefficients are 1
+    W = build_group("cyclic:5")
+    orbits = galois_orbits(W)
+    assert [W.names[g] for g, _ in orbits] == ["1", "s"]
+    monkeypatch.setattr("chered.series.galois_orbits",
+                        lambda W: [o for o in orbits if W.names[o[0]] != "s"])
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        molien_bigraded(W, 4)
 
 
 def test_b2_anchor_coefficients():
@@ -83,10 +95,14 @@ def test_default_order():
 
 
 # orders 1 and 2 cut the outer products and the (1 - tu)^-m diagonal right
-# after their first terms; order 12 is the CLI default
-@pytest.mark.parametrize("order", (1, 2, 12))
-@pytest.mark.parametrize("spec", ("b2",) + tuple(f"cyclic:{d}"
-                                                 for d in range(2, 8)))
+# after their first terms; order 12 is the CLI default.  The Molien sum runs
+# over Galois orbits, and molien_bivariate over the elements: cyclic:8 has
+# orbits of sizes 1, 1, 2 and 4 in Q(z8), and order 24 reaches each root of
+# unity of cyclic:5 and cyclic:8 several times
+@pytest.mark.parametrize("spec, order", [
+    (spec, order)
+    for spec in ("b2",) + tuple(f"cyclic:{d}" for d in range(2, 9))
+    for order in (1, 2, 12)] + [("cyclic:5", 24), ("cyclic:8", 24)])
 def test_series_match_bivariate_oracle(spec, order):
     W = build_group(spec)
     assert molien_bigraded(W, order).coeffs == molien_bivariate(W, order).coeffs
