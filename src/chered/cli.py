@@ -42,8 +42,7 @@ from .series import (DEFAULT_ORDER, fantome_bigraded, hilbert_center,
 from .center import (euler_charpoly_congruence, minpoly_euler,
                      verify_b2_centrality, verify_b2_relations,
                      verify_rank1_center)
-from .galois import (b2_galois_certificate, rank1_ramification_test,
-                     rank1_singular_test)
+from .galois import b2_galois_certificate, rank1_point_analysis
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -305,11 +304,9 @@ def cmd_geometry_rank1(args) -> tuple:
     ks = [_rational(p) for p in parts[:args.d]]
     x, y, e = (_rational(p) for p in parts[args.d:])
     try:
-        singular = rank1_singular_test(args.d, ks, x, y, e)
-        ramified = rank1_ramification_test(args.d, ks, x, y, e)
+        return rank1_point_analysis(args.d, ks, x, y, e), True
     except ValueError as exc:
         raise UsageError(str(exc))
-    return {"singular": singular, "ramified": ramified}, True
 
 
 def cmd_poisson(args) -> tuple:

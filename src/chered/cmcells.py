@@ -2,9 +2,14 @@
 
 Families are computed exactly: two irreducible characters lie in the same
 family if and only if their central characters agree on a generating set of
-the center ({eu} for cyclic groups; {eu, eu', eu'', delta} for B2).  Cells
-for cyclic groups are the fibers of i -> K_i; cells for B2 follow the
-explicit case analysis over the strata of the (a, b) parameter plane.
+the center.  `cm_families` compares every named generator of `omega_table`
+({eu, X, Y} for cyclic groups; {eu, eu', eu'', delta, sigma, pi, Sigma, Pi}
+for B2).  The invariants X, Y, sigma, pi, Sigma, Pi never split a family:
+positive-degree invariants act by zero on every baby Verma module, so their
+Omega is 0 for every chi (`test_omega_table_cyclic_invariants_act_by_zero`,
+`test_omega_table_b2`).  Cells for cyclic groups are the fibers of
+i -> K_i; cells for B2 follow the explicit case analysis over the strata of
+the (a, b) parameter plane.
 
 The cellular character of a left cell, sum m_chi chi, is the dict
 {character name: m_chi}; its insertion order is the order of the text
@@ -64,8 +69,11 @@ class CellPartition:
 
 def cm_families(W: ReflectionGroup, cvals: dict) -> FamilyPartition:
     """Partition Irr(W) by equality of the central characters Omega_chi on
-    the named generators of the center, evaluated at the parameter point
-    cvals = {C-label: value}, which has every C-label of W and no other key.
+    every named generator of the center in `omega_table`, evaluated at the
+    parameter point cvals = {C-label: value}, which has every C-label of W
+    and no other key.  The Omega of an embedded invariant (X, Y; sigma, pi,
+    Sigma, Pi) is 0 for every chi, so it never splits a family and the
+    partition is the one of {eu} (cyclic) or {eu, eu', eu'', delta} (B2).
 
     >>> fp = cm_families(build_group("b2"), {"A": 1, "B": 1})
     >>> sorted(sorted(b) for b in fp.blocks)

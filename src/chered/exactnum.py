@@ -114,9 +114,7 @@ def scalar_pow(c, n: int):
 
 
 def power(x, n: int, one):
-    """x**n for n >= 0 by square-and-multiply, starting from one.  Each
-    square is base * base with one object on both sides, so a type can
-    take a squaring kernel there.
+    """x**n for n >= 0 by square-and-multiply, starting from one.
 
     >>> power(3, 5, 1), power(Fraction(1, 2), 0, 1)
     (243, 1)

@@ -1,15 +1,15 @@
 """Galois-theoretic certificates for the spectrum of the center.
 
 For B2 the minimal polynomial of the Euler element is even, F(t) = f(t^2)
-with f of degree 4 over P.  The certificate verifies that disc(F) is 256
-disc(f)^2 (sigma^2 Pi - Sigma^2 pi)^2 — a perfect square, forcing the
+with f monic of degree 4 over P.  The certificate verifies that disc(F) is
+256 disc(f)^2 (sigma^2 Pi - Sigma^2 pi)^2 — a perfect square, forcing the
 Galois group inside the index-2 subgroup W4' of the hyperoctahedral group —
 and that a rational specialization of f has Galois group S4 on the degree-4
 factor.  The identification of the group itself is not re-derived here; the
 certificate checks exactly the computable inclusions and specializations.
 
-For rank 1 the module provides the singular-locus and ramification
-predicates of the spectrum of the center.
+For rank 1 the module provides one analysis of a point of the spectrum of
+the center: whether it is singular and whether it is ramified.
 """
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ from .center import minpoly_euler
 
 __all__ = [
     "b2_galois_certificate",
-    "rank1_singular_test",
-    "rank1_ramification_test",
+    "rank1_point_analysis",
 ]
 
 
@@ -37,10 +36,12 @@ def _even_part(F: MPoly, name: str) -> MPoly:
 def b2_galois_certificate() -> dict:
     """Three-step certificate; each step reports claim, value, and pass.
 
-    Step (i) uses the identity disc(g(t^2)) = (-4)^d disc(g)^2 g(0) for
-    monic g of degree d — verified on random polynomials elsewhere in the
-    test suite — together with a generic-routine computation of disc(f) and
-    the exact square root of f(0).
+    Step (i) checks the identity disc(g(t^2)) = 256 disc(g)^2 g(0) once, on
+    the generic monic quartic g = t^4 + a t^3 + b t^2 + c t + d.  The
+    discriminant of a monic polynomial is a universal polynomial in its
+    coefficients, so the identity holds for f; with f(0) = marker^2 it
+    makes disc(F) = (16 disc(f) marker)^2, and the step computes neither
+    disc(f) nor disc(F).
     """
     W = build_group("b2")
     F = minpoly_euler(W)
@@ -50,15 +51,17 @@ def b2_galois_certificate() -> dict:
 
     steps = []
 
-    # step (i): disc(F) = 256 disc(f)^2 (sigma^2 Pi - Sigma^2 pi)^2,
-    # a perfect square with explicit root 16 disc(f) (sigma^2 Pi - Sigma^2 pi)
-    disc_f = discriminant(f, "t")
-    c0 = f.coefficient("t", 0)
+    # step (i): disc(g(t^2)) = 256 disc(g)^2 g(0) for the generic monic
+    # quartic g, hence for the monic quartic f; with f(0) = marker^2, disc(F)
+    # is the square of 16 disc(f) (sigma^2 Pi - Sigma^2 pi)
+    a, b, c, d = (MPoly.var(n) for n in "abcd")
+    g = t ** 4 + a * t ** 3 + b * t ** 2 + c * t + d
+    lemma = (discriminant(g.substitute({"t": t ** 2}), "t")
+             == 256 * discriminant(g, "t") ** 2 * d)
     marker = sg ** 2 * Pi - Sg ** 2 * pi
-    disc_F = 256 * disc_f ** 2 * c0        # (-4)^4 disc(f)^2 f(0)
-    root = 16 * disc_f * marker
-    marker_square = c0 == marker ** 2
-    root_square = root ** 2 == disc_F
+    monic_quartic = f.degree_in("t") == 4 and f.coefficient("t", 4) == 1
+    marker_square = f.coefficient("t", 0) == marker ** 2
+    root_square = lemma and monic_quartic and marker_square
     steps.append({
         "step": "discriminant-square",
         "claim": "disc(F) = 256 disc(f)^2 (sigma^2 Pi - Sigma^2 pi)^2,"
@@ -113,10 +116,20 @@ def b2_galois_certificate() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rank1_point(d: int, k_values, x, y, e):
-    """Check that (k, x, y, e) lies on prod_i (e - d k_i) = x y with
-    sum_i k_i = 0; return x, y and the e-derivative of the left side there,
-    sum_i prod_{j != i} (e - d k_j)."""
+def rank1_point_analysis(d: int, k_values, x, y, e) -> dict:
+    """Whether the point (k, x, y, e) of prod_i (e - d k_i) = x y, with
+    sum_i k_i = 0, is singular on that hypersurface and whether e is a
+    multiple root of the specialized minimal polynomial
+    F_p(t) = prod_i (t - d k_i) - x y there.  Raises ValueError off the
+    variety or when the k-values do not sum to zero.
+
+    Both answers rest on the e-derivative sum_i prod_{j != i} (e - d k_j):
+    the gradient of the defining equation is (-y, -x, that derivative)
+    (Jacobian criterion), and e is ramified when F_p'(e), the same
+    derivative, vanishes.  The closed description of the singular locus is
+    x = y = 0 together with e = d k_i = d k_j for some i != j; note the
+    factor d multiplying the k-values in these equations.
+    """
     ks = [Fraction(v) for v in k_values]
     x, y, e = Fraction(x), Fraction(y), Fraction(e)
     if len(ks) != d or sum(ks) != 0:
@@ -134,34 +147,16 @@ def _rank1_point(d: int, k_values, x, y, e):
             if j != i:
                 term *= f
         deriv += term
-    return x, y, deriv
-
-
-def rank1_singular_test(d: int, k_values, x, y, e) -> dict:
-    """Whether the hypersurface prod_i (e - d k_i) = x y is singular at the
-    given point (Jacobian criterion on the single defining equation).
-
-    The closed description of the singular locus is x = y = 0 together with
-    e = d k_i = d k_j for some i != j; note the factor d multiplying the
-    k-values in these equations.
-    """
-    x, y, deriv = _rank1_point(d, k_values, x, y, e)
-    # gradient: (-y, -x, sum_i prod_{j != i} (e - d k_j))
-    singular = (y == 0 and x == 0 and deriv == 0)
     return {
-        "singular": singular,
-        "gradient": (str(-y), str(-x), str(deriv)),
-        "notes": "singular locus: x = y = 0 and e = d k_i = d k_j (i != j);"
-                 " the factor d on the k-values comes from the defining"
-                 " equation prod(e - d k_i) = x y",
+        "singular": {
+            "singular": y == 0 and x == 0 and deriv == 0,
+            "gradient": (str(-y), str(-x), str(deriv)),
+            "notes": "singular locus: x = y = 0 and e = d k_i = d k_j"
+                     " (i != j); the factor d on the k-values comes from the"
+                     " defining equation prod(e - d k_i) = x y",
+        },
+        "ramified": {"ramified": deriv == 0, "derivative": str(deriv)},
     }
-
-
-def rank1_ramification_test(d: int, k_values, x, y, e) -> dict:
-    """Whether e is a multiple root of the specialized minimal polynomial
-    F_p(t) = prod_j (t - d K_j) - x y, i.e. F_p(e) = F_p'(e) = 0."""
-    _, _, deriv = _rank1_point(d, k_values, x, y, e)
-    return {"ramified": deriv == 0, "derivative": str(deriv)}
 
 
 if __name__ == "__main__":

@@ -20,8 +20,6 @@ A product aligns both operands once and picks a kernel:
   exponents of the other and scales its coefficients, with no
   accumulation, since distinct terms stay distinct; the constant 1 only
   copies, and a scalar factor only scales;
-- `p * p` (so `p ** n` too) adds each unordered pair of terms once, the
-  pair (i, j) with i < j as 2*c_i*c_j, on packed keys;
 - otherwise a schoolbook product on packed keys, which it unpacks once.
 A sum, and every kernel, stores a coefficient under a new exponent as it
 is, and adds only where two terms meet.  `divexact` divides by lex leading
@@ -184,10 +182,7 @@ class MPoly:
                 return self._scaled(other)
             return NotImplemented
         nv = MPoly._merge_vars(self, other)
-        a = self._aligned(nv)
-        if other is self:
-            return MPoly._of(nv, _square(a))
-        return MPoly._of(nv, _product(a, other._aligned(nv)))
+        return MPoly._of(nv, _product(self._aligned(nv), other._aligned(nv)))
 
     __rmul__ = __mul__
 
@@ -472,30 +467,6 @@ def _packed_product(a: dict, b: dict) -> dict:
             k = ka + kb
             prev = get(k)
             out[k] = ca * cb if prev is None else prev + ca * cb
-    return {unpack(k): canon_scalar(c) for k, c in out.items() if c != 0}
-
-
-def _square(a: dict) -> dict:
-    """The square of a term map, as `_product(a, a)` returns it.  Several
-    terms are squared on packed keys, as in `_packed_product`, each
-    unordered pair once: the pair (i, j), i < j, adds 2*c_i*c_j.  At most
-    one term goes to `_product`."""
-    if len(a) < 2:
-        return _product(a, a)
-    pack, unpack = _packing(len(next(iter(a))),
-                            _field_bits(2 * max(map(max, a))))
-    items = [(pack(exp), c) for exp, c in a.items()]
-    out: dict = {}
-    get = out.get
-    for i, (ka, ca) in enumerate(items):
-        k = ka + ka
-        prev = get(k)
-        out[k] = ca * ca if prev is None else prev + ca * ca
-        twice = 2 * ca
-        for kb, cb in items[i + 1:]:
-            k = ka + kb
-            prev = get(k)
-            out[k] = twice * cb if prev is None else prev + twice * cb
     return {unpack(k): canon_scalar(c) for k, c in out.items() if c != 0}
 
 

@@ -86,6 +86,13 @@ def test_cells_text_output_is_pinned(capsys, group, params, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_galois_certificate_text_output_is_pinned(capsys):
+    """The text output of `galois b2-certificate`, byte for byte."""
+    code, out, err = run(capsys, "galois", "b2-certificate")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "galois_b2_certificate.txt").read_text()
+
+
 def test_cells_b2_sum_rules(capsys):
     code, out, _ = run(capsys, "cells", "--group", "b2",
                        "--params", "a=2,b=1", "--json")

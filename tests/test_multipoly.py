@@ -147,12 +147,16 @@ def _random_monic(rng, d):
 
 
 def test_discriminant_even_square_identity():
-    # disc(f(t^2)) = (-4)^d disc(f)^2 f(0) on 20 random monic polynomials
+    # disc(f(t^2)) = (-4)^d disc(f)^2 f(0) on the generic monic polynomial
+    # of each degree d = 1..4, then on 20 random monic polynomials
     import random
     rng = random.Random(96321)
-    for trial in range(20):
-        d = rng.randint(1, 4)
-        f = _random_monic(rng, d)
+    generic = [t ** d + sum((MPoly.var(f"a{k}") * t ** k for k in range(d)),
+                            MPoly.zero())
+               for d in range(1, 5)]
+    random_cases = [_random_monic(rng, rng.randint(1, 4)) for _ in range(20)]
+    for trial, f in enumerate(generic + random_cases):
+        d = f.degree_in("t")
         F = MPoly.zero()
         for k in range(d + 1):
             F = F + f.coefficient("t", k) * t ** (2 * k)
@@ -297,8 +301,8 @@ def test_mul_matches_schoolbook_oracle(many_pairs, data):
     a, b = data.draw(polys(la)), data.draw(polys(lb))
     # (a - b)(a + b) cancels its cross terms; a one-term factor, the
     # constant 1 and the zero polynomial take the shift-and-scale path, and
-    # p * p the square kernel; the zero polynomial and a constant on no
-    # variables are squared on the shift-and-scale path too
+    # p * p the packed product like any other pair; the zero polynomial and
+    # a constant on no variables are squared on the shift-and-scale path
     m, one, zero, s = data.draw(polys(1)), MPoly.const(1), MPoly.zero(), a + b
     k, several = MPoly.const(data.draw(scalars)), data.draw(polys(2))
     for lhs, rhs in ((a, b), (b, a), (a - b, a + b), (m, a), (b, m), (m, m),
