@@ -7,10 +7,10 @@ import functools
 
 from .multipoly import MPoly, charpoly_berkowitz
 from .reflgrp import ReflectionGroup, build_group, character_table, param_map
-from .cherednik import (PBWElement, algebra_generators, commutator,
-                        euler_element, is_central, multiply,
-                        named_center_generators, residue_summary)
-from .verma import omega_table
+from .cherednik import (PBWElement, euler_element, multiply,
+                        named_center_generators, noncommuting_generator,
+                        residue_summary)
+from .verma import omega
 
 __all__ = [
     "rank1_center_product",
@@ -114,13 +114,13 @@ def verify_b2_centrality() -> list:
 def _centrality_residue(z: PBWElement) -> dict:
     """{"residue": 0} for a central z, else its first non-zero commutator
     with an algebra generator as "residue" and that generator's name as
-    "generator"; the search runs only after `is_central` has failed."""
-    if is_central(z):
+    "generator", from one search (`noncommuting_generator`), which computes
+    one commutator per generator tried."""
+    found = noncommuting_generator(z)
+    if found is None:
         return {"residue": PBWElement.zero(z.group)}
-    for name, gen in algebra_generators(z.group).items():
-        comm = commutator(z, gen)
-        if not comm.is_zero():
-            return {"residue": comm, "generator": name}
+    name, comm = found
+    return {"residue": comm, "generator": name}
 
 
 def verify_b2_relations() -> list:
@@ -217,28 +217,22 @@ def minpoly_euler(W: ReflectionGroup) -> MPoly:
 
 def euler_charpoly_congruence(W: ReflectionGroup) -> bool:
     """charpoly(eu) = prod_chi (t - Omega_chi(eu))^(chi(1)^2) modulo the
-    ideal generated by the positive-degree invariants."""
+    ideal generated by the positive-degree invariants.  It computes
+    Omega_chi of eu alone, each value certified by `omega`, and not the
+    whole `omega_table`."""
     f = minpoly_euler(W)
     t = MPoly.var("t")
-    table = omega_table(W)
+    eu = euler_element(W)
+    omega_vals = [omega(eu, chi) for chi in character_table(W)]
     if W.spec.startswith("cyclic:"):
         subst = {"X": MPoly.zero(), "Y": MPoly.zero()}
         # express Omega values in the same eliminated K-coordinates
         c_forms = param_map(W).c_forms
-        omega_vals = [table[chi.name]["eu"].substitute(c_forms)
-                      for chi in character_table(W)]
+        omega_vals = [val.substitute(c_forms) for val in omega_vals]
     else:
         subst = {n: MPoly.zero() for n in ("sigma", "pi", "Sigma", "Pi")}
-        omega_vals = [table[chi.name]["eu"]
-                      for chi in character_table(W)]
     reduced = f.substitute(subst)
     prod = MPoly.const(1)
     for chi, val in zip(character_table(W), omega_vals):
         prod = prod * (t - val) ** (chi.degree ** 2)
     return reduced == prod
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

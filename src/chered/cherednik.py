@@ -1,6 +1,6 @@
 """The PBW engine for the rational Cherednik algebra at t=0 (and its
 T-deformation): normal-form elements k[params] (x) k[V] (x) kW (x) k[V*],
-straightening, Euler element, centrality tests, bigrading, and the Poisson
+straightening, Euler element, centrality search, bigrading, and the Poisson
 bracket on the center.
 
 Normal words are triples (V-monomial, group element, V*-monomial) with
@@ -38,11 +38,10 @@ __all__ = [
     "PBWElement",
     "multiply",
     "commutator",
-    "is_central",
+    "noncommuting_generator",
     "euler_element",
     "named_center_generators",
     "poisson_bracket",
-    "bidegree",
     "z_degree",
     "residue_summary",
 ]
@@ -451,12 +450,14 @@ def algebra_generators(W: ReflectionGroup) -> dict:
     return gens
 
 
-def is_central(z: PBWElement) -> bool:
-    """True iff z commutes with every algebra generator."""
-    for gen in algebra_generators(z.group).values():
-        if not commutator(z, gen).is_zero():
-            return False
-    return True
+def noncommuting_generator(z: PBWElement):
+    """(name, [z, gen]) for the first algebra generator gen that z does not
+    commute with, or None when z is central."""
+    for name, gen in algebra_generators(z.group).items():
+        comm = commutator(z, gen)
+        if not comm.is_zero():
+            return name, comm
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +543,6 @@ def _bidegrees(elem: PBWElement) -> set:
     return found
 
 
-def bidegree(elem: PBWElement):
-    """The bidegree of a bihomogeneous element, or None."""
-    found = _bidegrees(elem)
-    if len(found) == 1:
-        return found.pop()
-    return None if found else (0, 0)
-
-
 def residue_summary(elem: PBWElement) -> dict:
     """A compact report of an element, for failed identities: its number of
     terms, its three leading normal words (highest total degree first) and
@@ -561,14 +554,13 @@ def residue_summary(elem: PBWElement) -> dict:
 
 
 def z_degree(elem: PBWElement):
-    """The Z-degree (j - i) of a bihomogeneous element, or None."""
-    bd = bidegree(elem)
-    if bd is None:
-        degs = set()
-        for (p, g, q), c in elem.terms.items():
-            degs.add(sum(q) - sum(p))
-        return degs.pop() if len(degs) == 1 else None
-    return bd[1] - bd[0]
+    """The Z-degree j - i of an element whose terms share it: |q| - |p| of
+    its words (p, g, q), as parameters and T have bidegree (1, 1); 0 for
+    the zero element, and None when two words differ."""
+    degs = {sum(q) - sum(p) for p, _, q in elem.terms}
+    if len(degs) > 1:
+        return None
+    return degs.pop() if degs else 0
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +583,3 @@ def poisson_bracket(z1: PBWElement, z2: PBWElement) -> PBWElement:
             raise ArithmeticError("coefficient not divisible by T")
         out[key] = c.coefficient("T", 1)
     return z1._like(out)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -253,9 +253,3 @@ def partition_to_json(families: FamilyPartition, cells: CellPartition | None) ->
         if not cells.supported:
             out["note"] = cells.note
     return out
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

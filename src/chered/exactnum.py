@@ -588,9 +588,8 @@ def trace_pairing(xs, ys, m: int) -> dict:
     y.  Each row x is lifted once to integer coordinates over one
     denominator and multiplied once by the trace form into the vector
     (Tr(den * x * z_m**b))_b, so each entry is one integer dot product; a
-    Fraction is built only for an entry that is not an integer.  When every
-    entry is rational, Tr(x*y) = phi(m) x y.  An entry whose field is not
-    inside Q(z_m) raises ArithmeticError.
+    Fraction is built only for an entry that is not an integer.  An entry
+    whose field is not inside Q(z_m) raises ArithmeticError.
 
     >>> z = primitive_root(5)
     >>> trace_pairing([1, z, 0], [z ** 4, Fraction(1, 2)], 5)
@@ -598,11 +597,7 @@ def trace_pairing(xs, ys, m: int) -> dict:
     >>> trace_pairing([Fraction(1, 3)], [6], 4)
     {(0, 0): 4}
     """
-    phi = _reduction_terms(m)[0]
-    if any(isinstance(x, Cyclotomic) for seq in (xs, ys) for x in seq):
-        width, form = phi, _trace_form(m)
-    else:
-        width, form = 1, (phi,)
+    width, form = _reduction_terms(m)[0], _trace_form(m)
     rows = []
     for i, x in enumerate(xs):
         if x != 0:
@@ -638,9 +633,3 @@ def primitive_root(e: int):
     if e < 1:
         raise ValueError("order must be positive")
     return _normalize(e, _reduce_mod_cyclotomic(e, [0, 1]), 1)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -4,9 +4,11 @@ For B2 the minimal polynomial of the Euler element is even, F(t) = f(t^2)
 with f monic of degree 4 over P.  The certificate verifies that disc(F) is
 256 disc(f)^2 (sigma^2 Pi - Sigma^2 pi)^2 — a perfect square, forcing the
 Galois group inside the index-2 subgroup W4' of the hyperoctahedral group —
-and that a rational specialization of f has Galois group S4 on the degree-4
-factor.  The identification of the group itself is not re-derived here; the
-certificate checks exactly the computable inclusions and specializations.
+and that the discriminant of a specialization fbar of f, a polynomial in pi,
+is not a square: a square vanishes to even order at pi = 0, and disc(fbar)
+vanishes there to order 7.  The identification of the group itself is not
+re-derived here; the certificate checks exactly the computable inclusions
+and specializations.
 
 For rank 1 the module provides one analysis of a point of the spectrum of
 the center: whether it is singular and whether it is ramified.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .multipoly import MPoly, discriminant, poly_sqrt
+from .multipoly import MPoly, discriminant
 from .reflgrp import build_group
 from .center import minpoly_euler
 
@@ -42,6 +44,11 @@ def b2_galois_certificate() -> dict:
     coefficients, so the identity holds for f; with f(0) = marker^2 it
     makes disc(F) = (16 disc(f) marker)^2, and the step computes neither
     disc(f) nor disc(F).
+
+    Step (iii) reads non-squareness off the order of disc(fbar) at pi = 0,
+    the index of its first nonzero coefficient in pi: an odd order proves
+    it, and "is_square" is False.  An even order, or a zero discriminant,
+    decides nothing: "is_square" is then None, and the step fails.
     """
     W = build_group("b2")
     F = minpoly_euler(W)
@@ -91,14 +98,17 @@ def b2_galois_certificate() -> dict:
     target = 2 ** 24 * pi ** 7 * (pi - 4) * (2 * pi + 1) ** 2
     direct = disc_fbar == target
     factorized = via_factor == target
-    is_square = poly_sqrt(disc_fbar) is not None
+    # the order of disc(fbar) at pi = 0: a square's is even
+    coeffs = disc_fbar.as_univariate("pi")
+    order = next((k for k, c in enumerate(coeffs) if c != 0), None)
+    is_square = False if order is not None and order % 2 else None
     steps.append({
         "step": "specialized-discriminant",
         "claim": "disc(fbar) = 2^24 pi^7 (pi-4)(2 pi+1)^2, not a square",
         "direct_equals_target": direct,
         "factorized_equals_target": factorized,
         "is_square": is_square,
-        "pass": direct and factorized and not is_square,
+        "pass": direct and factorized and is_square is False,
     })
 
     return {
@@ -157,9 +167,3 @@ def rank1_point_analysis(d: int, k_values, x, y, e) -> dict:
         },
         "ramified": {"ramified": deriv == 0, "derivative": str(deriv)},
     }
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -1,6 +1,6 @@
 """Sparse multivariate polynomials over the cyclotomic numbers, univariate
-resultants and discriminants, exact polynomial square roots, and the
-division-free characteristic polynomial.
+resultants and discriminants, and the division-free characteristic
+polynomial.
 
 Coefficients ("scalars") are int, Fraction, or Cyclotomic values in the one
 representation that `exactnum` owns: a rational is an int or a Fraction,
@@ -58,7 +58,6 @@ __all__ = [
     "MPoly",
     "resultant",
     "discriminant",
-    "poly_sqrt",
     "charpoly_berkowitz",
 ]
 
@@ -300,15 +299,6 @@ class MPoly:
                     piece = piece * var_power(name, k)
             result = result + piece
         return result
-
-    # -- lex order helpers ----------------------------------------------
-
-    def _lex_leading(self):
-        """(exponent, coeff) maximal in lex order over self.vars."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms)
-        return exp, self.terms[exp]
 
     def divexact(self, other: "MPoly") -> "MPoly":
         """Exact division; raises ArithmeticError when not divisible.
@@ -553,63 +543,6 @@ def discriminant(f: MPoly, name: str) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial square root
-# ---------------------------------------------------------------------------
-
-
-def _scalar_sqrt(c):
-    """Exact square root of a rational scalar, or None."""
-    if isinstance(c, Cyclotomic) or c < 0:
-        return None
-    q = Fraction(c)
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    if num is None or den is None:
-        return None
-    return canon_scalar(Fraction(num, den))
-
-
-def _isqrt_exact(n: int):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def poly_sqrt(f: MPoly):
-    """Return g with g*g == f (sign fixed so the lex-leading coefficient is
-    positive when rational), or None when f is not a square.
-
-    >>> x, y, z = MPoly.var("x"), MPoly.var("y"), MPoly.var("z")
-    >>> g = x ** 2 * y - z ** 2
-    >>> poly_sqrt(g * g) == g
-    True
-    """
-    if f.is_zero():
-        return MPoly.zero()
-    lt_exp, lt_c = f._lex_leading()
-    if any(e % 2 for e in lt_exp):
-        return None
-    root_c = _scalar_sqrt(lt_c)
-    if root_c is None:
-        return None
-    half_exp = tuple(e // 2 for e in lt_exp)
-    g = MPoly(f.vars, {half_exp: root_c})
-    rem = f - g * g
-    while not rem.is_zero():
-        rexp, rc = rem._lex_leading()
-        texp = tuple(a - b for a, b in zip(rexp, half_exp))
-        if any(e < 0 for e in texp) or texp >= half_exp:
-            return None
-        tc = scalar_div(rc, 2 * root_c)
-        t = MPoly(f.vars, {texp: tc})
-        # (g + t)^2 = g^2 + 2 g t + t^2; update the remainder incrementally
-        rem = rem - 2 * g * t - t * t
-        g = g + t
-    return g
-
-
-# ---------------------------------------------------------------------------
 # characteristic polynomial (division free)
 # ---------------------------------------------------------------------------
 
@@ -650,9 +583,3 @@ def charpoly_berkowitz(mat: list[list[MPoly]], name: str) -> MPoly:
             newc.append(acc)
         coeffs = newc
     return MPoly.from_univariate(coeffs[::-1], name)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

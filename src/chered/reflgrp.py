@@ -583,9 +583,3 @@ def param_convert(W: ReflectionGroup, values: dict, target: str) -> dict:
             acc = coeff * values[src] + acc
         out[label] = canon_scalar(acc)
     return out
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

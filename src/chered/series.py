@@ -179,9 +179,3 @@ def series_table(s: TruncSeries2) -> list:
     """Sorted (i, j, value) rows of a truncated series."""
     return [(i, j, s.coeffs[(i, j)])
             for (i, j) in sorted(s.coeffs)]
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

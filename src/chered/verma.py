@@ -16,11 +16,17 @@ monomial: scalar} of every monomial of degree at most one past the top.
 An action is stored as sparse columns: the image of the i-th basis vector
 is a dict {row index: coefficient}.  The V*-coordinates, the group elements
 and the V-coordinates act through columns built once per module, and a PBW
-word acts on a basis vector by applying them in turn.  Every value
-Omega_chi(z) carries its certificate: `omega` checks that z - Omega_chi(z)
-acts nilpotently, and raises ArithmeticError when it does not.  It tests
-the matrix at a seeded rational parameter point first, which rejects a
-non-central z without the symbolic powers.
+word acts on a basis vector by applying them in turn.  The module is graded
+by the degree of the coinvariant monomial, from 0 to top = sum(d_i - 1): a
+V*-coordinate raises it by one, a group element keeps it, and a
+V-coordinate lowers it by one and kills the degree-0 line.  So a word
+(p, g, q) sends a vector of degree k to zero unless |p| <= k + |q| <= top,
+and `act` applies it nowhere else.
+
+Every value Omega_chi(z) carries its certificate: `omega` checks that
+z - Omega_chi(z) acts nilpotently, and raises ArithmeticError when it does
+not.  It tests the matrix at a seeded rational parameter point first, which
+rejects a non-central z without the symbolic powers.
 """
 from __future__ import annotations
 
@@ -203,10 +209,15 @@ class BabyVermaModule:
 
     def act(self, z: PBWElement) -> list:
         """The action of a PBW element of the t = 0 algebra, as the list of
-        the images {row: MPoly} of the basis vectors."""
+        the images {row: MPoly} of the basis vectors.
+
+        A word (p, g, q) takes a basis vector of degree k through degree
+        k + |q| to degree k + |q| - |p|, so it is applied only where
+        |p| <= k + |q| <= top; elsewhere its image is zero."""
         if z.group is not self.group:
             raise ValueError("element belongs to another group")
         W = self.group
+        top = sum(d - 1 for d in W.degrees)
         words = []
         for (p, g, q), c in z.terms.items():
             maps = [self.dual_maps[xi] for xi in range(W.dim)
@@ -215,11 +226,14 @@ class BabyVermaModule:
                 maps.append(self.group_maps[g])
             maps += [self.v_maps[vj] for vj in range(W.dim)
                      for _ in range(p[vj])]
-            words.append((maps, c))
+            words.append((maps, c, sum(p), sum(q)))
         columns = []
-        for i in range(self.dim):
+        for i, (mono, _) in enumerate(self.basis):
+            k = sum(mono)
             col: dict = {}
-            for maps, c in words:
+            for maps, c, dp, dq in words:
+                if not dp <= k + dq <= top:
+                    continue
                 vec = {i: 1}
                 for m in maps:
                     vec = _apply(m, vec)
@@ -320,9 +334,3 @@ def omega_table(W: ReflectionGroup) -> dict:
             row[name] = omega(z, chi)
         table[chi.name] = row
     return table
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -9,9 +9,9 @@ from chered.exactnum import canon_scalar
 from chered.multipoly import MPoly, discriminant
 from chered.reflgrp import (build_group, b_invariant, character_table,
                             fake_degree, param_convert)
-from chered.cherednik import (PBWElement, euler_element, is_central,
-                              multiply, named_center_generators,
-                              poisson_bracket, z_degree)
+from chered.cherednik import (PBWElement, euler_element, multiply,
+                              named_center_generators, poisson_bracket,
+                              z_degree)
 from chered.verma import omega, omega_table
 from chered.cmcells import b2_cells, cm_families, rank1_cells, sum_rule_check
 from chered.series import (center_basis_bidegrees, fantome_bigraded,

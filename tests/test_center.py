@@ -11,6 +11,7 @@ from chered.center import (_rank1_factors, euler_charpoly_congruence,
                            minpoly_euler, rank1_center_product,
                            verify_b2_center, verify_b2_centrality,
                            verify_rank1_center)
+from chered.verma import omega_table
 from oracles import (rank1_c_to_k, rank1_partial_products_per_factor,
                      substitute_params)
 
@@ -94,6 +95,47 @@ def test_failed_centrality_reports_generator_and_residue(monkeypatch):
                  if not commutator(x, gen).is_zero())
     assert failed["generator"] == first
     assert failed["residue"] == residue_summary(commutator(x, gens[first]))
+
+
+def test_failed_centrality_takes_one_commutator_per_generator(monkeypatch):
+    # with x for eu', the failing report searches the generators once: two
+    # products per generator tried, up to the first that x does not
+    # commute with, after the full walks of the three central elements
+    import chered.cherednik as cherednik
+    real_gens, real_multiply = named_center_generators, cherednik.multiply
+    calls = []
+
+    def with_x(W):
+        gens = dict(real_gens(W))
+        gens["eu'"] = PBWElement.v_gen(W, 0)
+        return gens
+
+    def counted(a, b, **kwargs):
+        calls.append(1)
+        return real_multiply(a, b, **kwargs)
+
+    monkeypatch.setattr("chered.center.named_center_generators", with_x)
+    monkeypatch.setattr(cherednik, "multiply", counted)
+    W = build_group("b2")
+    x = PBWElement.v_gen(W, 0)
+    gens = list(algebra_generators(W).values())
+    tried = 1 + next(i for i, gen in enumerate(gens)
+                     if not commutator(x, gen).is_zero())
+    calls.clear()
+    assert verify_b2_centrality()[1]["status"] is False
+    assert len(calls) == 2 * (3 * len(gens) + tried)
+
+
+@pytest.mark.parametrize("spec", ("b2", "cyclic:5"))
+def test_congruence_leaves_the_omega_table_unbuilt(spec):
+    # the congruence reads Omega_chi(eu) alone, not the whole table
+    W = build_group(spec)
+    omega_table.cache_clear()
+    try:
+        assert euler_charpoly_congruence(W) is True
+        assert omega_table.cache_info().currsize == 0
+    finally:
+        omega_table.cache_clear()
 
 
 def test_minpoly_euler_rank1():

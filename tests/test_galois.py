@@ -7,7 +7,7 @@ import pytest
 
 from chered.galois import (_even_part, b2_galois_certificate,
                            rank1_point_analysis)
-from chered.multipoly import MPoly, discriminant, poly_sqrt
+from chered.multipoly import MPoly, discriminant
 
 
 def test_b2_certificate_passes():
@@ -32,16 +32,23 @@ def test_even_part():
         _even_part(t ** 4 + a * t ** 3 + 1, "t")
 
 
-def test_b2_certificate_evaluates_each_check_once(monkeypatch):
-    calls = []
+def test_b2_certificate_even_order_at_pi_is_undecided(monkeypatch):
+    # step (iii) proves non-squareness by the odd order of disc(fbar) at
+    # pi = 0; target * pi vanishes to order 8, which decides nothing, so
+    # is_square is None and neither the step nor the certificate passes
+    pi = MPoly.var("pi")
+    target = 2 ** 24 * pi ** 7 * (pi - 4) * (2 * pi + 1) ** 2
 
-    def counted(p):
-        calls.append(p)
-        return poly_sqrt(p)
+    def even_order(p, name):
+        value = discriminant(p, name)
+        return target * pi if set(p.vars) == {"pi", "t"} else value
 
-    monkeypatch.setattr("chered.galois.poly_sqrt", counted)
-    assert b2_galois_certificate()["pass"] is True
-    assert len(calls) == 1
+    monkeypatch.setattr("chered.galois.discriminant", even_order)
+    cert = b2_galois_certificate()
+    s3 = cert["steps"][2]
+    assert s3["is_square"] is None
+    assert s3["pass"] is False
+    assert cert["pass"] is False
 
 
 def test_b2_certificate_takes_three_discriminants(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from chered.exactnum import Cyclotomic, canon_scalar, primitive_root
 from chered.multipoly import (MPoly, charpoly_berkowitz, discriminant,
-                              poly_sqrt, resultant)
+                              resultant)
 from oracles import parse_poly, schoolbook_product, sylvester_resultant
 
 
@@ -192,14 +192,6 @@ def test_discriminant_known_values():
 def test_discriminant_rejects_non_monic_and_degree_0(f, message):
     with pytest.raises(ValueError, match=message):
         discriminant(f, "t")
-
-
-def test_poly_sqrt():
-    p = (x ** 2 - 2 * x * y + 3) ** 2
-    r = poly_sqrt(p)
-    assert r is not None and r * r == p
-    assert poly_sqrt(x ** 2 + y) is None
-    assert poly_sqrt(MPoly.const(Fraction(9, 4))) == MPoly.const(Fraction(3, 2))
 
 
 def test_charpoly_berkowitz():

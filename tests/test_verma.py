@@ -163,7 +163,7 @@ def test_omega_rejects_non_central_at_a_rational_point(monkeypatch):
     assert symbolic == [False, True]
 
 
-@pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7))
 def test_omega_table_cyclic_invariants_act_by_zero(d):
     table = omega_table(build_group(f"cyclic:{d}"))
     for name, row in table.items():
@@ -223,19 +223,34 @@ def _random_element(W, rng):
     return z
 
 
+def _high_word(W, rng):
+    """A random normal word whose V*-part has degree top - 1, top or
+    top + 1, top the degree of the top coinvariant: `act` skips it on the
+    basis vectors it would carry past the top."""
+    top = sum(d - 1 for d in W.degrees)
+    q = [0] * W.dim
+    for _ in range(rng.randint(top - 1, top + 1)):
+        q[rng.randrange(W.dim)] += 1
+    p = tuple(rng.randint(0, 2) for _ in range(W.dim))
+    coeff = MPoly.var(rng.choice(W.param_names())) + rng.randint(-3, 3)
+    return PBWElement.monomial(W, p, rng.randrange(W.order()), q, coeff)
+
+
 @pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 7)])
 def test_sparse_action_matches_dense_oracle(spec):
-    """act equals the dense matrix product entry by entry on random elements
-    and the named generators; omega returns the oracle's trace / dim on the
-    named generators and rejects the non-central s, as the oracle's
-    nilpotency check does.  (Squaring a generic non-central action is too
-    costly for a test, so random elements only exercise act.)"""
+    """act equals the dense matrix product entry by entry on random elements,
+    on random words whose V*-part reaches past the top degree, and on the
+    named generators; omega returns the oracle's trace / dim on the named
+    generators and rejects the non-central s, as the oracle's nilpotency
+    check does.  (Squaring a generic non-central action is too costly for a
+    test, so random elements only exercise act.)"""
     import random
     rng = random.Random(sum(map(ord, spec)))
     W = build_group(spec)
     named = list(named_center_generators(W).values())
     s = PBWElement.group_gen(W, W.index_of("s"))
-    elems = named + [s] + [_random_element(W, rng) for _ in range(3)]
+    elems = (named + [s] + [_random_element(W, rng) for _ in range(3)]
+             + [_high_word(W, rng) for _ in range(3)])
     for chi in character_table(W):
         mod = build_baby_verma(W, chi)
         for z in elems:
@@ -267,3 +282,23 @@ def test_omega_table_certifies_every_entry(monkeypatch):
             omega_table(W)
     finally:
         omega_table.cache_clear()
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_act_skips_words_that_leave_the_graded_module(d, monkeypatch):
+    """Y = y^d lowers the degree by d, past every degree 0..d-1 of the
+    module, so `act` applies none of its letters."""
+    import chered.verma as verma
+    calls = []
+    real = verma._apply
+
+    def counted(columns, vec):
+        calls.append(1)
+        return real(columns, vec)
+
+    monkeypatch.setattr(verma, "_apply", counted)
+    W = build_group(f"cyclic:{d}")
+    Y = named_center_generators(W)["Y"]
+    for chi in character_table(W):
+        assert build_baby_verma(W, chi).act(Y) == [{}] * d, chi.name
+    assert calls == []
