@@ -22,9 +22,8 @@ A parameter point is a dict {C-label: value}, the form in which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactnum import canon_scalar
+from .exactnum import canon_scalar, check_rational
 from .reflgrp import (ReflectionGroup, build_group, character_table,
                       check_param_labels)
 from .verma import omega_table
@@ -126,7 +125,8 @@ def rank1_cells(d: int, k_values) -> CellPartition:
     """
     W = build_group(f"cyclic:{d}")
     chars = character_table(W)
-    ks = [Fraction(v) for v in k_values]
+    ks = list(k_values)
+    check_rational(ks)
     if len(ks) != d:
         raise ValueError(f"expected {d} K-values")
     if sum(ks) != 0:
@@ -153,7 +153,7 @@ def b2_cells(a, b) -> CellPartition:
     normalization choice and is only canonical up to relabeling; the tables
     used here fix one such choice.
     """
-    a, b = Fraction(a), Fraction(b)
+    check_rational((a, b))
     if a == 0 and b == 0:
         whole = ("1", "s", "t", "st", "ts", "sts", "tst", "w0")
         regular = {"1": 1, "eps": 1, "eps_s": 1, "eps_t": 1, "chi": 2}

@@ -72,7 +72,7 @@ from fractions import Fraction
 
 __all__ = ["Cyclotomic", "primitive_root", "canon_scalar", "scalar_div",
            "scalar_pow", "power", "row_reduce", "trace_pairing",
-           "format_power", "format_sum"]
+           "format_power", "format_sum", "check_rational"]
 
 
 def canon_scalar(c):
@@ -84,6 +84,19 @@ def canon_scalar(c):
     if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
+
+
+def check_rational(values) -> None:
+    """Raise TypeError unless every value is an int or a Fraction.
+
+    >>> check_rational([1, Fraction(1, 2), 0.5])
+    Traceback (most recent call last):
+    ...
+    TypeError: expected an int or a Fraction, got 0.5
+    """
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"expected an int or a Fraction, got {v!r}")
 
 
 def scalar_div(a, b):

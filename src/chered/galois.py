@@ -15,8 +15,9 @@ the center: whether it is singular and whether it is ramified.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
+from .exactnum import check_rational
 from .multipoly import MPoly, discriminant
 from .reflgrp import build_group
 from .center import minpoly_euler
@@ -140,23 +141,14 @@ def rank1_point_analysis(d: int, k_values, x, y, e) -> dict:
     x = y = 0 together with e = d k_i = d k_j for some i != j; note the
     factor d multiplying the k-values in these equations.
     """
-    ks = [Fraction(v) for v in k_values]
-    x, y, e = Fraction(x), Fraction(y), Fraction(e)
+    ks = list(k_values)
+    check_rational(ks + [x, y, e])
     if len(ks) != d or sum(ks) != 0:
         raise ValueError("need d K-values summing to zero")
     factors = [e - d * k for k in ks]
-    prod = Fraction(1)
-    for f in factors:
-        prod *= f
-    if prod - x * y != 0:
+    if math.prod(factors) != x * y:
         raise ValueError("point does not lie on the variety")
-    deriv = Fraction(0)
-    for i in range(d):
-        term = Fraction(1)
-        for j, f in enumerate(factors):
-            if j != i:
-                term *= f
-        deriv += term
+    deriv = sum(math.prod(factors[:i] + factors[i + 1:]) for i in range(d))
     return {
         "singular": {
             "singular": y == 0 and x == 0 and deriv == 0,

@@ -287,6 +287,10 @@ class MPoly:
             if key not in cache:
                 if name in relevant:
                     base = MPoly._coerce(relevant[name])
+                    if base is NotImplemented:
+                        raise TypeError(f"cannot substitute {relevant[name]!r}"
+                                        f" for {name}: not an exact scalar or"
+                                        " a polynomial")
                 else:
                     base = MPoly.var(name)
                 cache[key] = base ** k

@@ -19,10 +19,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 
-from .exactnum import (canon_scalar, primitive_root, row_reduce, scalar_div,
-                       scalar_pow)
+from .exactnum import (Cyclotomic, canon_scalar, primitive_root, row_reduce,
+                       scalar_div, scalar_pow)
 from .multipoly import MPoly
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "param_convert",
     "fake_degree",
     "b_invariant",
-    "ser_inv",
     "inverse_det_series",
     "galois_orbits",
 ]
@@ -172,9 +172,9 @@ def value_on_element(W: ReflectionGroup, chi: Character, g: int):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def build_group(spec: str) -> ReflectionGroup:
-    """Build "cyclic:d" (d >= 2) or "b2".
+    """Build "cyclic:d" (d >= 2) or "b2".  The groups are cached on d, so
+    specs of one group ("cyclic:03", "cyclic:3") give one object.
 
     >>> W = build_group("cyclic:3")
     >>> (W.order(), len(W.reflections), W.degrees)
@@ -247,6 +247,7 @@ def _finish_group(spec, dim, names, mats, v_names, dual_names,
     return W
 
 
+@functools.lru_cache(maxsize=None)
 def _build_cyclic(d: int) -> ReflectionGroup:
     z = primitive_root(d)
     names = ["1"] + [f"s^{i}" if i > 1 else "s" for i in range(1, d)]
@@ -263,6 +264,7 @@ _B2_WORDS = {"1": "", "s": "s", "t": "t", "st": "st", "ts": "ts",
              "sts": "sts", "tst": "tst", "w0": "stst"}
 
 
+@functools.lru_cache(maxsize=None)
 def _build_b2() -> ReflectionGroup:
     gens = {"s": ((0, 1), (1, 0)), "t": ((-1, 0), (0, 1))}
     mats = []
@@ -279,37 +281,28 @@ def _build_b2() -> ReflectionGroup:
 
 
 # ---------------------------------------------------------------------------
-# truncated univariate series helpers (lists of scalars, index = degree)
+# the series of one group element (a list of scalars, index = degree)
 # ---------------------------------------------------------------------------
-
-
-def ser_inv(a, n):
-    """Coefficients 0..n of 1/a(t) for a coefficient list a with a[0] != 0."""
-    if a[0] == 0:
-        raise ZeroDivisionError("series has no invertible constant term")
-    inv0 = scalar_div(1, a[0])
-    out = [inv0] + [0] * n
-    for k in range(1, n + 1):
-        acc = 0
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j] != 0:
-                acc = acc + a[j] * out[k - j]
-        out[k] = canon_scalar(-1 * inv0 * acc) if acc != 0 else 0
-    return out
 
 
 def inverse_det_series(mat, n):
     """Coefficients 0..n of 1/det(1 - t * mat) for a group matrix (dim 1 or
-    2): the term of the Molien sum that belongs to one group element.
+    2): the term of the Molien sum that belongs to one group element.  As
+    det(1 - t g) = 1 - tr(g) t + det(g) t^2, the coefficients satisfy
+    c_k = tr(g) c_(k-1) - det(g) c_(k-2), with no det term in dimension 1.
 
     >>> inverse_det_series(((-1,),), 4)
     [1, -1, 1, -1, 1]
     """
-    if len(mat) == 1:
-        det = [1, -mat[0][0]]
-    else:
-        det = [1, -mat_trace(mat), mat_det(mat)]
-    return ser_inv(det, n)
+    tr = mat_trace(mat)
+    det = mat_det(mat) if len(mat) == 2 else 0
+    out = [0, 1]        # c_(-1), c_0
+    for _ in range(n):
+        c = tr * out[-1]
+        if det:
+            c = c - det * out[-2]
+        out.append(canon_scalar(c))
+    return out[1:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -534,7 +527,8 @@ def param_map(W: ReflectionGroup) -> ParamMap:
 
 def check_param_labels(W: ReflectionGroup, values: dict, basis: str) -> None:
     """Raise ValueError unless the keys of `values` are exactly the labels of
-    the `basis` ("C" or "K") of W; missing labels are named first.
+    the `basis` ("C" or "K") of W, missing labels named first, and TypeError
+    unless every value is exact: an int, a Fraction or a Cyclotomic.
 
     >>> check_param_labels(build_group("b2"), {"A": 1, "C": 5}, "C")
     Traceback (most recent call last):
@@ -548,6 +542,10 @@ def check_param_labels(W: ReflectionGroup, values: dict, basis: str) -> None:
     unknown = [l for l in values if l not in labels]
     if unknown:
         raise ValueError(f"unknown parameter entries {unknown}")
+    inexact = {l: v for l, v in values.items()
+               if not isinstance(v, (int, Fraction, Cyclotomic))}
+    if inexact:
+        raise TypeError(f"parameter values must be exact, got {inexact}")
 
 
 def param_convert(W: ReflectionGroup, values: dict, target: str) -> dict:

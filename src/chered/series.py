@@ -10,22 +10,25 @@ where a and b are the univariate series 1/det(1 - t g) and
 1/det(1 - u g^-1).  `exactnum.trace_pairing` takes those traces on integer
 coordinates, so the double loop over the coefficients does no cyclotomic
 arithmetic.  Each fake degree (`reflgrp.fake_degree`) stays a plain sum
-over every element of W, and the fake-degree series a plain sum of outer
-products over the characters; neither uses the orbits, so `hilbert
---check` compares the orbit sum with a computation that does not depend on
-them.
+over every element of W, and the fake-degree numerator a plain sum over the
+characters; neither uses the orbits, so `hilbert --check` compares the
+orbit sum with a computation that does not depend on them.
 
-The only inversion is univariate (`reflgrp.ser_inv`), and the diagonal
-(1 - tu)^(-m) of the parameter ring for the center has a closed form, so
-no bivariate series is ever inverted.
+The fake-degree series and the series of the center's basis share one
+denominator, prod_i (1 - t^d_i)(1 - u^d_i): each is a numerator divided by
+it in `_over_invariant_denominator`, so nothing here inverts a series.  The
+center's series has a further factor (1 - tu)^(-m) from the parameter ring,
+a unit on the truncated square, so `hilbert_center` compares the two sides
+without it.
 """
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 from .exactnum import canon_scalar, trace_pairing
 from .reflgrp import (ReflectionGroup, character_table, fake_degree,
-                      galois_orbits, inverse_det_series, ser_inv)
+                      galois_orbits, inverse_det_series)
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -47,33 +50,14 @@ class TruncSeries2:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: dict):
+        if order < 0:
+            raise ValueError(f"truncation order must be >= 0, got {order}")
         self.order = order
         self.coeffs = {}
         for key, c in coeffs.items():
             c = canon_scalar(c)
             if c != 0:
                 self.coeffs[key] = c
-
-
-def _outer_sum(pairs, order: int) -> dict:
-    """Coefficients of sum over (a, b) in pairs of a(t) b(u), for
-    univariate coefficient lists a, b truncated at degree order."""
-    out = {}
-    for a, b in pairs:
-        b = [(j, bj) for j, bj in enumerate(b[:order + 1]) if bj != 0]
-        for i, ai in enumerate(a[:order + 1]):
-            if ai != 0:
-                for j, bj in b:
-                    out[(i, j)] = out.get((i, j), 0) + ai * bj
-    return out
-
-
-def _invariant_series(W: ReflectionGroup, order: int) -> list:
-    """Coefficients 0..order of 1/prod_i (1 - t^d_i)."""
-    den = [1] + [0] * order
-    for d in W.degrees:
-        den = [den[k] - (den[k - d] if k >= d else 0) for k in range(order + 1)]
-    return ser_inv(den, order)
 
 
 def molien_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeries2:
@@ -107,33 +91,37 @@ def molien_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeri
     return TruncSeries2(order, coeffs)
 
 
+def _over_invariant_denominator(W: ReflectionGroup, num, order: int) -> TruncSeries2:
+    """num / prod_i (1 - t^d_i)(1 - u^d_i) on the square 0 <= i, j <= order,
+    for a numerator {(i, j): coefficient}.  Dividing by 1 - t^d adds to each
+    coefficient the one d steps below it in t, taken in increasing t, and
+    dividing by 1 - u^d does the same in u."""
+    size = order + 1
+    grid = [[0] * size for _ in range(size)]
+    for (i, j), c in num.items():
+        if i < size and j < size:
+            grid[i][j] += c
+    for d in W.degrees:
+        for i in range(d, size):
+            grid[i] = [a + b for a, b in zip(grid[i], grid[i - d])]
+        for row in grid:
+            for j in range(d, size):
+                row[j] += row[j - d]
+    return TruncSeries2(order, {(i, j): c for i, row in enumerate(grid)
+                                for j, c in enumerate(row)})
+
+
 @functools.lru_cache(maxsize=None)
 def fantome_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSeries2:
     """sum_chi f_chi(t) f_chi(u) / prod_i (1 - t^d_i)(1 - u^d_i), cached per
     (group, order); the returned series is shared and must not be changed."""
-    inv = _invariant_series(W, order)
-    pieces = []
+    num = {}
     for chi in character_table(W):
-        f = [c.constant_value()
-             for c in fake_degree(W, chi).as_univariate("t")[:order + 1]]
-        f += [0] * (order + 1 - len(f))
-        pieces.append([sum(f[i] * inv[k - i] for i in range(k + 1))
-                       for k in range(order + 1)])
-    return TruncSeries2(order, _outer_sum(((p, p) for p in pieces), order))
-
-
-def _times_param_diagonal(s: TruncSeries2, m: int) -> TruncSeries2:
-    """s * (1 - tu)^(-m), using (1 - tu)^(-m) = sum_k C(k+m-1, k) (tu)^k."""
-    n = s.order
-    diag = [1]
-    for k in range(1, n + 1):
-        diag.append(diag[-1] * (k + m - 1) // k)
-    out = {}
-    for (i, j), c in s.coeffs.items():
-        for k in range(n + 1 - max(i, j)):
-            key = (i + k, j + k)
-            out[key] = out.get(key, 0) + diag[k] * c
-    return TruncSeries2(n, out)
+        f = [c.constant_value() for c in fake_degree(W, chi).as_univariate("t")]
+        for i, a in enumerate(f):
+            for j, b in enumerate(f):
+                num[(i, j)] = num.get((i, j), 0) + a * b
+    return _over_invariant_denominator(W, num, order)
 
 
 def center_basis_bidegrees(W: ReflectionGroup) -> tuple:
@@ -152,27 +140,20 @@ def center_basis_bidegrees(W: ReflectionGroup) -> tuple:
 
 
 def hilbert_center(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> dict:
-    """The bigraded series of the center, with a consistency report.
+    """Whether the explicit P-module basis of the center has the series of
+    the center, through `order` in t and in u.
 
-    Computed two ways: (a) the fake-degree numerator over the invariant
-    denominator times 1/(1-tu)^(number of reflection classes) for the
-    parameter ring; (b) the explicit P-module basis with its bidegrees.
-    Returns {"series", "basis_series", "match", "basis_bidegrees"}.
+    The series of the center is the fake-degree series times (1 - tu)^(-m),
+    m the number of reflection classes, for the parameter ring; the basis
+    gives sum_b t^i u^j over its bidegrees (i, j), over the same invariant
+    denominator and times the same factor.  That factor is a unit on the
+    truncated square, so it is left off both sides.
+    Returns {"match", "basis_bidegrees"}.
     """
-    nclasses = len(W.param_names())
-    series = _times_param_diagonal(fantome_bigraded(W, order), nclasses)
-
-    inv = _invariant_series(W, order)
-    shifted = (([0] * i + inv, [0] * j + inv)
-               for (i, j) in center_basis_bidegrees(W))
-    basis = _outer_sum(shifted, order)
-    basis_series = _times_param_diagonal(TruncSeries2(order, basis), nclasses)
-    return {
-        "series": series,
-        "basis_series": basis_series,
-        "match": series.coeffs == basis_series.coeffs,
-        "basis_bidegrees": center_basis_bidegrees(W),
-    }
+    bidegrees = center_basis_bidegrees(W)
+    basis = _over_invariant_denominator(W, Counter(bidegrees), order)
+    return {"match": basis.coeffs == fantome_bigraded(W, order).coeffs,
+            "basis_bidegrees": bidegrees}
 
 
 def series_table(s: TruncSeries2) -> list:

@@ -93,6 +93,18 @@ def test_galois_certificate_text_output_is_pinned(capsys):
     assert out == (GOLDEN / "galois_b2_certificate.txt").read_text()
 
 
+@pytest.mark.parametrize("group, order, golden", [
+    ("b2", "6", "hilbert_b2_order6.txt"),
+    ("cyclic:5", "12", "hilbert_cyclic5_order12.txt"),
+])
+def test_hilbert_check_text_output_is_pinned(capsys, group, order, golden):
+    """The text output of `hilbert --check`, byte for byte."""
+    code, out, err = run(capsys, "hilbert", "--group", group, "--order",
+                         order, "--check")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_cells_b2_sum_rules(capsys):
     code, out, _ = run(capsys, "cells", "--group", "b2",
                        "--params", "a=2,b=1", "--json")

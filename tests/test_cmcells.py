@@ -45,6 +45,21 @@ def test_cm_families_checks_labels(point, message):
         cm_families(W2, point)
 
 
+def test_cm_families_rejects_an_inexact_value():
+    with pytest.raises(TypeError, match=r"must be exact, got \{'A': 0.5\}"):
+        cm_families(W2, {"A": 0.5, "B": 1})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: b2_cells(0.1 + 0.2, Fraction(3, 10)),
+    lambda: rank1_cells(2, [0.1 + 0.2, -0.3]),
+], ids=["b2", "rank1"])
+def test_cells_reject_inexact_values(call):
+    # 0.1 + 0.2 is not 3/10, so a float would put b2 on the wrong stratum
+    with pytest.raises(TypeError, match="expected an int or a Fraction"):
+        call()
+
+
 def _cyclic4_point(*ks):
     W = build_group("cyclic:4")
     return param_convert(W, {f"K{j}": Fraction(k) for j, k in enumerate(ks)},

@@ -140,3 +140,8 @@ def test_singular_matches_closed_description_random():
         multiple_root = sum(1 for k in ks if d * k == e) >= 2
         assert rep["singular"] == (x == 0 and y == 0 and multiple_root), \
             (d, ks, x, y, e)
+
+
+def test_point_analysis_rejects_inexact_values():
+    with pytest.raises(TypeError, match="expected an int or a Fraction"):
+        rank1_point_analysis(2, (1, -1), 0.0, 0.0, 2.0)

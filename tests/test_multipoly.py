@@ -76,6 +76,11 @@ def test_divexact_rejects_inexact(num, den):
         MPoly._coerce(num).divexact(MPoly.zero())
 
 
+def test_substitute_rejects_an_inexact_value():
+    with pytest.raises(TypeError, match="cannot substitute 0.5 for x"):
+        (x * y + 1).substitute({"x": 0.5})
+
+
 def test_substitute():
     p = x ** 2 + 3 * x * y
     assert p.substitute({"x": 2}) == 4 + 6 * y

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from chered.exactnum import canon_scalar, primitive_root
 from chered.multipoly import MPoly
+from chered.cherednik import euler_element
 from chered.reflgrp import (build_group, b_invariant,
                             character_table, fake_degree, galois_orbits,
                             inner_product, param_convert, param_map,
                             value_on_element)
+from chered.verma import omega, omega_table
 from oracles import rank1_c_to_k, rank1_k_variables
 
 
@@ -246,3 +248,22 @@ def test_certificate_checks_survive_python_O():
     assert proc.stdout.strip() == "1"
     assert proc.returncode != 0
     assert "ArithmeticError" in proc.stderr and "orthonormal" in proc.stderr
+
+
+def test_specs_of_one_group_build_one_object():
+    # a second object equal to cyclic:3 would meet the Verma modules that
+    # omega_table cached for the first one, and omega would refuse them
+    A = build_group("cyclic:03")
+    table = omega_table(build_group("cyclic:3"))
+    chi = character_table(A)[1]
+    assert omega(euler_element(A), chi) == table[chi.name]["eu"]
+    assert A is build_group("cyclic:3")
+
+
+@pytest.mark.parametrize("values, target", [
+    ({"A": 0.1, "B": 0.2}, "K"),
+    ({"Ks0": -0.5, "Ks1": 0.5, "Kt0": 0, "Kt1": 0}, "C"),
+])
+def test_param_convert_rejects_inexact_values(values, target):
+    with pytest.raises(TypeError, match="must be exact"):
+        param_convert(build_group("b2"), values, target)

@@ -1,12 +1,12 @@
 """Bigraded Hilbert series: Molien sums, fake-degree sums, center basis,
-and the univariate series inverse they are built from."""
+and the series 1/det(1 - t g) of one group element."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chered.exactnum import primitive_root
-from chered.reflgrp import build_group, galois_orbits, ser_inv
+from chered.reflgrp import build_group, galois_orbits, inverse_det_series
 from chered.series import (DEFAULT_ORDER, center_basis_bidegrees,
                            fantome_bigraded, hilbert_center, molien_bigraded,
                            series_table)
@@ -68,8 +68,38 @@ def test_u_zero_row_is_invariant_series():
 def test_center_basis_matches_hilbert_series(spec):
     W = build_group(spec)
     report = hilbert_center(W, 8)
+    assert set(report) == {"match", "basis_bidegrees"}
     assert report["match"] is True
-    assert report["series"].coeffs == report["basis_series"].coeffs
+    series, basis_series = hilbert_center_bivariate(W, 8)
+    assert report["match"] is (series.coeffs == basis_series.coeffs)
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_center_check_fails_without_a_basis_bidegree(monkeypatch, order):
+    # without (4, 4), the basis of b2 is one short in bidegree (4, 4), so
+    # the series differ from order 4 on; the oracle multiplies both sides by
+    # (1 - tu)^-2, which hilbert_center leaves off
+    W = build_group("b2")
+    perturbed = tuple(b for b in center_basis_bidegrees(W) if b != (4, 4))
+    for module in ("chered.series", "oracles"):
+        monkeypatch.setattr(f"{module}.center_basis_bidegrees",
+                            lambda W: perturbed)
+    report = hilbert_center(W, order)
+    series, basis_series = hilbert_center_bivariate(W, order)
+    assert report["match"] is (order < 4)
+    assert report["match"] is (series.coeffs == basis_series.coeffs)
+    assert report["basis_bidegrees"] == perturbed
+
+
+@pytest.mark.parametrize("fn", (molien_bigraded, fantome_bigraded,
+                                hilbert_center))
+def test_negative_order_is_rejected(fn):
+    W = build_group("b2")
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        fn(W, -1)
+    assert molien_bigraded(W, 0).coeffs == fantome_bigraded(W, 0).coeffs \
+        == {(0, 0): 1}
+    assert hilbert_center(W, 0)["match"] is True
 
 
 def test_center_basis_bidegrees():
@@ -94,8 +124,8 @@ def test_default_order():
     assert molien_bigraded(W).order == DEFAULT_ORDER
 
 
-# orders 1 and 2 cut the outer products and the (1 - tu)^-m diagonal right
-# after their first terms; order 12 is the CLI default.  The Molien sum runs
+# orders 1 and 2 cut the series right after their first terms, and the
+# oracle's (1 - tu)^-m too; order 12 is the CLI default.  The Molien sum runs
 # over Galois orbits, and molien_bivariate over the elements: cyclic:8 has
 # orbits of sizes 1, 1, 2 and 4 in Q(z8), and order 24 reaches each root of
 # unity of cyclic:5 and cyclic:8 several times
@@ -110,8 +140,8 @@ def test_series_match_bivariate_oracle(spec, order):
         fantome_bivariate(W, order).coeffs
     series, basis_series = hilbert_center_bivariate(W, order)
     report = hilbert_center(W, order)
-    assert report["series"].coeffs == series.coeffs
-    assert report["basis_series"].coeffs == basis_series.coeffs
+    assert report["match"] is (series.coeffs == basis_series.coeffs)
+    assert report["basis_bidegrees"] == center_basis_bidegrees(W)
 
 
 series_scalars = st.one_of(
@@ -124,20 +154,27 @@ series_scalars = st.one_of(
                        min_size=1, max_size=3)))
 
 
+def _square_matrices(n):
+    row = st.tuples(*[series_scalars] * n)
+    return st.tuples(*[row] * n)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(series_scalars, min_size=1, max_size=5),
+@given(st.one_of(_square_matrices(1), _square_matrices(2)),
        st.integers(min_value=0, max_value=8))
-@example([0, 1], 3)
-@example([Fraction(0), primitive_root(3)], 2)
-@example([Fraction(1, 2)], 2)
-def test_ser_inv_is_inverse_mod_t_power(a, n):
-    if a[0] == 0:
-        with pytest.raises(ZeroDivisionError):
-            ser_inv(a, n)
-        return
-    inv = ser_inv(a, n)
+@example(((primitive_root(5),),), 6)
+@example(((0, 1), (1, 0)), 5)
+@example(((Fraction(1, 2), 0), (0, 0)), 0)
+def test_inverse_det_series_inverts_det_mod_t_power(mat, n):
+    # det(1 - t M), expanded from the entries of M
+    if len(mat) == 1:
+        det = [1, -mat[0][0]]
+    else:
+        (a, b), (c, d) = mat
+        det = [1, -(a + d), a * d - b * c]
+    inv = inverse_det_series(mat, n)
     assert len(inv) == n + 1
     for k in range(n + 1):
-        coeff = sum((a[j] * inv[k - j] for j in range(min(k, len(a) - 1) + 1)), 0)
+        coeff = sum((det[j] * inv[k - j]
+                     for j in range(min(k, len(det) - 1) + 1)), 0)
         assert coeff == (1 if k == 0 else 0), k
-
