@@ -1,19 +1,37 @@
 """Verification of the presentations of the center Z inside the PBW engine,
 and minimal/characteristic polynomials of the Euler element over the
-invariant subalgebra P."""
+invariant subalgebra P.
+
+Each relation of Z is written once, as a function of its generators that
+works in any ring with +, - and *:
+
+- `_rank1_relation(t, ks, x, y)` is prod_j (t - d K_j) - x y.  With t = eu,
+  the C-forms of the K_j and x, y = X, Y in the PBW algebra it is the
+  residue that `verify_rank1_center` checks; with t, X and Y variables and
+  the K-forms of `param_map` it is the rank-1 minimal polynomial.
+- `_b2_relations(g)` gives Z1-Z9 as pairs (lhs, rhs), each lhs a monomial
+  in eu, eu', eu'' and delta.  With the PBW generators,
+  `verify_b2_relations` reports lhs - rhs; with `MPoly.var` generators,
+  `_b2_multiplication_matrix` uses each pair as a rewrite rule lhs -> rhs.
+
+Rewriting ends.  Order the monomials in eu, eu', eu'' and delta by
+weighted degree (eu 1; delta, eu' and eu'' 2), then lex with
+eu' > eu'' > eu > delta.  This is a monomial order, and a well-order; in it
+every lhs exceeds each monomial in eu, eu', eu'' and delta of its rhs, so a
+rewriting step replaces a term by smaller ones.
+"""
 from __future__ import annotations
 
 import functools
+from operator import ge, mul, sub
 
 from .multipoly import MPoly, charpoly_berkowitz
 from .reflgrp import ReflectionGroup, build_group, character_table, param_map
-from .cherednik import (PBWElement, euler_element, multiply,
-                        named_center_generators, noncommuting_generator,
-                        residue_summary)
+from .cherednik import (PBWElement, euler_element, named_center_generators,
+                        noncommuting_generator, residue_summary)
 from .verma import omega
 
 __all__ = [
-    "rank1_center_product",
     "verify_rank1_center",
     "verify_b2_center",
     "verify_b2_centrality",
@@ -26,10 +44,18 @@ __all__ = [
 RANK1_DEGREES = range(2, 8)
 
 
-def rank1_center_product(d: int) -> PBWElement:
-    """prod_{j=0}^{d-1} (eu - d K_j) in the cyclic algebra of order d, for d
-    in RANK1_DEGREES.  The product is taken in C-coordinates, with each K_j
-    written as its C-linear form from the rows of `param_map`."""
+def _rank1_relation(t, ks, x, y):
+    """prod_j (t - d K_j) - x y over the d = len(ks) values K_j, in any ring
+    with +, - and *; the product starts from its first factor."""
+    d = len(ks)
+    return functools.reduce(mul, [t - d * k for k in ks]) - x * y
+
+
+def verify_rank1_center(d: int) -> dict:
+    """Check prod_{j=0}^{d-1} (eu - d K_j) = X Y in the cyclic algebra of
+    order d, for d in RANK1_DEGREES.  The product is taken in
+    C-coordinates, with each K_j written as its C-linear form from the rows
+    of `param_map`."""
     if d not in RANK1_DEGREES:
         raise ValueError(
             "the rank-1 center identity is supported for"
@@ -37,33 +63,11 @@ def rank1_center_product(d: int) -> PBWElement:
             " d = 8 waits for the idempotent basis of the group algebra"
             " (ROADMAP item 2)")
     W = build_group(f"cyclic:{d}")
-    prod = PBWElement.one(W)
-    for factor in _rank1_factors(W):
-        prod = multiply(prod, factor)
-    return prod
-
-
-def _rank1_factors(W: ReflectionGroup) -> list:
-    """The factors eu - d K_j, j = 0..d-1, of the rank-1 identity in
-    C-coordinates."""
-    d = W.order()
-    eu = euler_element(W)
-    one = PBWElement.one(W)
-    factors = []
-    for _, row in param_map(W).k_rows:
-        k = MPoly.zero()
-        for label, coeff in row:
-            k = k + MPoly.var(label) * coeff
-        factors.append(eu - one.scale(d * k))
-    return factors
-
-
-def verify_rank1_center(d: int) -> dict:
-    """Check prod_{j=0}^{d-1} (eu - d K_j) = X Y (see rank1_center_product)."""
-    prod = rank1_center_product(d)
-    gens = named_center_generators(prod.group)
+    ks = [sum((MPoly.var(label) * coeff for label, coeff in row), MPoly.zero())
+          for _, row in param_map(W).k_rows]
+    g = named_center_generators(W)
     return _report(f"prod(eu - {d}*K_j) = X*Y",
-                   prod - multiply(gens["X"], gens["Y"]))
+                   _rank1_relation(g["eu"], ks, g["X"], g["Y"]))
 
 
 def _report(relation: str, residue: PBWElement, **failure) -> dict:
@@ -76,28 +80,30 @@ def _report(relation: str, residue: PBWElement, **failure) -> dict:
     return report
 
 
-def _b2_relation_residues(W: ReflectionGroup) -> dict:
-    g = named_center_generators(W)
+def _b2_relations(g: dict) -> dict:
+    """Z1-Z9 as {name: (lhs, rhs)} in the generators g["eu"], g["eu'"],
+    g["eu''"], g["delta"], g["sigma"], g["pi"], g["Sigma"] and g["Pi"] of
+    any ring with +, - and * that the parameters A and B act on.  Each lhs
+    is a monomial in eu, eu', eu'' and delta; eu^2 and sigma*Sigma are
+    formed once, and Pi, pi and delta each multiply
+    core = 4 delta - eu^2 + sigma Sigma + 4A^2 - 4B^2 in one product."""
     eu, eu1, eu2, dl = g["eu"], g["eu'"], g["eu''"], g["delta"]
     sg, pi, Sg, Pi = g["sigma"], g["pi"], g["Sigma"], g["Pi"]
     A2 = MPoly.var("A") ** 2
     B2 = MPoly.var("B") ** 2
-    one = PBWElement.one(W)
-    core = (4 * dl - multiply(eu, eu) + multiply(sg, Sg)
-            + one.scale(4 * A2 - 4 * B2))
+    eu_sq, sg_Sg = eu * eu, sg * Sg
+    lin = 4 * dl + sg_Sg + (4 * A2 - 4 * B2)
+    core = lin - eu_sq
     return {
-        "Z1": multiply(eu, eu1) - multiply(sg, Pi) - multiply(Sg, dl),
-        "Z2": multiply(eu, eu2) - multiply(Sg, pi) - multiply(sg, dl),
-        "Z3": multiply(dl, eu1) - multiply(Pi, eu2) - multiply(Sg, eu).scale(B2),
-        "Z4": multiply(dl, eu2) - multiply(pi, eu1) - multiply(sg, eu).scale(B2),
-        "Z5": multiply(dl, dl) - multiply(pi, Pi) - multiply(eu, eu).scale(B2),
-        "Z6": (multiply(eu1, eu1) - multiply(Pi, core)
-               - multiply(Sg, Sg).scale(B2)),
-        "Z7": (multiply(eu2, eu2) - multiply(pi, core)
-               - multiply(sg, sg).scale(B2)),
-        "Z8": (multiply(eu1, eu2) - multiply(dl, core)
-               + multiply(sg, Sg).scale(B2)),
-        "Z9": (multiply(eu, core) - multiply(sg, eu1) - multiply(Sg, eu2)),
+        "Z1": (eu * eu1, sg * Pi + Sg * dl),
+        "Z2": (eu * eu2, Sg * pi + sg * dl),
+        "Z3": (dl * eu1, Pi * eu2 + B2 * (Sg * eu)),
+        "Z4": (dl * eu2, pi * eu1 + B2 * (sg * eu)),
+        "Z5": (dl * dl, pi * Pi + B2 * eu_sq),
+        "Z6": (eu1 * eu1, Pi * core + B2 * (Sg * Sg)),
+        "Z7": (eu2 * eu2, pi * core + B2 * (sg * sg)),
+        "Z8": (eu1 * eu2, dl * core - B2 * sg_Sg),
+        "Z9": (eu * eu_sq, eu * lin - sg * eu1 - Sg * eu2),
     }
 
 
@@ -127,8 +133,9 @@ def verify_b2_relations() -> list:
     """The nine algebraic relations Z1-Z9 among eu, eu', eu'', delta and
     the embedded invariants, as exact PBW identities.  Returns a list of
     {relation, status[, residue]} reports."""
-    return [_report(name, residue) for name, residue
-            in _b2_relation_residues(build_group("b2")).items()]
+    g = named_center_generators(build_group("b2"))
+    return [_report(name, lhs - rhs)
+            for name, (lhs, rhs) in _b2_relations(g).items()]
 
 
 def verify_b2_center() -> list:
@@ -141,36 +148,49 @@ def verify_b2_center() -> list:
 # ---------------------------------------------------------------------------
 
 
-def _b2_euler_matrix():
-    """The 8x8 multiplication matrix of eu on the P-basis
-    {1, eu, eu^2, delta, delta*eu, delta*eu^2, eu', eu''} of Z, obtained by
-    rewriting each product back to the basis with Z1-Z9."""
-    sg, pi, Sg, Pi = (MPoly.var(n) for n in ("sigma", "pi", "Sigma", "Pi"))
-    A2 = MPoly.var("A") ** 2
-    B2 = MPoly.var("B") ** 2
-    zero = MPoly.zero()
-    clin = sg * Sg + 4 * A2 - 4 * B2     # eu^3 = 4 d.eu + clin eu - sg eu' - Sg eu''
-    cols = [[zero] * 8 for _ in range(8)]
+_Z_NAMES = ("eu", "eu'", "eu''", "delta")
+# the P-basis {1, eu, eu^2, delta, delta*eu, delta*eu^2, eu', eu''} of Z,
+# as exponents of _Z_NAMES
+_B2_BASIS = ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1),
+             (1, 0, 0, 1), (2, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))
 
-    def setcol(j, entries):
-        for i, v in entries.items():
-            cols[j][i] = v
 
-    setcol(0, {1: MPoly.const(1)})                        # eu * 1
-    setcol(1, {2: MPoly.const(1)})                        # eu * eu
-    setcol(2, {4: MPoly.const(4), 1: clin, 6: -sg, 7: -Sg})   # eu^3
-    setcol(3, {4: MPoly.const(1)})                        # eu * delta
-    setcol(4, {5: MPoly.const(1)})                        # eu * delta eu
-    setcol(5, {                                           # delta * eu^3
-        1: 4 * pi * Pi + 4 * B2 * clin - 2 * B2 * sg * Sg,
-        4: MPoly.const(16) * B2 + clin,
-        6: -4 * B2 * sg - Sg * pi,
-        7: -4 * B2 * Sg - sg * Pi,
-    })
-    setcol(6, {0: sg * Pi, 3: Sg})                        # Z1
-    setcol(7, {0: Sg * pi, 3: sg})                        # Z2
-    # transpose: matrix rows index the basis, columns the image
-    return [[cols[j][i] for j in range(8)] for i in range(8)]
+def _b2_multiplication_matrix(z: str) -> list:
+    """The 8x8 multiplication matrix of the generator z (one of _Z_NAMES)
+    on _B2_BASIS.  Column j is z*b_j rewritten with the rules lhs -> rhs of
+    `_b2_relations` until no lhs divides a term, and row i holds the
+    coefficient of b_i, a polynomial in A, B, sigma, pi, Sigma and Pi.
+    Raises ArithmeticError if a monomial outside the basis is left."""
+    names = _Z_NAMES + ("A", "B", "Pi", "Sigma", "pi", "sigma")
+    g = {name: MPoly.var(name) for name in names}
+    rules = [(next(iter(lhs._aligned(names))), rhs - lhs)
+             for lhs, rhs in _b2_relations(g).values()]
+    cols = []
+    for b in _B2_BASIS:
+        col = [{} for _ in _B2_BASIS]
+        f = _rewrite(g[z] * MPoly(_Z_NAMES, {b: 1}), rules, names)
+        for exp, c in f._aligned(names).items():
+            if exp[:4] not in _B2_BASIS:
+                raise ArithmeticError(f"{z} times a basis element leaves"
+                                      f" {MPoly(names, {exp: c})} outside"
+                                      " the basis")
+            col[_B2_BASIS.index(exp[:4])][exp[4:]] = c
+        cols.append([MPoly(names[4:], terms) for terms in col])
+    return [list(row) for row in zip(*cols)]
+
+
+def _rewrite(f: MPoly, rules: list, names: tuple) -> MPoly:
+    """f after each term q*lhs is replaced by q*rhs, for rules (exponent of
+    lhs, rhs - lhs) with exponents aligned to names, until no lhs divides a
+    term (see the module docstring for why this ends)."""
+    while True:
+        steps = (MPoly(names, {tuple(map(sub, exp, top)): c}) * rest
+                 for exp, c in f._aligned(names).items()
+                 for top, rest in rules if all(map(ge, exp, top)))
+        step = next(steps, None)
+        if step is None:
+            return f
+        f = f + step
 
 
 def _b2_euler_minpoly_closed_form() -> MPoly:
@@ -191,22 +211,17 @@ def _b2_euler_minpoly_closed_form() -> MPoly:
 def minpoly_euler(W: ReflectionGroup) -> MPoly:
     """Minimal polynomial of eu over P, in the variable t.
 
-    Rank 1 (order d): prod_j (t - d K_j) - X Y, in the K-coordinates of
-    `param_map` (sum_j K_j = 0 encoded by eliminating K_0).  B2: the
-    characteristic polynomial of the 8x8 multiplication matrix on the
-    explicit P-basis of Z, asserted equal to the explicit closed form of
-    degree 8.
+    Rank 1 (order d): prod_j (t - d K_j) - X Y (`_rank1_relation`), in the
+    K-coordinates of `param_map` (sum_j K_j = 0 encoded by eliminating
+    K_0).  B2: the characteristic polynomial of the multiplication matrix
+    of eu on the P-basis of Z, rewritten from Z1-Z9, checked equal to the
+    explicit closed form of degree 8 (ArithmeticError otherwise).
     """
     if W.spec.startswith("cyclic:"):
-        d = W.order()
-        t = MPoly.var("t")
-        k = param_map(W).k_forms
-        prod = MPoly.const(1)
-        for label in W.k_param_names():
-            prod = prod * (t - d * k[label])
-        return prod - MPoly.var("X") * MPoly.var("Y")
+        t, X, Y = (MPoly.var(name) for name in ("t", "X", "Y"))
+        return _rank1_relation(t, list(param_map(W).k_forms.values()), X, Y)
     if W.spec == "b2":
-        charpoly = charpoly_berkowitz(_b2_euler_matrix(), "t")
+        charpoly = charpoly_berkowitz(_b2_multiplication_matrix("eu"), "t")
         closed = _b2_euler_minpoly_closed_form()
         if charpoly != closed:
             raise ArithmeticError("characteristic polynomial mismatch:\n"

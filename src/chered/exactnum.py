@@ -127,20 +127,17 @@ def scalar_pow(c, n: int):
 
 
 def power(x, n: int, one):
-    """x**n for n >= 0 by square-and-multiply, starting from one.
+    """x**n for n >= 0 by square-and-multiply, x^n = (x^2)^(n//2) * x^(n%2).
+    No product has `one` as a factor: `one` is returned only for n = 0, and
+    x itself for n = 1.
 
     >>> power(3, 5, 1), power(Fraction(1, 2), 0, 1)
     (243, 1)
     """
-    result = one
-    base = x
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+    if n <= 1:
+        return x if n else one
+    half = power(x * x, n >> 1, one)
+    return half * x if n & 1 else half
 
 
 def format_power(name: str, e: int) -> str:

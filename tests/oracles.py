@@ -6,7 +6,9 @@ product computed one term of the left factor at a time in `MPoly`
 arithmetic (with the element-level left multiplications by a V* coordinate
 and by a group element), the twist of an element by a linear character
 and of the families by its tensor product, the b-minimal character of a
-family, the closed form of the central character of eu, an infix
+family, the closed form of the central character of eu, the
+multiplication matrix of eu on the P-basis of the B2 center folded by hand
+from Z1-Z9, an infix
 polynomial parser, the dense action matrices of a baby Verma module with
 the trace and nilpotency certificate of a central character, the graded
 character of the invariants of a baby Verma module, and the bigraded
@@ -328,6 +330,34 @@ def omega_euler_closed_form(W, chi) -> MPoly:
         if weight != 0:
             acc = acc + MPoly.var(refl.param) * weight
     return acc.divexact(MPoly.const(chi.degree))
+
+
+def b2_euler_matrix_by_hand() -> list:
+    """The 8x8 multiplication matrix of eu on the P-basis
+    {1, eu, eu^2, delta, delta*eu, delta*eu^2, eu', eu''} of the B2 center,
+    folded into the basis by hand: eu^3 by Z9, delta*eu^3 by Z9 then Z5, Z3
+    and Z4, and eu*eu', eu*eu'' by Z1, Z2.  Rows index the basis, columns
+    the image of each basis element."""
+    sg, pi, Sg, Pi = (MPoly.var(n) for n in ("sigma", "pi", "Sigma", "Pi"))
+    A2 = MPoly.var("A") ** 2
+    B2 = MPoly.var("B") ** 2
+    clin = sg * Sg + 4 * A2 - 4 * B2  # eu^3 = 4d eu + clin eu - sg eu1 - Sg eu2
+    cols = [
+        {1: MPoly.const(1)},                                # eu * 1
+        {2: MPoly.const(1)},                                # eu * eu
+        {4: MPoly.const(4), 1: clin, 6: -sg, 7: -Sg},       # eu^3
+        {4: MPoly.const(1)},                                # eu * delta
+        {5: MPoly.const(1)},                                # eu * delta eu
+        {                                                   # delta * eu^3
+            1: 4 * pi * Pi + 4 * B2 * clin - 2 * B2 * sg * Sg,
+            4: MPoly.const(16) * B2 + clin,
+            6: -4 * B2 * sg - Sg * pi,
+            7: -4 * B2 * Sg - sg * Pi,
+        },
+        {0: sg * Pi, 3: Sg},                                # Z1
+        {0: Sg * pi, 3: sg},                                # Z2
+    ]
+    return [[cols[j].get(i, MPoly.zero()) for j in range(8)] for i in range(8)]
 
 
 # ---------------------------------------------------------------------------

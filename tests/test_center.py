@@ -7,13 +7,15 @@ from chered.reflgrp import build_group
 from chered.cherednik import (PBWElement, algebra_generators, commutator,
                               multiply, named_center_generators,
                               residue_summary)
-from chered.center import (_rank1_factors, euler_charpoly_congruence,
-                           minpoly_euler, rank1_center_product,
+from chered.center import (_Z_NAMES, _b2_multiplication_matrix,
+                           _b2_relations, _rank1_relation,
+                           euler_charpoly_congruence, minpoly_euler,
                            verify_b2_center, verify_b2_centrality,
-                           verify_rank1_center)
+                           verify_b2_relations, verify_rank1_center)
+from chered.reflgrp import param_map
 from chered.verma import omega_table
-from oracles import (rank1_c_to_k, rank1_partial_products_per_factor,
-                     substitute_params)
+from oracles import (b2_euler_matrix_by_hand, rank1_c_to_k,
+                     rank1_partial_products_per_factor, substitute_params)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7))
@@ -24,16 +26,25 @@ def test_rank1_center_relation(d):
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
 def test_rank1_k_native_product_matches_per_factor_oracle(d):
-    """For every m <= d, the product of the first m C-coordinate factors,
-    mapped to K, equals the oracle's first m factors term by term; the
-    full product is the one of `rank1_center_product`."""
+    """For every m <= d, the product of the first m C-coordinate factors
+    eu - d K_j, with K_j built from the rows of `param_map`, mapped to K,
+    equals the oracle's first m factors term by term; the full product is
+    the one of `_rank1_relation` plus X Y."""
     W = build_group(f"cyclic:{d}")
+    g = named_center_generators(W)
+    ks = []
+    for _, row in param_map(W).k_rows:
+        k = MPoly.zero()
+        for label, coeff in row:
+            k = k + MPoly.var(label) * coeff
+        ks.append(k)
     partial = []
     prod = PBWElement.one(W)
-    for factor in _rank1_factors(W)[:-1]:
-        prod = multiply(prod, factor)
+    for k in ks[:-1]:
+        prod = multiply(prod, g["eu"] - PBWElement.one(W).scale(d * k))
         partial.append(prod)
-    partial.append(rank1_center_product(d))
+    partial.append(_rank1_relation(g["eu"], ks, g["X"], g["Y"])
+                   + multiply(g["X"], g["Y"]))
     expected = rank1_partial_products_per_factor(d)
     assert len(partial) == len(expected) == d
     to_k = rank1_c_to_k(d)
@@ -167,6 +178,153 @@ def test_minpoly_euler_b2_shape():
                     - 2 * (sg * Sg * (sg ** 2 * Pi + Sg ** 2 * pi)
                            - 8 * sg * Sg * pi * Pi) * t ** 2
                     + (sg ** 2 * Pi - Sg ** 2 * pi) ** 2)
+
+
+def test_b2_euler_matrix_matches_hand_oracle():
+    # the matrix rewritten from Z1-Z9 is the one folded by hand, entry by
+    # entry
+    got, want = _b2_multiplication_matrix("eu"), b2_euler_matrix_by_hand()
+    for i in range(8):
+        for j in range(8):
+            assert got[i][j] == want[i][j], (i, j)
+
+
+def _free_generators():
+    return {name: MPoly.var(name) for name in
+            ("eu", "eu'", "eu''", "delta", "sigma", "pi", "Sigma", "Pi")}
+
+
+def test_b2_rewriting_ignores_the_order_of_the_rules(monkeypatch):
+    # Z is free over P on the basis, so any order of rewriting ends at the
+    # same coefficients
+    import chered.center as center
+    real = center._b2_relations
+    forward = _b2_multiplication_matrix("eu")
+    monkeypatch.setattr(center, "_b2_relations",
+                        lambda g: dict(reversed(list(real(g).items()))))
+    assert list(center._b2_relations(_free_generators())) == [
+        f"Z{k}" for k in range(9, 0, -1)]
+    backward = _b2_multiplication_matrix("eu")
+    assert all(backward[i][j] == forward[i][j]
+               for i in range(8) for j in range(8))
+
+
+def _weighted_lex_key(exp: dict):
+    """The rewriting order: weighted degree (eu 1; delta, eu', eu'' 2),
+    then lex with eu' > eu'' > eu > delta."""
+    weight = {"eu": 1, "delta": 2, "eu'": 2, "eu''": 2}
+    lex = ("eu'", "eu''", "eu", "delta")
+    return (sum(weight[n] * e for n, e in exp.items()),
+            tuple(exp.get(n, 0) for n in lex))
+
+
+def test_b2_rules_decrease_in_the_documented_order():
+    # every lhs exceeds each monomial in eu, eu', eu'', delta of its rhs,
+    # which is why rewriting ends
+    for name, (lhs, rhs) in _b2_relations(_free_generators()).items():
+        (exp, _), = lhs.terms.items()
+        top = _weighted_lex_key(dict(zip(lhs.vars, exp)))
+        for exp in rhs.terms:
+            mono = {n: e for n, e in zip(rhs.vars, exp) if n in _Z_NAMES}
+            assert _weighted_lex_key(mono) < top, (name, mono)
+
+
+def _mat_product(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(8)), MPoly.zero())
+             for j in range(8)] for i in range(8)]
+
+
+def test_b2_multiplication_matrices_commute():
+    # eu, delta, eu' and eu'' commute in Z, so their matrices on the
+    # P-basis, built by the same rewriting, commute pairwise
+    mats = {z: _b2_multiplication_matrix(z) for z in _Z_NAMES}
+    names = list(mats)
+    for p, first in enumerate(names):
+        for second in names[p + 1:]:
+            a, b = mats[first], mats[second]
+            assert _mat_product(a, b) == _mat_product(b, a), (first, second)
+
+
+class _Matrix:
+    """8x8 matrices over P with the ring operations of `_b2_relations`; a
+    scalar stands for its multiple of the identity."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, _Matrix):
+            return x
+        return _Matrix([[x if i == j else MPoly.zero() for j in range(8)]
+                        for i in range(8)])
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return _Matrix([[a + b for a, b in zip(r, s)]
+                        for r, s in zip(self.rows, other.rows)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + self._lift(other) * -1
+
+    def __mul__(self, other):
+        if isinstance(other, _Matrix):
+            return _Matrix(_mat_product(self.rows, other.rows))
+        return _Matrix([[a * other for a in r] for r in self.rows])
+
+    __rmul__ = __mul__
+
+
+def test_b2_multiplication_matrices_satisfy_the_relations():
+    # z -> (its matrix on the P-basis) is a ring map out of Z, so the
+    # matrices of eu, eu', eu'' and delta satisfy Z1-Z9 with the invariants
+    # acting as scalars
+    g = {name: MPoly.var(name) for name in ("sigma", "pi", "Sigma", "Pi")}
+    g.update({z: _Matrix(_b2_multiplication_matrix(z)) for z in _Z_NAMES})
+    for name, (lhs, rhs) in _b2_relations(g).items():
+        residue = (lhs - rhs).rows
+        assert all(e.is_zero() for row in residue for e in row), name
+
+
+def test_b2_rewriting_refuses_a_term_outside_the_basis(monkeypatch):
+    # without Z9, eu^3 has no rule and stays outside the basis
+    import chered.center as center
+    real = center._b2_relations
+
+    def without_z9(g):
+        rel = dict(real(g))
+        del rel["Z9"]
+        return rel
+
+    monkeypatch.setattr(center, "_b2_relations", without_z9)
+    with pytest.raises(ArithmeticError, match="outside the basis"):
+        _b2_multiplication_matrix("eu")
+
+
+def test_b2_wrong_relation_coefficient_fails_both_checks(monkeypatch):
+    # Z1 with sigma*Pi doubled: its PBW report fails, the others pass, and
+    # the characteristic polynomial no longer meets the closed form
+    import chered.center as center
+    real = center._b2_relations
+
+    def patched(g):
+        rel = dict(real(g))
+        lhs, rhs = rel["Z1"]
+        rel["Z1"] = (lhs, rhs + g["sigma"] * g["Pi"])
+        return rel
+
+    monkeypatch.setattr(center, "_b2_relations", patched)
+    reports = verify_b2_relations()
+    assert [r["relation"] for r in reports if not r["status"]] == ["Z1"]
+    assert reports[0]["residue"]["terms"] > 0
+    minpoly_euler.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="mismatch"):
+            minpoly_euler(build_group("b2"))
+    finally:
+        minpoly_euler.cache_clear()
 
 
 def _eval_in_pbw(f, assignments, W):

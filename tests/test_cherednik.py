@@ -336,6 +336,30 @@ def test_negative_power_raises():
     assert x ** 3 == multiply(x, multiply(x, x))
 
 
+def test_power_never_multiplies_by_the_unit(monkeypatch):
+    # square-and-multiply starts from the base: eu^8 is three squarings,
+    # and the unit is returned only for the exponent 0
+    import chered.cherednik as cherednik
+    from chered.exactnum import power
+    W = build_group("b2")
+    eu, one = euler_element(W), PBWElement.one(W)
+    expected = multiply(multiply(eu, eu), multiply(eu, eu))
+    expected = multiply(expected, expected)
+    real = cherednik.multiply
+    factors = []
+
+    def counted(a, b, **kwargs):
+        factors.append((a, b))
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(cherednik, "multiply", counted)
+    assert eu ** 8 == expected
+    assert len(factors) == 3
+    assert all(a != one and b != one for a, b in factors)
+    assert power(eu, 0, one) is one
+    assert power(eu, 1, one) is eu
+
+
 def test_elements_of_two_groups_do_not_mix():
     a = PBWElement.v_gen(build_group("cyclic:2"), 0)
     b = PBWElement.v_gen(build_group("cyclic:3"), 0)

@@ -105,6 +105,21 @@ def test_hilbert_check_text_output_is_pinned(capsys, group, order, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("command, golden", [
+    ("verify minpoly --group b2", "verify_minpoly_b2.txt"),
+    ("verify minpoly --group cyclic:5", "verify_minpoly_cyclic5.txt"),
+    ("verify relations --group b2 --json", "verify_relations_b2.json"),
+    ("verify center --group cyclic:5 --json", "verify_center_cyclic5.json"),
+])
+def test_verify_output_is_pinned(capsys, command, golden):
+    """The output of `verify minpoly`, `verify relations` and `verify
+    center`, byte for byte: the minimal polynomial's term order and the
+    relation names."""
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_cells_b2_sum_rules(capsys):
     code, out, _ = run(capsys, "cells", "--group", "b2",
                        "--params", "a=2,b=1", "--json")

@@ -1,8 +1,8 @@
 """Source hygiene of the runtime package: every imported name is used and
-imported from the module that defines it (by the tests too), every
-function, class, method and top-level constant it defines is used, every
-annotated field of its classes is read, and no check is an assert
-statement."""
+imported from the module that defines it (by the tests too), every name
+of a module's ``__all__`` is defined there, every function, class, method
+and top-level constant it defines is used, every annotated field of its
+classes is read, and no check is an assert statement."""
 import ast
 from pathlib import Path
 
@@ -84,6 +84,14 @@ def exported_names(tree: ast.Module) -> set[str]:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             names.update(ast.literal_eval(node.value))
     return names
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names a module's ``__all__`` lists but the module does not define at
+    its top level (by def, class or an assignment): a stale entry, or a
+    name the module only imports."""
+    tree = ast.parse(source)
+    return sorted(exported_names(tree) - defined_names(tree))
 
 
 def unused_definitions(sources: dict[str, str]) -> list[str]:
@@ -217,6 +225,17 @@ def test_scanner_flags_reexported_test_imports():
         "b: a.Fraction", "test_x: b.Fraction", "test_x: b.scale"]
 
 
+def test_scanner_flags_undefined_exports():
+    source = ("from math import gcd\n"
+              "__all__ = ['api', 'gcd', 'gone', 'LIMIT', 'Shape']\n"
+              "LIMIT: int = 3\n"
+              "def api(): return gcd(LIMIT, 6)\n"
+              "class Shape: pass\n"
+              "def outer():\n"
+              "    def gone(): pass\n")
+    assert undefined_exports(source) == ["gcd", "gone"]
+
+
 def test_scanner_flags_unused_definitions():
     sources = {"a": ("__all__ = ['api']\n"
                      "def api(): return _helper()\n"
@@ -304,6 +323,11 @@ def test_imports_name_their_owner():
     tests = {p.name: p.read_text() for p in TEST_FILES}
     assert reexported_imports({p.stem: p.read_text() for p in MODULES},
                               tests) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    assert undefined_exports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
