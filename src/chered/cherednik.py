@@ -159,7 +159,7 @@ class PBWElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of an algebra element")
-        return power(self, n, self._scalar(1))
+        return power(self, n) if n else PBWElement.one(self.group)
 
     def __eq__(self, other):
         if isinstance(other, PBWElement):
@@ -524,23 +524,13 @@ def named_center_generators(W: ReflectionGroup) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _term_bidegrees(key, coeff: MPoly):
-    """Set of bidegrees occurring in one normal word (V: (1,0), V*: (0,1),
-    parameters and T: (1,1), group elements: (0,0))."""
-    p, g, q = key
-    base = (sum(p), sum(q))
-    out = set()
-    for exp in coeff.terms:
-        pdeg = sum(exp)
-        out.add((base[0] + pdeg, base[1] + pdeg))
-    return out
-
-
 def _bidegrees(elem: PBWElement) -> set:
-    found = set()
-    for key, c in elem.terms.items():
-        found |= _term_bidegrees(key, c)
-    return found
+    """The bidegrees (|p| + deg e, |q| + deg e) over the normal words
+    (p, g, q) of an element and the monomials e of their coefficients: V
+    has bidegree (1, 0), V* (0, 1), parameters and T (1, 1) and group
+    elements (0, 0)."""
+    return {(sum(p) + sum(e), sum(q) + sum(e))
+            for (p, _, q), c in elem.terms.items() for e in c.terms}
 
 
 def residue_summary(elem: PBWElement) -> dict:
@@ -554,10 +544,9 @@ def residue_summary(elem: PBWElement) -> dict:
 
 
 def z_degree(elem: PBWElement):
-    """The Z-degree j - i of an element whose terms share it: |q| - |p| of
-    its words (p, g, q), as parameters and T have bidegree (1, 1); 0 for
-    the zero element, and None when two words differ."""
-    degs = {sum(q) - sum(p) for p, _, q in elem.terms}
+    """The Z-degree j - i of an element whose bidegrees (i, j) share it; 0
+    for the zero element, and None when two bidegrees differ in it."""
+    degs = {j - i for i, j in _bidegrees(elem)}
     if len(degs) > 1:
         return None
     return degs.pop() if degs else 0

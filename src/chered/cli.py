@@ -15,12 +15,13 @@ Subcommands cover the verification and computation entry points:
   chered geometry rank1 --d <d> --point k1,...,kd,x,y,e
   chered poisson --group b2 --lhs <name> --rhs <name>
 
-Each ``cmd_*`` handler computes and prints nothing: it returns its result
-and whether every requested check passed, as ``(data, ok)``, or raises
-``UsageError``.  ``main`` alone prints, as text or with ``--json``, and owns
-the exit codes: 0 all requested checks pass, 1 a check failed or the library
-raised ValueError or ArithmeticError (its message on stderr, nothing on
-stdout), 2 usage error.
+``build_parser`` declares each subcommand in one ``_command`` call: its
+arguments, ``--json`` and its handler.  Each ``cmd_*`` handler computes and
+prints nothing: it returns its result and whether every requested check
+passed, as ``(data, ok)``, or raises ``UsageError``.  ``main`` alone prints,
+as text or with ``--json``, and owns the exit codes: 0 all requested checks
+pass, 1 a check failed or the library raised ValueError or ArithmeticError
+(its message on stderr, nothing on stdout), 2 usage error.
 """
 from __future__ import annotations
 
@@ -331,89 +332,63 @@ def cmd_poisson(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+_GROUP = (("--group",), {"required": True})
+
+
+def _command(sub, name, handler, help, *arguments):
+    """Declare subcommand `name` under `sub`: its parser, then each
+    (flags, options) pair of `arguments` in order, then --json; `handler`
+    runs it."""
+    p = sub.add_parser(name, help=help)
+    for flags, options in arguments:
+        p.add_argument(*flags, **options)
+    p.add_argument("--json", action="store_true",
+                   help="emit machine-readable JSON")
+    p.set_defaults(func=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chered",
         description="Exact workbench for rational Cherednik algebras at t=0"
                     " (cyclic groups and B2).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
-
-    p = sub.add_parser("group", help="group data")
-    p.add_argument("spec", help='group spec, e.g. "cyclic:4" or "b2"')
-    p.add_argument("action", choices=["info"])
-    add_json(p)
-    p.set_defaults(func=cmd_group_info)
-
-    p = sub.add_parser("verify", help="verification suites")
-    vsub = p.add_subparsers(dest="what", required=True)
-    pv = vsub.add_parser("center", help="centrality / center identity")
-    pv.add_argument("--group", required=True)
-    add_json(pv)
-    pv.set_defaults(func=cmd_verify_center)
-    pv = vsub.add_parser("relations", help="the nine B2 center relations")
-    pv.add_argument("--group", required=True)
-    add_json(pv)
-    pv.set_defaults(func=cmd_verify_relations)
-    pv = vsub.add_parser("minpoly", help="Euler minimal polynomial")
-    pv.add_argument("--group", required=True)
-    add_json(pv)
-    pv.set_defaults(func=cmd_verify_minpoly)
-
-    p = sub.add_parser("families", help="Calogero-Moser families")
-    p.add_argument("--group", required=True)
-    p.add_argument("--params", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_families)
-
-    p = sub.add_parser("cells", help="cells and cellular characters")
-    p.add_argument("--group", required=True)
-    p.add_argument("--params", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_cells)
-
-    p = sub.add_parser("fake-degrees", help="fake degrees and b-invariants")
-    p.add_argument("--group", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_fake_degrees)
-
-    p = sub.add_parser("hilbert", help="bigraded Hilbert series")
-    p.add_argument("--group", required=True)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--check", action="store_true",
-                   help="cross-check all series computations")
-    add_json(p)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("omega-table", help="central characters table")
-    p.add_argument("--group", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_omega_table)
-
-    p = sub.add_parser("galois", help="Galois certificates")
-    p.add_argument("what", help="b2-certificate")
-    add_json(p)
-    p.set_defaults(func=cmd_galois)
-
-    p = sub.add_parser("geometry", help="rank-1 geometry tests")
-    gsub = p.add_subparsers(dest="what", required=True)
-    pg = gsub.add_parser("rank1", help="singular locus and ramification")
-    pg.add_argument("--d", type=int, required=True)
-    pg.add_argument("--point", required=True,
-                    help="comma list: k_0..k_{d-1},x,y,e")
-    add_json(pg)
-    pg.set_defaults(func=cmd_geometry_rank1)
-
-    p = sub.add_parser("poisson", help="Poisson bracket of center elements")
-    p.add_argument("--group", required=True)
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_poisson)
-
+    _command(sub, "group", cmd_group_info, "group data",
+             (("spec",), {"help": 'group spec, e.g. "cyclic:4" or "b2"'}),
+             (("action",), {"choices": ["info"]}))
+    vsub = sub.add_parser("verify", help="verification suites"
+                          ).add_subparsers(dest="what", required=True)
+    _command(vsub, "center", cmd_verify_center,
+             "centrality / center identity", _GROUP)
+    _command(vsub, "relations", cmd_verify_relations,
+             "the nine B2 center relations", _GROUP)
+    _command(vsub, "minpoly", cmd_verify_minpoly, "Euler minimal polynomial",
+             _GROUP)
+    params = (("--params",), {"required": True})
+    _command(sub, "families", cmd_families, "Calogero-Moser families",
+             _GROUP, params)
+    _command(sub, "cells", cmd_cells, "cells and cellular characters",
+             _GROUP, params)
+    _command(sub, "fake-degrees", cmd_fake_degrees,
+             "fake degrees and b-invariants", _GROUP)
+    _command(sub, "hilbert", cmd_hilbert, "bigraded Hilbert series", _GROUP,
+             (("--order",), {"type": int, "default": DEFAULT_ORDER}),
+             (("--check",), {"action": "store_true",
+                             "help": "cross-check all series computations"}))
+    _command(sub, "omega-table", cmd_omega_table, "central characters table",
+             _GROUP)
+    _command(sub, "galois", cmd_galois, "Galois certificates",
+             (("what",), {"help": "b2-certificate"}))
+    gsub = sub.add_parser("geometry", help="rank-1 geometry tests"
+                          ).add_subparsers(dest="what", required=True)
+    _command(gsub, "rank1", cmd_geometry_rank1,
+             "singular locus and ramification",
+             (("--d",), {"type": int, "required": True}),
+             (("--point",), {"required": True,
+                             "help": "comma list: k_0..k_{d-1},x,y,e"}))
+    _command(sub, "poisson", cmd_poisson, "Poisson bracket of center elements",
+             _GROUP, (("--lhs",), {"required": True}),
+             (("--rhs",), {"required": True}))
     return parser
 
 

@@ -81,20 +81,13 @@ def cm_families(W: ReflectionGroup, cvals: dict) -> FamilyPartition:
     check_param_labels(W, cvals, "C")
     table = omega_table(W)
     gen_names = sorted(table[next(iter(table))])
-    blocks: list[list[str]] = []
-    sigs: list[tuple] = []
+    blocks: dict[tuple, list[str]] = {}
     for chi in character_table(W):
         sig = tuple((g, table[chi.name][g].substitute(cvals).constant_value())
                     for g in gen_names)
-        for k, existing in enumerate(sigs):
-            if existing == sig:
-                blocks[k].append(chi.name)
-                break
-        else:
-            blocks.append([chi.name])
-            sigs.append(sig)
+        blocks.setdefault(sig, []).append(chi.name)
     return FamilyPartition(tuple(sorted(cvals.items())),
-                           tuple(tuple(b) for b in blocks))
+                           tuple(tuple(b) for b in blocks.values()))
 
 
 def tensor_with_linear(W: ReflectionGroup, chi_name: str, gamma_name: str) -> str:

@@ -126,17 +126,23 @@ def scalar_pow(c, n: int):
     return canon_scalar(c ** n)
 
 
-def power(x, n: int, one):
-    """x**n for n >= 0 by square-and-multiply, x^n = (x^2)^(n//2) * x^(n%2).
-    No product has `one` as a factor: `one` is returned only for n = 0, and
-    x itself for n = 1.
+def power(x, n: int):
+    """x**n for n >= 1 by square-and-multiply, x^n = (x^2)^(n//2) * x^(n%2);
+    x itself for n = 1.  No product has a unit as a factor: each `__pow__`
+    returns its own unit for n = 0.
 
-    >>> power(3, 5, 1), power(Fraction(1, 2), 0, 1)
-    (243, 1)
+    >>> power(3, 5), power(Fraction(1, 2), 1)
+    (243, Fraction(1, 2))
+    >>> power(3, 0)
+    Traceback (most recent call last):
+    ...
+    ValueError: power needs an exponent >= 1, got 0
     """
-    if n <= 1:
-        return x if n else one
-    half = power(x * x, n >> 1, one)
+    if n < 1:
+        raise ValueError(f"power needs an exponent >= 1, got {n}")
+    if n == 1:
+        return x
+    half = power(x * x, n >> 1)
     return half * x if n & 1 else half
 
 
@@ -457,9 +463,9 @@ class Cyclotomic:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if n < 0:
-            return power(self.inverse(), -n, 1)
-        return power(self, n, 1)
+        if n == 0:
+            return 1
+        return power(self.inverse(), -n) if n < 0 else power(self, n)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation z_e -> z_e**(-1), an automorphism of the

@@ -196,7 +196,7 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return power(self, n, MPoly.const(1))
+        return power(self, n) if n else MPoly.const(1)
 
     def __eq__(self, other):
         other = MPoly._coerce(other)
@@ -231,18 +231,10 @@ class MPoly:
         return max(exp[i] for exp in self.terms)
 
     def coefficient(self, name: str, power: int) -> "MPoly":
-        """Coefficient of name**power, a polynomial in the other variables."""
-        if name not in self.vars:
-            if power == 0:
-                return self
-            return MPoly.zero()
-        i = self.vars.index(name)
-        restvars = self.vars[:i] + self.vars[i + 1:]
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == power:
-                terms[exp[:i] + exp[i + 1:]] = c
-        return MPoly(restvars, terms)
+        """Coefficient of name**power, a polynomial in the other variables:
+        entry `power` of `as_univariate(name)`, and zero past either end."""
+        coeffs = self.as_univariate(name)
+        return coeffs[power] if 0 <= power < len(coeffs) else MPoly.zero()
 
     def as_univariate(self, name: str) -> list["MPoly"]:
         """Dense coefficient list [c0, ..., cd] in a variable, with cd
@@ -281,8 +273,6 @@ class MPoly:
         cache: dict = {}
 
         def var_power(name, k):
-            if k == 0:
-                return MPoly.const(1)
             key = (name, k)
             if key not in cache:
                 if name in relevant:

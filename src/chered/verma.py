@@ -261,11 +261,10 @@ def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
         raise ValueError("character does not belong to the group")
     monomials, normal_forms = coinvariant_basis(W)
     mats = _chi_matrices(W, chi)
-    dim_chi = len(mats[0])
-    basis = tuple((m, j) for m in monomials for j in range(dim_chi))
-    if len(basis) != W.order() * dim_chi:
-        raise ArithmeticError(f"baby Verma module of {chi.name} has dimension"
-                              f" {len(basis)}, expected {W.order() * dim_chi}")
+    if len(mats[0]) != chi.degree:
+        raise ArithmeticError(f"the realization of {chi.name} has dimension"
+                              f" {len(mats[0])}, expected {chi.degree}")
+    basis = tuple((m, j) for m in monomials for j in range(chi.degree))
     return BabyVermaModule(W, basis, normal_forms, mats)
 
 

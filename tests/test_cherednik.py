@@ -356,8 +356,37 @@ def test_power_never_multiplies_by_the_unit(monkeypatch):
     assert eu ** 8 == expected
     assert len(factors) == 3
     assert all(a != one and b != one for a, b in factors)
-    assert power(eu, 0, one) is one
-    assert power(eu, 1, one) is eu
+    assert eu ** 0 == one
+    assert power(eu, 1) is eu
+
+
+def test_power_builds_its_unit_only_for_the_exponent_0(monkeypatch):
+    x = MPoly.var("x")
+    W = build_group("b2")
+    eu = euler_element(W)
+    units = []
+
+    def spy(cls, name):
+        real = getattr(cls, name)
+
+        def counted(*args):
+            units.append(name)
+            return real(*args)
+        monkeypatch.setattr(cls, name, staticmethod(counted)
+                            if isinstance(cls.__dict__[name], staticmethod)
+                            else counted)
+
+    spy(MPoly, "const")
+    spy(PBWElement, "one")
+    spy(PBWElement, "_scalar")
+    squares = x ** 2, eu ** 2
+    assert units == []
+    zeroth = x ** 0, eu ** 0
+    # PBWElement.one builds its coefficient with MPoly.const
+    assert units == ["const", "one", "const"]
+    monkeypatch.undo()
+    assert squares == (x * x, multiply(eu, eu))
+    assert zeroth == (1, PBWElement.one(W))
 
 
 def test_elements_of_two_groups_do_not_mix():

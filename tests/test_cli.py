@@ -120,6 +120,42 @@ def test_verify_output_is_pinned(capsys, command, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def parser_tree(parser, path="chered"):
+    """Every parser under `parser`, keyed by its command path: its prog,
+    description and handler's name, and each action's class, option
+    strings, dest, required, default, type name, choices, help, nargs and
+    const.  A subcommand's choices are its (name, help) pairs."""
+    func = parser.get_default("func")
+    entry = {"prog": parser.prog, "description": parser.description,
+             "handler": func and func.__name__, "actions": []}
+    tree = {path: entry}
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            choices = [[c.dest, c.help] for c in action._choices_actions]
+            for name, child in action.choices.items():
+                tree.update(parser_tree(child, f"{path} {name}"))
+        elif choices is not None:
+            choices = list(choices)
+        entry["actions"].append({
+            "class": type(action).__name__,
+            "option_strings": action.option_strings, "dest": action.dest,
+            "required": action.required, "default": action.default,
+            "type": getattr(action.type, "__name__", action.type),
+            "choices": choices, "help": action.help, "nargs": action.nargs,
+            "const": action.const})
+    return tree
+
+
+def test_parser_tree_is_pinned():
+    """`build_parser` declares every subcommand, option and handler as
+    `tests/golden/parser_tree.json` records them, in the same order."""
+    tree = json.loads(json.dumps(parser_tree(cli.build_parser())))
+    golden = json.loads((GOLDEN / "parser_tree.json").read_text())
+    assert list(tree) == list(golden)
+    assert tree == golden
+
+
 def test_cells_b2_sum_rules(capsys):
     code, out, _ = run(capsys, "cells", "--group", "b2",
                        "--params", "a=2,b=1", "--json")

@@ -260,6 +260,27 @@ def test_univariate_view_round_trip(p, name):
     assert all(c.degree_in(name) <= 0 for c in coeffs)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 4).flatmap(
+                     lambda n: polys(n, st.integers(0, 5))),
+                 scalars.map(MPoly.const), st.just(MPoly.zero())),
+       st.sampled_from(NAMES + ("t",)))
+def test_coefficient_reads_the_univariate_view(p, name):
+    # each coefficient is also the sum of the terms of p of that degree in
+    # name, with name dropped; absent variables count as degree 0
+    coeffs = p.as_univariate(name)
+    i = p.vars.index(name) if name in p.vars else None
+    rest = tuple(v for v in p.vars if v != name)
+    for k in range(len(coeffs)):
+        assert p.coefficient(name, k) == coeffs[k]
+        assert coeffs[k] == MPoly(rest, {
+            exp[:i] + exp[i + 1:] if i is not None else exp: c
+            for exp, c in p.terms.items()
+            if (exp[i] if i is not None else 0) == k})
+    for k in (-1, p.degree_in(name) + 1):
+        assert p.coefficient(name, k).is_zero()
+
+
 def test_from_univariate_rejects_the_variable_in_a_coefficient():
     with pytest.raises(ValueError, match="involves t"):
         MPoly.from_univariate([1, t], "t")

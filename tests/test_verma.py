@@ -59,6 +59,22 @@ def test_module_dimensions():
         assert mod.dim == W.order() * chi.degree
 
 
+def test_module_rejects_a_realization_of_the_wrong_dimension(monkeypatch):
+    # a 1x1 realization of the 2-dimensional b2 character chi would give an
+    # 8-dimensional module where chi needs 16
+    W = build_group("b2")
+    chi = next(c for c in character_table(W) if c.name == "chi")
+    monkeypatch.setattr("chered.verma._chi_matrices",
+                        lambda W, chi: [((1,),)] * W.order())
+    build_baby_verma.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="realization of chi has"
+                           " dimension 1, expected 2"):
+            build_baby_verma(W, chi)
+    finally:
+        build_baby_verma.cache_clear()
+
+
 def _poly(expr_vars):
     a, b = MPoly.var("A"), MPoly.var("B")
     return expr_vars(a, b)
