@@ -27,8 +27,9 @@ from operator import ge, mul, sub
 
 from .multipoly import MPoly, charpoly_berkowitz
 from .reflgrp import ReflectionGroup, build_group, character_table, param_map
-from .cherednik import (PBWElement, euler_element, named_center_generators,
-                        noncommuting_generator, residue_summary)
+from .cherednik import (PBWElement, center_presentation,
+                        named_center_generators, noncommuting_generator,
+                        residue_summary)
 from .verma import omega
 
 __all__ = [
@@ -148,34 +149,30 @@ def verify_b2_center() -> list:
 # ---------------------------------------------------------------------------
 
 
-_Z_NAMES = ("eu", "eu'", "eu''", "delta")
-# the P-basis {1, eu, eu^2, delta, delta*eu, delta*eu^2, eu', eu''} of Z,
-# as exponents of _Z_NAMES
-_B2_BASIS = ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1),
-             (1, 0, 0, 1), (2, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))
-
-
 def _b2_multiplication_matrix(z: str) -> list:
-    """The 8x8 multiplication matrix of the generator z (one of _Z_NAMES)
-    on _B2_BASIS.  Column j is z*b_j rewritten with the rules lhs -> rhs of
-    `_b2_relations` until no lhs divides a term, and row i holds the
-    coefficient of b_i, a polynomial in A, B, sigma, pi, Sigma and Pi.
-    Raises ArithmeticError if a monomial outside the basis is left."""
-    names = _Z_NAMES + ("A", "B", "Pi", "Sigma", "pi", "sigma")
+    """The 8x8 multiplication matrix of the generator z (one of eu, eu',
+    eu'' and delta) on the P-basis of Z of `center_presentation`.  Column j
+    is z*b_j rewritten with the rules lhs -> rhs of `_b2_relations` until no
+    lhs divides a term, and row i holds the coefficient of b_i, a
+    polynomial in A, B, sigma, pi, Sigma and Pi.  Raises ArithmeticError if
+    a monomial outside the basis is left."""
+    _, z_names, basis = center_presentation(build_group("b2"))
+    k = len(z_names)
+    names = z_names + ("A", "B", "Pi", "Sigma", "pi", "sigma")
     g = {name: MPoly.var(name) for name in names}
     rules = [(next(iter(lhs._aligned(names))), rhs - lhs)
              for lhs, rhs in _b2_relations(g).values()]
     cols = []
-    for b in _B2_BASIS:
-        col = [{} for _ in _B2_BASIS]
-        f = _rewrite(g[z] * MPoly(_Z_NAMES, {b: 1}), rules, names)
+    for b in basis:
+        col = [{} for _ in basis]
+        f = _rewrite(g[z] * MPoly(z_names, {b: 1}), rules, names)
         for exp, c in f._aligned(names).items():
-            if exp[:4] not in _B2_BASIS:
+            if exp[:k] not in basis:
                 raise ArithmeticError(f"{z} times a basis element leaves"
                                       f" {MPoly(names, {exp: c})} outside"
                                       " the basis")
-            col[_B2_BASIS.index(exp[:4])][exp[4:]] = c
-        cols.append([MPoly(names[4:], terms) for terms in col])
+            col[basis.index(exp[:k])][exp[k:]] = c
+        cols.append([MPoly(names[k:], terms) for terms in col])
     return [list(row) for row in zip(*cols)]
 
 
@@ -217,37 +214,35 @@ def minpoly_euler(W: ReflectionGroup) -> MPoly:
     of eu on the P-basis of Z, rewritten from Z1-Z9, checked equal to the
     explicit closed form of degree 8 (ArithmeticError otherwise).
     """
-    if W.spec.startswith("cyclic:"):
+    if W.spec != "b2":
         t, X, Y = (MPoly.var(name) for name in ("t", "X", "Y"))
         return _rank1_relation(t, list(param_map(W).k_forms.values()), X, Y)
-    if W.spec == "b2":
-        charpoly = charpoly_berkowitz(_b2_multiplication_matrix("eu"), "t")
-        closed = _b2_euler_minpoly_closed_form()
-        if charpoly != closed:
-            raise ArithmeticError("characteristic polynomial mismatch:\n"
-                                  f"{charpoly}\nvs\n{closed}")
-        return charpoly
-    raise ValueError(f"unsupported group {W.spec}")
+    charpoly = charpoly_berkowitz(_b2_multiplication_matrix("eu"), "t")
+    closed = _b2_euler_minpoly_closed_form()
+    if charpoly != closed:
+        raise ArithmeticError("characteristic polynomial mismatch:\n"
+                              f"{charpoly}\nvs\n{closed}")
+    return charpoly
 
 
 def euler_charpoly_congruence(W: ReflectionGroup) -> bool:
     """charpoly(eu) = prod_chi (t - Omega_chi(eu))^(chi(1)^2) modulo the
     ideal generated by the positive-degree invariants.  It computes
     Omega_chi of eu alone, each value certified by `omega`, and not the
-    whole `omega_table`."""
+    whole `omega_table`.
+
+    Both sides are read in the coordinates of f = `minpoly_euler(W)`: the
+    invariants set to zero are the named generators among the variables of
+    f, and each C-label that f does not use (every one, for a rank-1 f in
+    K-coordinates) is rewritten in Omega by its K-form."""
     f = minpoly_euler(W)
     t = MPoly.var("t")
-    eu = euler_element(W)
-    omega_vals = [omega(eu, chi) for chi in character_table(W)]
-    if W.spec.startswith("cyclic:"):
-        subst = {"X": MPoly.zero(), "Y": MPoly.zero()}
-        # express Omega values in the same eliminated K-coordinates
-        c_forms = param_map(W).c_forms
-        omega_vals = [val.substitute(c_forms) for val in omega_vals]
-    else:
-        subst = {n: MPoly.zero() for n in ("sigma", "pi", "Sigma", "Pi")}
-    reduced = f.substitute(subst)
+    gens = named_center_generators(W)
+    reduced = f.substitute({n: MPoly.zero() for n in f.vars if n in gens})
+    c_forms = param_map(W).c_forms
+    to_k = {c: c_forms[c] for c in W.param_names() if c not in f.vars}
     prod = MPoly.const(1)
-    for chi, val in zip(character_table(W), omega_vals):
+    for chi in character_table(W):
+        val = omega(gens["eu"], chi).substitute(to_k)
         prod = prod * (t - val) ** (chi.degree ** 2)
     return reduced == prod

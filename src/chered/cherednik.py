@@ -28,7 +28,7 @@ For the order-2 cyclic group, s acts by -1, so <s(v)-v, xi> = -2:
 """
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from .exactnum import canon_scalar, format_power, format_sum, power
 from .multipoly import MPoly, _field_bits, _packing
@@ -41,6 +41,7 @@ __all__ = [
     "noncommuting_generator",
     "euler_element",
     "named_center_generators",
+    "center_presentation",
     "poisson_bracket",
     "z_degree",
     "residue_summary",
@@ -436,17 +437,15 @@ def commutator(a: PBWElement, b: PBWElement) -> PBWElement:
 
 
 def algebra_generators(W: ReflectionGroup) -> dict:
-    """The generating set: V coordinates, V* coordinates, group generators."""
+    """The generating set: V coordinates, V* coordinates, and the group
+    generators of the group's builder."""
     gens = {}
     for i, name in enumerate(W.v_names):
         gens[name] = PBWElement.v_gen(W, i)
     for i, name in enumerate(W.dual_names):
         gens[name] = PBWElement.dual_gen(W, i)
-    if W.spec == "b2":
-        for name in ("s", "t"):
-            gens[name] = PBWElement.group_gen(W, W.index_of(name))
-    else:
-        gens["s"] = PBWElement.group_gen(W, W.index_of("s"))
+    for name in W.generators:
+        gens[name] = PBWElement.group_gen(W, W.index_of(name))
     return gens
 
 
@@ -481,14 +480,26 @@ def named_center_generators(W: ReflectionGroup) -> dict:
     """Named central elements: eu for all groups; for B2 also eu', eu'',
     delta and the embedded invariants sigma, pi, Sigma, Pi; for cyclic the
     embedded invariants X = x^d (V* side) and Y = y^d (V side)."""
+    return dict(center_presentation(W)[0])
+
+
+@lru_cache(maxsize=None)
+def center_presentation(W: ReflectionGroup) -> tuple:
+    """(generators, names, basis): the named central elements
+    {name: PBWElement}, and the basis of Z as a free module over the
+    invariant subalgebra P, each element a tuple of exponents over the
+    generators `names`.  Cached per group; the result is shared and must
+    not be changed.
+
+    Rank 1, order d: {1, eu, ..., eu^(d-1)}.
+    B2: {1, eu, eu^2, delta, delta eu, delta eu^2, eu', eu''}.
+    """
     gens = {"eu": euler_element(W)}
-    if W.spec.startswith("cyclic:"):
+    if W.spec != "b2":
         d = W.order()
         gens["X"] = PBWElement.monomial(W, (0,), W.identity, (d,))
         gens["Y"] = PBWElement.monomial(W, (d,), W.identity, (0,))
-        return gens
-    if W.spec != "b2":
-        raise ValueError(f"no named generators for {W.spec}")
+        return gens, ("eu",), tuple((i,) for i in range(d))
     A, B = MPoly.var("A"), MPoly.var("B")
     idx = W.index_of
     e = W.identity
@@ -516,7 +527,9 @@ def named_center_generators(W: ReflectionGroup) -> dict:
         "Sigma": mono((0, 0), "1", (2, 0)) + mono((0, 0), "1", (0, 2)),
         "Pi": mono((0, 0), "1", (2, 2)),
     })
-    return gens
+    basis = ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1),
+             (1, 0, 0, 1), (2, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))
+    return gens, ("eu", "eu'", "eu''", "delta"), basis
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ reflection classes.  `check_param_labels` is the one check of its labels and
 `param_convert` the one change of coordinates.
 
 Supported groups: the cyclic group of order d acting on a line ("cyclic:d")
-and the Weyl group of type B2 ("b2").
+and the Weyl group of type B2 ("b2").  Their builders, `_build_cyclic` and
+`_build_b2`, are the one place where the facts of a group are written: the
+generator matrices, the word of each element in the generators, and each
+irreducible representation as the images of the generators.
+`_finish_group` multiplies the words out once, for the group's matrices and
+for the matrices of each representation; everything else, the character
+table included, is computed from them.
 
 >>> W = build_group("b2")
 >>> (len(W.names), len(W.reflections), W.degrees)
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -111,6 +117,12 @@ class ReflectionGroup:
     degrees: tuple             # invariant degrees d_1 <= ... <= d_n
     v_names: tuple[str, ...]   # coordinate names on V
     dual_names: tuple[str, ...]  # coordinate names on V*
+    # the names of the generators, each also the name of its element, and
+    # (name, matrix of each element) per irreducible representation; like
+    # every field they follow from the spec, and they are left out of == and
+    # of the hash, which each lru_cache call on a group computes
+    generators: tuple[str, ...] = field(compare=False)
+    representations: tuple = field(compare=False, repr=False)
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -154,13 +166,12 @@ class Character:
     name: str
     values: tuple              # indexed by conjugacy-class index
     group_spec: str
+    # a representation with these values: its matrix of each element
+    matrices: tuple = field(compare=False, repr=False)
 
     @property
     def degree(self):
         return self.values[0]  # class 0 is the class of the identity
-
-    def is_linear(self) -> bool:
-        return self.degree == 1
 
 
 def value_on_element(W: ReflectionGroup, chi: Character, g: int):
@@ -194,9 +205,21 @@ def build_group(spec: str) -> ReflectionGroup:
     raise ValueError(f"unknown group descriptor {spec!r}")
 
 
-def _finish_group(spec, dim, names, mats, v_names, dual_names,
+def _realize(words, images):
+    """The matrix of each word of `words` {element: word}, the product of
+    the images of its letters read left to right.  Each word comes after the
+    word one letter shorter, so each product takes one multiplication."""
+    mats = {"": mat_identity(len(next(iter(images.values()))))}
+    for word in filter(None, words.values()):
+        mats[word] = mat_mul(mats[word[:-1]], images[word[-1]])
+    return tuple(mats[word] for word in words.values())
+
+
+def _finish_group(spec, dim, gens, words, irreps, v_names, dual_names,
                   orbit_of_reflection, param_of_reflection, power_of_reflection,
                   orbits):
+    names = list(words)
+    mats = _realize(words, gens)
     order = len(names)
     index = {m: i for i, m in enumerate(mats)}
     mult = tuple(tuple(index[mat_mul(mats[i], mats[j])] for j in range(order))
@@ -236,6 +259,9 @@ def _finish_group(spec, dim, names, mats, v_names, dual_names,
         reflections=tuple(reflections), hyperplane_orbits=tuple(orbits),
         conj_classes=tuple(classes), class_of=tuple(class_of),
         degrees=degs, v_names=tuple(v_names), dual_names=tuple(dual_names),
+        generators=tuple(gens),
+        representations=tuple((name, _realize(words, images))
+                              for name, images in irreps.items()),
     )
     # Chevalley consistency: |W| = prod d_i, |Ref| = sum (d_i - 1)
     prod = 1
@@ -251,33 +277,33 @@ def _finish_group(spec, dim, names, mats, v_names, dual_names,
 def _build_cyclic(d: int) -> ReflectionGroup:
     z = primitive_root(d)
     names = ["1"] + [f"s^{i}" if i > 1 else "s" for i in range(1, d)]
-    mats = [((scalar_pow(z, i),),) for i in range(d)]
+    words = {name: "s" * i for i, name in enumerate(names)}
+    irreps = {f"eps^{i}": {"s": ((scalar_pow(z, i),),)} for i in range(d)}
     orbit_of = {names[i]: "s" for i in range(1, d)}
     param_of = {names[i]: f"C{i}" for i in range(1, d)}
     power_of = {names[i]: i for i in range(1, d)}
-    return _finish_group(f"cyclic:{d}", 1, names, mats, ("y",), ("x",),
-                         orbit_of, param_of, power_of, [("s", d)])
-
-
-# each B2 element is the product of its generator word, read left to right
-_B2_WORDS = {"1": "", "s": "s", "t": "t", "st": "st", "ts": "ts",
-             "sts": "sts", "tst": "tst", "w0": "stst"}
+    return _finish_group(f"cyclic:{d}", 1, {"s": ((z,),)}, words, irreps,
+                         ("y",), ("x",), orbit_of, param_of, power_of,
+                         [("s", d)])
 
 
 @functools.lru_cache(maxsize=None)
 def _build_b2() -> ReflectionGroup:
     gens = {"s": ((0, 1), (1, 0)), "t": ((-1, 0), (0, 1))}
-    mats = []
-    for word in _B2_WORDS.values():
-        mat = mat_identity(2)
-        for letter in word:
-            mat = mat_mul(mat, gens[letter])
-        mats.append(mat)
+    words = {"1": "", "s": "s", "t": "t", "st": "st", "ts": "ts",
+             "sts": "sts", "tst": "tst", "w0": "stst"}
+    # the four sign characters on (s, t), then chi, the reflection
+    # representation
+    signs = {"1": (1, 1), "eps_s": (-1, 1), "eps_t": (1, -1), "eps": (-1, -1)}
+    irreps = {name: {"s": ((a,),), "t": ((b,),)}
+              for name, (a, b) in signs.items()}
+    irreps["chi"] = gens
     orbit_of = {"s": "s", "tst": "s", "t": "t", "sts": "t"}
     param_of = {"s": "A", "tst": "A", "t": "B", "sts": "B"}
     power_of = {"s": 1, "tst": 1, "t": 1, "sts": 1}
-    return _finish_group("b2", 2, list(_B2_WORDS), mats, ("x", "y"), ("X", "Y"),
-                         orbit_of, param_of, power_of, [("s", 2), ("t", 2)])
+    return _finish_group("b2", 2, gens, words, irreps, ("x", "y"),
+                         ("X", "Y"), orbit_of, param_of, power_of,
+                         [("s", 2), ("t", 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -368,43 +394,20 @@ def _degrees_from_molien(dim, mats, order):
 
 @functools.lru_cache(maxsize=None)
 def character_table(W: ReflectionGroup) -> tuple[Character, ...]:
-    """Irreducible characters.
+    """Irreducible characters: the trace of each representation of the
+    group's builder on a representative of each class, carrying the
+    representation's matrices.
 
     Cyclic d: the linear characters eps^i with eps(s) = z_d.
     B2: 1, eps_s, eps_t, eps, chi (chi = the reflection representation).
     Rows are verified orthonormal and sum(chi(1)^2) = |W|.
     """
-    if W.spec.startswith("cyclic:"):
-        d = W.order()
-        z = primitive_root(d)
-        # classes are singletons; the element s^j is the reflection of power j
-        power = {W.identity: 0} | {r.index: r.power for r in W.reflections}
-        chars = [Character(f"eps^{i}",
-                           tuple(scalar_pow(z, i * power[cls[0]])
-                                 for cls in W.conj_classes), W.spec)
-                 for i in range(d)]
-    elif W.spec == "b2":
-        def linear(val_s, val_t):
-            vals = []
-            for cls in W.conj_classes:
-                v = 1
-                for ch in _B2_WORDS[W.names[cls[0]]]:
-                    v *= val_s if ch == "s" else val_t
-                vals.append(v)
-            return tuple(vals)
-
-        chars = [
-            Character("1", linear(1, 1), W.spec),
-            Character("eps_s", linear(-1, 1), W.spec),
-            Character("eps_t", linear(1, -1), W.spec),
-            Character("eps", linear(-1, -1), W.spec),
-            Character("chi", tuple(mat_trace(W.matrices[cls[0]])
-                                   for cls in W.conj_classes), W.spec),
-        ]
-    else:
-        raise ValueError(f"unsupported group {W.spec}")
+    chars = tuple(Character(name, tuple(mat_trace(mats[cls[0]])
+                                        for cls in W.conj_classes),
+                            W.spec, mats)
+                  for name, mats in W.representations)
     _check_character_table(W, chars)
-    return tuple(chars)
+    return chars
 
 
 def inner_product(W: ReflectionGroup, chi: Character, psi: Character):

@@ -29,6 +29,7 @@ from collections import Counter
 from .exactnum import canon_scalar, trace_pairing
 from .reflgrp import (ReflectionGroup, character_table, fake_degree,
                       galois_orbits, inverse_det_series)
+from .cherednik import _bidegrees, center_presentation
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -126,17 +127,21 @@ def fantome_bigraded(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> TruncSer
 
 def center_basis_bidegrees(W: ReflectionGroup) -> tuple:
     """Bidegrees of the explicit basis of the center as a module over the
-    invariant subalgebra P = k[V]^W (x) k[V*]^W (x) k[params].
-
-    Rank 1, order d: {1, eu, ..., eu^(d-1)}.
-    B2: {1, eu, eu^2, delta, delta eu, delta eu^2, eu', eu''}.
-    """
-    if W.spec.startswith("cyclic:"):
-        d = W.order()
-        return tuple((i, i) for i in range(d))
-    if W.spec == "b2":
-        return ((0, 0), (1, 1), (2, 2), (2, 2), (3, 3), (4, 4), (1, 3), (3, 1))
-    raise ValueError(f"unsupported group {W.spec}")
+    invariant subalgebra P = k[V]^W (x) k[V*]^W (x) k[params]
+    (`cherednik.center_presentation`): each basis element adds up the
+    bidegrees of its generators, each read off the generator's terms.  A
+    generator with other than one bidegree raises ArithmeticError."""
+    gens, names, basis = center_presentation(W)
+    degs = []
+    for name in names:
+        found = _bidegrees(gens[name])
+        if len(found) != 1:
+            raise ArithmeticError(f"center generator {name} has bidegrees"
+                                  f" {sorted(found)}, not one")
+        degs.append(found.pop())
+    return tuple((sum(e * i for e, (i, _) in zip(exp, degs)),
+                  sum(e * j for e, (_, j) in zip(exp, degs)))
+                 for exp in basis)
 
 
 def hilbert_center(W: ReflectionGroup, order: int = DEFAULT_ORDER) -> dict:

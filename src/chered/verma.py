@@ -37,8 +37,7 @@ from fractions import Fraction
 
 from .exactnum import canon_scalar, row_reduce
 from .multipoly import MPoly
-from .reflgrp import (Character, ReflectionGroup, character_table,
-                      value_on_element)
+from .reflgrp import Character, ReflectionGroup, character_table
 from .cherednik import PBWElement, _straighten, named_center_generators
 
 __all__ = [
@@ -142,22 +141,12 @@ def coinvariant_basis(W: ReflectionGroup) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _chi_matrices(W: ReflectionGroup, chi: Character):
-    """An explicit matrix realization of chi: scalars for linear characters,
-    the reflection representation itself for the 2-dimensional one."""
-    if chi.is_linear():
-        return [((value_on_element(W, chi, g),),) for g in range(W.order())]
-    if W.spec == "b2" and chi.name == "chi":
-        return list(W.matrices)
-    raise ValueError(f"no matrix realization available for {chi.name}")
-
-
 @dataclass(eq=False)
 class BabyVermaModule:
     group: ReflectionGroup
     basis: tuple               # of (coinvariant monomial, chi-space index)
     normal_forms: dict         # monomial -> {basis monomial: scalar}
-    chi_mats: list
+    chi_mats: tuple            # chi.matrices, the matrix of each element
     # position of each basis vector, and the generator actions built once as
     # sparse columns: each V*-side coordinate, each group element, each V-side
     # coordinate
@@ -256,11 +245,13 @@ def _apply(columns, vec: dict) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
-    """Build the baby Verma module attached to an irreducible character."""
+    """Build the baby Verma module attached to an irreducible character,
+    with W acting through chi.matrices, the representation whose traces are
+    the values of chi."""
     if chi.group_spec != W.spec:
         raise ValueError("character does not belong to the group")
     monomials, normal_forms = coinvariant_basis(W)
-    mats = _chi_matrices(W, chi)
+    mats = chi.matrices
     if len(mats[0]) != chi.degree:
         raise ArithmeticError(f"the realization of {chi.name} has dimension"
                               f" {len(mats[0])}, expected {chi.degree}")

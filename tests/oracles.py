@@ -275,7 +275,7 @@ def twist_by_linear_char(gamma, z: PBWElement) -> PBWElement:
     """The automorphism attached to a linear character: fixes V and V*,
     multiplies a group term w by gamma(w), and rescales C_s by gamma(s)^{-1}."""
     W = z.group
-    if not gamma.is_linear():
+    if gamma.degree != 1:
         raise ValueError("twist requires a linear character")
     subs = {}
     for refl in W.reflections:

@@ -4,10 +4,10 @@ import pytest
 
 from chered.multipoly import MPoly
 from chered.reflgrp import build_group
-from chered.cherednik import (PBWElement, algebra_generators, commutator,
-                              multiply, named_center_generators,
-                              residue_summary)
-from chered.center import (_Z_NAMES, _b2_multiplication_matrix,
+from chered.cherednik import (PBWElement, algebra_generators,
+                              center_presentation, commutator, multiply,
+                              named_center_generators, residue_summary)
+from chered.center import (_b2_multiplication_matrix,
                            _b2_relations, _rank1_relation,
                            euler_charpoly_congruence, minpoly_euler,
                            verify_b2_center, verify_b2_centrality,
@@ -16,6 +16,9 @@ from chered.reflgrp import param_map
 from chered.verma import omega_table
 from oracles import (b2_euler_matrix_by_hand, rank1_c_to_k,
                      rank1_partial_products_per_factor, substitute_params)
+
+# eu, eu', eu'' and delta: the generators of Z over P that the B2 basis uses
+_, _Z_NAMES, _ = center_presentation(build_group("b2"))
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7))

@@ -110,11 +110,19 @@ def test_hilbert_check_text_output_is_pinned(capsys, group, order, golden):
     ("verify minpoly --group cyclic:5", "verify_minpoly_cyclic5.txt"),
     ("verify relations --group b2 --json", "verify_relations_b2.json"),
     ("verify center --group cyclic:5 --json", "verify_center_cyclic5.json"),
+    ("group b2 info --json", "group_info_b2.json"),
+    ("group cyclic:5 info --json", "group_info_cyclic5.json"),
+    ("fake-degrees --group b2 --json", "fake_degrees_b2.json"),
+    ("fake-degrees --group cyclic:5 --json", "fake_degrees_cyclic5.json"),
+    ("omega-table --group b2 --json", "omega_table_b2.json"),
+    ("omega-table --group cyclic:5 --json", "omega_table_cyclic5.json"),
 ])
 def test_verify_output_is_pinned(capsys, command, golden):
     """The output of `verify minpoly`, `verify relations` and `verify
     center`, byte for byte: the minimal polynomial's term order and the
-    relation names."""
+    relation names; and of `group info`, `fake-degrees` and `omega-table`,
+    which read the character table and the realizations of the
+    characters."""
     code, out, err = run(capsys, *command.split())
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text()

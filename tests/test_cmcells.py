@@ -251,3 +251,12 @@ def test_json_schema():
     assert set(data["cells"]) == {"two_sided", "left"}
     assert all(set(e) == {"cell", "character"}
                for e in data["cellular_characters"])
+
+
+def test_tensor_with_linear_refuses_a_product_outside_the_table(monkeypatch):
+    # without eps in the table, eps_s (x) eps_t has no row to land on
+    table = tuple(c for c in character_table(W2) if c.name != "eps")
+    monkeypatch.setattr("chered.cmcells.character_table", lambda W: table)
+    with pytest.raises(ArithmeticError,
+                       match="tensor product left the character table"):
+        tensor_with_linear(W2, "eps_s", "eps_t")

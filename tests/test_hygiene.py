@@ -2,7 +2,8 @@
 imported from the module that defines it (by the tests too), every name
 of a module's ``__all__`` is defined there, every function, class, method
 and top-level constant it defines is used, every annotated field of its
-classes is read, and no check is an assert statement."""
+classes is read, no check is an assert statement, and a group is told
+apart by its spec only where an allow-list says why."""
 import ast
 from pathlib import Path
 
@@ -182,6 +183,44 @@ def assert_lines(source: str) -> list[int]:
             if isinstance(node, ast.Assert)]
 
 
+def group_tests(source: str) -> list[str]:
+    """The qualified name of the function (or "" at module level) around
+    each test of a `.spec` or `.group` attribute against a string literal:
+    a comparison with a string or a tuple, list or set of strings, or a
+    `.startswith(...)` call on the attribute or with it as an argument.  A
+    comparison of two attributes (`chi.group_spec != W.spec`, say) is not
+    such a test, nor is one of a bare name."""
+    def attribute(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("spec", "group")
+
+    def literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return bool(node.elts) and all(map(literal, node.elts))
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    def tests_group(node):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            return any(map(attribute, operands)) and any(map(literal, operands))
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "startswith"
+                and (attribute(node.func.value) or any(map(attribute, node.args))))
+
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if tests_group(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
 def test_scanner_flags_unused_and_honours_all():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -292,6 +331,23 @@ def test_scanner_flags_unread_fields():
     assert unread_fields(sources) == ["a.Record.hidden"]
 
 
+def test_scanner_flags_group_tests():
+    source = ("def f(W, args, chi, spec):\n"
+              "    if W.spec == 'b2': pass\n"
+              "    if 'b2' != args.group: pass\n"
+              "    if W.spec.startswith('cyclic:'): pass\n"
+              "    if 'cyclic:5'.startswith(W.spec): pass\n"
+              "    if W.spec in ('b2', 'cyclic:2'): pass\n"
+              "    if chi.group_spec != W.spec: pass\n"
+              "    if spec == 'b2' or W.order() == 2: pass\n"
+              "    if W.name == 'b2' or W.spec == spec: pass\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        return self.group != 'b2'\n"
+              "SPEC = build('b2').spec == 'b2'\n")
+    assert group_tests(source) == ["", "C.g"] + ["f"] * 5
+
+
 def test_scanner_flags_asserts():
     source = ("def f(x):\n"
               "    assert x, 'message'\n"
@@ -346,3 +402,26 @@ def test_no_unread_fields():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_asserts(path):
     assert assert_lines(path.read_text()) == []
+
+
+# The tests of a group's spec that remain outside `reflgrp.build_group` (the
+# one parser of a spec, which reads a bare name): the facts of a group belong
+# to its builder, and each site here is a computation that differs by group.
+GROUP_TESTS = {
+    "cherednik.center_presentation":
+        "the named generators and the P-basis of Z, one branch for both",
+    "center.minpoly_euler":
+        "the rank-1 relation against the B2 multiplication matrix",
+    "cli.cmd_verify_center":
+        "rank 1 checks its one relation, B2 the centrality of four generators",
+    "cli.cmd_verify_relations":
+        "refuses a --group other than b2 with its own usage message",
+    "cli._cells_for":
+        "B2 cells and rank-1 cells are separate constructions",
+}
+
+
+def test_group_tests_are_allowed():
+    found = [f"{p.stem}.{where}" for p in MODULES
+             for where in group_tests(p.read_text())]
+    assert sorted(found) == sorted(GROUP_TESTS)

@@ -1,4 +1,5 @@
 """Reflection groups, characters, fake degrees, parameter coordinates."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from chered.exactnum import canon_scalar, primitive_root
 from chered.multipoly import MPoly
+from chered import reflgrp
 from chered.cherednik import euler_element
 from chered.reflgrp import (build_group, b_invariant,
                             character_table, fake_degree, galois_orbits,
@@ -95,6 +97,46 @@ def test_character_tables_orthonormal():
         for i, chi in enumerate(chars):
             for j, psi in enumerate(chars):
                 assert inner_product(W, chi, psi) == (1 if i == j else 0)
+
+
+@pytest.fixture
+def fresh_character_tables():
+    """A forged group equals the built one (its representations are left
+    out of ==), so the cached character tables are cleared around a test
+    that forges one."""
+    character_table.cache_clear()
+    yield
+    character_table.cache_clear()
+
+
+def test_character_table_refuses_a_missing_character(fresh_character_tables):
+    # a B2 builder that forgot chi: the four sign characters stay
+    # orthonormal, but their degrees squared add up to 4, not |W| = 8
+    W = build_group("b2")
+    assert W.representations[-1][0] == "chi"
+    forged = dataclasses.replace(W, representations=W.representations[:-1])
+    with pytest.raises(ArithmeticError,
+                       match=r"sum of chi\(1\)\^2 differs from \|W\|"):
+        character_table(forged)
+
+
+def test_builder_refuses_degrees_against_chevalley(monkeypatch):
+    # invariant degrees (2, 2) multiply to 4, not |W| = 8; the uncached
+    # builder is called, so no cached group is replaced
+    monkeypatch.setattr("chered.reflgrp._degrees_from_molien",
+                        lambda dim, mats, order: (2, 2))
+    with pytest.raises(ArithmeticError, match=r"invariant degrees \(2, 2\)"
+                       r" violate Chevalley's \|W\| = 8"):
+        reflgrp._build_b2.__wrapped__()
+
+
+def test_degree_extraction_refuses_a_leftover_series():
+    # read in dimension 1, the Molien series 1/((1 - t^2)(1 - t^4)) of B2
+    # keeps 1/(1 - t^4) after its one factor is taken off
+    W = build_group("b2")
+    with pytest.raises(ArithmeticError,
+                       match="invariant-degree extraction failed"):
+        reflgrp._degrees_from_molien(1, W.matrices, W.order())
 
 
 def test_b2_character_values():

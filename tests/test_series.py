@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chered.exactnum import primitive_root
+from chered.cherednik import PBWElement, center_presentation
 from chered.reflgrp import build_group, galois_orbits, inverse_det_series
 from chered.series import (DEFAULT_ORDER, center_basis_bidegrees,
                            fantome_bigraded, hilbert_center, molien_bigraded,
@@ -110,6 +111,19 @@ def test_center_basis_bidegrees():
         Wc = build_group(f"cyclic:{d}")
         assert sorted(center_basis_bidegrees(Wc)) == [(i, i)
                                                       for i in range(d)]
+
+
+def test_center_basis_bidegrees_refuses_a_generator_of_two_bidegrees(
+        monkeypatch):
+    # eu + y has the bidegree (1, 1) of eu and the bidegree (1, 0) of y
+    W = build_group("cyclic:3")
+    gens, names, basis = center_presentation(W)
+    forged = dict(gens, eu=gens["eu"] + PBWElement.v_gen(W, 0))
+    monkeypatch.setattr("chered.series.center_presentation",
+                        lambda W: (forged, names, basis))
+    with pytest.raises(ArithmeticError, match=r"center generator eu has"
+                       r" bidegrees \[\(1, 0\), \(1, 1\)\], not one"):
+        center_basis_bidegrees(W)
 
 
 def test_series_table_sorted_rows():

@@ -1,4 +1,5 @@
 """Baby Verma modules and central characters."""
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -59,18 +60,18 @@ def test_module_dimensions():
         assert mod.dim == W.order() * chi.degree
 
 
-def test_module_rejects_a_realization_of_the_wrong_dimension(monkeypatch):
+def test_module_rejects_a_realization_of_the_wrong_dimension():
     # a 1x1 realization of the 2-dimensional b2 character chi would give an
-    # 8-dimensional module where chi needs 16
+    # 8-dimensional module where chi needs 16; the forged character equals
+    # chi, whose module may be cached, so the cache is cleared around it
     W = build_group("b2")
     chi = next(c for c in character_table(W) if c.name == "chi")
-    monkeypatch.setattr("chered.verma._chi_matrices",
-                        lambda W, chi: [((1,),)] * W.order())
+    forged = dataclasses.replace(chi, matrices=(((1,),),) * W.order())
     build_baby_verma.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="realization of chi has"
                            " dimension 1, expected 2"):
-            build_baby_verma(W, chi)
+            build_baby_verma(W, forged)
     finally:
         build_baby_verma.cache_clear()
 
