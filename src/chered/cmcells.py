@@ -21,11 +21,9 @@ A parameter point is a dict {C-label: value}, the form in which
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import canon_scalar, check_rational
-from .reflgrp import (ReflectionGroup, build_group, character_table,
-                      check_param_labels)
+from .reflgrp import (ReflectionGroup, _Record, build_group,
+                      character_table, check_param_labels)
 from .verma import omega_table
 
 __all__ = [
@@ -45,20 +43,43 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyPartition:
+class FamilyPartition(_Record):
     parameters: tuple            # of (C-label, value) pairs, sorted
     blocks: tuple                # of tuples of character names
 
+    __slots__ = ("parameters", "blocks")
 
-@dataclass(frozen=True)
-class CellPartition:
+    def __init__(self, parameters, blocks):
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "blocks", blocks)
+
+    def _key(self):
+        return (self.parameters, self.blocks)
+
+
+class CellPartition(_Record):
     two_sided: tuple             # of tuples of element names
     left: tuple                  # of tuples of element names
     families: tuple              # per two-sided cell, tuple of char names
     cellular: tuple              # per left cell, {character name: mult}
-    supported: bool = True
-    note: str = ""
+    supported: bool              # True unless given
+    note: str                    # "" unless given
+
+    __slots__ = ("two_sided", "left", "families", "cellular", "supported",
+                 "note")
+
+    def __init__(self, two_sided, left, families, cellular, supported=True,
+                 note=""):
+        object.__setattr__(self, "two_sided", two_sided)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "cellular", cellular)
+        object.__setattr__(self, "supported", supported)
+        object.__setattr__(self, "note", note)
+
+    def _key(self):
+        return (self.two_sided, self.left, self.families, self.cellular,
+                self.supported, self.note)
 
 
 # ---------------------------------------------------------------------------

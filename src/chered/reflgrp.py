@@ -14,6 +14,11 @@ irreducible representation as the images of the generators.
 for the matrices of each representation; everything else, the character
 table included, is computed from them.
 
+The records `Reflection`, `ReflectionGroup`, `Character` and `ParamMap`
+(and `cmcells`' partitions) are slotted and immutable, on the base
+`_Record`: each field is set once, and setting or deleting one raises
+AttributeError.  A group hashes by its spec.
+
 >>> W = build_group("b2")
 >>> (len(W.names), len(W.reflections), W.degrees)
 (8, 4, (2, 4))
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -92,16 +96,51 @@ def mat_rank_of_difference(a):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Reflection:
+class _Record:
+    """Base of the immutable records: a subclass lists its fields in
+    `__slots__` (and annotates them), sets each once in `__init__` through
+    `object.__setattr__`, and returns from `_key` the tuple of the fields
+    that `==` and the hash compare.  Setting or deleting a field afterwards
+    raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Reflection(_Record):
     index: int            # element index in the group
     orbit: str            # hyperplane-orbit label
     power: int            # j with the reflection = s_H^j on its hyperplane
     param: str            # C-coordinate name attached to its class
 
+    __slots__ = ("index", "orbit", "power", "param")
 
-@dataclass(frozen=True)
-class ReflectionGroup:
+    def __init__(self, index, orbit, power, param):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "param", param)
+
+    def _key(self):
+        return (self.index, self.orbit, self.power, self.param)
+
+
+class ReflectionGroup(_Record):
     spec: str
     dim: int
     names: tuple[str, ...]
@@ -119,10 +158,49 @@ class ReflectionGroup:
     dual_names: tuple[str, ...]  # coordinate names on V*
     # the names of the generators, each also the name of its element, and
     # (name, matrix of each element) per irreducible representation; like
-    # every field they follow from the spec, and they are left out of == and
-    # of the hash, which each lru_cache call on a group computes
-    generators: tuple[str, ...] = field(compare=False)
-    representations: tuple = field(compare=False, repr=False)
+    # every field they follow from the spec, and they are left out of ==
+    generators: tuple[str, ...]
+    representations: tuple
+
+    __slots__ = ("spec", "dim", "names", "matrices", "dual_matrices",
+                 "mult_table", "inverse", "identity", "reflections",
+                 "hyperplane_orbits", "conj_classes", "class_of", "degrees",
+                 "v_names", "dual_names", "generators", "representations")
+
+    def __init__(self, spec, dim, names, matrices, dual_matrices, mult_table,
+                 inverse, identity, reflections, hyperplane_orbits,
+                 conj_classes, class_of, degrees, v_names, dual_names,
+                 generators, representations):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "dual_matrices", dual_matrices)
+        object.__setattr__(self, "mult_table", mult_table)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "reflections", reflections)
+        object.__setattr__(self, "hyperplane_orbits", hyperplane_orbits)
+        object.__setattr__(self, "conj_classes", conj_classes)
+        object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "v_names", v_names)
+        object.__setattr__(self, "dual_names", dual_names)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "representations", representations)
+
+    def _key(self):
+        return (self.spec, self.dim, self.names, self.matrices,
+                self.dual_matrices, self.mult_table, self.inverse,
+                self.identity, self.reflections, self.hyperplane_orbits,
+                self.conj_classes, self.class_of, self.degrees, self.v_names,
+                self.dual_names)
+
+    def __hash__(self):
+        # equal groups have equal specs, so the spec alone is a hash
+        # consistent with ==, and each lru_cache call on a group reads it
+        # instead of hashing the tables
+        return hash(self.spec)
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -161,13 +239,28 @@ class ReflectionGroup:
         return canon_scalar(scalar), tuple(out)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Record):
     name: str
     values: tuple              # indexed by conjugacy-class index
     group_spec: str
-    # a representation with these values: its matrix of each element
-    matrices: tuple = field(compare=False, repr=False)
+    # a representation with these values: its matrix of each element; left
+    # out of ==
+    matrices: tuple
+
+    __slots__ = ("name", "values", "group_spec", "matrices")
+
+    def __init__(self, name, values, group_spec, matrices):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "group_spec", group_spec)
+        object.__setattr__(self, "matrices", matrices)
+
+    def _key(self):
+        return (self.name, self.values, self.group_spec)
+
+    def __hash__(self):
+        # equal characters have equal names and specs
+        return hash((self.name, self.group_spec))
 
     @property
     def degree(self):
@@ -477,8 +570,7 @@ def _orbit_k_labels(W: ReflectionGroup, label: str, e: int):
     return [f"{prefix}{j}" for j in range(e)]
 
 
-@dataclass(frozen=True)
-class ParamMap:
+class ParamMap(_Record):
     """The change between the C- and K-coordinates of one group.
 
     Per hyperplane orbit of order e, the class of the reflections s_H^i has
@@ -492,6 +584,17 @@ class ParamMap:
     c_forms: MappingProxyType   # C-label -> MPoly, linear in the K-labels
     c_rows: tuple               # (C-label, ((K-label, coeff), ...)), read off c_forms
     k_rows: tuple               # (K-label, ((C-label, coeff), ...))
+
+    __slots__ = ("k_forms", "c_forms", "c_rows", "k_rows")
+
+    def __init__(self, k_forms, c_forms, c_rows, k_rows):
+        object.__setattr__(self, "k_forms", k_forms)
+        object.__setattr__(self, "c_forms", c_forms)
+        object.__setattr__(self, "c_rows", c_rows)
+        object.__setattr__(self, "k_rows", k_rows)
+
+    def _key(self):
+        return (self.k_forms, self.c_forms, self.c_rows, self.k_rows)
 
 
 @functools.lru_cache(maxsize=None)

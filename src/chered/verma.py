@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import canon_scalar, row_reduce
@@ -141,7 +140,6 @@ def coinvariant_basis(W: ReflectionGroup) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class BabyVermaModule:
     group: ReflectionGroup
     basis: tuple               # of (coinvariant monomial, chi-space index)
@@ -150,14 +148,21 @@ class BabyVermaModule:
     # position of each basis vector, and the generator actions built once as
     # sparse columns: each V*-side coordinate, each group element, each V-side
     # coordinate
-    index: dict = field(init=False)
-    dual_maps: list = field(init=False)
-    group_maps: list = field(init=False)
-    v_maps: list = field(init=False)
+    index: dict
+    dual_maps: list
+    group_maps: list
+    v_maps: list
 
-    def __post_init__(self):
-        W = self.group
-        self.index = {b: i for i, b in enumerate(self.basis)}
+    __slots__ = ("group", "basis", "normal_forms", "chi_mats", "index",
+                 "dual_maps", "group_maps", "v_maps")
+
+    def __init__(self, group, basis, normal_forms, chi_mats):
+        self.group = group
+        self.basis = basis
+        self.normal_forms = normal_forms
+        self.chi_mats = chi_mats
+        W = group
+        self.index = {b: i for i, b in enumerate(basis)}
         self.dual_maps = [
             self._map(lambda mono, xi=xi: (
                 (1, tuple(e + (i == xi) for i, e in enumerate(mono)),

@@ -13,7 +13,8 @@ polynomial parser, the dense action matrices of a baby Verma module with
 the trace and nilpotency certificate of a central character, the graded
 character of the invariants of a baby Verma module, and the bigraded
 Hilbert series computed with bivariate series arithmetic and a bivariate
-series inverse."""
+series inverse; and `replace_fields`, which copies a record of the package
+with some fields forged."""
 import math
 import re
 from fractions import Fraction
@@ -28,6 +29,14 @@ from chered.reflgrp import (b_invariant, build_group, character_table,
                             fake_degree, value_on_element)
 from chered.series import center_basis_bidegrees
 from chered.verma import build_baby_verma
+
+
+def replace_fields(record, **changes):
+    """A new record of the class of `record`, whose `__init__` takes its
+    slots by name, with the fields in `changes` replaced and every other
+    field taken from `record`."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def reduce_mod_cyclotomic(e: int, vec: list) -> list:

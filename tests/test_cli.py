@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, JSON output, parameter parsing."""
 import argparse
-import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +13,10 @@ from chered import cli
 from chered.cherednik import PBWElement
 from chered.cli import main
 from chered.reflgrp import build_group
+from oracles import replace_fields
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -181,7 +185,7 @@ def test_cells_family_mismatch_exits_1(capsys, monkeypatch):
     def merged(W, params):
         fp = real(W, params)
         blocks = (fp.blocks[0] + fp.blocks[1],) + fp.blocks[2:]
-        return dataclasses.replace(fp, blocks=blocks)
+        return replace_fields(fp, blocks=blocks)
 
     monkeypatch.setattr("chered.cli.cm_families", merged)
     for group, params in (("b2", "a=2,b=1"), ("cyclic:4", "K=1,1,-1,-1")):
@@ -405,3 +409,24 @@ def test_galois_cli(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["pass"] is True and data["group"] == "W4'"
+
+
+def _modules_loaded(code):
+    """The modules in sys.modules after `code` runs in a fresh interpreter
+    with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cold_import_loads_no_introspection_modules():
+    # every command line is a fresh interpreter, and `dataclasses` would
+    # bring `inspect` and `ast` into each one; comparing with a bare
+    # interpreter started the same way leaves out what a site hook preloads
+    bare = _modules_loaded("")
+    cold = _modules_loaded("import chered.cli")
+    assert "chered.cli" in cold
+    assert [m for m in ("dataclasses", "inspect", "ast")
+            if m in cold and m not in bare] == []

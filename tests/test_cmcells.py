@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from chered.reflgrp import build_group, character_table, param_convert
-from chered.cmcells import (b2_cells, cm_families, partition_to_json,
-                            rank1_cells, sum_rule_check, tensor_with_linear)
+from chered.cmcells import (CellPartition, b2_cells, cm_families,
+                            partition_to_json, rank1_cells, sum_rule_check,
+                            tensor_with_linear)
 from chered.verma import omega_table
 from oracles import minimal_b_character, twist_family_partition
 
@@ -174,6 +175,13 @@ def test_b2_cells_zero_parameters():
     assert cp.cellular[0] == {"1": 1, "eps": 1, "eps_s": 1,
                                         "eps_t": 1, "chi": 2}
     assert sum_rule_check(W2, cp)["all"]
+
+
+def test_cell_partition_defaults():
+    cells = CellPartition((), (), (), ())
+    assert cells.supported is True and cells.note == ""
+    assert cells == CellPartition((), (), (), (), True, "")
+    assert cells != CellPartition((), (), (), (), supported=False)
 
 
 def test_b2_cells_axis_strata_unsupported():

@@ -137,11 +137,11 @@ def unread_constants(sources: dict[str, str]) -> list[str]:
 
 
 def unread_fields(sources: dict[str, str]) -> list[str]:
-    """"module.Class.field" of each annotated class attribute (a dataclass
-    field, say) that no module of the package reads as an attribute: a
-    result record should carry only what the package reads.  A field is
-    read as `obj.field`, so a bare name (a local variable of the same name,
-    say) does not count as a read.
+    """"module.Class.field" of each field of a class, an annotated class
+    attribute or a name its `__slots__` lists, that no module of the
+    package reads as an attribute: a result record should carry only what
+    the package reads.  A field is read as `obj.field`, so a bare name (a
+    local variable of the same name, say) does not count as a read.
 
     Fields are matched by bare attribute name, not by the type of the
     object read: a field passes when any attribute of that name is read
@@ -152,16 +152,29 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
     used = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
-    fields = []
+    fields = set()
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                fields += [(mod, f"{node.name}.{item.target.id}")
-                           for item in node.body
-                           if isinstance(item, ast.AnnAssign)
-                           and isinstance(item.target, ast.Name)]
+                fields |= {(mod, f"{node.name}.{name}")
+                           for name in class_fields(node)}
     return sorted(f"{mod}.{name}" for mod, name in fields
                   if name.rsplit(".", 1)[-1] not in used)
+
+
+def class_fields(node: ast.ClassDef) -> set[str]:
+    """The names a class body annotates, and those its `__slots__` lists
+    (one string or a sequence of them)."""
+    names = set()
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.add(item.target.id)
+        elif isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in item.targets):
+            slots = ast.literal_eval(item.value)
+            names.update((slots,) if isinstance(slots, str) else slots)
+    return names
 
 
 def read_names(trees) -> set[str]:
@@ -323,7 +336,11 @@ def test_scanner_flags_unread_fields():
                      "    label: str\n"),
                "b": ("import a\nr = a.Record((), {})\nprint(r.size(), r.counted)\n"
                      "hidden = 1\nprint(hidden)\n")}
-    # a variable named like a field is not a read of the field
+    # a variable named like a field is not a read of the field, and a slot
+    # is a field whether or not it is annotated
+    assert unread_fields(sources) == ["a.Plain.kept", "a.Plain.label",
+                                      "a.Record.hidden"]
+    sources["b"] += "print(a.Plain().kept)\n"
     assert unread_fields(sources) == ["a.Plain.label", "a.Record.hidden"]
     # the limit of a match by bare name: reading `label` of any object
     # counts as reading Plain.label

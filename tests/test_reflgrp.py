@@ -1,5 +1,4 @@
 """Reflection groups, characters, fake degrees, parameter coordinates."""
-import dataclasses
 import math
 import os
 import subprocess
@@ -13,12 +12,13 @@ from chered.exactnum import canon_scalar, primitive_root
 from chered.multipoly import MPoly
 from chered import reflgrp
 from chered.cherednik import euler_element
+from chered.cmcells import b2_cells, cm_families
 from chered.reflgrp import (build_group, b_invariant,
                             character_table, fake_degree, galois_orbits,
                             inner_product, param_convert, param_map,
                             value_on_element)
 from chered.verma import omega, omega_table
-from oracles import rank1_c_to_k, rank1_k_variables
+from oracles import rank1_c_to_k, rank1_k_variables, replace_fields
 
 
 def test_cyclic_group_structure():
@@ -114,10 +114,47 @@ def test_character_table_refuses_a_missing_character(fresh_character_tables):
     # orthonormal, but their degrees squared add up to 4, not |W| = 8
     W = build_group("b2")
     assert W.representations[-1][0] == "chi"
-    forged = dataclasses.replace(W, representations=W.representations[:-1])
+    forged = replace_fields(W, representations=W.representations[:-1])
+    # == leaves out the representations, and a group hashes by its spec
+    assert forged == W and hash(forged) == hash(W)
     with pytest.raises(ArithmeticError,
                        match=r"sum of chi\(1\)\^2 differs from \|W\|"):
         character_table(forged)
+
+
+# one record of each immutable class, built from the b2 group
+RECORDS = {"group": lambda W: W,
+           "character": lambda W: character_table(W)[4],
+           "reflection": lambda W: W.reflections[0],
+           "param map": param_map,
+           "families": lambda W: cm_families(W, {"A": 1, "B": 2}),
+           "cells": lambda W: b2_cells(1, 2)}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_records_are_immutable(kind):
+    record = RECORDS[kind](build_group("b2"))
+    for name in type(record).__slots__:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError, match=f"cannot set '{name}'"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError, match=f"cannot delete '{name}'"):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_record_equality_leaves_out_the_realizations():
+    # a group's generators and representations, and a character's
+    # matrices, follow from the fields that == compares
+    W = build_group("b2")
+    assert replace_fields(W, generators=()) == W
+    assert replace_fields(W, degrees=(2, 2)) != W
+    chi = character_table(W)[4]
+    forged = replace_fields(chi, matrices=(((1,),),) * W.order())
+    assert forged == chi and hash(forged) == hash(chi)
+    assert replace_fields(chi, values=(2, 0, 0, 0, 0)) != chi
 
 
 def test_builder_refuses_degrees_against_chevalley(monkeypatch):

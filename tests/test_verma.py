@@ -1,5 +1,4 @@
 """Baby Verma modules and central characters."""
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -11,10 +10,12 @@ from chered.reflgrp import (build_group, character_table, fake_degree,
                             param_convert)
 from chered.cherednik import (PBWElement, euler_element, multiply,
                               named_center_generators)
-from chered.verma import (_reynolds_invariants, build_baby_verma,
-                          coinvariant_basis, omega, omega_table)
+from chered.verma import (BabyVermaModule, _reynolds_invariants,
+                          build_baby_verma, coinvariant_basis, omega,
+                          omega_table)
 from oracles import (dense_act, dense_columns, dense_omega,
-                     graded_character_eM, omega_euler_closed_form)
+                     graded_character_eM, omega_euler_closed_form,
+                     replace_fields)
 
 
 def test_coinvariant_basis_dimensions():
@@ -60,13 +61,21 @@ def test_module_dimensions():
         assert mod.dim == W.order() * chi.degree
 
 
+def test_modules_compare_by_identity():
+    W = build_group("cyclic:2")
+    mod = build_baby_verma(W, character_table(W)[1])
+    twin = BabyVermaModule(W, mod.basis, mod.normal_forms, mod.chi_mats)
+    assert twin.v_maps == mod.v_maps
+    assert twin != mod and twin == twin
+
+
 def test_module_rejects_a_realization_of_the_wrong_dimension():
     # a 1x1 realization of the 2-dimensional b2 character chi would give an
     # 8-dimensional module where chi needs 16; the forged character equals
     # chi, whose module may be cached, so the cache is cleared around it
     W = build_group("b2")
     chi = next(c for c in character_table(W) if c.name == "chi")
-    forged = dataclasses.replace(chi, matrices=(((1,),),) * W.order())
+    forged = replace_fields(chi, matrices=(((1,),),) * W.order())
     build_baby_verma.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="realization of chi has"
