@@ -146,8 +146,13 @@ class PBWElement:
         return self._like({_unit_key(self.group): c})
 
     def scale(self, c) -> "PBWElement":
+        # coefficients are polynomials over a field, so no product of two
+        # nonzero ones is zero
         c = MPoly._coerce(c)
-        return self._like({k: c * v for k, v in self.terms.items()})
+        if c.is_zero():
+            return PBWElement._of(self.group, {})
+        return PBWElement._of(self.group,
+                              {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PBWElement):
@@ -275,8 +280,10 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     is set), the V-exponents p and the group element (`multipoly._packing`).
     A shift by x^p, the image g^{-1}(xi_i) of a dual coordinate and a
     straightening correction are then one int addition each; they depend
-    only on the low fields (p, g) of a key, and are memoised per call as
-    packed deltas.  One unpacking at the end builds one `MPoly` per word.
+    only on the low fields (p, g) of a key, and are memoised as packed
+    deltas in the `_Frame` of the call's shape (group, variable tuple, field
+    width, with_T), which every later product of that shape reuses.  One
+    unpacking at the end builds one `MPoly` per word.
 
     The fields need no overflow check.  Call |p| + |q| + 2 deg(e) the weight
     of a term.  [xi, v] = -T<v,xi> - sum_s C_s <s(v)-v, xi> s trades one x
@@ -299,16 +306,11 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     weight = sum(max(sum(p) + sum(q) + 2 * max(map(sum, c.terms))
                      for (p, _, q), c in elem.terms.items())
                  for elem in (a, b))
-    bits = _field_bits(max(weight, W.order() - 1))
-    pack, unpack = _packing(2 * d + n + 1, bits)
-    zq, ze = (0,) * d, (0,) * n
-    low_mask = (1 << (d + 1) * bits) - 1            # the fields p and g
-    coeff_mask = ((1 << n * bits) - 1) << (d + 1) * bits
-    word_mask = ~coeff_mask
-    coeff_keys = _Memo(lambda e: pack((*zq, *e, *zq, 0)))
-    coeff_exps = _Memo(lambda k: unpack(k)[d:d + n])
-    v_keys = _Memo(lambda p: pack((*zq, *ze, *p, 0)))
-    dual_keys = _Memo(lambda q: pack((*q, *ze, *zq, 0)))
+    frame = _frame(W, nv, _field_bits(max(weight, W.order() - 1)), with_T)
+    low_mask, coeff_keys, v_keys = (frame.low_mask, frame.coeff_keys,
+                                    frame.v_keys)
+    dual_keys, dual_steps, group_steps = (frame.dual_keys, frame.dual_steps,
+                                          frame.group_steps)
 
     def packed(elem):
         out = {}
@@ -317,39 +319,6 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
             for e, v in c._aligned(nv).items():
                 out[base + coeff_keys[e]] = v
         return out
-
-    def low_fields(low):
-        fields = unpack(low)
-        return fields[d + n:2 * d + n], fields[-1]
-
-    def straightened(key):
-        """The corrections of xi_i x^p - x^p xi_i as (delta, s, scalar),
-        the delta moving x^p to the correction's monomial and coefficient."""
-        i, p = key
-        return [(v_keys[mono] - v_keys[p] + coeff_keys[e], s, v)
-                for cc, mono, s in _straighten(W, "dual", i, p, with_T)
-                for e, v in cc._aligned(nv).items()]
-
-    corrections = _Memo(straightened)
-
-    def dual_step(i, low):
-        """xi_i x^p g = x^p g g^{-1}(xi_i) + corrections, as the scalar and
-        delta of the first term and the (delta, scalar) of the corrections."""
-        p, g = low_fields(low)
-        xi = tuple(1 if k == i else 0 for k in range(d))
-        scalar, qi = W.act_monomial(W.inverse[g], xi, dual=True)
-        mult = W.mult_table
-        return (scalar, dual_keys[qi],
-                [(delta + mult[s][g] - g, v) for delta, s, v in corrections[(i, p)]])
-
-    def group_step(g, low):
-        """g x^p w = scalar x^p' gw, as the scalar and the delta."""
-        p, w = low_fields(low)
-        scalar, image = W.act_monomial(g, p, dual=False)
-        return scalar, v_keys[image] + W.mult_table[g][w] - low
-
-    dual_steps = [_Memo(partial(dual_step, i)) for i in range(d)]
-    group_steps = [_Memo(partial(group_step, g)) for g in range(W.order())]
 
     def lmul_dual(i, elem):
         """xi_i * elem."""
@@ -389,7 +358,7 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
         return piece if g == W.identity else lmul_group(g, piece)
 
     chains = _Memo(chain_of)
-    chains[zq] = packed(b)
+    chains[(0,) * d] = packed(b)
     pieces = _Memo(piece_of)
     out: dict = {}
     get = out.get
@@ -405,6 +374,8 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
                 prev = get(k)
                 out[k] = v if prev is None else prev + v
     words: dict = {}
+    coeff_mask, word_mask = frame.coeff_mask, frame.word_mask
+    coeff_exps, unpack = frame.coeff_exps, frame.unpack
     for k, v in out.items():
         if v != 0:
             t = words.get(k & word_mask)
@@ -416,6 +387,80 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
         fields = unpack(word)
         result[(fields[d + n:2 * d + n], fields[-1], fields[:d])] = MPoly._of(nv, t)
     return PBWElement._of(W, result)
+
+
+class _Frame:
+    """The tables of `multiply` that depend only on the shape of its packed
+    keys: the group W, the sorted variable tuple nv, the field width bits
+    and with_T.  They map a coefficient exponent, a V-monomial and a
+    V*-monomial to its packed key and a packed coefficient back to its
+    exponents; (i, p) to the straightening corrections of xi_i x^p; and the
+    low fields (p, g) of a key to the step of xi_i, or of a group element,
+    past them.  An entry follows from the shape and its key alone, so a
+    frame gives the same products whichever products filled it, and
+    `_frame` keeps the frames of the shapes a process uses."""
+
+    __slots__ = ("unpack", "low_mask", "coeff_mask", "word_mask",
+                 "coeff_keys", "coeff_exps", "v_keys", "dual_keys",
+                 "corrections", "dual_steps", "group_steps")
+
+    def __init__(self, W: ReflectionGroup, nv: tuple, bits: int, with_T: bool):
+        d, n = W.dim, len(nv)
+        pack, unpack = _packing(2 * d + n + 1, bits)
+        zq, ze = (0,) * d, (0,) * n
+        self.unpack = unpack
+        self.low_mask = (1 << (d + 1) * bits) - 1       # the fields p and g
+        self.coeff_mask = ((1 << n * bits) - 1) << (d + 1) * bits
+        self.word_mask = ~self.coeff_mask
+        self.coeff_keys = coeff_keys = _Memo(lambda e: pack((*zq, *e, *zq, 0)))
+        self.coeff_exps = _Memo(lambda k: unpack(k)[d:d + n])
+        self.v_keys = v_keys = _Memo(lambda p: pack((*zq, *ze, *p, 0)))
+        self.dual_keys = dual_keys = _Memo(lambda q: pack((*q, *ze, *zq, 0)))
+
+        def low_fields(low):
+            fields = unpack(low)
+            return fields[d + n:2 * d + n], fields[-1]
+
+        def straightened(key):
+            """The corrections of xi_i x^p - x^p xi_i as (delta, s, scalar),
+            the delta moving x^p to the correction's monomial and
+            coefficient."""
+            i, p = key
+            return [(v_keys[mono] - v_keys[p] + coeff_keys[e], s, v)
+                    for cc, mono, s in _straighten(W, "dual", i, p, with_T)
+                    for e, v in cc._aligned(nv).items()]
+
+        self.corrections = _Memo(straightened)
+
+        def dual_step(i, low):
+            """xi_i x^p g = x^p g g^{-1}(xi_i) + corrections, as the scalar
+            and delta of the first term and the (delta, scalar) of the
+            corrections."""
+            p, g = low_fields(low)
+            xi = tuple(1 if k == i else 0 for k in range(d))
+            scalar, qi = W.act_monomial(W.inverse[g], xi, dual=True)
+            mult = W.mult_table
+            return (scalar, dual_keys[qi],
+                    [(delta + mult[s][g] - g, v)
+                     for delta, s, v in self.corrections[(i, p)]])
+
+        def group_step(g, low):
+            """g x^p w = scalar x^p' gw, as the scalar and the delta."""
+            p, w = low_fields(low)
+            scalar, image = W.act_monomial(g, p, dual=False)
+            return scalar, v_keys[image] + W.mult_table[g][w] - low
+
+        self.dual_steps = [_Memo(partial(dual_step, i)) for i in range(d)]
+        self.group_steps = [_Memo(partial(group_step, g))
+                            for g in range(W.order())]
+
+
+# keyed by the group itself, not by its spec, so that a group which differs
+# from another in its matrices builds its own frame (whose corrections still
+# come from `_straighten`, cached by spec).  A process meets a few shapes;
+# the bound keeps rare ones (a new variable tuple per call, say) from piling
+# up, and an evicted frame is rebuilt on its next use.
+_frame = lru_cache(maxsize=64)(_Frame)
 
 
 class _Memo(dict):

@@ -82,11 +82,13 @@ def test_results_hold_only_nonzero_polynomial_coefficients(spec):
         a = sharing_element(W, rng, False)
         b = sharing_element(W, rng, False)
         for value in (a + b, a + (-a), -a, a - b, multiply(a, b),
-                      multiply(a, -a), a * b):
+                      multiply(a, -a), a * b, a.scale(MPoly.var("A") - 1),
+                      3 * a, a * 0):
             assert value.group is W
             assert all(type(c) is MPoly and not c.is_zero()
                        for c in value.terms.values())
         assert (a + (-a)).is_zero() and not (a + (-a)).terms
+        assert a.scale(0).is_zero() and not a.scale(MPoly.zero()).terms
 
 
 @pytest.mark.parametrize("with_T", [False, True])
@@ -184,6 +186,87 @@ def test_cyclic_products_match_oracle(spec):
             for lhs, rhs in ((a, b), (b, a), (a, eu), (eu, b)):
                 assert (multiply(lhs, rhs, with_T=with_T).terms
                         == multiply_per_term(lhs, rhs, with_T).terms)
+
+
+def frame_cases():
+    """(a, b, with_T) of products of fourteen packing shapes: b2 and
+    cyclic:7, with_T off and on, and three kinds of pair: integer
+    coefficients (8-bit fields), the same with a K1 the coefficients do not
+    use, and a factor scaled by the 255th power of a parameter (16-bit
+    fields); with_T off, also a factor scaled by T, whose variable tuple is
+    that of the integer pair with with_T on."""
+    k1, t = MPoly.var("K1"), MPoly.var("T")
+    cases = []
+    for spec in ("b2", "cyclic:7"):
+        W = build_group(spec)
+        heavy = MPoly.var(W.param_names()[0]) ** 255
+        rng = random.Random(zlib.crc32(f"frames/{spec}".encode()))
+        for with_T in (False, True):
+            a, b = random_element(W, rng, 3), random_element(W, rng, 3)
+            wide = PBWElement(W, {key: c + k1 - k1 for key, c in a.terms.items()})
+            cases += [(a, b, with_T), (wide, b, with_T),
+                      (a.scale(heavy), b, with_T), (b, a.scale(heavy), with_T)]
+            if not with_T:
+                cases.append((a.scale(t), b, with_T))
+    return cases
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_products_of_interleaved_shapes_match_oracle(order, monkeypatch):
+    # each shape keeps its own frame, and a frame's tables do not depend on
+    # the products that filled them before
+    import chered.cherednik as cherednik
+    cherednik._frame.cache_clear()
+    real, shapes = cherednik._frame, []
+
+    def recording(W, nv, bits, with_T):
+        shapes.append((W.spec, nv, bits, with_T))
+        return real(W, nv, bits, with_T)
+
+    monkeypatch.setattr(cherednik, "_frame", recording)
+    cases = frame_cases()
+    if order == "reversed":
+        cases.reverse()
+    for a, b, with_T in cases:
+        assert (multiply(a, b, with_T=with_T).terms
+                == multiply_per_term(a, b, with_T).terms)
+    assert len(set(shapes)) == 14
+    assert {bits for _, _, bits, _ in shapes} == {8, 16}
+    assert any("K1" in nv for _, nv, _, _ in shapes)
+
+
+def table_sizes(frame) -> dict:
+    """The number of entries of each table of a frame."""
+    sizes = {}
+    for name in type(frame).__slots__:
+        table = getattr(frame, name)
+        if isinstance(table, dict):
+            sizes[name] = len(table)
+        elif isinstance(table, list):
+            sizes[name] = [len(t) for t in table]
+    return sizes
+
+
+@pytest.mark.parametrize("with_T", [False, True])
+def test_repeated_product_adds_no_table_entry(with_T, monkeypatch):
+    import chered.cherednik as cherednik
+    real, frames = cherednik._frame, []
+
+    def recording(*shape):
+        frames.append(real(*shape))
+        return frames[-1]
+
+    monkeypatch.setattr(cherednik, "_frame", recording)
+    W = build_group("b2")
+    eu = euler_element(W)
+    eu2 = multiply(eu, eu, with_T=with_T)
+    for a, b in ((eu, eu), (eu2, eu), (eu, eu2)):
+        product = multiply(a, b, with_T=with_T)
+        sizes = table_sizes(frames[-1])
+        assert sizes["corrections"] and any(sizes["dual_steps"])
+        assert multiply(a, b, with_T=with_T) == product
+        assert frames[-1] is frames[-2]
+        assert table_sizes(frames[-1]) == sizes
 
 
 @pytest.mark.parametrize("spec", GROUPS)

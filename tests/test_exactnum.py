@@ -9,14 +9,31 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from chered.exactnum import (Cyclotomic, canon_scalar, cyclotomic_polynomial,
-                             primitive_root, scalar_div, scalar_pow,
-                             trace_pairing)
+from chered.exactnum import (Cyclotomic, _polydiv_exact, canon_scalar,
+                             cyclotomic_polynomial, primitive_root, scalar_div,
+                             scalar_pow, trace_pairing)
 from chered.multipoly import MPoly
 from chered.reflgrp import build_group, character_table, param_map
 from chered.verma import omega_table
 from oracles import (cyclotomic_coordinates, cyclotomic_galois,
                      cyclotomic_inverse, cyclotomic_lift, cyclotomic_mul)
+
+
+@pytest.mark.parametrize("num, den", [([1, 1], [0, 2]), ([1, 0, 1], [1, 1])],
+                         ids=["leading-coefficient", "remainder"])
+def test_polydiv_exact_refuses_an_inexact_division(num, den):
+    # 1 + x by 2x fails at the leading coefficient, 1 + x^2 by 1 + x leaves
+    # the remainder 2
+    with pytest.raises(ArithmeticError, match="non-exact division"):
+        _polydiv_exact(num, den)
+
+
+def test_inverse_refuses_a_norm_that_is_not_rational(monkeypatch):
+    # with the Galois conjugate of z3 forged to z3 itself, the norm is z3^2
+    import chered.exactnum as exactnum
+    monkeypatch.setattr(exactnum, "_galois", lambda e, num, a: num)
+    with pytest.raises(ArithmeticError, match="norm of z3 is not rational"):
+        primitive_root(3).inverse()
 
 
 def assert_canonical(x):
@@ -493,7 +510,7 @@ def test_trace_pairing_matches_galois_conjugates(case):
     if outside is not None:
         seq = xs if outside == "xs" else ys
         seq.insert(min(at, len(seq)), _outside_field(e))
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match=r"is not in Q\(z"):
             trace_pairing(xs, ys, e)
         return
     result = trace_pairing(xs, ys, e)

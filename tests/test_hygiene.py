@@ -2,9 +2,11 @@
 imported from the module that defines it (by the tests too), every name
 of a module's ``__all__`` is defined there, every function, class, method
 and top-level constant it defines is used, every annotated field of its
-classes is read, no check is an assert statement, and a group is told
-apart by its spec only where an allow-list says why."""
+classes is read, no check is an assert statement, every ArithmeticError
+the package raises has a test that provokes it by its message, and a group
+is told apart by its spec only where an allow-list says why."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -234,6 +236,75 @@ def group_tests(source: str) -> list[str]:
     return sorted(found)
 
 
+def raise_messages(source: str) -> list[tuple[int, list]]:
+    """(line, parts) of each `raise ArithmeticError(message)` of a module:
+    the message as its literal runs in order, with None for each field of
+    an f-string; no part for a message of any other form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "ArithmeticError"):
+            continue
+        message = node.exc.args[0] if node.exc.args else None
+        if isinstance(message, ast.JoinedStr):
+            parts = [part.value if isinstance(part, ast.Constant) else None
+                     for part in message.values]
+        elif (isinstance(message, ast.Constant)
+              and isinstance(message.value, str)):
+            parts = [message.value]
+        else:
+            parts = []
+        found.append((node.lineno, parts))
+    return found
+
+
+def raises_patterns(source: str) -> list[str]:
+    """The string patterns of the `pytest.raises(ArithmeticError,
+    match=...)` calls of a test module."""
+    return [keyword.value.value
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "raises" and node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "ArithmeticError"
+            for keyword in node.keywords
+            if keyword.arg == "match"
+            and isinstance(keyword.value, ast.Constant)]
+
+
+def names_message(pattern: str, parts: list) -> bool:
+    """Whether a pattern names a message of the given parts: it matches
+    within one literal run, or its text, with backslash escapes undone,
+    starts at a word of a run that a field follows and holds the next run
+    (stripped) after that.  A field may hold any text, so whether the rest
+    agrees is left to the test when it runs."""
+    if any(run is not None and re.search(pattern, run) for run in parts):
+        return True
+    text = re.sub(r"\\(\W)", r"\1", pattern)
+    for k, run in enumerate(parts[:-1]):
+        if not run or parts[k + 1] is not None:
+            continue
+        later = next((r.strip() for r in parts[k + 2:] if r is not None), "")
+        for word in re.finditer(r"\b\w", run):
+            head = run[word.start():]
+            if text.startswith(head) and later in text[len(head):]:
+                return True
+    return False
+
+
+def untested_raises(sources: dict[str, str],
+                    tests: dict[str, str]) -> list[str]:
+    """"module:line" of each `raise ArithmeticError` of the package whose
+    message no `pytest.raises(ArithmeticError, match=...)` of the tests
+    names: a loud check that no test provokes may never fire."""
+    patterns = [p for src in tests.values() for p in raises_patterns(src)]
+    return [f"{mod}:{line}" for mod, src in sources.items()
+            for line, parts in raise_messages(src)
+            if not any(names_message(p, parts) for p in patterns)]
+
+
 def test_scanner_flags_unused_and_honours_all():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -377,6 +448,45 @@ def test_scanner_flags_asserts():
     assert assert_lines(source) == [2, 8]
 
 
+def test_scanner_flags_untested_raises():
+    sources = {"a": ("def f(x, n):\n"
+                     "    if x:\n"
+                     "        raise ArithmeticError('it is not exact')\n"
+                     "    if n:\n"
+                     "        raise ArithmeticError(f'degree {n} of {x} is'\n"
+                     "                              f' not one, but {x}')\n"
+                     "    raise ArithmeticError(f'norm of {x} is not 1')\n"
+                     "def g(message):\n"
+                     "    raise ArithmeticError(message)\n"
+                     "    raise ArithmeticError(f'{message} {message}')\n"
+                     "    raise ArithmeticError('caught as a ValueError')\n"
+                     "    raise ValueError('not exact')\n")}
+    tests = {"test_a": ("import pytest\n"
+                        "def test_f():\n"
+                        "    with pytest.raises(ArithmeticError,\n"
+                        "                       match='not exact'):\n"
+                        "        pass\n"
+                        "    with pytest.raises(ArithmeticError,\n"
+                        "                       match=r'degree 3 of'\n"
+                        "                             r' \\(y\\) is not one'):\n"
+                        "        pass\n"
+                        "    with pytest.raises(ArithmeticError, match='norm is'):\n"
+                        "        pass\n"
+                        "    with pytest.raises(ArithmeticError, match='norm of z'):\n"
+                        "        pass\n"
+                        "    with pytest.raises(ValueError, match='a ValueError'):\n"
+                        "        pass\n"
+                        "    with pytest.raises(ArithmeticError):\n"
+                        "        pass\n")}
+    # a pattern may fill a field with any text, but must reach the text
+    # after it; a message that is not a string, or is no more than its
+    # fields, has no text to name
+    assert untested_raises(sources, tests) == ["a:7", "a:9", "a:10", "a:11"]
+    tests["test_b"] = ("import pytest\n"
+                       "pytest.raises(ArithmeticError, match=r'of \\d is not 1')\n")
+    assert untested_raises(sources, tests) == ["a:9", "a:10", "a:11"]
+
+
 # Public functions that only the tests and the benchmark call.  Any other
 # function of the package that only tests reach belongs in tests/oracles.py.
 TEST_ONLY_API = {
@@ -436,6 +546,12 @@ GROUP_TESTS = {
     "cli._cells_for":
         "B2 cells and rank-1 cells are separate constructions",
 }
+
+
+def test_every_arithmetic_error_is_provoked():
+    tests = {p.name: p.read_text() for p in TEST_FILES}
+    assert untested_raises({p.stem: p.read_text() for p in MODULES},
+                           tests) == []
 
 
 def test_group_tests_are_allowed():

@@ -310,6 +310,15 @@ def test_param_convert_c_k_c_roundtrip(spec, data):
         assert canon_scalar(got.constant_value()) == kv[lab]
 
 
+def test_character_table_refuses_a_repeated_character():
+    W = build_group("cyclic:3")
+    chars = character_table(W)
+    assert chars[0].name == "eps^0"
+    with pytest.raises(ArithmeticError,
+                       match=r"characters eps\^0, eps\^0 are not orthonormal"):
+        reflgrp._check_character_table(W, (chars[0], chars[0], chars[2]))
+
+
 def test_certificate_checks_survive_python_O():
     # a character table with a repeated row is not orthonormal
     code = ("import sys\n"

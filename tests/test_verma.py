@@ -61,6 +61,31 @@ def test_module_dimensions():
         assert mod.dim == W.order() * chi.degree
 
 
+def test_invariants_refuse_a_degree_without_one():
+    # cyclic:3 forged with the invariant degree 2: x^2 averages to 0
+    W = replace_fields(build_group("cyclic:3"), degrees=(2,))
+    with pytest.raises(ArithmeticError, match="no invariant of degree 2"):
+        _reynolds_invariants(W)
+
+
+# b2 forged with the degrees (2, 2) finds x^2 + y^2 twice, whose quotient
+# has the graded dimension 1, 2, 2; cyclic:2 forged with the degree 4 gets
+# the right graded dimension of a quotient of dimension 4, not |W| = 2.
+# A forged group differs from the built one, so the cache misses it.
+@pytest.mark.parametrize("spec, degrees, got, expect", [
+    ("b2", (2, 2), "1, 2, 2", "1, 2, 1"),
+    ("cyclic:2", (4,), "1, 1, 1, 1", "1, 1, 1, 1"),
+], ids=["b2", "cyclic:2"])
+def test_coinvariant_basis_refuses_a_wrong_graded_dimension(spec, degrees,
+                                                            got, expect):
+    W = replace_fields(build_group(spec), degrees=degrees)
+    with pytest.raises(ArithmeticError,
+                       match="coinvariant basis has graded dimension") as info:
+        coinvariant_basis(W)
+    assert str(info.value).endswith(
+        f" [{got}], expected [{expect}] (|W| = {W.order()})")
+
+
 def test_modules_compare_by_identity():
     W = build_group("cyclic:2")
     mod = build_baby_verma(W, character_table(W)[1])
@@ -159,7 +184,7 @@ def test_omega_requires_scalar_action():
     W = build_group("b2")
     chars = character_table(W)
     s = PBWElement.group_gen(W, W.index_of("s"))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="nilpotency check"):
         omega(s, chars[4])
 
 
