@@ -6,9 +6,10 @@ Each relation of Z is written once, as a function of its generators that
 works in any ring with +, - and *:
 
 - `_rank1_relation(t, ks, x, y)` is prod_j (t - d K_j) - x y.  With t = eu,
-  the C-forms of the K_j and x, y = X, Y in the PBW algebra it is the
-  residue that `verify_rank1_center` checks; with t, X and Y variables and
-  the K-forms of `param_map` it is the rank-1 minimal polynomial.
+  x, y = X, Y in the PBW algebra over the idempotent basis of the group
+  algebra and the K-forms of `param_map` it is the residue that
+  `verify_rank1_center` checks; with t, X and Y variables and the same
+  K-forms it is the rank-1 minimal polynomial.
 - `_b2_relations(g)` gives Z1-Z9 as pairs (lhs, rhs), each lhs a monomial
   in eu, eu', eu'' and delta.  With the PBW generators,
   `verify_b2_relations` reports lhs - rhs; with `MPoly.var` generators,
@@ -26,7 +27,8 @@ import functools
 from operator import ge, mul, sub
 
 from .multipoly import MPoly, charpoly_berkowitz
-from .reflgrp import ReflectionGroup, build_group, character_table, param_map
+from .reflgrp import (ReflectionGroup, build_group, character_table,
+                      idempotent_basis, param_map)
 from .cherednik import (PBWElement, center_presentation,
                         named_center_generators, noncommuting_generator,
                         residue_summary)
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 
-RANK1_DEGREES = range(2, 8)
+RANK1_DEGREES = range(2, 9)
 
 
 def _rank1_relation(t, ks, x, y):
@@ -54,19 +56,17 @@ def _rank1_relation(t, ks, x, y):
 
 def verify_rank1_center(d: int) -> dict:
     """Check prod_{j=0}^{d-1} (eu - d K_j) = X Y in the cyclic algebra of
-    order d, for d in RANK1_DEGREES.  The product is taken in
-    C-coordinates, with each K_j written as its C-linear form from the rows
-    of `param_map`."""
+    order d, for d in RANK1_DEGREES.  The product is taken over the
+    idempotent basis of the group algebra (`idempotent_basis`), where every
+    structure constant is a rational linear form in the K-coordinates and
+    each K_j is its form from `param_map`."""
     if d not in RANK1_DEGREES:
         raise ValueError(
-            "the rank-1 center identity is supported for"
-            f" {RANK1_DEGREES[0]} <= d <= {RANK1_DEGREES[-1]}, got d = {d};"
-            " d = 8 waits for the idempotent basis of the group algebra"
-            " (ROADMAP item 2)")
+            "the rank-1 center identity is supported, and tested, for"
+            f" {RANK1_DEGREES[0]} <= d <= {RANK1_DEGREES[-1]}, got d = {d}")
     W = build_group(f"cyclic:{d}")
-    ks = [sum((MPoly.var(label) * coeff for label, coeff in row), MPoly.zero())
-          for _, row in param_map(W).k_rows]
-    g = named_center_generators(W)
+    g = named_center_generators(idempotent_basis(W))
+    ks = list(param_map(W).k_forms.values())
     return _report(f"prod(eu - {d}*K_j) = X*Y",
                    _rank1_relation(g["eu"], ks, g["X"], g["Y"]))
 
@@ -125,7 +125,7 @@ def _centrality_residue(z: PBWElement) -> dict:
     one commutator per generator tried."""
     found = noncommuting_generator(z)
     if found is None:
-        return {"residue": PBWElement.zero(z.group)}
+        return {"residue": PBWElement.zero(z.basis)}
     name, comm = found
     return {"residue": comm, "generator": name}
 

@@ -3,11 +3,17 @@ T-deformation): normal-form elements k[params] (x) k[V] (x) kW (x) k[V*],
 straightening, Euler element, centrality search, bigrading, and the Poisson
 bracket on the center.
 
-Normal words are triples (V-monomial, group element, V*-monomial) with
-coefficients that are polynomials in the reflection parameters C_s.  An
-element carries its group and its terms, and nothing else: the T-deformation
-is a product, `multiply(a, b, with_T=True)`, not a kind of element.
-Straightening rests on one commutation rule, for v in V and xi in V*:
+Normal words are triples (V-monomial, basis element, V*-monomial) over a
+basis of the group algebra kW.  An element carries that basis and its terms,
+and nothing else: the T-deformation is a product,
+`multiply(a, b, with_T=True)`, not a kind of element.  The basis is the
+group itself, whose elements take coefficients that are polynomials in the
+reflection parameters C_s, or, for a cyclic group, its primitive
+idempotents (`reflgrp.idempotent_basis`), which take polynomials in the
+K_j.  The engine reads the group algebra only through what a basis answers
+(its unit, b * m and m * b for a monomial m, the products of two basis
+elements and [xi, v]), and never asks which basis it has.  Straightening
+rests on one commutation rule, for v in V and xi in V*:
 
     [xi, v] = -T<v,xi> - sum_s C_s <s(v)-v, xi> s
 
@@ -18,21 +24,26 @@ a V*-monomial for the action on baby Verma modules (`verma`).
 
 For the order-2 cyclic group, s acts by -1, so <s(v)-v, xi> = -2:
 
->>> from chered.reflgrp import build_group
+>>> from chered.reflgrp import build_group, idempotent_basis
 >>> W = build_group("cyclic:2")
 >>> xi, v = PBWElement.dual_gen(W, 0), PBWElement.v_gen(W, 0)
 >>> print(multiply(xi, v, with_T=True) - multiply(v, xi, with_T=True))
 -T + 2*C1*s
 >>> print(commutator(xi, v))
 2*C1*s
+
+In the idempotent basis, s = e_0 - e_1 and C1 = 2 K1:
+
+>>> B = idempotent_basis(W)
+>>> print(commutator(PBWElement.dual_gen(B, 0), PBWElement.v_gen(B, 0)))
+4*K1*e_0 - 4*K1*e_1
 """
 from __future__ import annotations
 
 from functools import lru_cache, partial
 
 from .exactnum import canon_scalar, format_power, format_sum, power
-from .multipoly import MPoly, _field_bits, _packing
-from .reflgrp import ReflectionGroup
+from .multipoly import MPoly, _field_bits, _packing, _product
 
 __all__ = [
     "PBWElement",
@@ -48,16 +59,20 @@ __all__ = [
 ]
 
 
+# keyed by the basis itself, not by its spec: a group that differs from
+# another in its matrices, and the idempotent basis of a group, keep their
+# own corrections
 _STRAIGHTEN_CACHE: dict = {}
 
 
 class PBWElement:
-    """An element of the algebra in PBW normal form."""
+    """An element of the algebra in PBW normal form, over a basis of the
+    group algebra: a `ReflectionGroup` or an `IdempotentBasis`."""
 
-    __slots__ = ("group", "terms")
+    __slots__ = ("basis", "terms")
 
-    def __init__(self, group: ReflectionGroup, terms=None):
-        self.group = group
+    def __init__(self, basis, terms=None):
+        self.basis = basis
         self.terms = {}
         if terms:
             for key, c in terms.items():
@@ -68,50 +83,59 @@ class PBWElement:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(W):
-        return PBWElement(W, {})
+    def zero(B):
+        return PBWElement(B, {})
 
     @staticmethod
-    def one(W):
-        return PBWElement(W, {_unit_key(W): MPoly.const(1)})
+    def one(B):
+        return PBWElement.unit_monomial(B, _zeros(B), _zeros(B))
 
     @staticmethod
-    def v_gen(W, i: int):
+    def v_gen(B, i: int):
         """The i-th coordinate of V as an element."""
-        p = tuple(1 if k == i else 0 for k in range(W.dim))
-        return PBWElement.monomial(W, p, W.identity, _zeros(W))
+        p = tuple(1 if k == i else 0 for k in range(B.dim))
+        return PBWElement.unit_monomial(B, p, _zeros(B))
 
     @staticmethod
-    def dual_gen(W, i: int):
-        q = tuple(1 if k == i else 0 for k in range(W.dim))
-        return PBWElement.monomial(W, _zeros(W), W.identity, q)
+    def dual_gen(B, i: int):
+        q = tuple(1 if k == i else 0 for k in range(B.dim))
+        return PBWElement.unit_monomial(B, _zeros(B), q)
 
     @staticmethod
-    def group_gen(W, g: int):
-        return PBWElement.monomial(W, _zeros(W), g, _zeros(W))
+    def group_gen(B, g: int):
+        return PBWElement.monomial(B, _zeros(B), g, _zeros(B))
 
     @staticmethod
-    def monomial(W, vexp, g, dexp, coeff=1):
-        return PBWElement(W, {(tuple(vexp), g, tuple(dexp)): MPoly._coerce(coeff)})
+    def monomial(B, vexp, g, dexp, coeff=1):
+        return PBWElement(B, {(tuple(vexp), g, tuple(dexp)): MPoly._coerce(coeff)})
 
     @staticmethod
-    def _of(group, terms: dict) -> "PBWElement":
+    def unit_monomial(B, vexp, dexp, coeff=1):
+        """coeff x^vexp xi^dexp, with the unit of the group algebra between:
+        one word per basis element of the unit."""
+        c = MPoly._coerce(coeff)
+        return PBWElement(B, {(tuple(vexp), u, tuple(dexp)): c
+                              for u in B.unit()})
+
+    @staticmethod
+    def _of(basis, terms: dict) -> "PBWElement":
         """The element with the given terms, taken as they are: each
         coefficient a nonzero MPoly, and the dict is not shared."""
         result = PBWElement.__new__(PBWElement)
-        result.group = group
+        result.basis = basis
         result.terms = terms
         return result
 
     def _like(self, terms) -> "PBWElement":
-        """An element of the same group with the given terms."""
-        return PBWElement(self.group, terms)
+        """An element over the same basis with the given terms."""
+        return PBWElement(self.basis, terms)
 
     # -- linear structure --------------------------------------------------
 
     def _check_compat(self, other):
-        if self.group is not other.group:
-            raise ValueError("elements of different groups")
+        if self.basis is not other.basis:
+            raise ValueError("elements of different groups, or over"
+                             " different bases of one group algebra")
 
     def __add__(self, other):
         if isinstance(other, PBWElement):
@@ -124,13 +148,13 @@ class PBWElement:
                     out.pop(key, None)
                 else:
                     out[key] = s
-            return PBWElement._of(self.group, out)
+            return PBWElement._of(self.basis, out)
         return self + self._scalar(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PBWElement._of(self.group,
+        return PBWElement._of(self.basis,
                               {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -143,16 +167,31 @@ class PBWElement:
 
     def _scalar(self, c) -> "PBWElement":
         """The scalar c times the unit, in the algebra of self."""
-        return self._like({_unit_key(self.group): c})
+        B = self.basis
+        return PBWElement.unit_monomial(B, _zeros(B), _zeros(B), c)
 
     def scale(self, c) -> "PBWElement":
-        # coefficients are polynomials over a field, so no product of two
-        # nonzero ones is zero
+        """c times self.  A one-term c shifts and scales each coefficient's
+        terms, aligned once per variable tuple of the coefficients; a c of
+        several terms multiplies each coefficient.  Coefficients are
+        polynomials over a field, so no product of two nonzero ones is
+        zero."""
         c = MPoly._coerce(c)
         if c.is_zero():
-            return PBWElement._of(self.group, {})
-        return PBWElement._of(self.group,
-                              {k: c * v for k, v in self.terms.items()})
+            return PBWElement._of(self.basis, {})
+        if len(c.terms) > 1:
+            return PBWElement._of(self.basis,
+                                  {k: c * v for k, v in self.terms.items()})
+        aligned: dict = {}          # variables of a coefficient -> (nv, c)
+        out = {}
+        for key, v in self.terms.items():
+            shift = aligned.get(v.vars)
+            if shift is None:
+                nv = MPoly._merge_vars(c, v)
+                shift = aligned[v.vars] = (nv, c._aligned(nv))
+            nv, cc = shift
+            out[key] = MPoly._of(nv, _product(cc, v._aligned(nv)))
+        return PBWElement._of(self.basis, out)
 
     def __mul__(self, other):
         if isinstance(other, PBWElement):
@@ -165,7 +204,7 @@ class PBWElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of an algebra element")
-        return power(self, n) if n else PBWElement.one(self.group)
+        return power(self, n) if n else PBWElement.one(self.basis)
 
     def __eq__(self, other):
         if isinstance(other, PBWElement):
@@ -180,7 +219,7 @@ class PBWElement:
 
     def __str__(self):
         def pair(key):
-            c, word = self.terms[key], _word_str(self.group, key)
+            c, word = self.terms[key], _word_str(self.basis, key)
             if word == "1":
                 return str(c), ""
             return f"({c})" if len(c.terms) > 1 else str(c), word
@@ -195,22 +234,18 @@ def _word_order(key):
     return (sum(p) + sum(q), key)
 
 
-def _word_str(W, key) -> str:
-    """A normal word (p, g, q) as text, e.g. "y^2*s*x"; the unit is "1"."""
-    p, g, q = key
-    factors = [format_power(name, e) for name, e in zip(W.v_names, p) if e]
-    if g != W.identity:
-        factors.append(W.names[g])
-    factors += [format_power(name, e) for name, e in zip(W.dual_names, q) if e]
+def _word_str(B, key) -> str:
+    """A normal word (p, b, q) as text, e.g. "y^2*s*x"; the unit is "1"."""
+    p, b, q = key
+    factors = [format_power(name, e) for name, e in zip(B.v_names, p) if e]
+    if (b,) != B.unit():
+        factors.append(B.names[b])
+    factors += [format_power(name, e) for name, e in zip(B.dual_names, q) if e]
     return "*".join(factors) if factors else "1"
 
 
-def _zeros(W):
-    return (0,) * W.dim
-
-
-def _unit_key(W):
-    return (_zeros(W), W.identity, _zeros(W))
+def _zeros(B):
+    return (0,) * B.dim
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +253,17 @@ def _unit_key(W):
 # ---------------------------------------------------------------------------
 
 
-def _straighten(W: ReflectionGroup, side: str, i: int, mono: tuple,
-                with_T: bool):
+def _straighten(B, side: str, i: int, mono: tuple, with_T: bool):
     """Correction terms of g * mono - mono * g, as a list of
-    (coeff MPoly, monomial, group element index).
+    (coeff MPoly, monomial, basis element index), over the basis B of the
+    group algebra.
 
     On side "dual" g is the i-th V* coordinate and mono a V-monomial (the PBW
     engine); on side "v" g is the i-th V coordinate and mono a V*-monomial
     (the baby Verma modules).  Peeling the first variable u of mono,
-    g (u rest) = u (g rest) + [g, u] rest, and s rest = s(rest) s."""
-    key = (W.spec, side, i, mono, with_T)
+    g (u rest) = u (g rest) + [g, u] rest, and b rest = c rest' b' for each
+    basis element b of [g, u] (`B.b_mono`)."""
+    key = (B, side, i, mono, with_T)
     cached = _STRAIGHTEN_CACHE.get(key)
     if cached is not None:
         return cached
@@ -237,28 +273,25 @@ def _straighten(W: ReflectionGroup, side: str, i: int, mono: tuple,
     j = next(k for k, e in enumerate(mono) if e)
     rest = tuple(e - (1 if k == j else 0) for k, e in enumerate(mono))
     # [g, u] is [xi, v] on side "dual" and [v, xi] = -[xi, v] on side "v",
-    # where the monomial, and so s(rest), lives on the V* side
+    # where the monomial, and so b(rest), lives on the V* side
     dual = side == "v"
-    sign, v, xi = (1, i, j) if dual else (-1, j, i)
-    extras = []
+    sign, v, xi = (-1, i, j) if dual else (1, j, i)
+    bracket = [(c * sign, b) for c, b in B.bracket(xi, v)]
     if with_T and v == xi:
-        extras.append((sign * MPoly.var("T"), rest, W.identity))
-    for refl in W.reflections:
-        pairing = canon_scalar(W.matrices[refl.index][xi][v] - (1 if xi == v else 0))
-        if pairing == 0:
-            continue
-        scalar, image = W.act_monomial(refl.index, rest, dual=dual)
-        extras.append((MPoly.var(refl.param) * (sign * pairing * scalar),
-                       image, refl.index))
+        bracket += [(MPoly.var("T") * -sign, u) for u in B.unit()]
+    extras = []
+    for c, b in bracket:
+        scalar, image, b = B.b_mono(b, rest, dual)
+        extras.append((c if scalar == 1 else c * scalar, image, b))
     # u * (corrections of g * rest)
-    for c, m, g in _straighten(W, side, i, rest, with_T):
+    for c, m, b in _straighten(B, side, i, rest, with_T):
         lifted = tuple(e + (1 if k == j else 0) for k, e in enumerate(m))
-        extras.append((c, lifted, g))
+        extras.append((c, lifted, b))
     merged: dict = {}
-    for c, m, g in extras:
-        prev = merged.get((m, g))
-        merged[(m, g)] = c if prev is None else prev + c
-    result = tuple((c, m, g) for (m, g), c in merged.items() if not c.is_zero())
+    for c, m, b in extras:
+        prev = merged.get((m, b))
+        merged[(m, b)] = c if prev is None else prev + c
+    result = tuple((c, m, b) for (m, b), c in merged.items() if not c.is_zero())
     _STRAIGHTEN_CACHE[key] = result
     return result
 
@@ -267,50 +300,54 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     """Exact product in PBW normal form: in the t = 0 algebra, or in its
     T-deformation, where [xi, v] gains the term -T<v, xi>, when with_T is set.
 
-    A term c x^p g xi^q of a contributes c x^p (g (xi^q b)).  Terms of a
-    that share their V*-part q share xi^q b, and terms that share (g, q)
-    share g xi^q b, so each is computed once per call: the V* coordinates
-    commute, so xi^q b = xi_i (xi^(q - e_i) b) for the first i with q_i > 0
-    reuses the shorter chain.  Multiplying by x^p only shifts V-exponents.
+    A term c x^p g xi^q of a contributes c x^p (g (xi^q b)), g a basis
+    element.  Terms of a that share their V*-part q share xi^q b, and terms
+    that share (g, q) share g xi^q b, so each is computed once per call: the
+    V* coordinates commute, so xi^q b = xi_i (xi^(q - e_i) b) for the first
+    i with q_i > 0 reuses the shorter chain.  Multiplying by x^p only shifts
+    V-exponents.
 
     Inside one call a term is one int key and one scalar.  The key packs,
     from the highest field down, the V*-exponents q, the exponents of the
     coefficient monomial over one sorted variable tuple (the variables of
-    every coefficient of a and b, the group's parameters, and T when with_T
-    is set), the V-exponents p and the group element (`multipoly._packing`).
-    A shift by x^p, the image g^{-1}(xi_i) of a dual coordinate and a
+    every coefficient of a and b, the basis's parameters, and T when with_T
+    is set), the V-exponents p and the basis element (`multipoly._packing`).
+    A shift by x^p, the move of a dual coordinate past a basis element and a
     straightening correction are then one int addition each; they depend
     only on the low fields (p, g) of a key, and are memoised as packed
-    deltas in the `_Frame` of the call's shape (group, variable tuple, field
+    deltas in the `_Frame` of the call's shape (basis, variable tuple, field
     width, with_T), which every later product of that shape reuses.  One
     unpacking at the end builds one `MPoly` per word.
 
     The fields need no overflow check.  Call |p| + |q| + 2 deg(e) the weight
     of a term.  [xi, v] = -T<v,xi> - sum_s C_s <s(v)-v, xi> s trades one x
-    and one xi for one T or C_s, and the group permutes coordinates up to
-    scalars, so a term of the product weighs at most a term of a plus a
-    term of b.  Every field is at most that sum, and the group field at most
-    |W| - 1."""
+    and one xi for one T or one parameter (C_s, or a K_j in the idempotent
+    basis), and a basis element moves past a monomial up to a scalar, so a
+    term of the product weighs at most a term of a plus a term of b.  Every
+    field is at most that sum, and the basis field at most the number of
+    basis elements less one."""
     a._check_compat(b)
-    W = a.group
+    B = a.basis
     if not a.terms or not b.terms:
         return a._like({})
-    names = set(W.param_names())
+    names = set(B.param_names())
     if with_T:
         names.add("T")
     for elem in (a, b):
         for c in elem.terms.values():
             names.update(c.vars)
     nv = tuple(sorted(names))
-    d, n = W.dim, len(nv)
+    d, n = B.dim, len(nv)
     weight = sum(max(sum(p) + sum(q) + 2 * max(map(sum, c.terms))
                      for (p, _, q), c in elem.terms.items())
                  for elem in (a, b))
-    frame = _frame(W, nv, _field_bits(max(weight, W.order() - 1)), with_T)
+    frame = _frame(B, nv, _field_bits(max(weight, B.order() - 1)), with_T)
     low_mask, coeff_keys, v_keys = (frame.low_mask, frame.coeff_keys,
                                     frame.v_keys)
-    dual_keys, dual_steps, group_steps = (frame.dual_keys, frame.dual_steps,
-                                          frame.group_steps)
+    dual_keys, dual_steps, basis_steps = (frame.dual_keys, frame.dual_steps,
+                                          frame.basis_steps)
+    unit = B.unit()
+    one = unit[0] if len(unit) == 1 else None
 
     def packed(elem):
         out = {}
@@ -337,13 +374,16 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
                 out[k] = cc * c if prev is None else prev + cc * c
         return {k: c for k, c in out.items() if c != 0}
 
-    def lmul_group(g, elem):
-        """g * elem, which maps distinct words to distinct words."""
+    def lmul_basis(g, elem):
+        """g * elem, which maps distinct words to distinct words, or to
+        zero."""
         out: dict = {}
-        steps = group_steps[g]
+        steps = basis_steps[g]
         for key, c in elem.items():
-            scalar, delta = steps[key & low_mask]
-            out[key + delta] = c if scalar == 1 else scalar * c
+            step = steps[key & low_mask]
+            if step is not None:
+                scalar, delta = step
+                out[key + delta] = c if scalar == 1 else scalar * c
         return out
 
     def chain_of(q):
@@ -355,7 +395,7 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
         """g xi^q b."""
         g, q = key
         piece = chains[q]
-        return piece if g == W.identity else lmul_group(g, piece)
+        return piece if g == one else lmul_basis(g, piece)
 
     chains = _Memo(chain_of)
     chains[(0,) * d] = packed(b)
@@ -386,26 +426,27 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     for word, t in words.items():
         fields = unpack(word)
         result[(fields[d + n:2 * d + n], fields[-1], fields[:d])] = MPoly._of(nv, t)
-    return PBWElement._of(W, result)
+    return PBWElement._of(B, result)
 
 
 class _Frame:
     """The tables of `multiply` that depend only on the shape of its packed
-    keys: the group W, the sorted variable tuple nv, the field width bits
+    keys: the basis B, the sorted variable tuple nv, the field width bits
     and with_T.  They map a coefficient exponent, a V-monomial and a
     V*-monomial to its packed key and a packed coefficient back to its
     exponents; (i, p) to the straightening corrections of xi_i x^p; and the
-    low fields (p, g) of a key to the step of xi_i, or of a group element,
-    past them.  An entry follows from the shape and its key alone, so a
-    frame gives the same products whichever products filled it, and
-    `_frame` keeps the frames of the shapes a process uses."""
+    low fields (p, g) of a key to the step of xi_i, or of a basis element,
+    past them (None for a basis element whose product with g vanishes).  An
+    entry follows from the shape and its key alone, so a frame gives the
+    same products whichever products filled it, and `_frame` keeps the
+    frames of the shapes a process uses."""
 
     __slots__ = ("unpack", "low_mask", "coeff_mask", "word_mask",
                  "coeff_keys", "coeff_exps", "v_keys", "dual_keys",
-                 "corrections", "dual_steps", "group_steps")
+                 "corrections", "dual_steps", "basis_steps")
 
-    def __init__(self, W: ReflectionGroup, nv: tuple, bits: int, with_T: bool):
-        d, n = W.dim, len(nv)
+    def __init__(self, B, nv: tuple, bits: int, with_T: bool):
+        d, n = B.dim, len(nv)
         pack, unpack = _packing(2 * d + n + 1, bits)
         zq, ze = (0,) * d, (0,) * n
         self.unpack = unpack
@@ -416,6 +457,7 @@ class _Frame:
         self.coeff_exps = _Memo(lambda k: unpack(k)[d:d + n])
         self.v_keys = v_keys = _Memo(lambda p: pack((*zq, *ze, *p, 0)))
         self.dual_keys = dual_keys = _Memo(lambda q: pack((*q, *ze, *zq, 0)))
+        mult = B.mult_table
 
         def low_fields(low):
             fields = unpack(low)
@@ -427,39 +469,43 @@ class _Frame:
             coefficient."""
             i, p = key
             return [(v_keys[mono] - v_keys[p] + coeff_keys[e], s, v)
-                    for cc, mono, s in _straighten(W, "dual", i, p, with_T)
+                    for cc, mono, s in _straighten(B, "dual", i, p, with_T)
                     for e, v in cc._aligned(nv).items()]
 
         self.corrections = _Memo(straightened)
 
         def dual_step(i, low):
-            """xi_i x^p g = x^p g g^{-1}(xi_i) + corrections, as the scalar
-            and delta of the first term and the (delta, scalar) of the
-            corrections."""
+            """xi_i x^p g = x^p g' xi' + corrections, as the scalar and delta
+            of the first term and the (delta, scalar) of the corrections
+            x^m s g whose product s g does not vanish."""
             p, g = low_fields(low)
             xi = tuple(1 if k == i else 0 for k in range(d))
-            scalar, qi = W.act_monomial(W.inverse[g], xi, dual=True)
-            mult = W.mult_table
-            return (scalar, dual_keys[qi],
-                    [(delta + mult[s][g] - g, v)
-                     for delta, s, v in self.corrections[(i, p)]])
+            scalar, h, qi = B.mono_b(xi, g, dual=True)
+            return (scalar, dual_keys[qi] + h - g,
+                    [(delta + sg - g, v)
+                     for delta, s, v in self.corrections[(i, p)]
+                     for sg in (mult[s][g],) if sg is not None])
 
-        def group_step(g, low):
-            """g x^p w = scalar x^p' gw, as the scalar and the delta."""
+        def basis_step(g, low):
+            """g x^p w = scalar x^p' g' w, as the scalar and the delta, or
+            None when g' w vanishes."""
             p, w = low_fields(low)
-            scalar, image = W.act_monomial(g, p, dual=False)
-            return scalar, v_keys[image] + W.mult_table[g][w] - low
+            scalar, image, h = B.b_mono(g, p, dual=False)
+            hw = mult[h][w]
+            if hw is None:
+                return None
+            return scalar, v_keys[image] + hw - low
 
         self.dual_steps = [_Memo(partial(dual_step, i)) for i in range(d)]
-        self.group_steps = [_Memo(partial(group_step, g))
-                            for g in range(W.order())]
+        self.basis_steps = [_Memo(partial(basis_step, g))
+                            for g in range(B.order())]
 
 
-# keyed by the group itself, not by its spec, so that a group which differs
-# from another in its matrices builds its own frame (whose corrections still
-# come from `_straighten`, cached by spec).  A process meets a few shapes;
-# the bound keeps rare ones (a new variable tuple per call, say) from piling
-# up, and an evicted frame is rebuilt on its next use.
+# keyed by the basis itself, not by its spec, so that a group which differs
+# from another in its matrices, or the idempotent basis of a group, builds
+# its own frame.  A process meets a few shapes; the bound keeps rare ones (a
+# new variable tuple per call, say) from piling up, and an evicted frame is
+# rebuilt on its next use.
 _frame = lru_cache(maxsize=64)(_Frame)
 
 
@@ -481,23 +527,24 @@ def commutator(a: PBWElement, b: PBWElement) -> PBWElement:
     return multiply(a, b) - multiply(b, a)
 
 
-def algebra_generators(W: ReflectionGroup) -> dict:
-    """The generating set: V coordinates, V* coordinates, and the group
-    generators of the group's builder."""
+def algebra_generators(B) -> dict:
+    """The generating set: V coordinates, V* coordinates, and the
+    generators of the group algebra that the basis B names (for a group,
+    those of its builder)."""
     gens = {}
-    for i, name in enumerate(W.v_names):
-        gens[name] = PBWElement.v_gen(W, i)
-    for i, name in enumerate(W.dual_names):
-        gens[name] = PBWElement.dual_gen(W, i)
-    for name in W.generators:
-        gens[name] = PBWElement.group_gen(W, W.index_of(name))
+    for i, name in enumerate(B.v_names):
+        gens[name] = PBWElement.v_gen(B, i)
+    for i, name in enumerate(B.dual_names):
+        gens[name] = PBWElement.dual_gen(B, i)
+    for name in B.generators:
+        gens[name] = PBWElement.group_gen(B, B.index_of(name))
     return gens
 
 
 def noncommuting_generator(z: PBWElement):
     """(name, [z, gen]) for the first algebra generator gen that z does not
     commute with, or None when z is central."""
-    for name, gen in algebra_generators(z.group).items():
+    for name, gen in algebra_generators(z.basis).items():
         comm = commutator(z, gen)
         if not comm.is_zero():
             return name, comm
@@ -509,32 +556,37 @@ def noncommuting_generator(z: PBWElement):
 # ---------------------------------------------------------------------------
 
 
-def euler_element(W: ReflectionGroup) -> PBWElement:
-    """eu = sum_i v_i xi_i + sum_s C_s s."""
+def euler_element(B) -> PBWElement:
+    """eu = sum_i v_i xi_i + sum_s C_s s, over the basis B of the group
+    algebra (`B.euler_terms` writes sum_s C_s s in it)."""
     terms: dict = {}
-    for i in range(W.dim):
-        p = tuple(1 if k == i else 0 for k in range(W.dim))
-        terms[(p, W.identity, p)] = MPoly.const(1)
-    for refl in W.reflections:
-        key = (_zeros(W), refl.index, _zeros(W))
-        terms[key] = terms.get(key, MPoly.zero()) + MPoly.var(refl.param)
-    return PBWElement(W, terms)
+    zeros = _zeros(B)
+    for i in range(B.dim):
+        p = tuple(1 if k == i else 0 for k in range(B.dim))
+        for u in B.unit():
+            terms[(p, u, p)] = MPoly.const(1)
+    for c, g in B.euler_terms():
+        terms[(zeros, g, zeros)] = c
+    return PBWElement(B, terms)
 
 
-def named_center_generators(W: ReflectionGroup) -> dict:
+def named_center_generators(B) -> dict:
     """Named central elements: eu for all groups; for B2 also eu', eu'',
     delta and the embedded invariants sigma, pi, Sigma, Pi; for cyclic the
-    embedded invariants X = x^d (V* side) and Y = y^d (V side)."""
-    return dict(center_presentation(W)[0])
+    embedded invariants X = x^d (V* side) and Y = y^d (V side).  Over the
+    basis B of the group algebra: the group, or a cyclic group's
+    idempotents."""
+    return dict(center_presentation(B)[0])
 
 
 @lru_cache(maxsize=None)
-def center_presentation(W: ReflectionGroup) -> tuple:
+def center_presentation(W) -> tuple:
     """(generators, names, basis): the named central elements
     {name: PBWElement}, and the basis of Z as a free module over the
     invariant subalgebra P, each element a tuple of exponents over the
-    generators `names`.  Cached per group; the result is shared and must
-    not be changed.
+    generators `names`.  W is a basis of the group algebra (the group, or a
+    cyclic group's idempotents, for rank 1).  Cached per basis; the result
+    is shared and must not be changed.
 
     Rank 1, order d: {1, eu, ..., eu^(d-1)}.
     B2: {1, eu, eu^2, delta, delta eu, delta eu^2, eu', eu''}.
@@ -542,8 +594,8 @@ def center_presentation(W: ReflectionGroup) -> tuple:
     gens = {"eu": euler_element(W)}
     if W.spec != "b2":
         d = W.order()
-        gens["X"] = PBWElement.monomial(W, (0,), W.identity, (d,))
-        gens["Y"] = PBWElement.monomial(W, (d,), W.identity, (0,))
+        gens["X"] = PBWElement.unit_monomial(W, (0,), (d,))
+        gens["Y"] = PBWElement.unit_monomial(W, (d,), (0,))
         return gens, ("eu",), tuple((i,) for i in range(d))
     A, B = MPoly.var("A"), MPoly.var("B")
     idx = W.index_of
@@ -597,7 +649,7 @@ def residue_summary(elem: PBWElement) -> dict:
     the bidegrees that occur."""
     leading = sorted(elem.terms, key=_word_order, reverse=True)[:3]
     return {"terms": len(elem.terms),
-            "leading_words": [_word_str(elem.group, key) for key in leading],
+            "leading_words": [_word_str(elem.basis, key) for key in leading],
             "bidegrees": sorted(_bidegrees(elem))}
 
 

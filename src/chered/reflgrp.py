@@ -14,10 +14,15 @@ irreducible representation as the images of the generators.
 for the matrices of each representation; everything else, the character
 table included, is computed from them.
 
-The records `Reflection`, `ReflectionGroup`, `Character` and `ParamMap`
-(and `cmcells`' partitions) are slotted and immutable, on the base
-`_Record`: each field is set once, and setting or deleting one raises
-AttributeError.  A group hashes by its spec.
+A basis of the group algebra, for the PBW engine of `cherednik`, is either
+the group itself (its elements, with coefficients in the C-coordinates) or,
+for a cyclic group, `idempotent_basis` (its primitive idempotents, with
+coefficients in the K-coordinates).
+
+The records `Reflection`, `ReflectionGroup`, `Character`, `ParamMap` and
+`IdempotentBasis` (and `cmcells`' partitions) are slotted and immutable, on
+the base `_Record`: each field is set once, and setting or deleting one
+raises AttributeError.  A group hashes by its spec.
 
 >>> W = build_group("b2")
 >>> (len(W.names), len(W.reflections), W.degrees)
@@ -40,9 +45,11 @@ __all__ = [
     "ReflectionGroup",
     "Character",
     "ParamMap",
+    "IdempotentBasis",
     "build_group",
     "character_table",
     "param_map",
+    "idempotent_basis",
     "check_param_labels",
     "param_convert",
     "fake_degree",
@@ -237,6 +244,37 @@ class ReflectionGroup(_Record):
                 scalar = scalar * (c ** k if k > 1 else c)
             out[row] += k
         return canon_scalar(scalar), tuple(out)
+
+    # the group as a basis of its group algebra (`cherednik`) -------------
+
+    def unit(self) -> tuple[int, ...]:
+        """The basis elements whose sum is the unit: the identity alone."""
+        return (self.identity,)
+
+    def b_mono(self, g: int, mono: tuple, dual: bool):
+        """g * mono as (scalar, mono', g'): g mono = g(mono) g."""
+        return (*self.act_monomial(g, mono, dual), g)
+
+    def mono_b(self, mono: tuple, g: int, dual: bool):
+        """mono * g as (scalar, g', mono'): mono g = g g^-1(mono)."""
+        scalar, image = self.act_monomial(self.inverse[g], mono, dual)
+        return scalar, g, image
+
+    def bracket(self, i: int, j: int) -> tuple:
+        """[xi_i, v_j] at t = 0 as ((coefficient, element), ...):
+        -sum_s C_s <s(v_j) - v_j, xi_i> s."""
+        out = []
+        for refl in self.reflections:
+            pairing = canon_scalar(self.matrices[refl.index][i][j]
+                                   - (1 if i == j else 0))
+            if pairing != 0:
+                out.append((MPoly.var(refl.param) * -pairing, refl.index))
+        return tuple(out)
+
+    def euler_terms(self) -> tuple:
+        """The group-algebra part sum_s C_s s of the Euler element, as
+        ((coefficient, element), ...)."""
+        return tuple((MPoly.var(r.param), r.index) for r in self.reflections)
 
 
 class Character(_Record):
@@ -629,6 +667,112 @@ def param_map(W: ReflectionGroup) -> ParamMap:
         for param, form in c_forms.items())
     return ParamMap(MappingProxyType(k_forms), MappingProxyType(c_forms),
                     c_rows, tuple(k_rows))
+
+
+class IdempotentBasis(_Record):
+    """The primitive idempotents e_j = (1/d) sum_i z^(-ij) s^i of the group
+    algebra of the cyclic group of order d, z = z_d, as a basis for the PBW
+    engine (`cherednik`), with coefficients in the K-coordinates.
+
+    It answers what the engine asks of a basis, as a `ReflectionGroup` does
+    for its elements: the unit sum_j e_j, the moves e_j y^a = y^a e_(j-a)
+    and e_j x^a = x^a e_(j+a) (from s y = z y s and s x = z^-1 x s), the
+    products e_i e_j = delta_ij e_i, and, from C_i = sum_k z^(i(k-1)) K_k
+    and sum_k K_k = 0,
+
+        [x, y] = d sum_j (K_(1-j) - K_(-j)) e_j,
+        sum_s C_s s = d sum_j K_(1-j) e_j,
+
+    indices mod d.  Every structure constant is rational, so a product in
+    this basis does no `Cyclotomic` arithmetic.  A basis differs from its
+    group under == and as a cache key."""
+
+    spec: str                  # of its group
+    dim: int                   # 1
+    names: tuple[str, ...]     # "e_0", ..., "e_(d-1)"
+    generators: tuple[str, ...]  # all of names
+    v_names: tuple[str, ...]
+    dual_names: tuple[str, ...]
+    mult_table: tuple          # mult_table[i][j] = i if i == j, else None
+    commutator: tuple          # [x, y] as ((K-form, j), ...)
+    euler: tuple               # sum_s C_s s as ((K-form, j), ...)
+
+    __slots__ = ("spec", "dim", "names", "generators", "v_names",
+                 "dual_names", "mult_table", "commutator", "euler")
+
+    def __init__(self, spec, dim, names, generators, v_names, dual_names,
+                 mult_table, commutator, euler):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "v_names", v_names)
+        object.__setattr__(self, "dual_names", dual_names)
+        object.__setattr__(self, "mult_table", mult_table)
+        object.__setattr__(self, "commutator", commutator)
+        object.__setattr__(self, "euler", euler)
+
+    def _key(self):
+        return (self.spec, self.names, self.commutator, self.euler)
+
+    def __hash__(self):
+        # the K-forms are not hashable; equal bases have equal specs
+        return hash((self.spec, self.names))
+
+    def index_of(self, name: str) -> int:
+        return self.names.index(name)
+
+    def order(self) -> int:
+        return len(self.names)
+
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(sorted({v for c, _ in self.euler for v in c.vars}))
+
+    def unit(self) -> tuple[int, ...]:
+        return tuple(range(len(self.names)))
+
+    def b_mono(self, j: int, mono: tuple, dual: bool):
+        """e_j * mono as (scalar, mono', e_j')."""
+        a = mono[0] if dual else -mono[0]
+        return 1, mono, (j + a) % len(self.names)
+
+    def mono_b(self, mono: tuple, j: int, dual: bool):
+        """mono * e_j as (scalar, e_j', mono')."""
+        a = -mono[0] if dual else mono[0]
+        return 1, (j + a) % len(self.names), mono
+
+    def bracket(self, i: int, j: int) -> tuple:
+        """[x, y] at t = 0 (i = j = 0: the one coordinate of each side)."""
+        return self.commutator
+
+    def euler_terms(self) -> tuple:
+        return self.euler
+
+
+@functools.lru_cache(maxsize=None)
+def idempotent_basis(W: ReflectionGroup) -> IdempotentBasis:
+    """The idempotent basis of the group algebra of W, with the K-forms of
+    `param_map(W)`, for a group whose irreducible representations are all
+    lines (the cyclic groups); ValueError for any other group.
+
+    >>> B = idempotent_basis(build_group("cyclic:2"))
+    >>> [(str(c), B.names[j]) for c, j in B.commutator]
+    [('4*K1', 'e_0'), ('-4*K1', 'e_1')]
+    """
+    if any(len(mats[0]) != 1 for _, mats in W.representations):
+        raise ValueError("the idempotent basis needs a group whose"
+                         f" characters are all linear, got {W.spec}")
+    d = W.order()
+    ks = list(param_map(W).k_forms.values())
+    names = tuple(f"e_{j}" for j in range(d))
+    return IdempotentBasis(
+        spec=W.spec, dim=W.dim, names=names, generators=names,
+        v_names=W.v_names, dual_names=W.dual_names,
+        mult_table=tuple(tuple(i if i == j else None for j in range(d))
+                         for i in range(d)),
+        commutator=tuple((d * (ks[(1 - j) % d] - ks[-j % d]), j)
+                         for j in range(d)),
+        euler=tuple((d * ks[(1 - j) % d], j) for j in range(d)))
 
 
 def check_param_labels(W: ReflectionGroup, values: dict, basis: str) -> None:

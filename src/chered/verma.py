@@ -208,7 +208,7 @@ class BabyVermaModule:
         A word (p, g, q) takes a basis vector of degree k through degree
         k + |q| to degree k + |q| - |p|, so it is applied only where
         |p| <= k + |q| <= top; elsewhere its image is zero."""
-        if z.group is not self.group:
+        if z.basis is not self.group:
             raise ValueError("element belongs to another group")
         W = self.group
         top = sum(d - 1 for d in W.degrees)
@@ -273,7 +273,7 @@ def omega(z: PBWElement, chi: Character) -> MPoly:
     """Omega_chi(z) = trace(z acting on the baby Verma module) / dim, for z
     in the t = 0 algebra, certified by checking that z - Omega_chi(z) acts
     nilpotently."""
-    mod = build_baby_verma(z.group, chi)
+    mod = build_baby_verma(z.basis, chi)
     cols = mod.act(z)
     tr = MPoly.zero()
     for i, col in enumerate(cols):

@@ -4,7 +4,8 @@ center identity, with its own C -> K table, the resultant as a Sylvester
 determinant, the schoolbook polynomial product with tuple keys, the PBW
 product computed one term of the left factor at a time in `MPoly`
 arithmetic (with the element-level left multiplications by a V* coordinate
-and by a group element), the twist of an element by a linear character
+and by a group element), the change from the idempotent basis of a cyclic
+group algebra to its group elements, the twist of an element by a linear character
 and of the families by its tensor product, the b-minimal character of a
 family, the closed form of the central character of eu, the
 multiplication matrix of eu on the P-basis of the B2 center folded by hand
@@ -115,7 +116,7 @@ def substitute_params(elem: PBWElement, mapping: dict) -> PBWElement:
         new = coeff.substitute(mapping)
         if not new.is_zero():
             terms[key] = new
-    return PBWElement(elem.group, terms)
+    return PBWElement(elem.basis, terms)
 
 
 def rank1_k_variables(d: int) -> list:
@@ -139,6 +140,25 @@ def rank1_c_to_k(d: int) -> dict:
             acc = acc + kvars[j] * canon_scalar(z ** (i * (j - 1) % d))
         out[f"C{i}"] = acc
     return out
+
+
+def idempotents_to_group(elem: PBWElement) -> PBWElement:
+    """An element over the idempotent basis of cyclic:d rewritten over the
+    group elements s^i, with e_j = (1/d) sum_i z_d^(-ij) s^i and the
+    coefficients (polynomials in the K_j) kept."""
+    W = build_group(elem.basis.spec)
+    d, s = W.order(), W.index_of("s")
+    z = primitive_root(d)
+    powers = [W.identity]
+    while len(powers) < d:
+        powers.append(W.mult_table[s][powers[-1]])
+    out: dict = {}
+    for (p, j, q), c in elem.terms.items():
+        for i, g in enumerate(powers):
+            term = c * scalar_div(canon_scalar(z ** (-i * j % d)), d)
+            prev = out.get((p, g, q))
+            out[(p, g, q)] = term if prev is None else prev + term
+    return PBWElement(W, out)
 
 
 def rank1_partial_products_per_factor(d: int) -> list:
@@ -257,7 +277,7 @@ def multiply_per_term(a: PBWElement, b: PBWElement,
     coordinate and by a group element: the reference for `multiply`, which
     shares work between the terms of a and sums coefficients in flat maps."""
     a._check_compat(b)
-    W = a.group
+    W = a.basis
     result = a._like({})
     for (p, g, q), c in a.terms.items():
         piece = b
@@ -283,7 +303,7 @@ def multiply_per_term(a: PBWElement, b: PBWElement,
 def twist_by_linear_char(gamma, z: PBWElement) -> PBWElement:
     """The automorphism attached to a linear character: fixes V and V*,
     multiplies a group term w by gamma(w), and rescales C_s by gamma(s)^{-1}."""
-    W = z.group
+    W = z.basis
     if gamma.degree != 1:
         raise ValueError("twist requires a linear character")
     subs = {}
@@ -585,7 +605,7 @@ def dense_omega(z: PBWElement, chi):
     """(trace / dim of the dense action, whether z - trace / dim acts
     nilpotently), the nilpotency found by squaring until the exponent
     reaches the dimension."""
-    mod = build_baby_verma(z.group, chi)
+    mod = build_baby_verma(z.basis, chi)
     mat = dense_act(mod, z)
     n = mod.dim
     tr = MPoly.zero()

@@ -3,7 +3,7 @@ Euler element, and its congruence with the central characters."""
 import pytest
 
 from chered.multipoly import MPoly
-from chered.reflgrp import build_group
+from chered.reflgrp import build_group, idempotent_basis
 from chered.cherednik import (PBWElement, algebra_generators,
                               center_presentation, commutator, multiply,
                               named_center_generators, residue_summary)
@@ -14,14 +14,15 @@ from chered.center import (_b2_multiplication_matrix,
                            verify_b2_relations, verify_rank1_center)
 from chered.reflgrp import param_map
 from chered.verma import omega_table
-from oracles import (b2_euler_matrix_by_hand, rank1_c_to_k,
+from oracles import (b2_euler_matrix_by_hand, idempotents_to_group,
+                     rank1_c_to_k, rank1_k_variables,
                      rank1_partial_products_per_factor, substitute_params)
 
 # eu, eu', eu'' and delta: the generators of Z over P that the B2 basis uses
 _, _Z_NAMES, _ = center_presentation(build_group("b2"))
 
 
-@pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7))
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7, 8))
 def test_rank1_center_relation(d):
     report = verify_rank1_center(d)
     assert report["status"] is True, report
@@ -58,9 +59,27 @@ def test_rank1_k_native_product_matches_per_factor_oracle(d):
             assert coeff == want.terms[key], (m, key)
 
 
-@pytest.mark.parametrize("d", (1, 8, 9))
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7))
+def test_rank1_idempotent_product_matches_per_factor_oracle(d):
+    """For every m <= d, the product of the first m factors eu - d K_j over
+    the idempotent basis, rewritten over the group elements, equals the
+    oracle's first m factors term by term."""
+    B = idempotent_basis(build_group(f"cyclic:{d}"))
+    eu = named_center_generators(B)["eu"]
+    expected = rank1_partial_products_per_factor(d)
+    prod = PBWElement.one(B)
+    for m, (k, want) in enumerate(zip(rank1_k_variables(d), expected),
+                                  start=1):
+        prod = multiply(prod, eu - PBWElement.one(B).scale(d * k))
+        got = idempotents_to_group(prod)
+        assert set(got.terms) == set(want.terms), m
+        for key, coeff in got.terms.items():
+            assert coeff == want.terms[key], (m, key)
+
+
+@pytest.mark.parametrize("d", (1, 9))
 def test_rank1_center_range(d):
-    with pytest.raises(ValueError, match="ROADMAP item 2"):
+    with pytest.raises(ValueError, match="2 <= d <= 8"):
         verify_rank1_center(d)
 
 

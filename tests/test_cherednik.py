@@ -6,12 +6,13 @@ import zlib
 import pytest
 
 from chered.multipoly import MPoly
-from chered.reflgrp import build_group, character_table
+from chered.reflgrp import build_group, character_table, idempotent_basis
 from chered.cherednik import (PBWElement, algebra_generators, commutator,
                               euler_element, multiply, named_center_generators,
                               noncommuting_generator, poisson_bracket,
                               residue_summary, z_degree)
-from oracles import multiply_per_term, twist_by_linear_char
+from oracles import (idempotents_to_group, multiply_per_term, rank1_c_to_k,
+                     replace_fields, substitute_params, twist_by_linear_char)
 
 
 GROUPS = ("cyclic:2", "cyclic:3", "cyclic:4", "b2")
@@ -84,7 +85,7 @@ def test_results_hold_only_nonzero_polynomial_coefficients(spec):
         for value in (a + b, a + (-a), -a, a - b, multiply(a, b),
                       multiply(a, -a), a * b, a.scale(MPoly.var("A") - 1),
                       3 * a, a * 0):
-            assert value.group is W
+            assert value.basis is W
             assert all(type(c) is MPoly and not c.is_zero()
                        for c in value.terms.values())
         assert (a + (-a)).is_zero() and not (a + (-a)).terms
@@ -186,6 +187,98 @@ def test_cyclic_products_match_oracle(spec):
             for lhs, rhs in ((a, b), (b, a), (a, eu), (eu, b)):
                 assert (multiply(lhs, rhs, with_T=with_T).terms
                         == multiply_per_term(lhs, rhs, with_T).terms)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_idempotent_basis_matches_group_engine(d):
+    """Every structure constant of the idempotent basis, and a few products
+    with T off and on, rewritten over the group elements, equal the
+    C-coordinate engine's after C -> K."""
+    W = build_group(f"cyclic:{d}")
+    B = idempotent_basis(W)
+    to_k = rank1_c_to_k(d)
+
+    def agree(in_b, in_w):
+        assert idempotents_to_group(in_b) == substitute_params(in_w, to_k)
+
+    x, y = PBWElement.dual_gen(B, 0), PBWElement.v_gen(B, 0)
+    xw, yw = PBWElement.dual_gen(W, 0), PBWElement.v_gen(W, 0)
+    es = [PBWElement.group_gen(B, j) for j in range(d)]
+    ews = [idempotents_to_group(e) for e in es]
+    agree(PBWElement.one(B), PBWElement.one(W))
+    for e, ew in zip(es, ews):
+        agree(multiply(e, y), multiply(ew, yw))
+        agree(multiply(e, x), multiply(ew, xw))
+        agree(multiply(x, e), multiply(xw, ew))
+        for f, fw in zip(es, ews):
+            agree(multiply(e, f), multiply(ew, fw))
+    agree(commutator(x, y), commutator(xw, yw))
+    gens, gens_w = named_center_generators(B), named_center_generators(W)
+    for name in ("eu", "X", "Y"):
+        agree(gens[name], gens_w[name])
+    eu = gens["eu"]
+    k1 = MPoly.var("K1")
+    a = PBWElement.monomial(B, (2,), 1, (1,), k1) + multiply(x, x)
+    for with_T in (False, True):
+        for lhs, rhs in ((eu, a), (a, eu), (a, a)):
+            agree(multiply(lhs, rhs, with_T=with_T),
+                  multiply(idempotents_to_group(lhs),
+                           idempotents_to_group(rhs), with_T=with_T))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:5"])
+def test_idempotent_euler_element_central(spec):
+    B = idempotent_basis(build_group(spec))
+    assert noncommuting_generator(euler_element(B)) is None
+
+
+def test_idempotent_basis_is_not_its_group():
+    W = build_group("cyclic:3")
+    B = idempotent_basis(W)
+    assert B != W and W != B and B is idempotent_basis(W)
+    assert named_center_generators(B)["eu"].basis is B
+    with pytest.raises(ValueError, match="different bases"):
+        PBWElement.one(B) + PBWElement.one(W)
+    with pytest.raises(ValueError, match="characters are all linear"):
+        idempotent_basis(build_group("b2"))
+
+
+def test_straightening_is_kept_per_group_not_per_spec():
+    """A group forged from cyclic:3, each matrix replaced by its inverse's,
+    shares the spec but not the algebra: its product x y^2 is the same
+    whether or not the built group multiplied the same words first."""
+    import chered.cherednik as cherednik
+    W = build_group("cyclic:3")
+    forged = replace_fields(
+        W, matrices=tuple(W.matrices[g] for g in W.inverse),
+        dual_matrices=tuple(W.dual_matrices[g] for g in W.inverse))
+
+    def x_y2(G):
+        return multiply(PBWElement.dual_gen(G, 0), PBWElement.v_gen(G, 0) ** 2)
+
+    def fresh():
+        cherednik._STRAIGHTEN_CACHE.clear()
+        cherednik._frame.cache_clear()
+
+    fresh()
+    before = x_y2(forged)
+    fresh()
+    built = x_y2(W)
+    assert built.terms != before.terms
+    assert x_y2(forged).terms == before.terms
+
+
+def test_scale_by_one_term_matches_coefficient_products():
+    W = build_group("b2")
+    rng = random.Random(zlib.crc32(b"scale"))
+    elem = sharing_element(W, rng, True) + euler_element(W) ** 2
+    for c in (MPoly.var("A") ** 2 * 3, MPoly.var("T"), MPoly.const(-1),
+              MPoly.var("K1") * MPoly.var("B"), MPoly.var("A") + 1, 5):
+        want = {k: MPoly._coerce(c) * v for k, v in elem.terms.items()}
+        got = elem.scale(c).terms
+        assert got == want
+        assert all(got[k].vars == want[k].vars for k in want)
+    assert elem.scale(0).terms == {}
 
 
 def frame_cases():

@@ -285,8 +285,8 @@ def test_usage_error_exit_code(capsys, argv):
 
 
 def test_rank1_range_error_names_missing_piece(capsys):
-    code, _, err = run(capsys, "verify", "center", "--group", "cyclic:8")
-    assert code == 2 and "2 <= d <= 7" in err and "ROADMAP item 2" in err
+    code, _, err = run(capsys, "verify", "center", "--group", "cyclic:9")
+    assert code == 2 and "2 <= d <= 8" in err
 
 
 def test_handlers_return_data_and_print_nothing(capsys):
@@ -362,7 +362,7 @@ def test_poisson_euler_eigenvector(capsys):
 
 def test_poisson_failed_eigenvector_check_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("chered.cli.poisson_bracket",
-                        lambda z1, z2: PBWElement.zero(z1.group))
+                        lambda z1, z2: PBWElement.zero(z1.basis))
     code, out, _ = run(capsys, "poisson", "--group", "b2",
                        "--lhs", "eu", "--rhs", "eu'", "--json")
     assert code == 1

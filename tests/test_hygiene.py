@@ -4,7 +4,8 @@ of a module's ``__all__`` is defined there, every function, class, method
 and top-level constant it defines is used, every annotated field of its
 classes is read, no check is an assert statement, every ArithmeticError
 the package raises has a test that provokes it by its message, and a group
-is told apart by its spec only where an allow-list says why."""
+is told apart by its spec only where an allow-list says why, and a basis of
+the group algebra by its class nowhere."""
 import ast
 import re
 from pathlib import Path
@@ -204,7 +205,10 @@ def group_tests(source: str) -> list[str]:
     a comparison with a string or a tuple, list or set of strings, or a
     `.startswith(...)` call on the attribute or with it as an argument.  A
     comparison of two attributes (`chi.group_spec != W.spec`, say) is not
-    such a test, nor is one of a bare name."""
+    such a test, nor is one of a bare name.  A test of which basis of the
+    group algebra a value is counts too: `isinstance` against a class of
+    BASIS_CLASSES (alone or in a tuple), and `type(...)` compared with one
+    by `is`, `is not`, `==` or `!=`."""
     def attribute(node):
         return isinstance(node, ast.Attribute) and node.attr in ("spec", "group")
 
@@ -213,10 +217,28 @@ def group_tests(source: str) -> list[str]:
             return bool(node.elts) and all(map(literal, node.elts))
         return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
+    def basis_class(node):
+        if isinstance(node, ast.Tuple):
+            return any(map(basis_class, node.elts))
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return name in BASIS_CLASSES
+
+    def called(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+
     def tests_group(node):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            return any(map(attribute, operands)) and any(map(literal, operands))
+            if any(map(attribute, operands)) and any(map(literal, operands)):
+                return True
+            return (all(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                        for op in node.ops)
+                    and any(called(op, "type") for op in operands)
+                    and any(map(basis_class, operands)))
+        if called(node, "isinstance"):
+            return len(node.args) == 2 and basis_class(node.args[1])
         return (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "startswith"
@@ -432,8 +454,15 @@ def test_scanner_flags_group_tests():
               "class C:\n"
               "    def g(self):\n"
               "        return self.group != 'b2'\n"
-              "SPEC = build('b2').spec == 'b2'\n")
-    assert group_tests(source) == ["", "C.g"] + ["f"] * 5
+              "SPEC = build('b2').spec == 'b2'\n"
+              "def h(B, x):\n"
+              "    if isinstance(B, ReflectionGroup): pass\n"
+              "    if isinstance(B, (int, reflgrp.IdempotentBasis)): pass\n"
+              "    if type(B) is IdempotentBasis: pass\n"
+              "    if ReflectionGroup != type(B): pass\n"
+              "    if isinstance(x, Fraction) or type(x) is Fraction: pass\n"
+              "    if B.order() is ReflectionGroup: pass\n")
+    assert group_tests(source) == ["", "C.g"] + ["f"] * 5 + ["h"] * 4
 
 
 def test_scanner_flags_asserts():
@@ -529,6 +558,11 @@ def test_no_unread_fields():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_asserts(path):
     assert assert_lines(path.read_text()) == []
+
+
+# The classes of a basis of the group algebra, which the PBW engine reads
+# without telling them apart (`group_tests`).
+BASIS_CLASSES = ("ReflectionGroup", "IdempotentBasis")
 
 
 # The tests of a group's spec that remain outside `reflgrp.build_group` (the

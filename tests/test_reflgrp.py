@@ -15,8 +15,8 @@ from chered.cherednik import euler_element
 from chered.cmcells import b2_cells, cm_families
 from chered.reflgrp import (build_group, b_invariant,
                             character_table, fake_degree, galois_orbits,
-                            inner_product, param_convert, param_map,
-                            value_on_element)
+                            idempotent_basis, inner_product, param_convert,
+                            param_map, value_on_element)
 from chered.verma import omega, omega_table
 from oracles import rank1_c_to_k, rank1_k_variables, replace_fields
 
@@ -122,13 +122,16 @@ def test_character_table_refuses_a_missing_character(fresh_character_tables):
         character_table(forged)
 
 
-# one record of each immutable class, built from the b2 group
+# one record of each immutable class, built from the b2 group (the
+# idempotent basis, which b2 does not have, from cyclic:3)
 RECORDS = {"group": lambda W: W,
            "character": lambda W: character_table(W)[4],
            "reflection": lambda W: W.reflections[0],
            "param map": param_map,
            "families": lambda W: cm_families(W, {"A": 1, "B": 2}),
-           "cells": lambda W: b2_cells(1, 2)}
+           "cells": lambda W: b2_cells(1, 2),
+           "idempotent basis":
+               lambda W: idempotent_basis(build_group("cyclic:3"))}
 
 
 @pytest.mark.parametrize("kind", RECORDS)
