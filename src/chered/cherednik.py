@@ -171,17 +171,12 @@ class PBWElement:
         return PBWElement.unit_monomial(B, _zeros(B), _zeros(B), c)
 
     def scale(self, c) -> "PBWElement":
-        """c times self.  A one-term c shifts and scales each coefficient's
-        terms, aligned once per variable tuple of the coefficients; a c of
-        several terms multiplies each coefficient.  Coefficients are
-        polynomials over a field, so no product of two nonzero ones is
-        zero."""
+        """c times self, with c aligned once per variable tuple of the
+        coefficients.  Coefficients are polynomials over a field, so no
+        product of two nonzero ones is zero."""
         c = MPoly._coerce(c)
         if c.is_zero():
             return PBWElement._of(self.basis, {})
-        if len(c.terms) > 1:
-            return PBWElement._of(self.basis,
-                                  {k: c * v for k, v in self.terms.items()})
         aligned: dict = {}          # variables of a coefficient -> (nv, c)
         out = {}
         for key, v in self.terms.items():

@@ -753,7 +753,9 @@ class IdempotentBasis(_Record):
 def idempotent_basis(W: ReflectionGroup) -> IdempotentBasis:
     """The idempotent basis of the group algebra of W, with the K-forms of
     `param_map(W)`, for a group whose irreducible representations are all
-    lines (the cyclic groups); ValueError for any other group.
+    lines (the cyclic groups); ValueError for any other group, and for a
+    cyclic group whose k-th element does not act on V as z^k and on V* as
+    z^-k, the matrices the rules of `IdempotentBasis` are read from.
 
     >>> B = idempotent_basis(build_group("cyclic:2"))
     >>> [(str(c), B.names[j]) for c, j in B.commutator]
@@ -763,6 +765,11 @@ def idempotent_basis(W: ReflectionGroup) -> IdempotentBasis:
         raise ValueError("the idempotent basis needs a group whose"
                          f" characters are all linear, got {W.spec}")
     d = W.order()
+    z = primitive_root(d)
+    if any(W.matrices[k] != ((scalar_pow(z, k),),)
+           or W.dual_matrices[k] != ((scalar_pow(z, -k),),) for k in range(d)):
+        raise ValueError("the idempotent basis needs the k-th element to act"
+                         f" as z^k on V and z^-k on V*, got {W.spec}")
     ks = list(param_map(W).k_forms.values())
     names = tuple(f"e_{j}" for j in range(d))
     return IdempotentBasis(

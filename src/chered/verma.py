@@ -169,8 +169,7 @@ class BabyVermaModule:
                  W.identity),))
             for xi in range(W.dim)]
         self.group_maps = [
-            self._map(lambda mono, g=g: (
-                W.act_monomial(g, mono, dual=True) + (g,),))
+            self._map(lambda mono, g=g: (W.b_mono(g, mono, True),))
             for g in range(W.order())]
         # v * mono = mono * v + the corrections of `_straighten`, and
         # mono * v kills the generator line

@@ -246,7 +246,9 @@ def test_idempotent_basis_is_not_its_group():
 def test_straightening_is_kept_per_group_not_per_spec():
     """A group forged from cyclic:3, each matrix replaced by its inverse's,
     shares the spec but not the algebra: its product x y^2 is the same
-    whether or not the built group multiplied the same words first."""
+    whether or not the built group multiplied the same words first, and it
+    gets no idempotent basis, whose rules read the built group's matrices,
+    even once the built group has one."""
     import chered.cherednik as cherednik
     W = build_group("cyclic:3")
     forged = replace_fields(
@@ -266,9 +268,12 @@ def test_straightening_is_kept_per_group_not_per_spec():
     built = x_y2(W)
     assert built.terms != before.terms
     assert x_y2(forged).terms == before.terms
+    idempotent_basis(W)
+    with pytest.raises(ValueError, match="act as z\\^k on V"):
+        idempotent_basis(forged)
 
 
-def test_scale_by_one_term_matches_coefficient_products():
+def test_scale_matches_coefficient_products():
     W = build_group("b2")
     rng = random.Random(zlib.crc32(b"scale"))
     elem = sharing_element(W, rng, True) + euler_element(W) ** 2
