@@ -59,9 +59,8 @@ __all__ = [
 ]
 
 
-# keyed by the basis itself, not by its spec: a group that differs from
-# another in its matrices, and the idempotent basis of a group, keep their
-# own corrections
+# keyed by the basis object, which is equal only to itself: each basis keeps
+# its own corrections
 _STRAIGHTEN_CACHE: dict = {}
 
 
@@ -496,11 +495,9 @@ class _Frame:
                             for g in range(B.order())]
 
 
-# keyed by the basis itself, not by its spec, so that a group which differs
-# from another in its matrices, or the idempotent basis of a group, builds
-# its own frame.  A process meets a few shapes; the bound keeps rare ones (a
-# new variable tuple per call, say) from piling up, and an evicted frame is
-# rebuilt on its next use.
+# keyed by the basis object, so each basis builds its own frames.  A process
+# meets a few shapes; the bound keeps rare ones (a new variable tuple per
+# call, say) from piling up, and an evicted frame is rebuilt on its next use.
 _frame = lru_cache(maxsize=64)(_Frame)
 
 

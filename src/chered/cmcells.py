@@ -49,37 +49,17 @@ class FamilyPartition(_Record):
 
     __slots__ = ("parameters", "blocks")
 
-    def __init__(self, parameters, blocks):
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "blocks", blocks)
-
-    def _key(self):
-        return (self.parameters, self.blocks)
-
 
 class CellPartition(_Record):
     two_sided: tuple             # of tuples of element names
     left: tuple                  # of tuples of element names
     families: tuple              # per two-sided cell, tuple of char names
     cellular: tuple              # per left cell, {character name: mult}
-    supported: bool              # True unless given
-    note: str                    # "" unless given
+    supported: bool              # False where no cells are described
+    note: str                    # why not, when unsupported; else ""
 
     __slots__ = ("two_sided", "left", "families", "cellular", "supported",
                  "note")
-
-    def __init__(self, two_sided, left, families, cellular, supported=True,
-                 note=""):
-        object.__setattr__(self, "two_sided", two_sided)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "families", families)
-        object.__setattr__(self, "cellular", cellular)
-        object.__setattr__(self, "supported", supported)
-        object.__setattr__(self, "note", note)
-
-    def _key(self):
-        return (self.two_sided, self.left, self.families, self.cellular,
-                self.supported, self.note)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +134,7 @@ def rank1_cells(d: int, k_values) -> CellPartition:
     families = tuple(tuple(sorted(chars[(-i) % d].name for i in cell))
                      for cell in cells)
     cellular = tuple(dict.fromkeys(family, 1) for family in families)
-    return CellPartition(two_sided, two_sided, families, cellular)
+    return CellPartition(two_sided, two_sided, families, cellular, True, "")
 
 
 def b2_cells(a, b) -> CellPartition:
@@ -173,7 +153,7 @@ def b2_cells(a, b) -> CellPartition:
         regular = {"1": 1, "eps": 1, "eps_s": 1, "eps_t": 1, "chi": 2}
         return CellPartition((whole,), (whole,),
                              (("1", "chi", "eps", "eps_s", "eps_t"),),
-                             (regular,))
+                             (regular,), True, "")
     if a != 0 and b != 0 and a * a != b * b:
         two_sided = (("1",), ("s",), ("tst",), ("w0",),
                      ("t", "st", "ts", "sts"))
@@ -182,14 +162,14 @@ def b2_cells(a, b) -> CellPartition:
                 ("t", "st"), ("ts", "sts"))
         cellular = ({"1": 1}, {"eps_s": 1}, {"eps_t": 1}, {"eps": 1},
                     {"chi": 1}, {"chi": 1})
-        return CellPartition(two_sided, left, families, cellular)
+        return CellPartition(two_sided, left, families, cellular, True, "")
     if a != 0 and a == b:
         two_sided = (("1",), ("w0",), ("s", "t", "st", "ts", "sts", "tst"))
         families = (("1",), ("eps",), ("chi", "eps_s", "eps_t"))
         left = (("1",), ("w0",), ("s", "ts", "sts"), ("t", "st", "tst"))
         cellular = ({"1": 1}, {"eps": 1}, {"chi": 1, "eps_s": 1},
                     {"chi": 1, "eps_t": 1})
-        return CellPartition(two_sided, left, families, cellular)
+        return CellPartition(two_sided, left, families, cellular, True, "")
     if a != 0 and a == -b:
         # obtained from the a = b stratum by tensoring with eps_t
         base = b2_cells(a, a)
@@ -201,7 +181,8 @@ def b2_cells(a, b) -> CellPartition:
             dict(sorted((tensor_with_linear(W, n, "eps_t"), m)
                         for n, m in cc.items()))
             for cc in base.cellular)
-        return CellPartition(base.two_sided, base.left, families, cellular)
+        return CellPartition(base.two_sided, base.left, families, cellular,
+                             True, "")
     # a = 0 xor b = 0
     if a == 0:
         families = (("1", "eps_s"), ("eps", "eps_t"), ("chi",))

@@ -22,7 +22,9 @@ coefficients in the K-coordinates).
 The records `Reflection`, `ReflectionGroup`, `Character`, `ParamMap` and
 `IdempotentBasis` (and `cmcells`' partitions) are slotted and immutable, on
 the base `_Record`: each field is set once, and setting or deleting one
-raises AttributeError.  A group hashes by its spec.
+raises AttributeError.  A record is equal only to itself; `build_group`,
+`character_table` and `idempotent_basis` return one object per group, so
+the caches keyed by these records hold one entry per group.
 
 >>> W = build_group("b2")
 >>> (len(W.names), len(W.reflections), W.degrees)
@@ -73,8 +75,6 @@ def mat_mul(a, b):
 
 
 def mat_det(a):
-    if len(a) == 1:
-        return a[0][0]
     return canon_scalar(a[0][0] * a[1][1] - a[0][1] * a[1][0])
 
 
@@ -105,12 +105,30 @@ def mat_rank_of_difference(a):
 
 class _Record:
     """Base of the immutable records: a subclass lists its fields in
-    `__slots__` (and annotates them), sets each once in `__init__` through
-    `object.__setattr__`, and returns from `_key` the tuple of the fields
-    that `==` and the hash compare.  Setting or deleting a field afterwards
-    raises AttributeError."""
+    `__slots__` (and annotates them), and `__init__` binds each of them
+    exactly once, by position in that order or by name.  Setting or
+    deleting a field afterwards raises AttributeError.  A record is equal
+    only to itself, so a cache keyed by a record holds the results of that
+    object alone."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **named):
+        cls, fields = type(self).__name__, type(self).__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{cls} takes the fields {fields}, got"
+                            f" {len(args)} values by position")
+        values = dict(zip(fields, args))
+        for kind, bad in (("repeated", [f for f in named if f in values]),
+                          ("unknown", [f for f in named if f not in fields]),
+                          ("missing", [f for f in fields[len(args):]
+                                       if f not in named])):
+            if bad:
+                raise TypeError(f"{cls}: {kind} fields {bad}; its fields are"
+                                f" {fields}")
+        values.update(named)
+        for name in fields:
+            object.__setattr__(self, name, values[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(
@@ -120,14 +138,6 @@ class _Record:
         raise AttributeError(
             f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 class Reflection(_Record):
     index: int            # element index in the group
@@ -136,15 +146,6 @@ class Reflection(_Record):
     param: str            # C-coordinate name attached to its class
 
     __slots__ = ("index", "orbit", "power", "param")
-
-    def __init__(self, index, orbit, power, param):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "param", param)
-
-    def _key(self):
-        return (self.index, self.orbit, self.power, self.param)
 
 
 class ReflectionGroup(_Record):
@@ -164,8 +165,7 @@ class ReflectionGroup(_Record):
     v_names: tuple[str, ...]   # coordinate names on V
     dual_names: tuple[str, ...]  # coordinate names on V*
     # the names of the generators, each also the name of its element, and
-    # (name, matrix of each element) per irreducible representation; like
-    # every field they follow from the spec, and they are left out of ==
+    # (name, matrix of each element) per irreducible representation
     generators: tuple[str, ...]
     representations: tuple
 
@@ -173,41 +173,6 @@ class ReflectionGroup(_Record):
                  "mult_table", "inverse", "identity", "reflections",
                  "hyperplane_orbits", "conj_classes", "class_of", "degrees",
                  "v_names", "dual_names", "generators", "representations")
-
-    def __init__(self, spec, dim, names, matrices, dual_matrices, mult_table,
-                 inverse, identity, reflections, hyperplane_orbits,
-                 conj_classes, class_of, degrees, v_names, dual_names,
-                 generators, representations):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "dual_matrices", dual_matrices)
-        object.__setattr__(self, "mult_table", mult_table)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "reflections", reflections)
-        object.__setattr__(self, "hyperplane_orbits", hyperplane_orbits)
-        object.__setattr__(self, "conj_classes", conj_classes)
-        object.__setattr__(self, "class_of", class_of)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "v_names", v_names)
-        object.__setattr__(self, "dual_names", dual_names)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "representations", representations)
-
-    def _key(self):
-        return (self.spec, self.dim, self.names, self.matrices,
-                self.dual_matrices, self.mult_table, self.inverse,
-                self.identity, self.reflections, self.hyperplane_orbits,
-                self.conj_classes, self.class_of, self.degrees, self.v_names,
-                self.dual_names)
-
-    def __hash__(self):
-        # equal groups have equal specs, so the spec alone is a hash
-        # consistent with ==, and each lru_cache call on a group reads it
-        # instead of hashing the tables
-        return hash(self.spec)
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -281,24 +246,10 @@ class Character(_Record):
     name: str
     values: tuple              # indexed by conjugacy-class index
     group_spec: str
-    # a representation with these values: its matrix of each element; left
-    # out of ==
+    # a representation with these values: its matrix of each element
     matrices: tuple
 
     __slots__ = ("name", "values", "group_spec", "matrices")
-
-    def __init__(self, name, values, group_spec, matrices):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "group_spec", group_spec)
-        object.__setattr__(self, "matrices", matrices)
-
-    def _key(self):
-        return (self.name, self.values, self.group_spec)
-
-    def __hash__(self):
-        # equal characters have equal names and specs
-        return hash((self.name, self.group_spec))
 
     @property
     def degree(self):
@@ -321,6 +272,8 @@ def build_group(spec: str) -> ReflectionGroup:
     >>> W = build_group("cyclic:3")
     >>> (W.order(), len(W.reflections), W.degrees)
     (3, 2, (3,))
+    >>> build_group("cyclic:03") is build_group("cyclic:3")
+    True
     """
     if spec == "b2":
         return _build_b2()
@@ -625,15 +578,6 @@ class ParamMap(_Record):
 
     __slots__ = ("k_forms", "c_forms", "c_rows", "k_rows")
 
-    def __init__(self, k_forms, c_forms, c_rows, k_rows):
-        object.__setattr__(self, "k_forms", k_forms)
-        object.__setattr__(self, "c_forms", c_forms)
-        object.__setattr__(self, "c_rows", c_rows)
-        object.__setattr__(self, "k_rows", k_rows)
-
-    def _key(self):
-        return (self.k_forms, self.c_forms, self.c_rows, self.k_rows)
-
 
 @functools.lru_cache(maxsize=None)
 def param_map(W: ReflectionGroup) -> ParamMap:
@@ -684,8 +628,7 @@ class IdempotentBasis(_Record):
         sum_s C_s s = d sum_j K_(1-j) e_j,
 
     indices mod d.  Every structure constant is rational, so a product in
-    this basis does no `Cyclotomic` arithmetic.  A basis differs from its
-    group under == and as a cache key."""
+    this basis does no `Cyclotomic` arithmetic."""
 
     spec: str                  # of its group
     dim: int                   # 1
@@ -699,25 +642,6 @@ class IdempotentBasis(_Record):
 
     __slots__ = ("spec", "dim", "names", "generators", "v_names",
                  "dual_names", "mult_table", "commutator", "euler")
-
-    def __init__(self, spec, dim, names, generators, v_names, dual_names,
-                 mult_table, commutator, euler):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "v_names", v_names)
-        object.__setattr__(self, "dual_names", dual_names)
-        object.__setattr__(self, "mult_table", mult_table)
-        object.__setattr__(self, "commutator", commutator)
-        object.__setattr__(self, "euler", euler)
-
-    def _key(self):
-        return (self.spec, self.names, self.commutator, self.euler)
-
-    def __hash__(self):
-        # the K-forms are not hashable; equal bases have equal specs
-        return hash((self.spec, self.names))
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)

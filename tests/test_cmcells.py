@@ -100,6 +100,17 @@ def test_families_cyclic_distinct_k():
     assert len(cm_families(W, param_convert(W, k0, "C")).blocks) == 1
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: rank1_cells(3, [1, -1]), "expected 3 K-values"),
+    (lambda: rank1_cells(3, [1, 1, -1]), "K-values must sum to zero"),
+    (lambda: tensor_with_linear(W2, "1", "chi"),
+     "second factor must be linear"),
+], ids=["rank1-length", "rank1-sum", "tensor-not-linear"])
+def test_cells_reject_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_rank1_cells_examples():
     cp = rank1_cells(3, [0, 1, -1])
     assert cp.two_sided == (("1",), ("s",), ("s^2",))
@@ -177,11 +188,19 @@ def test_b2_cells_zero_parameters():
     assert sum_rule_check(W2, cp)["all"]
 
 
-def test_cell_partition_defaults():
-    cells = CellPartition((), (), (), ())
-    assert cells.supported is True and cells.note == ""
-    assert cells == CellPartition((), (), (), (), True, "")
-    assert cells != CellPartition((), (), (), (), supported=False)
+def test_cell_partition_takes_each_field_once():
+    # every field is given, by position or by name, and none twice
+    cases = [(((), (), (), ()), {}, r"missing fields \['supported', 'note'\]"),
+             (((), (), (), (), True, ""), {"size": 0},
+              r"unknown fields \['size'\]"),
+             (((), (), (), (), True), {"supported": False, "note": ""},
+              r"repeated fields \['supported'\]"),
+             (((), (), (), (), True, "", 0), {}, "got 7 values by position")]
+    for args, named, message in cases:
+        with pytest.raises(TypeError, match=message):
+            CellPartition(*args, **named)
+    cells = CellPartition((), (), (), (), note="", supported=False)
+    assert (cells.supported, cells.note) == (False, "")
 
 
 def test_b2_cells_axis_strata_unsupported():

@@ -21,6 +21,14 @@ def test_basic_arithmetic():
     assert str(x ** 2 - y) == "x^2 - y"
 
 
+def test_constant_value_and_negative_power_are_refused():
+    assert (x - x + 3).constant_value() == 3
+    with pytest.raises(ValueError, match="not a constant polynomial"):
+        (x + 1).constant_value()
+    with pytest.raises(ValueError, match="negative power of a polynomial"):
+        x ** -1
+
+
 def test_repeated_variable_is_rejected():
     # on ("x", "x") the term x*x would multiply by x to x^2 and add x to 2*x
     with pytest.raises(ValueError, match="repeated variable"):

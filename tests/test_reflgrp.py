@@ -13,11 +13,11 @@ from chered.multipoly import MPoly
 from chered import reflgrp
 from chered.cherednik import euler_element
 from chered.cmcells import b2_cells, cm_families
-from chered.reflgrp import (build_group, b_invariant,
+from chered.reflgrp import (_Record, build_group, b_invariant,
                             character_table, fake_degree, galois_orbits,
                             idempotent_basis, inner_product, param_convert,
                             param_map, value_on_element)
-from chered.verma import omega, omega_table
+from chered.verma import build_baby_verma, omega, omega_table
 from oracles import rank1_c_to_k, rank1_k_variables, replace_fields
 
 
@@ -99,24 +99,15 @@ def test_character_tables_orthonormal():
                 assert inner_product(W, chi, psi) == (1 if i == j else 0)
 
 
-@pytest.fixture
-def fresh_character_tables():
-    """A forged group equals the built one (its representations are left
-    out of ==), so the cached character tables are cleared around a test
-    that forges one."""
-    character_table.cache_clear()
-    yield
-    character_table.cache_clear()
-
-
-def test_character_table_refuses_a_missing_character(fresh_character_tables):
+def test_character_table_refuses_a_missing_character():
     # a B2 builder that forgot chi: the four sign characters stay
     # orthonormal, but their degrees squared add up to 4, not |W| = 8
     W = build_group("b2")
     assert W.representations[-1][0] == "chi"
     forged = replace_fields(W, representations=W.representations[:-1])
-    # == leaves out the representations, and a group hashes by its spec
-    assert forged == W and hash(forged) == hash(W)
+    # a record is equal only to itself, so the forged group reads none of
+    # the results cached for W
+    assert forged != W
     with pytest.raises(ArithmeticError,
                        match=r"sum of chi\(1\)\^2 differs from \|W\|"):
         character_table(forged)
@@ -146,18 +137,30 @@ def test_records_are_immutable(kind):
         assert getattr(record, name) is value
     with pytest.raises(AttributeError):
         record.extra = 1
+    # a copy with every field the same is still another record
+    assert replace_fields(record) != record
 
 
-def test_record_equality_leaves_out_the_realizations():
-    # a group's generators and representations, and a character's
-    # matrices, follow from the fields that == compares
+def test_records_name_every_record_class():
     W = build_group("b2")
-    assert replace_fields(W, generators=()) == W
-    assert replace_fields(W, degrees=(2, 2)) != W
+    assert ({type(make(W)) for make in RECORDS.values()}
+            == set(_Record.__subclasses__()))
+
+
+def test_a_forged_record_reads_no_cached_result():
+    # the results cached for the built b2 group and its character chi are
+    # not those of a group or character forged from them
+    W = build_group("b2")
     chi = character_table(W)[4]
+    assert build_baby_verma(W, chi).dim == 16
+    forged = replace_fields(W, representations=W.representations[:-1])
+    with pytest.raises(ArithmeticError,
+                       match=r"sum of chi\(1\)\^2 differs from \|W\|"):
+        character_table(forged)
     forged = replace_fields(chi, matrices=(((1,),),) * W.order())
-    assert forged == chi and hash(forged) == hash(chi)
-    assert replace_fields(chi, values=(2, 0, 0, 0, 0)) != chi
+    with pytest.raises(ArithmeticError,
+                       match="realization of chi has dimension 1"):
+        build_baby_verma(W, forged)
 
 
 def test_builder_refuses_degrees_against_chevalley(monkeypatch):
@@ -200,6 +203,20 @@ def test_fake_degrees_b2():
         f = fake_degree(W, chi)
         assert f == expected[chi.name]
         assert f.substitute({"t": 1}).constant_value() == chi.degree
+
+
+def test_fake_degree_refuses_a_foreign_or_reducible_character():
+    W = build_group("b2")
+    foreign = character_table(build_group("cyclic:3"))[1]
+    with pytest.raises(ValueError,
+                       match="character does not belong to the group"):
+        fake_degree(W, foreign)
+    # the values of 1 + eps_s, whose norm is 2
+    one, eps_s = character_table(W)[:2]
+    forged = replace_fields(one, values=tuple(
+        a + b for a, b in zip(one.values, eps_s.values)))
+    with pytest.raises(ValueError, match="character is not irreducible"):
+        fake_degree(W, forged)
 
 
 def test_fake_degrees_cyclic():
@@ -342,8 +359,8 @@ def test_certificate_checks_survive_python_O():
 
 
 def test_specs_of_one_group_build_one_object():
-    # a second object equal to cyclic:3 would meet the Verma modules that
-    # omega_table cached for the first one, and omega would refuse them
+    # one object per group, so every spelling of its spec reads the results
+    # cached for it
     A = build_group("cyclic:03")
     table = omega_table(build_group("cyclic:3"))
     chi = character_table(A)[1]
@@ -358,3 +375,8 @@ def test_specs_of_one_group_build_one_object():
 def test_param_convert_rejects_inexact_values(values, target):
     with pytest.raises(TypeError, match="must be exact"):
         param_convert(build_group("b2"), values, target)
+
+
+def test_param_convert_rejects_an_unknown_target():
+    with pytest.raises(ValueError, match="target basis must be 'C' or 'K'"):
+        param_convert(build_group("b2"), {"A": 1, "B": 1}, "Q")
