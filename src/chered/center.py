@@ -240,7 +240,7 @@ def euler_charpoly_congruence(W: ReflectionGroup) -> bool:
     gens = named_center_generators(W)
     reduced = f.substitute({n: MPoly.zero() for n in f.vars if n in gens})
     c_forms = param_map(W).c_forms
-    to_k = {c: c_forms[c] for c in W.param_names() if c not in f.vars}
+    to_k = {c: c_forms[c] for c in W.param_names if c not in f.vars}
     prod = MPoly.const(1)
     for chi in character_table(W):
         val = omega(gens["eu"], chi).substitute(to_k)

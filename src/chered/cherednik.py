@@ -5,32 +5,36 @@ bracket on the center.
 
 Normal words are triples (V-monomial, basis element, V*-monomial) over a
 basis of the group algebra kW.  An element carries that basis and its terms,
-and nothing else: the T-deformation is a product,
-`multiply(a, b, with_T=True)`, not a kind of element.  The basis is the
-group itself, whose elements take coefficients that are polynomials in the
-reflection parameters C_s, or, for a cyclic group, its primitive
-idempotents (`reflgrp.idempotent_basis`), which take polynomials in the
-K_j.  The engine reads the group algebra only through what a basis answers
-(its unit, b * m and m * b for a monomial m, the products of two basis
-elements and [xi, v]), and never asks which basis it has.  Straightening
-rests on one commutation rule, for v in V and xi in V*:
+and nothing else.  The basis is the group itself, whose elements take
+coefficients that are polynomials in the reflection parameters C_s, or, for
+a cyclic group, its primitive idempotents (`reflgrp.idempotent_basis`),
+which take polynomials in the K_j.  The engine reads the group algebra only
+through the fields of a basis (`reflgrp._Basis`: its unit, the products of
+two basis elements, its parameters and the brackets [xi_i, v_j]) and its
+moves b * m and m * b past a monomial m, and never asks which basis it has.
+Straightening rests on one commutation rule, for v in V and xi in V*:
 
-    [xi, v] = -T<v,xi> - sum_s C_s <s(v)-v, xi> s
+    [xi, v] = -sum_s C_s <s(v)-v, xi> s
 
-(the T term is dropped at t=0), together with w * v = w(v) * w and
-w * xi = w(xi) * w.  `_straighten` owns the rule: it pushes a V* coordinate
-through a V-monomial for products in normal form, and a V coordinate through
-a V*-monomial for the action on baby Verma modules (`verma`).
+together with w * v = w(v) * w and w * xi = w(xi) * w.  `_straighten` owns
+the rule: it pushes a V* coordinate through a V-monomial for products in
+normal form, and a V coordinate through a V*-monomial for the action on baby
+Verma modules (`verma`).
+
+The T-deformation, where [xi, v] gains the term -T<v, xi>, is one more
+basis, `_deformed(B)`: a copy of B whose brackets carry that term and whose
+parameters include T.  Its only caller is `poisson_bracket`.
 
 For the order-2 cyclic group, s acts by -1, so <s(v)-v, xi> = -2:
 
 >>> from chered.reflgrp import build_group, idempotent_basis
 >>> W = build_group("cyclic:2")
 >>> xi, v = PBWElement.dual_gen(W, 0), PBWElement.v_gen(W, 0)
->>> print(multiply(xi, v, with_T=True) - multiply(v, xi, with_T=True))
--T + 2*C1*s
 >>> print(commutator(xi, v))
 2*C1*s
+>>> D = _deformed(W)
+>>> print(commutator(PBWElement.dual_gen(D, 0), PBWElement.v_gen(D, 0)))
+-T + 2*C1*s
 
 In the idempotent basis, s = e_0 - e_1 and C1 = 2 K1:
 
@@ -114,7 +118,7 @@ class PBWElement:
         one word per basis element of the unit."""
         c = MPoly._coerce(coeff)
         return PBWElement(B, {(tuple(vexp), u, tuple(dexp)): c
-                              for u in B.unit()})
+                              for u in B.unit})
 
     @staticmethod
     def _of(basis, terms: dict) -> "PBWElement":
@@ -232,7 +236,7 @@ def _word_str(B, key) -> str:
     """A normal word (p, b, q) as text, e.g. "y^2*s*x"; the unit is "1"."""
     p, b, q = key
     factors = [format_power(name, e) for name, e in zip(B.v_names, p) if e]
-    if (b,) != B.unit():
+    if (b,) != B.unit:
         factors.append(B.names[b])
     factors += [format_power(name, e) for name, e in zip(B.dual_names, q) if e]
     return "*".join(factors) if factors else "1"
@@ -247,7 +251,7 @@ def _zeros(B):
 # ---------------------------------------------------------------------------
 
 
-def _straighten(B, side: str, i: int, mono: tuple, with_T: bool):
+def _straighten(B, side: str, i: int, mono: tuple):
     """Correction terms of g * mono - mono * g, as a list of
     (coeff MPoly, monomial, basis element index), over the basis B of the
     group algebra.
@@ -257,7 +261,7 @@ def _straighten(B, side: str, i: int, mono: tuple, with_T: bool):
     (the baby Verma modules).  Peeling the first variable u of mono,
     g (u rest) = u (g rest) + [g, u] rest, and b rest = c rest' b' for each
     basis element b of [g, u] (`B.b_mono`)."""
-    key = (B, side, i, mono, with_T)
+    key = (B, side, i, mono)
     cached = _STRAIGHTEN_CACHE.get(key)
     if cached is not None:
         return cached
@@ -270,15 +274,12 @@ def _straighten(B, side: str, i: int, mono: tuple, with_T: bool):
     # where the monomial, and so b(rest), lives on the V* side
     dual = side == "v"
     sign, v, xi = (-1, i, j) if dual else (1, j, i)
-    bracket = [(c * sign, b) for c, b in B.bracket(xi, v)]
-    if with_T and v == xi:
-        bracket += [(MPoly.var("T") * -sign, u) for u in B.unit()]
     extras = []
-    for c, b in bracket:
+    for c, b in B.brackets[xi][v]:
         scalar, image, b = B.b_mono(b, rest, dual)
-        extras.append((c if scalar == 1 else c * scalar, image, b))
+        extras.append((c * (sign * scalar), image, b))
     # u * (corrections of g * rest)
-    for c, m, b in _straighten(B, side, i, rest, with_T):
+    for c, m, b in _straighten(B, side, i, rest):
         lifted = tuple(e + (1 if k == j else 0) for k, e in enumerate(m))
         extras.append((c, lifted, b))
     merged: dict = {}
@@ -290,9 +291,10 @@ def _straighten(B, side: str, i: int, mono: tuple, with_T: bool):
     return result
 
 
-def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElement:
-    """Exact product in PBW normal form: in the t = 0 algebra, or in its
-    T-deformation, where [xi, v] gains the term -T<v, xi>, when with_T is set.
+def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
+    """Exact product in PBW normal form, over the basis of a and b: the
+    t = 0 algebra over a basis of the group algebra, or its T-deformation
+    over `_deformed` of one.
 
     A term c x^p g xi^q of a contributes c x^p (g (xi^q b)), g a basis
     element.  Terms of a that share their V*-part q share xi^q b, and terms
@@ -304,13 +306,13 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     Inside one call a term is one int key and one scalar.  The key packs,
     from the highest field down, the V*-exponents q, the exponents of the
     coefficient monomial over one sorted variable tuple (the variables of
-    every coefficient of a and b, the basis's parameters, and T when with_T
-    is set), the V-exponents p and the basis element (`multipoly._packing`).
+    every coefficient of a and b and the basis's parameters), the
+    V-exponents p and the basis element (`multipoly._packing`).
     A shift by x^p, the move of a dual coordinate past a basis element and a
     straightening correction are then one int addition each; they depend
     only on the low fields (p, g) of a key, and are memoised as packed
     deltas in the `_Frame` of the call's shape (basis, variable tuple, field
-    width, with_T), which every later product of that shape reuses.  One
+    width), which every later product of that shape reuses.  One
     unpacking at the end builds one `MPoly` per word.
 
     The fields need no overflow check.  Call |p| + |q| + 2 deg(e) the weight
@@ -324,9 +326,7 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     B = a.basis
     if not a.terms or not b.terms:
         return a._like({})
-    names = set(B.param_names())
-    if with_T:
-        names.add("T")
+    names = set(B.param_names)
     for elem in (a, b):
         for c in elem.terms.values():
             names.update(c.vars)
@@ -335,12 +335,12 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
     weight = sum(max(sum(p) + sum(q) + 2 * max(map(sum, c.terms))
                      for (p, _, q), c in elem.terms.items())
                  for elem in (a, b))
-    frame = _frame(B, nv, _field_bits(max(weight, B.order() - 1)), with_T)
+    frame = _frame(B, nv, _field_bits(max(weight, B.order() - 1)))
     low_mask, coeff_keys, v_keys = (frame.low_mask, frame.coeff_keys,
                                     frame.v_keys)
     dual_keys, dual_steps, basis_steps = (frame.dual_keys, frame.dual_steps,
                                           frame.basis_steps)
-    unit = B.unit()
+    unit = B.unit
     one = unit[0] if len(unit) == 1 else None
 
     def packed(elem):
@@ -425,8 +425,8 @@ def multiply(a: PBWElement, b: PBWElement, *, with_T: bool = False) -> PBWElemen
 
 class _Frame:
     """The tables of `multiply` that depend only on the shape of its packed
-    keys: the basis B, the sorted variable tuple nv, the field width bits
-    and with_T.  They map a coefficient exponent, a V-monomial and a
+    keys: the basis B, the sorted variable tuple nv and the field width
+    bits.  They map a coefficient exponent, a V-monomial and a
     V*-monomial to its packed key and a packed coefficient back to its
     exponents; (i, p) to the straightening corrections of xi_i x^p; and the
     low fields (p, g) of a key to the step of xi_i, or of a basis element,
@@ -439,7 +439,7 @@ class _Frame:
                  "coeff_keys", "coeff_exps", "v_keys", "dual_keys",
                  "corrections", "dual_steps", "basis_steps")
 
-    def __init__(self, B, nv: tuple, bits: int, with_T: bool):
+    def __init__(self, B, nv: tuple, bits: int):
         d, n = B.dim, len(nv)
         pack, unpack = _packing(2 * d + n + 1, bits)
         zq, ze = (0,) * d, (0,) * n
@@ -463,7 +463,7 @@ class _Frame:
             coefficient."""
             i, p = key
             return [(v_keys[mono] - v_keys[p] + coeff_keys[e], s, v)
-                    for cc, mono, s in _straighten(B, "dual", i, p, with_T)
+                    for cc, mono, s in _straighten(B, "dual", i, p)
                     for e, v in cc._aligned(nv).items()]
 
         self.corrections = _Memo(straightened)
@@ -474,7 +474,7 @@ class _Frame:
             x^m s g whose product s g does not vanish."""
             p, g = low_fields(low)
             xi = tuple(1 if k == i else 0 for k in range(d))
-            scalar, h, qi = B.mono_b(xi, g, dual=True)
+            scalar, h, qi = B.mono_b(xi, g)
             return (scalar, dual_keys[qi] + h - g,
                     [(delta + sg - g, v)
                      for delta, s, v in self.corrections[(i, p)]
@@ -550,14 +550,14 @@ def noncommuting_generator(z: PBWElement):
 
 def euler_element(B) -> PBWElement:
     """eu = sum_i v_i xi_i + sum_s C_s s, over the basis B of the group
-    algebra (`B.euler_terms` writes sum_s C_s s in it)."""
+    algebra (`B.euler` writes sum_s C_s s in it)."""
     terms: dict = {}
     zeros = _zeros(B)
     for i in range(B.dim):
         p = tuple(1 if k == i else 0 for k in range(B.dim))
-        for u in B.unit():
+        for u in B.unit:
             terms[(p, u, p)] = MPoly.const(1)
-    for c, g in B.euler_terms():
+    for c, g in B.euler:
         terms[(zeros, g, zeros)] = c
     return PBWElement(B, terms)
 
@@ -659,15 +659,34 @@ def z_degree(elem: PBWElement):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _deformed(B):
+    """The basis B of the T-deformation: a copy of B's record whose
+    [xi_i, v_i] gains -T times the unit, and whose parameters gain T.
+    Cached per basis, so elements over it share one straightening cache and
+    its frames."""
+    minus_t = -MPoly.var("T")
+    fields = {name: getattr(B, name) for name in type(B).__slots__}
+    fields["brackets"] = tuple(
+        tuple(bracket + tuple((minus_t, u) for u in B.unit) if i == j
+              else bracket for j, bracket in enumerate(row))
+        for i, row in enumerate(B.brackets))
+    fields["param_names"] = B.param_names + ("T",)
+    return type(B)(**fields)
+
+
 def poisson_bracket(z1: PBWElement, z2: PBWElement) -> PBWElement:
     """{z1, z2}: the commutator of z1 and z2 in the T-deformation, divided by
     T, at T = 0.  The inputs are elements of the t = 0 algebra, so a
     coefficient that involves T raises ValueError; a commutator that is not
     divisible by T (non-central input) raises ArithmeticError."""
+    z1._check_compat(z2)
     if any(c.degree_in("T") > 0 for z in (z1, z2) for c in z.terms.values()):
         raise ValueError("the Poisson bracket takes elements of the t = 0"
                          " algebra, not of its T-deformation")
-    comm = multiply(z1, z2, with_T=True) - multiply(z2, z1, with_T=True)
+    D = _deformed(z1.basis)
+    comm = commutator(PBWElement._of(D, dict(z1.terms)),
+                      PBWElement._of(D, dict(z2.terms)))
     out = {}
     for key, c in comm.terms.items():
         if not c.coefficient("T", 0).is_zero():

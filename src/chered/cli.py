@@ -122,7 +122,7 @@ def _parse_params(W, text: str) -> dict:
             basis = _merge_basis(basis, "K")
             break
         alias = {"a": "A", "b": "B"}.get(key, key)
-        if alias in W.param_names():
+        if alias in W.param_names:
             put(alias, val)
             basis = _merge_basis(basis, "C")
         elif alias in W.k_param_names():
@@ -180,7 +180,7 @@ def cmd_group_info(args) -> tuple:
         "invariant_degrees": list(W.degrees),
         "conjugacy_classes": [[W.names[g] for g in cls]
                               for cls in W.conj_classes],
-        "parameters": {"C": list(W.param_names()),
+        "parameters": {"C": list(W.param_names),
                        "K": list(W.k_param_names())},
         "characters": [{"name": chi.name, "degree": chi.degree}
                        for chi in character_table(W)],

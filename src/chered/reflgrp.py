@@ -17,7 +17,11 @@ table included, is computed from them.
 A basis of the group algebra, for the PBW engine of `cherednik`, is either
 the group itself (its elements, with coefficients in the C-coordinates) or,
 for a cyclic group, `idempotent_basis` (its primitive idempotents, with
-coefficients in the K-coordinates).
+coefficients in the K-coordinates).  Both are `_Basis` records, which hold
+the structure of the algebra as data: the unit, the products of two basis
+elements, the parameters, the brackets [xi_i, v_j] and the group-algebra
+part of the Euler element, beside the moves of a basis element past a
+monomial.  The engine reads nothing else of a basis.
 
 The records `Reflection`, `ReflectionGroup`, `Character`, `ParamMap` and
 `IdempotentBasis` (and `cmcells`' partitions) are slotted and immutable, on
@@ -148,7 +152,35 @@ class Reflection(_Record):
     __slots__ = ("index", "orbit", "power", "param")
 
 
-class ReflectionGroup(_Record):
+class _Basis(_Record):
+    """Base of the bases of a group algebra that the PBW engine of
+    `cherednik` reads: `ReflectionGroup` (the group elements) and
+    `IdempotentBasis` (a cyclic group's primitive idempotents).  Each
+    subclass lists these fields in its `__slots__`, and the engine reads
+    them without asking which basis it has:
+
+    - spec, dim, names, generators, v_names, dual_names: the names of the
+      group, of the basis elements and generators, and of the coordinates;
+    - unit: the basis elements whose sum is the unit;
+    - mult_table[i][j]: the product of two basis elements (None for 0);
+    - param_names: the variables of the structure constants;
+    - brackets[i][j]: [xi_i, v_j] as ((coefficient, element), ...);
+    - euler: the group-algebra part sum_s C_s s of the Euler element, as
+      ((coefficient, element), ...);
+
+    and the methods `b_mono` and `mono_b`, the moves of a basis element past
+    a monomial."""
+
+    __slots__ = ()
+
+    def index_of(self, name: str) -> int:
+        return self.names.index(name)
+
+    def order(self) -> int:
+        return len(self.names)
+
+
+class ReflectionGroup(_Basis):
     spec: str
     dim: int
     names: tuple[str, ...]
@@ -168,24 +200,16 @@ class ReflectionGroup(_Record):
     # (name, matrix of each element) per irreducible representation
     generators: tuple[str, ...]
     representations: tuple
+    unit: tuple                # (identity,)
+    param_names: tuple[str, ...]  # the C-labels, one per reflection class
+    brackets: tuple            # -sum_s C_s <s(v_j) - v_j, xi_i> s
+    euler: tuple               # sum_s C_s s
 
     __slots__ = ("spec", "dim", "names", "matrices", "dual_matrices",
                  "mult_table", "inverse", "identity", "reflections",
                  "hyperplane_orbits", "conj_classes", "class_of", "degrees",
-                 "v_names", "dual_names", "generators", "representations")
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
-    def order(self) -> int:
-        return len(self.names)
-
-    def param_names(self) -> tuple[str, ...]:
-        seen = []
-        for r in self.reflections:
-            if r.param not in seen:
-                seen.append(r.param)
-        return tuple(seen)
+                 "v_names", "dual_names", "generators", "representations",
+                 "unit", "param_names", "brackets", "euler")
 
     def k_param_names(self) -> tuple[str, ...]:
         return tuple(lab for label, e in self.hyperplane_orbits
@@ -212,34 +236,15 @@ class ReflectionGroup(_Record):
 
     # the group as a basis of its group algebra (`cherednik`) -------------
 
-    def unit(self) -> tuple[int, ...]:
-        """The basis elements whose sum is the unit: the identity alone."""
-        return (self.identity,)
-
     def b_mono(self, g: int, mono: tuple, dual: bool):
         """g * mono as (scalar, mono', g'): g mono = g(mono) g."""
         return (*self.act_monomial(g, mono, dual), g)
 
-    def mono_b(self, mono: tuple, g: int, dual: bool):
-        """mono * g as (scalar, g', mono'): mono g = g g^-1(mono)."""
-        scalar, image = self.act_monomial(self.inverse[g], mono, dual)
+    def mono_b(self, mono: tuple, g: int):
+        """mono * g for a V*-monomial, as (scalar, g', mono'):
+        mono g = g g^-1(mono)."""
+        scalar, image = self.act_monomial(self.inverse[g], mono, True)
         return scalar, g, image
-
-    def bracket(self, i: int, j: int) -> tuple:
-        """[xi_i, v_j] at t = 0 as ((coefficient, element), ...):
-        -sum_s C_s <s(v_j) - v_j, xi_i> s."""
-        out = []
-        for refl in self.reflections:
-            pairing = canon_scalar(self.matrices[refl.index][i][j]
-                                   - (1 if i == j else 0))
-            if pairing != 0:
-                out.append((MPoly.var(refl.param) * -pairing, refl.index))
-        return tuple(out)
-
-    def euler_terms(self) -> tuple:
-        """The group-algebra part sum_s C_s s of the Euler element, as
-        ((coefficient, element), ...)."""
-        return tuple((MPoly.var(r.param), r.index) for r in self.reflections)
 
 
 class Character(_Record):
@@ -312,20 +317,12 @@ def _finish_group(spec, dim, gens, words, irreps, v_names, dual_names,
     inv = tuple(row.index(identity) for row in mult)
     duals = tuple(mat_transpose(mats[inv[g]]) for g in range(order))
 
-    # conjugacy classes
-    class_of = [-1] * order
-    classes = []
-    for i in range(order):
-        if class_of[i] >= 0:
-            continue
-        cls = sorted({mult[mult[g][i]][inv[g]] for g in range(order)})
-        for j in cls:
-            class_of[j] = len(classes)
-        classes.append(tuple(cls))
-    # put the identity class first
-    classes.sort(key=lambda cls: (identity not in cls, cls))
-    class_of = [next(ci for ci, cls in enumerate(classes) if i in cls)
-                for i in range(order)]
+    # conjugacy classes, the identity class first
+    classes = sorted({tuple(sorted({mult[mult[g][i]][inv[g]]
+                                    for g in range(order)}))
+                      for i in range(order)},
+                     key=lambda cls: (identity not in cls, cls))
+    class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
 
     reflections = []
     for i in range(order):
@@ -336,16 +333,31 @@ def _finish_group(spec, dim, gens, words, irreps, v_names, dual_names,
                 power=power_of_reflection[names[i]],
                 param=param_of_reflection[names[i]],
             ))
+
+    def bracket(i, j):
+        """[xi_i, v_j] = -sum_s C_s <s(v_j) - v_j, xi_i> s."""
+        pairings = ((r, canon_scalar(mats[r.index][i][j]
+                                     - (1 if i == j else 0)))
+                    for r in reflections)
+        return tuple((MPoly.var(r.param) * -pairing, r.index)
+                     for r, pairing in pairings if pairing != 0)
+
     degs = _degrees_from_molien(dim, mats, order)
     W = ReflectionGroup(
         spec=spec, dim=dim, names=tuple(names), matrices=tuple(mats),
         dual_matrices=duals, mult_table=mult, inverse=inv, identity=identity,
         reflections=tuple(reflections), hyperplane_orbits=tuple(orbits),
-        conj_classes=tuple(classes), class_of=tuple(class_of),
+        conj_classes=tuple(classes),
+        class_of=tuple(class_of[i] for i in range(order)),
         degrees=degs, v_names=tuple(v_names), dual_names=tuple(dual_names),
         generators=tuple(gens),
         representations=tuple((name, _realize(words, images))
                               for name, images in irreps.items()),
+        unit=(identity,),
+        param_names=tuple(dict.fromkeys(r.param for r in reflections)),
+        brackets=tuple(tuple(bracket(i, j) for j in range(dim))
+                       for i in range(dim)),
+        euler=tuple((MPoly.var(r.param), r.index) for r in reflections),
     )
     # Chevalley consistency: |W| = prod d_i, |Ref| = sum (d_i - 1)
     prod = 1
@@ -613,12 +625,12 @@ def param_map(W: ReflectionGroup) -> ParamMap:
                     c_rows, tuple(k_rows))
 
 
-class IdempotentBasis(_Record):
+class IdempotentBasis(_Basis):
     """The primitive idempotents e_j = (1/d) sum_i z^(-ij) s^i of the group
     algebra of the cyclic group of order d, z = z_d, as a basis for the PBW
     engine (`cherednik`), with coefficients in the K-coordinates.
 
-    It answers what the engine asks of a basis, as a `ReflectionGroup` does
+    It holds what the engine reads of a basis, as a `ReflectionGroup` does
     for its elements: the unit sum_j e_j, the moves e_j y^a = y^a e_(j-a)
     and e_j x^a = x^a e_(j+a) (from s y = z y s and s x = z^-1 x s), the
     products e_i e_j = delta_ij e_i, and, from C_i = sum_k z^(i(k-1)) K_k
@@ -637,40 +649,23 @@ class IdempotentBasis(_Record):
     v_names: tuple[str, ...]
     dual_names: tuple[str, ...]
     mult_table: tuple          # mult_table[i][j] = i if i == j, else None
-    commutator: tuple          # [x, y] as ((K-form, j), ...)
+    unit: tuple                # every index
+    param_names: tuple[str, ...]  # the K-labels, K_0 eliminated
+    brackets: tuple            # (([x, y] as ((K-form, j), ...),),)
     euler: tuple               # sum_s C_s s as ((K-form, j), ...)
 
     __slots__ = ("spec", "dim", "names", "generators", "v_names",
-                 "dual_names", "mult_table", "commutator", "euler")
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
-    def order(self) -> int:
-        return len(self.names)
-
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(sorted({v for c, _ in self.euler for v in c.vars}))
-
-    def unit(self) -> tuple[int, ...]:
-        return tuple(range(len(self.names)))
+                 "dual_names", "mult_table", "unit", "param_names",
+                 "brackets", "euler")
 
     def b_mono(self, j: int, mono: tuple, dual: bool):
         """e_j * mono as (scalar, mono', e_j')."""
         a = mono[0] if dual else -mono[0]
         return 1, mono, (j + a) % len(self.names)
 
-    def mono_b(self, mono: tuple, j: int, dual: bool):
-        """mono * e_j as (scalar, e_j', mono')."""
-        a = -mono[0] if dual else mono[0]
-        return 1, (j + a) % len(self.names), mono
-
-    def bracket(self, i: int, j: int) -> tuple:
-        """[x, y] at t = 0 (i = j = 0: the one coordinate of each side)."""
-        return self.commutator
-
-    def euler_terms(self) -> tuple:
-        return self.euler
+    def mono_b(self, mono: tuple, j: int):
+        """mono * e_j for a V*-monomial, as (scalar, e_j', mono')."""
+        return 1, (j - mono[0]) % len(self.names), mono
 
 
 @functools.lru_cache(maxsize=None)
@@ -682,7 +677,7 @@ def idempotent_basis(W: ReflectionGroup) -> IdempotentBasis:
     z^-k, the matrices the rules of `IdempotentBasis` are read from.
 
     >>> B = idempotent_basis(build_group("cyclic:2"))
-    >>> [(str(c), B.names[j]) for c, j in B.commutator]
+    >>> [(str(c), B.names[j]) for c, j in B.brackets[0][0]]
     [('4*K1', 'e_0'), ('-4*K1', 'e_1')]
     """
     if any(len(mats[0]) != 1 for _, mats in W.representations):
@@ -696,14 +691,17 @@ def idempotent_basis(W: ReflectionGroup) -> IdempotentBasis:
                          f" as z^k on V and z^-k on V*, got {W.spec}")
     ks = list(param_map(W).k_forms.values())
     names = tuple(f"e_{j}" for j in range(d))
+    euler = tuple((d * ks[(1 - j) % d], j) for j in range(d))
     return IdempotentBasis(
         spec=W.spec, dim=W.dim, names=names, generators=names,
         v_names=W.v_names, dual_names=W.dual_names,
         mult_table=tuple(tuple(i if i == j else None for j in range(d))
                          for i in range(d)),
-        commutator=tuple((d * (ks[(1 - j) % d] - ks[-j % d]), j)
-                         for j in range(d)),
-        euler=tuple((d * ks[(1 - j) % d], j) for j in range(d)))
+        unit=tuple(range(d)),
+        param_names=tuple(sorted({v for c, _ in euler for v in c.vars})),
+        brackets=((tuple((d * (ks[(1 - j) % d] - ks[-j % d]), j)
+                         for j in range(d)),),),
+        euler=euler)
 
 
 def check_param_labels(W: ReflectionGroup, values: dict, basis: str) -> None:
@@ -716,7 +714,7 @@ def check_param_labels(W: ReflectionGroup, values: dict, basis: str) -> None:
     ...
     ValueError: missing parameter entries ['B']
     """
-    labels = W.param_names() if basis == "C" else W.k_param_names()
+    labels = W.param_names if basis == "C" else W.k_param_names()
     missing = [l for l in labels if l not in values]
     if missing:
         raise ValueError(f"missing parameter entries {missing}")

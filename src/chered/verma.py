@@ -174,7 +174,7 @@ class BabyVermaModule:
         # v * mono = mono * v + the corrections of `_straighten`, and
         # mono * v kills the generator line
         self.v_maps = [
-            self._map(lambda mono, vj=vj: _straighten(W, "v", vj, mono, False))
+            self._map(lambda mono, vj=vj: _straighten(W, "v", vj, mono))
             for vj in range(W.dim)]
 
     @property

@@ -237,9 +237,9 @@ def schoolbook_product(a: MPoly, b: MPoly) -> MPoly:
     return MPoly(names, out)
 
 
-def _lmul_dual(W, xi: int, elem: PBWElement, with_T: bool) -> PBWElement:
-    """Left multiplication by the xi-th V* coordinate, in the T-deformation
-    when with_T is set."""
+def _lmul_dual(W, xi: int, elem: PBWElement) -> PBWElement:
+    """Left multiplication by the xi-th V* coordinate, over the group basis
+    W (the group, or its T-deformation)."""
     out: dict = {}
 
     def add(key, c):
@@ -254,7 +254,7 @@ def _lmul_dual(W, xi: int, elem: PBWElement, with_T: bool) -> PBWElement:
                                                    for i in range(W.dim)), dual=True)
         newq = tuple(a + b for a, b in zip(q, image))
         add((p, g, newq), c * scalar if scalar != 1 else c)
-        for cc, mono, s in _straighten(W, "dual", xi, p, with_T):
+        for cc, mono, s in _straighten(W, "dual", xi, p):
             add((mono, W.mult_table[s][g], q), cc * c)
     return elem._like(out)
 
@@ -270,12 +270,13 @@ def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
     return elem._like(out)
 
 
-def multiply_per_term(a: PBWElement, b: PBWElement,
-                      with_T: bool = False) -> PBWElement:
+def multiply_per_term(a: PBWElement, b: PBWElement) -> PBWElement:
     """Exact product in PBW normal form, one term of a at a time and in
     `MPoly` arithmetic, with the element-level left multiplications by a V*
     coordinate and by a group element: the reference for `multiply`, which
-    shares work between the terms of a and sums coefficients in flat maps."""
+    shares work between the terms of a and sums coefficients in flat maps.
+    The basis of a and b is a group, or its T-deformation
+    (`cherednik._deformed`)."""
     a._check_compat(b)
     W = a.basis
     result = a._like({})
@@ -283,7 +284,7 @@ def multiply_per_term(a: PBWElement, b: PBWElement,
         piece = b
         for xi in reversed(range(W.dim)):
             for _ in range(q[xi]):
-                piece = _lmul_dual(W, xi, piece, with_T)
+                piece = _lmul_dual(W, xi, piece)
         if g != W.identity:
             piece = _lmul_group(W, g, piece)
         for j in range(W.dim):
@@ -566,7 +567,7 @@ def _dense_generators(mod):
     for vj in range(W.dim):
         mat = _zero_matrix(n)
         for col, (mono, j) in enumerate(mod.basis):
-            for coeff, m, g in _straighten(W, "v", vj, mono, False):
+            for coeff, m, g in _straighten(W, "v", vj, mono):
                 rep = mod.chi_mats[g]
                 for mm, c in mod.normal_forms[m].items():
                     for jp in range(len(rep)):
@@ -747,7 +748,7 @@ def hilbert_center_bivariate(W, order: int) -> tuple:
     bivariate inverse of (1 - tu), once per reflection class."""
     param_factor = BivariateSeries(order, {(0, 0): 1, (1, 1): -1}).invert()
     pf = BivariateSeries(order, {(0, 0): 1})
-    for _ in W.param_names():
+    for _ in W.param_names:
         pf = pf * param_factor
     basis_num = BivariateSeries(order)
     for (i, j) in center_basis_bidegrees(W):

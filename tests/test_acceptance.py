@@ -1,6 +1,7 @@
 """Acceptance suite: the fourteen headline guarantees, one pass/fail line
 each.  All arithmetic is exact; every comparison is bit-exact equality."""
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -264,7 +265,7 @@ def test_criterion_14_property_suites():
     # PBW associativity on 30 random triples per group
     for spec in ("cyclic:2", "cyclic:3", "cyclic:4", "b2"):
         W = build_group(spec)
-        rng = random.Random(spec.__hash__() % (2 ** 31))
+        rng = random.Random(zlib.crc32(spec.encode()))
 
         def rand():
             elem = PBWElement.zero(W)

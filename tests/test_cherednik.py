@@ -7,10 +7,10 @@ import pytest
 
 from chered.multipoly import MPoly
 from chered.reflgrp import build_group, character_table, idempotent_basis
-from chered.cherednik import (PBWElement, algebra_generators, commutator,
-                              euler_element, multiply, named_center_generators,
-                              noncommuting_generator, poisson_bracket,
-                              residue_summary, z_degree)
+from chered.cherednik import (PBWElement, _deformed, algebra_generators,
+                              commutator, euler_element, multiply,
+                              named_center_generators, noncommuting_generator,
+                              poisson_bracket, residue_summary, z_degree)
 from oracles import (idempotents_to_group, multiply_per_term, rank1_c_to_k,
                      replace_fields, substitute_params, twist_by_linear_char)
 
@@ -41,12 +41,29 @@ def test_associativity_random_triples(spec):
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
-def sharing_element(W, rng, with_T):
+def over(B, elem):
+    """elem, its terms kept, as an element over the basis B."""
+    return PBWElement(B, elem.terms)
+
+
+def deformed_product(a, b):
+    """a * b in the T-deformation, over the basis of a and b."""
+    D = _deformed(a.basis)
+    return over(a.basis, multiply(over(D, a), over(D, b)))
+
+
+def bases(W):
+    """W and the basis of its T-deformation."""
+    return W, _deformed(W)
+
+
+def sharing_element(W, rng):
     """An element of 4 to 6 terms that take their V*-parts from two
     choices, so several terms share one, with coefficients linear in the
-    parameters, in T, and in K1 and sigma, which are not parameters of the
-    group, so a product's variable tuple is wider than the group's."""
-    names = W.param_names() + ("K1", "sigma") + (("T",) if with_T else ())
+    parameters of the basis W (T among them over `_deformed`), and in K1
+    and sigma, which are not parameters of the group, so a product's
+    variable tuple is wider than the group's."""
+    names = W.param_names + ("K1", "sigma")
     duals = [tuple(rng.randint(0, 2) for _ in range(W.dim)) for _ in range(2)]
     terms = {}
     size = rng.randint(4, 6)
@@ -62,15 +79,16 @@ def sharing_element(W, rng, with_T):
 @pytest.mark.parametrize("spec", GROUPS)
 def test_multiply_matches_per_term_oracle(spec, with_T):
     W = build_group(spec)
+    W = _deformed(W) if with_T else W
     rng = random.Random(zlib.crc32(f"{spec}/{with_T}/C".encode()))
     for _ in range(4):
-        a = sharing_element(W, rng, with_T)
-        b = sharing_element(W, rng, with_T)
+        a = sharing_element(W, rng)
+        b = sharing_element(W, rng)
         duals = [q for _, _, q in a.terms]
         assert len(duals) >= 4 and len(set(duals)) < len(duals)
         for lhs, rhs in ((a, b), (b, a), (a, a)):
-            assert (multiply(lhs, rhs, with_T=with_T).terms
-                    == multiply_per_term(lhs, rhs, with_T).terms)
+            assert (multiply(lhs, rhs).terms
+                    == multiply_per_term(lhs, rhs).terms)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -80,8 +98,8 @@ def test_results_hold_only_nonzero_polynomial_coefficients(spec):
     W = build_group(spec)
     rng = random.Random(zlib.crc32(f"{spec}/finished".encode()))
     for _ in range(4):
-        a = sharing_element(W, rng, False)
-        b = sharing_element(W, rng, False)
+        a = sharing_element(W, rng)
+        b = sharing_element(W, rng)
         for value in (a + b, a + (-a), -a, a - b, multiply(a, b),
                       multiply(a, -a), a * b, a.scale(MPoly.var("A") - 1),
                       3 * a, a * 0):
@@ -97,16 +115,17 @@ def test_product_ignores_unused_coefficient_variables(with_T):
     # c + K1 - K1 equals c but carries K1 among its variables; a product
     # may also carry a variable it does not use, such as T
     W = build_group("b2")
+    W = _deformed(W) if with_T else W
     rng = random.Random(zlib.crc32(f"unused/{with_T}".encode()))
     k1 = MPoly.var("K1")
     for _ in range(3):
-        a, b = sharing_element(W, rng, with_T), sharing_element(W, rng, with_T)
+        a, b = sharing_element(W, rng), sharing_element(W, rng)
         wide_a, wide_b = (PBWElement(W, {key: c + k1 - k1 for key, c in e.terms.items()})
                           for e in (a, b))
         assert all("K1" in c.vars for c in wide_a.terms.values())
-        product = multiply(a, b, with_T=with_T)
-        wide = multiply(wide_a, wide_b, with_T=with_T)
-        reference = multiply_per_term(a, b, with_T)
+        product = multiply(a, b)
+        wide = multiply(wide_a, wide_b)
+        reference = multiply_per_term(a, b)
         assert wide == product == reference
         assert str(wide) == str(product) == str(reference)
 
@@ -125,13 +144,12 @@ def max_weight(elem: PBWElement) -> int:
 def test_product_weight_is_subadditive(spec):
     # the premise of the field widths of `multiply`: no term of a product
     # weighs more than the heaviest term of a plus the heaviest of b
-    W = build_group(spec)
     rng = random.Random(zlib.crc32(f"weight/{spec}".encode()))
-    for with_T in (False, True):
+    for W in bases(build_group(spec)):
         for _ in range(6):
-            a = sharing_element(W, rng, with_T)
-            b = sharing_element(W, rng, with_T)
-            product = multiply(a, b, with_T=with_T)
+            a = sharing_element(W, rng)
+            b = sharing_element(W, rng)
+            product = multiply(a, b)
             assert product.terms
             assert max_weight(product) <= max_weight(a) + max_weight(b)
 
@@ -177,16 +195,15 @@ def test_b2_euler_powers_match_oracle():
 def test_cyclic_products_match_oracle(spec):
     # Cyclotomic scalars from the group action, and a group field that
     # carries 7 or 8 elements
-    W = build_group(spec)
     rng = random.Random(zlib.crc32(f"oracle/{spec}".encode()))
-    eu = euler_element(W)
-    for with_T in (False, True):
+    for W in bases(build_group(spec)):
+        eu = euler_element(W)
         for _ in range(3):
-            a = sharing_element(W, rng, with_T)
-            b = sharing_element(W, rng, with_T)
+            a = sharing_element(W, rng)
+            b = sharing_element(W, rng)
             for lhs, rhs in ((a, b), (b, a), (a, eu), (eu, b)):
-                assert (multiply(lhs, rhs, with_T=with_T).terms
-                        == multiply_per_term(lhs, rhs, with_T).terms)
+                assert (multiply(lhs, rhs).terms
+                        == multiply_per_term(lhs, rhs).terms)
 
 
 @pytest.mark.parametrize("d", range(2, 11))
@@ -219,11 +236,10 @@ def test_idempotent_basis_matches_group_engine(d):
     eu = gens["eu"]
     k1 = MPoly.var("K1")
     a = PBWElement.monomial(B, (2,), 1, (1,), k1) + multiply(x, x)
-    for with_T in (False, True):
+    for product in (multiply, deformed_product):
         for lhs, rhs in ((eu, a), (a, eu), (a, a)):
-            agree(multiply(lhs, rhs, with_T=with_T),
-                  multiply(idempotents_to_group(lhs),
-                           idempotents_to_group(rhs), with_T=with_T))
+            agree(product(lhs, rhs),
+                  product(idempotents_to_group(lhs), idempotents_to_group(rhs)))
 
 
 @pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:5"])
@@ -276,7 +292,7 @@ def test_straightening_is_kept_per_group_not_per_spec():
 def test_scale_matches_coefficient_products():
     W = build_group("b2")
     rng = random.Random(zlib.crc32(b"scale"))
-    elem = sharing_element(W, rng, True) + euler_element(W) ** 2
+    elem = over(W, sharing_element(_deformed(W), rng)) + euler_element(W) ** 2
     for c in (MPoly.var("A") ** 2 * 3, MPoly.var("T"), MPoly.const(-1),
               MPoly.var("K1") * MPoly.var("B"), MPoly.var("A") + 1, 5):
         want = {k: MPoly._coerce(c) * v for k, v in elem.terms.items()}
@@ -287,25 +303,25 @@ def test_scale_matches_coefficient_products():
 
 
 def frame_cases():
-    """(a, b, with_T) of products of fourteen packing shapes: b2 and
-    cyclic:7, with_T off and on, and three kinds of pair: integer
+    """(a, b) of products of fourteen packing shapes: b2 and cyclic:7, over
+    the group and over its T-deformation, and three kinds of pair: integer
     coefficients (8-bit fields), the same with a K1 the coefficients do not
     use, and a factor scaled by the 255th power of a parameter (16-bit
-    fields); with_T off, also a factor scaled by T, whose variable tuple is
-    that of the integer pair with with_T on."""
+    fields); over the group, also a factor scaled by T, whose variable tuple
+    is that of the integer pair over the T-deformation."""
     k1, t = MPoly.var("K1"), MPoly.var("T")
     cases = []
     for spec in ("b2", "cyclic:7"):
-        W = build_group(spec)
-        heavy = MPoly.var(W.param_names()[0]) ** 255
+        G = build_group(spec)
+        heavy = MPoly.var(G.param_names[0]) ** 255
         rng = random.Random(zlib.crc32(f"frames/{spec}".encode()))
-        for with_T in (False, True):
+        for W in bases(G):
             a, b = random_element(W, rng, 3), random_element(W, rng, 3)
             wide = PBWElement(W, {key: c + k1 - k1 for key, c in a.terms.items()})
-            cases += [(a, b, with_T), (wide, b, with_T),
-                      (a.scale(heavy), b, with_T), (b, a.scale(heavy), with_T)]
-            if not with_T:
-                cases.append((a.scale(t), b, with_T))
+            cases += [(a, b), (wide, b), (a.scale(heavy), b),
+                      (b, a.scale(heavy))]
+            if W is G:
+                cases.append((a.scale(t), b))
     return cases
 
 
@@ -317,20 +333,19 @@ def test_products_of_interleaved_shapes_match_oracle(order, monkeypatch):
     cherednik._frame.cache_clear()
     real, shapes = cherednik._frame, []
 
-    def recording(W, nv, bits, with_T):
-        shapes.append((W.spec, nv, bits, with_T))
-        return real(W, nv, bits, with_T)
+    def recording(W, nv, bits):
+        shapes.append((W, nv, bits))
+        return real(W, nv, bits)
 
     monkeypatch.setattr(cherednik, "_frame", recording)
     cases = frame_cases()
     if order == "reversed":
         cases.reverse()
-    for a, b, with_T in cases:
-        assert (multiply(a, b, with_T=with_T).terms
-                == multiply_per_term(a, b, with_T).terms)
+    for a, b in cases:
+        assert multiply(a, b).terms == multiply_per_term(a, b).terms
     assert len(set(shapes)) == 14
-    assert {bits for _, _, bits, _ in shapes} == {8, 16}
-    assert any("K1" in nv for _, nv, _, _ in shapes)
+    assert {bits for _, _, bits in shapes} == {8, 16}
+    assert any("K1" in nv for _, nv, _ in shapes)
 
 
 def table_sizes(frame) -> dict:
@@ -356,13 +371,14 @@ def test_repeated_product_adds_no_table_entry(with_T, monkeypatch):
 
     monkeypatch.setattr(cherednik, "_frame", recording)
     W = build_group("b2")
+    W = _deformed(W) if with_T else W
     eu = euler_element(W)
-    eu2 = multiply(eu, eu, with_T=with_T)
+    eu2 = multiply(eu, eu)
     for a, b in ((eu, eu), (eu2, eu), (eu, eu2)):
-        product = multiply(a, b, with_T=with_T)
+        product = multiply(a, b)
         sizes = table_sizes(frames[-1])
         assert sizes["corrections"] and any(sizes["dual_steps"])
-        assert multiply(a, b, with_T=with_T) == product
+        assert multiply(a, b) == product
         assert frames[-1] is frames[-2]
         assert table_sizes(frames[-1]) == sizes
 
@@ -414,14 +430,37 @@ def test_bidegrees_b2():
 def test_deformed_euler_grading():
     # [eu~, h] = (Z-degree of h) T h for the algebra generators
     for spec in ("cyclic:3", "b2"):
-        W = build_group(spec)
+        W = _deformed(build_group(spec))
         T = MPoly.var("T")
         euT = euler_element(W) - PBWElement.one(W).scale(W.dim * T)
         for name, h in algebra_generators(W).items():
             i = z_degree(h)
-            comm = (multiply(euT, h, with_T=True)
-                    - multiply(h, euT, with_T=True))
-            assert comm == h.scale(i * T), (spec, name)
+            assert commutator(euT, h) == h.scale(i * T), (spec, name)
+
+
+def test_multiply_takes_no_mode():
+    x = PBWElement.v_gen(build_group("b2"), 0)
+    with pytest.raises(TypeError):
+        multiply(x, x, with_T=True)
+
+
+@pytest.mark.parametrize("kind", ["b2", "cyclic:3", "idempotents"])
+def test_deformed_basis_adds_the_T_term(kind):
+    # [xi_i, v_j] over the T-deformation is [xi_i, v_j] at t = 0 minus
+    # delta_ij T, and the deformation is one basis per basis
+    W = build_group("cyclic:3" if kind == "idempotents" else kind)
+    B = idempotent_basis(W) if kind == "idempotents" else W
+    D = _deformed(B)
+    assert D is _deformed(B) and D is not B and type(D) is type(B)
+    assert D.param_names == B.param_names + ("T",)
+    T = MPoly.var("T")
+    for i in range(B.dim):
+        for j in range(B.dim):
+            at_0 = commutator(PBWElement.dual_gen(B, i), PBWElement.v_gen(B, j))
+            want = over(D, at_0) - PBWElement.one(D).scale(T if i == j else 0)
+            assert not at_0.is_zero()
+            assert commutator(PBWElement.dual_gen(D, i),
+                              PBWElement.v_gen(D, j)) == want
 
 
 def test_poisson_euler_eigenvalues():
@@ -529,9 +568,9 @@ def test_power_never_multiplies_by_the_unit(monkeypatch):
     real = cherednik.multiply
     factors = []
 
-    def counted(a, b, **kwargs):
+    def counted(a, b):
         factors.append((a, b))
-        return real(a, b, **kwargs)
+        return real(a, b)
 
     monkeypatch.setattr(cherednik, "multiply", counted)
     assert eu ** 8 == expected

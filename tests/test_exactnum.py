@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from chered.exactnum import (Cyclotomic, _polydiv_exact, canon_scalar,
-                             cyclotomic_polynomial, primitive_root, scalar_div,
-                             scalar_pow, trace_pairing)
+                             cyclotomic_polynomial, power, primitive_root,
+                             scalar_div, scalar_pow, trace_pairing)
 from chered.multipoly import MPoly
 from chered.reflgrp import build_group, character_table, param_map
 from chered.verma import omega_table
@@ -61,6 +61,14 @@ def test_primitive_root_powers_cycle():
         assert z ** e == 1
         for k in range(1, e):
             assert z ** k != 1
+
+
+def test_orders_and_exponents_below_1_are_refused():
+    for order_of in (cyclotomic_polynomial, primitive_root):
+        with pytest.raises(ValueError, match="order must be positive"):
+            order_of(0)
+    with pytest.raises(ValueError, match="power needs an exponent >= 1"):
+        power(primitive_root(3), 0)
 
 
 def test_scalar_pow_is_exact():

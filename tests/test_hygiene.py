@@ -562,7 +562,7 @@ def test_no_asserts(path):
 
 # The classes of a basis of the group algebra, which the PBW engine reads
 # without telling them apart (`group_tests`).
-BASIS_CLASSES = ("ReflectionGroup", "IdempotentBasis")
+BASIS_CLASSES = ("_Basis", "ReflectionGroup", "IdempotentBasis")
 
 
 # The tests of a group's spec that remain outside `reflgrp.build_group` (the

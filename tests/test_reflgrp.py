@@ -68,7 +68,7 @@ def test_b2_group_structure():
         "s", "sts", "t", "tst"]
     assert W.degrees == (2, 4)
     # two hyperplane orbits, parameters A (s-type) and B (t-type)
-    assert W.param_names() == ("A", "B")
+    assert W.param_names == ("A", "B")
     assert len(W.conj_classes) == 5
 
 
@@ -142,9 +142,17 @@ def test_records_are_immutable(kind):
 
 
 def test_records_name_every_record_class():
+    # the concrete records are the descendants of _Record that no class
+    # derives from (`_Basis` is the base of the two bases)
+    def descendants(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from descendants(sub)
+
     W = build_group("b2")
     assert ({type(make(W)) for make in RECORDS.values()}
-            == set(_Record.__subclasses__()))
+            == {cls for cls in descendants(_Record)
+                if not cls.__subclasses__()})
 
 
 def test_a_forged_record_reads_no_cached_result():
@@ -217,6 +225,28 @@ def test_fake_degree_refuses_a_foreign_or_reducible_character():
         a + b for a, b in zip(one.values, eps_s.values)))
     with pytest.raises(ValueError, match="character is not irreducible"):
         fake_degree(W, forged)
+
+
+def test_b_invariant_refuses_a_zero_fake_degree():
+    # a (eps_s - eps_t) with a = (z8 - z8^3)/2 = sqrt(2)/2 has norm 1, so it
+    # passes the checks of `fake_degree`, and its fake degree is
+    # a t^2 - a t^2 = 0
+    W = build_group("b2")
+    chars = {chi.name: chi for chi in character_table(W)}
+    z = primitive_root(8)
+    a = canon_scalar((z - z ** 3) / 2)
+    forged = replace_fields(chars["eps_s"], values=tuple(
+        canon_scalar(a * (s - t)) for s, t in zip(chars["eps_s"].values,
+                                                  chars["eps_t"].values)))
+    assert fake_degree(W, forged).is_zero()
+    with pytest.raises(ValueError, match="zero fake degree"):
+        b_invariant(W, forged)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:0"])
+def test_build_group_refuses_a_cyclic_order_below_2(spec):
+    with pytest.raises(ValueError, match="cyclic group needs order >= 2"):
+        build_group(spec)
 
 
 def test_fake_degrees_cyclic():
@@ -317,7 +347,7 @@ _SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "b2")
 def test_param_convert_c_k_c_roundtrip(spec, data):
     W = build_group(spec)
     q = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-    cv = {lab: data.draw(q, label=lab) for lab in W.param_names()}
+    cv = {lab: data.draw(q, label=lab) for lab in W.param_names}
     kv = param_convert(W, cv, "K")
     assert param_convert(W, kv, "C") == cv
     # the owner's linear forms, evaluated at the K-point, give C back

@@ -259,7 +259,7 @@ def test_act_rejects_other_algebras():
 def _random_element(W, rng):
     """A few random normal words with small exponents and random parameter
     coefficients; central only by accident."""
-    params = [MPoly.var(p) for p in W.param_names()]
+    params = [MPoly.var(p) for p in W.param_names]
     z = PBWElement.zero(W)
     for _ in range(rng.randint(1, 3)):
         p = tuple(rng.randint(0, 2) for _ in range(W.dim))
@@ -278,7 +278,7 @@ def _high_word(W, rng):
     for _ in range(rng.randint(top - 1, top + 1)):
         q[rng.randrange(W.dim)] += 1
     p = tuple(rng.randint(0, 2) for _ in range(W.dim))
-    coeff = MPoly.var(rng.choice(W.param_names())) + rng.randint(-3, 3)
+    coeff = MPoly.var(rng.choice(W.param_names)) + rng.randint(-3, 3)
     return PBWElement.monomial(W, p, rng.randrange(W.order()), q, coeff)
 
 
