@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-RANK1_DEGREES = range(2, 9)
+RANK1_DEGREES = range(2, 11)
 
 
 def _rank1_relation(t, ks, x, y):

@@ -70,12 +70,18 @@ _STRAIGHTEN_CACHE: dict = {}
 
 class PBWElement:
     """An element of the algebra in PBW normal form, over a basis of the
-    group algebra: a `ReflectionGroup` or an `IdempotentBasis`."""
+    group algebra: a `ReflectionGroup` or an `IdempotentBasis`.
 
-    __slots__ = ("basis", "terms")
+    An element never changes once built: only its constructors `__init__`
+    and `_of` fill its terms, and every operation returns a new element.
+    So `powers`, the powers of the element that `__pow__` has formed
+    ({n: self ** n}, None until the first), stay valid for its lifetime."""
+
+    __slots__ = ("basis", "terms", "powers")
 
     def __init__(self, basis, terms=None):
         self.basis = basis
+        self.powers = None
         self.terms = {}
         if terms:
             for key, c in terms.items():
@@ -127,6 +133,7 @@ class PBWElement:
         result = PBWElement.__new__(PBWElement)
         result.basis = basis
         result.terms = terms
+        result.powers = None
         return result
 
     def _like(self, terms) -> "PBWElement":
@@ -200,9 +207,21 @@ class PBWElement:
         return self.scale(other)
 
     def __pow__(self, n: int):
+        """self ** n by square-and-multiply (`exactnum.power`), formed once
+        per element and exponent n >= 2 and kept in `powers`: the element
+        never changes, so neither does its power.  n = 1 gives self and
+        n = 0 a new unit."""
         if n < 0:
             raise ValueError("negative power of an algebra element")
-        return power(self, n) if n else PBWElement.one(self.basis)
+        if n < 2:
+            return self if n else PBWElement.one(self.basis)
+        powers = self.powers
+        if powers is None:
+            powers = self.powers = {}
+        result = powers.get(n)
+        if result is None:
+            result = powers[n] = power(self, n)
+        return result
 
     def __eq__(self, other):
         if isinstance(other, PBWElement):
@@ -244,6 +263,14 @@ def _word_str(B, key) -> str:
 
 def _zeros(B):
     return (0,) * B.dim
+
+
+def _is_one(elem) -> bool:
+    """Whether elem is the unit of its algebra: its terms are those of
+    `PBWElement.one`, each coefficient equal to 1 in value."""
+    terms, unit, zeros = elem.terms, elem.basis.unit, _zeros(elem.basis)
+    return len(terms) == len(unit) and all(
+        terms.get((zeros, u, zeros)) == 1 for u in unit)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +323,11 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
     t = 0 algebra over a basis of the group algebra, or its T-deformation
     over `_deformed` of one.
 
+    When a or b is the unit (`_is_one`: the terms of `PBWElement.one`, each
+    coefficient 1 in value), the product is the other factor, its
+    coefficients aligned to the variable tuple below as the packed path
+    would give them, and no table is built.
+
     A term c x^p g xi^q of a contributes c x^p (g (xi^q b)), g a basis
     element.  Terms of a that share their V*-part q share xi^q b, and terms
     that share (g, q) share g xi^q b, so each is computed once per call: the
@@ -331,6 +363,11 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
         for c in elem.terms.values():
             names.update(c.vars)
     nv = tuple(sorted(names))
+    for unit, other in ((a, b), (b, a)):
+        if _is_one(unit):
+            return PBWElement._of(B, {
+                key: c if c.vars == nv else MPoly._of(nv, c._aligned(nv))
+                for key, c in other.terms.items()})
     d, n = B.dim, len(nv)
     weight = sum(max(sum(p) + sum(q) + 2 * max(map(sum, c.terms))
                      for (p, _, q), c in elem.terms.items())

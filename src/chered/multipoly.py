@@ -543,7 +543,14 @@ def discriminant(f: MPoly, name: str) -> MPoly:
 
 def charpoly_berkowitz(mat: list[list[MPoly]], name: str) -> MPoly:
     """Characteristic polynomial det(tI - M) by the Berkowitz algorithm
-    (division free, exact over any commutative ring).
+    (division free, exact over any commutative ring; Berkowitz, IPL 18,
+    1984).  Entries are polynomials or scalars.
+
+    Step k borders the charpoly coefficients of the leading k x k block A
+    with the Toeplitz column [1, -a, -R C, -R A C, ..., -R A^(k-1) C] of
+    the next diagonal entry a, row R and column C.  Every sum of products
+    in it (`_dot`) skips each product that has a zero factor, so a sparse
+    matrix costs about as many products as it has nonzero entries.
 
     >>> m = [[MPoly.const(2), MPoly.const(0)], [MPoly.const(0), MPoly.const(3)]]
     >>> print(charpoly_berkowitz(m, "t"))
@@ -552,28 +559,22 @@ def charpoly_berkowitz(mat: list[list[MPoly]], name: str) -> MPoly:
     n = len(mat)
     if n == 0:
         return MPoly.const(1)
-    # vectors of charpoly coefficients, highest degree first
+    # charpoly coefficients of the leading block, highest degree first
     coeffs = [MPoly.const(1), -mat[0][0]]
     for k in range(1, n):
-        # principal submatrix data
-        a = mat[k][k]
-        row = [mat[k][j] for j in range(k)]     # R (1 x k)
-        col = [mat[i][k] for i in range(k)]     # C (k x 1)
-        sub = [[mat[i][j] for j in range(k)] for i in range(k)]
-        # Toeplitz column: [1, -a, -R C, -R A C, -R A^2 C, ...]
-        tvals = [MPoly.const(1), -a]
-        vec = col
+        block = mat[:k]
+        row, vec = mat[k][:k], [r[k] for r in block]
+        tvals = [MPoly.const(1), -mat[k][k]]
         for _ in range(k):
-            tvals.append(-sum((r * v for r, v in zip(row, vec)), MPoly.zero()))
-            vec = [sum((sub[i][j] * vec[j] for j in range(k)), MPoly.zero())
-                   for i in range(k)]
-        newc = []
-        for i in range(k + 2):
-            acc = MPoly.zero()
-            for j in range(len(coeffs)):
-                d = i - j
-                if 0 <= d < len(tvals):
-                    acc = acc + tvals[d] * coeffs[j]
-            newc.append(acc)
-        coeffs = newc
+            tvals.append(-_dot(row, vec))
+            # A vec: zip in `_dot` stops at the k entries of vec
+            vec = [_dot(r, vec) for r in block]
+        coeffs = [_dot(coeffs, tvals[i::-1]) for i in range(k + 2)]
     return MPoly.from_univariate(coeffs[::-1], name)
+
+
+def _dot(xs, ys):
+    """sum_i xs[i] * ys[i] over the pairs with no zero factor; the zero
+    polynomial when there is none."""
+    products = [x * y for x, y in zip(xs, ys) if x and y]
+    return sum(products[1:], products[0]) if products else MPoly.zero()

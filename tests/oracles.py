@@ -1,7 +1,8 @@
 """Reference computations kept for the tests only: cyclotomic arithmetic on
 Fraction coordinates, the per-factor change of coordinates for the rank-1
 center identity, with its own C -> K table, the resultant as a Sylvester
-determinant, the schoolbook polynomial product with tuple keys, the PBW
+determinant, the Berkowitz characteristic polynomial with every product
+formed, the schoolbook polynomial product with tuple keys, the PBW
 product computed one term of the left factor at a time in `MPoly`
 arithmetic (with the element-level left multiplications by a V* coordinate
 and by a group element), the change from the idempotent basis of a cyclic
@@ -216,6 +217,39 @@ def _bareiss_det(mat: list) -> MPoly:
             mat[i][k] = MPoly.zero()
         prev = mat[k][k]
     return mat[n - 1][n - 1] if sign > 0 else -mat[n - 1][n - 1]
+
+
+def dense_charpoly_berkowitz(mat: list, name: str) -> MPoly:
+    """det(tI - M) by the Berkowitz algorithm with every product formed,
+    zero factors included; the reference for `multipoly.charpoly_berkowitz`,
+    which skips the products with a zero factor."""
+    n = len(mat)
+    if n == 0:
+        return MPoly.const(1)
+    # vectors of charpoly coefficients, highest degree first
+    coeffs = [MPoly.const(1), -mat[0][0]]
+    for k in range(1, n):
+        a = mat[k][k]
+        row = [mat[k][j] for j in range(k)]     # R (1 x k)
+        col = [mat[i][k] for i in range(k)]     # C (k x 1)
+        sub = [[mat[i][j] for j in range(k)] for i in range(k)]
+        # Toeplitz column: [1, -a, -R C, -R A C, -R A^2 C, ...]
+        tvals = [MPoly.const(1), -a]
+        vec = col
+        for _ in range(k):
+            tvals.append(-sum((r * v for r, v in zip(row, vec)), MPoly.zero()))
+            vec = [sum((sub[i][j] * vec[j] for j in range(k)), MPoly.zero())
+                   for i in range(k)]
+        newc = []
+        for i in range(k + 2):
+            acc = MPoly.zero()
+            for j in range(len(coeffs)):
+                d = i - j
+                if 0 <= d < len(tvals):
+                    acc = acc + tvals[d] * coeffs[j]
+            newc.append(acc)
+        coeffs = newc
+    return MPoly.from_univariate(coeffs[::-1], name)
 
 
 def schoolbook_product(a: MPoly, b: MPoly) -> MPoly:

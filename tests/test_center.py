@@ -22,7 +22,7 @@ from oracles import (b2_euler_matrix_by_hand, idempotents_to_group,
 _, _Z_NAMES, _ = center_presentation(build_group("b2"))
 
 
-@pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7, 8))
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7, 8, 9, 10))
 def test_rank1_center_relation(d):
     report = verify_rank1_center(d)
     assert report["status"] is True, report
@@ -77,9 +77,9 @@ def test_rank1_idempotent_product_matches_per_factor_oracle(d):
             assert coeff == want.terms[key], (m, key)
 
 
-@pytest.mark.parametrize("d", (1, 9))
+@pytest.mark.parametrize("d", (1, 11))
 def test_rank1_center_range(d):
-    with pytest.raises(ValueError, match="2 <= d <= 8"):
+    with pytest.raises(ValueError, match="2 <= d <= 10"):
         verify_rank1_center(d)
 
 

@@ -261,15 +261,24 @@ def test_idempotent_basis_is_not_its_group():
 
 def test_straightening_is_kept_per_group_not_per_spec():
     """A group forged from cyclic:3, each matrix replaced by its inverse's,
-    shares the spec but not the algebra: its product x y^2 is the same
-    whether or not the built group multiplied the same words first, and it
-    gets no idempotent basis, whose rules read the built group's matrices,
-    even once the built group has one."""
+    and its Euler part sum_s C_s s and bracket [xi, v] derived from the
+    forged matrices, shares the spec but not the algebra: its product x y^2
+    is the same whether or not the built group multiplied the same words
+    first, and it gets no idempotent basis, whose rules read the built
+    group's matrices, even once the built group has one."""
     import chered.cherednik as cherednik
     W = build_group("cyclic:3")
+    mats = tuple(W.matrices[g] for g in W.inverse)
+    # a reflection's parameter follows its matrix: the forged s^k acts as
+    # the built s^-k, so it takes the parameter of s^-k
+    param = {r.index: MPoly.var(r.param) for r in W.reflections}
+    euler = tuple((param[W.inverse[r.index]], r.index) for r in W.reflections)
+    brackets = ((tuple((c * -(mats[s][0][0] - 1), s) for c, s in euler),),)
     forged = replace_fields(
-        W, matrices=tuple(W.matrices[g] for g in W.inverse),
-        dual_matrices=tuple(W.dual_matrices[g] for g in W.inverse))
+        W, matrices=mats,
+        dual_matrices=tuple(W.dual_matrices[g] for g in W.inverse),
+        brackets=brackets, euler=euler)
+    assert forged.euler != W.euler and forged.brackets != W.brackets
 
     def x_y2(G):
         return multiply(PBWElement.dual_gen(G, 0), PBWElement.v_gen(G, 0) ** 2)
@@ -287,6 +296,8 @@ def test_straightening_is_kept_per_group_not_per_spec():
     idempotent_basis(W)
     with pytest.raises(ValueError, match="act as z\\^k on V"):
         idempotent_basis(forged)
+    # the forged fields agree with each other: its Euler element is central
+    assert noncommuting_generator(euler_element(forged)) is None
 
 
 def test_scale_matches_coefficient_products():
@@ -580,6 +591,40 @@ def test_power_never_multiplies_by_the_unit(monkeypatch):
     assert power(eu, 1) is eu
 
 
+def test_power_equals_the_multiply_chain():
+    W = build_group("b2")
+    B = idempotent_basis(build_group("cyclic:4"))
+    rng = random.Random(zlib.crc32(b"power chain"))
+    for x in (euler_element(W), sharing_element(build_group("cyclic:3"), rng),
+              named_center_generators(B)["eu"]):
+        chain = x
+        for n in range(1, 9):
+            assert x ** n == chain, n
+            chain = multiply(chain, x)
+
+
+def test_power_is_formed_once_per_element(monkeypatch):
+    import chered.cherednik as cherednik
+    W = build_group("b2")
+    g = named_center_generators(W)
+    first = g["eu"] ** 8
+    real, calls = cherednik.multiply, []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(cherednik, "multiply", counted)
+    assert g["eu"] ** 8 is first and calls == []
+    # an equal element that is another object keeps its own powers
+    eu = euler_element(W)
+    assert eu == g["eu"] and eu.powers is None
+    assert eu ** 8 == first and eu ** 8 is not first and len(calls) == 3
+    assert eu.powers is not g["eu"].powers
+    x, y = PBWElement.v_gen(W, 0), PBWElement.v_gen(W, 1)
+    assert x ** 2 != y ** 2 and (x ** 2) ** 2 == x ** 4 != y ** 4
+
+
 def test_power_builds_its_unit_only_for_the_exponent_0(monkeypatch):
     x = MPoly.var("x")
     W = build_group("b2")
@@ -607,6 +652,47 @@ def test_power_builds_its_unit_only_for_the_exponent_0(monkeypatch):
     monkeypatch.undo()
     assert squares == (x * x, multiply(eu, eu))
     assert zeroth == (1, PBWElement.one(W))
+
+
+UNIT_BASES = {
+    "b2": lambda: build_group("b2"),
+    "cyclic:3": lambda: build_group("cyclic:3"),
+    "idempotents:4": lambda: idempotent_basis(build_group("cyclic:4")),
+    "deformed:b2": lambda: _deformed(build_group("b2")),
+}
+
+
+@pytest.mark.parametrize("kind", UNIT_BASES)
+def test_unit_factor_gives_the_packed_product(kind, monkeypatch):
+    """one * x and x * one equal the product that `multiply` packs, term by
+    term and with the same coefficient variables, and build no frame; so
+    does a unit whose coefficient carries a variable it does not use.  An
+    element of the unit's words that is not the unit, its last coefficient
+    2, takes the packed path."""
+    import chered.cherednik as cherednik
+    B = UNIT_BASES[kind]()
+    rng = random.Random(zlib.crc32(f"unit/{kind}".encode()))
+    zeros = (0,) * B.dim
+    units = (PBWElement.one(B), PBWElement.unit_monomial(
+        B, zeros, zeros, MPoly._of(("sigma",), {(0,): 1})))
+    near = PBWElement.one(B) + PBWElement.monomial(B, zeros, B.unit[-1], zeros)
+    xs = (sharing_element(B, rng), euler_element(B) ** 2, units[0])
+    pairs = [pair for u in (*units, near) for x in xs
+             for pair in ((u, x), (x, u))]
+    monkeypatch.setattr(cherednik, "_is_one", lambda elem: False)
+    packed = [multiply(a, b) for a, b in pairs]
+    monkeypatch.undo()
+    real, frames = cherednik._frame, []
+    monkeypatch.setattr(cherednik, "_frame",
+                        lambda *shape: frames.append(shape) or real(*shape))
+    for (a, b), want in zip(pairs, packed):
+        before = len(frames)
+        got = multiply(a, b)
+        assert got.basis is B and got.terms == want.terms
+        assert ({k: c.vars for k, c in got.terms.items()}
+                == {k: c.vars for k, c in want.terms.items()})
+        unit_factor = any(e is u for e in (a, b) for u in units)
+        assert (len(frames) == before) == unit_factor
 
 
 def test_elements_of_two_groups_do_not_mix():

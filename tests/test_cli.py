@@ -254,7 +254,7 @@ def test_usage_errors_exit_2(capsys):
     ("families", "--group", "b2", "--params", "a=x,b=1"),
     ("hilbert", "--group", "b2", "--order", "-3"),
     ("hilbert", "--group", "b2", "--order", "0"),
-    ("verify", "center", "--group", "cyclic:9"),
+    ("verify", "center", "--group", "cyclic:11"),
     ("geometry", "rank1", "--d", "-1", "--point", "1,2"),
     ("families", "--group", "b2", "--params", "a=1,a=2,b=1"),
     ("cells", "--group", "b2", "--params", "a=1,A=2,b=1"),
@@ -285,8 +285,8 @@ def test_usage_error_exit_code(capsys, argv):
 
 
 def test_rank1_range_error_names_missing_piece(capsys):
-    code, _, err = run(capsys, "verify", "center", "--group", "cyclic:9")
-    assert code == 2 and "2 <= d <= 8" in err
+    code, _, err = run(capsys, "verify", "center", "--group", "cyclic:11")
+    assert code == 2 and "2 <= d <= 10" in err
 
 
 def test_handlers_return_data_and_print_nothing(capsys):

@@ -2,7 +2,8 @@
 imported from the module that defines it (by the tests too), every name
 of a module's ``__all__`` is defined there, every function, class, method
 and top-level constant it defines is used, every annotated field of its
-classes is read, no check is an assert statement, every ArithmeticError
+classes is read, no check is an assert statement, the terms of an element
+or a polynomial change only in its constructors, every ArithmeticError
 the package raises has a test that provokes it by its message, and a group
 is told apart by its spec only where an allow-list says why, and a basis of
 the group algebra by its class nowhere."""
@@ -197,6 +198,44 @@ def assert_lines(source: str) -> list[int]:
     strips them, so no check of the package may rest on one."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Assert)]
+
+
+# The constructors that fill the terms of a new `PBWElement` or `MPoly`,
+# and the dict methods that change a map in place.
+CONSTRUCTORS = ("__init__", "_of")
+DICT_CHANGES = ("pop", "popitem", "update", "clear", "setdefault")
+
+
+def terms_changes(source: str) -> list[str]:
+    """"function:line" of each change to a `.terms` map outside the
+    functions named in CONSTRUCTORS: an assignment to `x.terms` or into it
+    (plain, augmented or annotated), a `del` of it or from it, or a call of
+    one of DICT_CHANGES on it.  An element and a polynomial never change
+    once built, and `PBWElement.powers` rests on that."""
+    def terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    def changes(node):
+        if isinstance(node, ast.Call):
+            return (isinstance(node.func, ast.Attribute)
+                    and node.func.attr in DICT_CHANGES
+                    and terms(node.func.value))
+        if isinstance(node, ast.Subscript) and terms(node.value):
+            return not isinstance(node.ctx, ast.Load)
+        return terms(node) and not isinstance(node.ctx, ast.Load)
+
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if where not in CONSTRUCTORS and changes(node):
+            found.append(f"{where}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
 
 
 def group_tests(source: str) -> list[str]:
@@ -465,6 +504,36 @@ def test_scanner_flags_group_tests():
     assert group_tests(source) == ["", "C.g"] + ["f"] * 5 + ["h"] * 4
 
 
+def test_scanner_flags_terms_changes():
+    source = ("class P:\n"
+              "    def __init__(self, terms):\n"
+              "        self.terms = {}\n"
+              "        self.terms.update(terms)\n"
+              "    @staticmethod\n"
+              "    def _of(terms):\n"
+              "        p = P.__new__(P)\n"
+              "        p.terms = terms\n"
+              "        return p\n"
+              "    def scale(self, c):\n"
+              "        return P._of({k: c * v for k, v in self.terms.items()})\n"
+              "    def bad(self, other, k):\n"
+              "        self.terms[k] = 1\n"
+              "        other.terms[k] += 1\n"
+              "        del self.terms[k]\n"
+              "        self.terms, n = {}, 0\n"
+              "        self.terms.pop(k)\n"
+              "        other.terms.clear()\n"
+              "        self.terms.setdefault(k, 1)\n"
+              "        copy = dict(self.terms)\n"
+              "        copy.pop(k)\n"
+              "        return self.terms.get(k), copy\n"
+              "def helper(p, k):\n"
+              "    p.terms.update({k: 1})\n"
+              "    del p.terms\n")
+    assert terms_changes(source) == [f"bad:{n}" for n in range(13, 20)] + [
+        "helper:24", "helper:25"]
+
+
 def test_scanner_flags_asserts():
     source = ("def f(x):\n"
               "    assert x, 'message'\n"
@@ -553,6 +622,11 @@ def test_no_unread_constants():
 
 def test_no_unread_fields():
     assert unread_fields({p.stem: p.read_text() for p in MODULES}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_terms_change_only_in_constructors(path):
+    assert terms_changes(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

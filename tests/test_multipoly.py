@@ -2,12 +2,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from chered.exactnum import Cyclotomic, canon_scalar, primitive_root
 from chered.multipoly import (MPoly, charpoly_berkowitz, discriminant,
                               resultant)
-from oracles import parse_poly, schoolbook_product, sylvester_resultant
+from oracles import (dense_charpoly_berkowitz, parse_poly, schoolbook_product,
+                     sylvester_resultant)
 
 
 x, y, t = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
@@ -215,6 +216,40 @@ def test_charpoly_berkowitz():
     a = MPoly.var("a")
     mat = [[a, MPoly.const(1)], [MPoly.const(1), a]]
     assert charpoly_berkowitz(mat, "t") == (t - a) ** 2 - 1
+
+
+NONZERO_ENTRIES = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)),
+    st.builds(lambda c, e, f: c + e * x + f * x * y, st.integers(-2, 2),
+              st.integers(-2, 2), st.integers(-1, 1)).filter(bool))
+ZERO_ENTRIES = st.sampled_from([0, Fraction(0), MPoly.zero(), x - x])
+
+
+@st.composite
+def sparse_matrices(draw):
+    """An n x n matrix, 1 <= n <= 5, of int, Fraction and polynomial
+    entries, most of them zero in one of their forms, with some rows and
+    columns wholly zero."""
+    n = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.one_of(ZERO_ENTRIES, ZERO_ENTRIES,
+                                    NONZERO_ENTRIES),
+                          min_size=n * n, max_size=n * n))
+    rows = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    return [[0 if i in rows or j in cols else cells[i * n + j]
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices())
+@example([[0]])
+@example([[x - 1]])
+@example([[MPoly.zero()] * 4 for _ in range(4)])
+@example([[0, 1, 0], [0, 0, 1], [Fraction(1, 2), 0, 0]])
+def test_sparse_berkowitz_matches_dense_oracle(mat):
+    # skipping the products with a zero factor changes no coefficient
+    assert charpoly_berkowitz(mat, "t") == dense_charpoly_berkowitz(mat, "t")
 
 
 @settings(max_examples=25, deadline=None)
