@@ -7,7 +7,7 @@ works in any ring with +, - and *:
 
 - `_rank1_relation(t, ks, x, y)` is prod_j (t - d K_j) - x y.  With t = eu,
   x, y = X, Y in the PBW algebra over the idempotent basis of the group
-  algebra and the K-forms of `param_map` it is the residue that
+  algebra and the K-forms of `k_forms` it is the residue that
   `verify_rank1_center` checks; with t, X and Y variables and the same
   K-forms it is the rank-1 minimal polynomial.
 - `_b2_relations(g)` gives Z1-Z9 as pairs (lhs, rhs), each lhs a monomial
@@ -28,7 +28,7 @@ from operator import ge, mul, sub
 
 from .multipoly import MPoly, charpoly_berkowitz
 from .reflgrp import (ReflectionGroup, build_group, character_table,
-                      idempotent_basis, param_map)
+                      idempotent_basis, k_forms)
 from .cherednik import (PBWElement, center_presentation,
                         named_center_generators, noncommuting_generator,
                         residue_summary)
@@ -59,14 +59,14 @@ def verify_rank1_center(d: int) -> dict:
     order d, for d in RANK1_DEGREES.  The product is taken over the
     idempotent basis of the group algebra (`idempotent_basis`), where every
     structure constant is a rational linear form in the K-coordinates and
-    each K_j is its form from `param_map`."""
+    each K_j is its form from `k_forms`."""
     if d not in RANK1_DEGREES:
         raise ValueError(
             "the rank-1 center identity is supported, and tested, for"
             f" {RANK1_DEGREES[0]} <= d <= {RANK1_DEGREES[-1]}, got d = {d}")
     W = build_group(f"cyclic:{d}")
     g = named_center_generators(idempotent_basis(W))
-    ks = list(param_map(W).k_forms.values())
+    ks = list(k_forms(W).values())
     return _report(f"prod(eu - {d}*K_j) = X*Y",
                    _rank1_relation(g["eu"], ks, g["X"], g["Y"]))
 
@@ -209,14 +209,14 @@ def minpoly_euler(W: ReflectionGroup) -> MPoly:
     """Minimal polynomial of eu over P, in the variable t.
 
     Rank 1 (order d): prod_j (t - d K_j) - X Y (`_rank1_relation`), in the
-    K-coordinates of `param_map` (sum_j K_j = 0 encoded by eliminating
-    K_0).  B2: the characteristic polynomial of the multiplication matrix
-    of eu on the P-basis of Z, rewritten from Z1-Z9, checked equal to the
-    explicit closed form of degree 8 (ArithmeticError otherwise).
+    K-coordinates of `k_forms` (sum_j K_j = 0 encoded by eliminating K_0).
+    B2: the characteristic polynomial of the multiplication matrix of eu on
+    the P-basis of Z, rewritten from Z1-Z9, checked equal to the explicit
+    closed form of degree 8 (ArithmeticError otherwise).
     """
     if W.spec != "b2":
         t, X, Y = (MPoly.var(name) for name in ("t", "X", "Y"))
-        return _rank1_relation(t, list(param_map(W).k_forms.values()), X, Y)
+        return _rank1_relation(t, list(k_forms(W).values()), X, Y)
     charpoly = charpoly_berkowitz(_b2_multiplication_matrix("eu"), "t")
     closed = _b2_euler_minpoly_closed_form()
     if charpoly != closed:
@@ -231,18 +231,20 @@ def euler_charpoly_congruence(W: ReflectionGroup) -> bool:
     Omega_chi of eu alone, each value certified by `omega`, and not the
     whole `omega_table`.
 
-    Both sides are read in the coordinates of f = `minpoly_euler(W)`: the
-    invariants set to zero are the named generators among the variables of
-    f, and each C-label that f does not use (every one, for a rank-1 f in
-    K-coordinates) is rewritten in Omega by its K-form."""
+    Both sides are read in the coordinates of f = `minpoly_euler(W)`.
+    Omega is computed over the basis of the group algebra whose parameters
+    are variables of f, so it needs no change of coordinates: the group
+    when f is in its C-labels (B2), else the idempotent basis, whose
+    K-labels a rank-1 f uses and whose structure constants are rational.
+    The invariants set to zero are the named generators among the variables
+    of f."""
     f = minpoly_euler(W)
     t = MPoly.var("t")
-    gens = named_center_generators(W)
+    B = W if set(W.param_names) <= set(f.vars) else idempotent_basis(W)
+    gens = named_center_generators(B)
     reduced = f.substitute({n: MPoly.zero() for n in f.vars if n in gens})
-    c_forms = param_map(W).c_forms
-    to_k = {c: c_forms[c] for c in W.param_names if c not in f.vars}
     prod = MPoly.const(1)
     for chi in character_table(W):
-        val = omega(gens["eu"], chi).substitute(to_k)
+        val = omega(gens["eu"], chi)
         prod = prod * (t - val) ** (chi.degree ** 2)
     return reduced == prod

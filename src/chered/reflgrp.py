@@ -54,6 +54,7 @@ __all__ = [
     "IdempotentBasis",
     "build_group",
     "character_table",
+    "k_forms",
     "param_map",
     "idempotent_basis",
     "check_param_labels",
@@ -167,9 +168,13 @@ class _Basis(_Record):
     - brackets[i][j]: [xi_i, v_j] as ((coefficient, element), ...);
     - euler: the group-algebra part sum_s C_s s of the Euler element, as
       ((coefficient, element), ...);
+    - group: the `ReflectionGroup` whose algebra it spans (a group is its
+      own), which owns the coinvariants of the baby Verma modules;
 
-    and the methods `b_mono` and `mono_b`, the moves of a basis element past
-    a monomial."""
+    the methods `b_mono` and `mono_b`, the moves of a basis element past a
+    monomial, and `matrices_in`, the matrix of each basis element in an
+    irreducible representation, which a baby Verma module (`verma`) acts
+    through."""
 
     __slots__ = ()
 
@@ -211,6 +216,10 @@ class ReflectionGroup(_Basis):
                  "v_names", "dual_names", "generators", "representations",
                  "unit", "param_names", "brackets", "euler")
 
+    @property
+    def group(self) -> "ReflectionGroup":
+        return self
+
     def k_param_names(self) -> tuple[str, ...]:
         return tuple(lab for label, e in self.hyperplane_orbits
                      for lab in _orbit_k_labels(self, label, e))
@@ -245,6 +254,11 @@ class ReflectionGroup(_Basis):
         mono g = g g^-1(mono)."""
         scalar, image = self.act_monomial(self.inverse[g], mono, True)
         return scalar, g, image
+
+    def matrices_in(self, chi: "Character") -> tuple:
+        """The matrix of each element in the representation of chi:
+        `chi.matrices`."""
+        return chi.matrices
 
 
 class Character(_Record):
@@ -573,56 +587,69 @@ def _orbit_k_labels(W: ReflectionGroup, label: str, e: int):
     return [f"{prefix}{j}" for j in range(e)]
 
 
+@functools.lru_cache(maxsize=None)
+def k_forms(W: ReflectionGroup) -> MappingProxyType:
+    """{K-label: MPoly}: each K-label of W as a linear form in the K-labels
+    that are left once each orbit's constraint sum_j K_j = 0 is encoded by
+    eliminating its K_0, so K_0 = -(K_1 + ... + K_(e-1)) and every other K_j
+    is its own variable.  The forms are rational and involve no C-label, so
+    they are built without the C<->K table of `param_map`.
+
+    >>> {lab: str(f) for lab, f in k_forms(build_group("cyclic:3")).items()}
+    {'K0': '-K1 - K2', 'K1': 'K1', 'K2': 'K2'}
+    """
+    forms = {}
+    for label, e in W.hyperplane_orbits:
+        klabs = _orbit_k_labels(W, label, e)
+        kvars = [MPoly.var(lab) for lab in klabs]
+        kvars[0] = -sum(kvars[1:], MPoly.zero())
+        forms.update(zip(klabs, kvars))
+    return MappingProxyType(forms)
+
+
 class ParamMap(_Record):
     """The change between the C- and K-coordinates of one group.
 
     Per hyperplane orbit of order e, the class of the reflections s_H^i has
     C_i = sum_j z_e^(i(j-1)) K_j (and C_0 = 0), inverted by
-    K_j = (1/e) sum_i z_e^(-i(j-1)) C_i.  The constraint sum_j K_j = 0 is
-    encoded by eliminating the orbit's K_0, so every C_s is a linear form in
-    the remaining K-labels.
+    K_j = (1/e) sum_i z_e^(-i(j-1)) C_i.  Each C_s is written over the
+    K-forms of `k_forms`, so it is a linear form in the K-labels that are
+    left once K_0 is eliminated.
     """
 
-    k_forms: MappingProxyType   # K-label -> MPoly, K_0 = -(K_1 + ... + K_{e-1})
     c_forms: MappingProxyType   # C-label -> MPoly, linear in the K-labels
-    c_rows: tuple               # (C-label, ((K-label, coeff), ...)), read off c_forms
     k_rows: tuple               # (K-label, ((C-label, coeff), ...))
 
-    __slots__ = ("k_forms", "c_forms", "c_rows", "k_rows")
+    __slots__ = ("c_forms", "k_rows")
 
 
 @functools.lru_cache(maxsize=None)
 def param_map(W: ReflectionGroup) -> ParamMap:
     """The group's parameter map; the one place that holds the coefficient
-    table z_e^(i(j-1)) and the elimination of K_0.
+    table z_e^(i(j-1)), whose entries are `Cyclotomic` for e > 2.  Only a
+    change of coordinates needs it (`param_convert`); what reads the
+    K-coordinates alone reads `k_forms`.
 
     >>> print(param_map(build_group("cyclic:2")).c_forms["C1"])
     2*K1
     """
-    k_forms, c_forms, k_rows = {}, {}, []
+    ks = k_forms(W)
+    c_forms, k_rows = {}, []
     for label, e in W.hyperplane_orbits:
         z = primitive_root(e)
         table = [[scalar_pow(z, i * (j - 1)) for j in range(e)] for i in range(e)]
         klabs = _orbit_k_labels(W, label, e)
-        kvars = [MPoly.var(lab) for lab in klabs]
-        kvars[0] = -sum(kvars[1:], MPoly.zero())
-        k_forms.update(zip(klabs, kvars))
         classes = {r.power: r.param for r in W.reflections if r.orbit == label}
         for i, param in classes.items():
             form = MPoly.zero()
-            for j in range(e):
-                form = form + kvars[j] * table[i][j]
+            for j, lab in enumerate(klabs):
+                form = form + ks[lab] * table[i][j]
             c_forms[param] = form
         for j, lab in enumerate(klabs):
             k_rows.append((lab, tuple(
                 (param, scalar_div(table[i][j].conjugate(), e))
                 for i, param in classes.items())))
-    c_rows = tuple(
-        (param, tuple((form.vars[exp.index(1)], c)
-                      for exp, c in form.terms.items()))
-        for param, form in c_forms.items())
-    return ParamMap(MappingProxyType(k_forms), MappingProxyType(c_forms),
-                    c_rows, tuple(k_rows))
+    return ParamMap(MappingProxyType(c_forms), tuple(k_rows))
 
 
 class IdempotentBasis(_Basis):
@@ -640,8 +667,10 @@ class IdempotentBasis(_Basis):
         sum_s C_s s = d sum_j K_(1-j) e_j,
 
     indices mod d.  Every structure constant is rational, so a product in
-    this basis does no `Cyclotomic` arithmetic."""
+    this basis does no `Cyclotomic` arithmetic.  On the line of the linear
+    character eps^m, e_j acts as 1 if j = m and as 0 otherwise."""
 
+    group: ReflectionGroup     # the cyclic group
     spec: str                  # of its group
     dim: int                   # 1
     names: tuple[str, ...]     # "e_0", ..., "e_(d-1)"
@@ -654,7 +683,7 @@ class IdempotentBasis(_Basis):
     brackets: tuple            # (([x, y] as ((K-form, j), ...),),)
     euler: tuple               # sum_s C_s s as ((K-form, j), ...)
 
-    __slots__ = ("spec", "dim", "names", "generators", "v_names",
+    __slots__ = ("group", "spec", "dim", "names", "generators", "v_names",
                  "dual_names", "mult_table", "unit", "param_names",
                  "brackets", "euler")
 
@@ -667,11 +696,26 @@ class IdempotentBasis(_Basis):
         """mono * e_j for a V*-monomial, as (scalar, e_j', mono')."""
         return 1, (j - mono[0]) % len(self.names), mono
 
+    def matrices_in(self, chi: Character) -> tuple:
+        """The matrix of each e_j on the line of a linear character chi of
+        the group, which sends the k-th element s^k to z^(mk) for one m: (1)
+        for e_m and (0) for every other e_j.  m is read from chi's matrix of
+        s, and ValueError is raised unless every matrix of chi is z^(mk)."""
+        # the group's k-th matrix is ((z^k,),), as `idempotent_basis` checks
+        mats, powers = chi.matrices, self.group.matrices
+        d = len(powers)
+        m = (next((m for m in range(d) if powers[m] == mats[1]), None)
+             if len(mats) == d else None)
+        if m is None or any(mats[k] != powers[m * k % d] for k in range(d)):
+            raise ValueError(f"{chi.name} is not a linear character"
+                             f" s^k -> z^(mk) of {self.spec}")
+        return tuple(((int(j == m),),) for j in range(d))
+
 
 @functools.lru_cache(maxsize=None)
 def idempotent_basis(W: ReflectionGroup) -> IdempotentBasis:
     """The idempotent basis of the group algebra of W, with the K-forms of
-    `param_map(W)`, for a group whose irreducible representations are all
+    `k_forms(W)`, for a group whose irreducible representations are all
     lines (the cyclic groups); ValueError for any other group, and for a
     cyclic group whose k-th element does not act on V as z^k and on V* as
     z^-k, the matrices the rules of `IdempotentBasis` are read from.
@@ -689,11 +733,11 @@ def idempotent_basis(W: ReflectionGroup) -> IdempotentBasis:
            or W.dual_matrices[k] != ((scalar_pow(z, -k),),) for k in range(d)):
         raise ValueError("the idempotent basis needs the k-th element to act"
                          f" as z^k on V and z^-k on V*, got {W.spec}")
-    ks = list(param_map(W).k_forms.values())
+    ks = list(k_forms(W).values())
     names = tuple(f"e_{j}" for j in range(d))
     euler = tuple((d * ks[(1 - j) % d], j) for j in range(d))
     return IdempotentBasis(
-        spec=W.spec, dim=W.dim, names=names, generators=names,
+        group=W, spec=W.spec, dim=W.dim, names=names, generators=names,
         v_names=W.v_names, dual_names=W.dual_names,
         mult_table=tuple(tuple(i if i == j else None for j in range(d))
                          for i in range(d)),
@@ -730,11 +774,11 @@ def check_param_labels(W: ReflectionGroup, values: dict, basis: str) -> None:
 def param_convert(W: ReflectionGroup, values: dict, target: str) -> dict:
     """Exact change of coordinates of a parameter point, a dict of values
     keyed by the labels of the other basis, into the `target` basis ("C" or
-    "K") through the rows of `param_map`.
+    "K") through `param_map`: its C-forms, or its K-rows.
 
     Every label of the source basis must be present.  A K-point must sum to
-    zero on each orbit; the C-rows never read the eliminated K_0, so this is
-    checked here.
+    zero on each orbit; the C-forms never read the eliminated K_0, so this
+    is checked here.
 
     >>> W = build_group("cyclic:2")
     >>> param_convert(W, {"K0": -1, "K1": 1}, "C")
@@ -748,13 +792,18 @@ def param_convert(W: ReflectionGroup, values: dict, target: str) -> dict:
         raise ValueError("target basis must be 'C' or 'K'")
     check_param_labels(W, values, "K" if target == "C" else "C")
     pm = param_map(W)
+    rows = pm.k_rows
     if target == "C":
         for label, e in W.hyperplane_orbits:
             if sum(values[lab] for lab in _orbit_k_labels(W, label, e)) != 0:
                 raise ValueError(
                     f"K-coordinates of orbit {label} do not sum to zero")
+        # a C-form is linear: each term is one K-label and its coefficient
+        rows = ((label, ((form.vars[exp.index(1)], c)
+                         for exp, c in form.terms.items()))
+                for label, form in pm.c_forms.items())
     out = {}
-    for label, row in (pm.c_rows if target == "C" else pm.k_rows):
+    for label, row in rows:
         acc = 0
         for src, coeff in row:
             acc = coeff * values[src] + acc

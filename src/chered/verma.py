@@ -9,16 +9,27 @@ space) and has dimension |W| * chi(1).  It represents the t = 0 algebra
 only, and its V-action comes from the commutation rule of the PBW engine
 (`cherednik._straighten`).
 
-The coinvariant side is what `coinvariant_basis` returns, and all that the
-module reads of it: the basis monomials, and the normal form {basis
-monomial: scalar} of every monomial of degree at most one past the top.
+A module is built over a basis B of the group algebra (`reflgrp._Basis`),
+the basis of the elements it acts by, and reads the group algebra only
+through B, as `cherednik.multiply` does: its unit, its moves past a
+monomial, and `B.matrices_in(chi)`, the matrix of each basis element in
+chi.  Over the group these are chi's matrices and the coefficients are
+polynomials in the C-labels; over a cyclic group's idempotents
+(`reflgrp.idempotent_basis`) e_j acts on the line of eps^m as 1 if j = m
+and 0 otherwise, and the coefficients are rational polynomials in the
+K-labels, so no `Cyclotomic` arithmetic is done.
+
+The coinvariant side belongs to the group `B.group`; it is what
+`coinvariant_basis` returns, and all that the module reads of it: the basis
+monomials, and the normal form {basis monomial: scalar} of every monomial
+of degree at most one past the top.
 
 An action is stored as sparse columns: the image of the i-th basis vector
-is a dict {row index: coefficient}.  The V*-coordinates, the group elements
+is a dict {row index: coefficient}.  The V*-coordinates, the elements of B
 and the V-coordinates act through columns built once per module, and a PBW
 word acts on a basis vector by applying them in turn.  The module is graded
 by the degree of the coinvariant monomial, from 0 to top = sum(d_i - 1): a
-V*-coordinate raises it by one, a group element keeps it, and a
+V*-coordinate raises it by one, an element of B keeps it, and a
 V-coordinate lowers it by one and kills the degree-0 line.  So a word
 (p, g, q) sends a vector of degree k to zero unless |p| <= k + |q| <= top,
 and `act` applies it nowhere else.
@@ -36,7 +47,7 @@ from fractions import Fraction
 
 from .exactnum import canon_scalar, row_reduce
 from .multipoly import MPoly
-from .reflgrp import Character, ReflectionGroup, character_table
+from .reflgrp import Character, ReflectionGroup, _Basis, character_table
 from .cherednik import PBWElement, _straighten, named_center_generators
 
 __all__ = [
@@ -141,41 +152,46 @@ def coinvariant_basis(W: ReflectionGroup) -> tuple:
 
 
 class BabyVermaModule:
-    group: ReflectionGroup
+    """The baby Verma module of one character, over one basis of the group
+    algebra: the group, or a cyclic group's idempotents (see the module
+    docstring).  One class serves both bases, and reads nothing of a basis
+    but its fields and moves."""
+
+    group_basis: _Basis        # the basis of the elements the module acts by
     basis: tuple               # of (coinvariant monomial, chi-space index)
     normal_forms: dict         # monomial -> {basis monomial: scalar}
-    chi_mats: tuple            # chi.matrices, the matrix of each element
+    chi_mats: tuple            # the matrix of each element of group_basis
     # position of each basis vector, and the generator actions built once as
-    # sparse columns: each V*-side coordinate, each group element, each V-side
-    # coordinate
+    # sparse columns: each V*-side coordinate, each element of the group
+    # basis, each V-side coordinate
     index: dict
     dual_maps: list
     group_maps: list
     v_maps: list
 
-    __slots__ = ("group", "basis", "normal_forms", "chi_mats", "index",
+    __slots__ = ("group_basis", "basis", "normal_forms", "chi_mats", "index",
                  "dual_maps", "group_maps", "v_maps")
 
-    def __init__(self, group, basis, normal_forms, chi_mats):
-        self.group = group
+    def __init__(self, group_basis, basis, normal_forms, chi_mats):
+        self.group_basis = B = group_basis
         self.basis = basis
         self.normal_forms = normal_forms
         self.chi_mats = chi_mats
-        W = group
         self.index = {b: i for i, b in enumerate(basis)}
+        # xi * mono is the raised monomial times the unit, the sum of B.unit
         self.dual_maps = [
-            self._map(lambda mono, xi=xi: (
-                (1, tuple(e + (i == xi) for i, e in enumerate(mono)),
-                 W.identity),))
-            for xi in range(W.dim)]
+            self._map(lambda mono, xi=xi: tuple(
+                (1, tuple(e + (i == xi) for i, e in enumerate(mono)), u)
+                for u in B.unit))
+            for xi in range(B.dim)]
         self.group_maps = [
-            self._map(lambda mono, g=g: (W.b_mono(g, mono, True),))
-            for g in range(W.order())]
+            self._map(lambda mono, g=g: (B.b_mono(g, mono, True),))
+            for g in range(B.order())]
         # v * mono = mono * v + the corrections of `_straighten`, and
         # mono * v kills the generator line
         self.v_maps = [
-            self._map(lambda mono, vj=vj: _straighten(W, "v", vj, mono))
-            for vj in range(W.dim)]
+            self._map(lambda mono, vj=vj: _straighten(B, "v", vj, mono))
+            for vj in range(B.dim)]
 
     @property
     def dim(self) -> int:
@@ -206,18 +222,21 @@ class BabyVermaModule:
 
         A word (p, g, q) takes a basis vector of degree k through degree
         k + |q| to degree k + |q| - |p|, so it is applied only where
-        |p| <= k + |q| <= top; elsewhere its image is zero."""
-        if z.basis is not self.group:
+        |p| <= k + |q| <= top, top the highest degree of the coinvariant
+        basis; elsewhere its image is zero.  A basis element g that acts as
+        the identity (the group's identity) is not applied."""
+        if z.basis is not self.group_basis:
             raise ValueError("element belongs to another group")
-        W = self.group
-        top = sum(d - 1 for d in W.degrees)
+        n = self.group_basis.dim
+        top = max(sum(mono) for mono, _ in self.basis)
+        identity = [{i: 1} for i in range(self.dim)]
         words = []
         for (p, g, q), c in z.terms.items():
-            maps = [self.dual_maps[xi] for xi in range(W.dim)
+            maps = [self.dual_maps[xi] for xi in range(n)
                     for _ in range(q[xi])]
-            if g != W.identity:
+            if self.group_maps[g] != identity:
                 maps.append(self.group_maps[g])
-            maps += [self.v_maps[vj] for vj in range(W.dim)
+            maps += [self.v_maps[vj] for vj in range(n)
                      for _ in range(p[vj])]
             words.append((maps, c, sum(p), sum(q)))
         columns = []
@@ -248,19 +267,20 @@ def _apply(columns, vec: dict) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
-    """Build the baby Verma module attached to an irreducible character,
-    with W acting through chi.matrices, the representation whose traces are
-    the values of chi."""
-    if chi.group_spec != W.spec:
+def build_baby_verma(B: _Basis, chi: Character) -> BabyVermaModule:
+    """Build the baby Verma module attached to an irreducible character of
+    the group of B, a basis of its group algebra, with each basis element
+    acting through its matrix `B.matrices_in(chi)` in a representation
+    whose traces are the values of chi, and the coinvariants of `B.group`."""
+    if chi.group_spec != B.spec:
         raise ValueError("character does not belong to the group")
-    monomials, normal_forms = coinvariant_basis(W)
-    mats = chi.matrices
+    monomials, normal_forms = coinvariant_basis(B.group)
+    mats = B.matrices_in(chi)
     if len(mats[0]) != chi.degree:
         raise ArithmeticError(f"the realization of {chi.name} has dimension"
                               f" {len(mats[0])}, expected {chi.degree}")
     basis = tuple((m, j) for m in monomials for j in range(chi.degree))
-    return BabyVermaModule(W, basis, normal_forms, mats)
+    return BabyVermaModule(B, basis, normal_forms, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +290,9 @@ def build_baby_verma(W: ReflectionGroup, chi: Character) -> BabyVermaModule:
 
 def omega(z: PBWElement, chi: Character) -> MPoly:
     """Omega_chi(z) = trace(z acting on the baby Verma module) / dim, for z
-    in the t = 0 algebra, certified by checking that z - Omega_chi(z) acts
-    nilpotently."""
+    in the t = 0 algebra over any basis of the group algebra (the value is
+    in that basis's parameters), certified by checking that
+    z - Omega_chi(z) acts nilpotently."""
     mod = build_baby_verma(z.basis, chi)
     cols = mod.act(z)
     tr = MPoly.zero()

@@ -569,10 +569,10 @@ def dense_columns(cols: list) -> list:
 
 
 def _dense_generators(mod):
-    """Dense matrices of the V*-coordinates, the group elements and the
-    V-coordinates on a baby Verma module, each entry found by searching the
-    basis list."""
-    W = mod.group
+    """Dense matrices of the V*-coordinates, the elements of the module's
+    basis of the group algebra and the V-coordinates on a baby Verma
+    module, each entry found by searching the basis list."""
+    W = mod.group_basis
     n = mod.dim
 
     dual = []
@@ -586,9 +586,10 @@ def _dense_generators(mod):
     group = []
     for g in range(W.order()):
         mat = _zero_matrix(n)
-        rep = mod.chi_mats[g]
         for col, (mono, j) in enumerate(mod.basis):
-            scalar, image = W.act_monomial(g, mono, dual=True)
+            # g mono = scalar * image * g2, and g2 acts through its matrix
+            scalar, image, g2 = W.b_mono(g, mono, True)
+            rep = mod.chi_mats[g2]
             for m, c in mod.normal_forms[image].items():
                 for jp in range(len(rep)):
                     v = rep[jp][j]
@@ -616,7 +617,7 @@ def _dense_generators(mod):
 def dense_act(mod, z: PBWElement) -> list:
     """The dense action matrix of a PBW element of the t = 0 algebra, one
     matrix product per letter of each normal word."""
-    W = mod.group
+    W = mod.group_basis
     dual, group, vmats = _dense_generators(mod)
     total = _zero_matrix(mod.dim)
     for (p, g, q), c in z.terms.items():
@@ -624,8 +625,7 @@ def dense_act(mod, z: PBWElement) -> list:
         for xi in range(W.dim):
             for _ in range(q[xi]):
                 mat = _mat_mul(dual[xi], mat)
-        if g != W.identity:
-            mat = _mat_mul(group[g], mat)
+        mat = _mat_mul(group[g], mat)
         for vj in range(W.dim):
             for _ in range(p[vj]):
                 mat = _mat_mul(vmats[vj], mat)

@@ -13,7 +13,7 @@ from chered.exactnum import (Cyclotomic, _polydiv_exact, canon_scalar,
                              cyclotomic_polynomial, power, primitive_root,
                              scalar_div, scalar_pow, trace_pairing)
 from chered.multipoly import MPoly
-from chered.reflgrp import build_group, character_table, param_map
+from chered.reflgrp import build_group, character_table, k_forms, param_map
 from chered.verma import omega_table
 from oracles import (cyclotomic_coordinates, cyclotomic_galois,
                      cyclotomic_inverse, cyclotomic_lift, cyclotomic_mul)
@@ -549,7 +549,7 @@ def test_group_data_is_canonical(spec):
     pm = param_map(W)
     data = [W.matrices, W.dual_matrices,
             [chi.values for chi in character_table(W)],
-            dict(pm.k_forms), dict(pm.c_forms), pm.c_rows, pm.k_rows,
+            dict(k_forms(W)), dict(pm.c_forms), pm.k_rows,
             omega_table(W)]
     seen = list(_scalars(data))
     assert seen

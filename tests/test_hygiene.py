@@ -247,7 +247,9 @@ def group_tests(source: str) -> list[str]:
     such a test, nor is one of a bare name.  A test of which basis of the
     group algebra a value is counts too: `isinstance` against a class of
     BASIS_CLASSES (alone or in a tuple), and `type(...)` compared with one
-    by `is`, `is not`, `==` or `!=`."""
+    by `is`, `is not`, `==` or `!=`.  So does a probe of what a value is by
+    the attributes it has: a `hasattr` call, or a `getattr` with a default
+    (three arguments)."""
     def attribute(node):
         return isinstance(node, ast.Attribute) and node.attr in ("spec", "group")
 
@@ -278,6 +280,10 @@ def group_tests(source: str) -> list[str]:
                     and any(map(basis_class, operands)))
         if called(node, "isinstance"):
             return len(node.args) == 2 and basis_class(node.args[1])
+        if called(node, "hasattr"):
+            return True
+        if called(node, "getattr"):
+            return len(node.args) == 3
         return (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "startswith"
@@ -297,15 +303,16 @@ def group_tests(source: str) -> list[str]:
     return sorted(found)
 
 
-def raise_messages(source: str) -> list[tuple[int, list]]:
-    """(line, parts) of each `raise ArithmeticError(message)` of a module:
-    the message as its literal runs in order, with None for each field of
-    an f-string; no part for a message of any other form."""
+def raise_messages(source: str,
+                   exception: str = "ArithmeticError") -> list[tuple[int, list]]:
+    """(line, parts) of each `raise <exception>(message)` of a module: the
+    message as its literal runs in order, with None for each field of an
+    f-string; no part for a message of any other form."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                 and isinstance(node.exc.func, ast.Name)
-                and node.exc.func.id == "ArithmeticError"):
+                and node.exc.func.id == exception):
             continue
         message = node.exc.args[0] if node.exc.args else None
         if isinstance(message, ast.JoinedStr):
@@ -320,30 +327,88 @@ def raise_messages(source: str) -> list[tuple[int, list]]:
     return found
 
 
-def raises_patterns(source: str) -> list[str]:
-    """The string patterns of the `pytest.raises(ArithmeticError,
-    match=...)` calls of a test module."""
-    return [keyword.value.value
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "raises" and node.args
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id == "ArithmeticError"
-            for keyword in node.keywords
-            if keyword.arg == "match"
-            and isinstance(keyword.value, ast.Constant)]
+def raises_patterns(source: str, exception: str = "ArithmeticError") -> list[str]:
+    """The string patterns of the `pytest.raises(<exception>, match=...)`
+    calls of a test module: a literal pattern, or a parameter of the test
+    function around the call, which stands for each string value that the
+    function's `pytest.mark.parametrize` tables give it."""
+    def raises(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "raises" and node.args
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == exception)
+
+    patterns = []
+
+    def visit(node, table):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            table = parametrized_strings(node)
+        if raises(node):
+            for keyword in node.keywords:
+                value = keyword.value
+                if keyword.arg != "match":
+                    continue
+                if isinstance(value, ast.Constant):
+                    patterns.append(value.value)
+                elif isinstance(value, ast.Name):
+                    patterns.extend(table.get(value.id, []))
+        for child in ast.iter_child_nodes(node):
+            visit(child, table)
+
+    visit(ast.parse(source), {})
+    return [p for p in patterns if isinstance(p, str)]
+
+
+def parametrized_strings(func: ast.FunctionDef) -> dict[str, list[str]]:
+    """{argument: its string values} from the `pytest.mark.parametrize(names,
+    rows)` decorators of a test function whose rows are written out as a
+    list or a tuple: a row is a tuple or list of values, one value when one
+    name is given, or a `pytest.param(...)` of values."""
+    table: dict = {}
+    for dec in func.decorator_list:
+        if not (isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
+                and dec.func.attr == "parametrize" and len(dec.args) >= 2
+                and isinstance(dec.args[1], (ast.List, ast.Tuple))):
+            continue
+        names = dec.args[0]
+        if isinstance(names, ast.Constant) and isinstance(names.value, str):
+            names = [n.strip() for n in names.value.split(",")]
+        elif isinstance(names, (ast.List, ast.Tuple)):
+            names = [n.value for n in names.elts if isinstance(n, ast.Constant)]
+        else:
+            continue
+        for row in dec.args[1].elts:
+            if (isinstance(row, ast.Call) and isinstance(row.func, ast.Attribute)
+                    and row.func.attr == "param"):
+                values = row.args
+            elif len(names) == 1:
+                values = [row]
+            elif isinstance(row, (ast.Tuple, ast.List)):
+                values = row.elts
+            else:
+                continue
+            for name, value in zip(names, values):
+                if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                    table.setdefault(name, []).append(value.value)
+    return table
 
 
 def names_message(pattern: str, parts: list) -> bool:
     """Whether a pattern names a message of the given parts: it matches
     within one literal run, or its text, with backslash escapes undone,
     starts at a word of a run that a field follows and holds the next run
-    (stripped) after that.  A field may hold any text, so whether the rest
-    agrees is left to the test when it runs."""
+    (stripped) after that, or starts inside a field and holds the run
+    (stripped) that follows the field after its first character.  A field
+    may hold any text, so whether the rest agrees is left to the test when
+    it runs."""
     if any(run is not None and re.search(pattern, run) for run in parts):
         return True
     text = re.sub(r"\\(\W)", r"\1", pattern)
+    if any(run is None and (parts[k + 1] or "").strip()
+           and parts[k + 1].strip() in text[1:]
+           for k, run in enumerate(parts[:-1])):
+        return True
     for k, run in enumerate(parts[:-1]):
         if not run or parts[k + 1] is not None:
             continue
@@ -355,14 +420,15 @@ def names_message(pattern: str, parts: list) -> bool:
     return False
 
 
-def untested_raises(sources: dict[str, str],
-                    tests: dict[str, str]) -> list[str]:
-    """"module:line" of each `raise ArithmeticError` of the package whose
-    message no `pytest.raises(ArithmeticError, match=...)` of the tests
-    names: a loud check that no test provokes may never fire."""
-    patterns = [p for src in tests.values() for p in raises_patterns(src)]
+def untested_raises(sources: dict[str, str], tests: dict[str, str],
+                    exception: str = "ArithmeticError") -> list[str]:
+    """"module:line" of each `raise <exception>` of the package whose
+    message no `pytest.raises(<exception>, match=...)` of the tests names:
+    a loud check that no test provokes may never fire."""
+    patterns = [p for src in tests.values()
+                for p in raises_patterns(src, exception)]
     return [f"{mod}:{line}" for mod, src in sources.items()
-            for line, parts in raise_messages(src)
+            for line, parts in raise_messages(src, exception)
             if not any(names_message(p, parts) for p in patterns)]
 
 
@@ -504,6 +570,18 @@ def test_scanner_flags_group_tests():
     assert group_tests(source) == ["", "C.g"] + ["f"] * 5 + ["h"] * 4
 
 
+def test_scanner_flags_attribute_probes():
+    source = ("def f(B, name):\n"
+              "    if hasattr(B, 'degrees'): pass\n"
+              "    top = getattr(B, 'degrees', None)\n"
+              "    fields = getattr(B, name)\n"
+              "    return B.hasattr(name), B.getattr(name, 1, 2), fields, top\n"
+              "class C:\n"
+              "    def g(self, name):\n"
+              "        return hasattr(self, name) or getattr(self, name, 0)\n")
+    assert group_tests(source) == ["C.g", "C.g", "f", "f"]
+
+
 def test_scanner_flags_terms_changes():
     source = ("class P:\n"
               "    def __init__(self, terms):\n"
@@ -585,6 +663,59 @@ def test_scanner_flags_untested_raises():
     assert untested_raises(sources, tests) == ["a:9", "a:10", "a:11"]
 
 
+def test_scanner_reads_parametrized_patterns():
+    sources = {"a": ("def f(x):\n"
+                     "    raise ValueError('expected 3 values')\n"
+                     "    raise ValueError('values must sum to zero')\n"
+                     "    raise ValueError('second factor must be linear')\n"
+                     "    raise ValueError('not reached by a row')\n"
+                     "    raise ValueError('only an ArithmeticError row')\n")}
+    tests = {"test_a": (
+        "import pytest\n"
+        "@pytest.mark.parametrize('call, message', [\n"
+        "    (lambda: f(1), 'expected 3'),\n"
+        "    pytest.param(lambda: f(2), 'must sum', id='sum'),\n"
+        "    (lambda: f(3), other),\n"
+        "])\n"
+        "def test_f(call, message):\n"
+        "    with pytest.raises(ValueError, match=message):\n"
+        "        call()\n"
+        "@pytest.mark.parametrize('message', ['factor must', 'an Arith'])\n"
+        "@pytest.mark.parametrize(('n', 'reached'), [(1, 'not reached')])\n"
+        "def test_g(message, n, reached):\n"
+        "    with pytest.raises(ValueError, match=message):\n"
+        "        f(n)\n"
+        "    with pytest.raises(ArithmeticError, match=reached):\n"
+        "        f(n)\n"
+        "def test_h(message='only an'):\n"
+        "    with pytest.raises(ValueError, match=message):\n"
+        "        f(0)\n")}
+    # a row names a message only under its own exception, and a parameter
+    # only in the function its table decorates
+    assert untested_raises(sources, tests, "ValueError") == ["a:5"]
+    assert untested_raises(sources, tests) == []
+
+
+def test_scanner_names_a_pattern_that_starts_in_a_field():
+    sources = {"a": ("def f(lo, hi, d):\n"
+                     "    raise ValueError(f'supported for {lo} <= d <= {hi},'\n"
+                     "                     f' got d = {d}')\n"
+                     "    raise ValueError(f'{d} is not a linear character')\n"
+                     "    raise ValueError(f'{d}')\n")}
+    tests = {"test_a": ("import pytest\n"
+                        "pytest.raises(ValueError, match='2 <= d <= 10')\n"
+                        "pytest.raises(ValueError,"
+                        " match='eps is not a linear character')\n")}
+    # a message with no run after its field has nothing to be named by
+    assert untested_raises(sources, tests, "ValueError") == ["a:5"]
+    # after the field the pattern must hold the whole run that follows it
+    tests["test_a"] = ("import pytest\n"
+                       "pytest.raises(ValueError, match='d <= 10')\n"
+                       "pytest.raises(ValueError, match='eps is not a linear')\n")
+    assert untested_raises(sources, tests, "ValueError") == ["a:2", "a:4",
+                                                             "a:5"]
+
+
 # Public functions that only the tests and the benchmark call.  Any other
 # function of the package that only tests reach belongs in tests/oracles.py.
 TEST_ONLY_API = {
@@ -660,6 +791,12 @@ def test_every_arithmetic_error_is_provoked():
     tests = {p.name: p.read_text() for p in TEST_FILES}
     assert untested_raises({p.stem: p.read_text() for p in MODULES},
                            tests) == []
+
+
+def test_every_value_error_is_provoked():
+    tests = {p.name: p.read_text() for p in TEST_FILES}
+    assert untested_raises({p.stem: p.read_text() for p in MODULES},
+                           tests, "ValueError") == []
 
 
 def test_group_tests_are_allowed():

@@ -15,8 +15,8 @@ from chered.cherednik import euler_element
 from chered.cmcells import b2_cells, cm_families
 from chered.reflgrp import (_Record, build_group, b_invariant,
                             character_table, fake_degree, galois_orbits,
-                            idempotent_basis, inner_product, param_convert,
-                            param_map, value_on_element)
+                            idempotent_basis, inner_product, k_forms,
+                            param_convert, param_map, value_on_element)
 from chered.verma import build_baby_verma, omega, omega_table
 from oracles import rank1_c_to_k, rank1_k_variables, replace_fields
 
@@ -334,9 +334,9 @@ def test_param_map_eliminates_k0():
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
 def test_param_map_matches_rank1_oracle(d):
-    pm = param_map(build_group(f"cyclic:{d}"))
-    assert dict(pm.c_forms) == rank1_c_to_k(d)
-    assert list(pm.k_forms.values()) == rank1_k_variables(d)
+    W = build_group(f"cyclic:{d}")
+    assert dict(param_map(W).c_forms) == rank1_c_to_k(d)
+    assert list(k_forms(W).values()) == rank1_k_variables(d)
 
 
 _SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "b2")
@@ -355,7 +355,7 @@ def test_param_convert_c_k_c_roundtrip(spec, data):
     for lab, value in cv.items():
         got = pm.c_forms[lab].substitute(kv)
         assert canon_scalar(got.constant_value()) == value
-    for lab, form in pm.k_forms.items():
+    for lab, form in k_forms(W).items():
         got = form.substitute(kv)
         assert canon_scalar(got.constant_value()) == kv[lab]
 
@@ -405,6 +405,39 @@ def test_specs_of_one_group_build_one_object():
 def test_param_convert_rejects_inexact_values(values, target):
     with pytest.raises(TypeError, match="must be exact"):
         param_convert(build_group("b2"), values, target)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("cyclic:x", "cyclic group order must be a positive integer, got 'x'"),
+    ("cyclic:2.5", "cyclic group order must be a positive integer,"
+     " got '2.5'"),
+    ("a2", "unknown group descriptor 'a2'"),
+], ids=["letter", "fraction", "unknown"])
+def test_build_group_refuses_a_malformed_spec(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_group(spec)
+
+
+def test_param_convert_refuses_a_k_point_off_the_constraint():
+    # K0 is eliminated from the C-forms, so only the sum check sees it
+    with pytest.raises(ValueError,
+                       match="K-coordinates of orbit s do not sum to zero"):
+        param_convert(build_group("cyclic:3"), {"K0": 1, "K1": 0, "K2": 0},
+                      "C")
+
+
+@pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 9)])
+def test_k_forms_equal_param_maps(spec):
+    """The K-forms built without the C<->K table are those of the table:
+    each K-row of `param_map`, read over its C-forms, gives the K-form."""
+    W = build_group(spec)
+    pm = param_map(W)
+    ks = k_forms(W)
+    assert [lab for lab, _ in pm.k_rows] == list(ks) == list(W.k_param_names())
+    for lab, row in pm.k_rows:
+        form = sum((pm.c_forms[c] * coeff for c, coeff in row), MPoly.zero())
+        assert form == ks[lab], lab
+    assert k_forms(W) is ks
 
 
 def test_param_convert_rejects_an_unknown_target():

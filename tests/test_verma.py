@@ -7,7 +7,7 @@ import pytest
 from chered.exactnum import canon_scalar
 from chered.multipoly import MPoly
 from chered.reflgrp import (build_group, character_table, fake_degree,
-                            param_convert)
+                            idempotent_basis, param_convert, param_map)
 from chered.cherednik import (PBWElement, euler_element, multiply,
                               named_center_generators)
 from chered.verma import (BabyVermaModule, _reynolds_invariants,
@@ -348,3 +348,103 @@ def test_act_skips_words_that_leave_the_graded_module(d, monkeypatch):
     for chi in character_table(W):
         assert build_baby_verma(W, chi).act(Y) == [{}] * d, chi.name
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the same module over a cyclic group's idempotents
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_omega_over_idempotents_matches_the_group_basis(d):
+    """Omega_chi(eu) over the idempotent basis, in the K-labels, is Omega_chi
+    of the group's eu, in the C-labels, with each C-label replaced by its
+    K-form; and it is rational."""
+    W = build_group(f"cyclic:{d}")
+    B = idempotent_basis(W)
+    c_forms = param_map(W).c_forms
+    eu_group, eu_idem = euler_element(W), euler_element(B)
+    for chi in character_table(W):
+        value = omega(eu_idem, chi)
+        assert value == omega(eu_group, chi).substitute(c_forms), chi.name
+        assert all(isinstance(c, (int, Fraction))
+                   for c in value.terms.values()), chi.name
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_action_over_idempotents_is_multiplicative(d):
+    """On the module over the idempotent basis, act(a b) = act(a) act(b) on
+    seeded random pairs and on all pairs of generators, and act agrees
+    with the dense oracle."""
+    import random
+    rng = random.Random(1000 + d)
+    W = build_group(f"cyclic:{d}")
+    B = idempotent_basis(W)
+    gens = ([PBWElement.v_gen(B, 0), PBWElement.dual_gen(B, 0)]
+            + [PBWElement.group_gen(B, j) for j in range(d)])
+    pairs = ([(_random_element(B, rng), _random_element(B, rng))
+              for _ in range(6)]
+             + [(a, b) for a in gens for b in gens])
+    for chi in character_table(W):
+        mod = build_baby_verma(B, chi)
+        for a, b in pairs:
+            assert dense_columns(mod.act(multiply(a, b))) == _mat_product(
+                dense_columns(mod.act(a)), dense_columns(mod.act(b))), \
+                (chi.name, str(a), str(b))
+        for z in [z for pair in pairs[:6] for z in pair]:
+            assert dense_columns(mod.act(z)) == dense_act(mod, z), \
+                (chi.name, str(z))
+
+
+def test_omega_over_idempotents_refuses_non_central_elements():
+    # x raises the degree, so it acts nilpotently and Omega(x) = 0 holds;
+    # each e_j acts as a projector of rank 1 and x y as a non-scalar
+    # diagonal, so neither is a scalar plus a nilpotent
+    W = build_group("cyclic:3")
+    B = idempotent_basis(W)
+    x, y = PBWElement.dual_gen(B, 0), PBWElement.v_gen(B, 0)
+    for chi in character_table(W):
+        assert omega(x, chi).is_zero()
+        for z in [x * y] + [PBWElement.group_gen(B, j) for j in range(3)]:
+            with pytest.raises(ArithmeticError,
+                               match="central element failed the nilpotency"
+                               " check"):
+                omega(z, chi)
+
+
+def test_idempotents_act_on_a_linear_character_by_its_exponent():
+    W = build_group("cyclic:4")
+    B = idempotent_basis(W)
+    for m, chi in enumerate(character_table(W)):
+        assert B.matrices_in(chi) == tuple(((int(j == m),),)
+                                           for j in range(4)), chi.name
+
+
+def test_idempotent_basis_refuses_a_forged_linear_character():
+    W = build_group("cyclic:4")
+    B = idempotent_basis(W)
+    chi = character_table(W)[1]
+    mats = chi.matrices
+    forged = [
+        # s -> z, but s^2 -> z^3 where z^2 belongs
+        replace_fields(chi, matrices=(mats[0], mats[1], mats[3], mats[3])),
+        # s -> 1/2, no power of z
+        replace_fields(chi, matrices=tuple(((Fraction(1, 2 ** k),),)
+                                           for k in range(4))),
+        # one matrix too few
+        replace_fields(chi, matrices=mats[:3]),
+    ]
+    for psi in forged:
+        with pytest.raises(ValueError,
+                           match=r"eps\^1 is not a linear character"):
+            B.matrices_in(psi)
+        with pytest.raises(ValueError, match="is not a linear character"):
+            build_baby_verma(B, psi)
+
+
+def test_idempotent_module_refuses_a_character_of_another_group():
+    B = idempotent_basis(build_group("cyclic:3"))
+    for spec in ("cyclic:4", "b2"):
+        chi = character_table(build_group(spec))[1]
+        with pytest.raises(ValueError, match="does not belong to the group"):
+            build_baby_verma(B, chi)
