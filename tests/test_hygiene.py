@@ -4,9 +4,10 @@ of a module's ``__all__`` is defined there, every function, class, method
 and top-level constant it defines is used, every annotated field of its
 classes is read, no check is an assert statement, the terms of an element
 or a polynomial change only in its constructors, every ArithmeticError
-the package raises has a test that provokes it by its message, and a group
-is told apart by its spec only where an allow-list says why, and a basis of
-the group algebra by its class nowhere."""
+and ValueError the package raises has a test that provokes it by its
+message, and a group is told apart by its spec only where an allow-list
+says why, and a basis of the group algebra by its class, or a value by
+the attributes it has, nowhere."""
 import ast
 import re
 from pathlib import Path
@@ -346,9 +347,9 @@ def raises_patterns(source: str, exception: str = "ArithmeticError") -> list[str
             table = parametrized_strings(node)
         if raises(node):
             for keyword in node.keywords:
-                value = keyword.value
                 if keyword.arg != "match":
                     continue
+                value = keyword.value
                 if isinstance(value, ast.Constant):
                     patterns.append(value.value)
                 elif isinstance(value, ast.Name):
