@@ -168,9 +168,11 @@ class BabyVermaModule:
     dual_maps: list
     group_maps: list
     v_maps: list
+    top: int                   # the highest degree of the coinvariant basis
+    identities: frozenset      # the elements of group_basis acting as 1
 
     __slots__ = ("group_basis", "basis", "normal_forms", "chi_mats", "index",
-                 "dual_maps", "group_maps", "v_maps")
+                 "dual_maps", "group_maps", "v_maps", "top", "identities")
 
     def __init__(self, group_basis, basis, normal_forms, chi_mats):
         self.group_basis = B = group_basis
@@ -192,6 +194,10 @@ class BabyVermaModule:
         self.v_maps = [
             self._map(lambda mono, vj=vj: _straighten(B, "v", vj, mono))
             for vj in range(B.dim)]
+        self.top = max(sum(mono) for mono, _ in basis)
+        one = [{i: 1} for i in range(len(basis))]
+        self.identities = frozenset(
+            g for g, cols in enumerate(self.group_maps) if cols == one)
 
     @property
     def dim(self) -> int:
@@ -223,18 +229,17 @@ class BabyVermaModule:
         A word (p, g, q) takes a basis vector of degree k through degree
         k + |q| to degree k + |q| - |p|, so it is applied only where
         |p| <= k + |q| <= top, top the highest degree of the coinvariant
-        basis; elsewhere its image is zero.  A basis element g that acts as
+        basis; elsewhere its image is zero.  A basis element that acts as
         the identity (the group's identity) is not applied."""
         if z.basis is not self.group_basis:
             raise ValueError("element belongs to another group")
         n = self.group_basis.dim
-        top = max(sum(mono) for mono, _ in self.basis)
-        identity = [{i: 1} for i in range(self.dim)]
+        top = self.top
         words = []
         for (p, g, q), c in z.terms.items():
             maps = [self.dual_maps[xi] for xi in range(n)
                     for _ in range(q[xi])]
-            if self.group_maps[g] != identity:
+            if g not in self.identities:
                 maps.append(self.group_maps[g])
             maps += [self.v_maps[vj] for vj in range(n)
                      for _ in range(p[vj])]

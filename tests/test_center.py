@@ -83,6 +83,12 @@ def test_rank1_center_range(d):
         verify_rank1_center(d)
 
 
+def test_rank1_center_range_names_its_claim():
+    with pytest.raises(ValueError,
+                       match="supported, and tested, for 2 <= d <= 10"):
+        verify_rank1_center(1)
+
+
 @pytest.mark.parametrize("d", (2, 3, 4))
 def test_rank1_undeformed_specialization(d):
     # at C = 0 the relation degenerates to eu^d = X Y

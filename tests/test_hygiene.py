@@ -399,17 +399,11 @@ def names_message(pattern: str, parts: list) -> bool:
     """Whether a pattern names a message of the given parts: it matches
     within one literal run, or its text, with backslash escapes undone,
     starts at a word of a run that a field follows and holds the next run
-    (stripped) after that, or starts inside a field and holds the run
-    (stripped) that follows the field after its first character.  A field
-    may hold any text, so whether the rest agrees is left to the test when
-    it runs."""
+    (stripped) after that.  A field may hold any text, so whether the rest
+    agrees is left to the test when it runs."""
     if any(run is not None and re.search(pattern, run) for run in parts):
         return True
     text = re.sub(r"\\(\W)", r"\1", pattern)
-    if any(run is None and (parts[k + 1] or "").strip()
-           and parts[k + 1].strip() in text[1:]
-           for k, run in enumerate(parts[:-1])):
-        return True
     for k, run in enumerate(parts[:-1]):
         if not run or parts[k + 1] is not None:
             continue
@@ -697,24 +691,31 @@ def test_scanner_reads_parametrized_patterns():
     assert untested_raises(sources, tests) == []
 
 
-def test_scanner_names_a_pattern_that_starts_in_a_field():
-    sources = {"a": ("def f(lo, hi, d):\n"
+def test_scanner_needs_a_literal_run_before_a_field():
+    sources = {"a": ("def f(lo, hi, d, got, want, n, key, c):\n"
                      "    raise ValueError(f'supported for {lo} <= d <= {hi},'\n"
                      "                     f' got d = {d}')\n"
-                     "    raise ValueError(f'{d} is not a linear character')\n"
-                     "    raise ValueError(f'{d}')\n")}
+                     "    raise ArithmeticError(f'dimension {got}, expected'\n"
+                     "                          f' {want} (|W| = {n})')\n"
+                     "    raise ArithmeticError(f'coefficient {key} of {n} is'\n"
+                     "                          f' {c}/{n}, not an integer')\n")}
     tests = {"test_a": ("import pytest\n"
                         "pytest.raises(ValueError, match='2 <= d <= 10')\n"
-                        "pytest.raises(ValueError,"
-                        " match='eps is not a linear character')\n")}
-    # a message with no run after its field has nothing to be named by
-    assert untested_raises(sources, tests, "ValueError") == ["a:5"]
-    # after the field the pattern must hold the whole run that follows it
-    tests["test_a"] = ("import pytest\n"
-                       "pytest.raises(ValueError, match='d <= 10')\n"
-                       "pytest.raises(ValueError, match='eps is not a linear')\n")
-    assert untested_raises(sources, tests, "ValueError") == ["a:2", "a:4",
-                                                             "a:5"]
+                        "pytest.raises(ArithmeticError,\n"
+                        "              match=r'sum of chi\\(1\\)\\^2 differs')\n"
+                        "pytest.raises(ArithmeticError,\n"
+                        "              match='norm of z3 is not rational')\n")}
+    # a pattern that starts inside a field names no message, however short
+    # the runs after that field are (')', 'of', 'is', '/')
+    assert untested_raises(sources, tests, "ValueError") == ["a:2"]
+    assert untested_raises(sources, tests) == ["a:4", "a:6"]
+    tests["test_b"] = ("import pytest\n"
+                       "pytest.raises(ValueError,\n"
+                       "              match='supported for 2 <= d <= 10')\n"
+                       "pytest.raises(ArithmeticError, match=r'\\(\\|W\\| =')\n"
+                       "pytest.raises(ArithmeticError, match='not an integer')\n")
+    assert untested_raises(sources, tests, "ValueError") == []
+    assert untested_raises(sources, tests) == []
 
 
 # Public functions that only the tests and the benchmark call.  Any other
