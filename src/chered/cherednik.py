@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from .exactnum import canon_scalar, format_power, format_sum, power
+from .exactnum import canon_scalar, format_power, format_sum
 from .multipoly import MPoly, _field_bits, _packing, _product
 
 __all__ = [
@@ -75,7 +75,8 @@ class PBWElement:
     An element never changes once built: only its constructors `__init__`
     and `_of` fill its terms, and every operation returns a new element.
     So `powers`, the powers of the element that `__pow__` has formed
-    ({n: self ** n}, None until the first), stay valid for its lifetime."""
+    ({n: self ** n} for every n >= 2 up to the highest asked for, None
+    until the first), stay valid for its lifetime."""
 
     __slots__ = ("basis", "terms", "powers")
 
@@ -207,10 +208,14 @@ class PBWElement:
         return self.scale(other)
 
     def __pow__(self, n: int):
-        """self ** n by square-and-multiply (`exactnum.power`), formed once
-        per element and exponent n >= 2 and kept in `powers`: the element
-        never changes, so neither does its power.  n = 1 gives self and
-        n = 0 a new unit."""
+        """self ** n by repeated multiplication, x^k = x^(k-1) * x from the
+        highest power in `powers` below n, keeping every power it forms:
+        the element never changes, so neither do its powers.  The left
+        factor grows while the right one stays x; for sparse operands this
+        beats square-and-multiply, whose squares multiply two large
+        factors (Fateman, Stud. Appl. Math. 53, 1974), and the powers
+        between serve later requests.  n = 1 gives self and n = 0 a new
+        unit; neither is kept."""
         if n < 0:
             raise ValueError("negative power of an algebra element")
         if n < 2:
@@ -220,7 +225,10 @@ class PBWElement:
             powers = self.powers = {}
         result = powers.get(n)
         if result is None:
-            result = powers[n] = power(self, n)
+            k = max((m for m in powers if m < n), default=1)
+            result = powers.get(k, self)
+            for k in range(k + 1, n + 1):
+                result = powers[k] = multiply(result, self)
         return result
 
     def __eq__(self, other):

@@ -31,10 +31,11 @@ In one distinguished variable a polynomial is read as its dense coefficient
 list: `as_univariate(name)` gives [c0, ..., cd] with cd nonzero ([] for
 zero), each c_k a polynomial in the other variables, in one pass over the
 terms, and `from_univariate(coeffs, name)` builds sum_k c_k name^k back.
-`resultant` runs Collins's subresultant PRS on such lists with one
-pseudo-remainder loop (`_prem`); `discriminant` and `charpoly_berkowitz`,
-and every caller that needs coefficients in one variable, use the same
-pair.
+`resultant` runs the subresultant algorithm on such lists, with one
+pseudo-remainder (`_prem`) for its first step, Lazard's optimisation for a
+drop of degree and Ducos's formula for the next subresultant;
+`discriminant` and `charpoly_berkowitz`, and every caller that needs
+coefficients in one variable, use the same pair.
 
 >>> x, y = MPoly.var("x"), MPoly.var("y")
 >>> print((x + y) ** 2)
@@ -477,44 +478,90 @@ def _prem(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
     return r
 
 
+def _lazard(x: MPoly, y: MPoly, n: int) -> MPoly:
+    """x^n / y^(n-1) for n >= 1, by squaring along the bits of n with one
+    exact division by y per step, so that every intermediate is some
+    x^k / y^(k-1) with k <= n (Lazard's optimisation; Ducos, JPAA 145,
+    2000)."""
+    c = x
+    for bit in bin(n)[3:]:
+        c = (c * c).divexact(y)
+        if bit == "1":
+            c = (c * x).divexact(y)
+    return c
+
+
+def _next_subresultant(A: list[MPoly], B: list[MPoly], C: list[MPoly],
+                       s: MPoly) -> list[MPoly]:
+    """S_(e-1) by Ducos's formula, from A of degree d, B = S_(d-1) and
+    C = S_e of degree e < d, and s = lc(S_d).  With H_j = lc(C) t^j for
+    j < e, H_e = lc(C) t^e - C, and for e < j < d, H_j = t H_(j-1) less
+    coeff_e(t H_(j-1)) B / lc(B), every H_j of degree below e:
+
+        D = sum_(j<d) coeff_j(A) H_j / lc(A),
+        S_(e-1) = (-1)^(d-e+1) (lc(B) (t H_(d-1) + D)
+                                - coeff_e(t H_(d-1)) B) / s.
+
+    Each division is exact (Ducos, JPAA 145, 2000)."""
+    d, e = len(A) - 1, len(B) - 1
+    lcb = B[-1]
+    H = [-c for c in C[:-1]]
+    D = [a * C[-1] for a in A[:e]]
+    for j in range(e, d):
+        if j > e:
+            top = H[-1]
+            H = [MPoly.zero()] + H[:-1]
+            if top:
+                H = [h - (top * b).divexact(lcb) for h, b in zip(H, B)]
+        if A[j]:
+            D = [x + A[j] * h for x, h in zip(D, H)]
+    top, lca = H[-1], A[-1]
+    tH = [MPoly.zero()] + H[:-1]
+    S = [(lcb * (h + x.divexact(lca)) - top * b).divexact(s)
+         for h, x, b in zip(tH, D, B)]
+    if (d - e) % 2 == 0:
+        S = [-c for c in S]
+    while S and not S[-1]:
+        S.pop()
+    return S
+
+
 def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Resultant of f and g with respect to a variable, by Collins's
-    subresultant polynomial remainder sequence (fraction free) on their
-    coefficient lists.
+    """Resultant of f and g with respect to a variable, by the subresultant
+    algorithm on their coefficient lists with Lazard's and Ducos's
+    optimisations (Ducos, JPAA 145, 2000): from P, Q with deg P >= deg Q,
+    A = Q, B = prem(P, -Q) and s = lc(Q)^(deg P - deg Q), each step takes
+    C = S_e = lc(B)^(d-e-1) B / s^(d-e-1) (`_lazard`), then B = S_(e-1)
+    (`_next_subresultant`), A = C and s = lc(C), until B is constant or
+    zero.  Every division is `divexact`, so an inexact one raises.
 
     >>> a, b, t = MPoly.var("a"), MPoly.var("b"), MPoly.var("t")
     >>> print(resultant(t ** 2 - a, t - b, "t"))
     b^2 - a
     """
-    A, B = f.as_univariate(name), g.as_univariate(name)
-    if not A or not B:
+    P, Q = f.as_univariate(name), g.as_univariate(name)
+    if not P or not Q:
         return MPoly.zero()
     sign = 1
-    if len(A) < len(B):
-        if len(A) % 2 == 0 and len(B) % 2 == 0:
-            sign = -sign
-        A, B = B, A
-    g_prev = h_prev = MPoly.const(1)
-    while len(B) > 1:
-        da, db = len(A) - 1, len(B) - 1
-        delta = da - db
-        if da % 2 and db % 2:
-            sign = -sign
-        R = _prem(A, B)
-        if not R:
-            return MPoly.zero()
-        denom = g_prev * h_prev ** delta
-        A, B = B, [c.divexact(denom) for c in R]
-        g_prev = A[-1]
-        if delta == 1:
-            h_prev = g_prev
-        elif delta > 1:
-            h_prev = (g_prev ** delta).divexact(h_prev ** (delta - 1))
-    da = len(A) - 1
-    res = B[0] ** da
-    if da > 1:
-        res = res.divexact(h_prev ** (da - 1))
-    return res if sign > 0 else -res
+    if len(P) < len(Q):
+        if len(P) % 2 == 0 and len(Q) % 2 == 0:
+            sign = -1
+        P, Q = Q, P
+    if len(Q) == 1:
+        res = Q[0] ** (len(P) - 1)
+        return res if sign > 0 else -res
+    s = Q[-1] ** (len(P) - len(Q))
+    A, B = Q, _prem(P, [-c for c in Q])
+    while B:
+        d, e = len(A) - 1, len(B) - 1
+        C = B
+        if d - e > 1:
+            c = _lazard(B[-1], s, d - e - 1)
+            C = [(c * b).divexact(s) for b in B]
+        if e == 0:
+            return C[0] if sign > 0 else -C[0]
+        A, B, s = C, _next_subresultant(A, B, C, s), C[-1]
+    return MPoly.zero()
 
 
 def discriminant(f: MPoly, name: str) -> MPoly:

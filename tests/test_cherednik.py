@@ -568,14 +568,15 @@ def test_negative_power_raises():
 
 
 def test_power_never_multiplies_by_the_unit(monkeypatch):
-    # square-and-multiply starts from the base: eu^8 is three squarings,
-    # and the unit is returned only for the exponent 0
+    # repeated multiplication starts from the base: eu^8 is seven products
+    # eu^(k-1) * eu, and the unit is returned only for the exponent 0
     import chered.cherednik as cherednik
     from chered.exactnum import power
     W = build_group("b2")
     eu, one = euler_element(W), PBWElement.one(W)
-    expected = multiply(multiply(eu, eu), multiply(eu, eu))
-    expected = multiply(expected, expected)
+    chain = [eu]
+    for _ in range(7):
+        chain.append(multiply(chain[-1], eu))
     real = cherednik.multiply
     factors = []
 
@@ -584,8 +585,9 @@ def test_power_never_multiplies_by_the_unit(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(cherednik, "multiply", counted)
-    assert eu ** 8 == expected
-    assert len(factors) == 3
+    assert eu ** 8 == chain[7]
+    assert factors == [(chain[k - 2], eu) for k in range(2, 9)]
+    assert all(b is eu for _, b in factors)
     assert all(a != one and b != one for a, b in factors)
     assert eu ** 0 == one
     assert power(eu, 1) is eu
@@ -604,6 +606,8 @@ def test_power_equals_the_multiply_chain():
 
 
 def test_power_is_formed_once_per_element(monkeypatch):
+    # every power the ladder forms is kept: after eu^8 no power up to 8
+    # costs a product, and eu^10 costs two, from eu^8
     import chered.cherednik as cherednik
     W = build_group("b2")
     g = named_center_generators(W)
@@ -616,10 +620,16 @@ def test_power_is_formed_once_per_element(monkeypatch):
 
     monkeypatch.setattr(cherednik, "multiply", counted)
     assert g["eu"] ** 8 is first and calls == []
+    assert all(g["eu"] ** k is g["eu"].powers[k] for k in range(2, 9))
+    assert calls == [] and set(g["eu"].powers) == set(range(2, 9))
+    tenth = g["eu"] ** 10
+    assert calls == [(first, g["eu"]), (g["eu"] ** 9, g["eu"])]
+    assert tenth == multiply(multiply(first, g["eu"]), g["eu"])
     # an equal element that is another object keeps its own powers
+    calls.clear()
     eu = euler_element(W)
     assert eu == g["eu"] and eu.powers is None
-    assert eu ** 8 == first and eu ** 8 is not first and len(calls) == 3
+    assert eu ** 8 == first and eu ** 8 is not first and len(calls) == 7
     assert eu.powers is not g["eu"].powers
     x, y = PBWElement.v_gen(W, 0), PBWElement.v_gen(W, 1)
     assert x ** 2 != y ** 2 and (x ** 2) ** 2 == x ** 4 != y ** 4

@@ -11,7 +11,7 @@ import pytest
 
 from chered import cli
 from chered.cherednik import PBWElement
-from chered.cli import main
+from chered.cli import UsageError, main
 from chered.reflgrp import build_group
 from oracles import replace_fields
 
@@ -282,6 +282,61 @@ def test_usage_errors_exit_2(capsys):
 def test_usage_error_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error: ") and not out
+
+
+def _namespace(**fields):
+    return argparse.Namespace(json=False, **fields)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cli._parse_params(build_group("b2"), "a=1,a=2,b=1"),
+     "is given more than once"),
+    (lambda: cli._parse_params(build_group("b2"), "a1"),
+     "malformed parameter entry"),
+    (lambda: cli._parse_params(build_group("cyclic:3"), "K=0,0"),
+     "K-values, got"),
+    (lambda: cli._parse_params(build_group("b2"), "q=3"),
+     "unknown parameter"),
+    (lambda: cli._parse_params(build_group("b2"), ","),
+     "no parameters given"),
+    (lambda: cli._parse_params(build_group("cyclic:3"), "K=1,1,1"),
+     "do not sum to zero"),
+    (lambda: cli._rational("x"), "not a rational number"),
+    (lambda: cli.cmd_group_info(_namespace(spec="a3")),
+     "unknown group descriptor"),
+    (lambda: cli._parse_params(build_group("cyclic:3"), "C1=1,K1=0"),
+     "cannot mix C- and K-coordinates"),
+    (lambda: cli.cmd_verify_center(_namespace(group="cyclic:11")),
+     "2 <= d <= 10"),
+    (lambda: cli.cmd_verify_relations(_namespace(group="cyclic:3")),
+     "relations are only defined for --group b2"),
+    (lambda: cli.cmd_cells(_namespace(group="cyclic:4",
+                                      params="C1=1,C2=0,C3=0")),
+     "cyclic cells need rational K-coordinates"),
+    (lambda: cli.cmd_hilbert(_namespace(group="b2", order=0, check=False)),
+     "--order must be >= 1"),
+    (lambda: cli.cmd_galois(_namespace(what="foo")),
+     "supported: galois b2-certificate"),
+    (lambda: cli.cmd_geometry_rank1(_namespace(d=1, point="1")),
+     "--d must be >= 2"),
+    (lambda: cli.cmd_geometry_rank1(_namespace(d=2, point="1,2")),
+     "--point needs"),
+    (lambda: cli.cmd_geometry_rank1(_namespace(d=2, point="0,0,1,1,3")),
+     "does not lie on the variety"),
+    (lambda: cli.cmd_poisson(_namespace(group="b2", lhs="eu", rhs="foo")),
+     "must be one of"),
+], ids=["repeated-param", "malformed-param", "short-k-vector",
+        "unknown-param", "no-params", "k-sum-nonzero", "bad-rational",
+        "unknown-group", "mixed-c-k", "rank1-out-of-range",
+        "relations-not-b2", "cells-irrational-k", "zero-order",
+        "galois-unknown", "geometry-bad-degree", "geometry-short-point",
+        "geometry-off-variety", "poisson-unknown-rhs"])
+def test_usage_error_names_its_message(call, message):
+    """Each `raise UsageError` of the command line, provoked below `main`
+    and matched by a literal run of its message: a library ValueError
+    passed on as a usage error by the run of its own message."""
+    with pytest.raises(UsageError, match=message):
+        call()
 
 
 def test_rank1_range_error_names_missing_piece(capsys):

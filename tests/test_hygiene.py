@@ -801,6 +801,19 @@ def test_every_value_error_is_provoked():
                            tests, "ValueError") == []
 
 
+def test_every_usage_error_is_provoked():
+    """As for ArithmeticError and ValueError; a usage error that passes a
+    library ValueError on, `raise UsageError(str(exc))`, has no text of its
+    own to name, and its text is named at the raise of that ValueError."""
+    tests = {p.name: p.read_text() for p in TEST_FILES}
+    sources = {p.stem: p.read_text() for p in MODULES}
+    passed_on = [f"{mod}:{n}" for mod, src in sources.items()
+                 for n, line in enumerate(src.splitlines(), 1)
+                 if line.strip() == "raise UsageError(str(exc))"]
+    assert sorted(untested_raises(sources, tests, "UsageError")) == sorted(
+        passed_on)
+
+
 def test_group_tests_are_allowed():
     found = [f"{p.stem}.{where}" for p in MODULES
              for where in group_tests(p.read_text())]

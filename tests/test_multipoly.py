@@ -137,11 +137,64 @@ RESULTANT_CASES = {
 
 @pytest.mark.parametrize("case", RESULTANT_CASES)
 def test_resultant_branches_match_sylvester_oracle(case):
-    """The operand swap, the update of h for a degree drop of 2 or more,
+    """The operand swap, Lazard's step for a degree drop of 2 or more,
     a constant or zero operand and a zero resultant, each against the
     oracle."""
     f, g = RESULTANT_CASES[case]
     assert resultant(f, g, "x") == sylvester_resultant(f, g, "x")
+
+
+def _sparse_poly(rng, degree, draw, density=0.5):
+    """A polynomial in x of the given degree over Z[y] or its extensions:
+    each coefficient below the top one is present with the given density,
+    a scalar from draw() times a power of y."""
+    p = MPoly.const(draw() or 1) * x ** degree
+    for k in range(degree):
+        if rng.random() < density:
+            p = p + MPoly.const(draw()) * y ** rng.randint(0, 2) * x ** k
+    return p
+
+
+def test_resultant_over_degree_gaps_and_common_factors(monkeypatch):
+    """Against the oracle, in both degree orders: P = Q M + R with Q sparse
+    and deg Q - deg R - 1 = 2..5, so that Lazard's step squares and
+    multiplies by the odd bits, and operands with a common factor, so that
+    a subresultant in the middle of the sequence is zero; over int,
+    Fraction and Q(zeta_5) coefficients."""
+    import random
+    import chered.multipoly as multipoly
+    rng = random.Random(20261020)
+    z5 = primitive_root(5)
+    draws = {
+        "int": lambda: rng.randint(-3, 3),
+        "Fraction": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        "Cyclotomic": lambda: (rng.randint(-2, 2)
+                               + rng.randint(1, 2) * z5 ** rng.randint(1, 4)),
+    }
+    real, gaps = multipoly._lazard, set()
+
+    def counted(x_, y_, n):
+        gaps.add(n)
+        return real(x_, y_, n)
+
+    monkeypatch.setattr(multipoly, "_lazard", counted)
+    for draw in draws.values():
+        pairs = []
+        for gap in (2, 3, 4, 5):
+            e = rng.randint(1, 2)
+            q = e + gap + 1
+            Q = x ** q + MPoly.const(draw() or 1) * y
+            R = _sparse_poly(rng, e, draw) + y
+            pairs.append((Q * (x + draw() * y) + R, Q))
+        for _ in range(2):
+            h = _sparse_poly(rng, rng.randint(1, 2), draw, 1.0)
+            pairs.append((h * _sparse_poly(rng, rng.randint(2, 4), draw),
+                          h * _sparse_poly(rng, rng.randint(1, 3), draw)))
+        for f, g in pairs:
+            assert resultant(f, g, "x") == sylvester_resultant(f, g, "x")
+            assert resultant(g, f, "x") == sylvester_resultant(g, f, "x")
+        assert all(resultant(f, g, "x") == 0 for f, g in pairs[4:])
+    assert gaps >= {2, 3, 4, 5}
 
 
 def test_resultant_of_products():
