@@ -4,8 +4,16 @@ straightening, Euler element, centrality search, bigrading, and the Poisson
 bracket on the center.
 
 Normal words are triples (V-monomial, basis element, V*-monomial) over a
-basis of the group algebra kW.  An element carries that basis and its terms,
-and nothing else.  The basis is the group itself, whose elements take
+basis of the group algebra kW.  An element carries that basis and its value,
+and no flag: its terms {word: MPoly}, and its packed forms, one per `_Frame`
+(basis, sorted variable tuple, field width) an operation has used for it,
+where a term is one int key and one scalar.  Products, sums, differences and
+scalings run on packed forms and return an element that holds only its own;
+its terms are unpacked on their first read.  No field of a frame overflows:
+every operation bounds the weight |p| + |q| + 2 deg(e) of its terms, by the
+sum of the operands' bounds for a product, the larger of them for a sum and
+the bound plus 2 deg(c) for a scaling by c, and takes fields that hold it
+(`multiply`).  The basis is the group itself, whose elements take
 coefficients that are polynomials in the reflection parameters C_s, or, for
 a cyclic group, its primitive idempotents (`reflgrp.idempotent_basis`),
 which take polynomials in the K_j.  The engine reads the group algebra only
@@ -47,7 +55,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .exactnum import canon_scalar, format_power, format_sum
-from .multipoly import MPoly, _field_bits, _packing, _product
+from .multipoly import MPoly, _field_bits, _packing
 
 __all__ = [
     "PBWElement",
@@ -72,23 +80,38 @@ class PBWElement:
     """An element of the algebra in PBW normal form, over a basis of the
     group algebra: a `ReflectionGroup` or an `IdempotentBasis`.
 
-    An element never changes once built: only its constructors `__init__`
-    and `_of` fill its terms, and every operation returns a new element.
-    So `powers`, the powers of the element that `__pow__` has formed
-    ({n: self ** n} for every n >= 2 up to the highest asked for, None
-    until the first), stay valid for its lifetime."""
+    An element never changes once built.  It holds its value as `terms`,
+    {normal word (p, g, q): MPoly}, and as `packed`, {frame: packed terms},
+    its terms packed as {key: scalar} (see `multiply`) in each `_Frame` an
+    operation has used for it.  `__init__` and `_of` build an element from
+    its terms, and `_from_packed` from the one packed form an operation
+    returns, whose terms are unpacked on their first read (`_unpacked`); an
+    element is packed into a further frame from its terms (`_packed`).
+    `variables` and `weight` choose its frame: the sorted union of the
+    basis's parameters and its coefficients' variables, and a bound on the
+    weight of its terms.
 
-    __slots__ = ("basis", "terms", "powers")
+    The packed forms, the left multiples that `multiply` forms of the
+    element as a right factor (`multiples`: {frame: (chains, pieces)}, None
+    until the first) and the powers that `__pow__` forms (`powers`:
+    {n: self ** n} for every n >= 2 up to the highest asked for, None until
+    the first) are caches of its one value, so they stay valid for its
+    lifetime."""
+
+    __slots__ = ("basis", "_terms", "packed", "variables", "weight",
+                 "multiples", "powers")
 
     def __init__(self, basis, terms=None):
         self.basis = basis
-        self.powers = None
-        self.terms = {}
+        self.powers = self.multiples = None
+        self.packed = {}
+        self._terms = {}
         if terms:
             for key, c in terms.items():
                 c = MPoly._coerce(c)
                 if not c.is_zero():
-                    self.terms[key] = c
+                    self._terms[key] = c
+        self.variables, self.weight = _profile(basis, self._terms)
 
     # -- constructors ----------------------------------------------------
 
@@ -133,13 +156,35 @@ class PBWElement:
         coefficient a nonzero MPoly, and the dict is not shared."""
         result = PBWElement.__new__(PBWElement)
         result.basis = basis
-        result.terms = terms
-        result.powers = None
+        result._terms = terms
+        result.packed = {}
+        result.variables, result.weight = _profile(basis, terms)
+        result.powers = result.multiples = None
+        return result
+
+    @staticmethod
+    def _from_packed(basis, frame, packed: dict, weight: int) -> "PBWElement":
+        """The element whose packed form in frame is packed, each value a
+        nonzero scalar and the dict never changed, with weight bound
+        weight; its terms are unpacked on their first read."""
+        result = PBWElement.__new__(PBWElement)
+        result.basis = basis
+        result._terms = None
+        result.packed = {frame: packed}
+        result.variables, result.weight = frame.nv, weight
+        result.powers = result.multiples = None
         return result
 
     def _like(self, terms) -> "PBWElement":
         """An element over the same basis with the given terms."""
         return PBWElement(self.basis, terms)
+
+    @property
+    def terms(self) -> dict:
+        """{normal word (p, g, q): nonzero MPoly}, every coefficient over
+        one variable tuple for an element that an operation returned."""
+        terms = self._terms
+        return _unpacked(self) if terms is None else terms
 
     # -- linear structure --------------------------------------------------
 
@@ -148,33 +193,31 @@ class PBWElement:
             raise ValueError("elements of different groups, or over"
                              " different bases of one group algebra")
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """other as an element of the algebra of self: itself, or an exact
+        scalar times the unit; NotImplemented for anything else, so that
+        Python raises its own TypeError."""
         if isinstance(other, PBWElement):
-            self._check_compat(other)
-            out = dict(self.terms)
-            for key, c in other.terms.items():
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-            return PBWElement._of(self.basis, out)
-        return self + self._scalar(other)
+            return other
+        c = MPoly._coerce(other)
+        return NotImplemented if c is NotImplemented else self._scalar(c)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return other if other is NotImplemented else _sum(self, other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PBWElement._of(self.basis,
-                              {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, PBWElement):
-            return self + (-other)
-        return self + self._scalar(-MPoly._coerce(other))
+        other = self._operand(other)
+        return other if other is NotImplemented else _sum(self, other, True)
 
     def __rsub__(self, other):
-        return (-self) + self._scalar(other)
+        other = self._operand(other)
+        return other if other is NotImplemented else _sum(other, self, True)
 
     def _scalar(self, c) -> "PBWElement":
         """The scalar c times the unit, in the algebra of self."""
@@ -182,30 +225,43 @@ class PBWElement:
         return PBWElement.unit_monomial(B, _zeros(B), _zeros(B), c)
 
     def scale(self, c) -> "PBWElement":
-        """c times self, with c aligned once per variable tuple of the
-        coefficients.  Coefficients are polynomials over a field, so no
-        product of two nonzero ones is zero."""
-        c = MPoly._coerce(c)
-        if c.is_zero():
-            return PBWElement._of(self.basis, {})
-        aligned: dict = {}          # variables of a coefficient -> (nv, c)
-        out = {}
-        for key, v in self.terms.items():
-            shift = aligned.get(v.vars)
-            if shift is None:
-                nv = MPoly._merge_vars(c, v)
-                shift = aligned[v.vars] = (nv, c._aligned(nv))
-            nv, cc = shift
-            out[key] = MPoly._of(nv, _product(cc, v._aligned(nv)))
-        return PBWElement._of(self.basis, out)
+        """c times self, for a polynomial or an exact scalar c, on packed
+        terms: c's packed monomials added to each key.  A term's weight
+        grows by at most 2 deg c.  Coefficients are polynomials over a
+        field, so no product of two nonzero ones is zero."""
+        coeff = MPoly._coerce(c)
+        if coeff is NotImplemented:
+            raise TypeError(f"cannot scale an algebra element by {c!r}")
+        B = self.basis
+        if coeff.is_zero():
+            return PBWElement._of(B, {})
+        weight = self.weight + 2 * max(map(sum, coeff.terms))
+        frame = _frame_for(B, weight, self.variables, coeff.vars)
+        keys = frame.coeff_keys
+        factor = [(keys[e], v) for e, v in coeff._aligned(frame.nv).items()]
+        packed = _packed(self, frame)
+        if len(factor) == 1:
+            (shift, v), = factor
+            out = {k + shift: v * x for k, x in packed.items()}
+        else:
+            out = {}
+            get = out.get
+            for shift, v in factor:
+                for k, x in packed.items():
+                    k += shift
+                    prev = get(k)
+                    out[k] = v * x if prev is None else prev + v * x
+            out = {k: x for k, x in out.items() if x != 0}
+        return PBWElement._from_packed(B, frame, out, weight)
 
     def __mul__(self, other):
         if isinstance(other, PBWElement):
             return multiply(self, other)
+        if MPoly._coerce(other) is NotImplemented:
+            return NotImplemented
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         """self ** n by repeated multiplication, x^k = x^(k-1) * x from the
@@ -232,26 +288,71 @@ class PBWElement:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, PBWElement):
-            self._check_compat(other)
-            return self.terms == other.terms
-        return (self - other).is_zero()
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check_compat(other)
+        frame = _frame_for(self.basis, max(self.weight, other.weight),
+                           self.variables, other.variables)
+        return _packed(self, frame) == _packed(other, frame)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        terms = self._terms
+        return not (next(iter(self.packed.values())) if terms is None
+                    else terms)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
+        terms = self.terms
+
         def pair(key):
-            c, word = self.terms[key], _word_str(self.basis, key)
+            c, word = terms[key], _word_str(self.basis, key)
             if word == "1":
                 return str(c), ""
             return f"({c})" if len(c.terms) > 1 else str(c), word
-        return format_sum(map(pair, sorted(self.terms, key=_word_order)))
+        return format_sum(map(pair, sorted(terms, key=_word_order)))
 
     def __repr__(self):
         return f"PBWElement({self})"
+
+
+def _profile(B, terms: dict) -> tuple:
+    """(variables, weight) of an element with the given terms over the
+    basis B: the sorted union of B's parameters and its coefficients'
+    variables, and the largest weight |p| + |q| + 2 deg(e) of a term (0
+    for none)."""
+    names = set(B.param_names)
+    weight = 0
+    for (p, _, q), c in terms.items():
+        names.update(c.vars)
+        weight = max(weight, sum(p) + sum(q) + 2 * max(map(sum, c.terms)))
+    return tuple(sorted(names)), weight
+
+
+def _sum(a: PBWElement, b: PBWElement, negate: bool) -> PBWElement:
+    """a + b, or a - b when negate, on packed terms.  Each term of the
+    result is a term of a or of b, or their two coefficients added on one
+    word, so its weight is at most the larger of the two bounds."""
+    a._check_compat(b)
+    B = a.basis
+    weight = max(a.weight, b.weight)
+    frame = _frame_for(B, weight, a.variables, b.variables)
+    out = dict(_packed(a, frame))
+    get = out.get
+    for k, v in _packed(b, frame).items():
+        if negate:
+            v = -v
+        prev = get(k)
+        if prev is None:
+            out[k] = v
+        else:
+            v += prev
+            if v != 0:
+                out[k] = v
+            else:
+                del out[k]
+    return PBWElement._from_packed(B, frame, out, weight)
 
 
 def _word_order(key):
@@ -275,10 +376,68 @@ def _zeros(B):
 
 def _is_one(elem) -> bool:
     """Whether elem is the unit of its algebra: its terms are those of
-    `PBWElement.one`, each coefficient equal to 1 in value."""
-    terms, unit, zeros = elem.terms, elem.basis.unit, _zeros(elem.basis)
+    `PBWElement.one`, each coefficient equal to 1 in value.  Read off the
+    terms, or else off the first packed form, where the unit word of a
+    basis element u with a constant coefficient packs to the key u."""
+    unit = elem.basis.unit
+    terms = elem._terms
+    if terms is None:
+        packed = next(iter(elem.packed.values()))
+        return len(packed) == len(unit) and all(
+            packed.get(u) == 1 for u in unit)
+    zeros = _zeros(elem.basis)
     return len(terms) == len(unit) and all(
         terms.get((zeros, u, zeros)) == 1 for u in unit)
+
+
+def _unpacked(elem) -> dict:
+    """The terms of elem, unpacked from its first packed form and kept:
+    one `MPoly` over the frame's variable tuple per word, each coefficient
+    canonical.  It reads the frame's masks and `unpack` and fills none of
+    its tables."""
+    frame, packed = next(iter(elem.packed.items()))
+    d, nv = elem.basis.dim, frame.nv
+    n = len(nv)
+    coeff_mask, word_mask, unpack = (frame.coeff_mask, frame.word_mask,
+                                     frame.unpack)
+    words: dict = {}
+    exps: dict = {}
+    for k, v in packed.items():
+        word, coeff = k & word_mask, k & coeff_mask
+        t = words.get(word)
+        if t is None:
+            t = words[word] = {}
+        e = exps.get(coeff)
+        if e is None:
+            e = exps[coeff] = unpack(coeff)[d:d + n]
+        t[e] = canon_scalar(v)
+    terms = {}
+    for word, t in words.items():
+        fields = unpack(word)
+        key = (fields[d + n:2 * d + n], fields[-1], fields[:d])
+        terms[key] = MPoly._of(nv, t)
+    elem._terms = terms
+    return terms
+
+
+def _packed(elem, frame) -> dict:
+    """The packed form of elem in frame: kept from an earlier operation, or
+    packed from its terms and kept."""
+    packed = elem.packed.get(frame)
+    if packed is None:
+        packed = elem.packed[frame] = frame.pack(elem.terms)
+    return packed
+
+
+def _frame_for(B, weight: int, variables: tuple, *more) -> "_Frame":
+    """The frame of an operation over the basis B whose terms weigh at most
+    weight, on the sorted union of variables (an element's, so sorted and
+    holding the parameters) and each tuple of more."""
+    nv = variables
+    for other in more:
+        if other != nv and not set(other).issubset(nv):
+            nv = tuple(sorted(set(nv).union(other)))
+    return _frame(B, nv, _field_bits(max(weight, B.order() - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,167 +492,188 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
 
     When a or b is the unit (`_is_one`: the terms of `PBWElement.one`, each
     coefficient 1 in value), the product is the other factor, its
-    coefficients aligned to the variable tuple below as the packed path
-    would give them, and no table is built.
+    coefficients over the variable tuple below as the packed path would
+    give them: its packed form in a frame of that tuple when it has one,
+    else its terms aligned; no frame is looked up.
 
     A term c x^p g xi^q of a contributes c x^p (g (xi^q b)), g a basis
-    element.  Terms of a that share their V*-part q share xi^q b, and terms
-    that share (g, q) share g xi^q b, so each is computed once per call: the
-    V* coordinates commute, so xi^q b = xi_i (xi^(q - e_i) b) for the first
-    i with q_i > 0 reuses the shorter chain.  Multiplying by x^p only shifts
-    V-exponents.
+    element.  The left multiples xi^q b and g xi^q b of b are formed once
+    each and kept on b for the frame (`PBWElement.multiples`), so a right
+    factor used again, such as eu in the powers of eu, straightens nothing
+    twice: the V* coordinates commute, so xi^q b = xi_i (xi^(q - e_i) b)
+    for the first i with q_i > 0 reuses the shorter chain.  Multiplying by
+    x^p only shifts V-exponents.
 
-    Inside one call a term is one int key and one scalar.  The key packs,
-    from the highest field down, the V*-exponents q, the exponents of the
-    coefficient monomial over one sorted variable tuple (the variables of
-    every coefficient of a and b and the basis's parameters), the
-    V-exponents p and the basis element (`multipoly._packing`).
-    A shift by x^p, the move of a dual coordinate past a basis element and a
-    straightening correction are then one int addition each; they depend
-    only on the low fields (p, g) of a key, and are memoised as packed
-    deltas in the `_Frame` of the call's shape (basis, variable tuple, field
-    width), which every later product of that shape reuses.  One
-    unpacking at the end builds one `MPoly` per word.
+    Every operation on elements (this one, `+`, `-`, `scale`, `==`) runs
+    in the `_Frame` of its shape (basis, variable tuple, field width) on
+    packed terms, each one int key and one scalar: the key packs, from the
+    highest field down, the V*-exponents q, the exponents of the
+    coefficient monomial over the sorted variable tuple (the operands'
+    `variables`: the basis's parameters and their coefficients' variables),
+    the V-exponents p and the basis element (`multipoly._packing`).  Each
+    element keeps its packed form per frame (`PBWElement.packed`), and a
+    result holds only its own; its terms are unpacked on their first read.
+    A shift by x^p, the move of a dual coordinate past a basis element and
+    a straightening correction are one int addition each; they depend only
+    on the low fields (p, g) of a key, and are memoised as packed deltas in
+    the frame, which every later operation of that shape reuses.
 
     The fields need no overflow check.  Call |p| + |q| + 2 deg(e) the weight
-    of a term.  [xi, v] = -T<v,xi> - sum_s C_s <s(v)-v, xi> s trades one x
-    and one xi for one T or one parameter (C_s, or a K_j in the idempotent
-    basis), and a basis element moves past a monomial up to a scalar, so a
-    term of the product weighs at most a term of a plus a term of b.  Every
-    field is at most that sum, and the basis field at most the number of
-    basis elements less one."""
+    of a term, and `weight` the bound an element carries: the largest
+    weight of its terms when it is built from them.  [xi, v] = -T<v,xi> -
+    sum_s C_s <s(v)-v, xi> s trades one x and one xi for one T or one
+    parameter (C_s, or a K_j in the idempotent basis), and a basis element
+    moves past a monomial up to a scalar, so a term of a product weighs at
+    most a term of a plus a term of b: its bound is the sum of theirs.  A
+    term of a sum is a term of one operand, or two added on one word, so
+    its bound is the larger of theirs; scaling by c adds at most 2 deg c.
+    Every field is at most the bound of the operation, and the basis field
+    at most the number of basis elements less one; an operand packed only
+    in a narrower frame, or over fewer variables, is packed again from its
+    terms."""
     a._check_compat(b)
     B = a.basis
-    if not a.terms or not b.terms:
+    if a.is_zero() or b.is_zero():
         return a._like({})
-    names = set(B.param_names)
-    for elem in (a, b):
-        for c in elem.terms.values():
-            names.update(c.vars)
-    nv = tuple(sorted(names))
     for unit, other in ((a, b), (b, a)):
         if _is_one(unit):
-            return PBWElement._of(B, {
-                key: c if c.vars == nv else MPoly._of(nv, c._aligned(nv))
-                for key, c in other.terms.items()})
-    d, n = B.dim, len(nv)
-    weight = sum(max(sum(p) + sum(q) + 2 * max(map(sum, c.terms))
-                     for (p, _, q), c in elem.terms.items())
-                 for elem in (a, b))
-    frame = _frame(B, nv, _field_bits(max(weight, B.order() - 1)))
-    low_mask, coeff_keys, v_keys = (frame.low_mask, frame.coeff_keys,
-                                    frame.v_keys)
-    dual_keys, dual_steps, basis_steps = (frame.dual_keys, frame.dual_steps,
-                                          frame.basis_steps)
-    unit = B.unit
-    one = unit[0] if len(unit) == 1 else None
-
-    def packed(elem):
-        out = {}
-        for (p, g, q), c in elem.terms.items():
-            base = dual_keys[q] + v_keys[p] + g
-            for e, v in c._aligned(nv).items():
-                out[base + coeff_keys[e]] = v
-        return out
-
-    def lmul_dual(i, elem):
-        """xi_i * elem."""
-        out: dict = {}
-        get = out.get
-        steps = dual_steps[i]
-        for key, c in elem.items():
-            scalar, delta, extra = steps[key & low_mask]
-            k = key + delta
-            v = c if scalar == 1 else scalar * c
-            prev = get(k)
-            out[k] = v if prev is None else prev + v
-            for delta, cc in extra:
-                k = key + delta
-                prev = get(k)
-                out[k] = cc * c if prev is None else prev + cc * c
-        return {k: c for k, c in out.items() if c != 0}
-
-    def lmul_basis(g, elem):
-        """g * elem, which maps distinct words to distinct words, or to
-        zero."""
-        out: dict = {}
-        steps = basis_steps[g]
-        for key, c in elem.items():
-            step = steps[key & low_mask]
-            if step is not None:
-                scalar, delta = step
-                out[key + delta] = c if scalar == 1 else scalar * c
-        return out
-
-    def chain_of(q):
-        """xi^q b = xi_i (xi^(q - e_i) b) for the first i with q_i > 0."""
-        i = next(k for k, e in enumerate(q) if e)
-        return lmul_dual(i, chains[q[:i] + (q[i] - 1,) + q[i + 1:]])
-
-    def piece_of(key):
-        """g xi^q b."""
-        g, q = key
-        piece = chains[q]
-        return piece if g == one else lmul_basis(g, piece)
-
-    chains = _Memo(chain_of)
-    chains[(0,) * d] = packed(b)
-    pieces = _Memo(piece_of)
+            return _unit_product(other, unit.variables)
+    weight = a.weight + b.weight
+    frame = _frame_for(B, weight, a.variables, b.variables)
+    left = _packed(a, frame)
+    multiples = b.multiples
+    if multiples is None:
+        multiples = b.multiples = {}
+    found = multiples.get(frame)
+    if found is None:
+        found = multiples[frame] = ({0: _packed(b, frame)}, {})
+    chains, pieces = found
+    qg_mask = frame.qg_mask
     out: dict = {}
     get = out.get
-    for (p, g, q), c in a.terms.items():
-        piece = pieces[(g, q)]
-        base = v_keys[p]
-        for e, sc in c._aligned(nv).items():
-            shift = base + coeff_keys[e]
-            terms = piece.items() if sc == 1 else [
-                (k, sc if v == 1 else sc * v) for k, v in piece.items()]
-            for k, v in terms:
+    for key, c in left.items():
+        qg = key & qg_mask
+        piece = pieces.get(qg)
+        if piece is None:
+            piece = _piece(frame, chains, pieces, qg)
+        shift = key - qg
+        if c == 1:
+            for k, v in piece.items():
                 k += shift
                 prev = get(k)
                 out[k] = v if prev is None else prev + v
-    words: dict = {}
-    coeff_mask, word_mask = frame.coeff_mask, frame.word_mask
-    coeff_exps, unpack = frame.coeff_exps, frame.unpack
-    for k, v in out.items():
-        if v != 0:
-            t = words.get(k & word_mask)
-            if t is None:
-                t = words[k & word_mask] = {}
-            t[coeff_exps[k & coeff_mask]] = canon_scalar(v)
-    result = {}
-    for word, t in words.items():
-        fields = unpack(word)
-        result[(fields[d + n:2 * d + n], fields[-1], fields[:d])] = MPoly._of(nv, t)
-    return PBWElement._of(B, result)
+        else:
+            for k, v in piece.items():
+                k += shift
+                v = c if v == 1 else c * v
+                prev = get(k)
+                out[k] = v if prev is None else prev + v
+    return PBWElement._from_packed(
+        B, frame, {k: v for k, v in out.items() if v != 0}, weight)
+
+
+def _unit_product(other: PBWElement, variables: tuple) -> PBWElement:
+    """other times a unit with the given variable tuple: other, with its
+    coefficients over the variables of both."""
+    nv = variables if variables == other.variables else tuple(
+        sorted(set(variables).union(other.variables)))
+    for frame, packed in other.packed.items():
+        if frame.nv == nv:
+            return PBWElement._from_packed(other.basis, frame, packed,
+                                           other.weight)
+    return PBWElement._of(other.basis, {
+        key: c if c.vars == nv else MPoly._of(nv, c._aligned(nv))
+        for key, c in other.terms.items()})
+
+
+def _piece(frame, chains: dict, pieces: dict, qg: int) -> dict:
+    """g xi^q b for the packed fields qg = (q, g), kept in pieces, from the
+    chain xi^q b in chains (keyed by the packed q; chains[0] is b)."""
+    g = qg & frame.basis_mask
+    chain = _chain(frame, chains, qg - g)
+    piece = pieces[qg] = (chain if g == frame.one
+                          else _lmul_basis(frame, g, chain))
+    return piece
+
+
+def _chain(frame, chains: dict, q: int) -> dict:
+    """xi^q b = xi_i (xi^(q - e_i) b) for the first i with q_i > 0, kept in
+    chains."""
+    chain = chains.get(q)
+    if chain is None:
+        i, unit = next((i, unit) for i, (mask, unit)
+                       in enumerate(frame.dual_fields) if q & mask)
+        chain = chains[q] = _lmul_dual(frame, i,
+                                       _chain(frame, chains, q - unit))
+    return chain
+
+
+def _lmul_dual(frame, i: int, packed: dict) -> dict:
+    """xi_i * the packed element."""
+    out: dict = {}
+    get = out.get
+    steps, low_mask = frame.dual_steps[i], frame.low_mask
+    for key, c in packed.items():
+        scalar, delta, extra = steps[key & low_mask]
+        k = key + delta
+        v = c if scalar == 1 else scalar * c
+        prev = get(k)
+        out[k] = v if prev is None else prev + v
+        for delta, cc in extra:
+            k = key + delta
+            prev = get(k)
+            out[k] = cc * c if prev is None else prev + cc * c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _lmul_basis(frame, g: int, packed: dict) -> dict:
+    """g * the packed element, which maps distinct words to distinct words,
+    or to zero."""
+    out: dict = {}
+    steps, low_mask = frame.basis_steps[g], frame.low_mask
+    for key, c in packed.items():
+        step = steps[key & low_mask]
+        if step is not None:
+            scalar, delta = step
+            out[key + delta] = c if scalar == 1 else scalar * c
+    return out
 
 
 class _Frame:
-    """The tables of `multiply` that depend only on the shape of its packed
-    keys: the basis B, the sorted variable tuple nv and the field width
-    bits.  They map a coefficient exponent, a V-monomial and a
-    V*-monomial to its packed key and a packed coefficient back to its
-    exponents; (i, p) to the straightening corrections of xi_i x^p; and the
-    low fields (p, g) of a key to the step of xi_i, or of a basis element,
-    past them (None for a basis element whose product with g vanishes).  An
-    entry follows from the shape and its key alone, so a frame gives the
-    same products whichever products filled it, and `_frame` keeps the
-    frames of the shapes a process uses."""
+    """The tables of the operations on elements that depend only on the
+    shape of their packed keys: the basis B, the sorted variable tuple nv
+    and the field width bits.  They map a coefficient exponent, a
+    V-monomial and a V*-monomial to its packed key; (i, p) to the
+    straightening corrections of xi_i x^p; and the low fields (p, g) of a
+    key to the step of xi_i, or of a basis element, past them (None for a
+    basis element whose product with g vanishes).  An entry follows from
+    the shape and its key alone, so a frame gives the same products
+    whichever products filled it, and `_frame` keeps the frames of the
+    shapes a process uses."""
 
-    __slots__ = ("unpack", "low_mask", "coeff_mask", "word_mask",
-                 "coeff_keys", "coeff_exps", "v_keys", "dual_keys",
-                 "corrections", "dual_steps", "basis_steps")
+    __slots__ = ("nv", "one", "unpack", "low_mask", "coeff_mask",
+                 "word_mask", "qg_mask", "basis_mask", "dual_fields",
+                 "coeff_keys", "v_keys", "dual_keys", "corrections",
+                 "dual_steps", "basis_steps")
 
     def __init__(self, B, nv: tuple, bits: int):
         d, n = B.dim, len(nv)
         pack, unpack = _packing(2 * d + n + 1, bits)
         zq, ze = (0,) * d, (0,) * n
+        field = (1 << bits) - 1
+        self.nv = nv
+        self.one = B.unit[0] if len(B.unit) == 1 else None
         self.unpack = unpack
         self.low_mask = (1 << (d + 1) * bits) - 1       # the fields p and g
         self.coeff_mask = ((1 << n * bits) - 1) << (d + 1) * bits
         self.word_mask = ~self.coeff_mask
+        self.basis_mask = field
+        # the fields q and g, which name a left multiple g xi^q b
+        self.qg_mask = ~((1 << (d + n + 1) * bits) - 1) | field
+        # the field of each q_i, and the key of xi_i
+        self.dual_fields = [(field << s, 1 << s) for s in (
+            (2 * d + n - i) * bits for i in range(d))]
         self.coeff_keys = coeff_keys = _Memo(lambda e: pack((*zq, *e, *zq, 0)))
-        self.coeff_exps = _Memo(lambda k: unpack(k)[d:d + n])
         self.v_keys = v_keys = _Memo(lambda p: pack((*zq, *ze, *p, 0)))
         self.dual_keys = dual_keys = _Memo(lambda q: pack((*q, *ze, *zq, 0)))
         mult = B.mult_table
@@ -539,6 +719,17 @@ class _Frame:
         self.basis_steps = [_Memo(partial(basis_step, g))
                             for g in range(B.order())]
 
+    def pack(self, terms: dict) -> dict:
+        """The packed form of an element's terms in this frame."""
+        nv, coeff_keys, v_keys, dual_keys = (self.nv, self.coeff_keys,
+                                             self.v_keys, self.dual_keys)
+        out = {}
+        for (p, g, q), c in terms.items():
+            base = dual_keys[q] + v_keys[p] + g
+            for e, v in c._aligned(nv).items():
+                out[base + coeff_keys[e]] = v
+        return out
+
 
 # keyed by the basis object, so each basis builds its own frames.  A process
 # meets a few shapes; the bound keeps rare ones (a new variable tuple per
@@ -564,10 +755,13 @@ def commutator(a: PBWElement, b: PBWElement) -> PBWElement:
     return multiply(a, b) - multiply(b, a)
 
 
+@lru_cache(maxsize=None)
 def algebra_generators(B) -> dict:
     """The generating set: V coordinates, V* coordinates, and the
     generators of the group algebra that the basis B names (for a group,
-    those of its builder)."""
+    those of its builder).  Cached per basis, so each generator keeps the
+    left multiples it forms as a right factor; the result is shared and
+    must not be changed."""
     gens = {}
     for i, name in enumerate(B.v_names):
         gens[name] = PBWElement.v_gen(B, i)

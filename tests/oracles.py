@@ -305,15 +305,17 @@ def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
 
 
 def multiply_per_term(a: PBWElement, b: PBWElement) -> PBWElement:
-    """Exact product in PBW normal form, one term of a at a time and in
-    `MPoly` arithmetic, with the element-level left multiplications by a V*
-    coordinate and by a group element: the reference for `multiply`, which
-    shares work between the terms of a and sums coefficients in flat maps.
+    """Exact product in PBW normal form, one term of a at a time, with the
+    element-level left multiplications by a V* coordinate and by a group
+    element, and the terms summed word by word, all in `MPoly` arithmetic,
+    so no packed operation of the engine takes part: the reference for
+    `multiply`, which shares work between the terms of a and sums
+    coefficients in flat maps.
     The basis of a and b is a group, or its T-deformation
     (`cherednik._deformed`)."""
     a._check_compat(b)
     W = a.basis
-    result = a._like({})
+    out: dict = {}
     for (p, g, q), c in a.terms.items():
         piece = b
         for xi in reversed(range(W.dim)):
@@ -321,13 +323,11 @@ def multiply_per_term(a: PBWElement, b: PBWElement) -> PBWElement:
                 piece = _lmul_dual(W, xi, piece)
         if g != W.identity:
             piece = _lmul_group(W, g, piece)
-        for j in range(W.dim):
-            if p[j]:
-                piece = a._like({(tuple(e + (p[j] if i == j else 0)
-                                        for i, e in enumerate(pp)), w, qq): cc
-                                 for (pp, w, qq), cc in piece.terms.items()})
-        result = result + piece.scale(c)
-    return result
+        for (pp, w, qq), cc in piece.terms.items():
+            key = (tuple(i + j for i, j in zip(p, pp)), w, qq)
+            prev = out.get(key)
+            out[key] = c * cc if prev is None else prev + c * cc
+    return a._like(out)
 
 
 # ---------------------------------------------------------------------------

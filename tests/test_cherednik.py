@@ -1,7 +1,9 @@
 """PBW engine: straightening, associativity, Euler element, gradings,
 Poisson bracket."""
+import operator
 import random
 import zlib
+from fractions import Fraction
 
 import pytest
 
@@ -727,3 +729,143 @@ def test_poisson_bracket_rejects_bad_input():
         poisson_bracket(eu, deformed)
     with pytest.raises(ValueError, match="T-deformation"):
         poisson_bracket(deformed, eu)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["add", "sub", "mul"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_inexact_operand_is_unsupported(op, side):
+    # an operand that is not an exact scalar leaves the operator to Python,
+    # which raises its own TypeError; equality with one is False, as for
+    # MPoly
+    eu = euler_element(build_group("b2"))
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        op(eu, 0.5) if side == "left" else op(0.5, eu)
+    assert (eu == 0.5) is False and (0.5 == eu) is False and eu != 0.5
+    assert (MPoly.var("A") == 0.5) is False
+    with pytest.raises(TypeError, match="cannot scale"):
+        eu.scale(0.5)
+
+
+def per_word(a, b, op) -> dict:
+    """op of the coefficients of a and b on each word, in MPoly arithmetic,
+    with the zero results dropped."""
+    zero = MPoly.zero()
+    out = {}
+    for key in set(a.terms) | set(b.terms):
+        c = op(a.terms.get(key, zero), b.terms.get(key, zero))
+        if not c.is_zero():
+            out[key] = c
+    return out
+
+
+def product_check(kind, B):
+    """check(a, b, product): whether product has the terms of a * b by
+    `multiply_per_term`; over the idempotent basis of cyclic:d, after both
+    are rewritten over the group elements, the oracle's C-coordinates in
+    K-coordinates."""
+    if not kind.startswith("idempotents"):
+        return lambda a, b, product: (
+            product.terms == multiply_per_term(a, b).terms)
+    to_k = rank1_c_to_k(B.order())
+    return lambda a, b, product: (
+        idempotents_to_group(product).terms == substitute_params(
+            multiply_per_term(idempotents_to_group(a),
+                              idempotents_to_group(b)), to_k).terms)
+
+
+@pytest.mark.parametrize("kind", UNIT_BASES)
+def test_packed_arithmetic_matches_oracles(kind, monkeypatch):
+    """Products, sums, differences and scalings of elements that hold only
+    their packed forms agree with `multiply_per_term` and with per-word
+    MPoly arithmetic: in one frame, in a 16-bit frame, after a repack into
+    a wider variable tuple, across two frames, and for a product equal to
+    the unit, which `_is_one` reads off its packed form."""
+    import chered.cherednik as cherednik
+    B = UNIT_BASES[kind]()
+    agrees = product_check(kind, B)
+    rng = random.Random(zlib.crc32(f"packed/{kind}".encode()))
+    # variables that no coefficient of sharing_element carries
+    u, w = MPoly.var("u"), MPoly.var("w")
+    heavy = MPoly.var(B.param_names[0]) ** 130
+    real, widths = cherednik._frame, []
+    monkeypatch.setattr(cherednik, "_frame", lambda *shape: widths.append(
+        shape[2]) or real(*shape))
+    for _ in range(2):
+        terms = [sharing_element(B, rng) for _ in range(4)]
+        a, b = terms[0] + terms[1], terms[2] - terms[3]
+        assert a._terms is None and b._terms is None
+        for lhs, rhs in ((a, b), (b, a), (a, a)):
+            assert agrees(lhs, rhs, multiply(lhs, rhs))
+        assert a.terms == per_word(terms[0], terms[1], operator.add)
+        assert b.terms == per_word(terms[2], terms[3], operator.sub)
+        # a 16-bit frame: the weight bound of the product passes 255
+        widths.clear()
+        big = a.scale(heavy)
+        assert big.weight + b.weight > 255
+        assert agrees(big, b, multiply(big, b)) and set(widths) == {16}
+        # u is outside the frame of a product, which is packed again
+        product = multiply(a, b)
+        frames = len(product.packed)
+        for c in (u, u * w - 3, Fraction(-2, 3)):
+            scaled = product.scale(c)
+            assert scaled.terms == {key: MPoly._coerce(c) * v
+                                    for key, v in product.terms.items()}
+        assert len(product.packed) == frames + 2
+        # a sum of two elements packed in different frames
+        wide = a.scale(w)
+        assert not set(wide.packed) & set(b.packed)
+        for op in (operator.add, operator.sub):
+            assert op(wide, b).terms == per_word(wide, b, op)
+            assert op(b, wide).terms == per_word(b, wide, op)
+        assert (wide - wide).is_zero() and (wide - wide).terms == {}
+    # a product equal to the unit is one to `_is_one` while packed, and
+    # multiplies as the unit, looking up no frame
+    one = PBWElement.one(B)
+    unit = multiply(one.scale(2), one.scale(Fraction(1, 2)))
+    assert unit._terms is None and cherednik._is_one(unit)
+    assert unit._terms is None and unit == one
+    x = sharing_element(B, rng) + one
+    widths.clear()
+    assert multiply(unit, x).terms == x.terms == multiply(x, unit).terms
+    assert widths == []
+
+
+def test_right_factor_forms_each_left_multiple_once(monkeypatch):
+    """A right factor keeps its left multiples xi^q b and g xi^q b per
+    frame: a second left factor with the same (g, q) parts forms none, and
+    after the frames are dropped the product is formed again, equal; the
+    generators that a centrality search multiplies by keep theirs too."""
+    import chered.cherednik as cherednik
+    W = build_group("b2")
+    eu = euler_element(W)
+    first = eu ** 2
+    second = first.scale(MPoly.var("A") + 2) - first
+    b = euler_element(W)
+    formed = []
+
+    def counted(name):
+        real = getattr(cherednik, name)
+        return lambda *args: formed.append(name) or real(*args)
+
+    for name in ("_lmul_dual", "_lmul_basis"):
+        monkeypatch.setattr(cherednik, name, counted(name))
+    product = multiply(first, b)
+    (frame, (chains, pieces)), = b.multiples.items()
+    sizes = len(chains), len(pieces)
+    assert "_lmul_dual" in formed and "_lmul_basis" in formed
+    formed.clear()
+    again = multiply(second, b)
+    assert formed == [] and (len(chains), len(pieces)) == sizes
+    assert again.terms == multiply_per_term(second, b).terms
+    assert product.terms == multiply_per_term(first, b).terms
+    cherednik._frame.cache_clear()
+    after = multiply(second, b)
+    assert formed and len(b.multiples) == 2 and frame not in after.packed
+    assert after == again and after.terms == again.terms
+    # the algebra generators are shared per basis, so a second centrality
+    # search straightens nothing
+    assert algebra_generators(W) is algebra_generators(W)
+    assert noncommuting_generator(eu) is None
+    formed.clear()
+    assert noncommuting_generator(eu) is None and formed == []

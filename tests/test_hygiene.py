@@ -3,7 +3,8 @@ imported from the module that defines it (by the tests too), every name
 of a module's ``__all__`` is defined there, every function, class, method
 and top-level constant it defines is used, every annotated field of its
 classes is read, no check is an assert statement, the terms of an element
-or a polynomial change only in its constructors, every ArithmeticError
+or a polynomial, packed or not, are written only by its constructors and
+by the two conversions of an element between its forms, every ArithmeticError
 and ValueError the package raises has a test that provokes it by its
 message, and a group is told apart by its spec only where an allow-list
 says why, and a basis of the group algebra by its class, or a value by
@@ -201,36 +202,50 @@ def assert_lines(source: str) -> list[int]:
             if isinstance(node, ast.Assert)]
 
 
-# The constructors that fill the terms of a new `PBWElement` or `MPoly`,
-# and the dict methods that change a map in place.
-CONSTRUCTORS = ("__init__", "_of")
+# The attributes that hold the terms of an element or a polynomial: the
+# terms of an `MPoly`, and the unpacked and the packed terms of a
+# `PBWElement` (`terms` is a view that reads `_terms`).  The functions that
+# may write them: the constructors of a new `PBWElement` or `MPoly`, and the
+# two conversions of an element between its forms, which fill a form once,
+# from the other (`cherednik._unpacked`, `cherednik._packed`).  The dict
+# methods that change a map in place.
+TERMS_SLOTS = ("terms", "_terms", "packed")
+CONSTRUCTORS = ("__init__", "_of", "_from_packed")
+CONVERSIONS = ("_unpacked", "_packed")
 DICT_CHANGES = ("pop", "popitem", "update", "clear", "setdefault")
 
 
 def terms_changes(source: str) -> list[str]:
-    """"function:line" of each change to a `.terms` map outside the
-    functions named in CONSTRUCTORS: an assignment to `x.terms` or into it
-    (plain, augmented or annotated), a `del` of it or from it, or a call of
-    one of DICT_CHANGES on it.  An element and a polynomial never change
-    once built, and `PBWElement.powers` rests on that."""
+    """"function:line" of each change to a map of TERMS_SLOTS outside the
+    functions named in CONSTRUCTORS and CONVERSIONS: an assignment to
+    `x.terms` (or `x._terms`, `x.packed`) or into it (plain, augmented or
+    annotated), a `del` of it or from it, or a call of one of DICT_CHANGES
+    on it.  An element and a polynomial never change once built, and
+    `PBWElement.powers` rests on that; an element only gains, once each,
+    the unpacked form of its packed terms and the packed forms of its
+    terms."""
     def terms(node):
-        return isinstance(node, ast.Attribute) and node.attr == "terms"
+        # a map of TERMS_SLOTS, or an entry of one at any depth (one packed
+        # form of an element, say)
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in TERMS_SLOTS
 
     def changes(node):
         if isinstance(node, ast.Call):
             return (isinstance(node.func, ast.Attribute)
                     and node.func.attr in DICT_CHANGES
                     and terms(node.func.value))
-        if isinstance(node, ast.Subscript) and terms(node.value):
-            return not isinstance(node.ctx, ast.Load)
-        return terms(node) and not isinstance(node.ctx, ast.Load)
+        if isinstance(node, (ast.Attribute, ast.Subscript)):
+            return terms(node) and not isinstance(node.ctx, ast.Load)
+        return False
 
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if where not in CONSTRUCTORS and changes(node):
+        if where not in CONSTRUCTORS + CONVERSIONS and changes(node):
             found.append(f"{where}:{node.lineno}")
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -602,9 +617,32 @@ def test_scanner_flags_terms_changes():
               "        return self.terms.get(k), copy\n"
               "def helper(p, k):\n"
               "    p.terms.update({k: 1})\n"
-              "    del p.terms\n")
+              "    del p.terms\n"
+              "class E:\n"
+              "    @staticmethod\n"
+              "    def _from_packed(frame, packed):\n"
+              "        e = E.__new__(E)\n"
+              "        e._terms, e.packed = None, {frame: packed}\n"
+              "        return e\n"
+              "    @property\n"
+              "    def terms(self):\n"
+              "        return self._terms or _unpacked(self)\n"
+              "def _unpacked(e):\n"
+              "    e._terms = dict(next(iter(e.packed.values())))\n"
+              "    return e._terms\n"
+              "def _packed(e, frame):\n"
+              "    e.packed[frame] = dict(e.terms)\n"
+              "    return e.packed[frame]\n"
+              "def widen(e, frame, k):\n"
+              "    e.packed[frame] = {}\n"
+              "    e._terms[k] = 1\n"
+              "    e.packed.setdefault(frame, {})\n"
+              "    e.packed[frame][k] = 1\n"
+              "    e.packed[frame].update({k: 1})\n"
+              "    del e._terms\n"
+              "    return e.packed[frame].get(k)\n")
     assert terms_changes(source) == [f"bad:{n}" for n in range(13, 20)] + [
-        "helper:24", "helper:25"]
+        "helper:24", "helper:25"] + [f"widen:{n}" for n in range(42, 48)]
 
 
 def test_scanner_flags_asserts():
