@@ -5,11 +5,13 @@ bracket on the center.
 
 Normal words are triples (V-monomial, basis element, V*-monomial) over a
 basis of the group algebra kW.  An element carries that basis and its value,
-and no flag: its terms {word: MPoly}, and its packed forms, one per `_Frame`
-(basis, sorted variable tuple, field width) an operation has used for it,
-where a term is one int key and one scalar.  Products, sums, differences and
-scalings run on packed forms and return an element that holds only its own;
-its terms are unpacked on their first read.  No field of a frame overflows:
+and no flag: its terms {word: MPoly}, its one packed form in one `_Frame`
+(basis, sorted variable tuple, field width), where a term is one int key and
+one scalar, or both.  Products, sums, differences and scalings run on packed
+forms and return an element born with its form; its terms are unpacked on
+their first read.  An element built from terms adopts the frame of the first
+operation that packs it, and an operation in any other frame packs it for
+that operation only.  No field of a frame overflows:
 every operation bounds the weight |p| + |q| + 2 deg(e) of its terms, by the
 sum of the operands' bounds for a product, the larger of them for a sum and
 the bound plus 2 deg(c) for a scaling by c, and takes fields that hold it
@@ -81,37 +83,40 @@ class PBWElement:
     group algebra: a `ReflectionGroup` or an `IdempotentBasis`.
 
     An element never changes once built.  It holds its value as `terms`,
-    {normal word (p, g, q): MPoly}, and as `packed`, {frame: packed terms},
-    its terms packed as {key: scalar} (see `multiply`) in each `_Frame` an
-    operation has used for it.  `__init__` and `_of` build an element from
-    its terms, and `_from_packed` from the one packed form an operation
-    returns, whose terms are unpacked on their first read (`_unpacked`); an
-    element is packed into a further frame from its terms (`_packed`).
-    `variables` and `weight` choose its frame: the sorted union of the
-    basis's parameters and its coefficients' variables, and a bound on the
-    weight of its terms.
+    {normal word (p, g, q): MPoly}, as one packed form, `packed`
+    {key: scalar} (see `multiply`) in the `_Frame` `frame`, or as both.
+    `__init__` builds an element from its terms, with no packed form
+    (None), and `_from_packed` from the packed form an operation returns,
+    whose terms are unpacked on their first read (`_unpacked`).
+    An element with no packed form takes the one that the first operation
+    on it packs (`_packed`).  `variables` and `weight` choose the frame of
+    an operation: the sorted union of the basis's parameters and its
+    coefficients' variables, and a bound on the weight |p| + |q| + 2 deg(e)
+    of its terms (0 for none).
 
-    The packed forms, the left multiples that `multiply` forms of the
-    element as a right factor (`multiples`: {frame: (chains, pieces)}, None
-    until the first) and the powers that `__pow__` forms (`powers`:
+    The packed form, the left multiples that `multiply` forms of the
+    element as a right factor in its frame (`multiples`: (chains, pieces),
+    None until the first) and the powers that `__pow__` forms (`powers`:
     {n: self ** n} for every n >= 2 up to the highest asked for, None until
     the first) are caches of its one value, so they stay valid for its
     lifetime."""
 
-    __slots__ = ("basis", "_terms", "packed", "variables", "weight",
+    __slots__ = ("basis", "_terms", "frame", "packed", "variables", "weight",
                  "multiples", "powers")
 
     def __init__(self, basis, terms=None):
         self.basis = basis
-        self.powers = self.multiples = None
-        self.packed = {}
+        self.frame = self.packed = self.powers = self.multiples = None
         self._terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = MPoly._coerce(c)
-                if not c.is_zero():
-                    self._terms[key] = c
-        self.variables, self.weight = _profile(basis, self._terms)
+        names, weight = set(basis.param_names), 0
+        for (p, g, q), c in (terms or {}).items():
+            c = MPoly._coerce(c)
+            if not c.is_zero():
+                self._terms[(p, g, q)] = c
+                names.update(c.vars)
+                weight = max(weight, sum(p) + sum(q)
+                             + 2 * max(map(sum, c.terms)))
+        self.variables, self.weight = tuple(sorted(names)), weight
 
     # -- constructors ----------------------------------------------------
 
@@ -151,33 +156,15 @@ class PBWElement:
                               for u in B.unit})
 
     @staticmethod
-    def _of(basis, terms: dict) -> "PBWElement":
-        """The element with the given terms, taken as they are: each
-        coefficient a nonzero MPoly, and the dict is not shared."""
-        result = PBWElement.__new__(PBWElement)
-        result.basis = basis
-        result._terms = terms
-        result.packed = {}
-        result.variables, result.weight = _profile(basis, terms)
-        result.powers = result.multiples = None
-        return result
-
-    @staticmethod
     def _from_packed(basis, frame, packed: dict, weight: int) -> "PBWElement":
         """The element whose packed form in frame is packed, each value a
         nonzero scalar and the dict never changed, with weight bound
         weight; its terms are unpacked on their first read."""
         result = PBWElement.__new__(PBWElement)
-        result.basis = basis
-        result._terms = None
-        result.packed = {frame: packed}
+        result.basis, result.frame, result.packed = basis, frame, packed
+        result._terms = result.powers = result.multiples = None
         result.variables, result.weight = frame.nv, weight
-        result.powers = result.multiples = None
         return result
-
-    def _like(self, terms) -> "PBWElement":
-        """An element over the same basis with the given terms."""
-        return PBWElement(self.basis, terms)
 
     @property
     def terms(self) -> dict:
@@ -234,7 +221,7 @@ class PBWElement:
             raise TypeError(f"cannot scale an algebra element by {c!r}")
         B = self.basis
         if coeff.is_zero():
-            return PBWElement._of(B, {})
+            return PBWElement(B)
         weight = self.weight + 2 * max(map(sum, coeff.terms))
         frame = _frame_for(B, weight, self.variables, coeff.vars)
         keys = frame.coeff_keys
@@ -297,9 +284,7 @@ class PBWElement:
         return _packed(self, frame) == _packed(other, frame)
 
     def is_zero(self) -> bool:
-        terms = self._terms
-        return not (next(iter(self.packed.values())) if terms is None
-                    else terms)
+        return not (self.packed if self._terms is None else self._terms)
 
     # -- printing ----------------------------------------------------------
 
@@ -315,19 +300,6 @@ class PBWElement:
 
     def __repr__(self):
         return f"PBWElement({self})"
-
-
-def _profile(B, terms: dict) -> tuple:
-    """(variables, weight) of an element with the given terms over the
-    basis B: the sorted union of B's parameters and its coefficients'
-    variables, and the largest weight |p| + |q| + 2 deg(e) of a term (0
-    for none)."""
-    names = set(B.param_names)
-    weight = 0
-    for (p, _, q), c in terms.items():
-        names.update(c.vars)
-        weight = max(weight, sum(p) + sum(q) + 2 * max(map(sum, c.terms)))
-    return tuple(sorted(names)), weight
 
 
 def _sum(a: PBWElement, b: PBWElement, negate: bool) -> PBWElement:
@@ -374,28 +346,12 @@ def _zeros(B):
     return (0,) * B.dim
 
 
-def _is_one(elem) -> bool:
-    """Whether elem is the unit of its algebra: its terms are those of
-    `PBWElement.one`, each coefficient equal to 1 in value.  Read off the
-    terms, or else off the first packed form, where the unit word of a
-    basis element u with a constant coefficient packs to the key u."""
-    unit = elem.basis.unit
-    terms = elem._terms
-    if terms is None:
-        packed = next(iter(elem.packed.values()))
-        return len(packed) == len(unit) and all(
-            packed.get(u) == 1 for u in unit)
-    zeros = _zeros(elem.basis)
-    return len(terms) == len(unit) and all(
-        terms.get((zeros, u, zeros)) == 1 for u in unit)
-
-
 def _unpacked(elem) -> dict:
-    """The terms of elem, unpacked from its first packed form and kept:
-    one `MPoly` over the frame's variable tuple per word, each coefficient
+    """The terms of elem, unpacked from its packed form and kept: one
+    `MPoly` over the frame's variable tuple per word, each coefficient
     canonical.  It reads the frame's masks and `unpack` and fills none of
     its tables."""
-    frame, packed = next(iter(elem.packed.items()))
+    frame, packed = elem.frame, elem.packed
     d, nv = elem.basis.dim, frame.nv
     n = len(nv)
     coeff_mask, word_mask, unpack = (frame.coeff_mask, frame.word_mask,
@@ -421,11 +377,16 @@ def _unpacked(elem) -> dict:
 
 
 def _packed(elem, frame) -> dict:
-    """The packed form of elem in frame: kept from an earlier operation, or
-    packed from its terms and kept."""
-    packed = elem.packed.get(frame)
-    if packed is None:
-        packed = elem.packed[frame] = frame.pack(elem.terms)
+    """The packed form of elem in frame: its own when its frame has frame's
+    shape (the same object, or one that `_frame` evicted and built again,
+    whose keys are the same), or else packed from its terms, and kept as
+    its own when it had none."""
+    own = elem.frame
+    if own is frame or own is not None and own.shape == frame.shape:
+        return elem.packed
+    packed = frame.pack(elem.terms)
+    if own is None:
+        elem.frame, elem.packed = frame, packed
     return packed
 
 
@@ -490,19 +451,13 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
     t = 0 algebra over a basis of the group algebra, or its T-deformation
     over `_deformed` of one.
 
-    When a or b is the unit (`_is_one`: the terms of `PBWElement.one`, each
-    coefficient 1 in value), the product is the other factor, its
-    coefficients over the variable tuple below as the packed path would
-    give them: its packed form in a frame of that tuple when it has one,
-    else its terms aligned; no frame is looked up.
-
     A term c x^p g xi^q of a contributes c x^p (g (xi^q b)), g a basis
     element.  The left multiples xi^q b and g xi^q b of b are formed once
-    each and kept on b for the frame (`PBWElement.multiples`), so a right
-    factor used again, such as eu in the powers of eu, straightens nothing
-    twice: the V* coordinates commute, so xi^q b = xi_i (xi^(q - e_i) b)
-    for the first i with q_i > 0 reuses the shorter chain.  Multiplying by
-    x^p only shifts V-exponents.
+    each, and kept on b when the product runs in b's own frame
+    (`PBWElement.multiples`), so a right factor used again, such as eu in
+    the powers of eu, straightens nothing twice: the V* coordinates
+    commute, so xi^q b = xi_i (xi^(q - e_i) b) for the first i with q_i > 0
+    reuses the shorter chain.  Multiplying by x^p only shifts V-exponents.
 
     Every operation on elements (this one, `+`, `-`, `scale`, `==`) runs
     in the `_Frame` of its shape (basis, variable tuple, field width) on
@@ -511,8 +466,10 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
     coefficient monomial over the sorted variable tuple (the operands'
     `variables`: the basis's parameters and their coefficients' variables),
     the V-exponents p and the basis element (`multipoly._packing`).  Each
-    element keeps its packed form per frame (`PBWElement.packed`), and a
-    result holds only its own; its terms are unpacked on their first read.
+    element keeps one packed form (`PBWElement.packed`, in the frame
+    `PBWElement.frame`): a result is born with its own, whose terms are
+    unpacked on their first read, and an element built from terms takes
+    the form of the first operation that packs it.
     A shift by x^p, the move of a dual coordinate past a basis element and
     a straightening correction are one int addition each; they depend only
     on the low fields (p, g) of a key, and are memoised as packed deltas in
@@ -528,25 +485,22 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
     term of a sum is a term of one operand, or two added on one word, so
     its bound is the larger of theirs; scaling by c adds at most 2 deg c.
     Every field is at most the bound of the operation, and the basis field
-    at most the number of basis elements less one; an operand packed only
-    in a narrower frame, or over fewer variables, is packed again from its
-    terms."""
+    at most the number of basis elements less one; an operand packed in
+    another frame (a narrower one, or over fewer variables) is packed again
+    from its terms, for this operation only."""
     a._check_compat(b)
     B = a.basis
     if a.is_zero() or b.is_zero():
-        return a._like({})
-    for unit, other in ((a, b), (b, a)):
-        if _is_one(unit):
-            return _unit_product(other, unit.variables)
+        return PBWElement(B)
     weight = a.weight + b.weight
     frame = _frame_for(B, weight, a.variables, b.variables)
-    left = _packed(a, frame)
-    multiples = b.multiples
-    if multiples is None:
-        multiples = b.multiples = {}
-    found = multiples.get(frame)
+    left, right = _packed(a, frame), _packed(b, frame)
+    own = right is b.packed     # frame is b's own, whose multiples b keeps
+    found = b.multiples if own else None
     if found is None:
-        found = multiples[frame] = ({0: _packed(b, frame)}, {})
+        found = ({0: right}, {})
+        if own:
+            b.multiples = found
     chains, pieces = found
     qg_mask = frame.qg_mask
     out: dict = {}
@@ -570,20 +524,6 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
                 out[k] = v if prev is None else prev + v
     return PBWElement._from_packed(
         B, frame, {k: v for k, v in out.items() if v != 0}, weight)
-
-
-def _unit_product(other: PBWElement, variables: tuple) -> PBWElement:
-    """other times a unit with the given variable tuple: other, with its
-    coefficients over the variables of both."""
-    nv = variables if variables == other.variables else tuple(
-        sorted(set(variables).union(other.variables)))
-    for frame, packed in other.packed.items():
-        if frame.nv == nv:
-            return PBWElement._from_packed(other.basis, frame, packed,
-                                           other.weight)
-    return PBWElement._of(other.basis, {
-        key: c if c.vars == nv else MPoly._of(nv, c._aligned(nv))
-        for key, c in other.terms.items()})
 
 
 def _piece(frame, chains: dict, pieces: dict, qg: int) -> dict:
@@ -651,7 +591,7 @@ class _Frame:
     whichever products filled it, and `_frame` keeps the frames of the
     shapes a process uses."""
 
-    __slots__ = ("nv", "one", "unpack", "low_mask", "coeff_mask",
+    __slots__ = ("shape", "nv", "one", "unpack", "low_mask", "coeff_mask",
                  "word_mask", "qg_mask", "basis_mask", "dual_fields",
                  "coeff_keys", "v_keys", "dual_keys", "corrections",
                  "dual_steps", "basis_steps")
@@ -661,6 +601,7 @@ class _Frame:
         pack, unpack = _packing(2 * d + n + 1, bits)
         zq, ze = (0,) * d, (0,) * n
         field = (1 << bits) - 1
+        self.shape = (B, nv, bits)
         self.nv = nv
         self.one = B.unit[0] if len(B.unit) == 1 else None
         self.unpack = unpack
@@ -924,11 +865,10 @@ def poisson_bracket(z1: PBWElement, z2: PBWElement) -> PBWElement:
         raise ValueError("the Poisson bracket takes elements of the t = 0"
                          " algebra, not of its T-deformation")
     D = _deformed(z1.basis)
-    comm = commutator(PBWElement._of(D, dict(z1.terms)),
-                      PBWElement._of(D, dict(z2.terms)))
+    comm = commutator(PBWElement(D, z1.terms), PBWElement(D, z2.terms))
     out = {}
     for key, c in comm.terms.items():
         if not c.coefficient("T", 0).is_zero():
             raise ArithmeticError("coefficient not divisible by T")
         out[key] = c.coefficient("T", 1)
-    return z1._like(out)
+    return PBWElement(z1.basis, out)

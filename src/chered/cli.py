@@ -86,7 +86,8 @@ def _emit_text(data, indent=0):
 
 def _parse_params(W, text: str) -> dict:
     """Inline "a=1,b=1", "C1=2", "K=0,1,-1", or a flat key=value file; the
-    point is returned in C-coordinates."""
+    point is returned in C-coordinates.  An empty entry between named ones
+    is skipped, and one inside the K-list refused."""
     if os.path.isfile(text):
         pairs = []
         with open(text) as fh:
@@ -95,7 +96,7 @@ def _parse_params(W, text: str) -> dict:
                 if line and not line.startswith("#"):
                     pairs.append(line)
         text = ",".join(pairs)
-    entries = [e.strip() for e in text.split(",") if e.strip()]
+    entries = [e.strip() for e in text.split(",")]
     values: dict = {}
     basis = None
 
@@ -106,13 +107,19 @@ def _parse_params(W, text: str) -> dict:
 
     i = 0
     while i < len(entries):
+        if not entries[i]:
+            i += 1
+            continue
         if "=" not in entries[i]:
             raise UsageError(f"malformed parameter entry {entries[i]!r}")
         key, val = entries[i].split("=", 1)
         key = key.strip()
         if key == "K":
             # comma list: the remaining entries are the tail of the list
-            vals = [val] + entries[i + 1:]
+            vals = [val.strip()] + entries[i + 1:]
+            if not all(vals):
+                raise UsageError("empty entry in the K-values:"
+                                 f" K={','.join(vals)}")
             labels = W.k_param_names()
             if len(vals) != len(labels):
                 raise UsageError(
@@ -298,7 +305,9 @@ def cmd_galois(args) -> tuple:
 def cmd_geometry_rank1(args) -> tuple:
     if args.d < 2:
         raise UsageError(f"--d must be >= 2, got {args.d}")
-    parts = [p.strip() for p in args.point.split(",") if p.strip()]
+    parts = [p.strip() for p in args.point.split(",")]
+    if not all(parts):
+        raise UsageError(f"empty entry in --point {args.point}")
     if len(parts) != args.d + 3:
         raise UsageError(
             f"--point needs {args.d} K-values followed by x,y,e")

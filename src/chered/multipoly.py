@@ -150,16 +150,7 @@ class MPoly:
             return NotImplemented
         nv = MPoly._merge_vars(self, other)
         out = dict(self._aligned(nv))
-        for exp, c in other._aligned(nv).items():
-            prev = out.get(exp)
-            if prev is None:
-                out[exp] = c
-                continue
-            s = canon_scalar(prev + c)
-            if s == 0:
-                del out[exp]
-            else:
-                out[exp] = s
+        _add_into(out, other._aligned(nv))
         return MPoly._of(nv, out)
 
     __radd__ = __add__
@@ -266,34 +257,42 @@ class MPoly:
         return MPoly._of(nv, terms)
 
     def substitute(self, assignments: dict) -> "MPoly":
-        """Substitute polynomials or scalars for variables."""
+        """Substitute polynomials or scalars for variables.  Each term is
+        one chain of products with the powers it takes, all over the output
+        variables (the sorted union of those of the powers used), added
+        into one map: the sum is not copied once per term."""
         relevant = {k: v for k, v in assignments.items() if k in self.vars}
         if not relevant:
             return self
-        result = MPoly.zero()
+        used = {name for exp in self.terms
+                for name, k in zip(self.vars, exp) if k}
+        bases = {}
+        for name in used:
+            base = (MPoly._coerce(relevant[name]) if name in relevant
+                    else MPoly.var(name))
+            if base is NotImplemented:
+                raise TypeError(f"cannot substitute {relevant[name]!r}"
+                                f" for {name}: not an exact scalar or"
+                                " a polynomial")
+            bases[name] = base
+        nv = tuple(sorted(set().union(*(b.vars for b in bases.values()))))
         cache: dict = {}
 
         def var_power(name, k):
             key = (name, k)
             if key not in cache:
-                if name in relevant:
-                    base = MPoly._coerce(relevant[name])
-                    if base is NotImplemented:
-                        raise TypeError(f"cannot substitute {relevant[name]!r}"
-                                        f" for {name}: not an exact scalar or"
-                                        " a polynomial")
-                else:
-                    base = MPoly.var(name)
-                cache[key] = base ** k
+                cache[key] = MPoly._of(nv, (bases[name] ** k)._aligned(nv))
             return cache[key]
 
+        zeros = (0,) * len(nv)
+        out: dict = {}
         for exp, c in self.terms.items():
-            piece = MPoly.const(c)
+            piece = MPoly._of(nv, {zeros: c})
             for name, k in zip(self.vars, exp):
                 if k:
                     piece = piece * var_power(name, k)
-            result = result + piece
-        return result
+            _add_into(out, piece.terms)
+        return MPoly._of(nv, out)
 
     def divexact(self, other: "MPoly") -> "MPoly":
         """Exact division; raises ArithmeticError when not divisible.
@@ -370,6 +369,23 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self})"
+
+
+def _add_into(out: dict, terms: dict) -> None:
+    """Add the term map terms into the map out, aligned to the same
+    variables: a new exponent takes its coefficient as it is, and a sum
+    that cancels is dropped."""
+    get = out.get
+    for exp, c in terms.items():
+        prev = get(exp)
+        if prev is None:
+            out[exp] = c
+            continue
+        c = canon_scalar(prev + c)
+        if c == 0:
+            del out[exp]
+        else:
+            out[exp] = c
 
 
 # struct codes of unsigned big-endian fields, by their widths in bits

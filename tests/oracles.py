@@ -2,7 +2,8 @@
 Fraction coordinates, the per-factor change of coordinates for the rank-1
 center identity, with its own C -> K table, the resultant as a Sylvester
 determinant, the Berkowitz characteristic polynomial with every product
-formed, the schoolbook polynomial product with tuple keys, the PBW
+formed, the schoolbook polynomial product with tuple keys, the
+substitution into a polynomial summed one term at a time, the PBW
 product computed one term of the left factor at a time in `MPoly`
 arithmetic (with the element-level left multiplications by a V* coordinate
 and by a group element), the change from the idempotent basis of a cyclic
@@ -271,6 +272,25 @@ def schoolbook_product(a: MPoly, b: MPoly) -> MPoly:
     return MPoly(names, out)
 
 
+def substitute_per_term(p: MPoly, assignments: dict) -> MPoly:
+    """p with polynomials or scalars substituted for its variables, each
+    term a product of powers added to the running sum by `MPoly.__add__`:
+    the reference for `MPoly.substitute`, which adds every term into one
+    map."""
+    relevant = {k: v for k, v in assignments.items() if k in p.vars}
+    if not relevant:
+        return p
+    result = MPoly.zero()
+    for exp, c in p.terms.items():
+        piece = MPoly.const(c)
+        for name, k in zip(p.vars, exp):
+            if k:
+                base = MPoly._coerce(relevant.get(name, MPoly.var(name)))
+                piece = piece * base ** k
+        result = result + piece
+    return result
+
+
 def _lmul_dual(W, xi: int, elem: PBWElement) -> PBWElement:
     """Left multiplication by the xi-th V* coordinate, over the group basis
     W (the group, or its T-deformation)."""
@@ -290,7 +310,7 @@ def _lmul_dual(W, xi: int, elem: PBWElement) -> PBWElement:
         add((p, g, newq), c * scalar if scalar != 1 else c)
         for cc, mono, s in _straighten(W, "dual", xi, p):
             add((mono, W.mult_table[s][g], q), cc * c)
-    return elem._like(out)
+    return PBWElement(elem.basis, out)
 
 
 def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
@@ -301,7 +321,7 @@ def _lmul_group(W, g: int, elem: PBWElement) -> PBWElement:
         cc = c * scalar if scalar != 1 else c
         prev = out.get(key)
         out[key] = cc if prev is None else prev + cc
-    return elem._like(out)
+    return PBWElement(elem.basis, out)
 
 
 def multiply_per_term(a: PBWElement, b: PBWElement) -> PBWElement:
@@ -327,7 +347,7 @@ def multiply_per_term(a: PBWElement, b: PBWElement) -> PBWElement:
             key = (tuple(i + j for i, j in zip(p, pp)), w, qq)
             prev = out.get(key)
             out[key] = c * cc if prev is None else prev + c * cc
-    return a._like(out)
+    return PBWElement(a.basis, out)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +375,7 @@ def twist_by_linear_char(gamma, z: PBWElement) -> PBWElement:
             cc = cc * gval
         prev = out.get((p, g, q))
         out[(p, g, q)] = cc if prev is None else prev + cc
-    return z._like(out)
+    return PBWElement(z.basis, out)
 
 
 def twist_family_partition(W, fp, gamma_name: str) -> tuple:

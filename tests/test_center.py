@@ -382,8 +382,8 @@ def test_minpoly_annihilates_euler_in_pbw_form():
     assert _eval_in_pbw(f, assignments, W).is_zero()
 
 
-@pytest.mark.parametrize("spec", ("cyclic:2", "cyclic:3", "cyclic:4",
-                                  "cyclic:5", "cyclic:6", "b2"))
+@pytest.mark.parametrize("spec", [f"cyclic:{d}" for d in range(2, 11)]
+                         + ["b2"])
 def test_euler_charpoly_congruence(spec):
     W = build_group(spec)
     assert euler_charpoly_congruence(W) is True

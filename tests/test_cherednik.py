@@ -675,36 +675,30 @@ UNIT_BASES = {
 
 
 @pytest.mark.parametrize("kind", UNIT_BASES)
-def test_unit_factor_gives_the_packed_product(kind, monkeypatch):
-    """one * x and x * one equal the product that `multiply` packs, term by
-    term and with the same coefficient variables, and build no frame; so
-    does a unit whose coefficient carries a variable it does not use.  An
-    element of the unit's words that is not the unit, its last coefficient
-    2, takes the packed path."""
-    import chered.cherednik as cherednik
+def test_unit_factor_gives_the_packed_product(kind):
+    """one * x and x * one take the one product path: each is x, agrees
+    with `multiply_per_term`, and is born packed, its coefficients over
+    the variables of both factors; so does a unit whose coefficient
+    carries a variable it does not use.  An element of the unit's words
+    that is not the unit, its last coefficient 2, agrees with the oracle
+    too."""
     B = UNIT_BASES[kind]()
+    agrees = product_check(kind, B)
     rng = random.Random(zlib.crc32(f"unit/{kind}".encode()))
     zeros = (0,) * B.dim
     units = (PBWElement.one(B), PBWElement.unit_monomial(
         B, zeros, zeros, MPoly._of(("sigma",), {(0,): 1})))
     near = PBWElement.one(B) + PBWElement.monomial(B, zeros, B.unit[-1], zeros)
     xs = (sharing_element(B, rng), euler_element(B) ** 2, units[0])
-    pairs = [pair for u in (*units, near) for x in xs
-             for pair in ((u, x), (x, u))]
-    monkeypatch.setattr(cherednik, "_is_one", lambda elem: False)
-    packed = [multiply(a, b) for a, b in pairs]
-    monkeypatch.undo()
-    real, frames = cherednik._frame, []
-    monkeypatch.setattr(cherednik, "_frame",
-                        lambda *shape: frames.append(shape) or real(*shape))
-    for (a, b), want in zip(pairs, packed):
-        before = len(frames)
-        got = multiply(a, b)
-        assert got.basis is B and got.terms == want.terms
-        assert ({k: c.vars for k, c in got.terms.items()}
-                == {k: c.vars for k, c in want.terms.items()})
-        unit_factor = any(e is u for e in (a, b) for u in units)
-        assert (len(frames) == before) == unit_factor
+    for u in (*units, near):
+        for x in xs:
+            for a, b in ((u, x), (x, u)):
+                got = multiply(a, b)
+                nv = tuple(sorted(set(a.variables) | set(b.variables)))
+                assert got.basis is B and got._terms is None
+                assert got.frame.nv == nv and agrees(a, b, got)
+                assert all(c.vars == nv for c in got.terms.values())
+                assert u is near or got.terms == x.terms
 
 
 def test_elements_of_two_groups_do_not_mix():
@@ -774,13 +768,21 @@ def product_check(kind, B):
                               idempotents_to_group(b)), to_k).terms)
 
 
+def forms(*elems) -> list:
+    """The frame, packed form and left multiples of each element, by
+    identity."""
+    return [(id(e.frame), id(e.packed), id(e.multiples)) for e in elems]
+
+
 @pytest.mark.parametrize("kind", UNIT_BASES)
 def test_packed_arithmetic_matches_oracles(kind, monkeypatch):
     """Products, sums, differences and scalings of elements that hold only
     their packed forms agree with `multiply_per_term` and with per-word
     MPoly arithmetic: in one frame, in a 16-bit frame, after a repack into
     a wider variable tuple, across two frames, and for a product equal to
-    the unit, which `_is_one` reads off its packed form."""
+    the unit.  An operation in a frame other than an operand's packs that
+    operand for itself only, and leaves its frame, packed form and left
+    multiples as they were."""
     import chered.cherednik as cherednik
     B = UNIT_BASES[kind]()
     agrees = product_check(kind, B)
@@ -799,43 +801,44 @@ def test_packed_arithmetic_matches_oracles(kind, monkeypatch):
             assert agrees(lhs, rhs, multiply(lhs, rhs))
         assert a.terms == per_word(terms[0], terms[1], operator.add)
         assert b.terms == per_word(terms[2], terms[3], operator.sub)
+        product = multiply(a, b)
+        before = forms(a, b, product)
         # a 16-bit frame: the weight bound of the product passes 255
         widths.clear()
         big = a.scale(heavy)
         assert big.weight + b.weight > 255
         assert agrees(big, b, multiply(big, b)) and set(widths) == {16}
-        # u is outside the frame of a product, which is packed again
-        product = multiply(a, b)
-        frames = len(product.packed)
+        assert big.frame is not a.frame and big.frame is not b.frame
+        # u is outside the frame of a product, which is packed again for
+        # each scaling
         for c in (u, u * w - 3, Fraction(-2, 3)):
             scaled = product.scale(c)
             assert scaled.terms == {key: MPoly._coerce(c) * v
                                     for key, v in product.terms.items()}
-        assert len(product.packed) == frames + 2
+            assert ("u" in scaled.frame.nv) == (c != Fraction(-2, 3))
         # a sum of two elements packed in different frames
         wide = a.scale(w)
-        assert not set(wide.packed) & set(b.packed)
+        assert wide.frame is not b.frame
         for op in (operator.add, operator.sub):
             assert op(wide, b).terms == per_word(wide, b, op)
             assert op(b, wide).terms == per_word(b, wide, op)
         assert (wide - wide).is_zero() and (wide - wide).terms == {}
-    # a product equal to the unit is one to `_is_one` while packed, and
-    # multiplies as the unit, looking up no frame
+        assert forms(a, b, product) == before
+    # a product equal to the unit, while packed, multiplies as the unit
     one = PBWElement.one(B)
     unit = multiply(one.scale(2), one.scale(Fraction(1, 2)))
-    assert unit._terms is None and cherednik._is_one(unit)
     assert unit._terms is None and unit == one
     x = sharing_element(B, rng) + one
-    widths.clear()
     assert multiply(unit, x).terms == x.terms == multiply(x, unit).terms
-    assert widths == []
 
 
 def test_right_factor_forms_each_left_multiple_once(monkeypatch):
-    """A right factor keeps its left multiples xi^q b and g xi^q b per
-    frame: a second left factor with the same (g, q) parts forms none, and
-    after the frames are dropped the product is formed again, equal; the
-    generators that a centrality search multiplies by keep theirs too."""
+    """A right factor keeps its left multiples xi^q b and g xi^q b for its
+    own frame: a second left factor with the same (g, q) parts forms none,
+    nor does a product after the frames are dropped, whose new frame has
+    the same shape.  A product in another frame forms them on each call,
+    equal, and keeps none; the generators that a centrality search
+    multiplies by keep theirs too."""
     import chered.cherednik as cherednik
     W = build_group("b2")
     eu = euler_element(W)
@@ -851,7 +854,9 @@ def test_right_factor_forms_each_left_multiple_once(monkeypatch):
     for name in ("_lmul_dual", "_lmul_basis"):
         monkeypatch.setattr(cherednik, name, counted(name))
     product = multiply(first, b)
-    (frame, (chains, pieces)), = b.multiples.items()
+    assert b.frame is product.frame
+    multiples = b.multiples
+    chains, pieces = multiples
     sizes = len(chains), len(pieces)
     assert "_lmul_dual" in formed and "_lmul_basis" in formed
     formed.clear()
@@ -859,10 +864,20 @@ def test_right_factor_forms_each_left_multiple_once(monkeypatch):
     assert formed == [] and (len(chains), len(pieces)) == sizes
     assert again.terms == multiply_per_term(second, b).terms
     assert product.terms == multiply_per_term(first, b).terms
+    frame = b.frame
     cherednik._frame.cache_clear()
     after = multiply(second, b)
-    assert formed and len(b.multiples) == 2 and frame not in after.packed
-    assert after == again and after.terms == again.terms
+    assert after.frame is not frame and after.frame.shape == frame.shape
+    assert formed == [] and after == again and after.terms == again.terms
+    # u is in no frame of b, so each product packs b and forms its left
+    # multiples for itself
+    left = second.scale(MPoly.var("u"))
+    for _ in range(2):
+        formed.clear()
+        wide = multiply(left, b)
+        assert formed and wide.terms == multiply_per_term(left, b).terms
+        assert forms(b) == [(id(frame), id(b.packed), id(multiples))]
+    assert (len(chains), len(pieces)) == sizes
     # the algebra generators are shared per basis, so a second centrality
     # search straightens nothing
     assert algebra_generators(W) is algebra_generators(W)

@@ -271,6 +271,8 @@ def test_usage_errors_exit_2(capsys):
     ("galois", "foo"),
     ("geometry", "rank1", "--d", "2", "--point", "1,2"),
     ("poisson", "--group", "b2", "--lhs", "eu", "--rhs", "foo"),
+    ("families", "--group", "cyclic:4", "--params", "K=1,,2,-3,0"),
+    ("geometry", "rank1", "--d", "2", "--point=1,-1,,0,0,2"),
 ], ids=["bad-cyclic-order", "unknown-group", "bad-rational",
         "negative-order", "zero-order", "rank1-out-of-range",
         "geometry-bad-degree", "repeated-param", "repeated-param-alias",
@@ -278,7 +280,7 @@ def test_usage_errors_exit_2(capsys):
         "short-k-vector", "no-params", "k-sum-nonzero", "mixed-c-k",
         "cells-irrational-k", "b2-k-sum-nonzero", "k0-off-constraint",
         "galois-unknown", "geometry-short-point",
-        "poisson-unknown-rhs"])
+        "poisson-unknown-rhs", "empty-k-value", "geometry-empty-entry"])
 def test_usage_error_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error: ") and not out
@@ -325,12 +327,24 @@ def _namespace(**fields):
      "does not lie on the variety"),
     (lambda: cli.cmd_poisson(_namespace(group="b2", lhs="eu", rhs="foo")),
      "must be one of"),
+    (lambda: cli._parse_params(build_group("cyclic:4"), "K=1,,2,-3,0"),
+     "empty entry in the K-values: K=1,,2,-3,0"),
+    (lambda: cli._parse_params(build_group("cyclic:3"), "K= ,1,-1"),
+     "empty entry in the K-values"),
+    (lambda: cli._parse_params(build_group("cyclic:3"), "K=1,-1,0,"),
+     "empty entry in the K-values"),
+    (lambda: cli.cmd_geometry_rank1(_namespace(d=2, point="1,-1,,0,0,2")),
+     "empty entry in --point 1,-1,,0,0,2"),
+    (lambda: cli.cmd_geometry_rank1(_namespace(d=2, point="1,-1,0,0,")),
+     "empty entry in --point"),
 ], ids=["repeated-param", "malformed-param", "short-k-vector",
         "unknown-param", "no-params", "k-sum-nonzero", "bad-rational",
         "unknown-group", "mixed-c-k", "rank1-out-of-range",
         "relations-not-b2", "cells-irrational-k", "zero-order",
         "galois-unknown", "geometry-bad-degree", "geometry-short-point",
-        "geometry-off-variety", "poisson-unknown-rhs"])
+        "geometry-off-variety", "poisson-unknown-rhs", "empty-k-value",
+        "blank-k-value", "trailing-k-comma", "geometry-empty-entry",
+        "geometry-trailing-comma"])
 def test_usage_error_names_its_message(call, message):
     """Each `raise UsageError` of the command line, provoked below `main`
     and matched by a literal run of its message: a library ValueError
@@ -388,7 +402,8 @@ def test_json_output_deterministic(capsys):
 
 def test_param_file(tmp_path, capsys):
     f = tmp_path / "params.txt"
-    f.write_text("# equal parameters\na=1\nb=1\n")
+    # blank lines are allowed, and so is an empty entry between named ones
+    f.write_text("# equal parameters\n\na=1,\n  \nb=1\n\n")
     code, out, _ = run(capsys, "families", "--group", "b2",
                        "--params", str(f), "--json")
     assert code == 0

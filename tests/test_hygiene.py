@@ -203,13 +203,13 @@ def assert_lines(source: str) -> list[int]:
 
 
 # The attributes that hold the terms of an element or a polynomial: the
-# terms of an `MPoly`, and the unpacked and the packed terms of a
-# `PBWElement` (`terms` is a view that reads `_terms`).  The functions that
-# may write them: the constructors of a new `PBWElement` or `MPoly`, and the
-# two conversions of an element between its forms, which fill a form once,
-# from the other (`cherednik._unpacked`, `cherednik._packed`).  The dict
-# methods that change a map in place.
-TERMS_SLOTS = ("terms", "_terms", "packed")
+# terms of an `MPoly`, and the unpacked terms of a `PBWElement` and its one
+# packed form, `packed` in `frame` (`terms` is a view that reads `_terms`).
+# The functions that may write them: the constructors of a new `PBWElement`
+# or `MPoly`, and the two conversions of an element between its forms,
+# which fill a form once, from the other (`cherednik._unpacked`,
+# `cherednik._packed`).  The dict methods that change a map in place.
+TERMS_SLOTS = ("terms", "_terms", "frame", "packed")
 CONSTRUCTORS = ("__init__", "_of", "_from_packed")
 CONVERSIONS = ("_unpacked", "_packed")
 DICT_CHANGES = ("pop", "popitem", "update", "clear", "setdefault")
@@ -218,12 +218,12 @@ DICT_CHANGES = ("pop", "popitem", "update", "clear", "setdefault")
 def terms_changes(source: str) -> list[str]:
     """"function:line" of each change to a map of TERMS_SLOTS outside the
     functions named in CONSTRUCTORS and CONVERSIONS: an assignment to
-    `x.terms` (or `x._terms`, `x.packed`) or into it (plain, augmented or
+    `x.terms` (or `x._terms`, `x.frame`, `x.packed`) or into it (plain, augmented or
     annotated), a `del` of it or from it, or a call of one of DICT_CHANGES
     on it.  An element and a polynomial never change once built, and
     `PBWElement.powers` rests on that; an element only gains, once each,
-    the unpacked form of its packed terms and the packed forms of its
-    terms."""
+    the unpacked form of its packed terms and a packed form of its terms
+    when it has none."""
     def terms(node):
         # a map of TERMS_SLOTS, or an entry of one at any depth (one packed
         # form of an element, say)
@@ -622,27 +622,29 @@ def test_scanner_flags_terms_changes():
               "    @staticmethod\n"
               "    def _from_packed(frame, packed):\n"
               "        e = E.__new__(E)\n"
-              "        e._terms, e.packed = None, {frame: packed}\n"
+              "        e._terms, e.frame, e.packed = None, frame, packed\n"
               "        return e\n"
               "    @property\n"
               "    def terms(self):\n"
               "        return self._terms or _unpacked(self)\n"
               "def _unpacked(e):\n"
-              "    e._terms = dict(next(iter(e.packed.values())))\n"
+              "    e._terms = dict(e.packed)\n"
               "    return e._terms\n"
               "def _packed(e, frame):\n"
-              "    e.packed[frame] = dict(e.terms)\n"
-              "    return e.packed[frame]\n"
+              "    e.frame, e.packed = frame, dict(e.terms)\n"
+              "    return e.packed\n"
               "def widen(e, frame, k):\n"
-              "    e.packed[frame] = {}\n"
+              "    e.frame = frame\n"
               "    e._terms[k] = 1\n"
-              "    e.packed.setdefault(frame, {})\n"
-              "    e.packed[frame][k] = 1\n"
-              "    e.packed[frame].update({k: 1})\n"
+              "    e.packed.setdefault(k, 1)\n"
+              "    e.packed[k] = 1\n"
+              "    e.packed[k][0] += 1\n"
+              "    e.packed[k].update({0: 1})\n"
+              "    e.multiples, e.frame = None, frame\n"
               "    del e._terms\n"
-              "    return e.packed[frame].get(k)\n")
+              "    return e.packed.get(k), e.frame\n")
     assert terms_changes(source) == [f"bad:{n}" for n in range(13, 20)] + [
-        "helper:24", "helper:25"] + [f"widen:{n}" for n in range(42, 48)]
+        "helper:24", "helper:25"] + [f"widen:{n}" for n in range(42, 50)]
 
 
 def test_scanner_flags_asserts():

@@ -8,7 +8,7 @@ from chered.exactnum import Cyclotomic, canon_scalar, primitive_root
 from chered.multipoly import (MPoly, charpoly_berkowitz, discriminant,
                               resultant)
 from oracles import (dense_charpoly_berkowitz, parse_poly, schoolbook_product,
-                     sylvester_resultant)
+                     substitute_per_term, sylvester_resultant)
 
 
 x, y, t = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
@@ -94,6 +94,41 @@ def test_substitute():
     p = x ** 2 + 3 * x * y
     assert p.substitute({"x": 2}) == 4 + 6 * y
     assert p.substitute({"x": y}) == y ** 2 + 3 * y ** 2
+
+
+@pytest.mark.parametrize("field", ["int", "Fraction", "Q(z5)"])
+def test_substitute_matches_per_term_sum(field):
+    """One map of all terms gives the running sum of the terms: the same
+    variables, the same canonical coefficients and the same text, for
+    scalar, polynomial and zero values, a value that shares a variable
+    with the kept ones, and one whose terms cancel."""
+    import random
+    rng = random.Random({"int": 361, "Fraction": 362, "Q(z5)": 363}[field])
+    z5 = primitive_root(5)
+    draw = {"int": lambda: rng.randint(-3, 3),
+            "Fraction": lambda: Fraction(rng.randint(-3, 3),
+                                         rng.randint(1, 3)),
+            "Q(z5)": lambda: rng.randint(-2, 2) + rng.randint(-2, 2) * z5
+            + rng.randint(-1, 1) * z5 ** 3}[field]
+    names = ("w", "x", "y", "z")
+    a, b, u = MPoly.var("a"), MPoly.var("b"), MPoly.var("u")
+    values = (draw(), 0, MPoly.zero(), a * draw() + b ** 2, u - y,
+              z5 * a + 1, (x + b) * draw(), x - x + 2 * u)
+    for _ in range(12):
+        p = MPoly(names, {tuple(rng.randint(0, 3) for _ in names): draw()
+                          for _ in range(rng.randint(0, 10))})
+        for _ in range(4):
+            chosen = rng.sample(names, rng.randint(1, 3))
+            subs = {name: rng.choice(values) for name in chosen}
+            got, want = p.substitute(subs), substitute_per_term(p, subs)
+            assert got.vars == want.vars and got.terms == want.terms
+            assert str(got) == str(want)
+            assert all(map(is_canonical, got.terms.values()))
+    # terms that cancel, and a variable that no term uses
+    p = MPoly(names, {(0, 1, 1, 0): 1, (0, 1, 0, 1): -1, (0, 0, 0, 0): 3})
+    for subs in ({"y": u, "z": u}, {"y": 2, "z": 2, "q": u}, {"w": u}):
+        got, want = p.substitute(subs), substitute_per_term(p, subs)
+        assert got.vars == want.vars and got.terms == want.terms
 
 
 def test_parse_poly_roundtrip():
