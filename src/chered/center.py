@@ -228,8 +228,8 @@ def minpoly_euler(W: ReflectionGroup) -> MPoly:
 def euler_charpoly_congruence(W: ReflectionGroup) -> bool:
     """charpoly(eu) = prod_chi (t - Omega_chi(eu))^(chi(1)^2) modulo the
     ideal generated by the positive-degree invariants.  It computes
-    Omega_chi of eu alone, each value certified by `omega`, and not the
-    whole `omega_table`.
+    Omega_chi of eu alone, every character from one action of eu and each
+    value certified by `omega`, and not the whole `omega_table`.
 
     Both sides are read in the coordinates of f = `minpoly_euler(W)`.
     Omega is computed over the basis of the group algebra whose parameters
@@ -243,8 +243,9 @@ def euler_charpoly_congruence(W: ReflectionGroup) -> bool:
     B = W if set(W.param_names) <= set(f.vars) else idempotent_basis(W)
     gens = named_center_generators(B)
     reduced = f.substitute({n: MPoly.zero() for n in f.vars if n in gens})
+    chars = character_table(W)
+    values = omega(gens["eu"], chars)
     prod = MPoly.const(1)
-    for chi in character_table(W):
-        val = omega(gens["eu"], chi)
-        prod = prod * (t - val) ** (chi.degree ** 2)
+    for chi in chars:
+        prod = prod * (t - values[chi.name]) ** (chi.degree ** 2)
     return reduced == prod

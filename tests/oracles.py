@@ -12,9 +12,10 @@ and of the families by its tensor product, the b-minimal character of a
 family, the closed form of the central character of eu, the
 multiplication matrix of eu on the P-basis of the B2 center folded by hand
 from Z1-Z9, an infix
-polynomial parser, the dense action matrices of a baby Verma module with
-the trace and nilpotency certificate of a central character, the graded
-character of the invariants of a baby Verma module, and the bigraded
+polynomial parser, the dense action matrices of the baby Verma module of
+a character, built from the coinvariants and the character's matrices
+alone, with the trace and nilpotency certificate of a central character,
+the graded character of the invariants of a baby Verma module, and the bigraded
 Hilbert series computed with bivariate series arithmetic and a bivariate
 series inverse; and `replace_fields`, which copies a record of the package
 with some fields forged."""
@@ -31,7 +32,7 @@ from chered.cmcells import tensor_with_linear
 from chered.reflgrp import (b_invariant, build_group, character_table,
                             fake_degree, value_on_element)
 from chered.series import center_basis_bidegrees
-from chered.verma import build_baby_verma
+from chered.verma import coinvariant_basis
 
 
 def replace_fields(record, **changes):
@@ -578,91 +579,106 @@ def _mat_mul(a, b):
     return out
 
 
-def dense_columns(cols: list) -> list:
-    """The dense matrix of an action given as sparse columns {row: value}."""
-    n = len(cols)
-    mat = _zero_matrix(n)
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            mat[i][j] = v
-    return mat
-
-
-def _dense_generators(mod):
-    """Dense matrices of the V*-coordinates, the elements of the module's
-    basis of the group algebra and the V-coordinates on a baby Verma
-    module, each entry found by searching the basis list."""
-    W = mod.group_basis
-    n = mod.dim
+def _dense_generators(B, chi):
+    """The basis of the baby Verma module of chi over B, a basis of the
+    group algebra, (coinvariant monomial of `B.group`, index in the chi
+    space), and the dense matrices on it of the V*-coordinates, the
+    elements of B, each acting on the chi space through
+    `B.matrices_in(chi)`, and the V-coordinates, each entry found by
+    searching the basis list."""
+    monomials, normal_forms = coinvariant_basis(B.group)
+    reps = B.matrices_in(chi)
+    basis = [(m, j) for m in monomials for j in range(len(reps[0]))]
+    n = len(basis)
 
     dual = []
-    for xi in range(W.dim):
+    for xi in range(B.dim):
         mat = _zero_matrix(n)
-        for col, (mono, j) in enumerate(mod.basis):
+        for col, (mono, j) in enumerate(basis):
             newmono = tuple(e + (1 if i == xi else 0) for i, e in enumerate(mono))
-            for m, c in mod.normal_forms[newmono].items():
-                mat[mod.basis.index((m, j))][col] = MPoly.const(c)
+            for m, c in normal_forms[newmono].items():
+                mat[basis.index((m, j))][col] = MPoly.const(c)
         dual.append(mat)
     group = []
-    for g in range(W.order()):
+    for g in range(B.order()):
         mat = _zero_matrix(n)
-        for col, (mono, j) in enumerate(mod.basis):
+        for col, (mono, j) in enumerate(basis):
             # g mono = scalar * image * g2, and g2 acts through its matrix
-            scalar, image, g2 = W.b_mono(g, mono, True)
-            rep = mod.chi_mats[g2]
-            for m, c in mod.normal_forms[image].items():
+            scalar, image, g2 = B.b_mono(g, mono, True)
+            rep = reps[g2]
+            for m, c in normal_forms[image].items():
                 for jp in range(len(rep)):
                     v = rep[jp][j]
                     if v != 0:
-                        row = mod.basis.index((m, jp))
+                        row = basis.index((m, jp))
                         mat[row][col] = mat[row][col] + MPoly.const(
                             canon_scalar(scalar * c * v))
         group.append(mat)
     vmats = []
-    for vj in range(W.dim):
+    for vj in range(B.dim):
         mat = _zero_matrix(n)
-        for col, (mono, j) in enumerate(mod.basis):
-            for coeff, m, g in _straighten(W, "v", vj, mono):
-                rep = mod.chi_mats[g]
-                for mm, c in mod.normal_forms[m].items():
+        for col, (mono, j) in enumerate(basis):
+            for coeff, m, g in _straighten(B, "v", vj, mono):
+                rep = reps[g]
+                for mm, c in normal_forms[m].items():
                     for jp in range(len(rep)):
                         v = rep[jp][j]
                         if v != 0:
-                            row = mod.basis.index((mm, jp))
+                            row = basis.index((mm, jp))
                             mat[row][col] = mat[row][col] + coeff * canon_scalar(c * v)
         vmats.append(mat)
-    return dual, group, vmats
+    return basis, dual, group, vmats
 
 
-def dense_act(mod, z: PBWElement) -> list:
-    """The dense action matrix of a PBW element of the t = 0 algebra, one
-    matrix product per letter of each normal word."""
-    W = mod.group_basis
-    dual, group, vmats = _dense_generators(mod)
-    total = _zero_matrix(mod.dim)
+def dense_act(z: PBWElement, chi) -> list:
+    """The dense action matrix of a PBW element of the t = 0 algebra on the
+    baby Verma module of chi over the basis of z, one matrix product per
+    letter of each normal word."""
+    B = z.basis
+    basis, dual, group, vmats = _dense_generators(B, chi)
+    n = len(basis)
+    total = _zero_matrix(n)
     for (p, g, q), c in z.terms.items():
-        mat = _identity_matrix(mod.dim)
-        for xi in range(W.dim):
+        mat = _identity_matrix(n)
+        for xi in range(B.dim):
             for _ in range(q[xi]):
                 mat = _mat_mul(dual[xi], mat)
         mat = _mat_mul(group[g], mat)
-        for vj in range(W.dim):
+        for vj in range(B.dim):
             for _ in range(p[vj]):
                 mat = _mat_mul(vmats[vj], mat)
-        for r in range(mod.dim):
-            for s in range(mod.dim):
+        for r in range(n):
+            for s in range(n):
                 if not mat[r][s].is_zero():
                     total[r][s] = total[r][s] + c * mat[r][s]
     return total
+
+
+def on_character(cols: list, B, chi) -> list:
+    """The dense matrix of sum_b K_b (x) rho_chi(b) on the baby Verma module
+    of chi, in the basis order of `dense_act`, from the labelled columns
+    {(row, b): MPoly} of the K_b that `BabyVermaModule.act` returns over B;
+    rho_chi(b) is `B.matrices_in(chi)`."""
+    reps = B.matrices_in(chi)
+    deg = len(reps[0])
+    mat = _zero_matrix(len(cols) * deg)
+    for i, col in enumerate(cols):
+        for (r, b), x in col.items():
+            for j in range(deg):
+                for jp in range(deg):
+                    v = reps[b][jp][j]
+                    if v != 0:
+                        row, c = r * deg + jp, i * deg + j
+                        mat[row][c] = mat[row][c] + x * v
+    return mat
 
 
 def dense_omega(z: PBWElement, chi):
     """(trace / dim of the dense action, whether z - trace / dim acts
     nilpotently), the nilpotency found by squaring until the exponent
     reaches the dimension."""
-    mod = build_baby_verma(z.basis, chi)
-    mat = dense_act(mod, z)
-    n = mod.dim
+    mat = dense_act(z, chi)
+    n = len(mat)
     tr = MPoly.zero()
     for i in range(n):
         tr = tr + mat[i][i]
@@ -679,17 +695,15 @@ def dense_omega(z: PBWElement, chi):
 def graded_character_eM(W, chi) -> MPoly:
     """Graded dimension of the W-invariant part of the baby Verma module of
     chi; equals the fake degree f_chi(t)."""
-    mod = build_baby_verma(W, chi)
+    basis, _, group, _ = _dense_generators(W, chi)
     # averaged projector onto invariants, then trace per degree
-    diag = [MPoly.zero()] * mod.dim
-    for cols in mod.group_maps:
-        for i, col in enumerate(cols):
-            diag[i] = diag[i] + col.get(i, 0)
     t = MPoly.var("t")
     poly = MPoly.zero()
-    for i, (mono, _) in enumerate(mod.basis):
-        if not diag[i].is_zero():
-            poly = poly + diag[i].divexact(MPoly.const(W.order())) * t ** sum(mono)
+    for i, (mono, _) in enumerate(basis):
+        diag = sum((mat[i][i] for mat in group), MPoly.zero())
+        if not diag.is_zero():
+            poly = poly + (diag.divexact(MPoly.const(W.order()))
+                           * t ** sum(mono))
     return poly
 
 

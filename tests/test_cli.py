@@ -51,6 +51,31 @@ def test_verify_center_and_relations(capsys):
     assert len(reports) == 9 and all(r["status"] for r in reports)
 
 
+@pytest.mark.parametrize("d", range(2, 11))
+def test_rank1_tables_and_cells_on_the_tested_range(capsys, d):
+    """omega-table, families and cells on cyclic:2..10, at a point whose
+    last two K-values agree and the others differ: one family of two
+    characters and d - 2 singletons."""
+    group = f"cyclic:{d}"
+    code, out, _ = run(capsys, "omega-table", "--group", group, "--json")
+    assert code == 0
+    table = json.loads(out)
+    assert len(table) == d
+    assert all(row["X"] == row["Y"] == "0" for row in table.values())
+    ks = list(range(2, 2 * d - 2, 2))
+    params = "K=" + ",".join(map(str, ks + [-sum(ks) // 2] * 2))
+    code, out, _ = run(capsys, "families", "--group", group,
+                       "--params", params, "--json")
+    assert code == 0
+    families = json.loads(out)["families"]
+    assert sorted(map(len, families)) == [1] * (d - 2) + [2]
+    code, out, _ = run(capsys, "cells", "--group", group,
+                       "--params", params, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["families"] == families and data["sum_rules"]["all"]
+
+
 def test_verify_minpoly(capsys):
     code, out, _ = run(capsys, "verify", "minpoly", "--group", "b2", "--json")
     assert code == 0

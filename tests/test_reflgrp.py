@@ -17,7 +17,7 @@ from chered.reflgrp import (_Record, build_group, b_invariant,
                             character_table, fake_degree, galois_orbits,
                             idempotent_basis, inner_product, k_forms,
                             param_convert, param_map, value_on_element)
-from chered.verma import build_baby_verma, omega, omega_table
+from chered.verma import omega, omega_table
 from oracles import rank1_c_to_k, rank1_k_variables, replace_fields
 
 
@@ -160,7 +160,8 @@ def test_a_forged_record_reads_no_cached_result():
     # not those of a group or character forged from them
     W = build_group("b2")
     chi = character_table(W)[4]
-    assert build_baby_verma(W, chi).dim == 16
+    eu = euler_element(W)
+    assert omega(eu, [chi]) == {"chi": 0}
     forged = replace_fields(W, representations=W.representations[:-1])
     with pytest.raises(ArithmeticError,
                        match=r"sum of chi\(1\)\^2 differs from \|W\|"):
@@ -168,7 +169,7 @@ def test_a_forged_record_reads_no_cached_result():
     forged = replace_fields(chi, matrices=(((1,),),) * W.order())
     with pytest.raises(ArithmeticError,
                        match="realization of chi has dimension 1"):
-        build_baby_verma(W, forged)
+        omega(eu, [forged])
 
 
 def test_builder_refuses_degrees_against_chevalley(monkeypatch):
@@ -394,7 +395,7 @@ def test_specs_of_one_group_build_one_object():
     A = build_group("cyclic:03")
     table = omega_table(build_group("cyclic:3"))
     chi = character_table(A)[1]
-    assert omega(euler_element(A), chi) == table[chi.name]["eu"]
+    assert omega(euler_element(A), [chi])[chi.name] == table[chi.name]["eu"]
     assert A is build_group("cyclic:3")
 
 

@@ -13,9 +13,8 @@ from chered.cherednik import (PBWElement, euler_element, multiply,
 from chered.verma import (BabyVermaModule, _reynolds_invariants,
                           build_baby_verma, coinvariant_basis, omega,
                           omega_table)
-from oracles import (dense_act, dense_columns, dense_omega,
-                     graded_character_eM, omega_euler_closed_form,
-                     replace_fields)
+from oracles import (dense_act, dense_omega, graded_character_eM,
+                     omega_euler_closed_form, on_character, replace_fields)
 
 
 def test_coinvariant_basis_dimensions():
@@ -54,11 +53,20 @@ def test_coinvariant_reduction_kills_the_invariant_ideal(spec):
                 assert all(v == 0 for v in total.values()), (m, f)
 
 
+def _identity(n):
+    return [[MPoly.const(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def test_module_dimensions():
+    """The module of the regular representation has one column per
+    coinvariant monomial, on which the unit acts with the label of the
+    identity; on the module of chi it is the identity of size
+    |W| * chi(1)."""
     W = build_group("b2")
+    one = build_baby_verma(W).act(PBWElement.one(W))
+    assert one == [{(i, W.identity): 1} for i in range(W.order())]
     for chi in character_table(W):
-        mod = build_baby_verma(W, chi)
-        assert mod.dim == W.order() * chi.degree
+        assert on_character(one, W, chi) == _identity(W.order() * chi.degree)
 
 
 def test_invariants_refuse_a_degree_without_one():
@@ -88,10 +96,11 @@ def test_coinvariant_basis_refuses_a_wrong_graded_dimension(spec, degrees,
 
 def test_modules_compare_by_identity():
     W = build_group("cyclic:2")
-    mod = build_baby_verma(W, character_table(W)[1])
-    twin = BabyVermaModule(W, mod.basis, mod.normal_forms, mod.chi_mats)
+    mod = build_baby_verma(W)
+    twin = BabyVermaModule(W)
     assert twin.v_maps == mod.v_maps
     assert twin != mod and twin == twin
+    assert build_baby_verma(W) is mod
 
 
 def test_module_rejects_a_realization_of_the_wrong_dimension():
@@ -102,7 +111,7 @@ def test_module_rejects_a_realization_of_the_wrong_dimension():
     forged = replace_fields(chi, matrices=(((1,),),) * W.order())
     with pytest.raises(ArithmeticError, match="realization of chi has"
                        " dimension 1, expected 2"):
-        build_baby_verma(W, forged)
+        omega(euler_element(W), [forged])
 
 
 def _poly(expr_vars):
@@ -138,22 +147,21 @@ def test_omega_table_b2():
                                   "cyclic:5", "cyclic:6", "b2"))
 def test_omega_euler_closed_form(spec):
     W = build_group(spec)
-    eu = euler_element(W)
+    values = omega(euler_element(W), character_table(W))
     for chi in character_table(W):
-        assert omega(eu, chi) == \
-            omega_euler_closed_form(W, chi)
+        assert values[chi.name] == omega_euler_closed_form(W, chi)
 
 
-@pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("d", range(2, 11))
 def test_omega_euler_cyclic_is_d_K_minus_i(d):
     import random
     rng = random.Random(d * 31 + 7)
     W = build_group(f"cyclic:{d}")
-    eu = euler_element(W)
+    values = omega(euler_element(W), character_table(W))
     cvals = {f"C{i}": Fraction(rng.randint(-5, 5)) for i in range(1, d)}
     kmap = param_convert(W, cvals, "K")
     for i, chi in enumerate(character_table(W)):
-        val = omega(eu, chi).substitute(cvals)
+        val = values[chi.name].substitute(cvals)
         expected = canon_scalar(d * kmap[f"K{(-i) % d}"])
         assert canon_scalar(val.constant_value()) == expected, (d, i)
 
@@ -161,8 +169,7 @@ def test_omega_euler_cyclic_is_d_K_minus_i(d):
 def test_nilpotency_certificates_delta():
     W = build_group("b2")
     delta = named_center_generators(W)["delta"]
-    for chi in character_table(W):
-        omega(delta, chi)  # raises on failure
+    omega(delta, character_table(W))  # raises on failure
 
 
 def test_graded_character_matches_fake_degree():
@@ -180,40 +187,107 @@ def test_omega_requires_scalar_action():
     chars = character_table(W)
     s = PBWElement.group_gen(W, W.index_of("s"))
     with pytest.raises(ArithmeticError, match="nilpotency check"):
-        omega(s, chars[4])
+        omega(s, [chars[4]])
 
 
 def test_omega_rejects_non_central_at_a_rational_point(monkeypatch):
     # y*s^2 + y*x on cyclic:5 took 2.45 s to reject when only the symbolic
     # powers of N = z - Omega were tested; the powers at a rational point
-    # reject it, and a returned value still has its symbolic certificate
+    # reject it, and a returned value still has its symbolic certificate.
+    # An entry of N is a term map, whose exponents are () at the point and
+    # tuples over the variables of z when symbolic.
     import chered.verma as verma
     top_power = verma._top_power
     symbolic = []
 
     def spy(cols, dim):
-        symbolic.append(any(isinstance(x, MPoly)
-                            for col in cols for x in col.values()))
+        symbolic.append(any(exp for col in cols for terms in col.values()
+                            for exp in terms))
         return top_power(cols, dim)
 
     monkeypatch.setattr(verma, "_top_power", spy)
     W = build_group("cyclic:5")
+    chars = character_table(W)
     y, x = PBWElement.v_gen(W, 0), PBWElement.dual_gen(W, 0)
     z = y * PBWElement.group_gen(W, W.index_of("s^2")) + y * x
-    for chi in character_table(W):
+    with pytest.raises(ArithmeticError, match="nilpotency"):
+        omega(z, chars)
+    assert symbolic == [False]
+    symbolic.clear()
+    for chi in chars:
         with pytest.raises(ArithmeticError, match="nilpotency"):
-            omega(z, chi)
+            omega(z, [chi])
     assert symbolic == [False] * 5
     symbolic.clear()
-    omega(euler_element(W), character_table(W)[1])
-    assert symbolic == [False, True]
+    # x raises the degree, so eu + x is Omega(eu) plus a nonzero nilpotent
+    value = omega(euler_element(W) + x, chars)
+    assert symbolic == [False, True] * 5
+    assert value == omega(euler_element(W), chars)
 
 
-@pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7))
+@pytest.mark.parametrize("d", range(2, 11))
 def test_omega_table_cyclic_invariants_act_by_zero(d):
     table = omega_table(build_group(f"cyclic:{d}"))
     for name, row in table.items():
         assert row["X"].is_zero() and row["Y"].is_zero(), name
+
+
+@pytest.mark.parametrize("spec",
+                         ["b2"] + [f"cyclic:{d}" for d in range(2, 11)])
+def test_omega_table_values_and_variables(spec):
+    """Omega(eu) is the closed form of every character, and each entry is
+    over the sorted parameters of the group, or the zero polynomial over
+    no variables."""
+    W = build_group(spec)
+    params = tuple(sorted(W.param_names))
+    for chi in character_table(W):
+        row = omega_table(W)[chi.name]
+        assert row["eu"] == omega_euler_closed_form(W, chi), chi.name
+        for name, value in row.items():
+            assert value.vars == (() if value.is_zero() else params), \
+                (chi.name, name)
+
+
+@pytest.mark.parametrize("d", (7, 8))
+def test_omega_table_matches_the_dense_oracle(d):
+    W = build_group(f"cyclic:{d}")
+    table = omega_table(W)
+    gens = named_center_generators(W)
+    for chi in character_table(W):
+        for name in ("eu", "X", "Y"):
+            assert dense_omega(gens[name], chi) == (table[chi.name][name],
+                                                    True), (chi.name, name)
+
+
+@pytest.mark.parametrize("spec", ("b2", "cyclic:3", "cyclic:6"))
+def test_omega_table_acts_once_per_generator(spec, monkeypatch):
+    """One module of the regular representation per basis, and one action
+    per named generator, whatever the number of characters."""
+    import chered.verma as verma
+    built, acted = [], []
+    init, act = BabyVermaModule.__init__, BabyVermaModule.act
+
+    def spy_init(self, B):
+        built.append(B)
+        init(self, B)
+
+    def spy_act(self, z):
+        acted.append(self)
+        return act(self, z)
+
+    monkeypatch.setattr(BabyVermaModule, "__init__", spy_init)
+    monkeypatch.setattr(BabyVermaModule, "act", spy_act)
+    W = build_group(spec)
+    omega_table.cache_clear()
+    verma.build_baby_verma.cache_clear()
+    try:
+        omega_table(W)
+    finally:
+        omega_table.cache_clear()
+        verma.build_baby_verma.cache_clear()
+    assert built == [W]
+    assert len(acted) == len(named_center_generators(W))
+    assert len(set(map(id, acted))) == 1
 
 
 def _mat_product(a, b):
@@ -231,20 +305,21 @@ def test_action_is_multiplicative(spec):
     elems = ([PBWElement.v_gen(W, i) for i in range(W.dim)]
              + [PBWElement.dual_gen(W, i) for i in range(W.dim)]
              + [PBWElement.group_gen(W, g) for g in range(W.order())])
+    mod = build_baby_verma(W)
+    acts = [mod.act(z) for z in elems]
+    products = [[mod.act(multiply(a, b)) for b in elems] for a in elems]
     for chi in character_table(W):
-        mod = build_baby_verma(W, chi)
-        mats = [dense_columns(mod.act(z)) for z in elems]
-        for a, ma in zip(elems, mats):
-            for b, mb in zip(elems, mats):
-                assert dense_columns(mod.act(multiply(a, b))) == \
+        mats = [on_character(cols, W, chi) for cols in acts]
+        for a, ma, row in zip(elems, mats, products):
+            for b, mb, ab in zip(elems, mats, row):
+                assert on_character(ab, W, chi) == \
                     _mat_product(ma, mb), \
                     (chi.name, str(a), str(b))
 
 
 def test_act_rejects_other_algebras():
     W = build_group("cyclic:3")
-    chi = character_table(W)[1]
-    mod = build_baby_verma(W, chi)
+    mod = build_baby_verma(W)
     other = build_group("cyclic:4")
     with pytest.raises(ValueError, match="another group"):
         mod.act(euler_element(other))
@@ -253,7 +328,7 @@ def test_act_rejects_other_algebras():
     for spec in ("cyclic:3", "b2"):
         z = euler_element(build_group(spec))
         with pytest.raises(ValueError, match="does not belong to the group"):
-            omega(z, character_table(other)[1])
+            omega(z, [character_table(other)[1]])
 
 
 def _random_element(W, rng):
@@ -285,29 +360,39 @@ def _high_word(W, rng):
 @pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 7)])
 def test_sparse_action_matches_dense_oracle(spec):
     """act equals the dense matrix product entry by entry on random elements,
-    on random words whose V*-part reaches past the top degree, and on the
-    named generators; omega returns the oracle's trace / dim on the named
-    generators and rejects the non-central s, as the oracle's nilpotency
-    check does.  (Squaring a generic non-central action is too costly for a
-    test, so random elements only exercise act.)"""
+    on random words whose V*-part reaches past the top degree, on a word
+    with a coefficient outside the parameters and on the named generators;
+    omega returns the oracle's trace / dim on the named generators and
+    rejects the non-central s, as the oracle's nilpotency check does.
+    (Squaring a generic non-central action is too costly for a test, so
+    random elements only exercise act.)"""
     import random
     rng = random.Random(sum(map(ord, spec)))
     W = build_group(spec)
     named = list(named_center_generators(W).values())
     s = PBWElement.group_gen(W, W.index_of("s"))
-    elems = (named + [s] + [_random_element(W, rng) for _ in range(3)]
+    # a coefficient in variables that are not parameters, one sorting
+    # among them and one after them
+    zeros = (0,) * (W.dim - 1)
+    foreign = PBWElement.monomial(W, (1,) + zeros, W.index_of("s"),
+                                  zeros + (1,),
+                                  MPoly.var("B0") * MPoly.var("u") + 1)
+    elems = (named + [s, foreign] + [_random_element(W, rng) for _ in range(3)]
              + [_high_word(W, rng) for _ in range(3)])
-    for chi in character_table(W):
-        mod = build_baby_verma(W, chi)
-        for z in elems:
-            assert dense_columns(mod.act(z)) == dense_act(mod, z), \
+    chars = character_table(W)
+    mod = build_baby_verma(W)
+    acts = [mod.act(z) for z in elems]
+    values = [omega(z, chars) for z in named]
+    for chi in chars:
+        for z, cols in zip(elems, acts):
+            assert on_character(cols, W, chi) == dense_act(z, chi), \
                 (chi.name, str(z))
-        for z in named:
-            assert dense_omega(z, chi) == (omega(z, chi), True), \
+        for z, value in zip(named, values):
+            assert dense_omega(z, chi) == (value[chi.name], True), \
                 (chi.name, str(z))
         assert dense_omega(s, chi)[1] is False, chi.name
         with pytest.raises(ArithmeticError, match="nilpotency"):
-            omega(s, chi)
+            omega(s, [chi])
 
 
 def test_omega_table_certifies_every_entry(monkeypatch):
@@ -345,8 +430,7 @@ def test_act_skips_words_that_leave_the_graded_module(d, monkeypatch):
     monkeypatch.setattr(verma, "_apply", counted)
     W = build_group(f"cyclic:{d}")
     Y = named_center_generators(W)["Y"]
-    for chi in character_table(W):
-        assert build_baby_verma(W, chi).act(Y) == [{}] * d, chi.name
+    assert build_baby_verma(W).act(Y) == [{}] * d
     assert calls == []
 
 
@@ -363,10 +447,12 @@ def test_omega_over_idempotents_matches_the_group_basis(d):
     W = build_group(f"cyclic:{d}")
     B = idempotent_basis(W)
     c_forms = param_map(W).c_forms
-    eu_group, eu_idem = euler_element(W), euler_element(B)
-    for chi in character_table(W):
-        value = omega(eu_idem, chi)
-        assert value == omega(eu_group, chi).substitute(c_forms), chi.name
+    chars = character_table(W)
+    over_idem = omega(euler_element(B), chars)
+    over_group = omega(euler_element(W), chars)
+    for chi in chars:
+        value = over_idem[chi.name]
+        assert value == over_group[chi.name].substitute(c_forms), chi.name
         assert all(isinstance(c, (int, Fraction))
                    for c in value.terms.values()), chi.name
 
@@ -385,15 +471,19 @@ def test_action_over_idempotents_is_multiplicative(d):
     pairs = ([(_random_element(B, rng), _random_element(B, rng))
               for _ in range(6)]
              + [(a, b) for a in gens for b in gens])
+    mod = build_baby_verma(B)
+    acts = [(mod.act(multiply(a, b)), mod.act(a), mod.act(b))
+            for a, b in pairs]
     for chi in character_table(W):
-        mod = build_baby_verma(B, chi)
-        for a, b in pairs:
-            assert dense_columns(mod.act(multiply(a, b))) == _mat_product(
-                dense_columns(mod.act(a)), dense_columns(mod.act(b))), \
+        for (a, b), (ab, ma, mb) in zip(pairs, acts):
+            assert on_character(ab, B, chi) == _mat_product(
+                on_character(ma, B, chi), on_character(mb, B, chi)), \
                 (chi.name, str(a), str(b))
-        for z in [z for pair in pairs[:6] for z in pair]:
-            assert dense_columns(mod.act(z)) == dense_act(mod, z), \
-                (chi.name, str(z))
+        for (a, b), (_, ma, mb) in zip(pairs[:6], acts):
+            assert on_character(ma, B, chi) == dense_act(a, chi), \
+                (chi.name, str(a))
+            assert on_character(mb, B, chi) == dense_act(b, chi), \
+                (chi.name, str(b))
 
 
 def test_omega_over_idempotents_refuses_non_central_elements():
@@ -403,13 +493,14 @@ def test_omega_over_idempotents_refuses_non_central_elements():
     W = build_group("cyclic:3")
     B = idempotent_basis(W)
     x, y = PBWElement.dual_gen(B, 0), PBWElement.v_gen(B, 0)
-    for chi in character_table(W):
-        assert omega(x, chi).is_zero()
+    chars = character_table(W)
+    assert all(v.is_zero() for v in omega(x, chars).values())
+    for chi in chars:
         for z in [x * y] + [PBWElement.group_gen(B, j) for j in range(3)]:
             with pytest.raises(ArithmeticError,
                                match="central element failed the nilpotency"
                                " check"):
-                omega(z, chi)
+                omega(z, [chi])
 
 
 def test_idempotents_act_on_a_linear_character_by_its_exponent():
@@ -439,7 +530,7 @@ def test_idempotent_basis_refuses_a_forged_linear_character():
                            match=r"eps\^1 is not a linear character"):
             B.matrices_in(psi)
         with pytest.raises(ValueError, match="is not a linear character"):
-            build_baby_verma(B, psi)
+            omega(euler_element(B), [psi])
 
 
 def test_idempotent_module_refuses_a_character_of_another_group():
@@ -447,4 +538,4 @@ def test_idempotent_module_refuses_a_character_of_another_group():
     for spec in ("cyclic:4", "b2"):
         chi = character_table(build_group(spec))[1]
         with pytest.raises(ValueError, match="does not belong to the group"):
-            build_baby_verma(B, chi)
+            omega(euler_element(B), [chi])
