@@ -73,11 +73,6 @@ __all__ = [
 ]
 
 
-# keyed by the basis object, which is equal only to itself: each basis keeps
-# its own corrections
-_STRAIGHTEN_CACHE: dict = {}
-
-
 class PBWElement:
     """An element of the algebra in PBW normal form, over a basis of the
     group algebra: a `ReflectionGroup` or an `IdempotentBasis`.
@@ -377,12 +372,10 @@ def _unpacked(elem) -> dict:
 
 
 def _packed(elem, frame) -> dict:
-    """The packed form of elem in frame: its own when its frame has frame's
-    shape (the same object, or one that `_frame` evicted and built again,
-    whose keys are the same), or else packed from its terms, and kept as
-    its own when it had none."""
+    """The packed form of elem in frame: its own when frame is its frame,
+    or else packed from its terms, and kept as its own when it had none."""
     own = elem.frame
-    if own is frame or own is not None and own.shape == frame.shape:
+    if own is frame:
         return elem.packed
     packed = frame.pack(elem.terms)
     if own is None:
@@ -406,6 +399,7 @@ def _frame_for(B, weight: int, variables: tuple, *more) -> "_Frame":
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _straighten(B, side: str, i: int, mono: tuple):
     """Correction terms of g * mono - mono * g, as a list of
     (coeff MPoly, monomial, basis element index), over the basis B of the
@@ -415,13 +409,9 @@ def _straighten(B, side: str, i: int, mono: tuple):
     engine); on side "v" g is the i-th V coordinate and mono a V*-monomial
     (the baby Verma modules).  Peeling the first variable u of mono,
     g (u rest) = u (g rest) + [g, u] rest, and b rest = c rest' b' for each
-    basis element b of [g, u] (`B.b_mono`)."""
-    key = (B, side, i, mono)
-    cached = _STRAIGHTEN_CACHE.get(key)
-    if cached is not None:
-        return cached
+    basis element b of [g, u] (`B.b_mono`).  Kept per basis object, which
+    is equal only to itself, so each basis keeps its own corrections."""
     if not any(mono):
-        _STRAIGHTEN_CACHE[key] = ()
         return ()
     j = next(k for k, e in enumerate(mono) if e)
     rest = tuple(e - (1 if k == j else 0) for k, e in enumerate(mono))
@@ -441,9 +431,7 @@ def _straighten(B, side: str, i: int, mono: tuple):
     for c, m, b in extras:
         prev = merged.get((m, b))
         merged[(m, b)] = c if prev is None else prev + c
-    result = tuple((c, m, b) for (m, b), c in merged.items() if not c.is_zero())
-    _STRAIGHTEN_CACHE[key] = result
-    return result
+    return tuple((c, m, b) for (m, b), c in merged.items() if not c.is_zero())
 
 
 def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
@@ -490,8 +478,6 @@ def multiply(a: PBWElement, b: PBWElement) -> PBWElement:
     from its terms, for this operation only."""
     a._check_compat(b)
     B = a.basis
-    if a.is_zero() or b.is_zero():
-        return PBWElement(B)
     weight = a.weight + b.weight
     frame = _frame_for(B, weight, a.variables, b.variables)
     left, right = _packed(a, frame), _packed(b, frame)
@@ -588,10 +574,11 @@ class _Frame:
     key to the step of xi_i, or of a basis element, past them (None for a
     basis element whose product with g vanishes).  An entry follows from
     the shape and its key alone, so a frame gives the same products
-    whichever products filled it, and `_frame` keeps the frames of the
-    shapes a process uses."""
+    whichever products filled it.  `_frame` builds one frame per shape and
+    keeps it for the process, so an element's packed form is in the frame
+    of its shape for as long as it lives."""
 
-    __slots__ = ("shape", "nv", "one", "unpack", "low_mask", "coeff_mask",
+    __slots__ = ("nv", "one", "unpack", "low_mask", "coeff_mask",
                  "word_mask", "qg_mask", "basis_mask", "dual_fields",
                  "coeff_keys", "v_keys", "dual_keys", "corrections",
                  "dual_steps", "basis_steps")
@@ -601,7 +588,6 @@ class _Frame:
         pack, unpack = _packing(2 * d + n + 1, bits)
         zq, ze = (0,) * d, (0,) * n
         field = (1 << bits) - 1
-        self.shape = (B, nv, bits)
         self.nv = nv
         self.one = B.unit[0] if len(B.unit) == 1 else None
         self.unpack = unpack
@@ -672,10 +658,9 @@ class _Frame:
         return out
 
 
-# keyed by the basis object, so each basis builds its own frames.  A process
-# meets a few shapes; the bound keeps rare ones (a new variable tuple per
-# call, say) from piling up, and an evicted frame is rebuilt on its next use.
-_frame = lru_cache(maxsize=64)(_Frame)
+# one frame per shape, kept for the process; keyed by the basis object, so
+# each basis builds its own frames
+_frame = lru_cache(maxsize=None)(_Frame)
 
 
 class _Memo(dict):

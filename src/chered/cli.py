@@ -71,7 +71,7 @@ def _emit_text(data, indent=0):
                 _emit_text(v, indent + 1)
             else:
                 print(f"{pad}{k}: {v}")
-    elif isinstance(data, list):
+    else:
         for v in data:
             if isinstance(v, list):
                 print(f"{pad}- [{', '.join(str(x) for x in v)}]")
@@ -80,8 +80,6 @@ def _emit_text(data, indent=0):
                 print()
             else:
                 print(f"{pad}- {v}")
-    else:
-        print(f"{pad}{data}")
 
 
 def _parse_params(W, text: str) -> dict:
@@ -89,55 +87,51 @@ def _parse_params(W, text: str) -> dict:
     point is returned in C-coordinates.  An empty entry between named ones
     is skipped, and one inside the K-list refused."""
     if os.path.isfile(text):
-        pairs = []
+        lines = []
         with open(text) as fh:
             for line in fh:
                 line = line.strip()
                 if line and not line.startswith("#"):
-                    pairs.append(line)
-        text = ",".join(pairs)
-    entries = [e.strip() for e in text.split(",")]
+                    lines.append(line)
+        text = ",".join(lines)
+    entries = (e.strip() for e in text.split(","))
     values: dict = {}
-    basis = None
-
-    def put(name, val):
-        if name in values:
-            raise UsageError(f"parameter {name!r} is given more than once")
-        values[name] = _rational(val)
-
-    i = 0
-    while i < len(entries):
-        if not entries[i]:
-            i += 1
+    basis = knames = None
+    for entry in entries:
+        if not entry:
             continue
-        if "=" not in entries[i]:
-            raise UsageError(f"malformed parameter entry {entries[i]!r}")
-        key, val = entries[i].split("=", 1)
+        if "=" not in entry:
+            raise UsageError(f"malformed parameter entry {entry!r}")
+        key, val = entry.split("=", 1)
         key = key.strip()
+        pairs = [(key, val)]
         if key == "K":
             # comma list: the remaining entries are the tail of the list
-            vals = [val.strip()] + entries[i + 1:]
+            vals = [val.strip(), *entries]
             if not all(vals):
                 raise UsageError("empty entry in the K-values:"
                                  f" K={','.join(vals)}")
-            labels = W.k_param_names()
-            if len(vals) != len(labels):
+            knames = knames or W.k_param_names()
+            if len(vals) != len(knames):
                 raise UsageError(
-                    f"expected {len(labels)} K-values, got {len(vals)}")
-            for lab, v in zip(labels, vals):
-                put(lab, v)
-            basis = _merge_basis(basis, "K")
-            break
-        alias = {"a": "A", "b": "B"}.get(key, key)
-        if alias in W.param_names:
-            put(alias, val)
-            basis = _merge_basis(basis, "C")
-        elif alias in W.k_param_names():
-            put(alias, val)
-            basis = _merge_basis(basis, "K")
-        else:
-            raise UsageError(f"unknown parameter {key!r} for {W.spec}")
-        i += 1
+                    f"expected {len(knames)} K-values, got {len(vals)}")
+            pairs = zip(knames, vals)
+        for key, val in pairs:
+            name = {"a": "A", "b": "B"}.get(key, key)
+            if name in W.param_names:
+                side = "C"
+            elif name in (knames := knames or W.k_param_names()):
+                side = "K"
+            else:
+                raise UsageError(f"unknown parameter {key!r} for {W.spec}")
+            if name in values:
+                raise UsageError(f"parameter {name!r} is given more than once")
+            values[name] = _rational(val)
+        # a K-list is one entry: each of its pairs is read before the bases
+        # are compared
+        if basis not in (None, side):
+            raise UsageError("cannot mix C- and K-coordinates")
+        basis = side
     if basis is None:
         raise UsageError("no parameters given")
     try:
@@ -162,12 +156,6 @@ def _group(spec: str):
         return build_group(spec)
     except ValueError as exc:
         raise UsageError(str(exc))
-
-
-def _merge_basis(basis, new):
-    if basis is not None and basis != new:
-        raise UsageError("cannot mix C- and K-coordinates")
-    return new
 
 
 # ---------------------------------------------------------------------------

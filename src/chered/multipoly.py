@@ -425,7 +425,7 @@ def _field_bits(top: int) -> int:
     return w
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def _packing(nfields: int, bits: int):
     """(pack, unpack) between tuples of nfields integers in 0..2^bits - 1
     and ints, the first entry in the highest field.  Fields do not carry

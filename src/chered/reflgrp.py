@@ -2,8 +2,9 @@
 conjugacy classes, irreducible characters, invariant degrees, fake degrees,
 and the two coordinate systems (C and K) on the parameter space.  A point of
 the parameter space is a plain dict {label: value}; the C-labels are the
-reflection classes.  `check_param_labels` is the one check of its labels and
-`param_convert` the one change of coordinates.
+reflection classes.  `check_param_labels` is the one check of its labels,
+`param_map` holds the change of coordinates as one table of rows each way,
+and `param_convert` is the one conversion of a point.
 
 Supported groups: the cyclic group of order d acting on a line ("cyclic:d")
 and the Weyl group of type B2 ("b2").  Their builders, `_build_cyclic` and
@@ -608,19 +609,21 @@ def k_forms(W: ReflectionGroup) -> MappingProxyType:
 
 
 class ParamMap(_Record):
-    """The change between the C- and K-coordinates of one group.
+    """The change between the C- and K-coordinates of one group, as two
+    tables of rows (target label, ((source label, coefficient), ...)).
 
     Per hyperplane orbit of order e, the class of the reflections s_H^i has
     C_i = sum_j z_e^(i(j-1)) K_j (and C_0 = 0), inverted by
-    K_j = (1/e) sum_i z_e^(-i(j-1)) C_i.  Each C_s is written over the
-    K-forms of `k_forms`, so it is a linear form in the K-labels that are
-    left once K_0 is eliminated.
+    K_j = (1/e) sum_i z_e^(-i(j-1)) C_i.  A C-row is read over the K-labels
+    of `k_forms`, those left once K_0 = -(K_1 + ... + K_(e-1)) is
+    eliminated, so its coefficient of K_j is z_e^(i(j-1)) - z_e^(-i), and
+    the zero ones are dropped.
     """
 
-    c_forms: MappingProxyType   # C-label -> MPoly, linear in the K-labels
-    k_rows: tuple               # (K-label, ((C-label, coeff), ...))
+    c_rows: tuple   # (C-label, ((K-label, coeff), ...)), K_0 eliminated
+    k_rows: tuple   # (K-label, ((C-label, coeff), ...))
 
-    __slots__ = ("c_forms", "k_rows")
+    __slots__ = ("c_rows", "k_rows")
 
 
 @functools.lru_cache(maxsize=None)
@@ -630,26 +633,24 @@ def param_map(W: ReflectionGroup) -> ParamMap:
     change of coordinates needs it (`param_convert`); what reads the
     K-coordinates alone reads `k_forms`.
 
-    >>> print(param_map(build_group("cyclic:2")).c_forms["C1"])
-    2*K1
+    >>> param_map(build_group("cyclic:2")).c_rows
+    (('C1', (('K1', 2),)),)
     """
-    ks = k_forms(W)
-    c_forms, k_rows = {}, []
+    c_rows, k_rows = [], []
     for label, e in W.hyperplane_orbits:
         z = primitive_root(e)
         table = [[scalar_pow(z, i * (j - 1)) for j in range(e)] for i in range(e)]
         klabs = _orbit_k_labels(W, label, e)
         classes = {r.power: r.param for r in W.reflections if r.orbit == label}
         for i, param in classes.items():
-            form = MPoly.zero()
-            for j, lab in enumerate(klabs):
-                form = form + ks[lab] * table[i][j]
-            c_forms[param] = form
+            row = ((lab, canon_scalar(table[i][j] - table[i][0]))
+                   for j, lab in enumerate(klabs) if j)
+            c_rows.append((param, tuple((lab, c) for lab, c in row if c != 0)))
         for j, lab in enumerate(klabs):
             k_rows.append((lab, tuple(
                 (param, scalar_div(table[i][j].conjugate(), e))
                 for i, param in classes.items())))
-    return ParamMap(MappingProxyType(c_forms), tuple(k_rows))
+    return ParamMap(tuple(c_rows), tuple(k_rows))
 
 
 class IdempotentBasis(_Basis):
@@ -774,10 +775,10 @@ def check_param_labels(W: ReflectionGroup, values: dict, basis: str) -> None:
 def param_convert(W: ReflectionGroup, values: dict, target: str) -> dict:
     """Exact change of coordinates of a parameter point, a dict of values
     keyed by the labels of the other basis, into the `target` basis ("C" or
-    "K") through `param_map`: its C-forms, or its K-rows.
+    "K") through the rows of `param_map`: its C-rows, or its K-rows.
 
     Every label of the source basis must be present.  A K-point must sum to
-    zero on each orbit; the C-forms never read the eliminated K_0, so this
+    zero on each orbit; the C-rows never read the eliminated K_0, so this
     is checked here.
 
     >>> W = build_group("cyclic:2")
@@ -791,19 +792,14 @@ def param_convert(W: ReflectionGroup, values: dict, target: str) -> dict:
     if target not in ("C", "K"):
         raise ValueError("target basis must be 'C' or 'K'")
     check_param_labels(W, values, "K" if target == "C" else "C")
-    pm = param_map(W)
-    rows = pm.k_rows
     if target == "C":
         for label, e in W.hyperplane_orbits:
             if sum(values[lab] for lab in _orbit_k_labels(W, label, e)) != 0:
                 raise ValueError(
                     f"K-coordinates of orbit {label} do not sum to zero")
-        # a C-form is linear: each term is one K-label and its coefficient
-        rows = ((label, ((form.vars[exp.index(1)], c)
-                         for exp, c in form.terms.items()))
-                for label, form in pm.c_forms.items())
     out = {}
-    for label, row in rows:
+    pm = param_map(W)
+    for label, row in pm.c_rows if target == "C" else pm.k_rows:
         acc = 0
         for src, coeff in row:
             acc = coeff * values[src] + acc

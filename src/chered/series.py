@@ -48,12 +48,11 @@ class TruncSeries2:
     """Power series in (t, u) truncated to the square 0 <= i, j <= order,
     stored as {(i, j): nonzero canonical coefficient}."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("coeffs",)
 
     def __init__(self, order: int, coeffs: dict):
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
-        self.order = order
         self.coeffs = {}
         for key, c in coeffs.items():
             c = canon_scalar(c)

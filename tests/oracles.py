@@ -1,9 +1,10 @@
 """Reference computations kept for the tests only: cyclotomic arithmetic on
 Fraction coordinates, the per-factor change of coordinates for the rank-1
-center identity, with its own C -> K table, the resultant as a Sylvester
-determinant, the Berkowitz characteristic polynomial with every product
-formed, the schoolbook polynomial product with tuple keys, the
-substitution into a polynomial summed one term at a time, the PBW
+center identity, with its own C -> K table, the C-forms of a group read
+from its C-rows, the resultant as a Sylvester determinant, the Berkowitz
+characteristic polynomial with every product formed, the schoolbook
+polynomial product with tuple keys, the substitution into a polynomial
+summed one term at a time, the PBW
 product computed one term of the left factor at a time in `MPoly`
 arithmetic (with the element-level left multiplications by a V* coordinate
 and by a group element), the change from the idempotent basis of a cyclic
@@ -30,7 +31,7 @@ from chered.exactnum import (Cyclotomic, canon_scalar, cyclotomic_polynomial,
 from chered.multipoly import MPoly
 from chered.cmcells import tensor_with_linear
 from chered.reflgrp import (b_invariant, build_group, character_table,
-                            fake_degree, value_on_element)
+                            fake_degree, k_forms, param_map, value_on_element)
 from chered.series import center_basis_bidegrees
 from chered.verma import coinvariant_basis
 
@@ -120,6 +121,14 @@ def substitute_params(elem: PBWElement, mapping: dict) -> PBWElement:
         if not new.is_zero():
             terms[key] = new
     return PBWElement(elem.basis, terms)
+
+
+def c_forms(W) -> dict:
+    """{C-label: MPoly}: each C-row of `param_map(W)` as a linear form in
+    the K-forms of `k_forms(W)`."""
+    ks = k_forms(W)
+    return {lab: sum((ks[src] * c for src, c in row), MPoly.zero())
+            for lab, row in param_map(W).c_rows}
 
 
 def rank1_k_variables(d: int) -> list:

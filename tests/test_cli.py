@@ -44,6 +44,13 @@ def test_group_info(capsys):
 def test_verify_center_and_relations(capsys):
     code, out, _ = run(capsys, "verify", "center", "--group", "cyclic:3")
     assert code == 0 and "status: True" in out
+    # b2 checks the centrality of its four generators
+    code, out, _ = run(capsys, "verify", "center", "--group", "b2", "--json")
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["relation"] for r in reports] == [
+        "central(eu)", "central(eu')", "central(eu'')", "central(delta)"]
+    assert all(r["status"] is True for r in reports)
     code, out, _ = run(capsys, "verify", "relations", "--group", "b2",
                        "--json")
     assert code == 0

@@ -395,6 +395,18 @@ def test_equal_values_hash_equal_across_fields():
         assert len({x, y}) == 1 and {x: 1}[y] == 1
 
 
+def test_unsupported_operands_are_refused():
+    # a str is no scalar: unequal to every Cyclotomic, and no operand
+    z = primitive_root(3)
+    assert z != "z" and not z == "z"
+    with pytest.raises(TypeError, match=r"for \+: 'Cyclotomic' and 'str'"):
+        z + "z"
+    with pytest.raises(TypeError, match="for /: 'Cyclotomic' and 'str'"):
+        z / "z"
+    with pytest.raises(TypeError, match="for /: 'str' and 'Cyclotomic'"):
+        "z" / z
+
+
 def test_cyclotomic_is_immutable():
     x = (1 + primitive_root(5)) / 3
     for name in ("order", "num", "den", "other"):
@@ -549,7 +561,7 @@ def test_group_data_is_canonical(spec):
     pm = param_map(W)
     data = [W.matrices, W.dual_matrices,
             [chi.values for chi in character_table(W)],
-            dict(k_forms(W)), dict(pm.c_forms), pm.k_rows,
+            dict(k_forms(W)), pm.c_rows, pm.k_rows,
             omega_table(W)]
     seen = list(_scalars(data))
     assert seen

@@ -2,13 +2,13 @@
 imported from the module that defines it (by the tests too), every name
 of a module's ``__all__`` is defined there, every function, class, method
 and top-level constant it defines is used, every annotated field of its
-classes is read, no check is an assert statement, the terms of an element
-or a polynomial, packed or not, are written only by its constructors and
-by the two conversions of an element between its forms, every ArithmeticError
-and ValueError the package raises has a test that provokes it by its
-message, and a group is told apart by its spec only where an allow-list
-says why, and a basis of the group algebra by its class, or a value by
-the attributes it has, nowhere."""
+classes is read, no check is an assert statement, no cache is bounded, the
+terms of an element or a polynomial, packed or not, are written only by its
+constructors and by the two conversions of an element between its forms,
+every ArithmeticError and ValueError the package raises has a test that
+provokes it by its message, and a group is told apart by its spec only
+where an allow-list says why, and a basis of the group algebra by its
+class, or a value by the attributes it has, nowhere."""
 import ast
 import re
 from pathlib import Path
@@ -200,6 +200,32 @@ def assert_lines(source: str) -> list[int]:
     strips them, so no check of the package may rest on one."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Assert)]
+
+
+def bounded_caches(source: str) -> list[int]:
+    """Line numbers of each `lru_cache` of a module whose maxsize is not
+    None: used bare or called without maxsize (a bound of 128 either way),
+    or called with another value.  A cache of the package keeps what it
+    computes for the process; one that evicts rebuilds an entry on its next
+    use, and its callers would have to allow for that."""
+    tree = ast.parse(source)
+
+    def lru(node):
+        return (isinstance(node, ast.Name) and node.id == "lru_cache"
+                or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and lru(node.func)}
+    found = []
+    for node in ast.walk(tree):
+        if lru(node):
+            call = calls.get(id(node))
+            size = None if call is None else next(
+                (k.value for k in call.keywords if k.arg == "maxsize"),
+                call.args[0] if call.args else None)
+            if not (isinstance(size, ast.Constant) and size.value is None):
+                found.append(node.lineno)
+    return sorted(found)
 
 
 # The attributes that hold the terms of an element or a polynomial: the
@@ -659,6 +685,23 @@ def test_scanner_flags_asserts():
     assert assert_lines(source) == [2, 8]
 
 
+def test_scanner_flags_bounded_caches():
+    source = ("import functools\n"
+              "from functools import lru_cache\n"
+              "@functools.lru_cache(maxsize=None)\n"
+              "def a(x): return x\n"
+              "@lru_cache(None)\n"
+              "def b(x): return x\n"
+              "@lru_cache\n"
+              "def c(x): return x\n"
+              "@functools.lru_cache()\n"
+              "def d(x): return x\n"
+              "e = lru_cache(maxsize=64)(a)\n"
+              "f = lru_cache(maxsize=None)(b)\n"
+              "g = functools.lru_cache(16, typed=True)(c)\n")
+    assert bounded_caches(source) == [7, 9, 11, 13]
+
+
 def test_scanner_flags_untested_raises():
     sources = {"a": ("def f(x, n):\n"
                      "    if x:\n"
@@ -800,6 +843,11 @@ def test_no_unread_fields():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_terms_change_only_in_constructors(path):
     assert terms_changes(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bounded_caches(path):
+    assert bounded_caches(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

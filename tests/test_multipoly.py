@@ -20,6 +20,9 @@ def test_basic_arithmetic():
     assert p.coefficient("x", 1) == 2 * y
     assert (p - p).is_zero()
     assert str(x ** 2 - y) == "x^2 - y"
+    assert 3 - x == -x + 3
+    with pytest.raises(TypeError, match="for -: 'MPoly' and 'str'"):
+        x - "x"
 
 
 def test_constant_value_and_negative_power_are_refused():
@@ -304,6 +307,7 @@ def test_charpoly_berkowitz():
     a = MPoly.var("a")
     mat = [[a, MPoly.const(1)], [MPoly.const(1), a]]
     assert charpoly_berkowitz(mat, "t") == (t - a) ** 2 - 1
+    assert charpoly_berkowitz([], "t") == 1
 
 
 NONZERO_ENTRIES = st.one_of(

@@ -1,8 +1,10 @@
 """Reflection groups, characters, fake degrees, parameter coordinates."""
 import math
 import os
+import random
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,8 @@ from chered.reflgrp import (_Record, build_group, b_invariant,
                             idempotent_basis, inner_product, k_forms,
                             param_convert, param_map, value_on_element)
 from chered.verma import omega, omega_table
-from oracles import rank1_c_to_k, rank1_k_variables, replace_fields
+from oracles import (c_forms, rank1_c_to_k, rank1_k_variables,
+                     replace_fields)
 
 
 def test_cyclic_group_structure():
@@ -328,7 +331,7 @@ def test_act_monomial_duality():
 
 def test_param_map_eliminates_k0():
     W = build_group("cyclic:3")
-    subst = param_map(W).c_forms
+    subst = c_forms(W)
     for val in subst.values():
         assert val.degree_in("K0") == 0
 
@@ -336,7 +339,7 @@ def test_param_map_eliminates_k0():
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
 def test_param_map_matches_rank1_oracle(d):
     W = build_group(f"cyclic:{d}")
-    assert dict(param_map(W).c_forms) == rank1_c_to_k(d)
+    assert c_forms(W) == rank1_c_to_k(d)
     assert list(k_forms(W).values()) == rank1_k_variables(d)
 
 
@@ -351,14 +354,47 @@ def test_param_convert_c_k_c_roundtrip(spec, data):
     cv = {lab: data.draw(q, label=lab) for lab in W.param_names}
     kv = param_convert(W, cv, "K")
     assert param_convert(W, kv, "C") == cv
-    # the owner's linear forms, evaluated at the K-point, give C back
-    pm = param_map(W)
+    # the owner's C-rows, as linear forms evaluated at the K-point, give C
+    # back
+    forms = c_forms(W)
     for lab, value in cv.items():
-        got = pm.c_forms[lab].substitute(kv)
+        got = forms[lab].substitute(kv)
         assert canon_scalar(got.constant_value()) == value
     for lab, form in k_forms(W).items():
         got = form.substitute(kv)
         assert canon_scalar(got.constant_value()) == kv[lab]
+
+
+@pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 13)])
+def test_param_convert_matches_the_oracle_forms(spec):
+    """K -> C at seeded rational K-points is the oracle's C-forms evaluated
+    there (`rank1_c_to_k`; on each orbit of b2, whose reflections have
+    order 2, C = K_1 - K_0 = 2 K_1), and C -> K -> C gives seeded rational
+    C-points back, and a Cyclotomic one."""
+    W = build_group(spec)
+    if spec == "b2":
+        forms = {"A": 2 * MPoly.var("Ks1"), "B": 2 * MPoly.var("Kt1")}
+    else:
+        forms = rank1_c_to_k(W.order())
+    rng = random.Random(zlib.crc32(f"convert/{spec}".encode()))
+
+    def q():
+        return canon_scalar(Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+
+    for _ in range(3):
+        names, kv = iter(W.k_param_names()), {}
+        for _, e in W.hyperplane_orbits:
+            labs = [next(names) for _ in range(e)]
+            rest = [q() for _ in labs[1:]]
+            kv.update(zip(labs, [canon_scalar(-sum(rest)), *rest]))
+        assert param_convert(W, kv, "C") == {
+            lab: canon_scalar(form.substitute(kv).constant_value())
+            for lab, form in forms.items()}
+        cv = {lab: q() for lab in W.param_names}
+        assert param_convert(W, param_convert(W, cv, "K"), "C") == cv
+    z = primitive_root(W.order())
+    cv = {lab: z ** (i + 1) + q() for i, lab in enumerate(W.param_names)}
+    assert param_convert(W, param_convert(W, cv, "K"), "C") == cv
 
 
 def test_character_table_refuses_a_repeated_character():
@@ -420,7 +456,7 @@ def test_build_group_refuses_a_malformed_spec(spec, message):
 
 
 def test_param_convert_refuses_a_k_point_off_the_constraint():
-    # K0 is eliminated from the C-forms, so only the sum check sees it
+    # K0 is eliminated from the C-rows, so only the sum check sees it
     with pytest.raises(ValueError,
                        match="K-coordinates of orbit s do not sum to zero"):
         param_convert(build_group("cyclic:3"), {"K0": 1, "K1": 0, "K2": 0},
@@ -430,13 +466,15 @@ def test_param_convert_refuses_a_k_point_off_the_constraint():
 @pytest.mark.parametrize("spec", ["b2"] + [f"cyclic:{d}" for d in range(2, 9)])
 def test_k_forms_equal_param_maps(spec):
     """The K-forms built without the C<->K table are those of the table:
-    each K-row of `param_map`, read over its C-forms, gives the K-form."""
+    each K-row of `param_map`, read over its C-rows, gives the K-form."""
     W = build_group(spec)
     pm = param_map(W)
     ks = k_forms(W)
+    forms = c_forms(W)
     assert [lab for lab, _ in pm.k_rows] == list(ks) == list(W.k_param_names())
+    assert [lab for lab, _ in pm.c_rows] == list(W.param_names)
     for lab, row in pm.k_rows:
-        form = sum((pm.c_forms[c] * coeff for c, coeff in row), MPoly.zero())
+        form = sum((forms[c] * coeff for c, coeff in row), MPoly.zero())
         assert form == ks[lab], lab
     assert k_forms(W) is ks
 

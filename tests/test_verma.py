@@ -7,13 +7,13 @@ import pytest
 from chered.exactnum import canon_scalar
 from chered.multipoly import MPoly
 from chered.reflgrp import (build_group, character_table, fake_degree,
-                            idempotent_basis, param_convert, param_map)
+                            idempotent_basis, param_convert)
 from chered.cherednik import (PBWElement, euler_element, multiply,
                               named_center_generators)
 from chered.verma import (BabyVermaModule, _reynolds_invariants,
                           build_baby_verma, coinvariant_basis, omega,
                           omega_table)
-from oracles import (dense_act, dense_omega, graded_character_eM,
+from oracles import (c_forms, dense_act, dense_omega, graded_character_eM,
                      omega_euler_closed_form, on_character, replace_fields)
 
 
@@ -446,13 +446,13 @@ def test_omega_over_idempotents_matches_the_group_basis(d):
     K-form; and it is rational."""
     W = build_group(f"cyclic:{d}")
     B = idempotent_basis(W)
-    c_forms = param_map(W).c_forms
+    forms = c_forms(W)
     chars = character_table(W)
     over_idem = omega(euler_element(B), chars)
     over_group = omega(euler_element(W), chars)
     for chi in chars:
         value = over_idem[chi.name]
-        assert value == over_group[chi.name].substitute(c_forms), chi.name
+        assert value == over_group[chi.name].substitute(forms), chi.name
         assert all(isinstance(c, (int, Fraction))
                    for c in value.terms.values()), chi.name
 
